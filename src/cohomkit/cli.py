@@ -1,8 +1,9 @@
 """Batch command surface with stable file formats and re-verifiable reports.
 
 Exit codes: 0 on pass, 1 on a mathematical-verdict failure, 2 on usage or
-size errors.  Reports are deterministic given inputs and version: wall time
-goes to stderr, never into the verdict body.
+size errors, 3 on an internal error (a check that holds by theory failed,
+which signals a bug).  Reports are deterministic given inputs and version:
+wall time goes to stderr, never into the verdict body.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import sys
 import time
 
 from . import __version__
-from .cohomology import (bockstein_delta, canonical_coords, cohomology_group,
-                         cohomology_system, normalize_coeff)
+from .cohomology import bockstein_delta, canonical_coords, cohomology_group
 from .cup import ring_slice
-from .errors import CohomkitError, SizeCapExceeded
+from .errors import (CohomkitError, InternalCheckFailed, NoIsomorphismFound,
+                     NoPreimageFound, SizeCapExceeded)
 from .fibrewise import (FGModule, augmentation_ideal, dualising_check,
-                        ext_group, fibre_projectivity_test, gproj_test,
+                        fibre_projectivity_test, gproj_test,
                         integral_projectivity_test, koszul_selfdual_check,
                         lattice_from_presentation, fp_module_from_presentation,
                         proj_dim_via_fibres, regular_module, trivial_module)
@@ -172,7 +173,9 @@ def cmd_fibre(args):
             "fibres": {str(p): bool(v) for p, v in rep.fibres.items()},
             "supremum": "0" if rep.supremum == 0 else "infinity"}
     return _report("fibre", {"group": args.group, "module": args.module,
-                             "mode": "projdim"}, body, "pass")
+                             "mode": "projdim",
+                             "verify_rational": bool(args.verify_rational)},
+                   body, "pass")
 
 
 def cmd_dualising(args):
@@ -470,7 +473,7 @@ def _rebuild(cmd, inputs):
         ns.module = inputs["module"]
         ns.gproj = inputs.get("mode") == "gproj"
         ns.projdim = inputs.get("mode") == "projdim"
-        ns.verify_rational = False
+        ns.verify_rational = bool(inputs.get("verify_rational"))
         return cmd_fibre(ns)
     return None
 
@@ -574,6 +577,9 @@ def main(argv=None) -> int:
     except SizeCapExceeded as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)
         return 2
+    except (InternalCheckFailed, NoPreimageFound, NoIsomorphismFound) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (CohomkitError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,10 +14,6 @@ import os
 DEFAULT_SIZE_CAP = 10**6
 DEFAULT_ORDER_CAP = 64
 
-# Dense canonicalization (lex-least representatives) is only attempted when
-# the ambient cochain dimension is at most this.
-LEX_CANON_MAX_DIM = 4096
-
 
 def size_cap() -> int:
     raw = os.environ.get("COHOMKIT_SIZE_CAP")

@@ -15,8 +15,8 @@ import json
 
 import numpy as np
 
-from .cohomology import (CohomologyClass, CohomologyGroup, canonical_coords,
-                         cohomology_group, cohomology_system, normalize_coeff)
+from .cohomology import (CohomologyClass, canonical_coords, cohomology_group,
+                         cohomology_system, normalize_coeff)
 from .errors import ModulusMismatch, SizeCapExceeded
 from .groups import FiniteGroup
 from .resolutions import bar_cochains

@@ -31,7 +31,7 @@ from math import gcd
 import numpy as np
 
 from .. import kernels
-from ..errors import SizeCapExceeded
+from ..errors import InternalCheckFailed, SizeCapExceeded
 from .dense import IntMatrix, smith_normal_form
 
 _RESIDUAL_DIM_CAP = 2048
@@ -444,12 +444,22 @@ class SparseFactorization:
                 mods.append(0)
         return vals, mods
 
+    def solvable_over_q(self, vec) -> bool:
+        """Whether A x = vec has a rational solution: every free cokernel
+        coordinate of vec is 0 (a Z factorization answers this too)."""
+        if self.m:
+            raise ValueError("solvable_over_q is defined over Z")
+        vals, mods = self.coords(vec)
+        return all(v == 0 for v, d in zip(vals, mods) if d == 0)
+
     def in_image(self, vec) -> bool:
         vals, mods = self.coords(vec)
         return all(v == 0 for v in vals)
 
     def solve(self, b, verify: bool = True):
-        """Some x with A x = b (over Z or mod m), or None."""
+        """Some x with A x = b (over Z or mod m), or None when b is not in
+        the image.  With ``verify``, an x that fails A x = b raises
+        InternalCheckFailed."""
         m = self.m
         z = self._replay(b)
         x = [0] * self.ncols
@@ -508,7 +518,8 @@ class SparseFactorization:
             ok = all((bi - vi) % m == 0 for bi, vi in zip(back, b)) if m else \
                 all(int(bi) == int(vi) for bi, vi in zip(back, b))
             if not ok:
-                return None
+                raise InternalCheckFailed(
+                    "sparse solve: A x != b after back-substitution")
         return x
 
     def matvec(self, x):
@@ -546,14 +557,6 @@ class SparseFactorization:
                 rep = self._replay(vec, reverse=True)
                 out.append((d, [int(v) for v in rep]))
         return out
-
-    def free_rep(self, k: int):
-        """Representative for the k-th free cokernel coordinate (zero rows)."""
-        r = self.zero_rows[k]
-        vec = [0] * self.nrows
-        vec[r] = 1
-        rep = self._replay(vec, reverse=True)
-        return [int(v) for v in rep]
 
     def kernel_basis(self):
         """Generators of ker(A) over Z or Z/m (torsion directions included)."""

@@ -5,24 +5,28 @@ groups, and Koszul self-duality.
 Modules are handled in two concrete forms: a presentation (FGModule, the
 JSON-facing type) and a realized Z-lattice or F_p-vector space carrying the
 action of every group element.  Projectivity at a fibre is decided by one
-linear splitting system; no minimal-resolution machinery anywhere.
+linear splitting system; no minimal-resolution machinery anywhere.  The
+splitting systems have at most dim+1 nonzeros per row and are solved with
+the sparse factorization of :mod:`cohomkit.exact.sparse`: over F_p for a
+fibre, over Z for the integral test, and over Q by reading the free cokernel
+coordinates of the Z factorization.  Dense SNF is their test oracle.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, inf
+from math import inf
 
 import numpy as np
 
 from .abelian import factorize
 from .errors import (InternalCheckFailed, InvalidModule, NoIsomorphismFound,
                      NotBaseFree)
-from .exact.dense import IntMatrix, cokernel_invariants, smith_normal_form, solve_mod
+from .exact.dense import IntMatrix, cokernel_invariants, smith_normal_form
 from .exact.modp import nullspace_modp, rank_modp, solve_modp
+from .exact.sparse import SparseFactorization
 from .groups import FiniteGroup
 from .resolutions import subquotient_invariants
 
@@ -363,24 +367,29 @@ def _free_cover_data(group: FiniteGroup, dim: int, action_of):
     return P
 
 
-def _splitting_system(group: FiniteGroup, dim: int, action_of, ring_p: int):
+def _splitting_system(group: FiniteGroup, dim: int, action_of):
     """Linear system for an equivariant splitting sigma with P sigma = id.
 
-    Unknowns: sigma entries (dim*|G|) x dim, row-major.  Returns (A, b)
-    with A x = b over Z or F_p."""
+    Unknowns: sigma entries (dim*|G|) x dim, row-major.  Returns
+    ``(nrows, ncols, coo, b)`` for A x = b, with A as COO triples; each row
+    has at most dim+1 nonzeros."""
     n = group.order
     P = _free_cover_data(group, dim, action_of)
     nf = dim * n
-    rows = []
+    ri, ci, vi = [], [], []
     rhs = []
+
+    def entry(col, v):
+        ri.append(len(rhs))
+        ci.append(col)
+        vi.append(v)
+
     # P sigma = I
     for i in range(dim):
         for j in range(dim):
-            row = [0] * (nf * dim)
             for t in range(nf):
                 if P[i][t]:
-                    row[t * dim + j] = P[i][t]
-            rows.append(row)
+                    entry(t * dim + j, P[i][t])
             rhs.append(1 if i == j else 0)
     # equivariance: sigma act_M(g) = act_F(g) sigma for every element
     for g in range(1, n):
@@ -389,15 +398,13 @@ def _splitting_system(group: FiniteGroup, dim: int, action_of, ring_p: int):
             j0, h = divmod(r, n)
             src = j0 * n + _left_division(group, g, h)
             for c in range(dim):
-                row = [0] * (nf * dim)
                 for t in range(dim):
                     if mat[t][c]:
-                        row[r * dim + t] = row[r * dim + t] + mat[t][c]
+                        entry(r * dim + t, mat[t][c])
                 # (act_F(g) sigma)[r][c] = sigma[g^{-1} component]
-                row[src * dim + c] -= 1
-                rows.append(row)
+                entry(src * dim + c, -1)
                 rhs.append(0)
-    return rows, rhs
+    return len(rhs), nf * dim, (ri, ci, vi), rhs
 
 
 def _left_division(group: FiniteGroup, g: int, h: int) -> int:
@@ -405,65 +412,41 @@ def _left_division(group: FiniteGroup, g: int, h: int) -> int:
     return group.table[group.inverse[g]][h]
 
 
-def fibre_projectivity_test(M: FpModule) -> ProjectivityResult:
-    """Projectivity over F_pG by solvability of the splitting system."""
-    if M.dim == 0:
+def _splitting_test(group: FiniteGroup, dim: int, action_of,
+                    m: int) -> ProjectivityResult:
+    """Solve the splitting system over Z (m=0) or F_m with the sparse
+    factorization; a solution is the witness sigma."""
+    if dim == 0:
         return ProjectivityResult(True, [])
-    rows, rhs = _splitting_system(M.group, M.dim,
-                                  lambda g: M.action[g].tolist(), M.p)
-    x = solve_modp(rows, rhs, M.p)
+    nrows, ncols, coo, rhs = _splitting_system(group, dim, action_of)
+    x = SparseFactorization(nrows, ncols, coo, m=m).solve(rhs)
     if x is None:
         return ProjectivityResult(False, None)
-    sigma = [[int(x[r * M.dim + c]) % M.p for c in range(M.dim)]
-             for r in range(M.dim * M.group.order)]
+    sigma = [[x[r * dim + c] for c in range(dim)]
+             for r in range(dim * group.order)]
     return ProjectivityResult(True, sigma)
+
+
+def fibre_projectivity_test(M: FpModule) -> ProjectivityResult:
+    """Projectivity over F_pG by solvability of the splitting system."""
+    return _splitting_test(M.group, M.dim, lambda g: M.action[g].tolist(),
+                           M.p)
 
 
 def integral_projectivity_test(M: LatticeModule) -> ProjectivityResult:
     """Projectivity over ZG by an exact integral splitting of the free
     cover (the direct side of the fibrewise criterion)."""
-    if M.rank == 0:
-        return ProjectivityResult(True, [])
-    rows, rhs = _splitting_system(M.group, M.rank,
-                                  lambda g: M.action[g], 0)
-    x = solve_mod(IntMatrix.from_rows(rows), rhs, "Z")
-    if x is None:
-        return ProjectivityResult(False, None)
-    sigma = [[x[r * M.rank + c] for c in range(M.rank)]
-             for r in range(M.rank * M.group.order)]
-    return ProjectivityResult(True, sigma)
+    return _splitting_test(M.group, M.rank, lambda g: M.action[g], 0)
 
 
 def rational_projectivity_test(M: LatticeModule) -> bool:
     """Exact splitting over Q (always succeeds by Maschke; kept as a
-    verification toggle)."""
-    rows, rhs = _splitting_system(M.group, M.rank, lambda g: M.action[g], 0)
-    A = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in rhs]
-    ncols = len(A[0]) if A else 0
-    # exact Gaussian elimination
-    r = 0
-    piv = []
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        b[r], b[pr] = b[pr], b[r]
-        f = A[r][c]
-        A[r] = [v / f for v in A[r]]
-        b[r] = b[r] / f
-        for i in range(len(A)):
-            if i != r and A[i][c] != 0:
-                f2 = A[i][c]
-                A[i] = [v - f2 * w for v, w in zip(A[i], A[r])]
-                b[i] = b[i] - f2 * b[r]
-        piv.append(c)
-        r += 1
-    for i in range(r, len(A)):
-        if b[i] != 0:
-            return False
-    return True
+    verification toggle), decided by the Z factorization."""
+    if M.rank == 0:
+        return True
+    nrows, ncols, coo, rhs = _splitting_system(M.group, M.rank,
+                                               lambda g: M.action[g])
+    return SparseFactorization(nrows, ncols, coo).solvable_over_q(rhs)
 
 
 @dataclass

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .cohomology import (CohomologyClass, bockstein_delta, coefficient_map,
                          cohomology_group, cohomology_system, p_primary_part)
 from .cup import cup1_vec, cup_product, cup_vec
 from .errors import (InternalCheckFailed, ModulusMismatch, NoPreimageFound,
-                     NotPrime, SizeCapExceeded)
+                     NotPrime)
 from .groups import FiniteGroup
 
 

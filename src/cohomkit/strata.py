@@ -17,11 +17,10 @@ from itertools import product as iproduct
 import numpy as np
 
 from .cohomology import (CohomologyClass, CohomologyGroup, canonical_coords,
-                         cohomology_group, cohomology_system)
+                         cohomology_system)
 from .cup import GradedRingSlice, cup_vec, ring_slice
 from .errors import NotPrime, SliceTooShallow
 from .exact.modp import nullspace_modp, rank_modp, solve_modp
-from .fiso import s_exponent
 from .groups import FiniteGroup
 
 

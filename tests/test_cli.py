@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from cohomkit import cli
 from cohomkit.cli import main
+from cohomkit.errors import (InternalCheckFailed, NoIsomorphismFound,
+                             NoPreimageFound)
+from cohomkit.exact.sparse import SparseFactorization
 
 
 def run(capsys, *argv):
@@ -78,6 +82,22 @@ class TestBasicCommands:
         assert code == 0
         data = json.loads(out)
         assert data["supremum"] == "infinity"
+
+    def test_fibre_verify_rational_rechecks(self, capsys, tmp_path):
+        mod = tmp_path / "triv.json"
+        mod.write_text(json.dumps({
+            "base": "Z", "generators": 1, "relations": [],
+            "action": {"1": [[1]]}}))
+        code, out, _ = run(capsys, "--json", "fibre", "--group", "c3",
+                           "--module", str(mod), "--projdim",
+                           "--verify-rational")
+        assert code == 0
+        assert json.loads(out)["inputs"]["verify_rational"] is True
+        rep = tmp_path / "rep.json"
+        rep.write_text(out)
+        code, out2, _ = run(capsys, "--json", "recheck", str(rep))
+        assert code == 0
+        assert json.loads(out2)["reproduced"] is True
 
     def test_fibre_gproj(self, capsys, tmp_path):
         mod = tmp_path / "tors.json"
@@ -178,3 +198,34 @@ class TestErrorPaths:
         code, _, _ = run(capsys, "cohomology", "--group", "c2",
                          "--coeff", "Z/1", "--deg", "2")
         assert code == 2
+
+    def test_failed_self_check_exits_3(self, capsys, monkeypatch, tmp_path):
+        """A corrupted matvec makes the sparse solve's A x = b check fail;
+        that is a bug signal, not a usage error."""
+        good = SparseFactorization.matvec
+
+        def corrupt(self, x):
+            out = good(self, x)
+            out[0] += 1
+            return out
+
+        monkeypatch.setattr(SparseFactorization, "matvec", corrupt)
+        mod = tmp_path / "free.json"
+        mod.write_text(json.dumps({
+            "base": "Fp", "p": 2, "generators": 2, "relations": [],
+            "action": {"1": [[0, 1], [1, 0]]}}))
+        code, _, err = run(capsys, "fibre", "--group", "c2",
+                           "--module", str(mod))
+        assert code == 3
+        assert err.startswith("internal error:")
+
+    @pytest.mark.parametrize("exc", [InternalCheckFailed, NoPreimageFound,
+                                     NoIsomorphismFound])
+    def test_bug_signals_exit_3(self, capsys, monkeypatch, exc):
+        def fail(G):
+            raise exc("forced")
+
+        monkeypatch.setattr(cli, "dualising_check", fail)
+        code, _, err = run(capsys, "dualising", "--group", "c2")
+        assert code == 3
+        assert "internal error: forced" in err

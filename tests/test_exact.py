@@ -6,7 +6,15 @@ import pytest
 
 from cohomkit.exact.dense import (IntMatrix, cokernel_invariants,
                                   smith_normal_form, solve_mod)
+from cohomkit.errors import InternalCheckFailed
 from cohomkit.exact.sparse import SparseFactorization
+
+
+def dense_solvable_over_q(dense, b):
+    """Dense SNF oracle: rank A == rank [A | b]."""
+    aug = [row + [v] for row, v in zip(dense, b)]
+    return (smith_normal_form(IntMatrix.from_rows(dense)).rank()
+            == smith_normal_form(IntMatrix.from_rows(aug)).rank())
 
 
 def minors_gcd_invariants(rows):
@@ -174,6 +182,8 @@ class TestSparseFactorization:
         xs = f.solve(b)
         xd = solve_mod(IntMatrix.from_rows(dense), b, m if m else "Z")
         assert (xs is None) == (xd is None)
+        if m == 0:
+            assert f.solvable_over_q(b) == dense_solvable_over_q(dense, b)
         # kernel vectors annihilate
         for k in f.kernel_basis():
             out = [sum(dense[i][j] * k[j] for j in range(nc))
@@ -187,6 +197,41 @@ class TestSparseFactorization:
             img = [v % m for v in img]
         vals, _mods = f.coords(img)
         assert all(v == 0 for v in vals)
+
+    @pytest.mark.parametrize("dense, b, over_z, over_q", [
+        ([[2]], [1], False, True),            # 2x = 1
+        ([[1], [1]], [0, 1], False, False),   # x = 0 and x = 1
+        ([[1, 1], [2, 2]], [1, 2], True, True),
+        ([[0, 0]], [3], False, False),        # zero row
+        ([[2, 4], [6, 8]], [1, 1], False, True),
+    ])
+    def test_rational_reading(self, dense, b, over_z, over_q):
+        nr, nc = len(dense), len(dense[0])
+        coo = ([i for i in range(nr) for j in range(nc)],
+               [j for i in range(nr) for j in range(nc)],
+               [dense[i][j] for i in range(nr) for j in range(nc)])
+        f = SparseFactorization(nr, nc, coo, m=0)
+        assert (f.solve(b) is not None) == over_z
+        assert dense_solvable_over_q(dense, b) == over_q
+        assert f.solvable_over_q(b) == over_q
+        with pytest.raises(ValueError):
+            SparseFactorization(nr, nc, coo, m=3).solvable_over_q(b)
+
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_failed_self_check_raises(self, monkeypatch, m):
+        f = SparseFactorization(3, 3, ([0, 1, 2], [0, 1, 2], [2, 6, 1]), m=m)
+        b = [2, 6, 1]
+        assert f.solve(b) is not None
+        good = f.matvec
+
+        def corrupt(x):
+            out = good(x)
+            out[1] += 1
+            return out
+
+        monkeypatch.setattr(f, "matvec", corrupt)
+        with pytest.raises(InternalCheckFailed):
+            f.solve(b)
 
     def test_torsion_reps(self):
         # coker = Z/2 + Z/6: reps must be independent non-images

@@ -1,19 +1,23 @@
 import json
 from math import inf
 
+import numpy as np
 import pytest
 
 from cohomkit.cohomology import cohomology_group
 from cohomkit.errors import InvalidModule, NotBaseFree
-from cohomkit.exact.dense import IntMatrix
-from cohomkit.fibrewise import (FGModule, FpModule, augmentation_ideal,
+from cohomkit.exact.dense import IntMatrix, smith_normal_form, solve_mod
+from cohomkit.exact.modp import solve_modp
+from cohomkit.fibrewise import (FGModule, FpModule, _free_cover_data,
+                                _splitting_system, augmentation_ideal,
                                 dualising_check, ext_group, fibre_algebra,
                                 fibre_projectivity_test, gproj_test,
                                 integral_projectivity_test,
                                 koszul_selfdual_check,
                                 lattice_from_presentation,
                                 fp_module_from_presentation,
-                                proj_dim_via_fibres, regular_module,
+                                proj_dim_via_fibres,
+                                rational_projectivity_test, regular_module,
                                 trivial_module)
 from cohomkit.groups import cyclic, quaternion_8, symmetric_3
 
@@ -61,18 +65,83 @@ class TestProjectivity:
 
     def test_splitting_witness_verifies(self, groups):
         """The returned sigma satisfies P sigma = id and equivariance."""
-        import numpy as np
-
-        from cohomkit.fibrewise import _free_cover_data
-
         G = groups["c3"]
         M = regular_module(G).reduce_mod(2)
         r = fibre_projectivity_test(M)
         assert r.projective
-        P = np.asarray(_free_cover_data(
-            G, M.dim, lambda g: M.action[g].tolist()), dtype=np.int64)
-        S = np.asarray(r.splitting, dtype=np.int64)
-        assert ((P @ S) % 2 == np.eye(M.dim, dtype=np.int64)).all()
+        assert all(0 <= v < 2 for row in r.splitting for v in row)
+        assert_splitting(G, M.dim, lambda g: M.action[g].tolist(),
+                         r.splitting, 2)
+
+    @pytest.mark.parametrize("name", ["c2", "c3", "c6"])
+    def test_integral_splitting_witness_verifies(self, groups, name):
+        """The integral sigma of ZG splits the free cover exactly over Z."""
+        G = groups[name]
+        M = regular_module(G)
+        r = integral_projectivity_test(M)
+        assert r.projective
+        assert_splitting(G, M.rank, lambda g: M.action[g], r.splitting, 0)
+
+
+def assert_splitting(G, dim, action_of, sigma, p):
+    """P sigma = I and sigma rho_M(g) = rho_F(g) sigma for every g, over Z
+    (p = 0) or mod p; F = (ZG)^dim with g e_{j,h} = e_{j,gh}."""
+    n = G.order
+    red = (lambda A: A % p) if p else (lambda A: A)
+    S = np.array(sigma, dtype=object)
+    P = np.array(_free_cover_data(G, dim, action_of), dtype=object)
+    assert (red(P @ S) == np.eye(dim, dtype=np.int64)).all()
+    for g in range(n):
+        F = np.zeros((dim * n, dim * n), dtype=object)
+        for j in range(dim):
+            for h in range(n):
+                F[j * n + G.table[g][h], j * n + h] = 1
+        rho = np.array(action_of(g), dtype=object)
+        assert (red(S @ rho - F @ S) == 0).all(), g
+
+
+def _dense_splitting_system(G, dim, action_of):
+    nrows, ncols, (ri, ci, vi), b = _splitting_system(G, dim, action_of)
+    A = [[0] * ncols for _ in range(nrows)]
+    for i, j, v in zip(ri, ci, vi):
+        A[i][j] += v
+    return A, b
+
+
+def _check_against_dense_oracles(G, M, primes):
+    """The sparse verdicts agree with dense SNF over Z and Q and with
+    dense mod-p elimination on every fibre."""
+    A, b = _dense_splitting_system(G, M.rank, lambda g: M.action[g])
+    integral = solve_mod(IntMatrix.from_rows(A), b, "Z") is not None
+    assert integral_projectivity_test(M).projective == integral
+    rank = smith_normal_form(IntMatrix.from_rows(A)).rank()
+    rank_b = smith_normal_form(IntMatrix.from_rows(
+        [row + [v] for row, v in zip(A, b)])).rank()
+    assert rational_projectivity_test(M) == (rank == rank_b)
+    for p in primes:
+        Mp = M.reduce_mod(p)
+        Ap, bp = _dense_splitting_system(G, Mp.dim,
+                                         lambda g: Mp.action[g].tolist())
+        assert fibre_projectivity_test(Mp).projective == \
+            (solve_modp(Ap, bp, p) is not None), p
+
+
+_MODULES = [regular_module, trivial_module, augmentation_ideal]
+
+
+class TestSparseSplittingAgainstDense:
+    @pytest.mark.parametrize("make", _MODULES)
+    @pytest.mark.parametrize("name", ["c2", "c3", "c4", "klein4"])
+    def test_small_groups(self, groups, name, make):
+        G = groups[name]
+        _check_against_dense_oracles(G, make(G), (2, 3, 5))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("make", _MODULES)
+    @pytest.mark.parametrize("name", ["c6", "s3"])
+    def test_order_six(self, groups, name, make):
+        G = groups[name]
+        _check_against_dense_oracles(G, make(G), (2, 3, 5))
 
 
 class TestProjDimViaFibres:
