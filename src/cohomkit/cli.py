@@ -117,7 +117,8 @@ def cmd_ring(args):
     body["check"] = "ring"
     body["ring_axioms"] = "pass" if ok else "fail"
     return _report("ring", {"group": args.group, "coeff": str(args.coeff),
-                            "max_deg": args.max_deg},
+                            "max_deg": args.max_deg,
+                            "basis": bool(args.basis)},
                    body, "pass" if ok else "fail")
 
 
@@ -441,7 +442,7 @@ def _rebuild(cmd, inputs):
     if cmd == "ring":
         ns.group, ns.coeff, ns.max_deg = inputs["group"], inputs["coeff"], \
             inputs["max_deg"]
-        ns.basis = False
+        ns.basis = bool(inputs.get("basis"))
         return cmd_ring(ns)
     if cmd == "bockstein":
         ns.group, ns.p, ns.i, ns.deg = inputs["group"], inputs["p"], \
@@ -472,7 +473,6 @@ def _rebuild(cmd, inputs):
         ns.group = inputs["group"]
         ns.module = inputs["module"]
         ns.gproj = inputs.get("mode") == "gproj"
-        ns.projdim = inputs.get("mode") == "projdim"
         ns.verify_rational = bool(inputs.get("verify_rational"))
         return cmd_fibre(ns)
     return None
@@ -524,7 +524,6 @@ def build_parser():
     g = sub.add_parser("fibre", help="fibrewise module tests")
     g.add_argument("--group", required=True)
     g.add_argument("--module", required=True, help="module JSON file")
-    g.add_argument("--projdim", action="store_true")
     g.add_argument("--gproj", action="store_true")
     g.add_argument("--verify-rational", action="store_true")
     g.set_defaults(func=cmd_fibre)

@@ -1,12 +1,10 @@
-"""Runtime configuration: size caps and kernel selection.
+"""Runtime configuration: size caps.
 
 Environment variables
 ---------------------
 COHOMKIT_SIZE_CAP   max number of coordinates in a single cochain space
                     (default 10**6); computations needing a larger space
                     raise SizeCapExceeded.
-COHOMKIT_NUMBA      "0" forces the pure numpy/python kernel path even when
-                    numba is importable; "1" (default) uses numba if present.
 """
 
 import os
@@ -24,13 +22,3 @@ def size_cap() -> int:
     except ValueError:
         return DEFAULT_SIZE_CAP
     return v if v > 0 else DEFAULT_SIZE_CAP
-
-
-def numba_enabled() -> bool:
-    if os.environ.get("COHOMKIT_NUMBA", "1") == "0":
-        return False
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True

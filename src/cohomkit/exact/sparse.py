@@ -13,11 +13,11 @@ The factorization runs in three logged phases:
 2. integer/modular row echelon on the leftover rows (gcd steps);
 3. dense Smith normal form (exact, python ints) on the small echelon block.
 
-Row operations from phases 1-2 are recorded in a log that can be replayed
-over any vector (the hot kernels in :mod:`cohomkit.kernels`); phase 3 keeps
-its small transform matrices explicitly.  No column operation is ever
-applied to the ambient space, so cokernel coordinates of a vector are read
-off directly after replaying the log.
+Row operations from phases 1-2 are recorded in a log, batch by batch, that
+can be replayed over any vector (the hot kernels in :mod:`cohomkit.kernels`);
+phase 3 keeps its small transform matrices explicitly.  No column
+operation is ever applied to the ambient space, so cokernel coordinates of
+a vector are read off directly after replaying the log.
 
 All arithmetic is exact: python integers over Z, canonical residues over
 Z/m.  Pivoting is deterministic, so factorizations (and everything derived
@@ -90,9 +90,7 @@ class SparseFactorization:
             elif c in d:
                 del d[c]
         self._keep_csr(rows)
-        self._log: list = []  # (type, a, b, q)
         self._eliminate(rows)
-        self._finalize_log()
 
     # -- construction ------------------------------------------------------
 
@@ -108,12 +106,7 @@ class SparseFactorization:
             indptr.append(len(indices))
         self._indptr = np.array(indptr, dtype=np.int64)
         self._indices = np.array(indices, dtype=np.int64)
-        try:
-            self._data = np.array(data, dtype=np.int64)
-            self._data_py = None
-        except OverflowError:
-            self._data = None
-            self._data_py = data
+        self._data = kernels.int_array(data)
 
     def _is_unit(self, v: int) -> bool:
         if self.m == 0:
@@ -122,8 +115,14 @@ class SparseFactorization:
 
     def _eliminate(self, rows):
         m = self.m
-        log = self._log
         ncols = self.ncols
+        # the row-operation log, one list per field, and the offsets at
+        # which its batches start (see kernels.make_log)
+        log_a: list[int] = []
+        log_b: list[int] = []
+        log_q: list[int] = []
+        batch_starts: list[int] = []
+        negs: list[int] = []
         col_rows: dict[int, set] = {}
         for r, d in enumerate(rows):
             for c in d:
@@ -191,6 +190,8 @@ class SparseFactorization:
             if m and pv != 1:
                 inv = pow(pv, -1, m)
             pitems = sorted(prow.items())
+            if len(rset) > 1:
+                batch_starts.append(len(log_a))
             for r in sorted(rset):
                 if r == pr:
                     continue
@@ -200,7 +201,9 @@ class SparseFactorization:
                     q = v * pv  # pv is +-1
                 else:
                     q = (v * inv) % m if inv is not None else v
-                log.append((0, r, pr, q))
+                log_a.append(r)
+                log_b.append(pr)
+                log_q.append(q)
                 for c2, w in pitems:
                     nv = row.get(c2, 0) - q * w
                     if m:
@@ -269,10 +272,13 @@ class SparseFactorization:
             while len(holders) > 1:
                 holders.sort(key=lambda r: (abs(rows[r][c]), r))
                 a = holders[0]
+                batch_starts.append(len(log_a))
                 for b in holders[1:]:
                     q = rows[b][c] // rows[a][c]
                     if q:
-                        log.append((0, b, a, q))
+                        log_a.append(b)
+                        log_b.append(a)
+                        log_q.append(q)
                         rb, ra = rows[b], rows[a]
                         for c2, w in list(ra.items()):
                             nv = rb.get(c2, 0) - q * w
@@ -282,6 +288,8 @@ class SparseFactorization:
                                 rb[c2] = nv
                             elif c2 in rb:
                                 del rb[c2]
+                if batch_starts[-1] == len(log_a):
+                    batch_starts.pop()  # every q was 0: no batch
                 holders = [r for r in holders if c in rows[r]]
             for r in list(live_set):
                 if not rows[r]:
@@ -289,10 +297,19 @@ class SparseFactorization:
             if holders:
                 r = holders[0]
                 if m == 0 and rows[r][c] < 0:
-                    log.append((2, r, r, 0))
+                    batch_starts.append(len(log_a))
+                    negs.append(len(log_a))
+                    log_a.append(r)
+                    log_b.append(r)
+                    log_q.append(0)
                     rows[r] = {c2: -w for c2, w in rows[r].items()}
                 echelon_rows.append(r)
                 live_set.discard(r)
+
+        types = np.full(len(log_a), kernels.OP_AXPY, dtype=np.int8)
+        types[negs] = kernels.OP_NEG
+        self.log = kernels.make_log(types, log_a, log_b, log_q,
+                                   batch_starts)
 
         self.piv_rows = piv_rows
         self.piv_cols = piv_cols
@@ -336,34 +353,11 @@ class SparseFactorization:
         self._pool_starts = np.array(starts, dtype=np.int64)
         self._pool_lens = np.array(lens, dtype=np.int64)
         self._pool_cols = np.array(cols_pool, dtype=np.int64)
-        try:
-            self._pool_vals = np.array(vals_pool, dtype=np.int64)
-            self._pool_vals_py = None
-        except OverflowError:
-            self._pool_vals = None
-            self._pool_vals_py = vals_pool
-        self._piv_col_arr = np.array(piv_cols, dtype=np.int64)
+        self._pool_vals = kernels.int_array(vals_pool)
         if self.m:
-            self._piv_inv = np.array(
-                [pow(v, -1, self.m) for v in piv_vals], dtype=np.int64)
+            self._piv_inv = [pow(v, -1, self.m) for v in piv_vals]
         else:
-            self._piv_inv = np.array(piv_vals, dtype=np.int64)  # signs +-1
-
-    def _finalize_log(self):
-        types = np.array([op[0] for op in self._log], dtype=np.int8)
-        aa = np.array([op[1] for op in self._log], dtype=np.int64)
-        bb = np.array([op[2] for op in self._log], dtype=np.int64)
-        qs = [op[3] for op in self._log]
-        try:
-            qq = np.array(qs, dtype=np.int64)
-        except OverflowError:
-            qq = qs  # the pure kernel path accepts lists
-        if len(types) == 0:
-            aa = np.zeros(0, dtype=np.int64)
-            bb = np.zeros(0, dtype=np.int64)
-            qq = np.zeros(0, dtype=np.int64)
-        self.log = (types, aa, bb, qq)
-        self._log = []
+            self._piv_inv = list(piv_vals)  # signs +-1
 
     # -- queries -----------------------------------------------------------
 
@@ -379,11 +373,19 @@ class SparseFactorization:
         if self.m:
             return kernels.apply_oplog_mod(vec, self.log, self.m,
                                            reverse=reverse)
-        if isinstance(self.log[3], list):
-            return kernels._apply_oplog_int_pure(
-                vec, self.log[0], self.log[1], self.log[2], self.log[3],
-                reverse)
         return kernels.apply_oplog_int(vec, self.log, reverse=reverse)
+
+    def _backsub(self, rhs, x):
+        """Fill the pivot columns of ``x`` through the frozen pivot rows."""
+        if not self.piv_rows:
+            return x
+        rows = (self._pool_starts, self._pool_lens, self._pool_cols,
+                self._pool_vals)
+        if self.m:
+            return kernels.backsub_mod(rows, self.piv_cols, self._piv_inv,
+                                       rhs, x, self.m)
+        return kernels.backsub_int(rows, self.piv_cols, self._piv_inv, rhs,
+                                   x)
 
     def _echelon_diag(self):
         """Diagonal of the echelon block SNF, reduced against m."""
@@ -490,53 +492,20 @@ class SparseFactorization:
         for r in self.zero_rows:
             if (int(z[r]) % m if m else int(z[r])) != 0:
                 return None
-        # back-substitute unit pivots
-        if self.piv_rows:
-            rhs = [int(z[r]) for r in self.piv_rows]
-            pool_vals = (self._pool_vals if self._pool_vals is not None
-                         else self._pool_vals_py)
-            rows = (self._pool_starts, self._pool_lens, self._pool_cols,
-                    pool_vals)
-            if m:
-                if self._pool_vals is None:
-                    x = kernels._backsub_mod_pure(
-                        self._pool_starts, self._pool_lens, self._pool_cols,
-                        pool_vals, self._piv_col_arr, self._piv_inv, rhs,
-                        [v % m for v in x], m)
-                    x = [int(v) for v in x]
-                else:
-                    x = kernels.backsub_mod(
-                        rows, self._piv_col_arr, self._piv_inv, rhs, x, m)
-                    x = [int(v) for v in x]
-            else:
-                x = kernels.backsub_int(rows, self._piv_col_arr,
-                                        self._piv_inv, rhs, x)
-        else:
-            x = [int(v) for v in x]
+        x = self._backsub([z[r] for r in self.piv_rows], x)
         if verify:
             back = self.matvec(x)
-            ok = all((bi - vi) % m == 0 for bi, vi in zip(back, b)) if m else \
-                all(int(bi) == int(vi) for bi, vi in zip(back, b))
-            if not ok:
+            if back != [int(v) % m if m else int(v) for v in b]:
                 raise InternalCheckFailed(
                     "sparse solve: A x != b after back-substitution")
         return x
 
     def matvec(self, x):
-        data = self._data if self._data is not None else self._data_py
         if self.m:
-            if self._data is not None and self._indices.size:
-                out = kernels.csr_matvec_mod(self._indptr, self._indices,
-                                             self._data, x, self.m)
-                return [int(v) for v in out]
-        out = []
-        xs = [int(v) for v in x]
-        for r in range(self.nrows):
-            acc = 0
-            for k in range(self._indptr[r], self._indptr[r + 1]):
-                acc += int(data[k]) * xs[self._indices[k]]
-            out.append(acc % self.m if self.m else acc)
-        return out
+            return kernels.csr_matvec_mod(self._indptr, self._indices,
+                                          self._data, x, self.m)
+        return kernels.csr_matvec_int(self._indptr, self._indices,
+                                      self._data, x)
 
     def torsion_reps(self):
         """Representatives for the nonunit torsion of the cokernel:
@@ -554,8 +523,7 @@ class SparseFactorization:
                 vec = [0] * self.nrows
                 for r, v in zip(self.echelon_rows, col):
                     vec[r] = v
-                rep = self._replay(vec, reverse=True)
-                out.append((d, [int(v) for v in rep]))
+                out.append((d, self._replay(vec, reverse=True)))
         return out
 
     def kernel_basis(self):
@@ -581,7 +549,7 @@ class SparseFactorization:
             x = [0] * self.ncols
             for c, v in zip(self.res_cols, xr):
                 x[c] = v % self.m if self.m else v
-            gens.append(self._backsub_kernel(x))
+            gens.append(self._backsub([0] * len(self.piv_rows), x))
         # remaining non-pivot columns: free directions, completed through
         # the frozen pivot rows (they may still carry entries there)
         seen = set(self.piv_cols) | touched
@@ -589,25 +557,5 @@ class SparseFactorization:
             if c not in seen:
                 x = [0] * self.ncols
                 x[c] = 1
-                gens.append(self._backsub_kernel(x))
+                gens.append(self._backsub([0] * len(self.piv_rows), x))
         return gens
-
-    def _backsub_kernel(self, x):
-        if not self.piv_rows:
-            return [int(v) for v in x]
-        rhs = [0] * len(self.piv_rows)
-        pool_vals = (self._pool_vals if self._pool_vals is not None
-                     else self._pool_vals_py)
-        rows = (self._pool_starts, self._pool_lens, self._pool_cols, pool_vals)
-        if self.m:
-            if self._pool_vals is None:
-                out = kernels._backsub_mod_pure(
-                    self._pool_starts, self._pool_lens, self._pool_cols,
-                    pool_vals, self._piv_col_arr, self._piv_inv, rhs,
-                    [v % self.m for v in x], self.m)
-                return [int(v) for v in out]
-            out = kernels.backsub_mod(rows, self._piv_col_arr, self._piv_inv,
-                                      rhs, x, self.m)
-            return [int(v) for v in out]
-        return kernels.backsub_int(rows, self._piv_col_arr, self._piv_inv,
-                                   rhs, x)

@@ -421,7 +421,7 @@ class BarCochains:
     def matvec(self, n: int, vec):
         """D_n applied to a degree-(n-1) cochain vector, exact over Z."""
         indptr, indices, data = self.csr(n)
-        return kernels.csr_matvec_int(indptr, indices, data, list(vec))
+        return kernels.csr_matvec_int(indptr, indices, data, vec)
 
 
 _BAR_CACHE: dict = {}

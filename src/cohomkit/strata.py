@@ -97,22 +97,21 @@ def enumerate_block_ses(p: int):
         return _SES_CACHE[p]
     out = []
     for a in range(1, p + 1):
-        for c in range(a, p + 1):
+        for c in range(a + 1, p + 1):  # c == a would leave a zero cokernel
             # Hom(J_a, J_c): f determined by f(e_0) in ker(t^a) = t^{c-a} J_c
             tmat = (_jordan_block(c, p) - np.eye(c, dtype=np.int64)) % p
             powers = [np.eye(c, dtype=np.int64)]
             for _ in range(c):
                 powers.append((powers[-1] @ tmat) % p)
-            kernel_dim = min(a, c)
             # basis of ker(t^a): e_{c-1}, t e_{c-1}... use column space of t^{c-a}
-            base = powers[c - a] if c - a >= 0 else powers[0]
-            # columns of base spanning: take first kernel_dim independent cols
+            base = powers[c - a]
+            # columns of base spanning: take the first a independent cols
             cols = []
             for j in range(c):
                 cand = cols + [base[:, j]]
                 if rank_modp(np.stack(cand, axis=1).reshape(c, -1), p) == len(cand):
                     cols.append(base[:, j])
-                if len(cols) == kernel_dim:
+                if len(cols) == a:
                     break
             found = set()
             for coeffs in iproduct(range(p), repeat=len(cols)):
@@ -127,21 +126,18 @@ def enumerate_block_ses(p: int):
                 Phi = np.stack(orbit, axis=1) % p
                 if rank_modp(Phi, p) != a:
                     continue
-                if a == c:
-                    continue  # cokernel would be zero
                 # cokernel: t action on F_p^c / im(Phi), via a projection
                 # whose kernel is exactly im(Phi)
                 ns = nullspace_modp(Phi.T, p)
                 if len(ns) != c - a:
                     continue
                 proj = np.stack(ns, axis=0) % p  # (c-a) x c, full row rank
-                cols = []
+                inv_cols = []
                 for i in range(c - a):
                     e = np.zeros(c - a, dtype=np.int64)
                     e[i] = 1
-                    x = solve_modp(proj, e, p)
-                    cols.append(x)
-                X = np.stack(cols, axis=1) % p  # right inverse of proj
+                    inv_cols.append(solve_modp(proj, e, p))
+                X = np.stack(inv_cols, axis=1) % p  # right inverse of proj
                 T2 = (proj @ tmat @ X) % p
                 jt = jordan_type_of_nilpotent(T2, p)
                 if len(jt.blocks) == 1:

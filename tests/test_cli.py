@@ -78,7 +78,7 @@ class TestBasicCommands:
             "base": "Z", "generators": 1, "relations": [],
             "action": {"1": [[1]]}}))
         code, out, _ = run(capsys, "--json", "fibre", "--group", "c2",
-                           "--module", str(mod), "--projdim")
+                           "--module", str(mod))
         assert code == 0
         data = json.loads(out)
         assert data["supremum"] == "infinity"
@@ -89,8 +89,7 @@ class TestBasicCommands:
             "base": "Z", "generators": 1, "relations": [],
             "action": {"1": [[1]]}}))
         code, out, _ = run(capsys, "--json", "fibre", "--group", "c3",
-                           "--module", str(mod), "--projdim",
-                           "--verify-rational")
+                           "--module", str(mod), "--verify-rational")
         assert code == 0
         assert json.loads(out)["inputs"]["verify_rational"] is True
         rep = tmp_path / "rep.json"
@@ -160,6 +159,16 @@ class TestDeterminismAndRecheck:
         rep.write_text(json.dumps(data))
         code, _, _ = run(capsys, "recheck", str(rep))
         assert code == 1
+
+    def test_ring_basis_report_rechecks(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "--json", "ring", "--group", "c2",
+                        "--coeff", "Z/2", "--max-deg", "3", "--basis")
+        assert json.loads(out)["inputs"]["basis"] is True
+        rep = tmp_path / "ring.json"
+        rep.write_text(out)
+        code, out2, _ = run(capsys, "--json", "recheck", str(rep))
+        assert code == 0
+        assert json.loads(out2)["reproduced"] is True
 
     def test_fiso_report_recheck(self, capsys, tmp_path):
         _, out, _ = run(capsys, "--json", "fiso", "--group", "c2",

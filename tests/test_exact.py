@@ -252,3 +252,37 @@ class TestSparseFactorization:
         assert f1.piv_rows == f2.piv_rows
         assert [list(x) for x in f1.log[1:3]] == \
             [list(x) for x in f2.log[1:3]]
+
+
+class TestLargeModulus:
+    """Moduli past the int64 range of the replay and matvec kernels used to
+    overflow silently: matvec came back wrong and solve rejected image
+    vectors.  The results must match python-int arithmetic exactly."""
+
+    M = 2**40 + 15
+
+    @pytest.fixture(scope="class")
+    def fact(self):
+        from cohomkit.groups import builtin_group
+        from cohomkit.resolutions import bar_cochains
+        return bar_cochains(builtin_group("s3")).fact(3, self.M)
+
+    def test_matvec_matches_python_ints(self, fact):
+        rng = random.Random(11)
+        x = [rng.randrange(self.M) for _ in range(fact.ncols)]
+        want = []
+        for r in range(fact.nrows):
+            lo, hi = fact._indptr[r], fact._indptr[r + 1]
+            want.append(sum(int(fact._data[k]) * x[fact._indices[k]]
+                            for k in range(lo, hi)) % self.M)
+        assert fact.matvec(x) == want
+
+    def test_solve_image_vector(self, fact):
+        rng = random.Random(12)
+        for _ in range(3):
+            x = [rng.randrange(self.M) for _ in range(fact.ncols)]
+            b = fact.matvec(x)
+            y = fact.solve(b)
+            assert y is not None
+            assert fact.matvec(y) == b
+            assert fact.in_image(b)

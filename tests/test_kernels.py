@@ -1,4 +1,9 @@
-"""Parity between the numba fast path and the pure fallback kernels."""
+"""The numpy kernels against plain python-int reference loops.
+
+The references below apply one op at a time with python integers, so they
+are exact by construction; the kernels must agree with them bit for bit,
+over Z and mod m, on both sides of every int64/object-dtype boundary.
+"""
 
 import random
 
@@ -6,133 +11,229 @@ import numpy as np
 import pytest
 
 from cohomkit import kernels
+from cohomkit.groups import builtin_group
+from cohomkit.resolutions import bar_cochains
+
+# -- python-int references ----------------------------------------------------
 
 
-def random_log(rng, n, nops, maxq=5):
-    """Random op log; axpy targets differ from sources, as in the engine."""
-    types, aa, bb, qq = [], [], [], []
-    for _ in range(nops):
-        t = rng.choice([0, 0, 0, 1, 2])
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        if t == 0 and a == b:
-            b = (a + 1) % n
-        types.append(t)
-        aa.append(a)
-        bb.append(b)
-        qq.append(rng.randint(-maxq, maxq))
-    return (np.array(types, dtype=np.int8), np.array(aa, dtype=np.int64),
-            np.array(bb, dtype=np.int64), np.array(qq, dtype=np.int64))
+def ref_replay(vec, log, m=0, reverse=False):
+    types, aa, bb, qq = (np.asarray(a).tolist() for a in log[:4])
+    v = [int(x) % m if m else int(x) for x in vec]
+    order = range(len(types) - 1, -1, -1) if reverse else range(len(types))
+    for i in order:
+        a, b = aa[i], bb[i]
+        if types[i] == kernels.OP_NEG:
+            v[a] = -v[a]
+        elif reverse:
+            v[a] = v[a] + qq[i] * v[b]
+        else:
+            v[a] = v[a] - qq[i] * v[b]
+        if m:
+            v[a] %= m
+    return v
 
 
-def backends():
-    out = ["pure"]
-    try:
-        import numba  # noqa: F401
-        out.append("numba")
-    except ImportError:
-        pass
+def ref_matvec(indptr, indices, data, vec, m=0):
+    out = []
+    for r in range(len(indptr) - 1):
+        acc = sum(int(data[k]) * int(vec[indices[k]])
+                  for k in range(indptr[r], indptr[r + 1]))
+        out.append(acc % m if m else acc)
     return out
 
 
-@pytest.fixture(autouse=True)
-def restore_backend():
-    yield
-    kernels.set_backend("numba" if "numba" in backends() else "pure")
+# -- logs with the engine's invariants ----------------------------------------
+
+
+def random_log(rng, n, nbatches, maxq=5, m=0):
+    """Batched op log: each batch has one source row and distinct targets,
+    never the source; over Z some batches are single NEG ops."""
+    types, aa, bb, qq, starts = [], [], [], [], []
+    for _ in range(nbatches):
+        starts.append(len(types))
+        src = rng.randrange(n)
+        if not m and rng.random() < 0.1:
+            types.append(kernels.OP_NEG)
+            aa.append(src)
+            bb.append(src)
+            qq.append(0)
+            continue
+        others = [r for r in range(n) if r != src]
+        for a in rng.sample(others, rng.randint(1, min(6, len(others)))):
+            types.append(kernels.OP_AXPY)
+            aa.append(a)
+            bb.append(src)
+            qq.append(rng.randrange(1, m) if m else
+                      rng.choice([q for q in range(-maxq, maxq + 1) if q]))
+    return kernels.make_log(types, aa, bb, qq, starts)
+
+
+def check_batches(log):
+    """The invariants the batched replay relies on."""
+    types, aa, bb, qq, batches = log
+    assert [b[0] for b in batches] == sorted({b[0] for b in batches})
+    assert batches[0][0] == 0 and batches[-1][1] == len(types)
+    for (s, e, src, qmax, neg), nxt in zip(batches, batches[1:] + [None]):
+        assert s < e and (nxt is None or nxt[0] == e)
+        targets = aa[s:e].tolist()
+        assert set(bb[s:e].tolist()) == {src}
+        assert qmax == max(abs(int(q)) for q in qq[s:e])
+        if neg:
+            assert e - s == 1 and targets == [src]
+        else:
+            assert (types[s:e] == kernels.OP_AXPY).all()
+            assert len(set(targets)) == len(targets) and src not in targets
+
+
+# -- replay --------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_oplog_mod_parity(seed):
     rng = random.Random(seed)
-    n = 40
-    log = random_log(rng, n, 200)
-    vec = [rng.randrange(9) for _ in range(n)]
-    results = {}
-    for b in backends():
-        kernels.set_backend(b)
-        fwd = kernels.apply_oplog_mod(list(vec), log, 9)
-        rev = kernels.apply_oplog_mod(list(vec), log, 9, reverse=True)
-        results[b] = (list(fwd), list(rev))
-    vals = list(results.values())
-    assert all(v == vals[0] for v in vals)
+    n, m = 40, 9
+    log = random_log(rng, n, 60, m=m)
+    check_batches(log)
+    vec = [rng.randrange(-20, 20) for _ in range(n)]
+    fwd = kernels.apply_oplog_mod(vec, log, m)
+    assert fwd == ref_replay(vec, log, m)
+    assert kernels.apply_oplog_mod(vec, log, m, reverse=True) == \
+        ref_replay(vec, log, m, reverse=True)
+    assert kernels.apply_oplog_mod(fwd, log, m, reverse=True) == \
+        [x % m for x in vec]
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_oplog_int_parity_and_inverse(seed):
     rng = random.Random(100 + seed)
     n = 30
-    log = random_log(rng, n, 120, maxq=3)
+    log = random_log(rng, n, 40, maxq=3)
+    check_batches(log)
     vec = [rng.randint(-5, 5) for _ in range(n)]
-    results = {}
-    for b in backends():
-        kernels.set_backend(b)
-        fwd = kernels.apply_oplog_int(list(vec), log)
-        results[b] = list(fwd)
-        # the reverse replay is the exact inverse of the forward replay
-        assert kernels.apply_oplog_int(list(fwd), log, reverse=True) == \
-            list(vec)
-    vals = list(results.values())
-    assert all(v == vals[0] for v in vals)
+    fwd = kernels.apply_oplog_int(vec, log)
+    assert fwd == ref_replay(vec, log)
+    assert kernels.apply_oplog_int(vec, log, reverse=True) == \
+        ref_replay(vec, log, reverse=True)
+    # the reverse replay is the exact inverse of the forward replay
+    assert kernels.apply_oplog_int(fwd, log, reverse=True) == vec
+
+
+def test_empty_log():
+    log = kernels.make_log([], [], [], [], [])
+    assert kernels.apply_oplog_int([3, -4], log) == [3, -4]
+    assert kernels.apply_oplog_mod([3, -4], log, 5, reverse=True) == [3, 1]
+
+
+def doubling_log(nbatches):
+    """Batches that add twice row 0 to row 1, then twice row 1 to row 0,
+    and so on (q = -2), each also subtracting twice its source from row 2
+    (q = 2): the entries grow geometrically, so the Z bound crosses 2^62
+    mid-replay."""
+    types, aa, bb, qq, starts = [], [], [], [], []
+    for k in range(nbatches):
+        starts.append(len(types))
+        src, dst = (0, 1) if k % 2 == 0 else (1, 0)
+        types += [kernels.OP_AXPY, kernels.OP_AXPY]
+        aa += [dst, 2]
+        bb += [src, src]
+        qq += [-2, 2]
+    return kernels.make_log(types, aa, bb, qq, starts)
 
 
 def test_int_overflow_falls_back_exactly():
-    # forward ops that double a huge entry repeatedly overflow int64
-    n = 4
-    nops = 80
-    types = np.zeros(nops, dtype=np.int8)
-    aa = np.zeros(nops, dtype=np.int64)
-    bb = np.zeros(nops, dtype=np.int64)
-    qq = np.full(nops, -1, dtype=np.int64)  # v[0] -= -1 * v[0] -> doubles
-    log = (types, aa, bb, qq)
-    vec = [3, 0, 0, 0]
-    for b in backends():
-        kernels.set_backend(b)
-        out = kernels.apply_oplog_int(list(vec), log)
-        assert out[0] == 3 * 2**nops  # exact bigint result on either path
+    log = doubling_log(120)
+    vec = [3, 1, 0]
+    fwd = kernels.apply_oplog_int(vec, log)
+    want = ref_replay(vec, log)
+    assert max(abs(x) for x in want) > 2**100  # far past int64
+    assert fwd == want
+    assert kernels.apply_oplog_int(fwd, log, reverse=True) == vec
+
+
+def test_int_replay_huge_input_and_multiplier():
+    rng = random.Random(7)
+    log = random_log(rng, 12, 20, maxq=4)
+    types, aa, bb, qq, _ = log
+    big = kernels.make_log(types, aa, bb,
+                           [int(q) * 2**70 for q in qq],
+                           [b[0] for b in log[4]])
+    assert big[3].dtype == object
+    vec = [rng.randint(-9, 9) * 2**65 for _ in range(12)]
+    for lg in (log, big):
+        assert kernels.apply_oplog_int(vec, lg) == ref_replay(vec, lg)
+
+
+@pytest.mark.parametrize("m", [
+    3037000500,        # largest m with (m-1)^2 + (m-1) < 2^63: int64
+    3037000501,        # just past the boundary: object dtype
+    2**40 + 15,
+    2**64 + 13,        # residues themselves exceed int64
+])
+def test_modulus_boundary(m):
+    assert ((m - 1) ** 2 + (m - 1) < 2**63) == (m == 3037000500)
+    rng = random.Random(m % 1000)
+    log = random_log(rng, 20, 30, m=m)
+    vec = [rng.randrange(m) for _ in range(20)]
+    for rev in (False, True):
+        assert kernels.apply_oplog_mod(vec, log, m, reverse=rev) == \
+            ref_replay(vec, log, m, reverse=rev)
+    indptr, indices, data = random_csr(rng, 15, 20, vals=[m - 1, 1, m - 2])
+    assert kernels.csr_matvec_mod(indptr, indices, data, vec, m) == \
+        ref_matvec(indptr, indices, data, vec, m)
+
+
+# -- matvec --------------------------------------------------------------------
+
+
+def random_csr(rng, nrows, ncols, vals=(-1, 1, 2)):
+    indptr, indices, data = [0], [], []
+    for _ in range(nrows):
+        cols = sorted(rng.sample(range(ncols), rng.randint(0, 5)))
+        indices.extend(cols)
+        data.extend(rng.choice(vals) for _ in cols)
+        indptr.append(len(indices))
+    return (np.array(indptr, dtype=np.int64),
+            np.array(indices, dtype=np.int64), kernels.int_array(data))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_csr_matvec_parity(seed):
     rng = random.Random(200 + seed)
-    nrows, ncols = 25, 18
-    indptr = [0]
-    indices = []
-    data = []
-    for _ in range(nrows):
-        k = rng.randint(0, 5)
-        cols = sorted(rng.sample(range(ncols), k))
-        indices.extend(cols)
-        data.extend(rng.choice([-1, 1, 2]) for _ in cols)
-        indptr.append(len(indices))
-    indptr = np.array(indptr, dtype=np.int64)
-    indices = np.array(indices, dtype=np.int64)
-    data = np.array(data, dtype=np.int64)
-    vec = [rng.randint(-6, 6) for _ in range(ncols)]
-    results = {}
-    for b in backends():
-        kernels.set_backend(b)
-        iout = kernels.csr_matvec_int(indptr, indices, data, list(vec))
-        mout = list(kernels.csr_matvec_mod(indptr, indices, data,
-                                           [v % 7 for v in vec], 7))
-        results[b] = (iout, mout)
-    vals = list(results.values())
-    assert all(v == vals[0] for v in vals)
-    # reference dense product
-    want = [sum(data[k] * vec[indices[k]]
-                for k in range(indptr[r], indptr[r + 1]))
-            for r in range(nrows)]
-    assert vals[0][0] == want
+    indptr, indices, data = random_csr(rng, 25, 18)
+    vec = [rng.randint(-6, 6) for _ in range(18)]
+    assert kernels.csr_matvec_int(indptr, indices, data, vec) == \
+        ref_matvec(indptr, indices, data, vec)
+    assert kernels.csr_matvec_mod(indptr, indices, data, vec, 7) == \
+        ref_matvec(indptr, indices, data, vec, 7)
+    # past the int64 bound the product switches to python ints
+    huge = [v * 2**61 for v in vec]
+    assert kernels.csr_matvec_int(indptr, indices, data, huge) == \
+        ref_matvec(indptr, indices, data, huge)
+
+
+def test_csr_matvec_empty_rows_and_matrix():
+    indptr = np.array([0, 0, 2, 2], dtype=np.int64)
+    indices = np.array([0, 1], dtype=np.int64)
+    data = np.array([2, -1], dtype=np.int64)
+    assert kernels.csr_matvec_int(indptr, indices, data, [5, 3]) == [0, 7, 0]
+    empty = np.zeros(0, dtype=np.int64)
+    assert kernels.csr_matvec_mod(np.zeros(3, dtype=np.int64), empty, empty,
+                                  [1], 5) == [0, 0]
+
+
+# -- back-substitution ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_backsub_parity(seed):
     rng = random.Random(300 + seed)
-    # triangular-ish pivot pool: pivot t eliminates column t using later cols
+    # pivot t eliminates column t; its row also reaches later columns
     npiv, ncols = 10, 14
     starts, lens, cols, vals = [], [], [], []
     for t in range(npiv):
         entries = [(t, rng.choice([1, -1]))]
-        for c in rng.sample(range(npiv, ncols), rng.randint(0, 3)):
+        for c in rng.sample(range(t + 1, ncols), rng.randint(0, 3)):
             entries.append((c, rng.randint(-3, 3)))
         starts.append(len(cols))
         lens.append(len(entries))
@@ -140,27 +241,41 @@ def test_backsub_parity(seed):
             cols.append(c)
             vals.append(v)
     rows = (np.array(starts, dtype=np.int64), np.array(lens, dtype=np.int64),
-            np.array(cols, dtype=np.int64), np.array(vals, dtype=np.int64))
-    pivcol = np.arange(npiv, dtype=np.int64)
-    pivsign = np.array([vals[starts[t]] for t in range(npiv)],
-                       dtype=np.int64)
+            np.array(cols, dtype=np.int64), kernels.int_array(vals))
+    pivcol = list(range(npiv))
+    pivsign = [vals[s] for s in starts]
     rhs = [rng.randint(-5, 5) for _ in range(npiv)]
     x0 = [0] * npiv + [rng.randint(-2, 2) for _ in range(ncols - npiv)]
-    results = {}
-    for b in backends():
-        kernels.set_backend(b)
-        xi = kernels.backsub_int(rows, pivcol, pivsign, list(rhs), list(x0))
-        m = 9
-        pivinv = np.array([pow(int(s) % m, -1, m) for s in pivsign],
-                          dtype=np.int64)
-        xm = list(kernels.backsub_mod(rows, pivcol, pivinv, list(rhs),
-                                      [v % m for v in x0], m))
-        results[b] = (xi, xm)
-    vals_ = list(results.values())
-    assert all(v == vals_[0] for v in vals_)
-    # each pivot row equation holds exactly over Z
-    xi = vals_[0][0]
-    for t in range(npiv):
-        s = starts[t]
-        acc = sum(vals[k] * xi[cols[k]] for k in range(s, s + lens[t]))
-        assert acc == rhs[t]
+
+    def row_sums(x, m=0):
+        out = [sum(vals[k] * x[cols[k]] for k in range(s, s + n))
+               for s, n in zip(starts, lens)]
+        return [v % m for v in out] if m else out
+
+    xi = kernels.backsub_int(rows, pivcol, pivsign, rhs, x0)
+    assert xi[npiv:] == x0[npiv:]
+    assert row_sums(xi) == rhs  # each pivot row equation holds over Z
+    for m in (9, 2**40 + 15):
+        pivinv = [pow(s % m, -1, m) for s in pivsign]
+        xm = kernels.backsub_mod(rows, pivcol, pivinv, rhs, x0, m)
+        assert xm == [v % m for v in xi]
+        assert row_sums(xm, m) == [r % m for r in rhs]
+
+
+# -- real factorizations -------------------------------------------------------
+
+
+@pytest.mark.parametrize("group,n,m", [("s3", 5, 0), ("s3", 5, 2),
+                                       ("q8", 4, 0), ("q8", 4, 2)])
+def test_factorization_batches_are_well_formed(group, n, m):
+    f = bar_cochains(builtin_group(group)).fact(n, m)
+    check_batches(f.log)
+    if m:
+        assert int(f.log[3].min()) >= 0 and int(f.log[3].max()) < m
+    rng = random.Random(n)
+    vec = [rng.randint(-2, 2) for _ in range(f.nrows)]
+    for rev in (False, True):
+        want = ref_replay(vec, f.log, m, reverse=rev)
+        got = (kernels.apply_oplog_mod(vec, f.log, m, reverse=rev) if m
+               else kernels.apply_oplog_int(vec, f.log, reverse=rev))
+        assert got == want

@@ -45,6 +45,14 @@ class TestBlockSES:
         # uniserial structure: 0 -> J_a -> J_c -> J_{c-a} -> 0
         assert enumerate_block_ses(3) == [(1, 2, 1), (1, 3, 2), (2, 3, 1)]
 
+    @pytest.mark.parametrize("p,want", [
+        (2, [(1, 2, 1)]),
+        (5, [(1, 2, 1), (1, 3, 2), (1, 4, 3), (1, 5, 4), (2, 3, 1),
+             (2, 4, 2), (2, 5, 3), (3, 4, 1), (3, 5, 2), (4, 5, 1)]),
+    ])
+    def test_pinned_sequences(self, p, want):
+        assert enumerate_block_ses(p) == want
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_dimensions_add(self, p):
         for (a, c, b) in enumerate_block_ses(p):
