@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .errors import ModulusMismatch, NotPrime
+
 
 def factorize(n: int) -> dict:
     out = {}
@@ -23,6 +25,20 @@ def factorize(n: int) -> dict:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def require_prime(p: int):
+    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        raise NotPrime(f"{p} is not prime")
+
+
+def prime_power(m: int):
+    """(p, i) with m = p^i; ModulusMismatch if m is not a prime power."""
+    fac = factorize(m)
+    if len(fac) != 1:
+        raise ModulusMismatch(f"modulus {m} is not a prime power")
+    [(p, i)] = fac.items()
+    return p, i
 
 
 def invariant_factor_form(orders) -> list[int]:

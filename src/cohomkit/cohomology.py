@@ -15,11 +15,14 @@ n+1).  No mod-m linear algebra beyond vector reduction is ever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
-from .abelian import FiniteAbelian, factorize, invariant_factor_form
+from .abelian import (FiniteAbelian, factorize, invariant_factor_form,
+                      prime_power, require_prime)
+from .config import GROUP_CACHE_SIZE
 from .errors import (DegreeZeroUnsupported, InternalCheckFailed,
-                     ModulusMismatch, NotPrime)
+                     ModulusMismatch)
 from .groups import FiniteGroup
 from .resolutions import bar_cochains
 
@@ -335,14 +338,10 @@ class CohomologySystem:
         return CohomologyClass(self.group, 0, modulus, (1,))
 
 
-_SYS_CACHE: dict = {}
-
-
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
 def cohomology_system(G: FiniteGroup) -> CohomologySystem:
-    key = id(G)
-    if key not in _SYS_CACHE or _SYS_CACHE[key].group is not G:
-        _SYS_CACHE[key] = CohomologySystem(G)
-    return _SYS_CACHE[key]
+    """The cached cohomology system of G (groups hash by identity)."""
+    return CohomologySystem(G)
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +384,6 @@ def canonical_coords(G: FiniteGroup, x: CohomologyClass):
     return data.abelian.to_canonical(raw)
 
 
-def _prime_power(m: int):
-    fac = factorize(m)
-    if len(fac) != 1:
-        raise ModulusMismatch(f"modulus {m} is not a prime power")
-    [(p, i)] = fac.items()
-    return p, i
-
-
 def coefficient_map(kind: str, x: CohomologyClass,
                     modulus: int | None = None) -> CohomologyClass:
     """pi_i (mod p^i -> mod p^{i-1}), epsilon_i (mod p^i -> mod p), or
@@ -400,7 +391,7 @@ def coefficient_map(kind: str, x: CohomologyClass,
     if kind in ("pi", "pi_i"):
         if x.modulus == 0:
             raise ModulusMismatch("pi_i needs a mod-p^i class")
-        p, i = _prime_power(x.modulus)
+        p, i = prime_power(x.modulus)
         if i < 2:
             raise ModulusMismatch("pi_i needs i >= 2")
         target = p ** (i - 1)
@@ -409,7 +400,7 @@ def coefficient_map(kind: str, x: CohomologyClass,
     if kind in ("epsilon", "epsilon_i"):
         if x.modulus == 0:
             raise ModulusMismatch("epsilon_i needs a mod-p^i class")
-        p, _ = _prime_power(x.modulus)
+        p, _ = prime_power(x.modulus)
         return CohomologyClass(x.group, x.degree, p,
                                tuple(v % p for v in x.vector))
     if kind in ("theta", "theta_i"):
@@ -428,7 +419,7 @@ def bockstein_delta(i: int, x: CohomologyClass) -> CohomologyClass:
     lift - differentiate - divide."""
     if x.modulus == 0:
         raise ModulusMismatch("bockstein_delta needs a mod-p^i class")
-    p, level = _prime_power(x.modulus)
+    p, level = prime_power(x.modulus)
     if level != i:
         raise ModulusMismatch(
             f"class has modulus {x.modulus}, expected p^{i}")
@@ -446,8 +437,7 @@ def p_primary_part(G: FiniteGroup, p: int, n: int) -> PrimaryPart:
     """p-power invariant factors of H^n(G, Z), n >= 1."""
     if n == 0:
         raise DegreeZeroUnsupported("H^0(G, Z) = Z has no finite p-part")
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise NotPrime(f"{p} is not prime")
+    require_prime(p)
     sys = cohomology_system(G)
     out = []
     for f, _w in sys.integral_basis(n):

@@ -1,4 +1,4 @@
-"""Runtime configuration: size caps.
+"""Runtime configuration: size caps and the group cache bound.
 
 Environment variables
 ---------------------
@@ -11,6 +11,9 @@ import os
 
 DEFAULT_SIZE_CAP = 10**6
 DEFAULT_ORDER_CAP = 64
+# groups whose cochain complexes and factorizations stay cached at once
+# (bar_cochains, cohomology_system); the least recently used one is dropped
+GROUP_CACHE_SIZE = 32
 
 
 def size_cap() -> int:

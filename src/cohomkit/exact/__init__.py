@@ -3,6 +3,7 @@ from .dense import (
     SmithDecomposition,
     smith_normal_form,
     solve_mod,
+    unimodular_inverse,
     cokernel_invariants,
 )
 from .sparse import SparseFactorization
@@ -12,6 +13,7 @@ __all__ = [
     "SmithDecomposition",
     "smith_normal_form",
     "solve_mod",
+    "unimodular_inverse",
     "cokernel_invariants",
     "SparseFactorization",
 ]

@@ -61,19 +61,15 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                out.append(sum(ai[k] * b[k][j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, out)
+        bcols = other.transpose().to_rows()
+        return IntMatrix(self.rows, other.cols,
+                         [sum(x * y for x, y in zip(ai, bj))
+                          for ai in self.to_rows() for bj in bcols])
 
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return [sum(self[i, k] * v[k] for k in range(self.cols))
-                for i in range(self.rows)]
+        return [sum(x * y for x, y in zip(ai, v)) for ai in self.to_rows()]
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -127,6 +123,55 @@ class SmithDecomposition:
 
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
+
+    def solve(self, b, m=0):
+        """Some x with source x = b (mod m), or None; m = 0 or "Z" solves
+        over Z.
+
+        The returned solution is deterministic: each Smith coordinate is
+        chosen as the least nonnegative value.  A solution that fails the
+        final source x = b check raises InternalCheckFailed.
+        """
+        m = _normalize_modulus(m)
+        nr, nc = self.source.rows, self.source.cols
+        b = [int(x) for x in b]
+        if len(b) != nr:
+            raise ValueError("rhs length mismatch")
+        c = self.U.mul_vec(b)
+        diag = self.diagonal()
+        y = [0] * nc
+        for i in range(nr):
+            ci = c[i]
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if (ci % m if m else ci) != 0:
+                    return None
+            else:
+                if m == 0:
+                    if ci % d != 0:
+                        return None
+                    y[i] = ci // d
+                else:
+                    g = gcd(d, m)
+                    if ci % g != 0:
+                        return None
+                    mm = m // g
+                    y[i] = (((ci // g) * pow(d // g, -1, mm)) % mm
+                            if mm > 1 else 0)
+        x = self.V.mul_vec(y)
+        if m:
+            x = [xi % m for xi in x]
+        back = self.source.mul_vec(x)
+        if any((bi - ci) % m != 0 if m else bi != ci
+               for bi, ci in zip(back, b)):
+            raise InternalCheckFailed("Smith solve produced a non-solution")
+        return x
+
+    def kernel(self):
+        """Basis of ker(source) over Z: the columns of V past the rank."""
+        n = self.V.rows
+        return [[self.V[i, j] for i in range(n)]
+                for j in range(self.rank(), n)]
 
     def verify(self) -> bool:
         if (self.U @ self.source) @ self.V != self.D:
@@ -250,6 +295,15 @@ def smith_normal_form(M) -> SmithDecomposition:
     )
 
 
+def unimodular_inverse(M) -> IntMatrix:
+    """Inverse of a unimodular integer matrix, read off its own Smith form:
+    U' M V' = I gives M^-1 = V' U'.  ValueError unless that form is I."""
+    dec = smith_normal_form(M)
+    if dec.D != IntMatrix.identity(dec.D.rows):
+        raise ValueError("matrix is not unimodular")
+    return dec.V @ dec.U
+
+
 def _normalize_modulus(m) -> int:
     """Accept "Z"/0 for the integers, or an integer modulus >= 2."""
     if m in ("Z", "z", None, 0):
@@ -261,44 +315,8 @@ def _normalize_modulus(m) -> int:
 
 
 def solve_mod(A, b, m):
-    """Some x with A x = b (mod m), or None. Over "Z" solves exactly.
-
-    The returned solution is deterministic: each Smith coordinate is chosen
-    as the least nonnegative value.
-    """
-    m = _normalize_modulus(m)
-    dec = smith_normal_form(A)
-    nr, nc = dec.source.rows, dec.source.cols
-    b = [int(x) for x in b]
-    if len(b) != nr:
-        raise ValueError("rhs length mismatch")
-    c = dec.U.mul_vec(b)
-    diag = dec.diagonal()
-    y = [0] * nc
-    for i in range(nr):
-        ci = c[i]
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if (ci % m if m else ci) != 0:
-                return None
-        else:
-            if m == 0:
-                if ci % d != 0:
-                    return None
-                y[i] = ci // d
-            else:
-                g = gcd(d, m)
-                if ci % g != 0:
-                    return None
-                mm = m // g
-                y[i] = ((ci // g) * pow(d // g, -1, mm)) % mm if mm > 1 else 0
-    x = dec.V.mul_vec(y)
-    if m:
-        x = [xi % m for xi in x]
-    back = dec.source.mul_vec(x)
-    if any((bi - ci) % m != 0 if m else bi != ci for bi, ci in zip(back, b)):
-        raise InternalCheckFailed("solve_mod produced a non-solution")
-    return x
+    """Some x with A x = b (mod m), or None; see SmithDecomposition.solve."""
+    return smith_normal_form(A).solve(b, m)
 
 
 def cokernel_invariants(M, m):

@@ -15,7 +15,8 @@ The factorization runs in three logged phases:
 
 Row operations from phases 1-2 are recorded in a log, batch by batch, that
 can be replayed over any vector (the hot kernels in :mod:`cohomkit.kernels`);
-phase 3 keeps its small transform matrices explicitly.  No column
+phase 3 keeps only the Smith transforms U and V of the small block, since
+torsion representatives read the columns of U^-1 off E V = U^-1 D.  No column
 operation is ever applied to the ambient space, so cokernel coordinates of
 a vector are read off directly after replaying the log.
 
@@ -40,32 +41,6 @@ _RESIDUAL_ENTRY_CAP = 4_000_000
 ROW_ZERO = 0
 ROW_PIVOT = 1
 ROW_ECHELON = 2
-
-
-def _fraction_free_inverse(M: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    from fractions import Fraction
-
-    n = M.rows
-    a = [[Fraction(M[i, j]) for j in range(n)] +
-         [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k] != 0)
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    ent = []
-    for i in range(n):
-        for j in range(n):
-            v = a[i][j + n]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            ent.append(int(v))
-    return IntMatrix(n, n, ent)
 
 
 class SparseFactorization:
@@ -331,10 +306,8 @@ class SparseFactorization:
         E = [[rows[r].get(c, 0) for c in res_cols] for r in echelon_rows]
         if echelon_rows:
             self.esnf = smith_normal_form(IntMatrix.from_rows(E))
-            self._Us_inv = _fraction_free_inverse(self.esnf.U)
         else:
             self.esnf = None
-            self._Us_inv = None
 
         # freeze pivot rows for back-substitution (pivot entry first)
         starts = []
@@ -465,30 +438,12 @@ class SparseFactorization:
         m = self.m
         z = self._replay(b)
         x = [0] * self.ncols
-        # echelon part
         if self.echelon_rows:
-            sub = [int(z[r]) for r in self.echelon_rows]
-            w = self.esnf.U.mul_vec(sub)
-            diag = self.esnf.diagonal()
-            y = [0] * len(self.res_cols)
-            for j, wj in enumerate(w):
-                d = diag[j] if j < len(diag) else 0
-                if d == 0:
-                    if (wj % m if m else wj) != 0:
-                        return None
-                elif m == 0:
-                    if wj % d != 0:
-                        return None
-                    y[j] = wj // d
-                else:
-                    g = gcd(d, m)
-                    if wj % g != 0:
-                        return None
-                    mm = m // g
-                    y[j] = ((wj // g) * pow(d // g, -1, mm)) % mm if mm > 1 else 0
-            xr = self.esnf.V.mul_vec(y)
+            xr = self.esnf.solve([int(z[r]) for r in self.echelon_rows], m)
+            if xr is None:
+                return None
             for c, v in zip(self.res_cols, xr):
-                x[c] = v % m if m else v
+                x[c] = v
         for r in self.zero_rows:
             if (int(z[r]) % m if m else int(z[r])) != 0:
                 return None
@@ -515,11 +470,12 @@ class SparseFactorization:
         out = []
         if self.esnf is None:
             return out
-        diag = self.esnf.diagonal()
-        n = len(self.echelon_rows)
-        for j, d in enumerate(diag):
+        E, V = self.esnf.source, self.esnf.V
+        for j, d in enumerate(self.esnf.diagonal()):
             if d > 1:
-                col = [self._Us_inv[i, j] for i in range(n)]
+                # U E V = D, so column j of U^-1 is (E V)[:, j] / d
+                ev = E.mul_vec([V[i, j] for i in range(V.rows)])
+                col = [x // d for x in ev]
                 vec = [0] * self.nrows
                 for r, v in zip(self.echelon_rows, col):
                     vec[r] = v

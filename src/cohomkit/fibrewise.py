@@ -24,7 +24,8 @@ import numpy as np
 from .abelian import factorize
 from .errors import (InternalCheckFailed, InvalidModule, NoIsomorphismFound,
                      NotBaseFree)
-from .exact.dense import IntMatrix, cokernel_invariants, smith_normal_form
+from .exact.dense import (IntMatrix, cokernel_invariants, smith_normal_form,
+                          unimodular_inverse)
 from .exact.modp import nullspace_modp, rank_modp, solve_modp
 from .exact.sparse import SparseFactorization
 from .groups import FiniteGroup
@@ -97,9 +98,8 @@ class FGModule:
                 want = known[G.table[a][b]]
                 if got != want:
                     if rel_dec is not None and all(
-                            _solve_with_dec(rel_dec,
-                                            [got[i][j] - want[i][j]
-                                             for i in range(n)]) is not None
+                            rel_dec.solve([got[i][j] - want[i][j]
+                                           for i in range(n)]) is not None
                             for j in range(n)):
                         continue
                     raise InvalidModule(
@@ -228,16 +228,16 @@ def lattice_from_presentation(M: FGModule) -> LatticeModule:
     if not M.relations:
         return LatticeModule(M.group, [full[a] for a in range(M.group.order)])
     A = IntMatrix.from_rows([list(r) for r in M.relations]).transpose()
-    _check_relations_stable(M, full, A)
-    inv = cokernel_invariants(A, "Z")
-    if any(f > 1 for f in inv):
-        raise NotBaseFree(f"presentation has torsion {inv}")
     dec = smith_normal_form(A)
+    _check_relations_stable(M, full, dec)
+    torsion = [d for d in dec.diagonal() if d > 1]
+    if torsion:
+        raise NotBaseFree(f"presentation has torsion {torsion}")
     rank = dec.rank()
     free = g - rank
     # quotient coordinates: x -> (U x)[rank:]
     U = dec.U
-    Uinv = _int_inverse(U)
+    Uinv = unimodular_inverse(U)
     proj_rows = [U.row(i) for i in range(rank, g)]
     lift_cols = [[Uinv[i, j] for i in range(g)] for j in range(rank, g)]
     mats = []
@@ -253,22 +253,17 @@ def lattice_from_presentation(M: FGModule) -> LatticeModule:
     return LatticeModule(M.group, mats)
 
 
-def _int_inverse(M: IntMatrix) -> IntMatrix:
-    from .exact.sparse import _fraction_free_inverse
-
-    return _fraction_free_inverse(M)
-
-
-def _check_relations_stable(M: FGModule, full_action, A: IntMatrix):
-    """The relation submodule must be action-stable."""
-    dec = smith_normal_form(A)
+def _check_relations_stable(M: FGModule, full_action, dec):
+    """The relation submodule, the columns of ``dec.source``, must be
+    action-stable."""
+    A = dec.source
     for a in range(M.group.order):
         act = full_action[a]
         for j in range(A.cols):
             col = [A[i, j] for i in range(A.rows)]
             img = [sum(act[i][t] * col[t] for t in range(len(col)))
                    for i in range(len(col))]
-            if _solve_with_dec(dec, img) is None:
+            if dec.solve(img) is None:
                 raise InvalidModule(
                     "relation submodule is not stable under the action")
 
@@ -537,13 +532,7 @@ def dualising_check(G: FiniteGroup) -> DualisingWitness:
                 row[G.table[i][g] * n + h] -= 1
                 rows.append(row)
     A = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(1, n * n)
-    dec = smith_normal_form(A)
-    diag = dec.diagonal()
-    rank = sum(1 for d in diag if d != 0)
-    basis = []
-    for j in range(rank, n * n):
-        col = [dec.V[i, j] for i in range(n * n)]
-        basis.append(col)
+    basis = smith_normal_form(A).kernel()
     candidates = list(basis)
     for a, b in combinations(range(len(basis)), 2):
         candidates.append([x + y for x, y in zip(basis[a], basis[b])])
@@ -574,44 +563,16 @@ def dualising_check(G: FiniteGroup) -> DualisingWitness:
 # Ext over ZG via iterated free covers
 # ---------------------------------------------------------------------------
 
-def _kernel_lattice(A: IntMatrix):
-    """Basis of ker(A) over Z as columns."""
-    dec = smith_normal_form(A)
-    diag = dec.diagonal()
-    rank = sum(1 for d in diag if d != 0)
-    return [[dec.V[i, j] for i in range(A.cols)]
-            for j in range(rank, A.cols)]
-
-
 def _lattice_basis_of_span(cols):
     """Basis of the lattice spanned by the given integer columns."""
     if not cols:
         return []
     W = IntMatrix.from_rows([list(r) for r in zip(*cols)])
     dec = smith_normal_form(W)
-    diag = dec.diagonal()
-    uinv = _int_inverse(dec.U)
-    out = []
-    for j, d in enumerate(diag):
-        if d != 0:
-            out.append([d * uinv[i, j] for i in range(W.rows)])
-    return out
-
-
-def _solve_with_dec(dec, b):
-    c = dec.U.mul_vec(b)
-    diag = dec.diagonal()
-    y = [0] * dec.source.cols
-    for i in range(dec.source.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return dec.V.mul_vec(y)
+    # U W V = D, so the columns of W V are U^-1 D: d_j times column j of U^-1
+    WV = W @ dec.V
+    return [[WV[i, j] for i in range(W.rows)]
+            for j, d in enumerate(dec.diagonal()) if d != 0]
 
 
 def _syzygy_module(G: FiniteGroup, cols):
@@ -630,7 +591,7 @@ def _syzygy_module(G: FiniteGroup, cols):
                 if val:
                     j, h = divmod(idx, n)
                     img[j * n + G.table[g][h]] += val
-            y = _solve_with_dec(bdec, img)
+            y = bdec.solve(img)
             if y is None:
                 raise InternalCheckFailed("syzygy lattice not action-stable")
             mat_cols.append(y)
@@ -669,11 +630,11 @@ def ext_group(M, N: LatticeModule, i: int) -> list:
         R = [list(r) for r in zip(*relations)]  # gens x (#relations)
         aug_rows = [cover[r_] + [-R[r_][c] for c in range(len(relations))]
                     for r_ in range(gens)]
-        kern = _kernel_lattice(IntMatrix.from_rows(aug_rows))
+        kern = smith_normal_form(IntMatrix.from_rows(aug_rows)).kernel()
         projected = [v[:gens * n] for v in kern]
         cols = _lattice_basis_of_span(projected)
     else:
-        cols = _kernel_lattice(IntMatrix.from_rows(cover))
+        cols = smith_normal_form(IntMatrix.from_rows(cover)).kernel()
     zg_cols.append(cols)
     cur = _syzygy_module(G, cols) if cols else None
     for t in range(1, i + 2):
@@ -683,7 +644,7 @@ def ext_group(M, N: LatticeModule, i: int) -> list:
             continue
         ranks.append(cur.rank)
         cov = _free_cover_data(G, cur.rank, lambda g, c=cur: c.action[g])
-        kern = _kernel_lattice(IntMatrix.from_rows(cov))
+        kern = smith_normal_form(IntMatrix.from_rows(cov)).kernel()
         zg_cols.append(kern)
         cur = _syzygy_module(G, kern) if kern else None
 

@@ -14,37 +14,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .abelian import prime_power, require_prime
 from .cohomology import (CohomologyClass, bockstein_delta, coefficient_map,
                          cohomology_group, cohomology_system, p_primary_part)
 from .cup import cup1_vec, cup_product, cup_vec
-from .errors import (InternalCheckFailed, ModulusMismatch, NoPreimageFound,
-                     NotPrime)
+from .errors import InternalCheckFailed, ModulusMismatch, NoPreimageFound
+from .exact.modp import nullspace_modp, solve_modp
 from .groups import FiniteGroup
-
-
-def _require_prime(p: int):
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise NotPrime(f"{p} is not prime")
 
 
 def s_exponent(G: FiniteGroup, p: int) -> int:
     """Largest s with p^s dividing |G|."""
-    _require_prime(p)
+    require_prime(p)
     s, n = 0, G.order
     while n % p == 0:
         n //= p
         s += 1
     return s
-
-
-def _prime_level(modulus: int):
-    from .abelian import factorize
-
-    fac = factorize(modulus)
-    if len(fac) != 1:
-        raise ModulusMismatch(f"modulus {modulus} is not a prime power")
-    [(p, i)] = fac.items()
-    return p, i
 
 
 def _add_classes(x: CohomologyClass, y: CohomologyClass, sign: int = 1):
@@ -70,7 +56,7 @@ def verify_derivation(i: int, x: CohomologyClass,
     compared as mod-p cohomology classes."""
     if x.modulus != y.modulus or x.group is not y.group:
         raise ModulusMismatch("operands must share group and modulus p^i")
-    p, level = _prime_level(x.modulus)
+    p, level = prime_power(x.modulus)
     if level != i:
         raise ModulusMismatch(f"classes have modulus {x.modulus}, not p^{i}")
     lhs = bockstein_delta(i, cup_product(x, y))
@@ -126,7 +112,7 @@ def pth_power_preimage(i: int, x: CohomologyClass) -> PthPowerLift:
     """
     if x.degree < 1:
         raise ValueError("positive-degree classes only")
-    p, level = _prime_level(x.modulus)
+    p, level = prime_power(x.modulus)
     if level != i:
         raise ModulusMismatch(f"class modulus {x.modulus} is not p^{i}")
     G = x.group
@@ -221,7 +207,7 @@ def integral_psth_preimage(x: CohomologyClass,
     x^{p^s}; existence is a theorem, so failure raises NoPreimageFound."""
     if x.degree < 1:
         raise ValueError("positive-degree classes only")
-    p, level = _prime_level(x.modulus)
+    p, level = prime_power(x.modulus)
     if level != 1:
         raise ModulusMismatch("integral lifting starts from a mod-p class")
     G = x.group
@@ -248,12 +234,14 @@ def integral_psth_preimage(x: CohomologyClass,
             cols.append(vals)
             keep.append(j)
     tvals, _ = fact.coords(P)
-    sol = _solve_small_modp(cols, tvals, p)
+    # tau x k, with shape (tau, 0) when no integral class is p-divisible
+    A = np.array(cols, dtype=np.int64).reshape(len(cols), len(tvals)).T
+    sol = solve_modp(A, tvals, p)
     if sol is None:
         raise NoPreimageFound(
             "x^{p^s} is not in the image of the integral reduction")
     vec = [0] * sys.rank(D)
-    for a, j in zip(sol, keep):
+    for a, j in zip(sol.tolist(), keep):
         f, w = basis[j]
         e = 0
         ff = f
@@ -270,45 +258,6 @@ def integral_psth_preimage(x: CohomologyClass,
     if not lift.verify():
         raise InternalCheckFailed("integral preimage failed re-verification")
     return lift
-
-
-def _solve_small_modp(cols, target, p):
-    """Solve sum a_j cols[j] = target over F_p; None if inconsistent."""
-    k = len(cols)
-    t = np.asarray(target, dtype=np.int64) % p
-    if k == 0:
-        return [] if not t.any() else None
-    A = (np.asarray(cols, dtype=np.int64).T) % p  # tau x k
-    M = np.concatenate([A, t.reshape(-1, 1)], axis=1)
-    rows, colsn = M.shape
-    piv = []
-    r = 0
-    for c in range(k):
-        pr = None
-        for rr in range(r, rows):
-            if M[rr, c] % p:
-                pr = rr
-                break
-        if pr is None:
-            continue
-        M[[r, pr]] = M[[pr, r]]
-        inv = pow(int(M[r, c]), -1, p)
-        M[r] = (M[r] * inv) % p
-        for rr in range(rows):
-            if rr != r and M[rr, c] % p:
-                M[rr] = (M[rr] - M[rr, c] * M[r]) % p
-        piv.append(c)
-        r += 1
-        if r == rows:
-            break
-    # consistency
-    for rr in range(rows):
-        if not M[rr, :k].any() and M[rr, k] % p:
-            return None
-    sol = [0] * k
-    for idx, c in enumerate(piv):
-        sol[c] = int(M[idx, k]) % p
-    return sol
 
 
 @dataclass
@@ -344,7 +293,7 @@ def f_iso_check(G: FiniteGroup, p: int, N: int) -> FIsoReport:
     integral preimage of x^{p^s}.  F-injectivity: kernel elements of the
     reduction map have vanishing s-th cup power (s from p^s || |G|).
     """
-    _require_prime(p)
+    require_prime(p)
     s = s_exponent(G, p)
     sys = cohomology_system(G)
     onto = []
@@ -402,7 +351,8 @@ def f_iso_check(G: FiniteGroup, p: int, N: int) -> FIsoReport:
             continue
         fact = sys.bc.fact(d, p)
         cols = [fact.coords([v % p for v in w])[0] for _, w in basis]
-        kernel = _modp_nullspace(cols, p)
+        kernel = [v.tolist() for v in
+                  nullspace_modp(np.asarray(cols, dtype=np.int64).T, p)]
         entry = {"degree": d, "source_dim": len(basis),
                  "kernel_dim": len(kernel), "nilpotent": True,
                  "kernel_vectors": kernel}
@@ -430,44 +380,3 @@ def f_iso_check(G: FiniteGroup, p: int, N: int) -> FIsoReport:
 
     return FIsoReport(G.label, p, s, N, onto, kernel_checks, ok, notes)
 
-
-def _modp_nullspace(cols, p):
-    """Nullspace basis of the map F_p^k -> span(cols)."""
-    k = len(cols)
-    if k == 0:
-        return []
-    A = (np.asarray(cols, dtype=np.int64).T) % p  # tau x k
-    rows = A.shape[0]
-    M = A.copy()
-    piv_of_col = [-1] * k
-    r = 0
-    for c in range(k):
-        pr = None
-        for rr in range(r, rows):
-            if M[rr, c] % p:
-                pr = rr
-                break
-        if pr is None:
-            continue
-        M[[r, pr]] = M[[pr, r]]
-        inv = pow(int(M[r, c]), -1, p)
-        M[r] = (M[r] * inv) % p
-        for rr in range(rows):
-            if rr != r and M[rr, c] % p:
-                M[rr] = (M[rr] - M[rr, c] * M[r]) % p
-        piv_of_col[c] = r
-        r += 1
-        if r == rows:
-            break
-    out = []
-    for c in range(k):
-        if piv_of_col[c] != -1:
-            continue
-        vec = [0] * k
-        vec[c] = 1
-        for c2 in range(k):
-            rr = piv_of_col[c2]
-            if rr != -1:
-                vec[c2] = int(-M[rr, c]) % p
-        out.append(vec)
-    return out

@@ -12,9 +12,11 @@ that ordering.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .config import size_cap
+from .config import GROUP_CACHE_SIZE, size_cap
 from .errors import SizeCapExceeded
 from .exact.dense import IntMatrix, smith_normal_form, cokernel_invariants
 from .exact.sparse import SparseFactorization
@@ -183,7 +185,7 @@ def subquotient_invariants(d_in: IntMatrix, d_out: IntMatrix, m) -> list:
     bdec = smith_normal_form(B)
     rel_cols = []
     for gvec in gens:
-        y = _solve_exact(bdec, gvec)
+        y = bdec.solve(gvec)
         if y is None:
             raise ValueError("image does not lie in the kernel lattice")
         rel_cols.append(y)
@@ -191,23 +193,6 @@ def subquotient_invariants(d_in: IntMatrix, d_out: IntMatrix, m) -> list:
         return [0] * B.cols
     R = IntMatrix.from_rows([list(col) for col in zip(*rel_cols)])
     return cokernel_invariants(R, "Z")
-
-
-def _solve_exact(dec, b):
-    """Solve B y = b over Z given the Smith decomposition of B."""
-    c = dec.U.mul_vec(b)
-    diag = dec.diagonal()
-    y = [0] * dec.source.cols
-    for i in range(dec.source.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return dec.V.mul_vec(y)
 
 
 def verify_complex(resolution: Resolution, max_degree: int | None = None) -> dict:
@@ -424,11 +409,7 @@ class BarCochains:
         return kernels.csr_matvec_int(indptr, indices, data, vec)
 
 
-_BAR_CACHE: dict = {}
-
-
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
 def bar_cochains(G: FiniteGroup) -> BarCochains:
-    key = id(G)
-    if key not in _BAR_CACHE or _BAR_CACHE[key].group is not G:
-        _BAR_CACHE[key] = BarCochains(G)
-    return _BAR_CACHE[key]
+    """The cached cochain complex of G (groups hash by identity)."""
+    return BarCochains(G)

@@ -16,17 +16,13 @@ from itertools import product as iproduct
 
 import numpy as np
 
+from .abelian import require_prime
 from .cohomology import (CohomologyClass, CohomologyGroup, canonical_coords,
                          cohomology_system)
 from .cup import GradedRingSlice, cup_vec, ring_slice
-from .errors import NotPrime, SliceTooShallow
+from .errors import SliceTooShallow
 from .exact.modp import nullspace_modp, rank_modp, solve_modp
 from .groups import FiniteGroup
-
-
-def _require_prime(p: int):
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise NotPrime(f"{p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,7 @@ def jordan_type_of_nilpotent(N: np.ndarray, p: int) -> JordanType:
 
 def jordan_tensor_type(a: int, b: int, p: int) -> JordanType:
     """Jordan type of J_a tensor J_b under the diagonal action of C_p."""
-    _require_prime(p)
+    require_prime(p)
     if not (1 <= a <= p and 1 <= b <= p):
         raise ValueError("block sizes must lie in 1..p")
     g = np.kron(_jordan_block(a, p), _jordan_block(b, p)) % p
@@ -92,7 +88,7 @@ _SES_CACHE: dict = {}
 def enumerate_block_ses(p: int):
     """All (a, c, b) with a short exact sequence 0->J_a->J_c->J_b->0 of
     kC_p-modules, found by explicit matrix search over Hom(J_a, J_c)."""
-    _require_prime(p)
+    require_prime(p)
     if p in _SES_CACHE:
         return _SES_CACHE[p]
     out = []
@@ -152,7 +148,7 @@ def thick_closure(seed, p: int):
     """Least subset of {1..p-1} containing the seed and closed under
     syzygy, stable tensor summands, and two-out-of-three over the
     enumerated short exact sequences of Jordan blocks."""
-    _require_prime(p)
+    require_prime(p)
     seed = set(int(x) for x in seed)
     if any(not 1 <= x <= p - 1 for x in seed):
         raise ValueError("seed blocks must be non-projective: 1..p-1")
@@ -305,7 +301,7 @@ def kappa_certificate(f: RingMapSlice, p: int, s: int, N: int) -> KappaReport:
     the source, and every target basis element x with p^s |x| <= N has
     x^{p^s} in the image (membership via linear solves on structure
     constants)."""
-    _require_prime(p)
+    require_prime(p)
     if N > f.max_degree:
         raise SliceTooShallow(
             f"slices only reach degree {f.max_degree}, requested {N}")

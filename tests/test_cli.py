@@ -194,12 +194,12 @@ class TestErrorPaths:
     def test_size_cap_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("COHOMKIT_SIZE_CAP", "50")
         from cohomkit.groups import symmetric_3
-        from cohomkit.resolutions import _BAR_CACHE
+        from cohomkit.resolutions import bar_cochains
 
-        _BAR_CACHE.clear()
+        bar_cochains.cache_clear()
         code, _, err = run(capsys, "cohomology", "--group", "s3",
                            "--coeff", "Z", "--deg", "4")
-        _BAR_CACHE.clear()
+        bar_cochains.cache_clear()
         assert code == 2
         assert "cap" in err
 

@@ -1,13 +1,19 @@
+import hashlib
+import json
 import random
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 
-from cohomkit.exact.dense import (IntMatrix, cokernel_invariants,
-                                  smith_normal_form, solve_mod)
+from cohomkit.exact.dense import (IntMatrix, SmithDecomposition,
+                                  cokernel_invariants, smith_normal_form,
+                                  solve_mod, unimodular_inverse)
 from cohomkit.errors import InternalCheckFailed
+from cohomkit.exact.modp import nullspace_modp, solve_modp
 from cohomkit.exact.sparse import SparseFactorization
+from cohomkit.resolutions import bar_cochains
 
 
 def dense_solvable_over_q(dense, b):
@@ -112,10 +118,17 @@ class TestSolveMod:
         b = [rng.randint(0, m - 1) for _ in range(r)]
         self._check_against_bruteforce(rows, b, m)
 
+    def test_failed_self_check_raises(self):
+        one = IntMatrix.identity(1)
+        dec = SmithDecomposition(U=one, D=one, V=one,
+                                 source=IntMatrix.from_rows([[2]]))
+        with pytest.raises(InternalCheckFailed):
+            dec.solve([1])
+
     @staticmethod
     def _check_against_bruteforce(rows, b, m):
         r, c = len(rows), len(rows[0])
-        x = solve_mod(IntMatrix.from_rows(rows), b, m)
+        x = smith_normal_form(IntMatrix.from_rows(rows)).solve(b, m)
         brute = None
         for cand in product(range(m), repeat=c):
             if all(sum(rows[i][j] * cand[j] for j in range(c)) % m
@@ -126,6 +139,61 @@ class TestSolveMod:
         if x is not None:
             assert all(sum(rows[i][j] * x[j] for j in range(c)) % m
                        == b[i] % m for i in range(r))
+
+
+class TestSmithKernel:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_kernel_is_a_basis_of_ker(self, seed):
+        rng = random.Random(300 + seed)
+        r, c = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
+        A = IntMatrix.from_rows(rows)
+        dec = smith_normal_form(A)
+        ker = dec.kernel()
+        assert len(ker) == c - dec.rank()
+        for k in ker:
+            assert A.mul_vec(k) == [0] * r
+        if ker:
+            # saturated: the columns span a direct summand of Z^c
+            K = IntMatrix.from_rows([list(t) for t in zip(*ker)])
+            assert smith_normal_form(K).diagonal() == [1] * len(ker)
+
+
+class TestUnimodularInverse:
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (3, 2), (6, 3),
+                                         (10, 4), (16, 5)])
+    def test_random_products_of_elementary_matrices(self, n, seed):
+        rng = random.Random(900 + seed)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(4 * n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            op = rng.randrange(3)
+            if op == 0 and i != j:
+                k = rng.choice([-2, -1, 1, 2])
+                rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+            elif op == 1:
+                rows[i], rows[j] = rows[j], rows[i]
+            else:
+                rows[i] = [-a for a in rows[i]]
+        U = IntMatrix.from_rows(rows)
+        inv = unimodular_inverse(U)
+        assert U @ inv == IntMatrix.identity(n)
+        assert inv @ U == IntMatrix.identity(n)
+
+    @pytest.mark.parametrize("rows", [[[2]], [[1, 2], [2, 4]], [[0]]])
+    def test_rejects_non_unimodular(self, rows):
+        with pytest.raises(ValueError):
+            unimodular_inverse(IntMatrix.from_rows(rows))
+
+
+class TestModpZeroColumns:
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    def test_zero_columns(self, t):
+        A = np.zeros((t, 0), dtype=np.int64)
+        assert solve_modp(A, [0] * t, 5).shape == (0,)
+        assert nullspace_modp(A, 5) == []
+        if t:
+            assert solve_modp(A, [0] * (t - 1) + [2], 5) is None
 
 
 class TestCokernelInvariants:
@@ -240,6 +308,23 @@ class TestSparseFactorization:
         f = SparseFactorization(3, 3, coo, m=0)
         reps = f.torsion_reps()
         assert sorted(d for d, _ in reps) == [2, 6]
+        for d, w in reps:
+            assert f.solve([d * v for v in w]) is not None
+            assert f.solve(w) is None
+
+    @pytest.mark.parametrize("name, digest", [
+        ("s3", "7d002f06424e1e44b06975b9ed3e8f7019be6700d16310c0e0ab0e4c046c8a3b"),
+        ("c6", "2a5f6a7229323ef4d6e0ef86938b0f73812f45045021917556dd59ead0d938b4"),
+    ])
+    def test_torsion_reps_pinned(self, groups, name, digest):
+        """Torsion representatives of D_4 over Z, whose echelon block has
+        U != I, pinned by digest."""
+        f = bar_cochains(groups[name]).fact(4, 0)
+        assert f.esnf.U != IntMatrix.identity(f.esnf.U.rows)
+        reps = [[d, [int(v) for v in w]] for d, w in f.torsion_reps()]
+        assert [d for d, _ in reps] == [6]
+        got = hashlib.sha256(json.dumps(reps).encode()).hexdigest()
+        assert got == digest
         for d, w in reps:
             assert f.solve([d * v for v in w]) is not None
             assert f.solve(w) is None

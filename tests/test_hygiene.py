@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module, and
+no module-level function is a copy of another.
 
 No linter ships with the toolchain, so this parses ``src/cohomkit`` with
 ``ast``.  Package ``__init__.py`` files are skipped (their imports are
@@ -6,6 +7,7 @@ re-exports), as are import lines marked ``# noqa`` (import-time probes).
 """
 
 import ast
+import copy
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cohomkit"
@@ -74,3 +76,40 @@ def test_detects_an_unused_import(tmp_path):
                    "import numba  # noqa: F401\n\n"
                    "def f(x: \"Path\") -> float:\n    return inf\n")
     assert unused_imports(mod) == [("os", 1), ("gcd", 2)]
+
+
+def _without_name_and_docstring(node):
+    node = copy.copy(node)
+    node.name = ""
+    first = node.body[0]
+    if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+            and isinstance(first.value.value, str)):
+        node.body = node.body[1:]
+    return ast.dump(node)
+
+
+def duplicate_functions(paths, root: Path):
+    """Groups of module-level functions whose ``ast.dump`` is the same once
+    names and docstrings are dropped."""
+    by_dump = {}
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                key = _without_name_and_docstring(node)
+                by_dump.setdefault(key, []).append(
+                    f"{path.relative_to(root)}:{node.name}")
+    return [names for names in by_dump.values() if len(names) > 1]
+
+
+def test_no_copied_functions():
+    dups = duplicate_functions(sorted(SRC.rglob("*.py")), SRC)
+    assert not dups, f"copied functions: {dups}"
+
+
+def test_detects_a_copied_function(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text('def f(x):\n    """One."""\n    return x + 1\n\n\n'
+                   "def g(x):\n    return x + 1\n\n\n"
+                   "def h(x):\n    return x - 1\n\n\n"
+                   "def k(y):\n    return y + 1\n")
+    assert duplicate_functions([mod], tmp_path) == [["m.py:f", "m.py:g"]]

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from cohomkit.cohomology import cohomology_group
+from cohomkit.cohomology import cohomology_group, cohomology_system
+from cohomkit.config import GROUP_CACHE_SIZE
 from cohomkit.errors import SizeCapExceeded
 from cohomkit.exact.dense import IntMatrix
 from cohomkit.fibrewise import field_free_resolution, regular_module, \
     trivial_module
-from cohomkit.groups import cyclic, symmetric_3
+from cohomkit.groups import builtin_group, cyclic, symmetric_3
 from cohomkit.resolutions import (bar_cochains, bar_resolution,
                                   periodic_resolution_cyclic,
                                   subquotient_invariants, verify_complex)
@@ -153,3 +154,16 @@ class TestCochainComplex:
         cc = CochainComplex(bar_resolution(cyclic(2), 4), 0)
         assert cc.verify_dd_zero()
         assert cc.cohomology_invariants(2) == [2]
+
+
+class TestGroupCaches:
+    def test_caches_are_bounded(self):
+        """builtin_group returns a fresh group on every call; the per-group
+        caches keep at most GROUP_CACHE_SIZE of them."""
+        for _ in range(GROUP_CACHE_SIZE + 1):
+            G = builtin_group("c2")
+            sys = cohomology_system(G)
+            assert cohomology_system(G) is sys
+            assert bar_cochains(G) is sys.bc
+            assert cohomology_system.cache_info().currsize <= GROUP_CACHE_SIZE
+            assert bar_cochains.cache_info().currsize <= GROUP_CACHE_SIZE
