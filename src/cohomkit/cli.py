@@ -14,6 +14,7 @@ import sys
 import time
 
 from . import __version__
+from .abelian import factorize
 from .cohomology import bockstein_delta, canonical_coords, cohomology_group
 from .cup import ring_slice
 from .errors import (CohomkitError, InternalCheckFailed, NoIsomorphismFound,
@@ -227,34 +228,22 @@ def cmd_kappa(args):
 # -- verify-paper suites ------------------------------------------------------
 
 _DERIVATION_FAMILY = ["c2", "c3", "c4", "klein4", "s3"]
+# lemma4.1 checks every pair of basis classes with degrees d1 + d2 <= this
+_LEMMA41_MAX_TOTAL = 5
 
 
-def _primes_of(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def suite_lemma41(max_total: int = 5):
+def suite_lemma41():
     results = []
     ok = True
     for name in _DERIVATION_FAMILY:
         G = builtin_group(name)
-        for p in _primes_of(G.order):
+        for p in sorted(factorize(G.order)):
             for i in (1, 2):
                 m = p**i
                 pairs = 0
                 failures = 0
-                for d1 in range(1, max_total):
-                    for d2 in range(1, max_total + 1 - d1):
+                for d1 in range(1, _LEMMA41_MAX_TOTAL):
+                    for d2 in range(1, _LEMMA41_MAX_TOTAL + 1 - d1):
                         H1 = cohomology_group(G, m, d1)
                         H2 = cohomology_group(G, m, d2)
                         for x in H1.basis:
@@ -275,7 +264,7 @@ def suite_lemma42():
     ok = True
     for name in _DERIVATION_FAMILY:
         G = builtin_group(name)
-        for p in _primes_of(G.order):
+        for p in sorted(factorize(G.order)):
             m = p * p
             for d in (1, 2, 3):
                 H = cohomology_group(G, m, d)
@@ -298,7 +287,7 @@ def suite_prop43():
     ok = True
     for name in _DERIVATION_FAMILY:
         G = builtin_group(name)
-        for p in _primes_of(G.order):
+        for p in sorted(factorize(G.order)):
             s = s_exponent(G, p)
             for d in (1, 2):
                 if d * p**s > 6:

@@ -125,7 +125,7 @@ class CohomologySystem:
     def integral_basis(self, n: int):
         """[(invariant factor, cocycle vector)] for H^n(G, Z), n >= 1."""
         if n not in self._int_basis:
-            fact = self.bc.fact(n, 0)
+            fact = self.bc.fact(n)
             reps = fact.torsion_reps()
             for f, w in reps:
                 dw = self.bc.matvec(n + 1, w)
@@ -141,7 +141,7 @@ class CohomologySystem:
         if n == 0:
             # H^0(G, Z) = Z spanned by the unit cochain
             return [int(vec[0])]
-        fact = self.bc.fact(n, 0)
+        fact = self.bc.fact(n)
         vals, mods = fact.coords(list(vec))
         out = []
         for v, d in zip(vals, mods):
@@ -159,7 +159,7 @@ class CohomologySystem:
 
     def integral_solve(self, n: int, vec):
         """c with d(c) = vec over Z, or None."""
-        return self.bc.fact(n, 0).solve(list(vec))
+        return self.bc.fact(n).solve(list(vec))
 
     # -- mod-m layer ---------------------------------------------------------
 
@@ -184,7 +184,7 @@ class CohomologySystem:
         theta_count = len(orders)
         # Tor part: sections of the connecting map
         tor_scales = []
-        fact_up = self.bc.fact(n + 1, 0)
+        fact_up = self.bc.fact(n + 1)
         for f2, w2 in self.integral_basis(n + 1):
             g2 = gcd(f2, m)
             if g2 == 1:
@@ -248,7 +248,7 @@ class CohomologySystem:
         v2 = [v // m for v in dz2]
         if any(v % m for v in dz2):
             raise InternalCheckFailed("Tor correction failed")
-        E = self.bc.fact(n + 1, 0).solve(v2)
+        E = self.bc.fact(n + 1).solve(v2)
         if E is None:
             raise InternalCheckFailed(
                 "theta-part lift failed; connecting class should vanish")
@@ -294,11 +294,11 @@ class CohomologySystem:
         lift = [int(v) % m for v in vec]
         dz2 = self.bc.matvec(n + 1, lift)
         v2 = [v // m for v in dz2]
-        E = self.bc.fact(n + 1, 0).solve(v2)
+        E = self.bc.fact(n + 1).solve(v2)
         if E is None:
             return None
         Z = [a - m * e for a, e in zip(lift, E)]
-        c = self.bc.fact(n, 0).solve(Z)
+        c = self.bc.fact(n).solve(Z)
         if c is None:
             return None
         return [v % m for v in c]
@@ -441,10 +441,7 @@ def p_primary_part(G: FiniteGroup, p: int, n: int) -> PrimaryPart:
     sys = cohomology_system(G)
     out = []
     for f, _w in sys.integral_basis(n):
-        e = 0
-        while f % p == 0:
-            f //= p
-            e += 1
+        e = factorize(f).get(p, 0)
         if e:
             out.append(p**e)
     out.sort()

@@ -1,4 +1,5 @@
-"""Sparse echelon factorization of integer matrices over Z and Z/m.
+"""Sparse echelon factorization of integer matrices over Z, queried over Z
+or Z/m.
 
 Bar-resolution cochain differentials are very sparse (at most deg+2 entries
 of +-1 per row), and every cohomology computation reduces to questions about
@@ -6,11 +7,11 @@ one of them: invariant factors of the cokernel, membership in the image,
 torsion representatives, kernels.  This module factors such a matrix once
 and answers all of those queries cheaply afterwards.
 
-The factorization runs in three logged phases:
+The factorization runs in three logged phases, all over Z:
 
-1. unit-pivot sparse elimination (global min-column-size pivoting, which
+1. +-1-pivot sparse elimination (global min-column-size pivoting, which
    keeps fill-in low on face-map matrices);
-2. integer/modular row echelon on the leftover rows (gcd steps);
+2. integer row echelon on the leftover rows (gcd steps);
 3. dense Smith normal form (exact, python ints) on the small echelon block.
 
 Row operations from phases 1-2 are recorded in a log, batch by batch, that
@@ -19,6 +20,13 @@ phase 3 keeps only the Smith transforms U and V of the small block, since
 torsion representatives read the columns of U^-1 off E V = U^-1 D.  No column
 operation is ever applied to the ambient space, so cokernel coordinates of
 a vector are read off directly after replaying the log.
+
+Every query takes a modulus m (0 for Z).  The logged row operations are
+unimodular over Z, so they stay invertible mod every m: a mod-m query
+replays the same log mod m, reads the echelon block through its Smith form
+and gcd(d, m), and back-substitutes mod m through the +-1 pivots, which are
+their own inverses.  One factorization thus answers the questions over Z,
+over Q (the free cokernel coordinates) and over every Z/m.
 
 All arithmetic is exact: python integers over Z, canonical residues over
 Z/m.  Pivoting is deterministic, so factorizations (and everything derived
@@ -44,12 +52,11 @@ ROW_ECHELON = 2
 
 
 class SparseFactorization:
-    """Logged echelon factorization of a sparse matrix over Z (m=0) or Z/m."""
+    """Logged echelon factorization of a sparse integer matrix over Z."""
 
-    def __init__(self, nrows: int, ncols: int, coo, m: int = 0):
+    def __init__(self, nrows: int, ncols: int, coo):
         """``coo`` is a triple (row_idx, col_idx, values) of equal-length
         sequences; duplicate positions are summed."""
-        self.m = int(m)
         self.nrows = nrows
         self.ncols = ncols
         rows = [dict() for _ in range(nrows)]
@@ -58,8 +65,6 @@ class SparseFactorization:
                            np.asarray(vi).tolist()):
             d = rows[r]
             nv = d.get(c, 0) + int(v)
-            if self.m:
-                nv %= self.m
             if nv:
                 d[c] = nv
             elif c in d:
@@ -83,14 +88,7 @@ class SparseFactorization:
         self._indices = np.array(indices, dtype=np.int64)
         self._data = kernels.int_array(data)
 
-    def _is_unit(self, v: int) -> bool:
-        if self.m == 0:
-            return v == 1 or v == -1
-        return gcd(v, self.m) == 1
-
     def _eliminate(self, rows):
-        m = self.m
-        ncols = self.ncols
         # the row-operation log, one list per field, and the offsets at
         # which its batches start (see kernels.make_log)
         log_a: list[int] = []
@@ -143,11 +141,10 @@ class SparseFactorization:
                 if rset:
                     bucket_move(pc, 0, len(rset))
                 continue
-            # choose the unit entry with shortest row, lowest index
+            # choose the +-1 entry with shortest row, lowest index
             best = None
             for r in sorted(rset):
-                v = rows[r][pc]
-                if self._is_unit(v):
+                if rows[r][pc] in (1, -1):
                     key = (len(rows[r]), r)
                     if best is None or key < best[0]:
                         best = (key, r)
@@ -161,9 +158,6 @@ class SparseFactorization:
             pr = best[1]
             prow = rows[pr]
             pv = prow[pc]
-            inv = None
-            if m and pv != 1:
-                inv = pow(pv, -1, m)
             pitems = sorted(prow.items())
             if len(rset) > 1:
                 batch_starts.append(len(log_a))
@@ -171,18 +165,12 @@ class SparseFactorization:
                 if r == pr:
                     continue
                 row = rows[r]
-                v = row[pc]
-                if m == 0:
-                    q = v * pv  # pv is +-1
-                else:
-                    q = (v * inv) % m if inv is not None else v
+                q = row[pc] * pv  # pv is +-1
                 log_a.append(r)
                 log_b.append(pr)
                 log_q.append(q)
                 for c2, w in pitems:
                     nv = row.get(c2, 0) - q * w
-                    if m:
-                        nv %= m
                     if nv:
                         if c2 not in row:
                             cs = col_rows.setdefault(c2, set())
@@ -230,7 +218,7 @@ class SparseFactorization:
             retired_rows.add(pr)
             rows[pr] = {}
 
-        # phase 2: gcd echelon on leftover rows
+        # phase 2: Euclidean row echelon on the leftover rows
         live = sorted(r for r in range(self.nrows)
                       if r not in retired_rows and rows[r])
         res_cols = sorted({c for r in live for c in rows[r]})
@@ -257,8 +245,6 @@ class SparseFactorization:
                         rb, ra = rows[b], rows[a]
                         for c2, w in list(ra.items()):
                             nv = rb.get(c2, 0) - q * w
-                            if m:
-                                nv %= m
                             if nv:
                                 rb[c2] = nv
                             elif c2 in rb:
@@ -271,7 +257,7 @@ class SparseFactorization:
                     live_set.discard(r)
             if holders:
                 r = holders[0]
-                if m == 0 and rows[r][c] < 0:
+                if rows[r][c] < 0:
                     batch_starts.append(len(log_a))
                     negs.append(len(log_a))
                     log_a.append(r)
@@ -327,12 +313,9 @@ class SparseFactorization:
         self._pool_lens = np.array(lens, dtype=np.int64)
         self._pool_cols = np.array(cols_pool, dtype=np.int64)
         self._pool_vals = kernels.int_array(vals_pool)
-        if self.m:
-            self._piv_inv = [pow(v, -1, self.m) for v in piv_vals]
-        else:
-            self._piv_inv = list(piv_vals)  # signs +-1
 
     # -- queries -----------------------------------------------------------
+    # Every query takes the modulus m: 0 answers over Z, m >= 2 over Z/m.
 
     @property
     def rank(self) -> int:
@@ -342,101 +325,82 @@ class SparseFactorization:
             r += self.esnf.rank()
         return r
 
-    def _replay(self, vec, reverse=False):
-        if self.m:
-            return kernels.apply_oplog_mod(vec, self.log, self.m,
-                                           reverse=reverse)
+    def _replay(self, vec, m=0, reverse=False):
+        if m:
+            return kernels.apply_oplog_mod(vec, self.log, m, reverse=reverse)
         return kernels.apply_oplog_int(vec, self.log, reverse=reverse)
 
-    def _backsub(self, rhs, x):
-        """Fill the pivot columns of ``x`` through the frozen pivot rows."""
+    def _backsub(self, rhs, x, m=0):
+        """Fill the pivot columns of ``x`` through the frozen pivot rows; the
+        pivots are +-1, so they are their own inverses mod every m."""
         if not self.piv_rows:
             return x
         rows = (self._pool_starts, self._pool_lens, self._pool_cols,
                 self._pool_vals)
-        if self.m:
-            return kernels.backsub_mod(rows, self.piv_cols, self._piv_inv,
-                                       rhs, x, self.m)
-        return kernels.backsub_int(rows, self.piv_cols, self._piv_inv, rhs,
-                                   x)
+        return kernels.backsub_mod(rows, self.piv_cols, self.piv_vals, rhs, x,
+                                   m)
 
-    def _echelon_diag(self):
+    def _echelon_diag(self, m=0):
         """Diagonal of the echelon block SNF, reduced against m."""
         if self.esnf is None:
             return []
         diag = self.esnf.diagonal()
-        if self.m:
-            return [gcd(d, self.m) if d else 0 for d in diag]
+        if m:
+            return [gcd(d, m) if d else 0 for d in diag]
         return diag
 
-    def coker_invariants(self) -> list[int]:
+    def coker_invariants(self, m=0) -> list[int]:
         """Invariant factors of coker over Z (0 = free) or Z/m."""
-        out = [d for d in self._echelon_diag() if d > 1]
+        out = [d for d in self._echelon_diag(m) if d > 1]
         nfree = len(self.zero_rows)
         if self.esnf is not None:
             nfree += max(0, self.esnf.D.rows - self.esnf.rank())
-        if self.m:
-            out += [self.m] * nfree
+        if m:
+            out += [m] * nfree
             out.sort()
         else:
             out += [0] * nfree
         return out
 
-    def coords(self, vec):
+    def coords(self, vec, m=0):
         """Cokernel coordinates of ``vec``: (values, moduli) in canonical
         order (echelon coordinates, then untouched rows ascending).
 
         Modulus 0 means a free Z summand; over Z/m free summands have
         modulus m.  Unit-pivot coordinates are omitted (always zero in the
         cokernel)."""
-        z = self._replay(vec)
+        z = self._replay(vec, m)
         vals: list[int] = []
         mods: list[int] = []
         if self.echelon_rows:
             sub = [int(z[r]) for r in self.echelon_rows]
             w = self.esnf.U.mul_vec(sub)
-            diag = self._echelon_diag()
+            diag = self._echelon_diag(m)
             for j, x in enumerate(w):
-                d = diag[j] if j < len(diag) else 0
-                if self.m:
-                    d = d if d else self.m
-                    vals.append(x % d if d > 1 else 0)
-                    mods.append(d)
-                else:
-                    if d:
-                        vals.append(x % d)
-                        mods.append(d)
-                    else:
-                        vals.append(x)
-                        mods.append(0)
+                d = (diag[j] if j < len(diag) else 0) or m
+                vals.append(x % d if d else x)
+                mods.append(d)
         for r in self.zero_rows:
             x = int(z[r])
-            if self.m:
-                vals.append(x % self.m)
-                mods.append(self.m)
-            else:
-                vals.append(x)
-                mods.append(0)
+            vals.append(x % m if m else x)
+            mods.append(m)
         return vals, mods
 
     def solvable_over_q(self, vec) -> bool:
         """Whether A x = vec has a rational solution: every free cokernel
-        coordinate of vec is 0 (a Z factorization answers this too)."""
-        if self.m:
-            raise ValueError("solvable_over_q is defined over Z")
+        coordinate of vec over Z is 0."""
         vals, mods = self.coords(vec)
         return all(v == 0 for v, d in zip(vals, mods) if d == 0)
 
-    def in_image(self, vec) -> bool:
-        vals, mods = self.coords(vec)
+    def in_image(self, vec, m=0) -> bool:
+        vals, _mods = self.coords(vec, m)
         return all(v == 0 for v in vals)
 
-    def solve(self, b, verify: bool = True):
-        """Some x with A x = b (over Z or mod m), or None when b is not in
-        the image.  With ``verify``, an x that fails A x = b raises
+    def solve(self, b, m=0):
+        """Some x with A x = b (over Z, or mod m with residues), or None when
+        b is not in the image.  An x that fails A x = b raises
         InternalCheckFailed."""
-        m = self.m
-        z = self._replay(b)
+        z = self._replay(b, m)
         x = [0] * self.ncols
         if self.echelon_rows:
             xr = self.esnf.solve([int(z[r]) for r in self.echelon_rows], m)
@@ -447,26 +411,22 @@ class SparseFactorization:
         for r in self.zero_rows:
             if (int(z[r]) % m if m else int(z[r])) != 0:
                 return None
-        x = self._backsub([z[r] for r in self.piv_rows], x)
-        if verify:
-            back = self.matvec(x)
-            if back != [int(v) % m if m else int(v) for v in b]:
-                raise InternalCheckFailed(
-                    "sparse solve: A x != b after back-substitution")
+        x = self._backsub([z[r] for r in self.piv_rows], x, m)
+        if self.matvec(x, m) != [int(v) % m if m else int(v) for v in b]:
+            raise InternalCheckFailed(
+                "sparse solve: A x != b after back-substitution")
         return x
 
-    def matvec(self, x):
-        if self.m:
+    def matvec(self, x, m=0):
+        if m:
             return kernels.csr_matvec_mod(self._indptr, self._indices,
-                                          self._data, x, self.m)
+                                          self._data, x, m)
         return kernels.csr_matvec_int(self._indptr, self._indices,
                                       self._data, x)
 
     def torsion_reps(self):
-        """Representatives for the nonunit torsion of the cokernel:
-        list of (invariant factor, vector) pairs, over Z only."""
-        if self.m:
-            raise ValueError("torsion_reps is defined over Z")
+        """Representatives for the nonunit torsion of the cokernel over Z:
+        list of (invariant factor, vector) pairs."""
         out = []
         if self.esnf is None:
             return out
@@ -482,7 +442,7 @@ class SparseFactorization:
                 out.append((d, self._replay(vec, reverse=True)))
         return out
 
-    def kernel_basis(self):
+    def kernel_basis(self, m=0):
         """Generators of ker(A) over Z or Z/m (torsion directions included)."""
         gens = []
         ys = []
@@ -493,10 +453,10 @@ class SparseFactorization:
                 d = diag[j] if j < len(diag) else 0
                 if d == 0:
                     ys.append((j, 1))
-                elif self.m:
-                    g = gcd(d, self.m)
+                elif m:
+                    g = gcd(d, m)
                     if g > 1:
-                        ys.append((j, self.m // g))
+                        ys.append((j, m // g))
         touched = set(self.res_cols)
         for j, mult in ys:
             y = [0] * len(self.res_cols)
@@ -504,8 +464,8 @@ class SparseFactorization:
             xr = self.esnf.V.mul_vec(y)
             x = [0] * self.ncols
             for c, v in zip(self.res_cols, xr):
-                x[c] = v % self.m if self.m else v
-            gens.append(self._backsub([0] * len(self.piv_rows), x))
+                x[c] = v % m if m else v
+            gens.append(self._backsub([0] * len(self.piv_rows), x, m))
         # remaining non-pivot columns: free directions, completed through
         # the frozen pivot rows (they may still carry entries there)
         seen = set(self.piv_cols) | touched
@@ -513,5 +473,5 @@ class SparseFactorization:
             if c not in seen:
                 x = [0] * self.ncols
                 x[c] = 1
-                gens.append(self._backsub([0] * len(self.piv_rows), x))
+                gens.append(self._backsub([0] * len(self.piv_rows), x, m))
         return gens

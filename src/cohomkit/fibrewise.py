@@ -6,10 +6,13 @@ Modules are handled in two concrete forms: a presentation (FGModule, the
 JSON-facing type) and a realized Z-lattice or F_p-vector space carrying the
 action of every group element.  Projectivity at a fibre is decided by one
 linear splitting system; no minimal-resolution machinery anywhere.  The
-splitting systems have at most dim+1 nonzeros per row and are solved with
-the sparse factorization of :mod:`cohomkit.exact.sparse`: over F_p for a
-fibre, over Z for the integral test, and over Q by reading the free cokernel
-coordinates of the Z factorization.  Dense SNF is their test oracle.
+splitting systems have at most dim+1 nonzeros per row and are factored over
+Z by :mod:`cohomkit.exact.sparse`.  A lattice's system is factored once, and
+that one factorization answers all three questions: the integral test solves
+over Z, each fibre solves mod p (the system mod p is the fibre's own), and
+the rational test reads the free cokernel coordinates.  An F_p-module's
+system is lifted to Z with symmetric residues and solved mod p.  Dense SNF
+is their test oracle.
 """
 
 from __future__ import annotations
@@ -177,25 +180,16 @@ class FpModule:
                         f"action violates the table at ({a},{b})")
 
 
-def regular_module(G: FiniteGroup, copies: int = 1) -> LatticeModule:
-    """ZG^copies with the left regular action."""
+def regular_module(G: FiniteGroup) -> LatticeModule:
+    """ZG with the left regular action."""
     n = G.order
     mats = []
     for g in range(n):
-        base = [[0] * n for _ in range(n)]
+        mat = [[0] * n for _ in range(n)]
         for h in range(n):
-            base[G.table[g][h]][h] = 1
-        if copies == 1:
-            mats.append(base)
-        else:
-            big = [[0] * (n * copies) for _ in range(n * copies)]
-            for c in range(copies):
-                for i in range(n):
-                    for j in range(n):
-                        if base[i][j]:
-                            big[c * n + i][c * n + j] = base[i][j]
-            mats.append(big)
-    return LatticeModule(G, mats, label=f"ZG^{copies}" if copies > 1 else "ZG")
+            mat[G.table[g][h]][h] = 1
+        mats.append(mat)
+    return LatticeModule(G, mats, label="ZG")
 
 
 def trivial_module(G: FiniteGroup) -> LatticeModule:
@@ -407,14 +401,20 @@ def _left_division(group: FiniteGroup, g: int, h: int) -> int:
     return group.table[group.inverse[g]][h]
 
 
+def _splitting_factorization(group: FiniteGroup, dim: int, action_of):
+    """The splitting system factored over Z, and its right-hand side."""
+    nrows, ncols, coo, rhs = _splitting_system(group, dim, action_of)
+    return SparseFactorization(nrows, ncols, coo), rhs
+
+
 def _splitting_test(group: FiniteGroup, dim: int, action_of,
                     m: int) -> ProjectivityResult:
     """Solve the splitting system over Z (m=0) or F_m with the sparse
     factorization; a solution is the witness sigma."""
     if dim == 0:
         return ProjectivityResult(True, [])
-    nrows, ncols, coo, rhs = _splitting_system(group, dim, action_of)
-    x = SparseFactorization(nrows, ncols, coo, m=m).solve(rhs)
+    fact, rhs = _splitting_factorization(group, dim, action_of)
+    x = fact.solve(rhs, m)
     if x is None:
         return ProjectivityResult(False, None)
     sigma = [[x[r * dim + c] for c in range(dim)]
@@ -423,9 +423,14 @@ def _splitting_test(group: FiniteGroup, dim: int, action_of,
 
 
 def fibre_projectivity_test(M: FpModule) -> ProjectivityResult:
-    """Projectivity over F_pG by solvability of the splitting system."""
-    return _splitting_test(M.group, M.dim, lambda g: M.action[g].tolist(),
-                           M.p)
+    """Projectivity over F_pG by solvability of the splitting system.
+
+    The system is factored over Z from symmetric residues (|v| <= p/2), so
+    that p - 1 enters as the unit -1 and stays an elimination pivot."""
+    half = M.p // 2
+    lifted = [[[v - M.p if v > half else v for v in row]
+               for row in mat.tolist()] for mat in M.action]
+    return _splitting_test(M.group, M.dim, lambda g: lifted[g], M.p)
 
 
 def integral_projectivity_test(M: LatticeModule) -> ProjectivityResult:
@@ -439,9 +444,9 @@ def rational_projectivity_test(M: LatticeModule) -> bool:
     verification toggle), decided by the Z factorization."""
     if M.rank == 0:
         return True
-    nrows, ncols, coo, rhs = _splitting_system(M.group, M.rank,
-                                               lambda g: M.action[g])
-    return SparseFactorization(nrows, ncols, coo).solvable_over_q(rhs)
+    fact, rhs = _splitting_factorization(M.group, M.rank,
+                                         lambda g: M.action[g])
+    return fact.solvable_over_q(rhs)
 
 
 @dataclass
@@ -462,11 +467,20 @@ def proj_dim_via_fibres(M: LatticeModule,
                         verify_rational: bool = False) -> FibreDimReport:
     """Projective dimension over ZG through the fibres: 0 when every
     residue-field fibre is projective, infinity otherwise (fibre group
-    algebras are self-injective, so no intermediate values occur)."""
-    fibres = {}
-    for p in sorted(factorize(M.group.order)):
-        fibres[p] = fibre_projectivity_test(M.reduce_mod(p)).projective
-    rational = rational_projectivity_test(M) if verify_rational else True
+    algebras are self-injective, so no intermediate values occur).
+
+    The lattice's splitting system is factored once over Z; fibre p is
+    projective iff the system is solvable mod p, since the system mod p is
+    the splitting system of M/pM."""
+    primes = sorted(factorize(M.group.order))
+    fibres = {p: True for p in primes}
+    rational = True
+    if M.rank:
+        fact, rhs = _splitting_factorization(M.group, M.rank,
+                                             lambda g: M.action[g])
+        fibres = {p: fact.solve(rhs, p) is not None for p in primes}
+        if verify_rational:
+            rational = fact.solvable_over_q(rhs)
     if not rational:
         raise InternalCheckFailed("rational fibre failed Maschke splitting")
     sup = 0 if all(fibres.values()) else inf

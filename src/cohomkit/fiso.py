@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abelian import prime_power, require_prime
+from .abelian import factorize, prime_power, require_prime
 from .cohomology import (CohomologyClass, bockstein_delta, coefficient_map,
                          cohomology_group, cohomology_system, p_primary_part)
 from .cup import cup1_vec, cup_product, cup_vec
@@ -26,11 +26,7 @@ from .groups import FiniteGroup
 def s_exponent(G: FiniteGroup, p: int) -> int:
     """Largest s with p^s dividing |G|."""
     require_prime(p)
-    s, n = 0, G.order
-    while n % p == 0:
-        n //= p
-        s += 1
-    return s
+    return factorize(G.order).get(p, 0)
 
 
 def _add_classes(x: CohomologyClass, y: CohomologyClass, sign: int = 1):
@@ -80,8 +76,8 @@ def _modp_class_is_zero(sys, z: CohomologyClass) -> bool:
         return all(v % z.modulus == 0 for v in z.vector)
     if all(v == 0 for v in z.vector):
         return True
-    fact = sys.bc.fact(z.degree, z.modulus)
-    return fact.solve(list(z.vector)) is not None
+    fact = sys.bc.fact(z.degree)
+    return fact.solve(list(z.vector), z.modulus) is not None
 
 
 @dataclass
@@ -145,7 +141,7 @@ def pth_power_preimage(i: int, x: CohomologyClass) -> PthPowerLift:
         # odd degree, odd p: x^2 = 0, so the zero class lifts x^p
         sys.bc.check_cap(2 * n)
         sq = [v % q for v in cup_vec(G, lift, n, lift, n)]
-        c = sys.bc.fact(2 * n, q).solve(sq)
+        c = sys.bc.fact(2 * n).solve(sq, q)
         if c is None:
             raise NoPreimageFound(
                 "x^2 should be a coboundary for odd degree and odd p")
@@ -165,7 +161,7 @@ def pth_power_preimage(i: int, x: CohomologyClass) -> PthPowerLift:
     if any(t % q for t in dP):
         raise ValueError("input is not a cocycle mod p^i")
     u = [(-(t // q)) % p for t in dP]
-    e = sys.bc.fact(p * n + 1, p).solve(u)
+    e = sys.bc.fact(p * n + 1).solve(u, p)
     if e is None:
         raise NoPreimageFound(
             "obstruction class of x^p did not vanish mod p")
@@ -224,16 +220,16 @@ def integral_psth_preimage(x: CohomologyClass,
                     modulus=p)
         deg += x.degree
     # membership in span(theta(w_j)) + coboundaries, via cokernel coords
-    fact = sys.bc.fact(D, p)
+    fact = sys.bc.fact(D)
     basis = sys.integral_basis(D)
     cols = []
     keep = []
     for j, (f, w) in enumerate(basis):
         if f % p == 0:
-            vals, _ = fact.coords([v % p for v in w])
+            vals, _ = fact.coords(w, p)
             cols.append(vals)
             keep.append(j)
-    tvals, _ = fact.coords(P)
+    tvals, _ = fact.coords(P, p)
     # tau x k, with shape (tau, 0) when no integral class is p-divisible
     A = np.array(cols, dtype=np.int64).reshape(len(cols), len(tvals)).T
     sol = solve_modp(A, tvals, p)
@@ -243,11 +239,7 @@ def integral_psth_preimage(x: CohomologyClass,
     vec = [0] * sys.rank(D)
     for a, j in zip(sol.tolist(), keep):
         f, w = basis[j]
-        e = 0
-        ff = f
-        while ff % p == 0:
-            ff //= p
-            e += 1
+        e = factorize(f).get(p, 0)
         rest = f // p**e
         lam = pow(rest, -1, p**e) if p**e > 1 else 0
         mult = (a * lam * rest) % f
@@ -349,8 +341,8 @@ def f_iso_check(G: FiniteGroup, p: int, N: int) -> FIsoReport:
             kernel_checks.append({"degree": d, "source_dim": 0,
                                   "kernel_dim": 0, "nilpotent": True})
             continue
-        fact = sys.bc.fact(d, p)
-        cols = [fact.coords([v % p for v in w])[0] for _, w in basis]
+        fact = sys.bc.fact(d)
+        cols = [fact.coords(w, p)[0] for _, w in basis]
         kernel = [v.tolist() for v in
                   nullspace_modp(np.asarray(cols, dtype=np.int64).T, p)]
         entry = {"degree": d, "source_dim": len(basis),

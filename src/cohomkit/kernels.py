@@ -1,17 +1,18 @@
 """Hot numeric kernels: op-log replay, back-substitution and CSR matvec.
 
 The sparse factorizations in :mod:`cohomkit.exact.sparse` are built once per
-(group, modulus, degree) but queried hundreds of times: every cohomology-class
-equality, coboundary test and witness verification replays an elementary
-row-operation log over a dense vector, multiplies by a CSR differential, or
-back-substitutes through frozen pivot rows.
+(group, degree), over Z, but queried hundreds of times, over Z and mod m:
+every cohomology-class equality, coboundary test and witness verification
+replays an elementary row-operation log over a dense vector, multiplies by a
+CSR differential, or back-substitutes through frozen pivot rows.
 
 Each kernel has one numpy implementation, and every result is exact.  A
 call decides from a bound, before it computes, whether int64 arithmetic is
 safe; where it is not, it works on object arrays of python ints:
 
-- replay mod m: int64 iff (m-1)^2 + (m-1) < 2^63 (a residue plus a residue
-  times a multiplier), decided once per call;
+- replay mod m: the multipliers of the Z log are reduced mod m once per
+  call, then int64 iff (m-1)^2 + (m-1) < 2^63 (a residue plus a residue
+  times a multiplier);
 - replay over Z: a running bound M on max|v|.  It starts at max|input|,
   and before each batch M += |v[src]| * max|q| of the batch.  While
   M < 2^62 the batch runs in int64; once it is not, v and q move to object
@@ -72,8 +73,8 @@ def make_log(types, aa, bb, qq, starts) -> tuple:
     Op i is ``row[aa[i]] -= qq[i] * row[bb[i]]`` (OP_AXPY) or
     ``row[aa[i]] = -row[aa[i]]`` (OP_NEG, with bb[i] == aa[i]).  ``starts``
     are the ascending offsets at which the batches begin; each batch is
-    stored as (start, end, source row, max |q|, is NEG).  A log for Z/m
-    carries residues 0 <= q < m.
+    stored as (start, end, source row, max |q|, is NEG).  The multipliers
+    are integers of any size; a replay mod m reduces them itself.
     """
     types = np.asarray(types, dtype=np.int8)
     aa = np.asarray(aa, dtype=np.int64)
@@ -121,6 +122,7 @@ def apply_oplog_mod(vec, log, m: int, reverse: bool = False) -> list:
     """Replay a row-operation log modulo m; returns canonical residues."""
     _types, aa, _bb, qq, batches = log
     v = _residues(vec, m)
+    qq = _residues(qq, m)
     if (m - 1) ** 2 + (m - 1) >= _I64:
         v, qq = v.astype(object), qq.astype(object)
     for s, e, src, _qmax, neg in (reversed(batches) if reverse else batches):

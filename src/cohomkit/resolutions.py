@@ -13,12 +13,14 @@ that ordering.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
 from .config import GROUP_CACHE_SIZE, size_cap
 from .errors import SizeCapExceeded
-from .exact.dense import IntMatrix, smith_normal_form, cokernel_invariants
+from .exact.dense import (IntMatrix, _normalize_modulus, cokernel_invariants,
+                          smith_normal_form)
 from .exact.sparse import SparseFactorization
 from .groups import FiniteGroup
 from . import kernels
@@ -155,26 +157,18 @@ def subquotient_invariants(d_in: IntMatrix, d_out: IntMatrix, m) -> list:
     Dense, exact, independent of the sparse machinery: used as the oracle
     for small complexes.  Over Z a 0 denotes a free summand.
     """
-    from math import gcd
-
-    if m in ("Z", None):
-        m = 0
-    m = int(m)
+    m = _normalize_modulus(m)
     r = d_out.cols
     if d_in.rows != r:
         raise ValueError("differentials do not compose")
-    # lattice L = {x : d_out x = 0 (mod m)} expressed by a basis matrix B
+    # lattice L = {x : d_out x = 0 (mod m)} expressed by a basis matrix B:
+    # ker(d_out) over Z, and mod m the columns of V scaled by m / gcd(d, m)
     dec = smith_normal_form(d_out)
-    diag = dec.diagonal()
     basis = []
-    for j in range(r):
-        d = diag[j] if j < len(diag) else 0
-        col = [dec.V[i, j] for i in range(r)]
-        if d == 0:
-            basis.append(col)
-        elif m:
-            basis.append([(m // gcd(d, m)) * v for v in col])
-        # over Z a nonzero diagonal gives no kernel direction
+    if m:
+        basis = [[(m // gcd(d, m)) * dec.V[i, j] for i in range(r)]
+                 for j, d in enumerate(dec.diagonal()) if d]
+    basis += dec.kernel()
     if not basis:
         return []
     B = IntMatrix.from_rows([list(col) for col in zip(*basis)])
@@ -298,8 +292,8 @@ class BarCochains:
 
     Degree-n cochains are integer vectors indexed lexicographically by
     n-tuples of non-identity elements.  The dual differentials are cached as
-    CSR matrices, and their sparse factorizations (over Z and mod m) are
-    cached per degree.
+    CSR matrices, and their sparse factorizations over Z are cached per
+    degree; each factorization answers the mod-m questions too.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -390,18 +384,17 @@ class BarCochains:
         self._csr[n] = (indptr, cc.astype(np.int64), vv.astype(np.int64))
         return self._csr[n]
 
-    def fact(self, n: int, m: int = 0) -> SparseFactorization:
-        """Factorization of D_n over Z (m=0) or Z/m."""
-        key = (n, m)
-        if key not in self._facts:
+    def fact(self, n: int) -> SparseFactorization:
+        """Factorization of D_n over Z; its queries take the modulus."""
+        if n not in self._facts:
             self.check_cap(n)
             self.check_cap(n - 1)
             indptr, indices, data = self.csr(n)
             rows = np.repeat(np.arange(self.rank(n), dtype=np.int64),
                              np.diff(indptr))
-            self._facts[key] = SparseFactorization(
-                self.rank(n), self.rank(n - 1), (rows, indices, data), m=m)
-        return self._facts[key]
+            self._facts[n] = SparseFactorization(
+                self.rank(n), self.rank(n - 1), (rows, indices, data))
+        return self._facts[n]
 
     def matvec(self, n: int, vec):
         """D_n applied to a degree-(n-1) cochain vector, exact over Z."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -179,6 +180,39 @@ class TestDeterminismAndRecheck:
         assert code == 0
 
 
+class TestGoldenReports:
+    """Reports that go through the mod-p paths, pinned by the sha256 of their
+    --json stdout, so that a change in any mod-p answer shows."""
+
+    # the permutation module of C6 acting through C3 on F_3^3, modulo the
+    # diagonal
+    FP_MODULE = {"base": "Fp", "p": 3, "generators": 3,
+                 "relations": [[1, 1, 1]],
+                 "action": {"1": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}}
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["fiso", "--group", "c4", "--p", "2", "--max-deg", "6"],
+         "7c2e0a9b6040000110167df239b6938b6305c63392fe5edfac41c1e20bea1ef5"),
+        (["fiso", "--group", "s3", "--p", "3", "--max-deg", "4"],
+         "60110dbbffeb72521c83ced876b99e32b962ba163dde8168128d1fc749bf5034"),
+        (["bockstein", "--group", "s3", "--p", "3", "--i", "1", "--deg", "2"],
+         "f42e2fcc00e06170df1b2bedd7b4b5973606ba36315ef251f949123f2a6d2228"),
+        (["verify-paper", "--suite", "prop4.3"],
+         "000c9af784bdaa5638827f65f30694d68946176f7bf1639d810416739dac1254"),
+        (["verify-paper", "--suite", "lemma2.7"],
+         "a0b19c790ecae04d17996f25a7375c0e24368f4fc3bb5bfabbdd7a5511019790"),
+        (["fibre", "--group", "c6", "--module", "fp.json"],
+         "23e047b7d8934b3e0503ed17e87f9173f9b9f42790ef56f6016f9e15b0c169b3"),
+    ], ids=["fiso-c4", "fiso-s3", "bockstein-s3", "prop4.3", "lemma2.7",
+            "fibre-fp"])
+    def test_report_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
+        monkeypatch.chdir(tmp_path)  # the report records the module path
+        (tmp_path / "fp.json").write_text(json.dumps(self.FP_MODULE))
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestErrorPaths:
     def test_unknown_group(self, capsys):
         code, _, err = run(capsys, "cohomology", "--group", "m11",
@@ -213,8 +247,8 @@ class TestErrorPaths:
         that is a bug signal, not a usage error."""
         good = SparseFactorization.matvec
 
-        def corrupt(self, x):
-            out = good(self, x)
+        def corrupt(self, x, m=0):
+            out = good(self, x, m)
             out[0] += 1
             return out
 

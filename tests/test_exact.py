@@ -227,9 +227,10 @@ class TestCokernelInvariants:
 class TestSparseFactorization:
     @pytest.mark.parametrize("seed", range(60))
     def test_against_dense(self, seed):
+        """One factorization over Z answers over Z and mod every m exactly
+        as the dense reference does."""
         rng = random.Random(seed)
         nr, nc = rng.randint(1, 9), rng.randint(1, 9)
-        m = rng.choice([0, 0, 2, 3, 4, 6, 8, 9, 12])
         coo = ([], [], [])
         for i in range(nr):
             for j in range(nc):
@@ -242,29 +243,28 @@ class TestSparseFactorization:
         dense = [[0] * nc for _ in range(nr)]
         for i, j, v in zip(*coo):
             dense[i][j] += v
-        f = SparseFactorization(nr, nc, coo, m=m)
-        assert sorted(f.coker_invariants()) == sorted(
-            cokernel_invariants(IntMatrix.from_rows(dense), m if m else "Z"))
-        # solvability matches the dense reference on an arbitrary rhs
+        f = SparseFactorization(nr, nc, coo)
         b = [rng.randint(-4, 4) for _ in range(nr)]
-        xs = f.solve(b)
-        xd = solve_mod(IntMatrix.from_rows(dense), b, m if m else "Z")
-        assert (xs is None) == (xd is None)
-        if m == 0:
-            assert f.solvable_over_q(b) == dense_solvable_over_q(dense, b)
-        # kernel vectors annihilate
-        for k in f.kernel_basis():
-            out = [sum(dense[i][j] * k[j] for j in range(nc))
-                   for i in range(nr)]
-            assert all((v % m if m else v) == 0 for v in out)
-        # image vectors have vanishing cokernel coordinates
         x0 = [rng.randint(-3, 3) for _ in range(nc)]
         img = [sum(dense[i][j] * x0[j] for j in range(nc))
                for i in range(nr)]
-        if m:
-            img = [v % m for v in img]
-        vals, _mods = f.coords(img)
-        assert all(v == 0 for v in vals)
+        assert f.solvable_over_q(b) == dense_solvable_over_q(dense, b)
+        for m in (0, 2, 3, 4, 6, 8, 9, 12):
+            assert sorted(f.coker_invariants(m)) == sorted(
+                cokernel_invariants(IntMatrix.from_rows(dense),
+                                    m if m else "Z")), m
+            # solvability matches the dense reference on an arbitrary rhs
+            xs = f.solve(b, m)
+            xd = solve_mod(IntMatrix.from_rows(dense), b, m if m else "Z")
+            assert (xs is None) == (xd is None), m
+            # kernel vectors annihilate
+            for k in f.kernel_basis(m):
+                out = [sum(dense[i][j] * k[j] for j in range(nc))
+                       for i in range(nr)]
+                assert all((v % m if m else v) == 0 for v in out), m
+            # image vectors have vanishing cokernel coordinates
+            vals, _mods = f.coords([v % m for v in img] if m else img, m)
+            assert all(v == 0 for v in vals), m
 
     @pytest.mark.parametrize("dense, b, over_z, over_q", [
         ([[2]], [1], False, True),            # 2x = 1
@@ -278,34 +278,32 @@ class TestSparseFactorization:
         coo = ([i for i in range(nr) for j in range(nc)],
                [j for i in range(nr) for j in range(nc)],
                [dense[i][j] for i in range(nr) for j in range(nc)])
-        f = SparseFactorization(nr, nc, coo, m=0)
+        f = SparseFactorization(nr, nc, coo)
         assert (f.solve(b) is not None) == over_z
         assert dense_solvable_over_q(dense, b) == over_q
         assert f.solvable_over_q(b) == over_q
-        with pytest.raises(ValueError):
-            SparseFactorization(nr, nc, coo, m=3).solvable_over_q(b)
 
     @pytest.mark.parametrize("m", [0, 5])
     def test_failed_self_check_raises(self, monkeypatch, m):
-        f = SparseFactorization(3, 3, ([0, 1, 2], [0, 1, 2], [2, 6, 1]), m=m)
+        f = SparseFactorization(3, 3, ([0, 1, 2], [0, 1, 2], [2, 6, 1]))
         b = [2, 6, 1]
-        assert f.solve(b) is not None
+        assert f.solve(b, m) is not None
         good = f.matvec
 
-        def corrupt(x):
-            out = good(x)
+        def corrupt(x, m=0):
+            out = good(x, m)
             out[1] += 1
             return out
 
         monkeypatch.setattr(f, "matvec", corrupt)
         with pytest.raises(InternalCheckFailed):
-            f.solve(b)
+            f.solve(b, m)
 
     def test_torsion_reps(self):
         # coker = Z/2 + Z/6: reps must be independent non-images
         dense = [[2, 0, 0], [0, 6, 0], [0, 0, 1]]
         coo = ([0, 1, 2], [0, 1, 2], [2, 6, 1])
-        f = SparseFactorization(3, 3, coo, m=0)
+        f = SparseFactorization(3, 3, coo)
         reps = f.torsion_reps()
         assert sorted(d for d, _ in reps) == [2, 6]
         for d, w in reps:
@@ -319,7 +317,7 @@ class TestSparseFactorization:
     def test_torsion_reps_pinned(self, groups, name, digest):
         """Torsion representatives of D_4 over Z, whose echelon block has
         U != I, pinned by digest."""
-        f = bar_cochains(groups[name]).fact(4, 0)
+        f = bar_cochains(groups[name]).fact(4)
         assert f.esnf.U != IntMatrix.identity(f.esnf.U.rows)
         reps = [[d, [int(v) for v in w]] for d, w in f.torsion_reps()]
         assert [d for d, _ in reps] == [6]
@@ -331,8 +329,8 @@ class TestSparseFactorization:
 
     def test_determinism(self):
         coo = ([0, 0, 1, 2], [0, 1, 1, 0], [1, -1, 2, 3])
-        f1 = SparseFactorization(3, 2, coo, m=0)
-        f2 = SparseFactorization(3, 2, coo, m=0)
+        f1 = SparseFactorization(3, 2, coo)
+        f2 = SparseFactorization(3, 2, coo)
         assert f1.piv_cols == f2.piv_cols
         assert f1.piv_rows == f2.piv_rows
         assert [list(x) for x in f1.log[1:3]] == \
@@ -350,7 +348,7 @@ class TestLargeModulus:
     def fact(self):
         from cohomkit.groups import builtin_group
         from cohomkit.resolutions import bar_cochains
-        return bar_cochains(builtin_group("s3")).fact(3, self.M)
+        return bar_cochains(builtin_group("s3")).fact(3)
 
     def test_matvec_matches_python_ints(self, fact):
         rng = random.Random(11)
@@ -360,14 +358,14 @@ class TestLargeModulus:
             lo, hi = fact._indptr[r], fact._indptr[r + 1]
             want.append(sum(int(fact._data[k]) * x[fact._indices[k]]
                             for k in range(lo, hi)) % self.M)
-        assert fact.matvec(x) == want
+        assert fact.matvec(x, self.M) == want
 
     def test_solve_image_vector(self, fact):
         rng = random.Random(12)
         for _ in range(3):
             x = [rng.randrange(self.M) for _ in range(fact.ncols)]
-            b = fact.matvec(x)
-            y = fact.solve(b)
+            b = fact.matvec(x, self.M)
+            y = fact.solve(b, self.M)
             assert y is not None
-            assert fact.matvec(y) == b
-            assert fact.in_image(b)
+            assert fact.matvec(y, self.M) == b
+            assert fact.in_image(b, self.M)

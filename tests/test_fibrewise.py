@@ -4,10 +4,12 @@ from math import inf
 import numpy as np
 import pytest
 
+from cohomkit import fibrewise
 from cohomkit.cohomology import cohomology_group
 from cohomkit.errors import InvalidModule, NotBaseFree
 from cohomkit.exact.dense import IntMatrix, smith_normal_form, solve_mod
 from cohomkit.exact.modp import solve_modp
+from cohomkit.exact.sparse import SparseFactorization
 from cohomkit.fibrewise import (FGModule, FpModule, _free_cover_data,
                                 _splitting_system, augmentation_ideal,
                                 dualising_check, ext_group, fibre_algebra,
@@ -170,6 +172,57 @@ class TestProjDimViaFibres:
             direct = integral_projectivity_test(M).projective
             rep = proj_dim_via_fibres(M, verify_rational=True)
             assert direct == all(rep.fibres.values()), (name, M.label)
+
+
+class TestOneFactorizationPerLattice:
+    @pytest.mark.parametrize("make", _MODULES)
+    @pytest.mark.parametrize("name", ["c2", "c3", "c6", "s3", "klein4", "q8",
+                                      "c8"])
+    def test_fibre_parity(self, groups, name, make, monkeypatch):
+        """proj_dim_via_fibres reads every fibre off one Z factorization of
+        the lattice's splitting system; its verdicts match the splitting
+        system of each reduced module M/pM."""
+        G = groups[name]
+        M = make(G)
+        built = []
+
+        class Counting(SparseFactorization):
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(fibrewise, "SparseFactorization", Counting)
+        rep = proj_dim_via_fibres(M, verify_rational=True)
+        assert len(built) == 1
+        assert rep.rational_projective
+        fact, rhs = fibrewise._splitting_factorization(
+            G, M.rank, lambda g: M.action[g])
+        for p in (2, 3, 5, 7):
+            want = fibre_projectivity_test(M.reduce_mod(p)).projective
+            assert (fact.solve(rhs, p) is not None) == want, p
+            if G.order % p == 0:
+                assert rep.fibres[p] == want, p
+            else:
+                assert want, p  # Maschke: p does not divide |G|
+        assert sorted(rep.fibres) == [p for p in (2, 3, 5, 7)
+                                      if G.order % p == 0]
+
+    def test_fp_system_residual_stays_small(self, groups, monkeypatch):
+        """An F_p system enters the Z factorization with symmetric residues:
+        p - 1 becomes the unit -1, so aug(Q8) mod 5 leaves a residual block
+        of at most 12 columns (residues in [0, 5) left 43)."""
+        built = []
+
+        class Keeping(SparseFactorization):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(fibrewise, "SparseFactorization", Keeping)
+        M = augmentation_ideal(groups["q8"]).reduce_mod(5)
+        assert fibre_projectivity_test(M).projective
+        assert len(built) == 1
+        assert len(built[0].res_cols) <= 12
 
 
 class TestGProj:

@@ -6,9 +6,12 @@ from cohomkit.cohomology import (CohomologyClass, bockstein_delta,
                                  coefficient_map, cohomology_group,
                                  cohomology_system)
 from cohomkit.cup import cup_product, cup_vec
+from cohomkit import resolutions
 from cohomkit.errors import NotPrime
+from cohomkit.exact.sparse import SparseFactorization
 from cohomkit.fiso import (f_iso_check, integral_psth_preimage,
                            pth_power_preimage, s_exponent, verify_derivation)
+from cohomkit.groups import cyclic, symmetric_3
 
 
 def _primes_of(n):
@@ -235,3 +238,22 @@ class TestFIsoCheck:
         data = json.loads(rep.to_json())
         assert data["verdict"] == "pass"
         assert data["p"] == 3
+
+    @pytest.mark.parametrize("make, N", [(lambda: cyclic(4), 6),
+                                         (symmetric_3, 4)], ids=["c4", "s3"])
+    def test_one_factorization_per_degree(self, monkeypatch, make, N):
+        """The integral and the mod-p questions of a degree share one
+        factorization of D_n over Z."""
+        built = []
+
+        class Counting(SparseFactorization):
+            def __init__(self, nrows, *args, **kwargs):
+                built.append(nrows)
+                super().__init__(nrows, *args, **kwargs)
+
+        monkeypatch.setattr(resolutions, "SparseFactorization", Counting)
+        G = make()  # a new group instance has no cached factorization
+        assert f_iso_check(G, 2, N).verdict
+        assert built
+        # D_n has q^n rows (q = |G| - 1), so the row count names the degree
+        assert sorted(built) == sorted(set(built))
