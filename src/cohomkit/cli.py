@@ -21,9 +21,9 @@ from .errors import (CohomkitError, InternalCheckFailed, NoIsomorphismFound,
                      NoPreimageFound, SizeCapExceeded)
 from .fibrewise import (FGModule, augmentation_ideal, dualising_check,
                         fibre_projectivity_test, gproj_test,
-                        integral_projectivity_test, koszul_selfdual_check,
-                        lattice_from_presentation, fp_module_from_presentation,
-                        proj_dim_via_fibres, regular_module, trivial_module)
+                        koszul_selfdual_check, lattice_from_presentation,
+                        fp_module_from_presentation, proj_dim_via_fibres,
+                        regular_module, trivial_module)
 from .fiso import f_iso_check, integral_psth_preimage, pth_power_preimage, \
     s_exponent, verify_derivation
 from .groups import BUILTIN_GROUPS, builtin_group, load_group_json
@@ -329,8 +329,8 @@ def suite_lemma27():
         mods = [("ZG", regular_module(G)), ("Z", trivial_module(G)),
                 ("aug", augmentation_ideal(G))]
         for label, M in mods:
-            direct = integral_projectivity_test(M).projective
             rep = proj_dim_via_fibres(M, verify_rational=True)
+            direct = rep.integral_projective
             fibrewise = all(rep.fibres.values())
             agree = direct == fibrewise
             if not agree:

@@ -60,9 +60,6 @@ class CohomologyClass:
             object.__setattr__(self, "vector",
                                tuple(int(v) for v in self.vector))
 
-    def is_zero_vector(self) -> bool:
-        return all(v == 0 for v in self.vector)
-
 
 @dataclass(frozen=True)
 class CohomologyGroup:
@@ -153,13 +150,6 @@ class CohomologySystem:
             elif d > 1:
                 out.append(v % d)
         return out
-
-    def integral_is_coboundary(self, n: int, vec) -> bool:
-        return all(c == 0 for c in self.integral_coords(n, vec))
-
-    def integral_solve(self, n: int, vec):
-        """c with d(c) = vec over Z, or None."""
-        return self.bc.fact(n).solve(list(vec))
 
     # -- mod-m layer ---------------------------------------------------------
 
@@ -260,48 +250,6 @@ class CohomologySystem:
             if g > 1:
                 theta_coords.append(a % g)
         return theta_coords + tor_coords
-
-    def mod_express(self, n: int, m: int, vec):
-        """coords plus an explicit cochain e with
-        vec = sum(coords * gens) + d(e) (mod m)."""
-        coords = self.mod_coords(n, m, vec)
-        data = self.uct_data(n, m)
-        rest = [int(v) % m for v in vec]
-        for c, g in zip(coords, data.gens):
-            if c:
-                rest = [(a - c * b) % m for a, b in zip(rest, g)]
-        e = self.mod_solve_coboundary(n, m, rest)
-        if e is None:
-            raise InternalCheckFailed("expression residual is not a coboundary")
-        return coords, e
-
-    def mod_solve_coboundary(self, n: int, m: int, vec):
-        """e with d(e) = vec (mod m) for a degree-n vector, or None.
-
-        Solves the integral system d(e) = vec - m*h by lifting: vec must be
-        a mod-m cocycle that vanishes in H^n(C/m)."""
-        if all(v % m == 0 for v in vec):
-            return [0] * self.rank(n - 1) if n >= 1 else []
-        if n == 0:
-            return None
-        dz = self.bc.matvec(n + 1, [int(v) % m for v in vec])
-        if any(v % m for v in dz):
-            return None
-        coords = self.mod_coords(n, m, vec)
-        if any(coords):
-            return None
-        # peel the construction: vec = Z + m*E' with [Z] = 0 integrally
-        lift = [int(v) % m for v in vec]
-        dz2 = self.bc.matvec(n + 1, lift)
-        v2 = [v // m for v in dz2]
-        E = self.bc.fact(n + 1).solve(v2)
-        if E is None:
-            return None
-        Z = [a - m * e for a, e in zip(lift, E)]
-        c = self.bc.fact(n).solve(Z)
-        if c is None:
-            return None
-        return [v % m for v in c]
 
     # -- public class helpers ----------------------------------------------
 

@@ -140,12 +140,6 @@ class GradedRingSlice:
     def orders(self, d: int):
         return list(self.groups[d].invariant_factors)
 
-    def basis_class(self, d: int, i: int) -> CohomologyClass:
-        return self.groups[d].basis[i]
-
-    def product_coords(self, d1: int, i: int, d2: int, j: int):
-        return self.table[(d1, i, d2, j)]
-
     def multiply(self, d1: int, coords1, d2: int, coords2):
         """Coordinates of the product of two homogeneous elements."""
         if d1 + d2 > self.max_degree:

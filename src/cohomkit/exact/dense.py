@@ -167,11 +167,17 @@ class SmithDecomposition:
             raise InternalCheckFailed("Smith solve produced a non-solution")
         return x
 
-    def kernel(self):
-        """Basis of ker(source) over Z: the columns of V past the rank."""
-        n = self.V.rows
-        return [[self.V[i, j] for i in range(n)]
-                for j in range(self.rank(), n)]
+    def kernel(self, m=0):
+        """Generators of {x : source x = 0 (mod m)} over Z, in column order:
+        (m / gcd(d, m)) V_j for each nonzero d_j (only when m > 0), then the
+        columns of V past the rank.  They are a Z-basis of that lattice, which
+        for m > 0 contains m Z^n; m = 0 or "Z" gives ker(source) over Z."""
+        m = _normalize_modulus(m)
+        V, n = self.V, self.V.rows
+        cols = [(j, m // gcd(d, m))
+                for j, d in enumerate(self.diagonal()) if d and m]
+        cols += [(j, 1) for j in range(self.rank(), n)]
+        return [[mult * V[i, j] for i in range(n)] for j, mult in cols]
 
     def verify(self) -> bool:
         if (self.U @ self.source) @ self.V != self.D:

@@ -1,85 +1,69 @@
-"""Small dense linear algebra over prime fields F_p (numpy int64, exact)."""
+"""Linear algebra over the prime fields F_p, read off the Smith form over Z.
+
+A Smith decomposition U A V = D over Z has unimodular U and V, and those
+stay invertible mod every prime p.  So one factorization answers each
+question over F_p: the rank of A mod p counts the d that p does not divide,
+the kernel mod p is spanned by the columns of V whose d is 0 mod p (the
+generators of ``SmithDecomposition.kernel(p)`` that do not vanish mod p),
+and A x = b mod p is ``SmithDecomposition.solve(b, p)``.
+
+Rows of A that vanish mod p are dropped before factoring: they constrain
+nothing, and the systems of :mod:`cohomkit.fiso` are tall (thousands of
+cokernel coordinates by a few classes) and mostly zero.  The other entries
+enter as symmetric residues, so p - 1 is the unit -1.
+
+Matrices are anything numpy reads as a 2-D integer array; results are
+int64 arrays with entries in [0, p).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .dense import IntMatrix, smith_normal_form
 
-def _as_matrix(A, p):
+
+def _smith_modp(A, p):
+    """Smith form of the rows of A that are nonzero mod p, and the mask of
+    those rows."""
     M = np.asarray(A, dtype=np.int64) % p
     if M.ndim != 2:
         raise ValueError("expected a matrix")
-    return M
-
-
-def row_echelon_modp(A, p):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    M = _as_matrix(A, p).copy()
+    keep = M.any(axis=1)
+    M = M[keep]
+    M[M > p // 2] -= p
     rows, cols = M.shape
-    piv = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for rr in range(r, rows):
-            if M[rr, c] % p:
-                pr = rr
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            M[[r, pr]] = M[[pr, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
-        for rr in range(rows):
-            if rr != r and M[rr, c]:
-                M[rr] = (M[rr] - M[rr, c] * M[r]) % p
-        piv.append(c)
-        r += 1
-        if r == rows:
-            break
-    return M, piv
+    return smith_normal_form(IntMatrix(rows, cols, M.ravel().tolist())), keep
 
 
 def rank_modp(A, p) -> int:
-    return len(row_echelon_modp(A, p)[1])
-
-
-def solve_modp(A, b, p):
-    """One solution of A x = b over F_p, or None."""
-    M = _as_matrix(A, p)
-    bb = np.asarray(b, dtype=np.int64).reshape(-1, 1) % p
-    aug, piv = row_echelon_modp(np.concatenate([M, bb], axis=1), p)
-    cols = M.shape[1]
-    if cols in piv:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, c in enumerate(piv):
-        x[c] = aug[r, cols] % p
-    return x
+    dec, _keep = _smith_modp(A, p)
+    return sum(1 for d in dec.diagonal() if d % p)
 
 
 def nullspace_modp(A, p):
     """Basis of ker(A) over F_p as a list of int vectors."""
-    M, piv = row_echelon_modp(A, p)
-    cols = M.shape[1]
-    free = [c for c in range(cols) if c not in piv]
-    out = []
-    for c in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[c] = 1
-        for r, pc in enumerate(piv):
-            v[pc] = (-M[r, c]) % p
-        out.append(v)
-    return out
+    dec, _keep = _smith_modp(A, p)
+    basis = [np.array([x % p for x in v], dtype=np.int64)
+             for v in dec.kernel(p)]
+    return [v for v in basis if v.any()]
 
 
-def invert_modp(A, p):
-    """Inverse matrix over F_p, or None if singular."""
-    M = _as_matrix(A, p)
-    n = M.shape[0]
-    if M.shape[1] != n:
-        raise ValueError("square matrices only")
-    aug, piv = row_echelon_modp(np.concatenate(
-        [M, np.eye(n, dtype=np.int64)], axis=1), p)
-    if piv != list(range(n)):
-        return None
-    return aug[:, n:] % p
+def modp_solver(A, p):
+    """Factor A once; returns ``solve(b)``, one solution of A x = b over
+    F_p or None."""
+    dec, keep = _smith_modp(A, p)
+
+    def solve(b):
+        bb = np.asarray(b, dtype=np.int64).reshape(-1) % p
+        if bb[~keep].any():
+            return None
+        x = dec.solve(bb[keep].tolist(), p)
+        return None if x is None else np.array(x, dtype=np.int64)
+
+    return solve
+
+
+def solve_modp(A, b, p):
+    """One solution of A x = b over F_p, or None."""
+    return modp_solver(A, p)(b)

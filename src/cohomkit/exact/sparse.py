@@ -46,10 +46,6 @@ from .dense import IntMatrix, smith_normal_form
 _RESIDUAL_DIM_CAP = 2048
 _RESIDUAL_ENTRY_CAP = 4_000_000
 
-ROW_ZERO = 0
-ROW_PIVOT = 1
-ROW_ECHELON = 2
-
 
 class SparseFactorization:
     """Logged echelon factorization of a sparse integer matrix over Z."""
@@ -277,16 +273,8 @@ class SparseFactorization:
         self.piv_vals = piv_vals
         self.echelon_rows = echelon_rows
         self.res_cols = res_cols
-        self._res_col_pos = {c: i for i, c in enumerate(res_cols)}
-
-        row_kind = np.zeros(self.nrows, dtype=np.int8)
-        for r in piv_rows:
-            row_kind[r] = ROW_PIVOT
-        for r in echelon_rows:
-            row_kind[r] = ROW_ECHELON
-        self.row_kind = row_kind
-        self.zero_rows = [r for r in range(self.nrows)
-                          if row_kind[r] == ROW_ZERO]
+        nonzero = set(piv_rows) | set(echelon_rows)
+        self.zero_rows = [r for r in range(self.nrows) if r not in nonzero]
 
         # phase 3: dense SNF of the echelon block
         E = [[rows[r].get(c, 0) for c in res_cols] for r in echelon_rows]
@@ -445,30 +433,16 @@ class SparseFactorization:
     def kernel_basis(self, m=0):
         """Generators of ker(A) over Z or Z/m (torsion directions included)."""
         gens = []
-        ys = []
         if self.esnf is not None:
-            diag = self.esnf.diagonal()
-            nres = len(self.res_cols)
-            for j in range(nres):
-                d = diag[j] if j < len(diag) else 0
-                if d == 0:
-                    ys.append((j, 1))
-                elif m:
-                    g = gcd(d, m)
-                    if g > 1:
-                        ys.append((j, m // g))
-        touched = set(self.res_cols)
-        for j, mult in ys:
-            y = [0] * len(self.res_cols)
-            y[j] = mult
-            xr = self.esnf.V.mul_vec(y)
-            x = [0] * self.ncols
-            for c, v in zip(self.res_cols, xr):
-                x[c] = v % m if m else v
-            gens.append(self._backsub([0] * len(self.piv_rows), x, m))
+            for xr in self.esnf.kernel(m):
+                x = [0] * self.ncols
+                for c, v in zip(self.res_cols, xr):
+                    x[c] = v % m if m else v
+                if any(x):  # (m / gcd(d, m)) V_j vanishes mod m when gcd is 1
+                    gens.append(self._backsub([0] * len(self.piv_rows), x, m))
         # remaining non-pivot columns: free directions, completed through
         # the frozen pivot rows (they may still carry entries there)
-        seen = set(self.piv_cols) | touched
+        seen = set(self.piv_cols) | set(self.res_cols)
         for c in range(self.ncols):
             if c not in seen:
                 x = [0] * self.ncols

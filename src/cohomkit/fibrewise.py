@@ -13,6 +13,12 @@ over Z, each fibre solves mod p (the system mod p is the fibre's own), and
 the rational test reads the free cokernel coordinates.  An F_p-module's
 system is lifted to Z with symmetric residues and solved mod p.  Dense SNF
 is their test oracle.
+
+A presentation is realized through the Smith form U A V = D over Z of its
+relations: the quotient has coordinates (U x)_i, for the i past the rank
+over Z (a lattice) or for the i with d_i = 0 mod p (an F_p-module).  The
+F_p kernels and solves of the free resolutions over F_pG are read off the
+same kind of Smith form by :mod:`cohomkit.exact.modp`.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .errors import (InternalCheckFailed, InvalidModule, NoIsomorphismFound,
                      NotBaseFree)
 from .exact.dense import (IntMatrix, cokernel_invariants, smith_normal_form,
                           unimodular_inverse)
-from .exact.modp import nullspace_modp, rank_modp, solve_modp
+from .exact.modp import modp_solver, nullspace_modp, rank_modp
 from .exact.sparse import SparseFactorization
 from .groups import FiniteGroup
 from .resolutions import subquotient_invariants
@@ -218,33 +224,56 @@ def lattice_from_presentation(M: FGModule) -> LatticeModule:
     if M.base != "Z":
         raise ValueError("only Z-based presentations become lattices")
     full = M.full_action()
-    g = M.generators
     if not M.relations:
         return LatticeModule(M.group, [full[a] for a in range(M.group.order)])
-    A = IntMatrix.from_rows([list(r) for r in M.relations]).transpose()
-    dec = smith_normal_form(A)
+    dec = _relation_smith(M)
     _check_relations_stable(M, full, dec)
     torsion = [d for d in dec.diagonal() if d > 1]
     if torsion:
         raise NotBaseFree(f"presentation has torsion {torsion}")
-    rank = dec.rank()
-    free = g - rank
-    # quotient coordinates: x -> (U x)[rank:]
-    U = dec.U
-    Uinv = unimodular_inverse(U)
-    proj_rows = [U.row(i) for i in range(rank, g)]
-    lift_cols = [[Uinv[i, j] for i in range(g)] for j in range(rank, g)]
+    free = range(dec.rank(), M.generators)
+    return LatticeModule(M.group, _quotient_action(M, full, dec, free))
+
+
+def fp_module_from_presentation(M: FGModule) -> FpModule:
+    """Realize an F_p presentation as an explicit FpModule."""
+    if M.base != "Fp" or not M.p:
+        raise ValueError("expected an Fp presentation with a prime p")
+    p = M.p
+    full = M.full_action()
+    if not M.relations:
+        return FpModule(M.group, p, [full[a] for a in range(M.group.order)])
+    dec = _relation_smith(M)
+    # Z^g / (relations + p Z^g) is F_p on the coordinates with p | d
+    diag = dec.diagonal()
+    free = [i for i in range(M.generators)
+            if i >= len(diag) or diag[i] % p == 0]
+    return FpModule(M.group, p, _quotient_action(M, full, dec, free))
+
+
+def _relation_smith(M: FGModule):
+    """Smith form over Z of the relation matrix (one column per
+    relation)."""
+    return smith_normal_form(
+        IntMatrix.from_rows([list(r) for r in M.relations]).transpose())
+
+
+def _quotient_action(M: FGModule, full, dec, free):
+    """Action matrices on the quotient of Z^g by the relations, in the
+    coordinates (U x)_i for i in ``free``, where U A V = D is ``dec``; a
+    coordinate lifts back through column i of U^-1."""
+    g = M.generators
+    Uinv = unimodular_inverse(dec.U)
+    proj_rows = [dec.U.row(i) for i in free]
+    lift_cols = [[Uinv[i, j] for i in range(g)] for j in free]
     mats = []
     for a in range(M.group.order):
         act = full[a]
-        mat = [[0] * free for _ in range(free)]
-        for j in range(free):
-            col = lift_cols[j]
-            img = [sum(act[i][t] * col[t] for t in range(g)) for i in range(g)]
-            for i in range(free):
-                mat[i][j] = sum(proj_rows[i][t] * img[t] for t in range(g))
-        mats.append(mat)
-    return LatticeModule(M.group, mats)
+        imgs = [[sum(act[i][t] * col[t] for t in range(g)) for i in range(g)]
+                for col in lift_cols]
+        mats.append([[sum(r * x for r, x in zip(row, img)) for img in imgs]
+                     for row in proj_rows])
+    return mats
 
 
 def _check_relations_stable(M: FGModule, full_action, dec):
@@ -260,40 +289,6 @@ def _check_relations_stable(M: FGModule, full_action, dec):
             if dec.solve(img) is None:
                 raise InvalidModule(
                     "relation submodule is not stable under the action")
-
-
-def fp_module_from_presentation(M: FGModule) -> FpModule:
-    """Realize an F_p presentation as an explicit FpModule."""
-    if M.base != "Fp" or not M.p:
-        raise ValueError("expected an Fp presentation with a prime p")
-    p = M.p
-    full = M.full_action()
-    g = M.generators
-    if not M.relations:
-        return FpModule(M.group, p, [full[a] for a in range(M.group.order)])
-    A = np.asarray(M.relations, dtype=np.int64).T % p  # columns = relations
-    from .exact.modp import row_echelon_modp
-
-    R, piv = row_echelon_modp(A.T, p)  # row space of relations
-    free = [c for c in range(g) if c not in piv]
-    # projection: coordinates on free positions after reduction by rows
-    def project(vec):
-        v = np.asarray(vec, dtype=np.int64) % p
-        for r, c in enumerate(piv):
-            if v[c]:
-                v = (v - v[c] * R[r]) % p
-        return [int(v[c]) for c in free]
-
-    mats = []
-    for a in range(M.group.order):
-        act = np.asarray(full[a], dtype=np.int64) % p
-        cols = []
-        for c in free:
-            basis = np.zeros(g, dtype=np.int64)
-            basis[c] = 1
-            cols.append(project(act @ basis))
-        mats.append([list(r) for r in zip(*cols)])
-    return FpModule(M.group, p, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +450,7 @@ class FibreDimReport:
     fibres: dict          # prime -> bool (projective at that fibre)
     rational_projective: bool
     supremum: float       # 0 or inf
+    integral_projective: bool  # the direct test: splitting solvable over Z
 
     def __str__(self):
         rows = ", ".join(f"p={p}: {'proj' if v else 'not proj'}"
@@ -471,20 +467,22 @@ def proj_dim_via_fibres(M: LatticeModule,
 
     The lattice's splitting system is factored once over Z; fibre p is
     projective iff the system is solvable mod p, since the system mod p is
-    the splitting system of M/pM."""
+    the splitting system of M/pM.  The same factorization solves it over Z
+    for the direct verdict of ``integral_projectivity_test``."""
     primes = sorted(factorize(M.group.order))
     fibres = {p: True for p in primes}
-    rational = True
+    rational = integral = True
     if M.rank:
         fact, rhs = _splitting_factorization(M.group, M.rank,
                                              lambda g: M.action[g])
         fibres = {p: fact.solve(rhs, p) is not None for p in primes}
+        integral = fact.solve(rhs, 0) is not None
         if verify_rational:
             rational = fact.solvable_over_q(rhs)
     if not rational:
         raise InternalCheckFailed("rational fibre failed Maschke splitting")
     sup = 0 if all(fibres.values()) else inf
-    return FibreDimReport(M.label, fibres, rational, sup)
+    return FibreDimReport(M.label, fibres, rational, sup, integral)
 
 
 def gproj_test(M: FGModule) -> dict:
@@ -854,12 +852,11 @@ def field_free_resolution(M: FpModule, N: int) -> FieldResolution:
                    np.asarray(P, dtype=np.int64)) % p
             # exp_prev: list of kernel basis vectors; P maps F_t onto K bases
             diffs.append(mat.tolist())
-        kern = nullspace_modp(P, p)
-        if not kern:
+        K = nullspace_modp(P, p)
+        if not K:
             break
-        K = [np.asarray(v, dtype=np.int64) % p for v in kern]
         # action of G on the kernel subspace, in the kernel basis
-        B = np.stack(K, axis=1)
+        solve = modp_solver(np.stack(K, axis=1), p)
         mats = []
         for g in range(n):
             imgs = []
@@ -873,7 +870,7 @@ def field_free_resolution(M: FpModule, N: int) -> FieldResolution:
                 imgs.append(img)
             sol = []
             for img in imgs:
-                y = solve_modp(B, img, p)
+                y = solve(img)
                 if y is None:
                     raise InternalCheckFailed("kernel not action-stable")
                 sol.append([int(t2) % p for t2 in y])

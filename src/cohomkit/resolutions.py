@@ -13,7 +13,6 @@ that ordering.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -161,14 +160,8 @@ def subquotient_invariants(d_in: IntMatrix, d_out: IntMatrix, m) -> list:
     r = d_out.cols
     if d_in.rows != r:
         raise ValueError("differentials do not compose")
-    # lattice L = {x : d_out x = 0 (mod m)} expressed by a basis matrix B:
-    # ker(d_out) over Z, and mod m the columns of V scaled by m / gcd(d, m)
-    dec = smith_normal_form(d_out)
-    basis = []
-    if m:
-        basis = [[(m // gcd(d, m)) * dec.V[i, j] for i in range(r)]
-                 for j, d in enumerate(dec.diagonal()) if d]
-    basis += dec.kernel()
+    # lattice L = {x : d_out x = 0 (mod m)} expressed by a basis matrix B
+    basis = smith_normal_form(d_out).kernel(m)
     if not basis:
         return []
     B = IntMatrix.from_rows([list(col) for col in zip(*basis)])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -21,7 +22,7 @@ from .cohomology import (CohomologyClass, CohomologyGroup, canonical_coords,
                          cohomology_system)
 from .cup import GradedRingSlice, cup_vec, ring_slice
 from .errors import SliceTooShallow
-from .exact.modp import nullspace_modp, rank_modp, solve_modp
+from .exact.modp import modp_solver, nullspace_modp, rank_modp, solve_modp
 from .groups import FiniteGroup
 
 
@@ -72,6 +73,7 @@ def jordan_type_of_nilpotent(N: np.ndarray, p: int) -> JordanType:
     return JordanType(p, tuple(blocks))
 
 
+@lru_cache(maxsize=1024)
 def jordan_tensor_type(a: int, b: int, p: int) -> JordanType:
     """Jordan type of J_a tensor J_b under the diagonal action of C_p."""
     require_prime(p)
@@ -82,15 +84,11 @@ def jordan_tensor_type(a: int, b: int, p: int) -> JordanType:
     return jordan_type_of_nilpotent(N, p)
 
 
-_SES_CACHE: dict = {}
-
-
+@lru_cache(maxsize=16)
 def enumerate_block_ses(p: int):
     """All (a, c, b) with a short exact sequence 0->J_a->J_c->J_b->0 of
     kC_p-modules, found by explicit matrix search over Hom(J_a, J_c)."""
     require_prime(p)
-    if p in _SES_CACHE:
-        return _SES_CACHE[p]
     out = []
     for a in range(1, p + 1):
         for c in range(a + 1, p + 1):  # c == a would leave a zero cokernel
@@ -111,7 +109,9 @@ def enumerate_block_ses(p: int):
                     break
             found = set()
             for coeffs in iproduct(range(p), repeat=len(cols)):
-                if not any(coeffs):
+                # v and its nonzero multiples give the same image, so one v
+                # per line: the first nonzero coefficient is 1
+                if next((x for x in coeffs if x), 0) != 1:
                     continue
                 v = np.zeros(c, dtype=np.int64)
                 for cf, col in zip(coeffs, cols):
@@ -120,19 +120,15 @@ def enumerate_block_ses(p: int):
                 for _ in range(a - 1):
                     orbit.append((tmat @ orbit[-1]) % p)
                 Phi = np.stack(orbit, axis=1) % p
-                if rank_modp(Phi, p) != a:
-                    continue
-                # cokernel: t action on F_p^c / im(Phi), via a projection
-                # whose kernel is exactly im(Phi)
+                # rank Phi = a iff ker(Phi^T) has dimension c - a; then
+                # the cokernel is F_p^c / im(Phi), via a projection whose
+                # kernel is exactly im(Phi)
                 ns = nullspace_modp(Phi.T, p)
                 if len(ns) != c - a:
                     continue
                 proj = np.stack(ns, axis=0) % p  # (c-a) x c, full row rank
-                inv_cols = []
-                for i in range(c - a):
-                    e = np.zeros(c - a, dtype=np.int64)
-                    e[i] = 1
-                    inv_cols.append(solve_modp(proj, e, p))
+                solve = modp_solver(proj, p)
+                inv_cols = [solve(e) for e in np.eye(c - a, dtype=np.int64)]
                 X = np.stack(inv_cols, axis=1) % p  # right inverse of proj
                 T2 = (proj @ tmat @ X) % p
                 jt = jordan_type_of_nilpotent(T2, p)
@@ -140,7 +136,6 @@ def enumerate_block_ses(p: int):
                     found.add(jt.blocks[0])
             for b in sorted(found):
                 out.append((a, c, b))
-    _SES_CACHE[p] = out
     return out
 
 
@@ -152,7 +147,6 @@ def thick_closure(seed, p: int):
     seed = set(int(x) for x in seed)
     if any(not 1 <= x <= p - 1 for x in seed):
         raise ValueError("seed blocks must be non-projective: 1..p-1")
-    tensor_cache = {}
     ses = enumerate_block_ses(p)
     S = set(seed)
 
@@ -169,10 +163,8 @@ def thick_closure(seed, p: int):
                 S.add(om)
                 changed = True
             for b in range(1, p):
-                key = (min(a, b), max(a, b))
-                if key not in tensor_cache:
-                    tensor_cache[key] = jordan_tensor_type(key[0], key[1], p)
-                for c in stable(tensor_cache[key].blocks):
+                tensor = jordan_tensor_type(min(a, b), max(a, b), p)
+                for c in stable(tensor.blocks):
                     if c not in S:
                         S.add(c)
                         changed = True

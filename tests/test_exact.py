@@ -11,7 +11,7 @@ from cohomkit.exact.dense import (IntMatrix, SmithDecomposition,
                                   cokernel_invariants, smith_normal_form,
                                   solve_mod, unimodular_inverse)
 from cohomkit.errors import InternalCheckFailed
-from cohomkit.exact.modp import nullspace_modp, solve_modp
+from cohomkit.exact.modp import nullspace_modp, rank_modp, solve_modp
 from cohomkit.exact.sparse import SparseFactorization
 from cohomkit.resolutions import bar_cochains
 
@@ -194,6 +194,135 @@ class TestModpZeroColumns:
         assert nullspace_modp(A, 5) == []
         if t:
             assert solve_modp(A, [0] * (t - 1) + [2], 5) is None
+
+
+def echelon_modp(A, p):
+    """Oracle independent of the Smith form: reduced row echelon form of A
+    mod p by numpy row operations; returns (R, pivot columns)."""
+    M = np.asarray(A, dtype=np.int64) % p
+    rows, cols = M.shape
+    piv = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = [rr for rr in range(r, rows) if M[rr, c]]
+        if not nz:
+            continue
+        M[[r, nz[0]]] = M[[nz[0], r]]
+        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
+        for rr in range(rows):
+            if rr != r and M[rr, c]:
+                M[rr] = (M[rr] - M[rr, c] * M[r]) % p
+        piv.append(c)
+        r += 1
+    return M, piv
+
+
+def _random_modp_matrix(rng, p, rows, cols, rank, zero_rows=0.0):
+    """Integer matrix of rank at most ``rank`` mod p: a product of random
+    factors plus random multiples of p, so that its rank over Z usually
+    exceeds its rank mod p.  Each row is a multiple of p with probability
+    ``zero_rows``."""
+    def rand(r, c, lo, hi):
+        return np.array([[rng.randrange(lo, hi) for _ in range(c)]
+                         for _ in range(r)], dtype=np.int64).reshape(r, c)
+
+    A = rand(rows, rank, 0, p) @ rand(rank, cols, 0, p) \
+        + p * rand(rows, cols, -2, 3)
+    for i in range(rows):
+        if rng.random() < zero_rows:
+            A[i] = p * rand(1, cols, -2, 3)
+    return A
+
+
+class TestModpAgainstEchelon:
+    """rank_modp, nullspace_modp and solve_modp read off the Smith form,
+    against the row echelon oracle."""
+
+    @staticmethod
+    def _check(A, p, rng):
+        rows, cols = A.shape
+        rank = len(echelon_modp(A, p)[1])
+        assert rank_modp(A, p) == rank
+        ker = nullspace_modp(A, p)
+        assert len(ker) == cols - rank
+        for v in ker:
+            assert v.dtype == np.int64 and ((0 <= v) & (v < p)).all()
+            assert not ((A @ v) % p).any()
+        if ker:
+            assert len(echelon_modp(np.stack(ker), p)[1]) == len(ker)
+        # one right-hand side in the image, one arbitrary
+        y = np.array([rng.randrange(p) for _ in range(cols)], dtype=np.int64)
+        for b in ((A @ y) % p,
+                  np.array([rng.randrange(p) for _ in range(rows)],
+                           dtype=np.int64)):
+            aug = np.concatenate([A.reshape(rows, cols),
+                                  b.reshape(rows, 1)], axis=1)
+            solvable = cols not in echelon_modp(aug, p)[1]
+            x = solve_modp(A, b, p)
+            assert (x is not None) == solvable
+            if x is not None:
+                assert x.dtype == np.int64 and x.shape == (cols,)
+                assert ((0 <= x) & (x < p)).all()
+                assert not ((A @ x - b) % p).any()
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random(self, p, seed):
+        rng = random.Random(1000 * p + seed)
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        rank = rng.randint(0, min(rows, cols))
+        self._check(_random_modp_matrix(rng, p, rows, cols, rank), p, rng)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("shape", [(4, 0), (1, 0), (0, 3), (0, 1)])
+    def test_empty_shapes(self, p, shape):
+        self._check(np.zeros(shape, dtype=np.int64), p, random.Random(p))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    def test_tall_mostly_zero_rows(self, p, cols):
+        rng = random.Random(50 * p + cols)
+        A = _random_modp_matrix(rng, p, 300, cols, cols, zero_rows=0.95)
+        self._check(A, p, rng)
+
+    def test_rows_zero_mod_p_need_a_zero_rhs(self):
+        A = np.array([[3, 6], [1, 2], [0, 9]], dtype=np.int64)
+        assert rank_modp(A, 3) == 1
+        x = solve_modp(A, [0, 1, 0], 3)
+        assert ((A @ x) % 3).tolist() == [0, 1, 0]
+        assert solve_modp(A, [1, 1, 0], 3) is None
+
+
+class TestSmithKernelModM:
+    """SmithDecomposition.kernel(m) spans {x : A x = 0 (mod m)}."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_against_bruteforce(self, m, seed):
+        rng = random.Random(60 * m + seed)
+        r, c = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+        A = IntMatrix.from_rows(rows)
+        gens = smith_normal_form(A).kernel(m)
+        brute = {x for x in product(range(m), repeat=c)
+                 if all(v % m == 0 for v in A.mul_vec(list(x)))}
+        for g in gens:
+            assert all(v % m == 0 for v in A.mul_vec(g))
+        span = {(0,) * c}
+        for g in gens:
+            span = {tuple((a + k * b) % m for a, b in zip(x, g))
+                    for x in span for k in range(m)}
+        assert span == brute
+        # a Z-basis of the lattice: as many generators as columns
+        assert len(gens) == c
+
+    def test_zero_modulus_is_the_integer_kernel(self):
+        A = IntMatrix.from_rows([[2, 4, 6], [0, 3, 3]])
+        dec = smith_normal_form(A)
+        assert dec.kernel(0) == dec.kernel("Z") == dec.kernel()
+        assert len(dec.kernel()) == 1
 
 
 class TestCokernelInvariants:

@@ -4,7 +4,7 @@ from math import inf
 import numpy as np
 import pytest
 
-from cohomkit import fibrewise
+from cohomkit import cli, fibrewise
 from cohomkit.cohomology import cohomology_group
 from cohomkit.errors import InvalidModule, NotBaseFree
 from cohomkit.exact.dense import IntMatrix, smith_normal_form, solve_mod
@@ -195,6 +195,8 @@ class TestOneFactorizationPerLattice:
         rep = proj_dim_via_fibres(M, verify_rational=True)
         assert len(built) == 1
         assert rep.rational_projective
+        assert rep.integral_projective == \
+            integral_projectivity_test(M).projective
         fact, rhs = fibrewise._splitting_factorization(
             G, M.rank, lambda g: M.action[g])
         for p in (2, 3, 5, 7):
@@ -206,6 +208,22 @@ class TestOneFactorizationPerLattice:
                 assert want, p  # Maschke: p does not divide |G|
         assert sorted(rep.fibres) == [p for p in (2, 3, 5, 7)
                                       if G.order % p == 0]
+
+    def test_lemma27_suite_factors_each_module_once(self, monkeypatch):
+        """verify-paper lemma2.7 reads the direct (integral) verdict and
+        every fibre of a module off one factorization: 9 modules, 9
+        builds."""
+        built = []
+
+        class Counting(SparseFactorization):
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(fibrewise, "SparseFactorization", Counting)
+        body, ok = cli.suite_lemma27()
+        assert ok and len(body["results"]) == 9
+        assert len(built) == 9
 
     def test_fp_system_residual_stays_small(self, groups, monkeypatch):
         """An F_p system enters the Z factorization with symmetric residues:
@@ -272,6 +290,28 @@ class TestPresentations:
         M = FGModule(G, "Fp", 2, 2, [[1, 1]], {1: [[0, 1], [1, 0]]})
         fp = fp_module_from_presentation(M)
         assert fp.dim == 1
+
+    @pytest.mark.parametrize("name, p, relations, dim, projective", [
+        # 2 e0 vanishes mod 2: F_2^2 / (e0 + e1), the trivial module
+        ("c2", 2, [[2, 0], [1, 1]], 1, False),
+        # 3 e0 vanishes mod 3: the regular module F_3 C3, free
+        ("c3", 3, [[3, 0, 0]], 3, True),
+        # e0 - e1 and e1 - e2 mod 3 (written 1, 2): the trivial module
+        ("c3", 3, [[1, 2, 0], [0, 1, 2]], 1, False),
+        # p does not divide |G|: every module is projective
+        ("c2", 5, [[1, 1], [5, 0]], 1, True),
+    ])
+    def test_fp_presentation_relations_mod_p(self, groups, name, p,
+                                             relations, dim, projective):
+        """The quotient is taken mod p: relations that vanish or become
+        dependent mod p cut out fewer dimensions than over Z."""
+        G = groups[name]
+        n = G.order
+        shift = [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
+        M = FGModule(G, "Fp", p, n, relations, {1: shift})
+        fp = fp_module_from_presentation(M)
+        assert fp.dim == dim
+        assert fibre_projectivity_test(fp).projective == projective
 
     def test_module_json_roundtrip(self, groups, tmp_path):
         path = tmp_path / "m.json"

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-no module-level function is a copy of another.
+"""Source hygiene: every name a module imports is used in that module, no
+module-level function is a copy of another, and every definition is
+referenced somewhere.
 
 No linter ships with the toolchain, so this parses ``src/cohomkit`` with
 ``ast``.  Package ``__init__.py`` files are skipped (their imports are
@@ -8,9 +9,12 @@ re-exports), as are import lines marked ``# noqa`` (import-time probes).
 
 import ast
 import copy
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cohomkit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cohomkit"
 
 
 def _imported(tree, lines):
@@ -113,3 +117,69 @@ def test_detects_a_copied_function(tmp_path):
                    "def h(x):\n    return x - 1\n\n\n"
                    "def k(y):\n    return y + 1\n")
     assert duplicate_functions([mod], tmp_path) == [["m.py:f", "m.py:g"]]
+
+
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _references(node) -> Counter:
+    """Names a subtree refers to: variables, attributes, imported names and
+    identifiers inside string constants (``"module:function"`` bindings)."""
+    refs = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            refs[n.name.split(".")[-1]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            refs.update(_WORD.findall(n.value))
+    return refs
+
+
+def unreferenced_definitions(defining, referencing, root: Path):
+    """Module-level functions and classes, and non-dunder methods, of the
+    ``defining`` files whose name occurs in no ``referencing`` file outside
+    the definition itself."""
+    refs = Counter()
+    for path in referencing:
+        refs += _references(ast.parse(path.read_text()))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for path in defining:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, kinds):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{n.name}", n) for n in node.body
+                         if isinstance(n, kinds)]
+            for label, n in defs:
+                if n.name.startswith("__") and n.name.endswith("__"):
+                    continue
+                if refs[n.name] - _references(n)[n.name] <= 0:
+                    found.append(f"{path.relative_to(root)}:{label}")
+    return found
+
+
+def test_no_unreferenced_definitions():
+    referencing = sorted(p for d in ("src", "tests", "perfbench")
+                         for p in (ROOT / d).rglob("*.py"))
+    dead = unreferenced_definitions(sorted(SRC.rglob("*.py")), referencing,
+                                    SRC)
+    assert not dead, f"unreferenced definitions: {dead}"
+
+
+def test_detects_an_unreferenced_definition(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("def used():\n    return 1\n\n\n"
+                   "def recursive(n):\n    return recursive(n - 1)\n\n\n"
+                   "def bound():\n    return 2\n\n\n"
+                   "class C:\n    def __len__(self):\n        return 0\n\n"
+                   "    def called(self):\n        return used()\n\n"
+                   "    def dead(self):\n        return self.called()\n")
+    user = tmp_path / "user.py"
+    user.write_text('from m import C\n\nLAYER = "m:bound"\n')
+    assert unreferenced_definitions([mod], [mod, user], tmp_path) == [
+        "m.py:recursive", "m.py:C.dead"]
