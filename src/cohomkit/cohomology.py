@@ -23,23 +23,9 @@ from .abelian import (FiniteAbelian, factorize, invariant_factor_form,
 from .config import GROUP_CACHE_SIZE
 from .errors import (DegreeZeroUnsupported, InternalCheckFailed,
                      ModulusMismatch)
+from .exact.dense import normalize_modulus
 from .groups import FiniteGroup
 from .resolutions import bar_cochains
-
-
-def normalize_coeff(coeff) -> int:
-    """Accept "Z", 0, or an integer modulus >= 2; return 0 for Z."""
-    if coeff in ("Z", "z", None, 0):
-        return 0
-    if isinstance(coeff, str):
-        s = coeff.strip()
-        if s.upper().startswith("Z/"):
-            s = s[2:]
-        coeff = int(s)
-    coeff = int(coeff)
-    if coeff < 2:
-        raise ValueError(f"modulus must be 'Z' or an integer >= 2: {coeff}")
-    return coeff
 
 
 @dataclass(frozen=True)
@@ -93,15 +79,12 @@ class PrimaryPart:
 class _UCTData:
     """Generators of H^n(G, Z/m) and the data to take coordinates."""
 
-    __slots__ = ("orders", "gens", "theta_count", "int_orders",
-                 "tor_scales", "abelian")
+    __slots__ = ("orders", "gens", "theta_count", "abelian")
 
-    def __init__(self, orders, gens, theta_count, int_orders, tor_scales):
+    def __init__(self, orders, gens, theta_count):
         self.orders = orders            # cyclic order of each generator
         self.gens = gens                # mod-m cocycle vectors
         self.theta_count = theta_count  # first generators are theta-images
-        self.int_orders = int_orders    # integral invariant factors used
-        self.tor_scales = tor_scales    # (f', g') per torsion generator
         self.abelian = FiniteAbelian(orders) if orders else None
 
 
@@ -158,22 +141,19 @@ class CohomologySystem:
         if key in self._uct:
             return self._uct[key]
         if n == 0:
-            data = _UCTData([m], [[1]], 1, [0], [])
+            data = _UCTData([m], [[1]], 1)
             self._uct[key] = data
             return data
         orders = []
         gens = []
-        int_orders = []
         # theta part: reductions of integral classes
         for f, w in self.integral_basis(n):
             g = gcd(f, m)
             if g > 1:
                 orders.append(g)
                 gens.append([v % m for v in w])
-                int_orders.append(f)
         theta_count = len(orders)
         # Tor part: sections of the connecting map
-        tor_scales = []
         fact_up = self.bc.fact(n + 1)
         for f2, w2 in self.integral_basis(n + 1):
             g2 = gcd(f2, m)
@@ -187,8 +167,7 @@ class CohomologySystem:
                     "class should be a coboundary")
             orders.append(g2)
             gens.append([v % m for v in u])
-            tor_scales.append((f2, g2))
-        data = _UCTData(orders, gens, theta_count, int_orders, tor_scales)
+        data = _UCTData(orders, gens, theta_count)
         self._uct[key] = data
         return data
 
@@ -298,7 +277,7 @@ def cohomology_system(G: FiniteGroup) -> CohomologySystem:
 
 def cohomology_group(G: FiniteGroup, coeff, n: int) -> CohomologyGroup:
     """H^n(G, Z) or H^n(G, Z/m) with explicit cocycle basis."""
-    m = normalize_coeff(coeff)
+    m = normalize_modulus(coeff)
     sys = cohomology_system(G)
     if n == 0:
         unit = sys.unit_class(m)

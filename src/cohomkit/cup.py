@@ -16,38 +16,38 @@ import json
 import numpy as np
 
 from .cohomology import (CohomologyClass, canonical_coords, cohomology_group,
-                         cohomology_system, normalize_coeff)
+                         cohomology_system)
 from .errors import ModulusMismatch, SizeCapExceeded
+from .exact.dense import normalize_modulus
 from .groups import FiniteGroup
+from . import kernels
 from .resolutions import bar_cochains
 
-_INT64_SAFE = 1 << 30
+_I64 = 1 << 63
+
+
+def _factor_arrays(u, v, modulus: int, terms: int = 1):
+    """``u`` and ``v`` as arrays on which any sum of ``terms`` products
+    u[i] * v[j], and its residue mod ``modulus``, is exact: int64 while
+    terms * max|u| * max|v| and the modulus are below 2^63, else object
+    arrays of python ints."""
+    ua, va = kernels.int_array(u), kernels.int_array(v)
+    bound = terms * kernels.max_abs(ua) * kernels.max_abs(va)
+    if max(bound, modulus) >= _I64:
+        return ua.astype(object), va.astype(object)
+    return ua, va
 
 
 def cup_vec(G: FiniteGroup, u, a: int, v, b: int, modulus: int = 0):
     """AW product of raw cochain vectors: degree a + b."""
     bc = bar_cochains(G)
     bc.check_cap(a + b)
-    q = bc.q
-    r = q ** (a + b)
-    idx = np.arange(r, dtype=np.int64)
-    back = idx % (q**b)
-    front = idx // (q**b)
-    mx = max((abs(int(x)) for x in u), default=0)
-    my = max((abs(int(x)) for x in v), default=0)
-    if mx < _INT64_SAFE and my < _INT64_SAFE:
-        ua = np.asarray(list(u), dtype=np.int64)
-        va = np.asarray(list(v), dtype=np.int64)
-        out = ua[front] * va[back]
-        if modulus:
-            out %= modulus
-        return [int(x) for x in out]
-    ul = list(u)
-    vl = list(v)
-    out = [ul[f] * vl[bk] for f, bk in zip(front.tolist(), back.tolist())]
+    idx = np.arange(bc.rank(a + b), dtype=np.int64)
+    ua, va = _factor_arrays(u, v, modulus)
+    out = ua[idx // bc.rank(b)] * va[idx % bc.rank(b)]
     if modulus:
-        out = [x % modulus for x in out]
-    return out
+        out %= modulus
+    return [int(x) for x in out]
 
 
 def cup1_vec(G: FiniteGroup, u, a: int, v, b: int, modulus: int = 0):
@@ -66,9 +66,8 @@ def cup1_vec(G: FiniteGroup, u, a: int, v, b: int, modulus: int = 0):
     r = q**n
     digits = bc.digits(n)
     table = bc._table
-    ua = np.asarray(list(u), dtype=np.int64)
-    va = np.asarray(list(v), dtype=np.int64)
-    out = np.zeros(r, dtype=np.int64)
+    ua, va = _factor_arrays(u, v, modulus, terms=a)
+    out = np.zeros(r, dtype=ua.dtype)
     for i in range(a):
         prod = digits[i].copy()
         for k in range(i + 1, i + b):
@@ -139,6 +138,10 @@ class GradedRingSlice:
 
     def orders(self, d: int):
         return list(self.groups[d].invariant_factors)
+
+    def basis_coords(self, d: int, i: int):
+        """Coordinates of the i-th basis element of degree d."""
+        return tuple(1 if t == i else 0 for t in range(self.dimension(d)))
 
     def multiply(self, d1: int, coords1, d2: int, coords2):
         """Coordinates of the product of two homogeneous elements."""
@@ -212,9 +215,9 @@ class GradedRingSlice:
                             for k in range(self.dimension(d3)):
                                 xy = self.table[(d1, i, d2, j)]
                                 a = self.multiply(d1 + d2, xy, d3,
-                                                  _unit_coords(self, d3, k))
+                                                  self.basis_coords(d3, k))
                                 yz = self.table[(d2, j, d3, k)]
-                                b = self.multiply(d1, _unit_coords(self, d1, i),
+                                b = self.multiply(d1, self.basis_coords(d1, i),
                                                   d2 + d3, yz)
                                 if a != b:
                                     return False
@@ -240,14 +243,10 @@ class GradedRingSlice:
         return json.dumps(data, indent=1, sort_keys=True)
 
 
-def _unit_coords(slice_, d, k):
-    return tuple(1 if t == k else 0 for t in range(slice_.dimension(d)))
-
-
 def ring_slice(G: FiniteGroup, coeff, N: int, label: str = "") -> GradedRingSlice:
     """Cohomology ring slice to degree N: bases from cohomology_group,
     products from cup_product in canonical coordinates."""
-    m = normalize_coeff(coeff)
+    m = normalize_modulus(coeff)
     groups = [cohomology_group(G, coeff, n) for n in range(N + 1)]
     table = {}
     for d1 in range(0, N + 1):

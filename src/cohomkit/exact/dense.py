@@ -132,7 +132,7 @@ class SmithDecomposition:
         chosen as the least nonnegative value.  A solution that fails the
         final source x = b check raises InternalCheckFailed.
         """
-        m = _normalize_modulus(m)
+        m = normalize_modulus(m)
         nr, nc = self.source.rows, self.source.cols
         b = [int(x) for x in b]
         if len(b) != nr:
@@ -172,7 +172,7 @@ class SmithDecomposition:
         (m / gcd(d, m)) V_j for each nonzero d_j (only when m > 0), then the
         columns of V past the rank.  They are a Z-basis of that lattice, which
         for m > 0 contains m Z^n; m = 0 or "Z" gives ker(source) over Z."""
-        m = _normalize_modulus(m)
+        m = normalize_modulus(m)
         V, n = self.V, self.V.rows
         cols = [(j, m // gcd(d, m))
                 for j, d in enumerate(self.diagonal()) if d and m]
@@ -310,10 +310,15 @@ def unimodular_inverse(M) -> IntMatrix:
     return dec.V @ dec.U
 
 
-def _normalize_modulus(m) -> int:
-    """Accept "Z"/0 for the integers, or an integer modulus >= 2."""
+def normalize_modulus(m) -> int:
+    """Accept "Z", 0 or None for the integers, or a modulus >= 2 given as an
+    integer or a string such as "4" or "Z/4"; return 0 for Z."""
     if m in ("Z", "z", None, 0):
         return 0
+    if isinstance(m, str):
+        m = m.strip()
+        if m.upper().startswith("Z/"):
+            m = m[2:]
     m = int(m)
     if m < 2:
         raise ValueError(f"modulus must be 'Z' or an integer >= 2, got {m}")
@@ -330,7 +335,7 @@ def cokernel_invariants(M, m):
 
     Over Z a factor 0 denotes a free summand; over Z/m all factors divide m.
     """
-    m = _normalize_modulus(m)
+    m = normalize_modulus(m)
     rows, nr, nc = _as_rows(M)
     if m:
         for i in range(nr):

@@ -9,8 +9,12 @@ and answers all of those queries cheaply afterwards.
 
 The factorization runs in three logged phases, all over Z:
 
-1. +-1-pivot sparse elimination (global min-column-size pivoting, which
-   keeps fill-in low on face-map matrices);
+1. +-1-pivot sparse elimination.  The pivot column is the one of least
+   length, then least index, among the columns that have a +-1 entry; a
+   column found without one is blocked and waits until its content
+   changes.  The pivot row is the shortest row with a +-1 entry in that
+   column, then the lowest index.  Least-length columns keep fill-in low
+   on face-map matrices;
 2. integer row echelon on the leftover rows (gcd steps);
 3. dense Smith normal form (exact, python ints) on the small echelon block.
 
@@ -92,131 +96,109 @@ class SparseFactorization:
         log_q: list[int] = []
         batch_starts: list[int] = []
         negs: list[int] = []
+        # phase 1: the column index.  col_rows[c] is the set of rows with an
+        # entry in column c, so its length is len(col_rows[c]); buckets files
+        # every selectable column under its length, and a blocked column (no
+        # +-1 entry) is filed nowhere until its content changes.
         col_rows: dict[int, set] = {}
         for r, d in enumerate(rows):
             for c in d:
                 col_rows.setdefault(c, set()).add(r)
-        col_len = {c: len(s) for c, s in col_rows.items()}
         buckets: dict[int, set] = {}
-        for c, l in col_len.items():
-            buckets.setdefault(l, set()).add(c)
+        for c, rs in col_rows.items():
+            buckets.setdefault(len(rs), set()).add(c)
         blocked: set = set()
-        retired_rows: set = set()
 
         piv_rows: list[int] = []
         piv_cols: list[int] = []
         piv_vals: list[int] = []
-        piv_content: list[dict] = []
+        # pivot rows frozen for back-substitution, pivot entry first
+        starts: list[int] = []
+        cols_pool: list[int] = []
+        vals_pool: list[int] = []
 
-        def bucket_move(c, old, new):
-            if old == new:
-                return
-            s = buckets.get(old)
-            if s is not None:
-                s.discard(c)
-                if not s:
-                    del buckets[old]
-            if new > 0:
-                buckets.setdefault(new, set()).add(c)
-
-        def touch(c):
-            # a blocked column whose content changed becomes selectable again
+        def changed(c, old_len):
+            # re-file column c after one of its entries changed; a column
+            # that empties is filed nowhere: fill only reaches the columns
+            # of a pivot row, so it never gains an entry again
+            new = len(col_rows[c])
             if c in blocked:
                 blocked.discard(c)
-                buckets.setdefault(col_len.get(c, 0), set()).add(c)
+            elif new != old_len:
+                s = buckets[old_len]
+                s.discard(c)
+                if not s:
+                    del buckets[old_len]
+            else:
+                return
+            if new:
+                buckets.setdefault(new, set()).add(c)
 
         while buckets:
             length = min(buckets)
             bucket = buckets[length]
             pc = min(bucket)
-            rset = col_rows.get(pc)
-            if rset is None or len(rset) != length or length == 0:
-                bucket.discard(pc)
-                if not bucket:
-                    del buckets[length]
-                if rset:
-                    bucket_move(pc, 0, len(rset))
-                continue
+            rset = sorted(col_rows[pc])
             # choose the +-1 entry with shortest row, lowest index
             best = None
-            for r in sorted(rset):
+            for r in rset:
                 if rows[r][pc] in (1, -1):
                     key = (len(rows[r]), r)
                     if best is None or key < best[0]:
                         best = (key, r)
+            bucket.discard(pc)
+            if not bucket:
+                del buckets[length]
             if best is None:
                 # no unit pivot available here for now
-                bucket.discard(pc)
-                if not bucket:
-                    del buckets[length]
                 blocked.add(pc)
                 continue
             pr = best[1]
             prow = rows[pr]
-            pv = prow[pc]
+            pv = prow.pop(pc)
             pitems = sorted(prow.items())
-            if len(rset) > 1:
+            if length > 1:
                 batch_starts.append(len(log_a))
-            for r in sorted(rset):
+            for r in rset:
                 if r == pr:
                     continue
                 row = rows[r]
-                q = row[pc] * pv  # pv is +-1
+                q = row.pop(pc) * pv  # pv is +-1
                 log_a.append(r)
                 log_b.append(pr)
                 log_q.append(q)
                 for c2, w in pitems:
+                    cs = col_rows[c2]
+                    old = len(cs)
                     nv = row.get(c2, 0) - q * w
                     if nv:
-                        if c2 not in row:
-                            cs = col_rows.setdefault(c2, set())
-                            cs.add(r)
-                            old = col_len.get(c2, 0)
-                            col_len[c2] = old + 1
-                            if c2 not in blocked and c2 != pc:
-                                bucket_move(c2, old, old + 1)
                         row[c2] = nv
-                        touch(c2)
-                    elif c2 in row:
+                        cs.add(r)
+                    else:
                         del row[c2]
-                        cs = col_rows.get(c2)
-                        if cs is not None:
-                            cs.discard(r)
-                            old = col_len[c2]
-                            col_len[c2] = old - 1
-                            if c2 not in blocked and c2 != pc:
-                                bucket_move(c2, old, old - 1)
-                        touch(c2)
-            # retire pivot row and column
-            for c2 in prow:
-                if c2 == pc:
-                    continue
-                cs = col_rows.get(c2)
-                if cs is not None and pr in cs:
-                    cs.discard(pr)
-                    old = col_len[c2]
-                    col_len[c2] = old - 1
-                    if c2 not in blocked:
-                        bucket_move(c2, old, old - 1)
-                    touch(c2)
+                        cs.discard(r)
+                    changed(c2, old)
+            # retire the pivot row and column
+            for c2, _ in pitems:
+                cs = col_rows[c2]
+                old = len(cs)
+                cs.discard(pr)
+                changed(c2, old)
             del col_rows[pc]
-            col_len.pop(pc, None)
-            bucket = buckets.get(length)
-            if bucket is not None:
-                bucket.discard(pc)
-                if not bucket:
-                    buckets.pop(length, None)
-            blocked.discard(pc)
             piv_rows.append(pr)
             piv_cols.append(pc)
             piv_vals.append(pv)
-            piv_content.append(dict(prow))
-            retired_rows.add(pr)
+            starts.append(len(cols_pool))
+            cols_pool += [pc] + [c2 for c2, _ in pitems]
+            vals_pool += [pv] + [w for _, w in pitems]
             rows[pr] = {}
+        self._pool_starts = np.array(starts, dtype=np.int64)
+        self._pool_lens = np.diff(self._pool_starts, append=len(cols_pool))
+        self._pool_cols = np.array(cols_pool, dtype=np.int64)
+        self._pool_vals = kernels.int_array(vals_pool)
 
         # phase 2: Euclidean row echelon on the leftover rows
-        live = sorted(r for r in range(self.nrows)
-                      if r not in retired_rows and rows[r])
+        live = [r for r in range(self.nrows) if rows[r]]
         res_cols = sorted({c for r in live for c in rows[r]})
         if res_cols:
             if (len(live) * len(res_cols) > _RESIDUAL_ENTRY_CAP
@@ -283,35 +265,8 @@ class SparseFactorization:
         else:
             self.esnf = None
 
-        # freeze pivot rows for back-substitution (pivot entry first)
-        starts = []
-        lens = []
-        cols_pool: list[int] = []
-        vals_pool: list[int] = []
-        for t, content in enumerate(piv_content):
-            pc = piv_cols[t]
-            starts.append(len(cols_pool))
-            items = [(pc, content[pc])] + sorted(
-                (c, v) for c, v in content.items() if c != pc)
-            lens.append(len(items))
-            for c, v in items:
-                cols_pool.append(c)
-                vals_pool.append(v)
-        self._pool_starts = np.array(starts, dtype=np.int64)
-        self._pool_lens = np.array(lens, dtype=np.int64)
-        self._pool_cols = np.array(cols_pool, dtype=np.int64)
-        self._pool_vals = kernels.int_array(vals_pool)
-
     # -- queries -----------------------------------------------------------
     # Every query takes the modulus m: 0 answers over Z, m >= 2 over Z/m.
-
-    @property
-    def rank(self) -> int:
-        """Rank over Z of the input (unit pivots plus echelon rank)."""
-        r = len(self.piv_rows)
-        if self.esnf is not None:
-            r += self.esnf.rank()
-        return r
 
     def _replay(self, vec, m=0, reverse=False):
         if m:

@@ -63,7 +63,8 @@ def _residues(vec, m: int) -> np.ndarray:
     return (v % m).astype(np.int64)
 
 
-def _max_abs(v: np.ndarray) -> int:
+def max_abs(v: np.ndarray) -> int:
+    """Largest |entry| of ``v``, 0 when it is empty."""
     return int(np.abs(v).max()) if len(v) else 0
 
 
@@ -95,7 +96,7 @@ def apply_oplog_int(vec, log, reverse: bool = False) -> list:
     """Replay a row-operation log over Z. Exact; returns python ints."""
     _types, aa, _bb, qq, batches = log
     v = int_array(vec)
-    bound = _max_abs(v)
+    bound = max_abs(v)
     wide = bound >= _LIMIT
     if wide:
         v, qq = v.astype(object), qq.astype(object)
@@ -168,7 +169,7 @@ def backsub_int(rows, pivcol, pivsign, rhs, x) -> list:
 
 def _abs_sum(data: np.ndarray) -> int:
     a = np.abs(data)
-    if data.dtype != object and _max_abs(a) * len(a) < _LIMIT:
+    if data.dtype != object and max_abs(a) * len(a) < _LIMIT:
         return int(a.sum())
     return sum(a.tolist())
 
@@ -177,7 +178,7 @@ def _csr_matvec(indptr, indices, data, x: np.ndarray) -> np.ndarray:
     """Gather and segmented sum: int64 when max|x| * sum|data| < 2^62."""
     gathered = x[indices]
     if (data.dtype == object or x.dtype == object
-            or _max_abs(x) * _abs_sum(data) >= _LIMIT):
+            or max_abs(x) * _abs_sum(data) >= _LIMIT):
         prod = data.astype(object) * gathered.astype(object)
     else:
         prod = data * gathered

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import GROUP_CACHE_SIZE, size_cap
 from .errors import SizeCapExceeded
-from .exact.dense import (IntMatrix, _normalize_modulus, cokernel_invariants,
+from .exact.dense import (IntMatrix, cokernel_invariants, normalize_modulus,
                           smith_normal_form)
 from .exact.sparse import SparseFactorization
 from .groups import FiniteGroup
@@ -34,13 +34,10 @@ class Resolution:
     (ranks[n-1]*|G|) x (ranks[n]*|G|).
     """
 
-    def __init__(self, group: FiniteGroup, ranks, zg_diffs, kind: str,
-                 modulus: int = 0):
+    def __init__(self, group: FiniteGroup, ranks, zg_diffs):
         self.group = group
         self.ranks = list(ranks)
         self.zg_diffs = zg_diffs  # zg_diffs[n] for 1 <= n <= N
-        self.kind = kind
-        self.modulus = modulus
 
     @property
     def length(self) -> int:
@@ -59,9 +56,6 @@ class Resolution:
         for (j, i, g, c) in self.zg_diffs[n]:
             for h in range(order):
                 ent[i * order + table[h][g]][j * order + h] += c
-        if self.modulus:
-            m = self.modulus
-            ent = [[v % m for v in row] for row in ent]
         return IntMatrix.from_rows(ent)
 
     def augmentation_matrix(self) -> IntMatrix:
@@ -88,7 +82,7 @@ def bar_resolution(G: FiniteGroup, N: int) -> Resolution:
             f"bar resolution rank {q}^{N} exceeds the cochain cap {cap}")
     ranks = [q**n for n in range(N + 1)]
     diffs = {n: _bar_zg_entries(G, n) for n in range(1, N + 1)}
-    return Resolution(G, ranks, diffs, kind="bar")
+    return Resolution(G, ranks, diffs)
 
 
 def _tuple_of_index(idx: int, n: int, q: int):
@@ -147,7 +141,7 @@ def periodic_resolution_cyclic(n: int, N: int) -> Resolution:
             diffs[k] = [(0, 0, 1, 1), (0, 0, 0, -1)]
         else:
             diffs[k] = [(0, 0, g, 1) for g in range(n)]
-    return Resolution(G, ranks, diffs, kind="periodic")
+    return Resolution(G, ranks, diffs)
 
 
 def subquotient_invariants(d_in: IntMatrix, d_out: IntMatrix, m) -> list:
@@ -156,7 +150,7 @@ def subquotient_invariants(d_in: IntMatrix, d_out: IntMatrix, m) -> list:
     Dense, exact, independent of the sparse machinery: used as the oracle
     for small complexes.  Over Z a 0 denotes a free summand.
     """
-    m = _normalize_modulus(m)
+    m = normalize_modulus(m)
     r = d_out.cols
     if d_in.rows != r:
         raise ValueError("differentials do not compose")
@@ -211,8 +205,7 @@ def verify_complex(resolution: Resolution, max_degree: int | None = None) -> dic
                 for (i2, g2, c2) in inner.get(mid, []):
                     key = (i2, table[g][g2])
                     acc[key] = acc.get(key, 0) + c * c2
-            if any(v % resolution.modulus if resolution.modulus else v
-                   for v in acc.values()):
+            if any(acc.values()):
                 ok = False
                 break
         report["dd_zero"][n] = ok

@@ -250,18 +250,14 @@ class RingMapSlice:
                     for j in range(self.source.dimension(d2)):
                         sc = self.source.table[(d1, i, d2, j)]
                         lhs = self.apply(d1 + d2, sc)
-                        a = self.apply(d1, _unit(self.source, d1, i))
-                        b = self.apply(d2, _unit(self.source, d2, j))
+                        a = self.apply(d1, self.source.basis_coords(d1, i))
+                        b = self.apply(d2, self.source.basis_coords(d2, j))
                         rhs = self.target.multiply(d1, a, d2, b)
                         m = self.source.modulus
                         if any((x - y) % m if m else x - y
                                for x, y in zip(lhs, rhs)):
                             return False
         return True
-
-
-def _unit(slice_, d, i):
-    return tuple(1 if t == i else 0 for t in range(slice_.dimension(d)))
 
 
 @dataclass
@@ -331,9 +327,9 @@ def kappa_certificate(f: RingMapSlice, p: int, s: int, N: int) -> KappaReport:
         img_cols = []
         src_dim = f.source.dimension(D)
         for i in range(src_dim):
-            img_cols.append(list(f.apply(D, _unit(f.source, D, i))))
+            img_cols.append(list(f.apply(D, f.source.basis_coords(D, i))))
         for j in range(f.target.dimension(d)):
-            x = _unit(f.target, d, j)
+            x = f.target.basis_coords(d, j)
             power = f.target.power_coords(d, x, p**s)
             if not img_cols:
                 solvable = f.target.element_is_zero(D, power)

@@ -164,3 +164,77 @@ class TestCupOne:
         sys = cohomology_system(G)
         assert not sys.is_zero(p3)
         assert cup_power(x, 0).degree == 0
+
+
+def _tuple_of(idx, n, q):
+    """Bar basis index -> tuple of non-identity elements (1..q)."""
+    out = []
+    for _ in range(n):
+        out.append(idx % q + 1)
+        idx //= q
+    return out[::-1]
+
+
+def _index_of(tup, q):
+    idx = 0
+    for t in tup:
+        idx = idx * q + t - 1
+    return idx
+
+
+def cup_reference(G, u, a, v, b, m):
+    """Front-face times back-face, over python ints."""
+    q = G.order - 1
+    out = []
+    for idx in range(q ** (a + b)):
+        tup = _tuple_of(idx, a + b, q)
+        x = u[_index_of(tup[:a], q)] * v[_index_of(tup[a:], q)]
+        out.append(x % m if m else x)
+    return out
+
+
+def cup1_reference(G, u, a, v, b, m):
+    """Sum over the a windows of length b, u on the collapsed tuple (a
+    window whose product is the identity contributes nothing)."""
+    q, n = G.order - 1, a + b - 1
+    out = []
+    for idx in range(q ** n):
+        tup = _tuple_of(idx, n, q)
+        x = 0
+        for i in range(a):
+            window = tup[i:i + b]
+            prod = window[0]
+            for g in window[1:]:
+                prod = G.table[prod][g]
+            if prod:
+                x += (u[_index_of(tup[:i] + [prod] + tup[i + b:], q)]
+                      * v[_index_of(window, q)])
+        out.append(x % m if m else x)
+    return out
+
+
+class TestLargeEntries:
+    """Cup products are exact for entries and moduli of any size: the int64
+    path runs only while the bound on its sums and the modulus fit.  Cup-1
+    used to wrap silently (a 2^40 times 2^40 product came back as 0)."""
+
+    def test_cup1_product_past_int64(self, groups):
+        assert cup1_vec(groups["c2"], [2**40], 1, [2**40], 1) == [2**80]
+
+    @pytest.mark.parametrize("m", [0, 2**61 + 1, 2**64 + 13])
+    @pytest.mark.parametrize("bits", [20, 31, 33, 70])
+    @pytest.mark.parametrize("ab", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_against_python_ints(self, groups, ab, bits, m):
+        G = groups["s3"]
+        a, b = ab
+        rng = np.random.default_rng((bits, a, b, m % 97))
+        q = G.order - 1
+
+        def vec(k):
+            return [int(x) * 2 ** (bits - 20)
+                    + int(y) for x, y in zip(rng.integers(-2**20, 2**20, q**k),
+                                             rng.integers(-9, 10, q**k))]
+
+        u, v = vec(a), vec(b)
+        assert cup_vec(G, u, a, v, b, m) == cup_reference(G, u, a, v, b, m)
+        assert cup1_vec(G, u, a, v, b, m) == cup1_reference(G, u, a, v, b, m)

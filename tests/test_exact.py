@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from cohomkit.exact.dense import (IntMatrix, SmithDecomposition,
-                                  cokernel_invariants, smith_normal_form,
-                                  solve_mod, unimodular_inverse)
+                                  cokernel_invariants, normalize_modulus,
+                                  smith_normal_form, solve_mod,
+                                  unimodular_inverse)
 from cohomkit.errors import InternalCheckFailed
 from cohomkit.exact.modp import nullspace_modp, rank_modp, solve_modp
 from cohomkit.exact.sparse import SparseFactorization
@@ -325,6 +326,19 @@ class TestSmithKernelModM:
         assert len(dec.kernel()) == 1
 
 
+@pytest.mark.parametrize("arg, m", [
+    ("Z", 0), ("z", 0), (None, 0), (0, 0), (4, 4), ("4", 4), ("Z/4", 4),
+    (" z/12 ", 12)])
+def test_normalize_modulus(arg, m):
+    assert normalize_modulus(arg) == m
+
+
+@pytest.mark.parametrize("arg", [1, -3, "Z/1", "Q", "Z/"])
+def test_normalize_modulus_rejects(arg):
+    with pytest.raises(ValueError):
+        normalize_modulus(arg)
+
+
 class TestCokernelInvariants:
     def test_examples(self):
         assert cokernel_invariants(IntMatrix.from_rows([[2]]), "Z") == [2]
@@ -455,6 +469,36 @@ class TestSparseFactorization:
         for d, w in reps:
             assert f.solve([d * v for v in w]) is not None
             assert f.solve(w) is None
+
+    @pytest.mark.parametrize("name, n, digest", [
+        ("s3", 3, "71c51c3d08fe45e217dc1bd0296b4d4ce3634e2d5bee61392c148b6dfe8ebd21"),
+        ("s3", 4, "03df035dab8ee978619a4aaa26c3abf4d05b4316c889a13831bc3794dc69e815"),
+        ("s3", 5, "a454ab055b9f2d288fd0b5305f8ef95eb95d51e8661764f54bb9ac2a3fd154ae"),
+        ("q8", 3, "81e2d0bcc9b053c7107eb3570e8f005748c3cc18c51bdf3ec1c4ad53d5c603fe"),
+        ("q8", 4, "f341ed0f2a85170da6bd737e94f653c69120b53bbe9feed0a5b739b79e1c251b"),
+        ("q8", 5, "1c2e94d6459438564f1a70f40f7c56be9c3be827c2ff957a885ffae69199b14b"),
+        ("klein4", 3, "0a54892b900b3a82769977981692f0da290e701ed597c6a7a622b51ce159a803"),
+        ("klein4", 4, "36f6ea809dc5f1081b397c951f6f1354468f65ca630be768550fa45f86cc1bda"),
+        ("klein4", 5, "58cf6fefed3f49bd1b5d97f90c65156ca535f0b0235133ca47823148e4c78ad2"),
+        ("c6", 3, "30cb08b4bb078d9e2327f4ce11441a059c11866e32d0771632f6c3c547141201"),
+        ("c6", 4, "f51a0825f2e149ef2a0788c918db067c108df97ac1c4c7d620042a104bd9895e"),
+        ("c6", 5, "d46343d808140bfaec3fc717d1b4f7a91137f7913502a06e4a5b868fe34ae7f8"),
+    ])
+    def test_factorization_pinned(self, groups, name, n, digest):
+        """The whole factorization of bar D_n, pinned by digest: the log
+        with its batches, the pivots, the echelon and residual indices and
+        the frozen pivot-row pool.  Bookkeeping changes to the elimination
+        must leave the pivot order and every logged operation as they are."""
+        f = bar_cochains(groups[name]).fact(n)
+        types, aa, bb, qq, batches = f.log
+        parts = [types.tolist(), aa.tolist(), bb.tolist(),
+                 [int(q) for q in qq], [list(b) for b in batches],
+                 f.piv_rows, f.piv_cols, f.piv_vals, f.echelon_rows,
+                 f.res_cols, f.zero_rows, f._pool_starts.tolist(),
+                 f._pool_lens.tolist(), f._pool_cols.tolist(),
+                 [int(v) for v in f._pool_vals]]
+        got = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+        assert got == digest
 
     def test_determinism(self):
         coo = ([0, 0, 1, 2], [0, 1, 1, 0], [1, -1, 2, 3])

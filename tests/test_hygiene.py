@@ -1,6 +1,6 @@
 """Source hygiene: every name a module imports is used in that module, no
-module-level function is a copy of another, and every definition is
-referenced somewhere.
+function or method is a copy of another, every definition is referenced
+somewhere, and every attribute set on ``self`` is read somewhere.
 
 No linter ships with the toolchain, so this parses ``src/cohomkit`` with
 ``ast``.  Package ``__init__.py`` files are skipped (their imports are
@@ -82,26 +82,43 @@ def test_detects_an_unused_import(tmp_path):
     assert unused_imports(mod) == [("os", 1), ("gcd", 2)]
 
 
-def _without_name_and_docstring(node):
-    node = copy.copy(node)
+def _canonical(node):
+    """``ast.dump`` of a function with its name and docstring dropped and its
+    parameters and locals renamed in order of first appearance, so copies
+    that differ only in those names compare equal."""
+    node = copy.deepcopy(node)
     node.name = ""
     first = node.body[0]
     if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
             and isinstance(first.value.value, str)):
         node.body = node.body[1:]
+    local = {n.arg for n in ast.walk(node) if isinstance(n, ast.arg)}
+    local |= {n.id for n in ast.walk(node)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    renamed = {}
+    for n in ast.walk(node):
+        field = ("arg" if isinstance(n, ast.arg)
+                 else "id" if isinstance(n, ast.Name) else None)
+        if field and getattr(n, field) in local:
+            name = getattr(n, field)
+            setattr(n, field, renamed.setdefault(name, f"_{len(renamed)}"))
     return ast.dump(node)
 
 
 def duplicate_functions(paths, root: Path):
-    """Groups of module-level functions whose ``ast.dump`` is the same once
-    names and docstrings are dropped."""
+    """Groups of module-level functions and methods that are the same up to
+    their names, docstrings and the names of their parameters and locals."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
     by_dump = {}
     for path in paths:
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                key = _without_name_and_docstring(node)
-                by_dump.setdefault(key, []).append(
-                    f"{path.relative_to(root)}:{node.name}")
+            defs = [(node.name, node)] if isinstance(node, kinds) else []
+            if isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{n.name}", n) for n in node.body
+                        if isinstance(n, kinds)]
+            for label, n in defs:
+                by_dump.setdefault(_canonical(n), []).append(
+                    f"{path.relative_to(root)}:{label}")
     return [names for names in by_dump.values() if len(names) > 1]
 
 
@@ -115,8 +132,16 @@ def test_detects_a_copied_function(tmp_path):
     mod.write_text('def f(x):\n    """One."""\n    return x + 1\n\n\n'
                    "def g(x):\n    return x + 1\n\n\n"
                    "def h(x):\n    return x - 1\n\n\n"
-                   "def k(y):\n    return y + 1\n")
-    assert duplicate_functions([mod], tmp_path) == [["m.py:f", "m.py:g"]]
+                   "def k(y):\n    return y + 1\n\n\n"
+                   "def s(a):\n    b = a + one\n    return [c for c in b]\n"
+                   "\n\ndef t(x):\n    y = x + two\n    return [z for z in y]\n"
+                   "\n\nclass C:\n    def m(self, i):\n"
+                   "        return self.n[i]\n"
+                   "\n\nclass D:\n    def m(self, j):\n"
+                   "        return self.n[j]\n"
+                   "\n    def p(self, j):\n        return self.q[j]\n")
+    assert duplicate_functions([mod], tmp_path) == [
+        ["m.py:f", "m.py:g", "m.py:k"], ["m.py:C.m", "m.py:D.m"]]
 
 
 _WORD = re.compile(r"[A-Za-z_]\w*")
@@ -183,3 +208,41 @@ def test_detects_an_unreferenced_definition(tmp_path):
     user.write_text('from m import C\n\nLAYER = "m:bound"\n')
     assert unreferenced_definitions([mod], [mod, user], tmp_path) == [
         "m.py:recursive", "m.py:C.dead"]
+
+
+def write_only_attributes(defining, reading, root: Path):
+    """Attributes assigned on ``self`` in the ``defining`` files that no
+    ``reading`` file ever reads as an attribute."""
+    read = set()
+    for path in reading:
+        read |= {n.attr for n in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(n, ast.Attribute)
+                 and isinstance(n.ctx, ast.Load)}
+    found = []
+    for path in defining:
+        for n in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"
+                    and n.attr not in read):
+                found.append(f"{path.relative_to(root)}:{n.attr}")
+    return sorted(set(found))
+
+
+def test_no_write_only_attributes():
+    reading = sorted(p for d in ("src", "tests", "perfbench")
+                     for p in (ROOT / d).rglob("*.py"))
+    dead = write_only_attributes(sorted(SRC.rglob("*.py")), reading, SRC)
+    assert not dead, f"attributes written and never read: {dead}"
+
+
+def test_detects_a_write_only_attribute(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("class C:\n    def __init__(self, x):\n"
+                   "        self.used = x\n        self.dead = x\n"
+                   "        self.pair, self.bumped = x, 0\n"
+                   "        self.bumped += 1\n\n"
+                   "    def get(self):\n        return self.used\n")
+    user = tmp_path / "user.py"
+    user.write_text("from m import C\n\nprint(C(1).pair)\n")
+    assert write_only_attributes([mod], [mod, user], tmp_path) == [
+        "m.py:bumped", "m.py:dead"]
