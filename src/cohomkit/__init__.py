@@ -12,17 +12,15 @@ from .groups import (FiniteGroup, GroupRingElement, builtin_group, cyclic,
                      quaternion_8, regular_action_matrix, symmetric_3)
 from .exact import (IntMatrix, SmithDecomposition, SparseFactorization,
                     cokernel_invariants, smith_normal_form, solve_mod)
-from .resolutions import (CochainComplex, Resolution, bar_resolution,
-                          periodic_resolution_cyclic, verify_complex)
 from .cohomology import (CohomologyClass, CohomologyGroup, bockstein_delta,
                          coefficient_map, cohomology_group, cohomology_system,
                          p_primary_part)
 from .cup import GradedRingSlice, cup_product, cup_power, ring_slice
 from .fiso import (f_iso_check, integral_psth_preimage, pth_power_preimage,
                    s_exponent, verify_derivation)
-from .fibrewise import (FGModule, dualising_check, ext_group, fibre_algebra,
-                        fibre_projectivity_test, field_free_resolution,
-                        gproj_test, koszul_selfdual_check,
-                        proj_dim_via_fibres)
+from .fibrewise import (FGModule, GModule, dualising_check, ext_group,
+                        fibre_algebra, fibre_projectivity_test,
+                        field_free_resolution, gproj_test,
+                        koszul_selfdual_check, proj_dim_via_fibres)
 from .strata import (JordanType, RingMapSlice, jordan_tensor_type,
                      kappa_certificate, thick_closure)

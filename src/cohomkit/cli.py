@@ -21,9 +21,8 @@ from .errors import (CohomkitError, InternalCheckFailed, NoIsomorphismFound,
                      NoPreimageFound, SizeCapExceeded)
 from .fibrewise import (FGModule, augmentation_ideal, dualising_check,
                         fibre_projectivity_test, gproj_test,
-                        koszul_selfdual_check, lattice_from_presentation,
-                        fp_module_from_presentation, proj_dim_via_fibres,
-                        regular_module, trivial_module)
+                        koszul_selfdual_check, module_from_presentation,
+                        proj_dim_via_fibres, regular_module, trivial_module)
 from .fiso import f_iso_check, integral_psth_preimage, pth_power_preimage, \
     s_exponent, verify_derivation
 from .groups import BUILTIN_GROUPS, builtin_group, load_group_json
@@ -162,15 +161,14 @@ def cmd_fibre(args):
                 "underlying_invariants": res["invariants"]}
         return _report("fibre", {"group": args.group, "module": args.module,
                                  "mode": "gproj"}, body, "pass")
-    if pres.base == "Fp":
-        M = fp_module_from_presentation(pres)
+    M = module_from_presentation(pres)
+    if M.p:
         r = fibre_projectivity_test(M)
         body = {"check": "fibre-projectivity", "projective": r.projective}
         return _report("fibre", {"group": args.group, "module": args.module,
                                  "mode": "projectivity", "p": pres.p},
                        body, "pass")
-    lat = lattice_from_presentation(pres)
-    rep = proj_dim_via_fibres(lat, verify_rational=args.verify_rational)
+    rep = proj_dim_via_fibres(M, verify_rational=args.verify_rational)
     body = {"check": "projdim-fibres",
             "fibres": {str(p): bool(v) for p, v in rep.fibres.items()},
             "supremum": "0" if rep.supremum == 0 else "infinity"}

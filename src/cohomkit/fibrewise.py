@@ -1,44 +1,44 @@
 """Fibrewise module criteria over ZG: projectivity through the residue
 fields, Gorenstein projectivity, the dualising module isomorphism, Ext
-groups, and Koszul self-duality.
+groups, free resolutions over F_pG, and Koszul self-duality.
 
-Modules are handled in two concrete forms: a presentation (FGModule, the
-JSON-facing type) and a realized Z-lattice or F_p-vector space carrying the
-action of every group element.  Projectivity at a fibre is decided by one
-linear splitting system; no minimal-resolution machinery anywhere.  The
-splitting systems have at most dim+1 nonzeros per row and are factored over
-Z by :mod:`cohomkit.exact.sparse`.  A lattice's system is factored once, and
-that one factorization answers all three questions: the integral test solves
-over Z, each fibre solves mod p (the system mod p is the fibre's own), and
-the rational test reads the free cokernel coordinates.  An F_p-module's
-system is lifted to Z with symmetric residues and solved mod p.  Dense SNF
-is their test oracle.
+Modules come in two forms: a presentation (FGModule, the JSON-facing type)
+and a GModule, a module over RG that is free over R = Z (p = 0) or F_p and
+carries the action matrix of every group element.  A presentation is
+realized through the Smith form U A V = D over Z of its relations A: with
+m = p over F_p and m = 0 over Z, the quotient of Z^g by the relations and
+m Z^g is the sum of the Z/gcd(d_i, m) on the coordinates (U x)_i, and the
+module keeps the coordinates of order m.  The same Smith form checks the
+action against the group table and the relations for stability.
 
-A presentation is realized through the Smith form U A V = D over Z of its
-relations: the quotient has coordinates (U x)_i, for the i past the rank
-over Z (a lattice) or for the i with d_i = 0 mod p (an F_p-module).  The
-F_p kernels and solves of the free resolutions over F_pG are read off the
-same kind of Smith form by :mod:`cohomkit.exact.modp`.
+Everything else runs on :mod:`cohomkit.exact.sparse`, whose one
+factorization over Z answers over Z and over every Z/p.  Projectivity at a
+fibre is decided by one linear splitting system, with at most dim+1
+nonzeros per row.  A lattice's system is factored once, and that
+factorization answers all three questions: the integral test solves over
+Z, each fibre solves mod p (the system mod p is the fibre's own), and the
+rational test reads the free cokernel coordinates.  Ext over ZG and free
+resolutions over F_pG share one tower of free covers.  F_p entries enter
+every factorization as symmetric residues (|v| <= p/2), so p - 1 is the
+unit -1 and stays an elimination pivot.  Dense SNF is their test oracle.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
-from math import inf
+from functools import cached_property
+from itertools import combinations, islice
+from math import gcd, inf
 
-import numpy as np
-
-from .abelian import factorize
+from .abelian import factorize, require_prime
 from .errors import (InternalCheckFailed, InvalidModule, NoIsomorphismFound,
                      NotBaseFree)
 from .exact.dense import (IntMatrix, cokernel_invariants, smith_normal_form,
                           unimodular_inverse)
-from .exact.modp import modp_solver, nullspace_modp, rank_modp
+from .exact.modp import rank_modp
 from .exact.sparse import SparseFactorization
 from .groups import FiniteGroup
-from .resolutions import subquotient_invariants
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +60,12 @@ class FGModule:
     relations: list
     action: dict              # element index -> matrix (list of rows)
 
+    def __post_init__(self):
+        if self.base == "Fp":
+            require_prime(self.p)
+        if any(len(r) != self.generators for r in self.relations):
+            raise InvalidModule("a relation needs one entry per generator")
+
     @classmethod
     def from_json_file(cls, path, group: FiniteGroup) -> "FGModule":
         with open(path) as fh:
@@ -73,16 +79,46 @@ class FGModule:
                    action={int(k): [list(map(int, row)) for row in v]
                            for k, v in data["action"].items()})
 
+    @property
+    def modulus(self) -> int:
+        """p over F_p, 0 over Z: the module is Z^g modulo the relations and
+        modulus * Z^g."""
+        return self.p if self.base == "Fp" else 0
+
+    @cached_property
+    def smith(self):
+        """Smith form U A V = D over Z of the relation matrix A (one column
+        per relation), and U^-1."""
+        g, rels = self.generators, self.relations
+        dec = smith_normal_form(
+            IntMatrix(g, len(rels), [r[i] for i in range(g) for r in rels]))
+        return dec, unimodular_inverse(dec.U)
+
+    def orders(self) -> list:
+        """Order gcd(d_i, m) of each quotient coordinate (U x)_i (0 = Z)."""
+        diag = self.smith[0].diagonal()
+        return [gcd(diag[i] if i < len(diag) else 0, self.modulus)
+                for i in range(self.generators)]
+
+    def relation_lattice(self) -> list:
+        """Basis of the relations plus m Z^g: gcd(d_i, m) times column i of
+        U^-1, for every nonzero order."""
+        Uinv = self.smith[1]
+        return [[o * Uinv[r, i] for r in range(self.generators)]
+                for i, o in enumerate(self.orders()) if o]
+
     def full_action(self):
         """Action matrix for every group element, generated from the given
-        ones by table multiplication; raises InvalidModule on failure."""
+        ones by table multiplication.  Products must match the table and the
+        generators must keep the relations, both up to the relations and
+        m Z^g (the Smith form solves mod m); raises InvalidModule."""
         G = self.group
         n = self.generators
+        m = self.modulus
         known = {0: [[1 if i == j else 0 for j in range(n)]
                      for i in range(n)]}
         for k, mat in self.action.items():
             known[int(k)] = [list(map(int, row)) for row in mat]
-        frontier = list(known)
         gens = [k for k in self.action]
         while len(known) < G.order:
             progressed = False
@@ -90,29 +126,29 @@ class FGModule:
                 for g in gens:
                     c = G.table[int(g)][a]
                     if c not in known:
-                        known[c] = _matmul(known[int(g)], known[a], self.p)
+                        known[c] = _matmul(known[int(g)], known[a], m)
                         progressed = True
             if not progressed:
                 raise InvalidModule(
                     "action generators do not generate the group")
-        # validate the multiplication table on all pairs, modulo relations
-        rel_dec = None
-        if self.relations and self.base == "Z":
-            R = IntMatrix.from_rows(
-                [list(r) for r in zip(*self.relations)])
-            rel_dec = smith_normal_form(R)
+        dec = self.smith[0]
+
+        def related(mat):
+            return all(dec.solve(col, m) is not None for col in zip(*mat))
+
         for a in range(G.order):
             for b in range(G.order):
-                got = _matmul(known[a], known[b], self.p)
+                got = _matmul(known[a], known[b], m)
                 want = known[G.table[a][b]]
-                if got != want:
-                    if rel_dec is not None and all(
-                            rel_dec.solve([got[i][j] - want[i][j]
-                                           for i in range(n)]) is not None
-                            for j in range(n)):
-                        continue
+                if got != want and not related(
+                        [[x - y for x, y in zip(r, s)]
+                         for r, s in zip(got, want)]):
                     raise InvalidModule(
                         f"action violates the table at ({a},{b})")
+        for g in gens:
+            if not related(_matmul(known[int(g)], dec.source.to_rows())):
+                raise InvalidModule(
+                    "relation submodule is not stable under the action")
         return known
 
 
@@ -133,60 +169,47 @@ def _matmul(A, B, p=0):
     return out
 
 
-class LatticeModule:
-    """Z-free ZG-module: rank + action matrix of every group element."""
-
-    def __init__(self, group: FiniteGroup, action: list, label: str = "M"):
-        self.group = group
-        self.rank = len(action[0]) if action else 0
-        self.action = [[list(map(int, row)) for row in mat] for mat in action]
-        self.label = label
-        self._validate()
-
-    def _validate(self):
-        G = self.group
-        if len(self.action) != G.order:
-            raise InvalidModule("need an action matrix per group element")
-        ident = [[1 if i == j else 0 for j in range(self.rank)]
-                 for i in range(self.rank)]
-        if self.action[0] != ident:
-            raise InvalidModule("identity element must act as the identity")
-        for a in range(G.order):
-            for b in range(G.order):
-                if _matmul(self.action[a], self.action[b]) != \
-                        self.action[G.table[a][b]]:
-                    raise InvalidModule(
-                        f"action violates the table at ({a},{b})")
-
-    def reduce_mod(self, p: int) -> "FpModule":
-        return FpModule(self.group, p,
-                        [[[v % p for v in row] for row in mat]
-                         for mat in self.action],
-                        label=f"{self.label} mod {p}")
+def _sym(v: int, m: int) -> int:
+    """v as a symmetric residue mod m (|v| <= m/2); v itself for m = 0."""
+    if not m:
+        return v
+    v %= m
+    return v - m if v > m // 2 else v
 
 
-class FpModule:
-    """Finite dimensional F_pG-module with full element action."""
+class GModule:
+    """Module over RG, free of rank ``rank`` over R = Z (p = 0) or F_p: the
+    action matrix of every group element in python ints, reduced mod p, and
+    checked against the group table."""
 
-    def __init__(self, group: FiniteGroup, p: int, action: list,
+    def __init__(self, group: FiniteGroup, action: list, p: int = 0,
                  label: str = "M"):
+        if p:
+            require_prime(p)
         self.group = group
         self.p = p
-        self.dim = len(action[0]) if action else 0
-        self.action = [np.asarray(mat, dtype=np.int64).reshape(
-            self.dim, self.dim) % p for mat in action]
+        self.rank = len(action[0]) if action else 0
+        self.action = [[[int(v) % p if p else int(v) for v in row]
+                        for row in mat] for mat in action]
         self.label = label
-        if self.dim == 0:
-            return
+        if len(self.action) != group.order:
+            raise InvalidModule("need an action matrix per group element")
+        if self.action[0] != [[int(i == j) for j in range(self.rank)]
+                              for i in range(self.rank)]:
+            raise InvalidModule("identity element must act as the identity")
         for a in range(group.order):
             for b in range(group.order):
-                got = (self.action[a] @ self.action[b]) % p
-                if not np.array_equal(got, self.action[group.table[a][b]]):
+                if _matmul(self.action[a], self.action[b], p) != \
+                        self.action[group.table[a][b]]:
                     raise InvalidModule(
                         f"action violates the table at ({a},{b})")
 
+    def reduce_mod(self, p: int) -> "GModule":
+        return GModule(self.group, self.action, p,
+                       label=f"{self.label} mod {p}")
 
-def regular_module(G: FiniteGroup) -> LatticeModule:
+
+def regular_module(G: FiniteGroup) -> GModule:
     """ZG with the left regular action."""
     n = G.order
     mats = []
@@ -195,14 +218,14 @@ def regular_module(G: FiniteGroup) -> LatticeModule:
         for h in range(n):
             mat[G.table[g][h]][h] = 1
         mats.append(mat)
-    return LatticeModule(G, mats, label="ZG")
+    return GModule(G, mats, label="ZG")
 
 
-def trivial_module(G: FiniteGroup) -> LatticeModule:
-    return LatticeModule(G, [[[1]] for _ in range(G.order)], label="Z")
+def trivial_module(G: FiniteGroup) -> GModule:
+    return GModule(G, [[[1]] for _ in range(G.order)], label="Z")
 
 
-def augmentation_ideal(G: FiniteGroup) -> LatticeModule:
+def augmentation_ideal(G: FiniteGroup) -> GModule:
     """Kernel of ZG -> Z with basis e_g - e_0 for g != 0."""
     n = G.order
     mats = []
@@ -216,79 +239,28 @@ def augmentation_ideal(G: FiniteGroup) -> LatticeModule:
             if g != 0:
                 mat[g - 1][h - 1] -= 1
         mats.append(mat)
-    return LatticeModule(G, mats, label="aug")
+    return GModule(G, mats, label="aug")
 
 
-def lattice_from_presentation(M: FGModule) -> LatticeModule:
-    """Realize a Z-presented module as a lattice; NotBaseFree on torsion."""
-    if M.base != "Z":
-        raise ValueError("only Z-based presentations become lattices")
+def module_from_presentation(M: FGModule) -> GModule:
+    """Realize a Z or F_p presentation as a GModule on its quotient
+    coordinates (U x)_i of order m: g acts by those rows of U, times act(g),
+    times those columns of U^-1.  NotBaseFree when a Z presentation has
+    torsion."""
+    if M.base not in ("Z", "Fp"):
+        raise ValueError("only Z and Fp presentations are realized")
     full = M.full_action()
-    if not M.relations:
-        return LatticeModule(M.group, [full[a] for a in range(M.group.order)])
-    dec = _relation_smith(M)
-    _check_relations_stable(M, full, dec)
-    torsion = [d for d in dec.diagonal() if d > 1]
+    m = M.modulus
+    orders = M.orders()
+    torsion = [o for o in orders if o not in (1, m)]
     if torsion:
         raise NotBaseFree(f"presentation has torsion {torsion}")
-    free = range(dec.rank(), M.generators)
-    return LatticeModule(M.group, _quotient_action(M, full, dec, free))
-
-
-def fp_module_from_presentation(M: FGModule) -> FpModule:
-    """Realize an F_p presentation as an explicit FpModule."""
-    if M.base != "Fp" or not M.p:
-        raise ValueError("expected an Fp presentation with a prime p")
-    p = M.p
-    full = M.full_action()
-    if not M.relations:
-        return FpModule(M.group, p, [full[a] for a in range(M.group.order)])
-    dec = _relation_smith(M)
-    # Z^g / (relations + p Z^g) is F_p on the coordinates with p | d
-    diag = dec.diagonal()
-    free = [i for i in range(M.generators)
-            if i >= len(diag) or diag[i] % p == 0]
-    return FpModule(M.group, p, _quotient_action(M, full, dec, free))
-
-
-def _relation_smith(M: FGModule):
-    """Smith form over Z of the relation matrix (one column per
-    relation)."""
-    return smith_normal_form(
-        IntMatrix.from_rows([list(r) for r in M.relations]).transpose())
-
-
-def _quotient_action(M: FGModule, full, dec, free):
-    """Action matrices on the quotient of Z^g by the relations, in the
-    coordinates (U x)_i for i in ``free``, where U A V = D is ``dec``; a
-    coordinate lifts back through column i of U^-1."""
-    g = M.generators
-    Uinv = unimodular_inverse(dec.U)
-    proj_rows = [dec.U.row(i) for i in free]
-    lift_cols = [[Uinv[i, j] for i in range(g)] for j in free]
-    mats = []
-    for a in range(M.group.order):
-        act = full[a]
-        imgs = [[sum(act[i][t] * col[t] for t in range(g)) for i in range(g)]
-                for col in lift_cols]
-        mats.append([[sum(r * x for r, x in zip(row, img)) for img in imgs]
-                     for row in proj_rows])
-    return mats
-
-
-def _check_relations_stable(M: FGModule, full_action, dec):
-    """The relation submodule, the columns of ``dec.source``, must be
-    action-stable."""
-    A = dec.source
-    for a in range(M.group.order):
-        act = full_action[a]
-        for j in range(A.cols):
-            col = [A[i, j] for i in range(A.rows)]
-            img = [sum(act[i][t] * col[t] for t in range(len(col)))
-                   for i in range(len(col))]
-            if dec.solve(img) is None:
-                raise InvalidModule(
-                    "relation submodule is not stable under the action")
+    free = [i for i, o in enumerate(orders) if o == m]
+    dec, Uinv = M.smith
+    proj = [dec.U.row(i) for i in free]
+    lift = [[Uinv[i, j] for j in free] for i in range(M.generators)]
+    return GModule(M.group, [_matmul(_matmul(proj, full[a]), lift)
+                             for a in range(M.group.order)], m)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +292,8 @@ class FibreAlgebra:
 
 
 def fibre_algebra(G: FiniteGroup, p: int) -> FibreAlgebra:
-    if p != 0:
-        for d in range(2, int(p**0.5) + 1):
-            if p % d == 0:
-                raise ValueError(f"{p} is not prime (or 0 for Q)")
+    if p:
+        require_prime(p)
     return FibreAlgebra(G, p, G.order)
 
 
@@ -338,8 +308,8 @@ class ProjectivityResult:
 
 
 def _free_cover_data(group: FiniteGroup, dim: int, action_of):
-    """Free cover F = (RG)^dim -> M, e_{j,g} -> g m_j; returns the cover
-    matrix P (dim x dim*|G|) and the F-action permutation data."""
+    """Free cover F = (RG)^dim -> M, e_{j,g} -> g m_j, as its matrix P
+    (dim x dim*|G|)."""
     n = group.order
     P = [[0] * (dim * n) for _ in range(dim)]
     for j in range(dim):
@@ -402,39 +372,35 @@ def _splitting_factorization(group: FiniteGroup, dim: int, action_of):
     return SparseFactorization(nrows, ncols, coo), rhs
 
 
-def _splitting_test(group: FiniteGroup, dim: int, action_of,
-                    m: int) -> ProjectivityResult:
-    """Solve the splitting system over Z (m=0) or F_m with the sparse
-    factorization; a solution is the witness sigma."""
-    if dim == 0:
-        return ProjectivityResult(True, [])
-    fact, rhs = _splitting_factorization(group, dim, action_of)
-    x = fact.solve(rhs, m)
-    if x is None:
-        return ProjectivityResult(False, None)
-    sigma = [[x[r * dim + c] for c in range(dim)]
-             for r in range(dim * group.order)]
-    return ProjectivityResult(True, sigma)
-
-
-def fibre_projectivity_test(M: FpModule) -> ProjectivityResult:
-    """Projectivity over F_pG by solvability of the splitting system.
+def fibre_projectivity_test(M: GModule) -> ProjectivityResult:
+    """Projectivity over F_pG (over ZG when M.p = 0) by solvability of the
+    splitting system; a solution is the witness sigma.
 
     The system is factored over Z from symmetric residues (|v| <= p/2), so
     that p - 1 enters as the unit -1 and stays an elimination pivot."""
-    half = M.p // 2
-    lifted = [[[v - M.p if v > half else v for v in row]
-               for row in mat.tolist()] for mat in M.action]
-    return _splitting_test(M.group, M.dim, lambda g: lifted[g], M.p)
+    dim = M.rank
+    if dim == 0:
+        return ProjectivityResult(True, [])
+    lifted = [[[_sym(v, M.p) for v in row] for row in mat]
+              for mat in M.action]
+    fact, rhs = _splitting_factorization(M.group, dim, lambda g: lifted[g])
+    x = fact.solve(rhs, M.p)
+    if x is None:
+        return ProjectivityResult(False, None)
+    sigma = [[x[r * dim + c] for c in range(dim)]
+             for r in range(dim * M.group.order)]
+    return ProjectivityResult(True, sigma)
 
 
-def integral_projectivity_test(M: LatticeModule) -> ProjectivityResult:
+def integral_projectivity_test(M: GModule) -> ProjectivityResult:
     """Projectivity over ZG by an exact integral splitting of the free
     cover (the direct side of the fibrewise criterion)."""
-    return _splitting_test(M.group, M.rank, lambda g: M.action[g], 0)
+    if M.p:
+        raise ValueError("expected a module over ZG")
+    return fibre_projectivity_test(M)
 
 
-def rational_projectivity_test(M: LatticeModule) -> bool:
+def rational_projectivity_test(M: GModule) -> bool:
     """Exact splitting over Q (always succeeds by Maschke; kept as a
     verification toggle), decided by the Z factorization."""
     if M.rank == 0:
@@ -459,7 +425,7 @@ class FibreDimReport:
         return f"{self.module_label}: [{rows}] sup proj.dim = {sup}"
 
 
-def proj_dim_via_fibres(M: LatticeModule,
+def proj_dim_via_fibres(M: GModule,
                         verify_rational: bool = False) -> FibreDimReport:
     """Projective dimension over ZG through the fibres: 0 when every
     residue-field fibre is projective, infinity otherwise (fibre group
@@ -487,15 +453,17 @@ def proj_dim_via_fibres(M: LatticeModule,
 
 def gproj_test(M: FGModule) -> dict:
     """Gorenstein projectivity over ZG for f.g. presentations: equivalent
-    to Z-freeness of the underlying abelian group, decided by SNF."""
+    to Z-freeness of the underlying abelian group.  The presentation is
+    validated, then its invariants are read off the relation Smith form."""
     if M.base != "Z":
         raise ValueError("gproj_test applies to Z-based presentations")
+    M.full_action()
     if not M.relations:
         return {"gorenstein_projective": True, "invariants": []}
-    A = IntMatrix.from_rows([list(r) for r in M.relations]).transpose()
-    inv = cokernel_invariants(A, "Z")
-    torsion = [f for f in inv if f > 1]
-    return {"gorenstein_projective": not torsion, "invariants": inv}
+    orders = M.orders()
+    torsion = [o for o in orders if o > 1]
+    return {"gorenstein_projective": not torsion,
+            "invariants": torsion + [0] * orders.count(0)}
 
 
 # ---------------------------------------------------------------------------
@@ -526,169 +494,144 @@ class DualisingWitness:
 
 
 def dualising_check(G: FiniteGroup) -> DualisingWitness:
-    """Left-module isomorphism Hom_Z(ZG, Z) ~ ZG found by solving the
-    equivariance system and searching the solution lattice for a
-    unimodular element."""
+    """Left-module isomorphism Hom_Z(ZG, Z) ~ ZG in closed form.
+
+    T e_h = f_{k h^{-1}} commutes with the actions for every k, since
+    L_g e_h = e_{g h} and g f_x = f_{x g^{-1}}; it permutes the basis, so it
+    is unimodular.  k is the last element."""
     n = G.order
-    # unknowns: T (n x n), T e_h = column h; constraints:
-    # T . L_g = act_omega(g) . T for all g
-    rows = []
-    for g in range(1, n):
-        for h in range(n):
-            for i in range(n):
-                row = [0] * (n * n)
-                # (T L_g)[i][h] = T[i][g h]
-                row[i * n + G.table[g][h]] += 1
-                # (act_omega(g) T)[i][h] = T[g^{-1} i ... ]
-                # omega: f_k -> f_{k g^{-1}} so row i receives T[i g][h]
-                row[G.table[i][g] * n + h] -= 1
-                rows.append(row)
-    A = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(1, n * n)
-    basis = smith_normal_form(A).kernel()
-    candidates = list(basis)
-    for a, b in combinations(range(len(basis)), 2):
-        candidates.append([x + y for x, y in zip(basis[a], basis[b])])
-        candidates.append([x - y for x, y in zip(basis[a], basis[b])])
-    # the solution lattice is {T_f : f in Z^n} with T_f(e_h) = h.f; the
-    # delta-supported choices give permutation matrices, so seed those too
-    for k in range(n):
-        cand = [0] * (n * n)
-        for h in range(n):
-            i = G.table[k][G.inverse[h]]
-            cand[i * n + h] = 1
-        candidates.append(cand)
-    for cand in candidates:
-        T = [[cand[i * n + j] for j in range(n)] for i in range(n)]
-        det = IntMatrix.from_rows(T).det()
-        if abs(det) == 1:
-            w = DualisingWitness(G.label, T, det)
-            if not w.verify(G):
-                raise InternalCheckFailed(
-                    "candidate passed unimodularity but not equivariance")
-            return w
-    raise NoIsomorphismFound(
-        f"no unimodular equivariant map found for {G.label}; this "
-        "contradicts self-injectivity of group algebras")
+    k = n - 1
+    T = [[0] * n for _ in range(n)]
+    for h in range(n):
+        T[G.table[k][G.inverse[h]]][h] = 1
+    w = DualisingWitness(G.label, T, IntMatrix.from_rows(T).det())
+    if not w.verify(G):
+        raise NoIsomorphismFound(
+            f"the permutation witness fails for {G.label}; this "
+            "contradicts self-injectivity of group algebras")
+    return w
 
 
 # ---------------------------------------------------------------------------
-# Ext over ZG via iterated free covers
+# the tower of free covers, over Z (Ext) and over F_p (resolutions)
 # ---------------------------------------------------------------------------
 
-def _lattice_basis_of_span(cols):
-    """Basis of the lattice spanned by the given integer columns."""
-    if not cols:
-        return []
-    W = IntMatrix.from_rows([list(r) for r in zip(*cols)])
-    dec = smith_normal_form(W)
-    # U W V = D, so the columns of W V are U^-1 D: d_j times column j of U^-1
-    WV = W @ dec.V
-    return [[WV[i, j] for i in range(W.rows)]
-            for j, d in enumerate(dec.diagonal()) if d != 0]
-
-
-def _syzygy_module(G: FiniteGroup, cols):
-    """The sublattice of ZG^k spanned by the given columns, as a
-    LatticeModule in the column basis (columns must be a lattice basis of
-    an action-stable sublattice)."""
+def _translate(G: FiniteGroup, g: int, v):
+    """g v for v in (RG)^k, with coordinates j*|G| + h."""
     n = G.order
-    B = IntMatrix.from_rows([list(r) for r in zip(*cols)])
-    bdec = smith_normal_form(B)
+    out = [0] * len(v)
+    for idx, val in enumerate(v):
+        if val:
+            j, h = divmod(idx, n)
+            out[j * n + G.table[g][h]] = val
+    return out
+
+
+def _factor_columns(cols, nrows: int, m: int = 0) -> SparseFactorization:
+    """Factorization of the matrix with the given columns, entries as
+    symmetric residues mod m."""
+    ri, ci, vi = [], [], []
+    for j, v in enumerate(cols):
+        for i, x in enumerate(v):
+            x = _sym(x, m)
+            if x:
+                ri.append(i)
+                ci.append(j)
+                vi.append(x)
+    return SparseFactorization(nrows, len(cols), (ri, ci, vi))
+
+
+def _cover_kernel(G: FiniteGroup, m: int, rank: int, action, lattice=()):
+    """Basis over Z (m = 0) or F_m of the kernel of the free cover
+    P : (RG)^rank -> M, e_{j,g} -> g m_j.  With ``lattice``, independent
+    columns spanning a sublattice L of Z^rank, it is the kernel of P
+    followed by Z^rank -> Z^rank / L: ker [P | -L] projected, which the
+    independence makes injective."""
+    # column j*|G| + g of P is column j of action[g]
+    cols = [[row[j] for row in action[g]]
+            for j in range(rank) for g in range(G.order)]
+    k = len(cols)
+    cols += [[-x for x in v] for v in lattice]
+    return [x[:k] for x in _factor_columns(cols, rank, m).kernel_basis(m)]
+
+
+def _kernel_action(G: FiniteGroup, m: int, K):
+    """Action matrices of G on the span of the kernel basis K, in that
+    basis: each g K_j solved against one factorization of K."""
+    fact = _factor_columns(K, len(K[0]), m)
     mats = []
-    for g in range(n):
-        mat_cols = []
-        for v in cols:
-            img = [0] * len(v)
-            for idx, val in enumerate(v):
-                if val:
-                    j, h = divmod(idx, n)
-                    img[j * n + G.table[g][h]] += val
-            y = bdec.solve(img)
-            if y is None:
-                raise InternalCheckFailed("syzygy lattice not action-stable")
-            mat_cols.append(y)
-        mats.append([list(r) for r in zip(*mat_cols)])
-    return LatticeModule(G, mats, label="syzygy")
+    for g in range(G.order):
+        cols = [fact.solve(_translate(G, g, v), m) for v in K]
+        if None in cols:
+            raise InternalCheckFailed("kernel not action-stable")
+        mats.append([list(r) for r in zip(*cols)])
+    return mats
 
 
-def ext_group(M, N: LatticeModule, i: int) -> list:
+def _syzygies(G: FiniteGroup, m: int, K):
+    """Yield the kernel basis K, then the kernel bases of the free covers of
+    the successive syzygies, each in (RG)^{len of the one before}.  The
+    action on a kernel is computed only when the next kernel is asked
+    for."""
+    while True:
+        yield K
+        K = _cover_kernel(G, m, len(K), _kernel_action(G, m, K)) if K else []
+
+
+# ---------------------------------------------------------------------------
+# Ext over ZG
+# ---------------------------------------------------------------------------
+
+def _hom(G: FiniteGroup, K, r: int, N: GModule):
+    """Columns of Hom_ZG(d, N) : N^r -> N^{len(K)} for d : ZG^{len(K)} ->
+    ZG^r sending generator t to K[t]; block (t, j) is
+    sum_g K[t][j*|G| + g] N(g)."""
+    n, rN = G.order, N.rank
+    cols = [[0] * (len(K) * rN) for _ in range(r * rN)]
+    for t, v in enumerate(K):
+        for idx, val in enumerate(v):
+            if val:
+                j, g = divmod(idx, n)
+                for a, row in enumerate(N.action[g]):
+                    for b, x in enumerate(row):
+                        cols[j * rN + b][t * rN + a] += val * x
+    return cols
+
+
+def ext_group(M, N: GModule, i: int) -> list:
     """Invariant factors of Ext^i_{ZG}(M, N); 0 denotes a free summand.
 
-    M may be a LatticeModule or an FGModule presentation (torsion
-    allowed); the resolution uses basis-sized free covers, with the first
-    kernel adjusted by the relation lattice.
-    """
+    M may be a GModule over ZG or an FGModule presentation (torsion
+    allowed).  The resolution is the tower of basis-sized free covers; its
+    first kernel is that of F_0 -> Z^g -> M, taken against the relation
+    lattice.  Ext^i is ker(d_out)/im(d_in) for the induced maps
+    d_out = Hom(d_{i+1}, N) and d_in = Hom(d_i, N): a kernel basis, the
+    coordinates of im(d_in) in it, and their cokernel."""
     G = M.group
     if G is not N.group:
         raise ValueError("modules over different groups")
-    n = G.order
-    if isinstance(M, LatticeModule):
-        gens = M.rank
-        relations = []
-        action_of = lambda g: M.action[g]
+    if isinstance(M, FGModule):
+        rank, action, lattice = (M.generators, M.full_action(),
+                                 M.relation_lattice())
     else:
-        full = M.full_action()
-        gens = M.generators
-        relations = [list(r) for r in M.relations]
-        action_of = lambda g: full[g]
-    if gens == 0:
+        rank, action, lattice = M.rank, M.action, []
+    if N.p or isinstance(M, GModule) and M.p:
+        raise ValueError("Ext is taken over ZG")
+    if rank == 0:
         return []
-    # tower of free covers: ranks[t] = rank of F_t, cols_t = d_{t+1} columns
-    ranks = [gens]
-    zg_cols = []
-    cover = _free_cover_data(G, gens, action_of)
-    if relations:
-        # kernel of Z^{gens*n} -> Z^gens -> Z^gens / (relation lattice)
-        R = [list(r) for r in zip(*relations)]  # gens x (#relations)
-        aug_rows = [cover[r_] + [-R[r_][c] for c in range(len(relations))]
-                    for r_ in range(gens)]
-        kern = smith_normal_form(IntMatrix.from_rows(aug_rows)).kernel()
-        projected = [v[:gens * n] for v in kern]
-        cols = _lattice_basis_of_span(projected)
-    else:
-        cols = smith_normal_form(IntMatrix.from_rows(cover)).kernel()
-    zg_cols.append(cols)
-    cur = _syzygy_module(G, cols) if cols else None
-    for t in range(1, i + 2):
-        if cur is None:
-            zg_cols.append([])
-            ranks.append(0)
-            continue
-        ranks.append(cur.rank)
-        cov = _free_cover_data(G, cur.rank, lambda g, c=cur: c.action[g])
-        kern = smith_normal_form(IntMatrix.from_rows(cov)).kernel()
-        zg_cols.append(kern)
-        cur = _syzygy_module(G, kern) if kern else None
-
-    rN = N.rank
-
-    def hom_matrix(t):
-        """delta^t : N^{k_{t-1}} -> N^{k_t} induced by d_t."""
-        cols_t = zg_cols[t - 1]
-        k_prev = ranks[t - 1]
-        k_t = len(cols_t)
-        rows_out = k_t * rN
-        cols_out = k_prev * rN
-        ent = [[0] * cols_out for _ in range(rows_out)]
-        for jt, v in enumerate(cols_t):
-            for idx, val in enumerate(v):
-                if not val:
-                    continue
-                j, g = divmod(idx, n)
-                act = N.action[g]
-                for a in range(rN):
-                    for b in range(rN):
-                        if act[a][b]:
-                            ent[jt * rN + a][j * rN + b] += val * act[a][b]
-        return IntMatrix.from_rows(ent) if rows_out else \
-            IntMatrix.zero(0, cols_out)
-
-    d_out = hom_matrix(i + 1)
-    if i == 0:
-        d_in = IntMatrix.zero(ranks[0] * rN, 1)
-    else:
-        d_in = hom_matrix(i)
-    return subquotient_invariants(d_in, d_out, "Z")
+    first = _cover_kernel(G, 0, rank, action, lattice)
+    kernels = list(islice(_syzygies(G, 0, first), i + 1))
+    ranks = [rank] + [len(K) for K in kernels]
+    d_out = _hom(G, kernels[i], ranks[i], N)
+    basis = _factor_columns(d_out, ranks[i + 1] * N.rank).kernel_basis()
+    if not basis:
+        return []
+    coords = _factor_columns(basis, ranks[i] * N.rank)
+    rels = [coords.solve(col)
+            for col in (_hom(G, kernels[i - 1], ranks[i - 1], N) if i else [])]
+    if None in rels:
+        raise InternalCheckFailed("d_out d_in != 0 in the Ext complex")
+    return _factor_columns(rels, len(basis)).coker_invariants()
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +738,7 @@ def _perm_sign(perm):
 class FieldResolution:
     """Iterated basis-sized free covers of an F_pG-module."""
 
-    module: FpModule
+    module: GModule
     free_ranks: list
     diffs: list        # F_p matrices of d_t : F_t -> F_{t-1} (expanded)
     cover: list | None  # matrix F_0 -> M
@@ -805,76 +748,37 @@ class FieldResolution:
         return len(self.free_ranks)
 
 
-def _is_free_decomposition(M: FpModule):
-    """Greedy search for a free basis; None if not found."""
-    G, p = M.group, M.p
-    n = G.order
-    if M.dim == 0 or M.dim % n != 0:
-        return None if M.dim else []
-    chosen = []
-    span_rows = []
-    for cand in range(M.dim):
-        v = np.zeros(M.dim, dtype=np.int64)
-        v[cand] = 1
-        orbit = [(M.action[g] @ v) % p for g in range(n)]
-        test = span_rows + orbit
-        if rank_modp(test, p) == len(span_rows) + n:
-            chosen.append(v)
-            span_rows = test
-            if len(span_rows) == M.dim:
-                return chosen
-    return None
+def _is_free(M: GModule) -> bool:
+    """Greedy search for a free F_pG-basis among the standard basis
+    vectors."""
+    n = M.group.order
+    if M.rank % n:
+        return False
+    span = []
+    for cand in range(M.rank):
+        orbit = [[A[i][cand] for i in range(M.rank)] for A in M.action]
+        if rank_modp(span + orbit, M.p) == len(span) + n:
+            span += orbit
+            if len(span) == M.rank:
+                return True
+    return False
 
 
-def field_free_resolution(M: FpModule, N: int) -> FieldResolution:
-    """Iterated free covers: each step maps a free module on a basis of the
-    current module; any free resolution computes Ext."""
-    if M.dim == 0:
-        return FieldResolution(M, [], [], None)
-    if _is_free_decomposition(M) is not None:
+def field_free_resolution(M: GModule, N: int) -> FieldResolution:
+    """Iterated free covers to length N, stopping at a zero syzygy: each
+    step maps a free module on a basis of the current syzygy, so d_t sends
+    e_{j,g} to g K_j for the kernel basis K of the cover before it; any
+    free resolution computes Ext."""
+    if M.rank == 0 or _is_free(M):
         return FieldResolution(M, [], [], None)
     G, p = M.group, M.p
-    n = G.order
-    ranks = []
-    diffs = []
-    cover0 = None
-    cur = M
-    incl_prev = None
-    for t in range(N + 1):
-        P = _free_cover_data(G, cur.dim, lambda g, c=cur: c.action[g].tolist())
-        ranks.append(cur.dim)
-        if t == 0:
-            cover0 = P
-        else:
-            # d_t = incl_{t-1} o cover_t expanded to F_p matrices
-            exp_prev = incl_prev  # columns of K_{t-1} in F_{t-1}
-            mat = (np.asarray(exp_prev, dtype=np.int64).T @
-                   np.asarray(P, dtype=np.int64)) % p
-            # exp_prev: list of kernel basis vectors; P maps F_t onto K bases
-            diffs.append(mat.tolist())
-        K = nullspace_modp(P, p)
+    ranks, diffs = [M.rank], []
+    for K in islice(_syzygies(G, p, _cover_kernel(G, p, M.rank, M.action)),
+                    N):
         if not K:
             break
-        # action of G on the kernel subspace, in the kernel basis
-        solve = modp_solver(np.stack(K, axis=1), p)
-        mats = []
-        for g in range(n):
-            imgs = []
-            for v in K:
-                img = np.zeros_like(v)
-                for idx in range(v.shape[0]):
-                    if v[idx]:
-                        j, h = divmod(idx, n)
-                        img[j * n + G.table[g][h]] = \
-                            (img[j * n + G.table[g][h]] + v[idx]) % p
-                imgs.append(img)
-            sol = []
-            for img in imgs:
-                y = solve(img)
-                if y is None:
-                    raise InternalCheckFailed("kernel not action-stable")
-                sol.append([int(t2) % p for t2 in y])
-            mats.append([list(r) for r in zip(*sol)])
-        incl_prev = [v.tolist() for v in K]
-        cur = FpModule(G, p, mats, label="syzygy")
-    return FieldResolution(M, ranks, diffs, cover0)
+        ranks.append(len(K))
+        diffs.append([list(r) for r in zip(*(
+            _translate(G, g, v) for v in K for g in range(G.order)))])
+    return FieldResolution(M, ranks, diffs,
+                           _free_cover_data(G, M.rank, lambda g: M.action[g]))

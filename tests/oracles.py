@@ -1,0 +1,265 @@
+"""Dense oracles for the tests: free resolutions of the trivial module over
+ZG and their cochain complexes, on the dense Smith normal form only.
+
+Two independent constructions are provided: the normalized bar resolution
+(any finite group) and the period-2 resolution of cyclic groups, which
+serves as a cross-check oracle for every cohomology computation.  Homology
+is read off by ``subquotient_invariants``, on dense matrices.
+
+The degree-n term of the normalized bar resolution is free over ZG on
+n-tuples of non-identity elements, so ranks grow like (|G|-1)^n; tuples are
+ordered lexicographically, as in :mod:`cohomkit.resolutions`.
+
+They use nothing of the sparse engine they check (which shares only the
+dense Smith form, on its small echelon block): from ``cohomkit`` they
+import only ``exact.dense``, ``groups``, ``config`` and ``errors``
+(``test_hygiene.py`` holds them to that).
+"""
+
+from cohomkit.config import size_cap
+from cohomkit.errors import SizeCapExceeded
+from cohomkit.exact.dense import (IntMatrix, cokernel_invariants,
+                                  normalize_modulus, smith_normal_form)
+from cohomkit.groups import FiniteGroup, cyclic
+
+
+class Resolution:
+    """Free resolution data over the group ring.
+
+    Differentials are stored sparsely as lists of (col, row, g, coeff)
+    meaning d(e_col) += coeff * g * e_row; ``differential_int_matrix``
+    expands degree n to the underlying Z-lattice map of shape
+    (ranks[n-1]*|G|) x (ranks[n]*|G|).
+    """
+
+    def __init__(self, group: FiniteGroup, ranks, zg_diffs):
+        self.group = group
+        self.ranks = list(ranks)
+        self.zg_diffs = zg_diffs  # zg_diffs[n] for 1 <= n <= N
+
+    @property
+    def length(self) -> int:
+        return len(self.ranks) - 1
+
+    def differential_int_matrix(self, n: int) -> IntMatrix:
+        order = self.group.order
+        rows = self.ranks[n - 1] * order
+        cols = self.ranks[n] * order
+        if rows * cols > size_cap() * 64:
+            raise SizeCapExceeded(
+                f"expanded differential {rows}x{cols} exceeds the cap")
+        table = self.group.table
+        ent = [[0] * cols for _ in range(rows)]
+        # d(h . e_j) = h . d(e_j), so the g-term lands on (h g) . e_i
+        for (j, i, g, c) in self.zg_diffs[n]:
+            for h in range(order):
+                ent[i * order + table[h][g]][j * order + h] += c
+        return IntMatrix.from_rows(ent)
+
+    def augmentation_matrix(self) -> IntMatrix:
+        order = self.group.order
+        return IntMatrix.from_rows([[1] * (self.ranks[0] * order)])
+
+    def dual_differential(self, n: int, coefficient_modulus: int = 0) -> IntMatrix:
+        """Matrix of Hom_ZG(d_n, M) for the trivial module M = Z or Z/m,
+        as a map M^{ranks[n-1]} -> M^{ranks[n]}."""
+        rows = [[0] * self.ranks[n - 1] for _ in range(self.ranks[n])]
+        for (j, i, g, c) in self.zg_diffs[n]:
+            rows[j][i] += c
+        if coefficient_modulus:
+            rows = [[v % coefficient_modulus for v in r] for r in rows]
+        return IntMatrix.from_rows(rows)
+
+
+def bar_resolution(G: FiniteGroup, N: int) -> Resolution:
+    """Normalized bar resolution of Z over ZG up to degree N."""
+    q = G.order - 1
+    cap = size_cap()
+    if q**N > cap:
+        raise SizeCapExceeded(
+            f"bar resolution rank {q}^{N} exceeds the cochain cap {cap}")
+    ranks = [q**n for n in range(N + 1)]
+    diffs = {n: _bar_zg_entries(G, n) for n in range(1, N + 1)}
+    return Resolution(G, ranks, diffs)
+
+
+def _tuple_of_index(idx: int, n: int, q: int):
+    """Lexicographic tuple of non-identity element indices (each in 1..q)."""
+    digits = []
+    for _ in range(n):
+        digits.append(idx % q + 1)
+        idx //= q
+    return tuple(reversed(digits))
+
+
+def _index_of_tuple(tup, q: int) -> int:
+    idx = 0
+    for t in tup:
+        idx = idx * q + (t - 1)
+    return idx
+
+
+def _bar_zg_entries(G: FiniteGroup, n: int):
+    """Sparse ZG entries of d_n: F_n -> F_{n-1} of the normalized bar
+    resolution: d[g1|..|gn] = g1[g2|..|gn] + sum (-1)^i [..|g_i g_{i+1}|..]
+    + (-1)^n [g1|..|g_{n-1}], degenerate faces dropped."""
+    q = G.order - 1
+    table = G.table
+    out = []
+    for j in range(q**n):
+        tup = _tuple_of_index(j, n, q)
+        if n == 1:
+            out.append((j, 0, tup[0], 1))
+            out.append((j, 0, 0, -1))
+            continue
+        out.append((j, _index_of_tuple(tup[1:], q), tup[0], 1))
+        sign = -1
+        for i in range(1, n):
+            prod = table[tup[i - 1]][tup[i]]
+            if prod != 0:
+                merged = tup[:i - 1] + (prod,) + tup[i + 1:]
+                out.append((j, _index_of_tuple(merged, q), 0, sign))
+            sign = -sign
+        out.append((j, _index_of_tuple(tup[:-1], q), 0, sign))
+    return out
+
+
+def periodic_resolution_cyclic(n: int, N: int) -> Resolution:
+    """Period-2 resolution of Z over ZC_n: multiplication by (g-1) in odd
+    degrees and by the norm element in even degrees."""
+    if n < 2:
+        raise ValueError("cyclic group order must be >= 2")
+    G = cyclic(n)
+    ranks = [1] * (N + 1)
+    diffs = {}
+    for k in range(1, N + 1):
+        if k % 2 == 1:
+            diffs[k] = [(0, 0, 1, 1), (0, 0, 0, -1)]
+        else:
+            diffs[k] = [(0, 0, g, 1) for g in range(n)]
+    return Resolution(G, ranks, diffs)
+
+
+def subquotient_invariants(d_in: IntMatrix, d_out: IntMatrix, m) -> list:
+    """Invariant factors of ker(d_out)/im(d_in) over Z (m=0/"Z") or Z/m.
+
+    Dense, exact, independent of the sparse machinery: used as the oracle
+    for small complexes.  Over Z a 0 denotes a free summand.
+    """
+    m = normalize_modulus(m)
+    r = d_out.cols
+    if d_in.rows != r:
+        raise ValueError("differentials do not compose")
+    # lattice L = {x : d_out x = 0 (mod m)} expressed by a basis matrix B
+    basis = smith_normal_form(d_out).kernel(m)
+    if not basis:
+        return []
+    B = IntMatrix.from_rows([list(col) for col in zip(*basis)])
+    # generators of im(d_in) + mZ^r in B-coordinates
+    gens = [[d_in[i, j] for i in range(r)] for j in range(d_in.cols)]
+    if m:
+        gens += [[m if k == i else 0 for k in range(r)] for i in range(r)]
+    bdec = smith_normal_form(B)
+    rel_cols = []
+    for gvec in gens:
+        y = bdec.solve(gvec)
+        if y is None:
+            raise ValueError("image does not lie in the kernel lattice")
+        rel_cols.append(y)
+    if not rel_cols:
+        return [0] * B.cols
+    R = IntMatrix.from_rows([list(col) for col in zip(*rel_cols)])
+    return cokernel_invariants(R, "Z")
+
+
+def verify_complex(resolution: Resolution, max_degree: int | None = None) -> dict:
+    """Check d o d = 0 and exactness of the augmented complex.
+
+    Returns {"dd_zero": {n: bool}, "exact": {n: bool}, "pass": bool}.
+    Exactness at degree n (1 <= n <= N-1) means the homology of the
+    underlying Z-lattice complex vanishes there; degree 0 checks that the
+    augmentation identifies H_0 with Z.
+    """
+    N = resolution.length if max_degree is None else min(max_degree,
+                                                         resolution.length)
+    order = resolution.group.order
+    table = resolution.group.table
+    report = {"dd_zero": {}, "exact": {}}
+    # symbolic composition over the group ring
+    for n in range(2, N + 1):
+        acc: dict = {}
+        by_col: dict = {}
+        for (j, i, g, c) in resolution.zg_diffs[n]:
+            by_col.setdefault(j, []).append((i, g, c))
+        inner: dict = {}
+        for (j2, i2, g2, c2) in resolution.zg_diffs[n - 1]:
+            inner.setdefault(j2, []).append((i2, g2, c2))
+        ok = True
+        for j, terms in by_col.items():
+            acc.clear()
+            for (mid, g, c) in terms:
+                for (i2, g2, c2) in inner.get(mid, []):
+                    key = (i2, table[g][g2])
+                    acc[key] = acc.get(key, 0) + c * c2
+            if any(acc.values()):
+                ok = False
+                break
+        report["dd_zero"][n] = ok
+    # exactness via dense invariants on the expanded lattice complex
+    mats = {}
+
+    def mat(n):
+        if n not in mats:
+            if n == 0:
+                mats[n] = resolution.augmentation_matrix()
+            else:
+                mats[n] = resolution.differential_int_matrix(n)
+        return mats[n]
+
+    for n in range(0, N):
+        d_out = mat(n)          # F_n -> F_{n-1} (or augmentation at n=0)
+        d_in = mat(n + 1)       # F_{n+1} -> F_n
+        try:
+            inv = subquotient_invariants(d_in=d_in, d_out=d_out, m="Z")
+        except ValueError:
+            # image not even contained in the kernel: d o d != 0 here
+            report["exact"][n] = False
+            continue
+        report["exact"][n] = (inv == [])
+    report["pass"] = all(report["dd_zero"].values()) and \
+        all(report["exact"].values())
+    return report
+
+
+class CochainComplex:
+    """Hom over the group ring from a resolution into Z or Z/c (trivial
+    module), with dual differentials materialized on demand."""
+
+    def __init__(self, resolution: Resolution, coefficient_modulus: int = 0):
+        self.resolution = resolution
+        self.coefficient_modulus = int(coefficient_modulus)
+
+    def rank(self, n: int) -> int:
+        return self.resolution.ranks[n]
+
+    def differential(self, n: int) -> IntMatrix:
+        """d^n : C^{n-1} -> C^n."""
+        return self.resolution.dual_differential(
+            n, coefficient_modulus=self.coefficient_modulus)
+
+    def verify_dd_zero(self, max_degree: int | None = None) -> bool:
+        N = self.resolution.length if max_degree is None else max_degree
+        m = self.coefficient_modulus
+        for n in range(2, N + 1):
+            prod = self.differential(n) @ self.differential(n - 1)
+            bad = any((v % m if m else v) for v in prod.entries)
+            if bad:
+                return False
+        return True
+
+    def cohomology_invariants(self, n: int) -> list:
+        d_in = self.differential(n) if n >= 1 else \
+            IntMatrix.zero(self.rank(0), 1)
+        d_out = self.differential(n + 1)
+        return subquotient_invariants(d_in, d_out,
+                                      self.coefficient_modulus or "Z")

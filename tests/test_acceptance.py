@@ -18,10 +18,9 @@ from cohomkit.fibrewise import (FGModule, augmentation_ideal, dualising_check,
                                 regular_module, trivial_module)
 from cohomkit.fiso import (f_iso_check, integral_psth_preimage,
                            pth_power_preimage, s_exponent, verify_derivation)
-from cohomkit.resolutions import (periodic_resolution_cyclic,
-                                  subquotient_invariants)
 from cohomkit.strata import (kappa_certificate, kappa_map_for_group,
                              thick_closure, thick_lattice_report)
+from oracles import periodic_resolution_cyclic, subquotient_invariants
 
 FAMILY = ["c2", "c3", "c4", "klein4", "s3"]
 

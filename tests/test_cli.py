@@ -237,6 +237,27 @@ class TestErrorPaths:
         assert code == 2
         assert "cap" in err
 
+    def test_fibre_gproj_rejects_invalid_module(self, capsys, tmp_path):
+        mod = tmp_path / "bad.json"
+        mod.write_text(json.dumps({
+            "base": "Z", "generators": 1, "relations": [],
+            "action": {"1": [[2]]}}))
+        code, out, err = run(capsys, "--json", "fibre", "--group", "c2",
+                             "--module", str(mod), "--gproj")
+        assert code == 2
+        assert not out and "violates the table" in err
+
+    @pytest.mark.parametrize("p", [4, 1])
+    def test_fibre_rejects_non_prime(self, capsys, tmp_path, p):
+        mod = tmp_path / "triv.json"
+        mod.write_text(json.dumps({
+            "base": "Fp", "p": p, "generators": 1, "relations": [],
+            "action": {"1": [[1]]}}))
+        code, out, err = run(capsys, "--json", "fibre", "--group", "c2",
+                             "--module", str(mod))
+        assert code == 2
+        assert not out and "not prime" in err
+
     def test_bad_coeff(self, capsys):
         code, _, _ = run(capsys, "cohomology", "--group", "c2",
                          "--coeff", "Z/1", "--deg", "2")

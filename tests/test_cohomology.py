@@ -11,8 +11,8 @@ from cohomkit.cohomology import (CohomologyClass, bockstein_delta,
                                  full_invariants_from_primary, p_primary_part)
 from cohomkit.errors import DegreeZeroUnsupported, ModulusMismatch, NotPrime
 from cohomkit.exact.dense import IntMatrix
-from cohomkit.resolutions import (bar_resolution, periodic_resolution_cyclic,
-                                  subquotient_invariants)
+from oracles import (bar_resolution, periodic_resolution_cyclic,
+                     subquotient_invariants)
 
 
 class TestAbelianCanonicalization:

@@ -6,22 +6,22 @@ import pytest
 
 from cohomkit import cli, fibrewise
 from cohomkit.cohomology import cohomology_group
-from cohomkit.errors import InvalidModule, NotBaseFree
+from cohomkit.errors import InvalidModule, NotBaseFree, NotPrime
 from cohomkit.exact.dense import IntMatrix, smith_normal_form, solve_mod
 from cohomkit.exact.modp import solve_modp
 from cohomkit.exact.sparse import SparseFactorization
-from cohomkit.fibrewise import (FGModule, FpModule, _free_cover_data,
+from cohomkit.fibrewise import (FGModule, _free_cover_data,
                                 _splitting_system, augmentation_ideal,
                                 dualising_check, ext_group, fibre_algebra,
                                 fibre_projectivity_test, gproj_test,
                                 integral_projectivity_test,
                                 koszul_selfdual_check,
-                                lattice_from_presentation,
-                                fp_module_from_presentation,
+                                module_from_presentation,
                                 proj_dim_via_fibres,
                                 rational_projectivity_test, regular_module,
                                 trivial_module)
 from cohomkit.groups import cyclic, quaternion_8, symmetric_3
+from oracles import subquotient_invariants
 
 
 class TestFibreAlgebra:
@@ -47,8 +47,9 @@ class TestFibreAlgebra:
                     assert fa.structure_constant(a, b, c) == want
 
     def test_non_prime_rejected(self, groups):
-        with pytest.raises(ValueError):
-            fibre_algebra(groups["c2"], 4)
+        for p in (4, 1, -3):
+            with pytest.raises(NotPrime):
+                fibre_algebra(groups["c2"], p)
 
 
 class TestProjectivity:
@@ -72,8 +73,7 @@ class TestProjectivity:
         r = fibre_projectivity_test(M)
         assert r.projective
         assert all(0 <= v < 2 for row in r.splitting for v in row)
-        assert_splitting(G, M.dim, lambda g: M.action[g].tolist(),
-                         r.splitting, 2)
+        assert_splitting(G, M.rank, lambda g: M.action[g], r.splitting, 2)
 
     @pytest.mark.parametrize("name", ["c2", "c3", "c6"])
     def test_integral_splitting_witness_verifies(self, groups, name):
@@ -122,8 +122,7 @@ def _check_against_dense_oracles(G, M, primes):
     assert rational_projectivity_test(M) == (rank == rank_b)
     for p in primes:
         Mp = M.reduce_mod(p)
-        Ap, bp = _dense_splitting_system(G, Mp.dim,
-                                         lambda g: Mp.action[g].tolist())
+        Ap, bp = _dense_splitting_system(G, Mp.rank, lambda g: Mp.action[g])
         assert fibre_projectivity_test(Mp).projective == \
             (solve_modp(Ap, bp, p) is not None), p
 
@@ -252,6 +251,11 @@ class TestGProj:
         M = FGModule(groups["c2"], "Z", 0, 1, [[2]], {1: [[1]]})
         assert not gproj_test(M)["gorenstein_projective"]
 
+    def test_invalid_module_rejected(self, groups):
+        M = FGModule(groups["c2"], "Z", 0, 1, [], {1: [[2]]})
+        with pytest.raises(InvalidModule):
+            gproj_test(M)
+
     def test_regular_presentation_gproj(self, groups):
         G = groups["c2"]
         M = FGModule(G, "Z", 0, 2, [], {1: [[0, 1], [1, 0]]})
@@ -263,33 +267,35 @@ class TestPresentations:
         # Z^2 / (e0 - e1) with the swap action: a rank-1 trivial module
         G = groups["c2"]
         M = FGModule(G, "Z", 0, 2, [[1, -1]], {1: [[0, 1], [1, 0]]})
-        lat = lattice_from_presentation(M)
+        lat = module_from_presentation(M)
         assert lat.rank == 1
         assert lat.action[1] == [[1]]
 
     def test_torsion_presentation_rejected_for_lattice(self, groups):
         M = FGModule(groups["c2"], "Z", 0, 1, [[2]], {1: [[1]]})
         with pytest.raises(NotBaseFree):
-            lattice_from_presentation(M)
+            module_from_presentation(M)
 
     def test_unstable_relations_rejected(self, groups):
         G = groups["c2"]
         # relation e0 alone is not stable under the swap action
         M = FGModule(G, "Z", 0, 2, [[1, 0]], {1: [[0, 1], [1, 0]]})
         with pytest.raises((InvalidModule, NotBaseFree)):
-            lattice_from_presentation(M)
+            module_from_presentation(M)
 
     def test_invalid_action_rejected(self, groups):
         G = groups["c2"]
         M = FGModule(G, "Z", 0, 1, [], {1: [[2]]})  # 2 squared != 1
         with pytest.raises(InvalidModule):
             M.full_action()
+        with pytest.raises(InvalidModule):  # one entry for two generators
+            FGModule(G, "Z", 0, 2, [[1]], {1: [[0, 1], [1, 0]]})
 
     def test_fp_presentation(self, groups):
         G = groups["c2"]
         M = FGModule(G, "Fp", 2, 2, [[1, 1]], {1: [[0, 1], [1, 0]]})
-        fp = fp_module_from_presentation(M)
-        assert fp.dim == 1
+        fp = module_from_presentation(M)
+        assert fp.rank == 1
 
     @pytest.mark.parametrize("name, p, relations, dim, projective", [
         # 2 e0 vanishes mod 2: F_2^2 / (e0 + e1), the trivial module
@@ -309,9 +315,35 @@ class TestPresentations:
         n = G.order
         shift = [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
         M = FGModule(G, "Fp", p, n, relations, {1: shift})
-        fp = fp_module_from_presentation(M)
-        assert fp.dim == dim
+        fp = module_from_presentation(M)
+        assert fp.rank == dim
         assert fibre_projectivity_test(fp).projective == projective
+
+    def test_fp_table_checked_up_to_relations(self, groups):
+        """An F_p presentation gets the relation slack of a Z one: g^2 acts
+        as e0 -> e0 + 2 e1, which is the identity modulo the relation e1,
+        so this is the trivial F_3 C_2-module (projective: 3 does not divide
+        2)."""
+        M = FGModule(groups["c2"], "Fp", 3, 2, [[0, 1]],
+                     {1: [[1, 0], [1, 1]]})
+        fp = module_from_presentation(M)
+        assert (fp.rank, fp.p, fp.action) == (1, 3, [[[1]], [[1]]])
+        assert fibre_projectivity_test(fp).projective
+
+    def test_fp_unstable_relations_rejected(self, groups):
+        # g e1 = e0 + 2 e1 lies outside span(e1) + 3 Z^2
+        M = FGModule(groups["c2"], "Fp", 3, 2, [[0, 1]],
+                     {1: [[1, 1], [0, 2]]})
+        with pytest.raises(InvalidModule):
+            module_from_presentation(M)
+
+    @pytest.mark.parametrize("p", [4, 1, -3])
+    def test_non_prime_fp_rejected(self, groups, p):
+        G = groups["c2"]
+        with pytest.raises(NotPrime):
+            FGModule(G, "Fp", p, 1, [], {1: [[1]]})
+        with pytest.raises(NotPrime):
+            trivial_module(G).reduce_mod(p)
 
     def test_module_json_roundtrip(self, groups, tmp_path):
         path = tmp_path / "m.json"
@@ -319,7 +351,7 @@ class TestPresentations:
             "base": "Z", "generators": 2, "relations": [[1, -1]],
             "action": {"1": [[0, 1], [1, 0]]}}))
         M = FGModule.from_json_file(path, groups["c2"])
-        assert lattice_from_presentation(M).rank == 1
+        assert module_from_presentation(M).rank == 1
 
 
 class TestDualising:
@@ -335,7 +367,78 @@ class TestDualising:
         assert abs(IntMatrix.from_rows(w.matrix).det()) == 1
 
 
+# Ext^i_{ZG}(M, N) for i = 0, 1, ..., as computed by the dense-SNF
+# resolution that preceded the sparse tower.  "Z/p" is the presentation
+# Z/(p) with the trivial action.
+_EXT_PINS = {
+    "c2": {
+        ("Z/2", "ZG"): [[], [2], []],
+        ("Z/2", "Z"): [[], [2], [2]],
+        ("ZG", "ZG"): [[0, 0], [], []],
+        ("ZG", "Z"): [[0], [], []],
+        ("ZG", "aug"): [[0], [], []],
+        ("Z", "ZG"): [[0], [], []],
+        ("Z", "Z"): [[0], [], [2]],
+        ("Z", "aug"): [[], [2], []],
+        ("aug", "ZG"): [[0], [], []],
+        ("aug", "Z"): [[], [2], []],
+        ("aug", "aug"): [[0], [], [2]],
+    },
+    "c3": {
+        ("Z/3", "ZG"): [[], [3], []],
+        ("Z/3", "Z"): [[], [3], [3]],
+        ("ZG", "ZG"): [[0, 0, 0], [], []],
+        ("ZG", "Z"): [[0], [], []],
+        ("ZG", "aug"): [[0, 0], [], []],
+        ("Z", "ZG"): [[0], [], []],
+        ("Z", "Z"): [[0], [], [3]],
+        ("Z", "aug"): [[], [3], []],
+        ("aug", "ZG"): [[0, 0], [], []],
+        ("aug", "Z"): [[], [3], []],
+        ("aug", "aug"): [[0, 0], [], [3]],
+    },
+    "c4": {
+        ("Z/2", "ZG"): [[], [2]],
+        ("Z/2", "Z"): [[], [2]],
+        ("ZG", "ZG"): [[0, 0, 0, 0], []],
+        ("ZG", "Z"): [[0], []],
+        ("ZG", "aug"): [[0, 0, 0], []],
+        ("Z", "ZG"): [[0], []],
+        ("Z", "Z"): [[0], []],
+        ("Z", "aug"): [[], [4]],
+        ("aug", "ZG"): [[0, 0, 0], []],
+        ("aug", "Z"): [[], [4]],
+        ("aug", "aug"): [[0, 0, 0], []],
+    },
+    "klein4": {
+        ("Z/2", "ZG"): [[], [2]],
+        ("Z/2", "Z"): [[], [2]],
+        ("ZG", "ZG"): [[0, 0, 0, 0], []],
+        ("ZG", "Z"): [[0], []],
+        ("ZG", "aug"): [[0, 0, 0], []],
+        ("Z", "ZG"): [[0], []],
+        ("Z", "Z"): [[0], []],
+        ("Z", "aug"): [[], [4]],
+        ("aug", "ZG"): [[0, 0, 0], []],
+        ("aug", "Z"): [[], [2, 2]],
+        ("aug", "aug"): [[0, 0, 0], []],
+    },
+}
+
+
 class TestExtGroups:
+    @pytest.mark.parametrize("name", sorted(_EXT_PINS))
+    def test_pinned_values(self, groups, name):
+        G = groups[name]
+        mods = {"ZG": regular_module(G), "Z": trivial_module(G),
+                "aug": augmentation_ideal(G)}
+        for (src, dst), want in _EXT_PINS[name].items():
+            M = mods.get(src) or FGModule(
+                G, "Z", 0, 1, [[int(src[2:])]],
+                {g: [[1]] for g in range(1, G.order)})
+            got = [ext_group(M, mods[dst], i) for i in range(len(want))]
+            assert got == want, (name, src, dst)
+
     def test_ext0_of_free_is_the_module(self, groups):
         G = groups["c2"]
         ZG = regular_module(G)
@@ -352,7 +455,6 @@ class TestExtGroups:
         """Ext^i(Z, ZG) = 0 for i = 1, 2 over ZC_2, cross-checked against
         the periodic resolution."""
         from cohomkit.groups import GroupRingElement, regular_action_matrix
-        from cohomkit.resolutions import subquotient_invariants
 
         G = groups["c2"]
         Z = trivial_module(G)

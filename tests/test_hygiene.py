@@ -246,3 +246,40 @@ def test_detects_a_write_only_attribute(tmp_path):
     user.write_text("from m import C\n\nprint(C(1).pair)\n")
     assert write_only_attributes([mod], [mod, user], tmp_path) == [
         "m.py:bumped", "m.py:dead"]
+
+
+# the dense oracles may use only these parts of the package: code they
+# shared with the engine they check would repeat its bugs
+ORACLE_MODULES = {"cohomkit.exact.dense", "cohomkit.groups",
+                  "cohomkit.config", "cohomkit.errors"}
+
+
+def package_imports(path: Path):
+    """Modules (or names) of ``cohomkit`` that a file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names
+                      if a.name.split(".")[0] == "cohomkit"}
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "cohomkit"):
+            if node.module == "cohomkit":
+                found |= {f"cohomkit.{a.name}" for a in node.names}
+            else:
+                found.add(node.module)
+    return found
+
+
+def test_oracles_share_no_engine_code():
+    used = package_imports(ROOT / "tests" / "oracles.py")
+    assert used and used <= ORACLE_MODULES, used - ORACLE_MODULES
+
+
+def test_detects_an_engine_import(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("import numpy\nimport cohomkit.exact.sparse\n"
+                   "from cohomkit.groups import cyclic\n"
+                   "from cohomkit import kernels\n"
+                   "from cohomkit.exact.dense import IntMatrix\n")
+    assert package_imports(mod) - ORACLE_MODULES == {
+        "cohomkit.exact.sparse", "cohomkit.kernels"}

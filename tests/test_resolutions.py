@@ -5,12 +5,30 @@ from cohomkit.cohomology import cohomology_group, cohomology_system
 from cohomkit.config import GROUP_CACHE_SIZE
 from cohomkit.errors import SizeCapExceeded
 from cohomkit.exact.dense import IntMatrix
-from cohomkit.fibrewise import field_free_resolution, regular_module, \
-    trivial_module
+from cohomkit.exact.modp import rank_modp
+from cohomkit.fibrewise import (GModule, augmentation_ideal,
+                                field_free_resolution, regular_module,
+                                trivial_module)
 from cohomkit.groups import builtin_group, cyclic, symmetric_3
-from cohomkit.resolutions import (bar_cochains, bar_resolution,
-                                  periodic_resolution_cyclic,
-                                  subquotient_invariants, verify_complex)
+from cohomkit.resolutions import bar_cochains
+from oracles import (CochainComplex, bar_resolution,
+                     periodic_resolution_cyclic, subquotient_invariants,
+                     verify_complex)
+
+# (group, p) pairs whose trivial and augmentation modules are resolved over
+# F_pG; p divides |G| in each, so neither module is projective
+_FIELD_CASES = [("c3", 3), ("klein4", 2), ("s3", 2), ("s3", 3)]
+
+
+def _field_modules(groups, base):
+    """(module, p) for ``base`` and for the trivial and augmentation modules
+    of every ``_FIELD_CASES`` pair."""
+    out = [base]
+    for name, p in _FIELD_CASES:
+        G = groups[name]
+        out += [(make(G).reduce_mod(p), p)
+                for make in (trivial_module, augmentation_ideal)]
+    return out
 
 
 class TestBarResolution:
@@ -89,30 +107,37 @@ class TestFieldFreeResolution:
             assert np.asarray(mat).tolist() == [[1, 1], [1, 1]]
 
     def test_zero_module_empty_resolution(self):
-        from cohomkit.fibrewise import FpModule
-
-        M = FpModule(cyclic(2), 2, [[], []])
+        M = GModule(cyclic(2), [[], []], 2)
         assert field_free_resolution(M, 3).length == 0
 
-    def test_differentials_compose_to_zero(self):
-        M = trivial_module(cyclic(3)).reduce_mod(3)
-        res = field_free_resolution(M, 3)
-        for a, b in zip(res.diffs, res.diffs[1:]):
-            prod = (np.asarray(a, dtype=np.int64) @
-                    np.asarray(b, dtype=np.int64)) % 3
-            assert not prod.any()
+    def test_differentials_compose_to_zero(self, groups):
+        base = (trivial_module(cyclic(3)).reduce_mod(3), 3)
+        for M, p in _field_modules(groups, base):
+            N = 3 if M.group.order < 6 else 2
+            res = field_free_resolution(M, N)
+            assert len(res.diffs) == N, M.label
+            pairs = [(np.asarray(res.cover), res.diffs[0])]
+            pairs += zip(res.diffs, res.diffs[1:])
+            for a, b in pairs:
+                prod = (np.asarray(a, dtype=np.int64) @
+                        np.asarray(b, dtype=np.int64)) % p
+                assert not prod.any(), (M.group.label, M.label)
 
-    def test_cover_surjective_resolution_exact(self):
-        # rank of each differential + next equals the free dimension
-        from cohomkit.exact.modp import rank_modp
-
-        M = trivial_module(cyclic(2)).reduce_mod(2)
-        res = field_free_resolution(M, 4)
-        dims = [2 * r for r in res.free_ranks]
-        for t in range(1, len(res.diffs)):
-            r1 = rank_modp(res.diffs[t - 1], 2)
-            r2 = rank_modp(res.diffs[t], 2)
-            assert r1 + r2 == dims[t], t
+    def test_cover_surjective_resolution_exact(self, groups):
+        # rank of each differential + next equals the free dimension, and
+        # the cover F_0 -> M is onto
+        base = (trivial_module(cyclic(2)).reduce_mod(2), 2)
+        for M, p in _field_modules(groups, base):
+            res = field_free_resolution(M, 4 if M.group.order == 2 else 2)
+            n = M.group.order
+            dims = [n * r for r in res.free_ranks]
+            assert rank_modp(res.cover, p) == M.rank
+            assert rank_modp(res.cover, p) + rank_modp(res.diffs[0], p) \
+                == dims[0], M.label
+            for t in range(1, len(res.diffs)):
+                r1 = rank_modp(res.diffs[t - 1], p)
+                r2 = rank_modp(res.diffs[t], p)
+                assert r1 + r2 == dims[t], (M.group.label, M.label, t)
 
 
 class TestBarCochains:
@@ -138,8 +163,6 @@ class TestBarCochains:
 
 class TestCochainComplex:
     def test_periodic_cochain_complex(self):
-        from cohomkit.resolutions import CochainComplex
-
         cc = CochainComplex(periodic_resolution_cyclic(3, 5), 0)
         assert cc.verify_dd_zero()
         assert cc.cohomology_invariants(2) == [3]
@@ -149,8 +172,6 @@ class TestCochainComplex:
         assert cc2.cohomology_invariants(3) == [2]
 
     def test_bar_cochain_complex_small(self):
-        from cohomkit.resolutions import CochainComplex
-
         cc = CochainComplex(bar_resolution(cyclic(2), 4), 0)
         assert cc.verify_dd_zero()
         assert cc.cohomology_invariants(2) == [2]
