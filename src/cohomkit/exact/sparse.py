@@ -99,7 +99,10 @@ class SparseFactorization:
         # phase 1: the column index.  col_rows[c] is the set of rows with an
         # entry in column c, so its length is len(col_rows[c]); buckets files
         # every selectable column under its length, and a blocked column (no
-        # +-1 entry) is filed nowhere until its content changes.
+        # +-1 entry) is filed nowhere until its content changes.  Only the
+        # columns of the pivot row change during a pivot, and no column is
+        # chosen until it ends, so each of them is re-filed once per pivot,
+        # by its final length, after the pivot row retires.
         col_rows: dict[int, set] = {}
         for r, d in enumerate(rows):
             for c in d:
@@ -118,7 +121,7 @@ class SparseFactorization:
         vals_pool: list[int] = []
 
         def changed(c, old_len):
-            # re-file column c after one of its entries changed; a column
+            # re-file column c, of length old_len before the pivot; a column
             # that empties is filed nowhere: fill only reaches the columns
             # of a pivot row, so it never gains an entry again
             new = len(col_rows[c])
@@ -159,6 +162,8 @@ class SparseFactorization:
             pitems = sorted(prow.items())
             if length > 1:
                 batch_starts.append(len(log_a))
+            pcols = [(c2, w, col_rows[c2]) for c2, w in pitems]
+            olds = [len(cs) for _, _, cs in pcols]
             for r in rset:
                 if r == pr:
                     continue
@@ -167,21 +172,21 @@ class SparseFactorization:
                 log_a.append(r)
                 log_b.append(pr)
                 log_q.append(q)
-                for c2, w in pitems:
-                    cs = col_rows[c2]
-                    old = len(cs)
-                    nv = row.get(c2, 0) - q * w
-                    if nv:
-                        row[c2] = nv
+                for c2, w, cs in pcols:
+                    qw = q * w
+                    v = row.get(c2)
+                    if v is None:
+                        # fill: q and w are both nonzero
+                        row[c2] = -qw
                         cs.add(r)
-                    else:
+                    elif v == qw:
                         del row[c2]
                         cs.discard(r)
-                    changed(c2, old)
-            # retire the pivot row and column
-            for c2, _ in pitems:
-                cs = col_rows[c2]
-                old = len(cs)
+                    else:
+                        row[c2] = v - qw
+            # retire the pivot row and column, then re-file the pivot row's
+            # columns
+            for (c2, _, cs), old in zip(pcols, olds):
                 cs.discard(pr)
                 changed(c2, old)
             del col_rows[pc]

@@ -458,8 +458,6 @@ def gproj_test(M: FGModule) -> dict:
     if M.base != "Z":
         raise ValueError("gproj_test applies to Z-based presentations")
     M.full_action()
-    if not M.relations:
-        return {"gorenstein_projective": True, "invariants": []}
     orders = M.orders()
     torsion = [o for o in orders if o > 1]
     return {"gorenstein_projective": not torsion,

@@ -109,6 +109,18 @@ class TestBasicCommands:
         assert code == 0
         assert json.loads(out)["gorenstein_projective"] is False
 
+    def test_fibre_gproj_without_relations(self, capsys, tmp_path):
+        mod = tmp_path / "free.json"
+        mod.write_text(json.dumps({
+            "base": "Z", "generators": 2, "relations": [],
+            "action": {"1": [[0, 1], [1, 0]]}}))
+        code, out, _ = run(capsys, "--json", "fibre", "--group", "c2",
+                           "--module", str(mod), "--gproj")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["gorenstein_projective"] is True
+        assert rep["underlying_invariants"] == [0, 0]
+
 
 class TestVerifyPaperSuites:
     @pytest.mark.parametrize("suite", ["lemma2.2", "classification",

@@ -24,6 +24,29 @@ def dense_solvable_over_q(dense, b):
             == smith_normal_form(IntMatrix.from_rows(aug)).rank())
 
 
+def factor_dense(dense):
+    """SparseFactorization of a dense list-of-rows matrix."""
+    nr, nc = len(dense), len(dense[0])
+    coo = ([i for i in range(nr) for j in range(nc)],
+           [j for i in range(nr) for j in range(nc)],
+           [dense[i][j] for i in range(nr) for j in range(nc)])
+    return SparseFactorization(nr, nc, coo)
+
+
+def factorization_digest(f):
+    """sha256 of a whole factorization: the log with its batches, the
+    pivots, the echelon and residual indices and the frozen pivot-row
+    pool."""
+    types, aa, bb, qq, batches = f.log
+    parts = [types.tolist(), aa.tolist(), bb.tolist(),
+             [int(q) for q in qq], [list(b) for b in batches],
+             f.piv_rows, f.piv_cols, f.piv_vals, f.echelon_rows,
+             f.res_cols, f.zero_rows, f._pool_starts.tolist(),
+             f._pool_lens.tolist(), f._pool_cols.tolist(),
+             [int(v) for v in f._pool_vals]]
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+
+
 def minors_gcd_invariants(rows):
     """Independent oracle: invariant factors from determinantal divisors
     (gcd of all k x k minors), feasible for tiny matrices."""
@@ -417,11 +440,7 @@ class TestSparseFactorization:
         ([[2, 4], [6, 8]], [1, 1], False, True),
     ])
     def test_rational_reading(self, dense, b, over_z, over_q):
-        nr, nc = len(dense), len(dense[0])
-        coo = ([i for i in range(nr) for j in range(nc)],
-               [j for i in range(nr) for j in range(nc)],
-               [dense[i][j] for i in range(nr) for j in range(nc)])
-        f = SparseFactorization(nr, nc, coo)
+        f = factor_dense(dense)
         assert (f.solve(b) is not None) == over_z
         assert dense_solvable_over_q(dense, b) == over_q
         assert f.solvable_over_q(b) == over_q
@@ -483,22 +502,41 @@ class TestSparseFactorization:
         ("c6", 3, "30cb08b4bb078d9e2327f4ce11441a059c11866e32d0771632f6c3c547141201"),
         ("c6", 4, "f51a0825f2e149ef2a0788c918db067c108df97ac1c4c7d620042a104bd9895e"),
         ("c6", 5, "d46343d808140bfaec3fc717d1b4f7a91137f7913502a06e4a5b868fe34ae7f8"),
+        ("s3", 6, "e50ee323274bc4115c3b7096486c0d04459ee3552e8ff6ca872efefe8cb632ef"),
     ])
     def test_factorization_pinned(self, groups, name, n, digest):
-        """The whole factorization of bar D_n, pinned by digest: the log
-        with its batches, the pivots, the echelon and residual indices and
-        the frozen pivot-row pool.  Bookkeeping changes to the elimination
-        must leave the pivot order and every logged operation as they are."""
+        """The whole factorization of bar D_n, pinned by digest.  Bookkeeping
+        changes to the elimination must leave the pivot order and every
+        logged operation as they are."""
         f = bar_cochains(groups[name]).fact(n)
-        types, aa, bb, qq, batches = f.log
-        parts = [types.tolist(), aa.tolist(), bb.tolist(),
-                 [int(q) for q in qq], [list(b) for b in batches],
-                 f.piv_rows, f.piv_cols, f.piv_vals, f.echelon_rows,
-                 f.res_cols, f.zero_rows, f._pool_starts.tolist(),
-                 f._pool_lens.tolist(), f._pool_cols.tolist(),
-                 [int(v) for v in f._pool_vals]]
-        got = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
-        assert got == digest
+        assert factorization_digest(f) == digest
+
+    @pytest.mark.parametrize("dense, pivots, digest", [
+        # column 0 has no +-1 entry and is blocked; the pivot on column 1
+        # turns its 3 into a 1, and it is chosen next
+        ([[2, 1], [3, 1]], [(0, 1, 1), (1, 0, 1)],
+         "518fac45e5b398a287eb9671c5849fda2865825ff367bd62ea46a9546a64af77"),
+        # the pivot on column 0 cancels row 1 in column 1, and retiring
+        # row 0 empties column 1, which is never filed again
+        ([[1, 1, 0], [1, 1, 1], [0, 0, 2], [0, 0, 3]],
+         [(0, 0, 1), (1, 2, 1)],
+         "e874b38534f9f3444a376f00ac30efc40d80eeab2038426c7cbc4c6ee9e3873f"),
+        # within the pivot on column 0, row 1 gains a fill entry in column
+        # 1 and row 2 then loses its entry there
+        ([[1, 1, 0, 0], [1, 0, 1, 1], [1, 1, 0, 1], [0, 2, 2, 2],
+          [0, 0, 2, 2]], [(0, 0, 1), (1, 1, -1), (2, 3, 1)],
+         "e848e6e8f89d69431344ff7285c31e72662e9b7bf6abf205b69da59047bea4e5"),
+        # column 1 has length 1, so its pivot logs no batch; retiring its
+        # row unblocks column 0 and empties it
+        ([[2, -1, 0], [0, 0, 2]], [(0, 1, -1)],
+         "347122d741c4233f69f76e6442e7da0cb6b13be182eebe222d60d6d9174a4c35"),
+    ])
+    def test_unit_pivot_edge_cases_pinned(self, dense, pivots, digest):
+        """Small matrices that reach the corner cases of the +-1-pivot
+        phase, pinned by pivot order and digest."""
+        f = factor_dense(dense)
+        assert list(zip(f.piv_rows, f.piv_cols, f.piv_vals)) == pivots
+        assert factorization_digest(f) == digest
 
     def test_determinism(self):
         coo = ([0, 0, 1, 2], [0, 1, 1, 0], [1, -1, 2, 3])

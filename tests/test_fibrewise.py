@@ -261,6 +261,15 @@ class TestGProj:
         M = FGModule(G, "Z", 0, 2, [], {1: [[0, 1], [1, 0]]})
         assert gproj_test(M)["gorenstein_projective"]
 
+    @pytest.mark.parametrize("relations, action, invariants", [
+        ([], [[0, 1], [1, 0]], [0, 0]),       # no relations: Z^2
+        ([[1, -1]], [[0, 1], [1, 0]], [0]),   # Z^2 / (e0 - e1)
+        ([[2, 0]], [[1, 0], [0, 1]], [2, 0]),  # Z/2 + Z
+    ])
+    def test_invariants(self, groups, relations, action, invariants):
+        M = FGModule(groups["c2"], "Z", 0, 2, relations, {1: action})
+        assert gproj_test(M)["invariants"] == invariants
+
 
 class TestPresentations:
     def test_lattice_from_presentation_with_relations(self, groups):
