@@ -11,7 +11,7 @@ from .groups import (FiniteGroup, GroupRingElement, builtin_group, cyclic,
                      group_from_generators, group_ring_multiply, klein_four,
                      quaternion_8, regular_action_matrix, symmetric_3)
 from .exact import (IntMatrix, SmithDecomposition, SparseFactorization,
-                    cokernel_invariants, smith_normal_form, solve_mod)
+                    smith_normal_form)
 from .cohomology import (CohomologyClass, CohomologyGroup, bockstein_delta,
                          coefficient_map, cohomology_group, cohomology_system,
                          p_primary_part)

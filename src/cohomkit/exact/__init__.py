@@ -2,9 +2,7 @@ from .dense import (
     IntMatrix,
     SmithDecomposition,
     smith_normal_form,
-    solve_mod,
     unimodular_inverse,
-    cokernel_invariants,
 )
 from .sparse import SparseFactorization
 
@@ -12,8 +10,6 @@ __all__ = [
     "IntMatrix",
     "SmithDecomposition",
     "smith_normal_form",
-    "solve_mod",
     "unimodular_inverse",
-    "cokernel_invariants",
     "SparseFactorization",
 ]

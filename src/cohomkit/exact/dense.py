@@ -1,8 +1,10 @@
 """Dense exact linear algebra over Z and Z/m.
 
-Everything here uses python integers, so no computation can overflow.  These
-routines are the reference implementations; the sparse engine in
-:mod:`cohomkit.exact.sparse` delegates its small residual blocks here.
+Everything here uses python integers, so no computation can overflow.  In
+the package the Smith form runs in two places only: phase 3 of the sparse
+engine in :mod:`cohomkit.exact.sparse`, on its small echelon block, and the
+Smith form of a module presentation (``fibrewise.FGModule.smith``).  The
+tests use it as their oracle.
 """
 
 from __future__ import annotations
@@ -324,27 +326,3 @@ def normalize_modulus(m) -> int:
         raise ValueError(f"modulus must be 'Z' or an integer >= 2, got {m}")
     return m
 
-
-def solve_mod(A, b, m):
-    """Some x with A x = b (mod m), or None; see SmithDecomposition.solve."""
-    return smith_normal_form(A).solve(b, m)
-
-
-def cokernel_invariants(M, m):
-    """Invariant factors of target/(image of M) over Z or Z/m.
-
-    Over Z a factor 0 denotes a free summand; over Z/m all factors divide m.
-    """
-    m = normalize_modulus(m)
-    rows, nr, nc = _as_rows(M)
-    if m:
-        for i in range(nr):
-            rows[i] = rows[i] + [m if j == i else 0 for j in range(nr)]
-        nc += nr
-    dec = smith_normal_form(IntMatrix.from_rows(rows) if rows else
-                            IntMatrix.zero(nr, nc))
-    diag = dec.diagonal()
-    rank = sum(1 for d in diag if d != 0)
-    out = [d for d in diag if d > 1]
-    out += [0] * (nr - rank)
-    return out

@@ -51,6 +51,14 @@ _RESIDUAL_DIM_CAP = 2048
 _RESIDUAL_ENTRY_CAP = 4_000_000
 
 
+def symmetric_residue(v: int, m: int) -> int:
+    """v as a symmetric residue mod m (|v| <= m/2); v itself for m = 0."""
+    if not m:
+        return v
+    v %= m
+    return v - m if v > m // 2 else v
+
+
 class SparseFactorization:
     """Logged echelon factorization of a sparse integer matrix over Z."""
 
@@ -71,6 +79,22 @@ class SparseFactorization:
                 del d[c]
         self._keep_csr(rows)
         self._eliminate(rows)
+
+    @classmethod
+    def from_columns(cls, cols, nrows: int, m: int = 0):
+        """Factorization of the ``nrows``-row matrix with the given columns.
+        Mod m its entries enter as symmetric residues, so that m - 1 is the
+        unit -1 and stays an elimination pivot; for m = 0 they enter as
+        they are, python ints of any size."""
+        ri, ci, vi = [], [], []
+        for j, v in enumerate(cols):
+            for i, x in enumerate(v):
+                r = symmetric_residue(x, m) if x else 0
+                if r:
+                    ri.append(i)
+                    ci.append(j)
+                    vi.append(r)
+        return cls(nrows, len(cols), (ri, ci, vi))
 
     # -- construction ------------------------------------------------------
 

@@ -18,9 +18,12 @@ nonzeros per row.  A lattice's system is factored once, and that
 factorization answers all three questions: the integral test solves over
 Z, each fibre solves mod p (the system mod p is the fibre's own), and the
 rational test reads the free cokernel coordinates.  Ext over ZG and free
-resolutions over F_pG share one tower of free covers.  F_p entries enter
-every factorization as symmetric residues (|v| <= p/2), so p - 1 is the
-unit -1 and stays an elimination pivot.  Dense SNF is their test oracle.
+resolutions over F_pG share one tower of free covers, and Koszul H_0 is the
+cokernel of one factorization.  F_p entries enter every factorization as
+symmetric residues (|v| <= p/2, ``SparseFactorization.from_columns``), so
+p - 1 is the unit -1 and stays an elimination pivot.  The dense Smith form
+runs here only on the relations of a presentation; in the tests it is the
+oracle.
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ from math import gcd, inf
 from .abelian import factorize, require_prime
 from .errors import (InternalCheckFailed, InvalidModule, NoIsomorphismFound,
                      NotBaseFree)
-from .exact.dense import (IntMatrix, cokernel_invariants, smith_normal_form,
-                          unimodular_inverse)
+from .exact.dense import IntMatrix, smith_normal_form, unimodular_inverse
 from .exact.modp import rank_modp
-from .exact.sparse import SparseFactorization
+from .exact.sparse import SparseFactorization, symmetric_residue
 from .groups import FiniteGroup
 
 
@@ -167,14 +169,6 @@ def _matmul(A, B, p=0):
     if p:
         out = [[v % p for v in row] for row in out]
     return out
-
-
-def _sym(v: int, m: int) -> int:
-    """v as a symmetric residue mod m (|v| <= m/2); v itself for m = 0."""
-    if not m:
-        return v
-    v %= m
-    return v - m if v > m // 2 else v
 
 
 class GModule:
@@ -381,7 +375,7 @@ def fibre_projectivity_test(M: GModule) -> ProjectivityResult:
     dim = M.rank
     if dim == 0:
         return ProjectivityResult(True, [])
-    lifted = [[[_sym(v, M.p) for v in row] for row in mat]
+    lifted = [[[symmetric_residue(v, M.p) for v in row] for row in mat]
               for mat in M.action]
     fact, rhs = _splitting_factorization(M.group, dim, lambda g: lifted[g])
     x = fact.solve(rhs, M.p)
@@ -525,20 +519,6 @@ def _translate(G: FiniteGroup, g: int, v):
     return out
 
 
-def _factor_columns(cols, nrows: int, m: int = 0) -> SparseFactorization:
-    """Factorization of the matrix with the given columns, entries as
-    symmetric residues mod m."""
-    ri, ci, vi = [], [], []
-    for j, v in enumerate(cols):
-        for i, x in enumerate(v):
-            x = _sym(x, m)
-            if x:
-                ri.append(i)
-                ci.append(j)
-                vi.append(x)
-    return SparseFactorization(nrows, len(cols), (ri, ci, vi))
-
-
 def _cover_kernel(G: FiniteGroup, m: int, rank: int, action, lattice=()):
     """Basis over Z (m = 0) or F_m of the kernel of the free cover
     P : (RG)^rank -> M, e_{j,g} -> g m_j.  With ``lattice``, independent
@@ -550,13 +530,14 @@ def _cover_kernel(G: FiniteGroup, m: int, rank: int, action, lattice=()):
             for j in range(rank) for g in range(G.order)]
     k = len(cols)
     cols += [[-x for x in v] for v in lattice]
-    return [x[:k] for x in _factor_columns(cols, rank, m).kernel_basis(m)]
+    fact = SparseFactorization.from_columns(cols, rank, m)
+    return [x[:k] for x in fact.kernel_basis(m)]
 
 
 def _kernel_action(G: FiniteGroup, m: int, K):
     """Action matrices of G on the span of the kernel basis K, in that
     basis: each g K_j solved against one factorization of K."""
-    fact = _factor_columns(K, len(K[0]), m)
+    fact = SparseFactorization.from_columns(K, len(K[0]), m)
     mats = []
     for g in range(G.order):
         cols = [fact.solve(_translate(G, g, v), m) for v in K]
@@ -621,15 +602,17 @@ def ext_group(M, N: GModule, i: int) -> list:
     kernels = list(islice(_syzygies(G, 0, first), i + 1))
     ranks = [rank] + [len(K) for K in kernels]
     d_out = _hom(G, kernels[i], ranks[i], N)
-    basis = _factor_columns(d_out, ranks[i + 1] * N.rank).kernel_basis()
+    basis = SparseFactorization.from_columns(
+        d_out, ranks[i + 1] * N.rank).kernel_basis()
     if not basis:
         return []
-    coords = _factor_columns(basis, ranks[i] * N.rank)
+    coords = SparseFactorization.from_columns(basis, ranks[i] * N.rank)
     rels = [coords.solve(col)
             for col in (_hom(G, kernels[i - 1], ranks[i - 1], N) if i else [])]
     if None in rels:
         raise InternalCheckFailed("d_out d_in != 0 in the Ext complex")
-    return _factor_columns(rels, len(basis)).coker_invariants()
+    return SparseFactorization.from_columns(rels,
+                                            len(basis)).coker_invariants()
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +689,8 @@ def koszul_selfdual_check(elements) -> KoszulReport:
                 ok = False
                 break
         if ok:
-            h0 = cokernel_invariants(mats[1], "Z")
+            h0 = SparseFactorization.from_columns(
+                [[v] for v in mats[1].entries], 1).coker_invariants()
             return KoszulReport(elements, True, signs, tuple(h0))
     return KoszulReport(elements, False, (), ())
 

@@ -22,7 +22,7 @@ from .cohomology import (CohomologyClass, CohomologyGroup, canonical_coords,
                          cohomology_system)
 from .cup import GradedRingSlice, cup_vec, ring_slice
 from .errors import SliceTooShallow
-from .exact.modp import modp_solver, nullspace_modp, rank_modp, solve_modp
+from .exact.modp import nullspace_modp, rank_modp, solve_modp
 from .groups import FiniteGroup
 
 
@@ -87,7 +87,9 @@ def jordan_tensor_type(a: int, b: int, p: int) -> JordanType:
 @lru_cache(maxsize=16)
 def enumerate_block_ses(p: int):
     """All (a, c, b) with a short exact sequence 0->J_a->J_c->J_b->0 of
-    kC_p-modules, found by explicit matrix search over Hom(J_a, J_c)."""
+    kC_p-modules, found by explicit matrix search over Hom(J_a, J_c) for an
+    injective map whose cokernel is one block (of size b = c - a, by
+    dimension); the search stops at the first such map."""
     require_prime(p)
     out = []
     for a in range(1, p + 1):
@@ -107,7 +109,6 @@ def enumerate_block_ses(p: int):
                     cols.append(base[:, j])
                 if len(cols) == a:
                     break
-            found = set()
             for coeffs in iproduct(range(p), repeat=len(cols)):
                 # v and its nonzero multiples give the same image, so one v
                 # per line: the first nonzero coefficient is 1
@@ -120,22 +121,14 @@ def enumerate_block_ses(p: int):
                 for _ in range(a - 1):
                     orbit.append((tmat @ orbit[-1]) % p)
                 Phi = np.stack(orbit, axis=1) % p
-                # rank Phi = a iff ker(Phi^T) has dimension c - a; then
-                # the cokernel is F_p^c / im(Phi), via a projection whose
-                # kernel is exactly im(Phi)
-                ns = nullspace_modp(Phi.T, p)
-                if len(ns) != c - a:
-                    continue
-                proj = np.stack(ns, axis=0) % p  # (c-a) x c, full row rank
-                solve = modp_solver(proj, p)
-                inv_cols = [solve(e) for e in np.eye(c - a, dtype=np.int64)]
-                X = np.stack(inv_cols, axis=1) % p  # right inverse of proj
-                T2 = (proj @ tmat @ X) % p
-                jt = jordan_type_of_nilpotent(T2, p)
-                if len(jt.blocks) == 1:
-                    found.add(jt.blocks[0])
-            for b in sorted(found):
-                out.append((a, c, b))
+                # J_a -> J_c is injective iff rank Phi = a; then t acts on
+                # the cokernel J_c / im(Phi) with image (t J_c + im Phi) /
+                # im Phi, so the cokernel has c - rank [t | Phi] Jordan
+                # blocks: one block, of size c - a, iff that rank is c - 1
+                if (rank_modp(Phi, p) == a and
+                        rank_modp(np.hstack([tmat, Phi]), p) == c - 1):
+                    out.append((a, c, c - a))
+                    break
     return out
 
 

@@ -1,5 +1,6 @@
 """Dense oracles for the tests: free resolutions of the trivial module over
-ZG and their cochain complexes, on the dense Smith normal form only.
+ZG and their cochain complexes, on the dense Smith normal form only, and
+F_p row echelon forms by numpy row operations.
 
 Two independent constructions are provided: the normalized bar resolution
 (any finite group) and the period-2 resolution of cyclic groups, which
@@ -16,11 +17,57 @@ import only ``exact.dense``, ``groups``, ``config`` and ``errors``
 (``test_hygiene.py`` holds them to that).
 """
 
+import numpy as np
+
 from cohomkit.config import size_cap
 from cohomkit.errors import SizeCapExceeded
-from cohomkit.exact.dense import (IntMatrix, cokernel_invariants,
-                                  normalize_modulus, smith_normal_form)
+from cohomkit.exact.dense import (IntMatrix, normalize_modulus,
+                                  smith_normal_form)
 from cohomkit.groups import FiniteGroup, cyclic
+
+
+def solve_mod(A, b, m):
+    """Some x with A x = b (mod m), or None; see SmithDecomposition.solve."""
+    return smith_normal_form(A).solve(b, m)
+
+
+def cokernel_invariants(M: IntMatrix, m) -> list:
+    """Invariant factors of target/(image of M) over Z or Z/m, read off the
+    Smith form of [M | m I].
+
+    Over Z a factor 0 denotes a free summand; over Z/m all factors divide m.
+    """
+    m = normalize_modulus(m)
+    nr = M.rows
+    if m and nr:
+        M = IntMatrix.from_rows([row + [m if j == i else 0 for j in range(nr)]
+                                 for i, row in enumerate(M.to_rows())])
+    diag = smith_normal_form(M).diagonal()
+    rank = sum(1 for d in diag if d != 0)
+    return [d for d in diag if d > 1] + [0] * (nr - rank)
+
+
+def echelon_modp(A, p):
+    """Reduced row echelon form of A mod p by numpy row operations,
+    independent of the Smith form; returns (R, pivot columns)."""
+    M = np.asarray(A, dtype=np.int64) % p
+    rows, cols = M.shape
+    piv = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = [rr for rr in range(r, rows) if M[rr, c]]
+        if not nz:
+            continue
+        M[[r, nz[0]]] = M[[nz[0], r]]
+        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
+        for rr in range(rows):
+            if rr != r and M[rr, c]:
+                M[rr] = (M[rr] - M[rr, c] * M[r]) % p
+        piv.append(c)
+        r += 1
+    return M, piv
 
 
 class Resolution:

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from cohomkit.exact.dense import (IntMatrix, SmithDecomposition,
-                                  cokernel_invariants, normalize_modulus,
-                                  smith_normal_form, solve_mod,
+                                  normalize_modulus, smith_normal_form,
                                   unimodular_inverse)
 from cohomkit.errors import InternalCheckFailed
 from cohomkit.exact.modp import nullspace_modp, rank_modp, solve_modp
 from cohomkit.exact.sparse import SparseFactorization
+from cohomkit.fibrewise import augmentation_ideal, field_free_resolution
+from cohomkit.groups import symmetric_3
 from cohomkit.resolutions import bar_cochains
+from oracles import cokernel_invariants, echelon_modp, solve_mod
 
 
 def dense_solvable_over_q(dense, b):
@@ -220,29 +222,6 @@ class TestModpZeroColumns:
             assert solve_modp(A, [0] * (t - 1) + [2], 5) is None
 
 
-def echelon_modp(A, p):
-    """Oracle independent of the Smith form: reduced row echelon form of A
-    mod p by numpy row operations; returns (R, pivot columns)."""
-    M = np.asarray(A, dtype=np.int64) % p
-    rows, cols = M.shape
-    piv = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = [rr for rr in range(r, rows) if M[rr, c]]
-        if not nz:
-            continue
-        M[[r, nz[0]]] = M[[nz[0], r]]
-        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
-        for rr in range(rows):
-            if rr != r and M[rr, c]:
-                M[rr] = (M[rr] - M[rr, c] * M[r]) % p
-        piv.append(c)
-        r += 1
-    return M, piv
-
-
 def _random_modp_matrix(rng, p, rows, cols, rank, zero_rows=0.0):
     """Integer matrix of rank at most ``rank`` mod p: a product of random
     factors plus random multiples of p, so that its rank over Z usually
@@ -261,8 +240,8 @@ def _random_modp_matrix(rng, p, rows, cols, rank, zero_rows=0.0):
 
 
 class TestModpAgainstEchelon:
-    """rank_modp, nullspace_modp and solve_modp read off the Smith form,
-    against the row echelon oracle."""
+    """rank_modp, nullspace_modp and solve_modp read off the sparse
+    factorization, against the row echelon oracle."""
 
     @staticmethod
     def _check(A, p, rng):
@@ -310,6 +289,15 @@ class TestModpAgainstEchelon:
         rng = random.Random(50 * p + cols)
         A = _random_modp_matrix(rng, p, 300, cols, cols, zero_rows=0.95)
         self._check(A, p, rng)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_s3_resolution_differential(self, p):
+        """d_2 (150x750) of the F_pS_3 resolution of the augmentation
+        ideal: large, sparse, and far from full rank."""
+        M = augmentation_ideal(symmetric_3()).reduce_mod(p)
+        A = np.asarray(field_free_resolution(M, 2).diffs[1], dtype=np.int64)
+        assert A.shape == (150, 750)
+        self._check(A, p, random.Random(p))
 
     def test_rows_zero_mod_p_need_a_zero_rhs(self):
         A = np.array([[3, 6], [1, 2], [0, 9]], dtype=np.int64)

@@ -7,8 +7,7 @@ import pytest
 from cohomkit import cli, fibrewise
 from cohomkit.cohomology import cohomology_group
 from cohomkit.errors import InvalidModule, NotBaseFree, NotPrime
-from cohomkit.exact.dense import IntMatrix, smith_normal_form, solve_mod
-from cohomkit.exact.modp import solve_modp
+from cohomkit.exact.dense import IntMatrix, smith_normal_form
 from cohomkit.exact.sparse import SparseFactorization
 from cohomkit.fibrewise import (FGModule, _free_cover_data,
                                 _splitting_system, augmentation_ideal,
@@ -21,7 +20,7 @@ from cohomkit.fibrewise import (FGModule, _free_cover_data,
                                 rational_projectivity_test, regular_module,
                                 trivial_module)
 from cohomkit.groups import cyclic, quaternion_8, symmetric_3
-from oracles import subquotient_invariants
+from oracles import echelon_modp, solve_mod, subquotient_invariants
 
 
 class TestFibreAlgebra:
@@ -123,8 +122,9 @@ def _check_against_dense_oracles(G, M, primes):
     for p in primes:
         Mp = M.reduce_mod(p)
         Ap, bp = _dense_splitting_system(G, Mp.rank, lambda g: Mp.action[g])
+        aug = [row + [v] for row, v in zip(Ap, bp)]
         assert fibre_projectivity_test(Mp).projective == \
-            (solve_modp(Ap, bp, p) is not None), p
+            (len(Ap[0]) not in echelon_modp(aug, p)[1]), p
 
 
 _MODULES = [regular_module, trivial_module, augmentation_ideal]
@@ -513,6 +513,14 @@ class TestKoszul:
 
     def test_h0_of_prime(self):
         assert koszul_selfdual_check([7]).h0_invariants == (7,)
+
+    @pytest.mark.parametrize("elements,h0", [
+        ((0, 0), (0,)), ((-4, 6), (2,)), ((4, 6, 10), (2,)), ((2, 3), ()),
+        ((0, 6), (6,)), ((-3,), (3,))])
+    def test_h0_zero_and_negative_entries(self, elements, h0):
+        """H_0 = Z / (a_1, ..., a_d): Z itself (a free summand, 0) when
+        every a_i is 0, else Z / gcd, whatever the signs."""
+        assert koszul_selfdual_check(elements).h0_invariants == h0
 
     def test_complex_squares_to_zero(self):
         from cohomkit.fibrewise import koszul_complex_matrices

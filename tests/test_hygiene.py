@@ -283,3 +283,57 @@ def test_detects_an_engine_import(tmp_path):
                    "from cohomkit.exact.dense import IntMatrix\n")
     assert package_imports(mod) - ORACLE_MODULES == {
         "cohomkit.exact.sparse", "cohomkit.kernels"}
+
+
+# the dense Smith form runs in the package only as phase 3 of the sparse
+# factorization and as the Smith form of a module presentation; every other
+# question, over Z or F_p, goes to the sparse engine, and the dense helpers
+# built on the Smith form live in tests/oracles.py
+DENSE_SMITH = {"smith_normal_form", "unimodular_inverse"}
+DENSE_SMITH_USERS = {"exact/dense.py", "exact/sparse.py", "fibrewise.py"}
+ORACLE_ONLY = {"solve_mod", "cokernel_invariants"}
+
+
+def dense_smith_misuse(paths, root: Path):
+    """(file, name) for each reference to the dense Smith form outside
+    ``DENSE_SMITH_USERS`` and each import of an ``ORACLE_ONLY`` helper.
+    Package ``__init__.py`` files are skipped (their imports are
+    re-exports)."""
+    found = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        rel = path.relative_to(root).as_posix()
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        imported = {a.name.split(".")[-1] for n in nodes
+                    if isinstance(n, (ast.Import, ast.ImportFrom))
+                    for a in n.names}
+        named = imported | {n.id for n in nodes if isinstance(n, ast.Name)}
+        named |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        if rel not in DENSE_SMITH_USERS:
+            found += [(rel, name) for name in sorted(DENSE_SMITH & named)]
+        found += [(rel, name) for name in sorted(ORACLE_ONLY & imported)]
+    return found
+
+
+def test_dense_smith_form_stays_in_its_two_places():
+    bad = dense_smith_misuse(sorted(SRC.rglob("*.py")), SRC)
+    assert not bad, f"dense Smith form outside its places: {bad}"
+
+
+def test_detects_dense_smith_misuse(tmp_path):
+    (tmp_path / "exact").mkdir()
+    (tmp_path / "exact" / "sparse.py").write_text(
+        "from .dense import smith_normal_form\n")
+    (tmp_path / "exact" / "modp.py").write_text(
+        "from . import dense\n\n\ndef rank(A):\n"
+        "    return dense.smith_normal_form(A).rank()\n")
+    (tmp_path / "fibrewise.py").write_text(
+        "from .exact.dense import cokernel_invariants, unimodular_inverse\n")
+    (tmp_path / "__init__.py").write_text(
+        "from .exact.dense import solve_mod, smith_normal_form\n")
+    (tmp_path / "strata.py").write_text(
+        "from .exact import dense\n\nsolve_mod = None\n")
+    assert dense_smith_misuse(sorted(tmp_path.rglob("*.py")), tmp_path) == [
+        ("exact/modp.py", "smith_normal_form"),
+        ("fibrewise.py", "cokernel_invariants")]

@@ -49,6 +49,7 @@ class TestBlockSES:
         (2, [(1, 2, 1)]),
         (5, [(1, 2, 1), (1, 3, 2), (1, 4, 3), (1, 5, 4), (2, 3, 1),
              (2, 4, 2), (2, 5, 3), (3, 4, 1), (3, 5, 2), (4, 5, 1)]),
+        (7, [(a, c, c - a) for a in range(1, 8) for c in range(a + 1, 8)]),
     ])
     def test_pinned_sequences(self, p, want):
         assert enumerate_block_ses(p) == want
