@@ -3,8 +3,9 @@
 Environment variables
 ---------------------
 COHOMKIT_SIZE_CAP   max number of coordinates in a single cochain space
-                    (default 10**6); computations needing a larger space
-                    raise SizeCapExceeded.
+                    (default 10**6 when unset); computations needing a
+                    larger space raise SizeCapExceeded.  A value that is
+                    not a positive integer raises ValueError.
 """
 
 import os
@@ -23,5 +24,8 @@ def size_cap() -> int:
     try:
         v = int(raw)
     except ValueError:
-        return DEFAULT_SIZE_CAP
-    return v if v > 0 else DEFAULT_SIZE_CAP
+        v = 0
+    if v <= 0:
+        raise ValueError(
+            f"COHOMKIT_SIZE_CAP must be a positive integer, not {raw!r}")
+    return v

@@ -7,6 +7,12 @@ one of them: invariant factors of the cokernel, membership in the image,
 torsion representatives, kernels.  This module factors such a matrix once
 and answers all of those queries cheaply afterwards.
 
+Matrices come in one format, CSR, and :func:`coo_to_csr` is the one place
+where entries given by position are sorted, summed and packed into it.  A
+factorization keeps the CSR arrays it was given, uncopied, for its
+matvec, so a matrix that its caller caches (a bar differential) is held
+once, by both.
+
 The factorization runs in three logged phases, all over Z:
 
 1. +-1-pivot sparse elimination.  The pivot column is the one of least
@@ -59,25 +65,84 @@ def symmetric_residue(v: int, m: int) -> int:
     return v - m if v > m // 2 else v
 
 
+def _check_range(idx: np.ndarray, bound: int, what: str):
+    if len(idx) and (idx.min() < 0 or idx.max() >= bound):
+        raise ValueError(f"{what} index out of range [0, {bound})")
+
+
+def _check_length(vec, n: int):
+    if len(vec) != n:
+        raise ValueError(f"vector of length {len(vec)} where {n} expected")
+
+
+def coo_to_csr(nrows: int, ncols: int, ri, ci, vi):
+    """The canonical CSR triple (indptr, indices, data) of the
+    ``nrows`` x ``ncols`` matrix with entries ``vi`` at (``ri``, ``ci``).
+
+    Duplicate positions are summed, entries that are or sum to zero are
+    dropped, and columns ascend within each row.  ``data`` is int64 when
+    every entry fits, else an object array of python ints.  An index
+    outside the matrix raises ValueError."""
+    ri = np.asarray(ri, dtype=np.int64)
+    ci = np.asarray(ci, dtype=np.int64)
+    vi = kernels.int_array(vi)
+    if not len(ri) == len(ci) == len(vi):
+        raise ValueError("COO triple of unequal lengths")
+    _check_range(ri, nrows, "row")
+    _check_range(ci, ncols, "column")
+    order = np.lexsort((ci, ri))
+    ri, ci, vi = ri[order], ci[order], vi[order]
+    first = np.ones(len(ri), dtype=bool)
+    first[1:] = (ri[1:] != ri[:-1]) | (ci[1:] != ci[:-1])
+    starts = np.flatnonzero(first)
+    if vi.dtype != object and kernels.max_abs(vi) * len(vi) >= 1 << 63:
+        vi = vi.astype(object)  # a sum of duplicates could overflow int64
+    sums = np.add.reduceat(vi, starts) if len(vi) else vi
+    keep = sums != 0
+    rows = ri[starts][keep]
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+    return indptr, ci[starts][keep], kernels.int_array(sums[keep])
+
+
+def _check_csr(nrows, ncols, indptr, indices, data):
+    """ValueError unless (indptr, indices, data) is a canonical CSR matrix
+    with ``nrows`` rows and ``ncols`` columns."""
+    lens = np.diff(indptr)
+    if (len(indptr) != nrows + 1 or indptr[0] != 0 or (lens < 0).any()
+            or not indptr[-1] == len(indices) == len(data)):
+        raise ValueError(f"malformed CSR matrix with {nrows} rows")
+    _check_range(indices, ncols, "column")
+    rows = np.repeat(np.arange(nrows, dtype=np.int64), lens)
+    if (np.diff(rows * ncols + indices) <= 0).any() or (data == 0).any():
+        raise ValueError("CSR columns must ascend within each row, "
+                         "with no stored zeros")
+
+
 class SparseFactorization:
     """Logged echelon factorization of a sparse integer matrix over Z."""
 
-    def __init__(self, nrows: int, ncols: int, coo):
-        """``coo`` is a triple (row_idx, col_idx, values) of equal-length
-        sequences; duplicate positions are summed."""
+    def __init__(self, nrows: int, ncols: int, csr):
+        """``csr`` is a canonical CSR triple (indptr, indices, data), as
+        :func:`coo_to_csr` returns it: ascending columns within each row and
+        no stored zeros.  The factorization keeps these arrays, uncopied,
+        for :meth:`matvec`, so a caller that caches the matrix holds it
+        once."""
+        indptr, indices, data = csr
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        if not isinstance(data, np.ndarray):
+            data = kernels.int_array(data)
+        _check_csr(nrows, ncols, indptr, indices, data)
         self.nrows = nrows
         self.ncols = ncols
-        rows = [dict() for _ in range(nrows)]
-        ri, ci, vi = coo
-        for r, c, v in zip(np.asarray(ri).tolist(), np.asarray(ci).tolist(),
-                           np.asarray(vi).tolist()):
-            d = rows[r]
-            nv = d.get(c, 0) + int(v)
-            if nv:
-                d[c] = nv
-            elif c in d:
-                del d[c]
-        self._keep_csr(rows)
+        self._indptr = indptr
+        self._indices = indices
+        self._data = data
+        # one row dict per nonempty row; the elimination only reaches them
+        ptr, cols, vals = indptr.tolist(), indices.tolist(), data.tolist()
+        rows = {r: dict(zip(cols[ptr[r]:ptr[r + 1]], vals[ptr[r]:ptr[r + 1]]))
+                for r in np.flatnonzero(np.diff(indptr)).tolist()}
         self._eliminate(rows)
 
     @classmethod
@@ -94,23 +159,9 @@ class SparseFactorization:
                     ri.append(i)
                     ci.append(j)
                     vi.append(r)
-        return cls(nrows, len(cols), (ri, ci, vi))
+        return cls(nrows, len(cols), coo_to_csr(nrows, len(cols), ri, ci, vi))
 
     # -- construction ------------------------------------------------------
-
-    def _keep_csr(self, rows):
-        """Store the input matrix in CSR form for matvec/verification."""
-        indptr = [0]
-        indices = []
-        data = []
-        for d in rows:
-            for c in sorted(d):
-                indices.append(c)
-                data.append(d[c])
-            indptr.append(len(indices))
-        self._indptr = np.array(indptr, dtype=np.int64)
-        self._indices = np.array(indices, dtype=np.int64)
-        self._data = kernels.int_array(data)
 
     def _eliminate(self, rows):
         # the row-operation log, one list per field, and the offsets at
@@ -128,7 +179,7 @@ class SparseFactorization:
         # chosen until it ends, so each of them is re-filed once per pivot,
         # by its final length, after the pivot row retires.
         col_rows: dict[int, set] = {}
-        for r, d in enumerate(rows):
+        for r, d in rows.items():
             for c in d:
                 col_rows.setdefault(c, set()).add(r)
         buckets: dict[int, set] = {}
@@ -227,7 +278,7 @@ class SparseFactorization:
         self._pool_vals = kernels.int_array(vals_pool)
 
         # phase 2: Euclidean row echelon on the leftover rows
-        live = [r for r in range(self.nrows) if rows[r]]
+        live = [r for r, d in rows.items() if d]
         res_cols = sorted({c for r in live for c in rows[r]})
         if res_cols:
             if (len(live) * len(res_cols) > _RESIDUAL_ENTRY_CAP
@@ -284,8 +335,8 @@ class SparseFactorization:
         self.piv_vals = piv_vals
         self.echelon_rows = echelon_rows
         self.res_cols = res_cols
-        nonzero = set(piv_rows) | set(echelon_rows)
-        self.zero_rows = [r for r in range(self.nrows) if r not in nonzero]
+        self.zero_rows = np.setdiff1d(np.arange(self.nrows),
+                                      piv_rows + echelon_rows).tolist()
 
         # phase 3: dense SNF of the echelon block
         E = [[rows[r].get(c, 0) for c in res_cols] for r in echelon_rows]
@@ -298,6 +349,7 @@ class SparseFactorization:
     # Every query takes the modulus m: 0 answers over Z, m >= 2 over Z/m.
 
     def _replay(self, vec, m=0, reverse=False):
+        _check_length(vec, self.nrows)
         if m:
             return kernels.apply_oplog_mod(vec, self.log, m, reverse=reverse)
         return kernels.apply_oplog_int(vec, self.log, reverse=reverse)
@@ -390,6 +442,7 @@ class SparseFactorization:
         return x
 
     def matvec(self, x, m=0):
+        _check_length(x, self.ncols)
         if m:
             return kernels.csr_matvec_mod(self._indptr, self._indices,
                                           self._data, x, m)

@@ -39,7 +39,8 @@ from .errors import (InternalCheckFailed, InvalidModule, NoIsomorphismFound,
                      NotBaseFree)
 from .exact.dense import IntMatrix, smith_normal_form, unimodular_inverse
 from .exact.modp import rank_modp
-from .exact.sparse import SparseFactorization, symmetric_residue
+from .exact.sparse import (SparseFactorization, coo_to_csr,
+                           symmetric_residue)
 from .groups import FiniteGroup
 
 
@@ -363,7 +364,8 @@ def _left_division(group: FiniteGroup, g: int, h: int) -> int:
 def _splitting_factorization(group: FiniteGroup, dim: int, action_of):
     """The splitting system factored over Z, and its right-hand side."""
     nrows, ncols, coo, rhs = _splitting_system(group, dim, action_of)
-    return SparseFactorization(nrows, ncols, coo), rhs
+    return SparseFactorization(nrows, ncols,
+                               coo_to_csr(nrows, ncols, *coo)), rhs
 
 
 def fibre_projectivity_test(M: GModule) -> ProjectivityResult:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import GROUP_CACHE_SIZE, size_cap
 from .errors import SizeCapExceeded
-from .exact.sparse import SparseFactorization
+from .exact.sparse import SparseFactorization, coo_to_csr
 from .groups import FiniteGroup
 from . import kernels
 
@@ -27,7 +27,8 @@ class BarCochains:
     Degree-n cochains are integer vectors indexed lexicographically by
     n-tuples of non-identity elements.  The dual differentials are cached as
     CSR matrices, and their sparse factorizations over Z are cached per
-    degree; each factorization answers the mod-m questions too.
+    degree; a factorization holds the very arrays of its CSR matrix, and
+    answers the mod-m questions too.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -93,29 +94,10 @@ class BarCochains:
         coo_c.append(tuple_index([digits[k] for k in range(n - 1)]))
         coo_v.append(np.full(nrows, sign, dtype=np.int64))
 
-        r = np.concatenate(coo_r)
-        c = np.concatenate(coo_c)
-        v = np.concatenate(coo_v)
-        # sum duplicates into CSR
-        order = np.lexsort((c, r))
-        r, c, v = r[order], c[order], v[order]
-        if len(r):
-            newgrp = np.empty(len(r), dtype=bool)
-            newgrp[0] = True
-            newgrp[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-            gid = np.cumsum(newgrp) - 1
-            vv = np.zeros(gid[-1] + 1, dtype=np.int64)
-            np.add.at(vv, gid, v)
-            rr = r[newgrp]
-            cc = c[newgrp]
-            keep = vv != 0
-            rr, cc, vv = rr[keep], cc[keep], vv[keep]
-        else:
-            rr, cc, vv = r, c, v
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.add.at(indptr, rr + 1, 1)
-        indptr = np.cumsum(indptr)
-        self._csr[n] = (indptr, cc.astype(np.int64), vv.astype(np.int64))
+        self._csr[n] = coo_to_csr(nrows, self.rank(n - 1),
+                                  np.concatenate(coo_r),
+                                  np.concatenate(coo_c),
+                                  np.concatenate(coo_v))
         return self._csr[n]
 
     def fact(self, n: int) -> SparseFactorization:
@@ -123,11 +105,8 @@ class BarCochains:
         if n not in self._facts:
             self.check_cap(n)
             self.check_cap(n - 1)
-            indptr, indices, data = self.csr(n)
-            rows = np.repeat(np.arange(self.rank(n), dtype=np.int64),
-                             np.diff(indptr))
             self._facts[n] = SparseFactorization(
-                self.rank(n), self.rank(n - 1), (rows, indices, data))
+                self.rank(n), self.rank(n - 1), self.csr(n))
         return self._facts[n]
 
     def matvec(self, n: int, vec):

@@ -249,6 +249,16 @@ class TestErrorPaths:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("cap", ["abc", "0", "-5"])
+    def test_bad_size_cap_exit(self, capsys, monkeypatch, cap):
+        """A cap that is not a positive integer is a usage error; it used to
+        fall back to the default and run uncapped."""
+        monkeypatch.setenv("COHOMKIT_SIZE_CAP", cap)
+        code, out, err = run(capsys, "cohomology", "--group", "c2",
+                             "--coeff", "Z", "--deg", "2")
+        assert code == 2
+        assert not out and "COHOMKIT_SIZE_CAP" in err
+
     def test_fibre_gproj_rejects_invalid_module(self, capsys, tmp_path):
         mod = tmp_path / "bad.json"
         mod.write_text(json.dumps({

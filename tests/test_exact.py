@@ -12,7 +12,7 @@ from cohomkit.exact.dense import (IntMatrix, SmithDecomposition,
                                   unimodular_inverse)
 from cohomkit.errors import InternalCheckFailed
 from cohomkit.exact.modp import nullspace_modp, rank_modp, solve_modp
-from cohomkit.exact.sparse import SparseFactorization
+from cohomkit.exact.sparse import SparseFactorization, coo_to_csr
 from cohomkit.fibrewise import augmentation_ideal, field_free_resolution
 from cohomkit.groups import symmetric_3
 from cohomkit.resolutions import bar_cochains
@@ -32,7 +32,7 @@ def factor_dense(dense):
     coo = ([i for i in range(nr) for j in range(nc)],
            [j for i in range(nr) for j in range(nc)],
            [dense[i][j] for i in range(nr) for j in range(nc)])
-    return SparseFactorization(nr, nc, coo)
+    return SparseFactorization(nr, nc, coo_to_csr(nr, nc, *coo))
 
 
 def factorization_digest(f):
@@ -397,7 +397,7 @@ class TestSparseFactorization:
         dense = [[0] * nc for _ in range(nr)]
         for i, j, v in zip(*coo):
             dense[i][j] += v
-        f = SparseFactorization(nr, nc, coo)
+        f = SparseFactorization(nr, nc, coo_to_csr(nr, nc, *coo))
         b = [rng.randint(-4, 4) for _ in range(nr)]
         x0 = [rng.randint(-3, 3) for _ in range(nc)]
         img = [sum(dense[i][j] * x0[j] for j in range(nc))
@@ -435,7 +435,8 @@ class TestSparseFactorization:
 
     @pytest.mark.parametrize("m", [0, 5])
     def test_failed_self_check_raises(self, monkeypatch, m):
-        f = SparseFactorization(3, 3, ([0, 1, 2], [0, 1, 2], [2, 6, 1]))
+        f = SparseFactorization(
+            3, 3, coo_to_csr(3, 3, [0, 1, 2], [0, 1, 2], [2, 6, 1]))
         b = [2, 6, 1]
         assert f.solve(b, m) is not None
         good = f.matvec
@@ -453,7 +454,7 @@ class TestSparseFactorization:
         # coker = Z/2 + Z/6: reps must be independent non-images
         dense = [[2, 0, 0], [0, 6, 0], [0, 0, 1]]
         coo = ([0, 1, 2], [0, 1, 2], [2, 6, 1])
-        f = SparseFactorization(3, 3, coo)
+        f = SparseFactorization(3, 3, coo_to_csr(3, 3, *coo))
         reps = f.torsion_reps()
         assert sorted(d for d, _ in reps) == [2, 6]
         for d, w in reps:
@@ -528,12 +529,126 @@ class TestSparseFactorization:
 
     def test_determinism(self):
         coo = ([0, 0, 1, 2], [0, 1, 1, 0], [1, -1, 2, 3])
-        f1 = SparseFactorization(3, 2, coo)
-        f2 = SparseFactorization(3, 2, coo)
+        f1 = SparseFactorization(3, 2, coo_to_csr(3, 2, *coo))
+        f2 = SparseFactorization(3, 2, coo_to_csr(3, 2, *coo))
         assert f1.piv_cols == f2.piv_cols
         assert f1.piv_rows == f2.piv_rows
         assert [list(x) for x in f1.log[1:3]] == \
             [list(x) for x in f2.log[1:3]]
+
+
+    @pytest.mark.parametrize("query, length", [
+        ("in_image", 4), ("in_image", 2), ("coords", 4),
+        ("solvable_over_q", 4), ("solve", 4), ("solve", 2),
+        ("matvec", 3), ("matvec", 1),
+    ])
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_rejects_wrong_length_vector(self, query, length, m):
+        """Queries on a 3x2 matrix take vectors of length 3 (matvec: 2);
+        any other length is a usage error, not a silent answer."""
+        f = factor_dense([[1, 0], [0, 1], [1, 1]])
+        vec = [0] * (length - 1) + [7]
+        args = (vec,) if query == "solvable_over_q" else (vec, m)
+        with pytest.raises(ValueError, match="length"):
+            getattr(f, query)(*args)
+
+    @pytest.mark.parametrize("csr", [
+        ([0, 1], [-1, 0], [1, 1]),          # a COO triple: indptr too short
+        ([0, 1, 2], [0, 2], [1, 1]),        # column 2 of 2
+        ([0, 2, 2], [1, 0], [1, 1]),        # columns descend in row 0
+        ([0, 2, 2], [1, 1], [1, 1]),        # a repeated position
+        ([0, 1, 2], [0, 1], [1, 0]),        # a stored zero
+        ([0, 2, 1], [0, 1], [1, 1]),        # indptr descends
+    ])
+    def test_rejects_malformed_csr(self, csr):
+        with pytest.raises(ValueError):
+            SparseFactorization(2, 2, csr)
+
+    def test_holds_the_callers_arrays(self, groups):
+        """A bar differential is held once: its factorization keeps the
+        very arrays that BarCochains.csr cached."""
+        bar = bar_cochains(groups["s3"])
+        f = bar.fact(3)
+        indptr, indices, data = bar.csr(3)
+        assert f._indptr is indptr
+        assert f._indices is indices
+        assert f._data is data
+
+
+class TestCooToCsr:
+    def test_sums_duplicates(self, groups):
+        # d(g, g) on C_2 hits (g) through face 0 and the last face, and
+        # the inner face g g = 1 vanishes in the normalized resolution
+        assert [a.tolist() for a in bar_cochains(groups["c2"]).csr(2)] == \
+            [[0, 1], [0], [2]]
+        indptr, indices, data = coo_to_csr(2, 3, [1, 0, 1, 1],
+                                           [2, 1, 0, 2], [3, 4, 5, -1])
+        assert indptr.tolist() == [0, 1, 3]
+        assert indices.tolist() == [1, 0, 2]
+        assert data.tolist() == [4, 5, 2]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_dict_summing(self, seed):
+        """Against the per-entry loop: sum each position in a dict, drop
+        zeros, read rows in order with their columns sorted."""
+        rng = random.Random(seed)
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        n = rng.randint(0, 30)
+        coo = ([rng.randrange(nr) for _ in range(n)],
+               [rng.randrange(nc) for _ in range(n)],
+               [rng.choice([-2, -1, 0, 1, 2, 2**70]) for _ in range(n)])
+        summed = {}
+        for r, c, v in zip(*coo):
+            summed[r, c] = summed.get((r, c), 0) + v
+        want = sorted((rc, v) for rc, v in summed.items() if v)
+        indptr, indices, data = coo_to_csr(nr, nc, *coo)
+        got = [((r, int(indices[k])), int(data[k])) for r in range(nr)
+               for k in range(indptr[r], indptr[r + 1])]
+        assert got == want
+
+    def test_drops_zeros_and_cancellations(self):
+        indptr, indices, data = coo_to_csr(3, 3, [0, 0, 1, 2, 2],
+                                           [1, 1, 2, 0, 2],
+                                           [1, -1, 0, 5, 0])
+        assert indptr.tolist() == [0, 0, 0, 1]
+        assert indices.tolist() == [0]
+        assert data.tolist() == [5]
+
+    def test_keeps_large_entries_exact(self):
+        big = 2**63
+        _, indices, data = coo_to_csr(1, 3, [0, 0, 0, 0, 0],
+                                      [2, 0, 2, 1, 1],
+                                      [big, 7, big, 2**62, 2**62])
+        assert indices.tolist() == [0, 1, 2]
+        assert data.tolist() == [7, 2**63, 2**64]
+        # entries that fit int64 but whose sum does not
+        assert coo_to_csr(1, 1, [0, 0], [0, 0], [2**62, 2**62])[2].tolist() \
+            == [2**63]
+        # entries that fit stay int64
+        assert coo_to_csr(1, 1, [0], [0], [2**62])[2].dtype == np.int64
+
+    def test_empty_triple(self):
+        indptr, indices, data = coo_to_csr(3, 2, [], [], [])
+        assert indptr.tolist() == [0, 0, 0, 0]
+        assert len(indices) == len(data) == 0
+        f = SparseFactorization(3, 2, (indptr, indices, data))
+        assert f.coker_invariants() == [0, 0, 0]
+        assert f.kernel_basis() == [[1, 0], [0, 1]]
+        assert f.matvec([4, 5]) == [0, 0, 0]
+
+    @pytest.mark.parametrize("ri, ci", [
+        ([0, 1], [-1, 0]),   # once read as the last column
+        ([0, 1], [5, 0]),    # once an IndexError deep in back-substitution
+        ([-1, 1], [0, 0]),
+        ([0, 2], [0, 0]),
+    ])
+    def test_rejects_out_of_range_indices(self, ri, ci):
+        with pytest.raises(ValueError, match="out of range"):
+            coo_to_csr(2, 2, ri, ci, [1, 1])
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            coo_to_csr(2, 2, [0, 1], [0], [1, 1])
 
 
 class TestLargeModulus:

@@ -337,3 +337,43 @@ def test_detects_dense_smith_misuse(tmp_path):
     assert dense_smith_misuse(sorted(tmp_path.rglob("*.py")), tmp_path) == [
         ("exact/modp.py", "smith_normal_form"),
         ("fibrewise.py", "cokernel_invariants")]
+
+
+# a COO triple is sorted and summed into CSR in one place, coo_to_csr; every
+# other matrix builder hands its triple to it
+COO_SORT = "lexsort"
+COO_SORT_HOME = "exact/sparse.py"
+
+
+def coo_sort_outside_home(paths, root: Path):
+    """Files other than ``COO_SORT_HOME`` that refer to ``COO_SORT``."""
+    found = []
+    for path in paths:
+        rel = path.relative_to(root).as_posix()
+        nodes = ast.walk(ast.parse(path.read_text()))
+        if rel != COO_SORT_HOME and any(
+                getattr(n, "attr", getattr(n, "id", None)) == COO_SORT
+                for n in nodes):
+            found.append(rel)
+    return found
+
+
+def test_coo_is_summed_in_one_place():
+    bad = coo_sort_outside_home(sorted(SRC.rglob("*.py")), SRC)
+    assert not bad, f"COO sorted outside {COO_SORT_HOME}: {bad}"
+
+
+def test_detects_a_second_coo_sort(tmp_path):
+    (tmp_path / "exact").mkdir()
+    (tmp_path / "exact" / "sparse.py").write_text(
+        "import numpy as np\n\norder = np.lexsort((c, r))\n")
+    (tmp_path / "resolutions.py").write_text(
+        "import numpy as np\n\n\ndef csr(r, c):\n"
+        "    return np.lexsort((c, r))\n")
+    (tmp_path / "fibrewise.py").write_text(
+        "from numpy import lexsort\n\norder = lexsort((c, r))\n")
+    (tmp_path / "cup.py").write_text(
+        "from .exact.sparse import coo_to_csr\n\nsort = sorted\n")
+    assert coo_sort_outside_home(sorted(tmp_path.rglob("*.py")),
+                                 tmp_path) == ["fibrewise.py",
+                                               "resolutions.py"]
