@@ -7,9 +7,12 @@ certified cocycles.
 
 For Z/m coefficients the universal coefficient sequence is made
 constructive: a basis consists of reductions of integral classes together
-with connecting-map sections built by exact solves, and every mod-m cocycle
-gets canonical coordinates from two integral factorizations (degrees n and
-n+1).  No mod-m linear algebra beyond vector reduction is ever needed.
+with connecting-map sections built by exact solves in degree n+1.  Every
+mod-m cocycle is then read in its own degree alone: H^n(G, Z/m) is a
+subgroup of coker(D_n tensor Z/m), whose canonical coordinates the degree-n
+factorization gives, so a class is zero iff it lies in the image of D_n mod
+m, and its coordinates solve one small system against the generators'
+cokernel coordinates.  Only the basis needs the degree-(n+1) factorization.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .config import GROUP_CACHE_SIZE
 from .errors import (DegreeZeroUnsupported, InternalCheckFailed,
                      ModulusMismatch)
 from .exact.dense import normalize_modulus
+from .exact.sparse import SparseFactorization
 from .groups import FiniteGroup
 from .resolutions import bar_cochains
 
@@ -79,13 +83,22 @@ class PrimaryPart:
 class _UCTData:
     """Generators of H^n(G, Z/m) and the data to take coordinates."""
 
-    __slots__ = ("orders", "gens", "theta_count", "abelian")
+    __slots__ = ("orders", "gens", "abelian", "system")
 
-    def __init__(self, orders, gens, theta_count):
-        self.orders = orders            # cyclic order of each generator
-        self.gens = gens                # mod-m cocycle vectors
-        self.theta_count = theta_count  # first generators are theta-images
+    def __init__(self, orders, gens, system=None):
+        self.orders = orders  # cyclic order of each generator
+        self.gens = gens      # mod-m cocycle vectors
         self.abelian = FiniteAbelian(orders) if orders else None
+        # the generators' scaled cokernel coordinates, factored mod m
+        self.system = system
+
+
+def _scaled_coords(fact, vec, m: int) -> list:
+    """Coordinates of ``vec`` in coker(D_n tensor Z/m), coordinate j (of
+    modulus mu_j, which divides m) scaled by m / mu_j into Z/m: an injective
+    map of C^n_m / B^n_m, so of its subgroup H^n(G, Z/m), into (Z/m)^N."""
+    vals, mods = fact.coords(vec, m)
+    return [v * (m // d) for v, d in zip(vals, mods)]
 
 
 class CohomologySystem:
@@ -141,7 +154,7 @@ class CohomologySystem:
         if key in self._uct:
             return self._uct[key]
         if n == 0:
-            data = _UCTData([m], [[1]], 1)
+            data = _UCTData([m], [[1]])
             self._uct[key] = data
             return data
         orders = []
@@ -152,7 +165,6 @@ class CohomologySystem:
             if g > 1:
                 orders.append(g)
                 gens.append([v % m for v in w])
-        theta_count = len(orders)
         # Tor part: sections of the connecting map
         fact_up = self.bc.fact(n + 1)
         for f2, w2 in self.integral_basis(n + 1):
@@ -167,68 +179,32 @@ class CohomologySystem:
                     "class should be a coboundary")
             orders.append(g2)
             gens.append([v % m for v in u])
-        data = _UCTData(orders, gens, theta_count)
+        system = None
+        if gens:
+            fact = self.bc.fact(n)
+            cols = [_scaled_coords(fact, g, m) for g in gens]
+            system = SparseFactorization.from_columns(cols, len(cols[0]), m)
+        data = _UCTData(orders, gens, system)
         self._uct[key] = data
         return data
 
     def mod_coords(self, n: int, m: int, vec):
         """Coordinates of a mod-m degree-n cocycle in the UCT generator
-        basis (internal order: theta generators, then Tor generators)."""
+        basis (internal order: theta generators, then Tor generators), read
+        off its scaled cokernel coordinates in degree n."""
         if n == 0:
             return [int(vec[0]) % m]
-        data = self.uct_data(n, m)
         lift = [int(v) % m for v in vec]
-        dz = self.bc.matvec(n + 1, lift)
-        if any(v % m for v in dz):
+        if any(v % m for v in self.bc.matvec(n + 1, lift)):
             raise ValueError("vector is not a mod-m cocycle")
-        v_int = [v // m for v in dz]
-        # Tor coordinates from the integral class of dz/m
-        cvals = self.integral_coords(n + 1, v_int)
-        int_up = self.integral_basis(n + 1)
-        tor_coords = []
-        pos = 0
-        correction = None
-        for (f2, w2), c in zip(int_up, cvals):
-            g2 = gcd(f2, m)
-            if g2 == 1:
-                if c % f2:
-                    # class must be killed by m within this factor
-                    if (c * m) % f2:
-                        raise InternalCheckFailed(
-                            "connecting image is not m-torsion")
-                continue
-            scale = f2 // g2
-            if c % scale:
-                raise InternalCheckFailed(
-                    "connecting image is not divisible by the Tor scale")
-            s = (c // scale) % g2
-            tor_coords.append(s)
-            if s:
-                u = data.gens[data.theta_count + pos]
-                if correction is None:
-                    correction = [0] * len(lift)
-                for t, uv in enumerate(u):
-                    correction[t] += s * uv
-            pos += 1
-        z2 = lift if correction is None else \
-            [(a - b) % m for a, b in zip(lift, correction)]
-        # now z2 is a theta-image: build an integral cocycle reducing to it
-        dz2 = self.bc.matvec(n + 1, z2)
-        v2 = [v // m for v in dz2]
-        if any(v % m for v in dz2):
-            raise InternalCheckFailed("Tor correction failed")
-        E = self.bc.fact(n + 1).solve(v2)
-        if E is None:
+        data = self.uct_data(n, m)
+        if data.system is None:
+            return []
+        x = data.system.solve(_scaled_coords(self.bc.fact(n), lift, m), m)
+        if x is None:
             raise InternalCheckFailed(
-                "theta-part lift failed; connecting class should vanish")
-        Z = [a - m * e for a, e in zip(z2, E)]
-        acoords = self.integral_coords(n, Z)
-        theta_coords = []
-        for (f, _w), a in zip(self.integral_basis(n), acoords):
-            g = gcd(f, m)
-            if g > 1:
-                theta_coords.append(a % g)
-        return theta_coords + tor_coords
+                "cocycle is not in the span of the UCT generators")
+        return [v % o for v, o in zip(x, data.orders)]
 
     # -- public class helpers ----------------------------------------------
 
@@ -238,7 +214,16 @@ class CohomologySystem:
         return self.integral_coords(x.degree, x.vector)
 
     def is_zero(self, x: CohomologyClass) -> bool:
-        return all(c == 0 for c in self.coords(x))
+        """Whether x is the zero class.  A mod-m class of positive degree is
+        decided by image membership in its own degree; only a vector found
+        outside the image is checked to be a cocycle."""
+        if not x.modulus or x.degree == 0:
+            return all(c == 0 for c in self.coords(x))
+        if self.bc.fact(x.degree).in_image(x.vector, x.modulus):
+            return True
+        if not self.verify_cocycle(x):
+            raise ValueError("vector is not a mod-m cocycle")
+        return False
 
     def classes_equal(self, x: CohomologyClass, y: CohomologyClass) -> bool:
         if (x.degree != y.degree or x.modulus != y.modulus

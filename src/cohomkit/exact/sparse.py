@@ -425,6 +425,8 @@ class SparseFactorization:
         b is not in the image.  An x that fails A x = b raises
         InternalCheckFailed."""
         z = self._replay(b, m)
+        if kernels.int_array(z)[self.zero_rows].any():
+            return None  # b is nonzero on a row that no pivot reaches
         x = [0] * self.ncols
         if self.echelon_rows:
             xr = self.esnf.solve([int(z[r]) for r in self.echelon_rows], m)
@@ -432,11 +434,9 @@ class SparseFactorization:
                 return None
             for c, v in zip(self.res_cols, xr):
                 x[c] = v
-        for r in self.zero_rows:
-            if (int(z[r]) % m if m else int(z[r])) != 0:
-                return None
         x = self._backsub([z[r] for r in self.piv_rows], x, m)
-        if self.matvec(x, m) != [int(v) % m if m else int(v) for v in b]:
+        b = kernels.residues(b, m) if m else kernels.int_array(b)
+        if not np.array_equal(kernels.int_array(self.matvec(x, m)), b):
             raise InternalCheckFailed(
                 "sparse solve: A x != b after back-substitution")
         return x

@@ -4,7 +4,9 @@ towers, integral lifting of p^s-th powers, and the F-isomorphism
 certificate assembled from those witnesses.
 
 Image membership is always decided by solving linear systems on cocycle
-coordinates modulo coboundaries; no symbolic ring reasoning anywhere.
+coordinates modulo coboundaries; no symbolic ring reasoning anywhere.  A
+witness is checked by ``CohomologySystem.is_zero``, which reads a mod-m
+class off the factorization of its own degree only.
 """
 
 from __future__ import annotations
@@ -62,22 +64,10 @@ def verify_derivation(i: int, x: CohomologyClass,
     ey = coefficient_map("epsilon_i", y)
     rhs = _add_classes(cup_product(dx, ey), cup_product(ex, dy),
                        sign=(-1) ** x.degree)
-    sys = cohomology_system(x.group)
     diff = _add_classes(lhs, rhs, sign=-1)
-    passed = _modp_class_is_zero(sys, diff)
+    passed = cohomology_system(x.group).is_zero(diff)
     return DerivationCheck(x.group.label, i, (x.degree, y.degree), passed,
                            lhs, rhs)
-
-
-def _modp_class_is_zero(sys, z: CohomologyClass) -> bool:
-    """Vanishing of a mod-m cocycle class via one image solve against the
-    incoming differential (cheap: no degree-(n+1) factorization)."""
-    if z.degree == 0:
-        return all(v % z.modulus == 0 for v in z.vector)
-    if all(v == 0 for v in z.vector):
-        return True
-    fact = sys.bc.fact(z.degree)
-    return fact.solve(list(z.vector), z.modulus) is not None
 
 
 @dataclass
@@ -194,7 +184,7 @@ class IntegralLift:
         diff = tuple((a - b) % self.prime
                      for a, b in zip(red.vector, self.power_vector))
         dclass = CohomologyClass(z.group, z.degree, self.prime, diff)
-        return _modp_class_is_zero(sys, dclass)
+        return sys.is_zero(dclass)
 
 
 def integral_psth_preimage(x: CohomologyClass,

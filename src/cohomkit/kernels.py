@@ -55,7 +55,7 @@ def int_array(seq) -> np.ndarray:
     return np.array([int(v) for v in vals], dtype=object)
 
 
-def _residues(vec, m: int) -> np.ndarray:
+def residues(vec, m: int) -> np.ndarray:
     """Canonical residues of ``vec`` mod m: int64 when m fits, else object."""
     v = int_array(vec)
     if m >= _I64:
@@ -122,8 +122,8 @@ def apply_oplog_int(vec, log, reverse: bool = False) -> list:
 def apply_oplog_mod(vec, log, m: int, reverse: bool = False) -> list:
     """Replay a row-operation log modulo m; returns canonical residues."""
     _types, aa, _bb, qq, batches = log
-    v = _residues(vec, m)
-    qq = _residues(qq, m)
+    v = residues(vec, m)
+    qq = residues(qq, m)
     if (m - 1) ** 2 + (m - 1) >= _I64:
         v, qq = v.astype(object), qq.astype(object)
     for s, e, src, _qmax, neg in (reversed(batches) if reverse else batches):
@@ -194,7 +194,7 @@ def csr_matvec_int(indptr, indices, data, vec) -> list:
 
 def csr_matvec_mod(indptr, indices, data, vec, m: int) -> list:
     """CSR matrix-vector product mod m; returns canonical residues."""
-    return (_csr_matvec(indptr, indices, data, _residues(vec, m))
+    return (_csr_matvec(indptr, indices, data, residues(vec, m))
             % m).tolist()
 
 

@@ -111,6 +111,9 @@ class BarCochains:
 
     def matvec(self, n: int, vec):
         """D_n applied to a degree-(n-1) cochain vector, exact over Z."""
+        if len(vec) != self.rank(n - 1):
+            raise ValueError(f"cochain of length {len(vec)} where "
+                             f"{self.rank(n - 1)} expected in degree {n - 1}")
         indptr, indices, data = self.csr(n)
         return kernels.csr_matvec_int(indptr, indices, data, vec)
 

@@ -215,8 +215,16 @@ class TestGoldenReports:
          "a0b19c790ecae04d17996f25a7375c0e24368f4fc3bb5bfabbdd7a5511019790"),
         (["fibre", "--group", "c6", "--module", "fp.json"],
          "23e047b7d8934b3e0503ed17e87f9173f9b9f42790ef56f6016f9e15b0c169b3"),
+        (["kappa", "--group", "klein4", "--p", "2", "--max-deg", "6"],
+         "102e37becb4df9b9d20188833e7b4a73e46a5eb74af27985a585e9564ecb0d97"),
+        # a composite modulus: theta and Tor generators at two primes
+        (["ring", "--group", "s3", "--coeff", "6", "--max-deg", "4",
+          "--basis"],
+         "499ee9c218dfafa40eeb25f0eb606312877f3e42810b18b78540b9f7f3e9a6e1"),
+        (["ring", "--group", "klein4", "--coeff", "4", "--max-deg", "4"],
+         "eafa499164a1e9b8cc7cb004eeb661b482ea3e1aacbd25c9e8979732ed7d4c1d"),
     ], ids=["fiso-c4", "fiso-s3", "bockstein-s3", "prop4.3", "lemma2.7",
-            "fibre-fp"])
+            "fibre-fp", "kappa-klein4", "ring-s3-mod6", "ring-klein4-mod4"])
     def test_report_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)  # the report records the module path
         (tmp_path / "fp.json").write_text(json.dumps(self.FP_MODULE))

@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -9,8 +10,10 @@ from cohomkit.cohomology import (CohomologyClass, bockstein_delta,
                                  canonical_coords, coefficient_map,
                                  cohomology_group, cohomology_system,
                                  full_invariants_from_primary, p_primary_part)
+from cohomkit.cup import cup_product
 from cohomkit.errors import DegreeZeroUnsupported, ModulusMismatch, NotPrime
 from cohomkit.exact.dense import IntMatrix
+from cohomkit.groups import klein_four
 from oracles import (bar_resolution, echelon_modp,
                      periodic_resolution_cyclic, subquotient_invariants)
 
@@ -42,8 +45,6 @@ class TestAbelianCanonicalization:
            st.integers(0, 10**6))
     def test_coords_are_homomorphic(self, orders, seed):
         fa = FiniteAbelian(orders)
-        import random
-
         rng = random.Random(seed)
         a = [rng.randrange(o) for o in orders]
         b = [rng.randrange(o) for o in orders]
@@ -143,6 +144,88 @@ class TestModularCohomology:
             (a + b) % 2 for a, b in zip(x.vector, dc)))
         assert shifted.vector != x.vector or all(v % 2 == 0 for v in dc)
         assert sys.classes_equal(x, shifted)
+
+
+def _mod_cases():
+    """(group, m, degree) with Tor generators in H^n(G; Z/m), n <= 3."""
+    torsion = {"c4": {2: [4], 4: [4]}, "klein4": {2: [2, 2], 3: [2],
+                                                  4: [2, 2, 2]},
+               "s3": {2: [2], 4: [6]}, "q8": {2: [2, 2], 4: [8]}}
+    cases = []
+    for name, degs in torsion.items():
+        for m in (2, 3, 4, 6):
+            for n in (1, 2, 3):
+                if any(gcd(f, m) > 1 for f in degs.get(n + 1, [])):
+                    cases.append((name, m, n))
+    return cases
+
+
+class TestModCoords:
+    """mod_coords and is_zero against classes built from known coordinates
+    in the UCT generator basis."""
+
+    @pytest.mark.parametrize("name, m, n", _mod_cases())
+    def test_known_coordinates(self, groups, name, m, n):
+        G = groups[name]
+        sys = cohomology_system(G)
+        data = sys.uct_data(n, m)
+        theta = [f for f, _ in sys.integral_basis(n) if gcd(f, m) > 1]
+        assert len(data.orders) > len(theta)  # Tor generators follow
+        rng = random.Random(f"{name}-{m}-{n}")
+        for trial in range(8):
+            # every other trial is a multiple of the orders: the zero class
+            c = [rng.randrange(m) * (o if trial % 2 else 1)
+                 for o in data.orders]
+            r = [rng.randrange(m) for _ in range(sys.rank(n - 1))]
+            vec = sys.bc.matvec(n, r)
+            for ci, g in zip(c, data.gens):
+                vec = [a + ci * b for a, b in zip(vec, g)]
+            vec = [v % m for v in vec]
+            want = [ci % o for ci, o in zip(c, data.orders)]
+            assert sys.mod_coords(n, m, vec) == want
+            x = CohomologyClass(G, n, m, tuple(vec))
+            assert sys.is_zero(x) == (not any(want))
+
+    @pytest.mark.parametrize("name, m, n", _mod_cases())
+    def test_non_cocycle_raises(self, groups, name, m, n):
+        G = groups[name]
+        sys = cohomology_system(G)
+        for i in range(sys.rank(n)):
+            vec = [0] * sys.rank(n)
+            vec[i] = 1
+            if any(v % m for v in sys.bc.matvec(n + 1, vec)):
+                break
+        else:
+            pytest.fail("every unit cochain is a cocycle")
+        with pytest.raises(ValueError):
+            sys.mod_coords(n, m, vec)
+        with pytest.raises(ValueError):
+            sys.is_zero(CohomologyClass(G, n, m, tuple(vec)))
+
+    def test_wrong_length_raises(self, groups):
+        G = groups["s3"]
+        sys = cohomology_system(G)
+        short = CohomologyClass(G, 2, 2, (0,) * (sys.rank(2) - 1))
+        with pytest.raises(ValueError):
+            sys.mod_coords(2, 2, short.vector)
+        with pytest.raises(ValueError):
+            sys.is_zero(short)
+
+    def test_is_zero_stays_in_its_degree(self):
+        """is_zero on a mod-m class of degree n factors D_n only: it builds
+        no UCT data and no degree-(n+1) factorization."""
+        G = klein_four()  # a fresh instance: fresh caches
+        sys = cohomology_system(G)
+        x, y = cohomology_group(G, 2, 1).basis
+        uct = dict(sys._uct)
+        assert 3 not in sys.bc._facts
+        nonzero = cup_product(x, y)
+        coboundary = CohomologyClass(
+            G, 2, 2, tuple(sys.bc.matvec(2, [1] * sys.rank(1))))
+        assert not sys.is_zero(nonzero)
+        assert sys.is_zero(coboundary)
+        assert sys._uct == uct
+        assert 3 not in sys.bc._facts
 
 
 class TestCoefficientMaps:

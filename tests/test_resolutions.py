@@ -150,6 +150,13 @@ class TestBarCochains:
             got = bc.matvec(n, v)
             assert got == want
 
+    @pytest.mark.parametrize("vec", [[1, 0, 5, 7, 9], [1]])
+    def test_matvec_rejects_wrong_length(self, vec):
+        """C^1 of C3 has rank 2; a longer vector used to be read in part
+        and a shorter one died with an IndexError."""
+        with pytest.raises(ValueError):
+            bar_cochains(cyclic(3)).matvec(2, vec)
+
     def test_dual_differentials_compose_to_zero(self):
         G = symmetric_3()
         bc = bar_cochains(G)
