@@ -26,7 +26,7 @@ def _factor_modp(A, p) -> SparseFactorization:
     M = np.asarray(A, dtype=np.int64)
     if M.ndim != 2:
         raise ValueError("expected a matrix")
-    return SparseFactorization.from_columns(M.T.tolist(), M.shape[0], p)
+    return SparseFactorization.from_columns(M.T, M.shape[0], p)
 
 
 def rank_modp(A, p) -> int:

@@ -20,7 +20,13 @@ The factorization runs in three logged phases, all over Z:
    column found without one is blocked and waits until its content
    changes.  The pivot row is the shortest row with a +-1 entry in that
    column, then the lowest index.  Least-length columns keep fill-in low
-   on face-map matrices;
+   on face-map matrices.  Rows start as dicts, one update per entry; once
+   the live rows fill in (the next pivot is large, the live rows hold
+   many entries, and a dense block of the live rows x live columns takes
+   no more memory than the dicts), the phase moves them into one 2-D
+   numpy array, in the narrowest integer dtype that its entries allow, and
+   finishes there with the same pivot rule, one vectorised update per
+   pivot, so the log is the same;
 2. integer row echelon on the leftover rows (gcd steps);
 3. dense Smith normal form (exact, python ints) on the small echelon block.
 
@@ -38,14 +44,16 @@ and gcd(d, m), and back-substitutes mod m through the +-1 pivots, which are
 their own inverses.  One factorization thus answers the questions over Z,
 over Q (the free cokernel coordinates) and over every Z/m.
 
-All arithmetic is exact: python integers over Z, canonical residues over
+All arithmetic is exact: python integers over Z, or numpy integers of a
+width that a bound on the entries shows to be safe; canonical residues over
 Z/m.  Pivoting is deterministic, so factorizations (and everything derived
 from them) are reproducible.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from itertools import chain
+from math import gcd, inf
 
 import numpy as np
 
@@ -119,6 +127,150 @@ def _check_csr(nrows, ncols, indptr, indices, data):
                          "with no stored zeros")
 
 
+# Phase 1 moves from dict rows to one dense block of the live rows x live
+# columns once both of these hold; the figures are from a 2-vCPU VM with
+# python 3.11 and numpy 2.4.
+# - work: the cheapest pivot, the next one, updates at least
+#   _DENSE_MIN_WORK entries, (column length - 1) x (pivot row length - 1),
+#   and the live block holds at least _DENSE_MIN_ENTRIES entries.  A dense
+#   pivot costs ~150 us of numpy calls whatever its size, and building and
+#   taking apart the block ~60 ns per entry plus ~1 ms, which only enough
+#   remaining pivots repay.  Bar differentials that switched with at most
+#   7,325 live entries (klein4 D_5 and D_6, s3 D_4, c6 D_4) ran 3-19%
+#   slower dense; those with 22,875 or more (q8 D_4 and D_5, s3 D_5, c6 D_5,
+#   klein4 D_7) ran 29-70% faster.  With the entry floor, work floors of
+#   128 and 256 tied for the least total time on those and s3 D_6 (1.77 s,
+#   against 1.80 s at 0 and at 512 and 1.91 s at 1024).
+# - memory: the block, in the narrowest dtype its entry bound allows, takes
+#   no more bytes than the row dicts and column sets it replaces, at
+#   _DICT_ENTRY_BYTES per live entry.  Dropping those structures freed
+#   118-127 bytes per live entry (tracemalloc; s3 D_6 at pivots 1500-2400,
+#   q8 D_5 at 300-600), so 112 stays below every measured cost.
+_DENSE_MIN_WORK = 256
+_DENSE_MIN_ENTRIES = 1 << 14
+_DICT_ENTRY_BYTES = 112
+# the block dtypes, narrowest first, with the largest entry each holds
+_BLOCK_LIMITS = {np.dtype(t): int(np.iinfo(t).max)
+                 for t in (np.int8, np.int16, np.int32, np.int64)}
+_BLOCK_LIMITS[np.dtype(object)] = inf
+
+
+def _block_dtype(bound: int) -> np.dtype:
+    """The first of int8/16/32/64 that holds bound + bound^2, the most one
+    update v - q w can reach when |v|, |q|, |w| <= bound; else object
+    (python ints)."""
+    return next(dt for dt, top in _BLOCK_LIMITS.items()
+                if bound + bound * bound <= top)
+
+
+def _op_arrays(a, b, q) -> tuple:
+    """Log ops given as lists, packed as (targets, sources, multipliers)."""
+    return (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+            kernels.int_array(q))
+
+
+def _dense_unit_pivots(rows, col_rows, blocked, bound):
+    """Finish the +-1 pivots of phase 1 on one dense block.
+
+    ``rows``, ``col_rows`` and ``blocked`` are the dict loop's state and
+    ``bound`` is the largest |entry|.  The live rows leave ``rows`` for the
+    block, the column index is emptied, and the rows still nonzero at the
+    end return to ``rows`` for phase 2.  Pivots follow the dict loop's rule:
+    least length, then least index, among the unblocked columns; the unit
+    entry of the shortest row, then the lowest row; ops in ascending target
+    order, a batch only when the column has more than one entry.  So the
+    log, pivots and frozen rows are the ones the dict loop would give.
+
+    Returns one (row, column, value, pool columns, pool values, targets,
+    multipliers) per pivot, in pivot order: the pivot, its frozen row
+    without the pivot entry as python ints, and its ops
+    ``row[t] -= q * row[pivot row]`` as two arrays.
+    """
+    rid = sorted(r for r, d in rows.items() if d)
+    cid = np.array(sorted(c for c, s in col_rows.items() if s),
+                   dtype=np.int64)
+    lens = [len(rows[r]) for r in rid]
+    nnz = sum(lens)
+    dtype = _block_dtype(bound)
+    flat = np.fromiter(chain.from_iterable(rows[r] for r in rid), np.int64,
+                       nnz)
+    vals = chain.from_iterable(rows[r].values() for r in rid)
+    vals = (np.array(list(vals), dtype=object) if dtype == object
+            else np.fromiter(vals, dtype, nnz))
+    at_col = np.searchsorted(cid, flat)
+    is_blocked = np.zeros(len(cid), dtype=bool)
+    is_blocked[np.searchsorted(cid, sorted(blocked))] = True
+    for r in rid:
+        del rows[r]
+    col_rows.clear()
+    # B[j, i] is the entry in block row i, column j: each pivot scans one
+    # column, so columns are contiguous
+    B = np.zeros((len(cid), len(rid)), dtype=dtype)
+    B[at_col, np.repeat(np.arange(len(rid)), lens)] = vals
+    collen = np.bincount(at_col, minlength=len(cid))
+    rid = np.array(rid, dtype=np.int64)
+    rowlen = np.array(lens, dtype=np.int64)
+    del flat, vals, at_col
+
+    steps = []
+    while True:
+        if bound + bound * bound > _BLOCK_LIMITS[B.dtype]:
+            dtype = _block_dtype(bound)
+        if (dtype != B.dtype or 2 * np.count_nonzero(rowlen) < len(rid)
+                or 2 * np.count_nonzero(collen) < len(cid)):
+            # drop the spent rows and columns, and widen the dtype if the
+            # entry bound asks for it
+            live_r, live_c = np.flatnonzero(rowlen), np.flatnonzero(collen)
+            B = B[np.ix_(live_c, live_r)].astype(dtype, copy=False)
+            rid, rowlen = rid[live_r], rowlen[live_r]
+            cid, collen, is_blocked = (cid[live_c], collen[live_c],
+                                       is_blocked[live_c])
+        selectable = ~is_blocked & (collen > 0)
+        if not selectable.any():
+            break  # every column left is empty or waits for a unit
+        j = int(np.where(selectable, collen, len(rid) + 1).argmin())
+        col = B[j]
+        nz = np.flatnonzero(col)
+        units = nz[np.abs(col[nz]) == 1]
+        if not len(units):
+            is_blocked[j] = True  # no unit pivot available here for now
+            continue
+        i = int(units[rowlen[units].argmin()])
+        pv = int(col[i])
+        pcols = np.flatnonzero(B[:, i])
+        pcols = pcols[pcols != j]
+        w = B[pcols, i]
+        targets = nz[nz != i]
+        q = col[targets] * pv  # pv is +-1
+        if len(targets) and len(pcols):
+            ix = np.ix_(pcols, targets)
+            sub = B[ix]
+            was_c = np.count_nonzero(sub, axis=1)
+            was_r = np.count_nonzero(sub, axis=0)
+            sub -= np.outer(w, q)
+            B[ix] = sub
+            collen[pcols] += np.count_nonzero(sub, axis=1) - was_c
+            rowlen[targets] += np.count_nonzero(sub, axis=0) - was_r
+            bound = max(bound, kernels.max_abs(sub))
+        # retire the pivot column and row; the row's columns are unblocked
+        col[nz] = 0
+        rowlen[nz] -= 1
+        collen[j] = 0
+        B[pcols, i] = 0
+        collen[pcols] -= 1
+        rowlen[i] = 0
+        is_blocked[pcols] = False
+        steps.append((int(rid[i]), int(cid[j]), pv, cid[pcols].tolist(),
+                      w.tolist(), rid[targets], q))
+    live = np.flatnonzero(rowlen)
+    at, jj = np.nonzero(B[:, live].T)  # by row, then by column
+    cols, vals = cid[jj].tolist(), B[jj, live[at]].tolist()
+    ends = np.cumsum(rowlen[live]).tolist()
+    for r, s, e in zip(rid[live].tolist(), [0] + ends, ends):
+        rows[r] = dict(zip(cols[s:e], vals[s:e]))
+    return steps
+
+
 class SparseFactorization:
     """Logged echelon factorization of a sparse integer matrix over Z."""
 
@@ -150,22 +302,31 @@ class SparseFactorization:
         """Factorization of the ``nrows``-row matrix with the given columns.
         Mod m its entries enter as symmetric residues, so that m - 1 is the
         unit -1 and stays an elimination pivot; for m = 0 they enter as
-        they are, python ints of any size."""
-        ri, ci, vi = [], [], []
-        for j, v in enumerate(cols):
-            for i, x in enumerate(v):
-                r = symmetric_residue(x, m) if x else 0
-                if r:
-                    ri.append(i)
-                    ci.append(j)
-                    vi.append(r)
-        return cls(nrows, len(cols), coo_to_csr(nrows, len(cols), ri, ci, vi))
+        they are, python ints of any size.  Each column holds ``nrows``
+        integers."""
+        try:
+            A = np.array(cols, dtype=np.int64)
+        except OverflowError:  # an entry past int64: python ints
+            A = np.array(cols, dtype=object)
+        if A.dtype != object and A.size and A.min() == -(1 << 63):
+            A = A.astype(object)  # -2^63 fits int64, its magnitude does not
+        A = A.reshape(len(cols), nrows)
+        if m:
+            A = (A.astype(object) if m >= 1 << 63 else A) % m
+            A[A > m // 2] -= m
+        ci, ri = np.nonzero(A)
+        return cls(nrows, len(cols),
+                   coo_to_csr(nrows, len(cols), ri, ci, A[ci, ri]))
 
     # -- construction ------------------------------------------------------
 
     def _eliminate(self, rows):
         # the row-operation log, one list per field, and the offsets at
-        # which its batches start (see kernels.make_log)
+        # which its batches start (see kernels.make_log); ``packed`` holds
+        # the first ``base`` ops of the log as arrays once the dense block
+        # takes over
+        packed: list = []
+        base = 0
         log_a: list[int] = []
         log_b: list[int] = []
         log_q: list[int] = []
@@ -186,6 +347,9 @@ class SparseFactorization:
         for c, rs in col_rows.items():
             buckets.setdefault(len(rs), set()).add(c)
         blocked: set = set()
+        # for the switch to a dense block: the itemsize that the entry bound
+        # of the last look at the entries asked for
+        itemsize = 1
 
         piv_rows: list[int] = []
         piv_cols: list[int] = []
@@ -224,6 +388,23 @@ class SparseFactorization:
                     key = (len(rows[r]), r)
                     if best is None or key < best[0]:
                         best = (key, r)
+            if (best is not None
+                    and (length - 1) * (best[0][0] - 1) >= _DENSE_MIN_WORK):
+                # every live column is filed by its length or blocked; rows
+                # that are not pivot rows bound the live rows
+                ncols_live = sum(map(len, buckets.values())) + len(blocked)
+                nnz = (sum(n * len(cs) for n, cs in buckets.items())
+                       + sum(len(col_rows[c]) for c in blocked))
+                cells = (len(rows) - len(piv_rows)) * ncols_live
+                budget = _DICT_ENTRY_BYTES * nnz
+                if nnz >= _DENSE_MIN_ENTRIES and cells * itemsize <= budget:
+                    # the block would fit at the last look's width: look at
+                    # the entries again, and switch if it fits at theirs
+                    bound = max(max(map(abs, d.values()))
+                                for d in rows.values() if d)
+                    itemsize = _block_dtype(bound).itemsize
+                    if cells * itemsize <= budget:
+                        break
             bucket.discard(pc)
             if not bucket:
                 del buckets[length]
@@ -272,6 +453,27 @@ class SparseFactorization:
             cols_pool += [pc] + [c2 for c2, _ in pitems]
             vals_pool += [pv] + [w for _, w in pitems]
             rows[pr] = {}
+        if buckets:
+            # the loop stopped early: finish phase 1 on a dense block.  Its
+            # ops stay arrays: as python lists they cost the certify
+            # workload 4.8% more CPU and 6.5 MB more peak RSS (perfbench,
+            # four alternating pairs: 1.92 against 1.83 s, 131.3 against
+            # 124.8 MB, 2-vCPU VM)
+            packed.append(_op_arrays(log_a, log_b, log_q))
+            base = len(log_a)
+            log_a, log_b, log_q = [], [], []
+            for pr, pc, pv, pcs, ws, targets, qs in _dense_unit_pivots(
+                    rows, col_rows, blocked, bound):
+                if len(targets):
+                    batch_starts.append(base)
+                    packed.append((targets, np.full(len(targets), pr), qs))
+                    base += len(targets)
+                piv_rows.append(pr)
+                piv_cols.append(pc)
+                piv_vals.append(pv)
+                starts.append(len(cols_pool))
+                cols_pool += [pc] + pcs
+                vals_pool += [pv] + ws
         self._pool_starts = np.array(starts, dtype=np.int64)
         self._pool_lens = np.diff(self._pool_starts, append=len(cols_pool))
         self._pool_cols = np.array(cols_pool, dtype=np.int64)
@@ -293,7 +495,7 @@ class SparseFactorization:
             while len(holders) > 1:
                 holders.sort(key=lambda r: (abs(rows[r][c]), r))
                 a = holders[0]
-                batch_starts.append(len(log_a))
+                batch_starts.append(base + len(log_a))
                 for b in holders[1:]:
                     q = rows[b][c] // rows[a][c]
                     if q:
@@ -307,7 +509,7 @@ class SparseFactorization:
                                 rb[c2] = nv
                             elif c2 in rb:
                                 del rb[c2]
-                if batch_starts[-1] == len(log_a):
+                if batch_starts[-1] == base + len(log_a):
                     batch_starts.pop()  # every q was 0: no batch
                 holders = [r for r in holders if c in rows[r]]
             for r in list(live_set):
@@ -316,8 +518,8 @@ class SparseFactorization:
             if holders:
                 r = holders[0]
                 if rows[r][c] < 0:
-                    batch_starts.append(len(log_a))
-                    negs.append(len(log_a))
+                    batch_starts.append(base + len(log_a))
+                    negs.append(base + len(log_a))
                     log_a.append(r)
                     log_b.append(r)
                     log_q.append(0)
@@ -325,6 +527,9 @@ class SparseFactorization:
                 echelon_rows.append(r)
                 live_set.discard(r)
 
+        if packed:
+            packed.append(_op_arrays(log_a, log_b, log_q))
+            log_a, log_b, log_q = (np.concatenate(f) for f in zip(*packed))
         types = np.full(len(log_a), kernels.OP_AXPY, dtype=np.int8)
         types[negs] = kernels.OP_NEG
         self.log = kernels.make_log(types, log_a, log_b, log_q,
@@ -404,10 +609,9 @@ class SparseFactorization:
                 d = (diag[j] if j < len(diag) else 0) or m
                 vals.append(x % d if d else x)
                 mods.append(d)
-        for r in self.zero_rows:
-            x = int(z[r])
-            vals.append(x % m if m else x)
-            mods.append(m)
+        # the replay gives canonical residues mod m already
+        vals += kernels.int_array(z)[self.zero_rows].tolist()
+        mods += [m] * len(self.zero_rows)
         return vals, mods
 
     def solvable_over_q(self, vec) -> bool:

@@ -50,8 +50,13 @@ def int_array(seq) -> np.ndarray:
     if isinstance(seq, np.ndarray) and seq.dtype != object:
         return seq.astype(np.int64)
     vals = seq.tolist() if isinstance(seq, np.ndarray) else list(seq)
-    if not vals or (-_I64 < min(vals) and max(vals) < _I64):
-        return np.array(vals, dtype=np.int64)
+    try:
+        arr = np.array(vals, dtype=np.int64)
+    except OverflowError:  # an entry past the int64 range
+        arr = None
+    # -2^63 fits int64, but its magnitude does not
+    if arr is not None and (not len(arr) or arr.min() > -_I64):
+        return arr
     return np.array([int(v) for v in vals], dtype=object)
 
 

@@ -12,9 +12,11 @@ from cohomkit.exact.dense import (IntMatrix, SmithDecomposition,
                                   unimodular_inverse)
 from cohomkit.errors import InternalCheckFailed
 from cohomkit.exact.modp import nullspace_modp, rank_modp, solve_modp
-from cohomkit.exact.sparse import SparseFactorization, coo_to_csr
+from cohomkit.exact import sparse
+from cohomkit.exact.sparse import (SparseFactorization, coo_to_csr,
+                                  symmetric_residue)
 from cohomkit.fibrewise import augmentation_ideal, field_free_resolution
-from cohomkit.groups import symmetric_3
+from cohomkit.groups import FiniteGroup, symmetric_3
 from cohomkit.resolutions import bar_cochains
 from oracles import cokernel_invariants, echelon_modp, solve_mod
 
@@ -537,6 +539,29 @@ class TestSparseFactorization:
             [list(x) for x in f2.log[1:3]]
 
 
+    @pytest.mark.parametrize("m", [0, 5, 2**64 + 13])
+    def test_coords_of_untouched_rows(self, groups, m):
+        """The coordinates on rows that no pivot reaches are the replayed
+        vector there (mod m), python ints, in ascending row order."""
+        f = bar_cochains(groups["s3"]).fact(3)
+        assert len(f.zero_rows) > 50
+        rng = random.Random(m)
+        # large entries, and small nonnegative ones: replayed mod m >= 2^63,
+        # these fit int64 while m does not
+        unit = [0] * f.nrows
+        unit[f.zero_rows[3]] = 1
+        for vec in ([rng.randrange(-(2**65), 2**65) for _ in range(f.nrows)],
+                    [0] * f.nrows, unit):
+            z = f._replay(vec, m)
+            vals, mods = f.coords(vec, m)
+            k = len(vals) - len(f.zero_rows)
+            want = [int(z[r]) % m if m else int(z[r]) for r in f.zero_rows]
+            assert vals[k:] == want
+            assert all(type(v) is int for v in vals)
+            assert mods[k:] == [m] * len(f.zero_rows)
+        assert f.in_image([0] * f.nrows, m)
+        assert not f.in_image(unit, m)
+
     @pytest.mark.parametrize("query, length", [
         ("in_image", 4), ("in_image", 2), ("coords", 4),
         ("solvable_over_q", 4), ("solve", 4), ("solve", 2),
@@ -573,6 +598,197 @@ class TestSparseFactorization:
         assert f._indptr is indptr
         assert f._indices is indices
         assert f._data is data
+
+
+def dense_tail_matrices():
+    """200 seeded matrices around the switch of the +-1 phase from dict rows
+    to a dense block, as (nrows, columns), in four kinds by seed mod 4: too
+    small to switch; dense from the first pivot, with a column that ends
+    as a pivot with no ops on the block; short sparse columns ahead
+    of dense long ones, so the switch comes mid-way; and the same with a
+    column of no unit, blocked when it comes first, whose rows no dict
+    pivot touches, so it is still blocked at the switch (and unblocked
+    after it).  The dense part is X Y for random +-1 matrices X (one or two
+    entries a row) and Y of small rank, so that phase 2 stays small, and
+    large enough for the switch.  Where seed // 4 mod 6 is 1 to 5,
+    three entries of one long column have magnitude 100, 10^4, 10^6,
+    2^31 + 5 or 2^63 + 7: the block then starts in int16, int32, int64,
+    int64 (to turn object as the entries grow) or object."""
+    out = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        kind, big = seed % 4, [0, 100, 10**4, 10**6, 2**31 + 5,
+                               2**63 + 7][seed // 4 % 6]
+        if kind == 0:
+            nr, nc = rng.randint(3, 40), rng.randint(1, 8)
+            out.append((nr, [[rng.choice([-2, -1, 1, 1, 2, 3])
+                              if rng.random() < 0.5 else 0
+                              for _ in range(nr)] for _ in range(nc)]))
+            continue
+        nr, nc, rank = (rng.randint(520, 600), rng.randint(38, 44),
+                        rng.randint(8, 16))
+        Y = np.array([[rng.choice([-1, 1, 1]) for _ in range(nc)]
+                      for _ in range(rank)], dtype=np.int64)
+        X = np.zeros((nr, rank), dtype=np.int64)
+        for r in range(nr):
+            for i in rng.sample(range(rank), 1 if rng.random() < 0.7 else 2):
+                X[r, i] = rng.choice([-1, 1])
+        cols = (X @ Y).T.tolist()
+        if big:
+            for r in rng.sample(range(nr), 3):
+                cols[0][r] = rng.choice([-1, 1]) * big
+        if kind == 1:
+            # a copy of column 1 plus a unit where it is zero: once column
+            # 1 is eliminated, the copy is that unit alone, a pivot with
+            # no ops
+            b = rng.choice([r for r in range(nr) if not cols[1][r]] or [0])
+            cols.append(cols[1][:b] + [cols[1][b] + 1] + cols[1][b + 1:])
+        if kind >= 2:
+            # short columns on rows [split, nr)
+            split = 2 if kind == 3 else 0
+            for _ in range(rng.randint(2, 6)):
+                col = [0] * nr
+                for r in rng.sample(range(split, nr), rng.randint(2, 4)):
+                    col[r] = rng.choice([-1, 1, 2])
+                col[rng.choice([r for r in range(nr) if col[r]])] = 1
+                cols.append(col)
+            if kind == 3:
+                # (2, 3) on rows 0 and 1 is blocked until row 0 retires;
+                # the shortest long column, whose only unit is on row 0,
+                # is eliminated first, and turns the 3 into a unit
+                first = [2 * rng.choice([-1, 1]) if rng.random() < 0.6
+                         else 0 for _ in range(nr)]
+                first[0], first[1] = 1, 2
+                cols += [first, [2, 3] + [0] * (nr - 2)]
+            rng.shuffle(cols)
+        out.append((nr, cols))
+    return out
+
+
+class TestDenseTail:
+    """Phase 1 finishes on a dense numpy block once the live block fills in;
+    the pivots, log and frozen rows must be the ones the dict loop gives.
+    Every digest here was taken with the dict loop alone."""
+
+    @pytest.fixture
+    def switches(self, monkeypatch):
+        """Spy on the switch to a dense block: per switch, the number of
+        blocked columns handed over and of pivots taken on the block."""
+        seen = []
+        dense_unit_pivots = sparse._dense_unit_pivots
+
+        def spy(rows, col_rows, blocked, bound):
+            held = len(blocked)
+            steps = dense_unit_pivots(rows, col_rows, blocked, bound)
+            seen.append((held, len(steps)))
+            return steps
+
+        monkeypatch.setattr(sparse, "_dense_unit_pivots", spy)
+        return seen
+
+    @pytest.mark.parametrize("relabel, dense, digest", [
+        (None, False, "56551b69b86d6f506ce1df0f1a3d3137aff0ce23c2caedcbf917e4d07b317d08"),
+        ([0, 4, 1, 5, 2, 3], True, "f63240a14cbec7f9032a0925a23acb70e92d560872dd572e8ebc901a50e2e641"),
+    ])
+    def test_bar_differential_pinned(self, groups, switches, relabel, dense,
+                                     digest):
+        """klein4 D_6, too small for the dense block, and S_3 D_6 with its
+        elements relabelled by a fixed permutation, which permutes the rows
+        and columns of the matrix."""
+        if relabel is None:
+            G = groups["klein4"]
+        else:
+            t = groups["s3"].table
+            table = [[0] * len(t) for _ in t]
+            for a, row in enumerate(t):
+                for b, ab in enumerate(row):
+                    table[relabel[a]][relabel[b]] = relabel[ab]
+            G = FiniteGroup(table, label="s3r")
+        f = bar_cochains(G).fact(6)
+        assert len(switches) == dense
+        assert factorization_digest(f) == digest
+
+    def test_random_matrices_pinned(self, monkeypatch, switches):
+        # spy on the dtypes asked for
+        widths = []
+        block_dtype = sparse._block_dtype
+
+        def dtype_spy(bound):
+            dt = block_dtype(bound)
+            widths[-1].append(dt)
+            return dt
+
+        monkeypatch.setattr(sparse, "_block_dtype", dtype_spy)
+        # per matrix, the pivots taken on dicts before the switch, or None
+        parts, switched = [], []
+        for nrows, cols in dense_tail_matrices():
+            widths.append([])
+            before = len(switches)
+            f = SparseFactorization.from_columns(cols, nrows)
+            switched.append(len(f.piv_rows) - switches[-1][1]
+                            if len(switches) > before else None)
+            parts.append([factorization_digest(f), f.coker_invariants()])
+        got = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+        assert got == ("7702a576ca9da20160440d7d5794fec80489ebe031c42a5089ba4"
+                       "f3e86fedf69")
+        # the switch comes never, at the first pivot and mid-way
+        assert switched.count(None) >= 40
+        assert switched.count(0) >= 20
+        assert sum(1 for k in switched if k) >= 40
+        assert sum(1 for held, _ in switches if held) >= 40
+        # the block starts in every dtype, and widens from int8 and to object
+        order = {dt: k for k, dt in enumerate(sparse._BLOCK_LIMITS)}
+        assert {dt for w in widths for dt in w} == set(order)
+        grew = [(w[0], w[-1]) for w in widths
+                if w and order[w[-1]] > order[w[0]]]
+        assert any(a == np.int8 for a, _ in grew)
+        assert any(a == np.int64 and b == object for a, b in grew)
+
+
+class TestFromColumns:
+    @staticmethod
+    def entry_loop(cols, nrows, m):
+        """The CSR triple of the per-entry loop that from_columns once ran:
+        each nonzero symmetric residue, column by column."""
+        ri, ci, vi = [], [], []
+        for j, v in enumerate(cols):
+            for i, x in enumerate(v):
+                r = symmetric_residue(x, m) if x else 0
+                if r:
+                    ri.append(i)
+                    ci.append(j)
+                    vi.append(r)
+        return coo_to_csr(nrows, len(cols), ri, ci, vi)
+
+    @pytest.mark.parametrize("m", [0, 2, 5, 2**40 + 15])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_entry_loop(self, m, seed):
+        """Even seeds draw int64 entries, odd ones entries from 2^63 up."""
+        rng = random.Random(seed)
+        nrows, ncols = rng.randint(1, 12), rng.randint(0, 6)
+        pool = [0, 0, 0, 1, -1, 2, -3, 7, 2**40 + 14, -(2**40) - 8, 2**62]
+        if seed % 2:
+            pool += [2**63, -(2**63) - 1, 2**70 + 3]
+        cols = [[rng.choice(pool) for _ in range(nrows)]
+                for _ in range(ncols)]
+        want = self.entry_loop(cols, nrows, m)
+        # the columns as lists, and as the rows of one 2-D array
+        arr = np.array(cols, dtype=object if seed % 2 else np.int64)
+        for given in (cols, arr.reshape(ncols, nrows)):
+            f = SparseFactorization.from_columns(given, nrows, m)
+            for got, exp in zip((f._indptr, f._indices, f._data), want):
+                assert got.dtype == exp.dtype
+                assert got.tolist() == exp.tolist()
+
+    @pytest.mark.parametrize("m", [0, 5, 2**64 + 13])
+    def test_least_int64(self, m):
+        """-2^63 fits int64, but its magnitude does not."""
+        cols = [[-(2**63), 1, 0], [0, 5, -1]]
+        f = SparseFactorization.from_columns(cols, 3, m)
+        for got, exp in zip((f._indptr, f._indices, f._data),
+                            self.entry_loop(cols, 3, m)):
+            assert got.dtype == exp.dtype
+            assert got.tolist() == exp.tolist()
 
 
 class TestCooToCsr:

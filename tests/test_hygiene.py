@@ -377,3 +377,44 @@ def test_detects_a_second_coo_sort(tmp_path):
     assert coo_sort_outside_home(sorted(tmp_path.rglob("*.py")),
                                  tmp_path) == ["fibrewise.py",
                                                "resolutions.py"]
+
+
+# settings come from the environment in one module, config.py: the engine,
+# the sparse elimination's dense switch included, reads no setting itself
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+ENV_HOME = "config.py"
+
+
+def environment_readers(paths, root: Path):
+    """Files other than ``ENV_HOME`` that refer to ``os.environ``,
+    ``os.getenv`` or their bytes forms, by attribute or by import."""
+    found = []
+    for path in paths:
+        rel = path.relative_to(root).as_posix()
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = {getattr(n, "attr", getattr(n, "id", None)) for n in nodes}
+        names |= {a.name for n in nodes if isinstance(n, ast.ImportFrom)
+                  for a in n.names}
+        if rel != ENV_HOME and names & ENV_READS:
+            found.append(rel)
+    return found
+
+
+def test_only_config_reads_the_environment():
+    bad = environment_readers(sorted(SRC.rglob("*.py")), SRC)
+    assert not bad, f"environment read outside {ENV_HOME}: {bad}"
+
+
+def test_detects_an_environment_read(tmp_path):
+    (tmp_path / "exact").mkdir()
+    (tmp_path / "config.py").write_text(
+        "import os\n\nraw = os.environ.get('COHOMKIT_SIZE_CAP')\n")
+    (tmp_path / "exact" / "sparse.py").write_text(
+        "import os\n\n\ndef cutoff():\n"
+        "    return int(os.getenv('CUTOFF', '32'))\n")
+    (tmp_path / "kernels.py").write_text(
+        "from os import environ as env\n\nwide = 'WIDE' in env\n")
+    (tmp_path / "cup.py").write_text(
+        "import os\n\nhere = os.path.dirname(__file__)\n")
+    assert environment_readers(sorted(tmp_path.rglob("*.py")),
+                               tmp_path) == ["exact/sparse.py", "kernels.py"]

@@ -284,3 +284,21 @@ def test_factorization_batches_are_well_formed(group, n, m):
         for mod in (2, 9, 2**40 + 15):
             assert kernels.apply_oplog_mod(vec, f.log, mod, reverse=rev) == \
                 [x % mod for x in want], mod
+
+
+@pytest.mark.parametrize("vals, dtype", [
+    ([], np.int64),
+    ([3, -7, 2**63 - 1, -(2**63) + 1], np.int64),
+    ([True, 2], np.int64),
+    ([1, 2**63], object),
+    ([1, -(2**63) - 1], object),
+    ([1, -(2**63)], object),  # fits int64, but its magnitude does not
+    ([np.uint64(2**63)], object),
+    ([2**70, -5], object),
+])
+def test_int_array_dtype(vals, dtype):
+    """int64 exactly when every |entry| < 2^63, else python ints."""
+    got = kernels.int_array(vals)
+    assert got.dtype == dtype
+    assert got.tolist() == [int(v) for v in vals]
+    assert all(type(v) is int for v in got.tolist())
