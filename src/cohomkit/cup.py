@@ -62,27 +62,13 @@ def cup1_vec(G: FiniteGroup, u, a: int, v, b: int, modulus: int = 0):
     if a == 0 or b == 0 or n < 0:
         return [0] * bc.rank(max(n, 0))
     bc.check_cap(n)
-    q = bc.q
-    r = q**n
-    digits = bc.digits(n)
-    table = bc._table
+    r = np.arange(bc.rank(n), dtype=np.int64)
     ua, va = _factor_arrays(u, v, modulus, terms=a)
-    out = np.zeros(r, dtype=ua.dtype)
+    out = np.zeros(len(r), dtype=ua.dtype)
     for i in range(a):
-        prod = digits[i].copy()
-        for k in range(i + 1, i + b):
-            prod = table[prod, digits[k]]
-        mask = prod != 0
-        uidx = np.zeros(r, dtype=np.int64)
-        for k in range(i):
-            uidx = uidx * q + (digits[k] - 1)
-        uidx = uidx * q + (np.where(mask, prod, 1) - 1)
-        for k in range(i + b, n):
-            uidx = uidx * q + (digits[k] - 1)
-        vidx = np.zeros(r, dtype=np.int64)
-        for k in range(i, i + b):
-            vidx = vidx * q + (digits[k] - 1)
-        out += np.where(mask, ua[uidx] * va[vidx], 0)
+        uidx, ok = bc._collapse(n, r, i, b)
+        vidx = r // bc.rank(n - i - b) % bc.rank(b)  # the window itself
+        out[ok] += ua[uidx[ok]] * va[vidx[ok]]
     if modulus:
         out %= modulus
     return [int(x) for x in out]

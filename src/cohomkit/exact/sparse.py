@@ -10,8 +10,7 @@ and answers all of those queries cheaply afterwards.
 Matrices come in one format, CSR, and :func:`coo_to_csr` is the one place
 where entries given by position are sorted, summed and packed into it.  A
 factorization keeps the CSR arrays it was given, uncopied, for its
-matvec, so a matrix that its caller caches (a bar differential) is held
-once, by both.
+matvec, so a matrix built for it (a bar differential) is held once.
 
 The factorization runs in three logged phases, all over Z:
 
@@ -308,8 +307,6 @@ class SparseFactorization:
             A = np.array(cols, dtype=np.int64)
         except OverflowError:  # an entry past int64: python ints
             A = np.array(cols, dtype=object)
-        if A.dtype != object and A.size and A.min() == -(1 << 63):
-            A = A.astype(object)  # -2^63 fits int64, its magnitude does not
         A = A.reshape(len(cols), nrows)
         if m:
             A = (A.astype(object) if m >= 1 << 63 else A) % m

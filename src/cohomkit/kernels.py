@@ -46,18 +46,21 @@ def backend() -> str:
 
 def int_array(seq) -> np.ndarray:
     """``seq`` as a new int64 array when every entry fits, else as an object
-    array of python ints."""
-    if isinstance(seq, np.ndarray) and seq.dtype != object:
-        return seq.astype(np.int64)
-    vals = seq.tolist() if isinstance(seq, np.ndarray) else list(seq)
-    try:
-        arr = np.array(vals, dtype=np.int64)
-    except OverflowError:  # an entry past the int64 range
-        arr = None
-    # -2^63 fits int64, but its magnitude does not
-    if arr is not None and (not len(arr) or arr.min() > -_I64):
-        return arr
-    return np.array([int(v) for v in vals], dtype=object)
+    array of python ints.  An entry of -2^63 fits int64 but its magnitude
+    does not, so it also makes the array object, from a list or an array
+    alike: no int64 array this returns holds -2^63.  Unsigned arrays are
+    read as python ints, since a cast would wrap entries past 2^63."""
+    if isinstance(seq, np.ndarray) and seq.dtype.kind in "bi":
+        arr = seq.astype(np.int64)
+    else:
+        vals = seq.tolist() if isinstance(seq, np.ndarray) else list(seq)
+        try:
+            arr = np.array(vals, dtype=np.int64)
+        except OverflowError:  # an entry past the int64 range
+            return np.array([int(v) for v in vals], dtype=object)
+    if arr.size and arr.min() == -_I64:
+        return arr.astype(object)
+    return arr
 
 
 def residues(vec, m: int) -> np.ndarray:
@@ -69,7 +72,9 @@ def residues(vec, m: int) -> np.ndarray:
 
 
 def max_abs(v: np.ndarray) -> int:
-    """Largest |entry| of ``v``, 0 when it is empty."""
+    """Largest |entry| of ``v``, 0 when it is empty.  Exact for object
+    arrays and for int64 arrays without -2^63, whose |entry| wraps to
+    -2^63; ``int_array`` returns no such array."""
     return int(np.abs(v).max()) if len(v) else 0
 
 

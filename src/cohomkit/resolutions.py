@@ -4,8 +4,10 @@ coefficients, and its cached sparse factorizations.
 The degree-n term of the normalized bar resolution is free over ZG on
 n-tuples of non-identity elements, so ranks grow like (|G|-1)^n; tuples are
 ordered lexicographically, and all cocycle vectors in the package refer to
-that ordering.  The dense resolutions that cross-check it live with the
-tests (``tests/oracles.py``).
+that ordering.  One index rule reads the faces of a cell off its index: a
+dual differential is applied from its faces, and built as a CSR matrix
+only to be factored.  The dense resolutions that cross-check it live
+with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -20,21 +22,22 @@ from .exact.sparse import SparseFactorization, coo_to_csr
 from .groups import FiniteGroup
 from . import kernels
 
+_LIMIT = 1 << 62  # int64 sums are exact while their bound stays below
+
 
 class BarCochains:
     """Cochain complex Hom_ZG(bar resolution, trivial module) of a group.
 
     Degree-n cochains are integer vectors indexed lexicographically by
-    n-tuples of non-identity elements.  The dual differentials are cached as
-    CSR matrices, and their sparse factorizations over Z are cached per
-    degree; a factorization holds the very arrays of its CSR matrix, and
-    answers the mod-m questions too.
+    n-tuples of non-identity elements: index r holds the entry at position
+    j as the digit ``r // q**(n-1-j) % q``, one less than the element.  The
+    sparse factorizations of the dual differentials over Z, the one cache,
+    are kept per degree and answer the mod-m questions too.
     """
 
     def __init__(self, G: FiniteGroup):
         self.group = G
         self.q = G.order - 1
-        self._csr: dict = {}
         self._facts: dict = {}
         self._table = np.array(G.table, dtype=np.int64)
 
@@ -47,58 +50,43 @@ class BarCochains:
                 f"cochain space of dimension {self.q}^{n} exceeds the cap "
                 f"{size_cap()} (set COHOMKIT_SIZE_CAP to raise it)")
 
-    def digits(self, n: int) -> np.ndarray:
-        """(n, q^n) array: tuple entries (1..q) of each basis index."""
-        nrows = self.rank(n)
-        digits = np.empty((n, nrows), dtype=np.int64)
-        r = np.arange(nrows, dtype=np.int64)
-        for k in range(n - 1, -1, -1):
-            digits[k] = r % self.q + 1
-            r //= self.q
-        return digits
+    def _collapse(self, n: int, r: np.ndarray, i: int, k: int):
+        """The bar-cell index rule.  For degree-n cell indices ``r``: the
+        index of each tuple with its ``k`` >= 1 entries from position ``i``
+        replaced by their product, and the mask where that product is not
+        the identity (elsewhere the cell is degenerate and the index is
+        not one)."""
+        q = self.q
+        prod = r // q**(n - 1 - i) % q + 1
+        for j in range(i + 1, i + k):
+            prod = self._table[prod, r // q**(n - 1 - j) % q + 1]
+        low = q**(n - i - k)
+        return (r // q**(n - i) * q + prod - 1) * low + r % low, prod != 0
+
+    def _faces(self, n: int):
+        """The faces of D_n : C^{n-1} -> C^n as (sign, rows, columns):
+        face i, of sign (-1)^i, sends the degree-n cells ``rows`` to the
+        cells ``columns``.  Faces 0 and n drop the first and the last entry
+        (the action is trivial); face i multiplies entries i-1 and i, on
+        the cells where that product is not the identity."""
+        r = np.arange(self.rank(n), dtype=np.int64)
+        yield 1, r, r % self.q**(n - 1)
+        for i in range(1, n):
+            cols, ok = self._collapse(n, r, i - 1, 2)
+            yield (-1)**i, r[ok], cols[ok]
+        yield (-1)**n, r, r // self.q
 
     def csr(self, n: int):
-        """CSR triple of D_n : C^{n-1} -> C^n (dual differential)."""
-        if n in self._csr:
-            return self._csr[n]
+        """CSR triple of D_n : C^{n-1} -> C^n (dual differential), built for
+        its factorization, which keeps the arrays."""
         self.check_cap(n)
-        q = self.q
-        nrows = self.rank(n)
-        rows_idx = np.arange(nrows, dtype=np.int64)
-        digits = self.digits(n)
-
-        def tuple_index(dig_list):
-            out = np.zeros(nrows, dtype=np.int64)
-            for d in dig_list:
-                out = out * q + (d - 1)
-            return out
-
-        coo_r, coo_c, coo_v = [], [], []
-        # face 0 (drop first; trivial coefficients kill the action)
-        coo_r.append(rows_idx)
-        coo_c.append(tuple_index([digits[k] for k in range(1, n)]))
-        coo_v.append(np.ones(nrows, dtype=np.int64))
-        # inner faces
-        sign = -1
-        for i in range(1, n):
-            prod = self._table[digits[i - 1], digits[i]]
-            ok = prod != 0
-            dig = [digits[k] for k in range(i - 1)] + [prod] + \
-                [digits[k] for k in range(i + 1, n)]
-            coo_r.append(rows_idx[ok])
-            coo_c.append(tuple_index(dig)[ok])
-            coo_v.append(np.full(int(ok.sum()), sign, dtype=np.int64))
-            sign = -sign
-        # last face (drop last)
-        coo_r.append(rows_idx)
-        coo_c.append(tuple_index([digits[k] for k in range(n - 1)]))
-        coo_v.append(np.full(nrows, sign, dtype=np.int64))
-
-        self._csr[n] = coo_to_csr(nrows, self.rank(n - 1),
-                                  np.concatenate(coo_r),
-                                  np.concatenate(coo_c),
-                                  np.concatenate(coo_v))
-        return self._csr[n]
+        faces = list(self._faces(n))
+        return coo_to_csr(
+            self.rank(n), self.rank(n - 1),
+            np.concatenate([rows for _, rows, _ in faces]),
+            np.concatenate([cols for _, _, cols in faces]),
+            np.concatenate([np.full(len(rows), sign, dtype=np.int64)
+                            for sign, rows, _ in faces]))
 
     def fact(self, n: int) -> SparseFactorization:
         """Factorization of D_n over Z; its queries take the modulus."""
@@ -110,12 +98,26 @@ class BarCochains:
         return self._facts[n]
 
     def matvec(self, n: int, vec):
-        """D_n applied to a degree-(n-1) cochain vector, exact over Z."""
+        """D_n applied to a degree-(n-1) cochain vector, exact over Z: by
+        the factorization's CSR when D_n is factored, else as a sum of
+        +-w[column] over the faces, in int64 iff (n+1) * max|w| < 2^62 and
+        in python ints otherwise."""
         if len(vec) != self.rank(n - 1):
             raise ValueError(f"cochain of length {len(vec)} where "
                              f"{self.rank(n - 1)} expected in degree {n - 1}")
-        indptr, indices, data = self.csr(n)
-        return kernels.csr_matvec_int(indptr, indices, data, vec)
+        if n in self._facts:
+            return self._facts[n].matvec(vec)
+        self.check_cap(n)
+        w = kernels.int_array(vec)
+        if (n + 1) * kernels.max_abs(w) >= _LIMIT:
+            w = w.astype(object)
+        out = np.zeros(self.rank(n), dtype=w.dtype)
+        for sign, rows, cols in self._faces(n):
+            if sign > 0:
+                out[rows] += w[cols]
+            else:
+                out[rows] -= w[cols]
+        return out.tolist()
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)

@@ -17,7 +17,7 @@ from cohomkit.exact.sparse import (SparseFactorization, coo_to_csr,
                                   symmetric_residue)
 from cohomkit.fibrewise import augmentation_ideal, field_free_resolution
 from cohomkit.groups import FiniteGroup, symmetric_3
-from cohomkit.resolutions import bar_cochains
+from cohomkit.resolutions import BarCochains, bar_cochains
 from oracles import cokernel_invariants, echelon_modp, solve_mod
 
 
@@ -589,12 +589,19 @@ class TestSparseFactorization:
         with pytest.raises(ValueError):
             SparseFactorization(2, 2, csr)
 
-    def test_holds_the_callers_arrays(self, groups):
+    def test_holds_the_callers_arrays(self, groups, monkeypatch):
         """A bar differential is held once: its factorization keeps the
-        very arrays that BarCochains.csr cached."""
-        bar = bar_cochains(groups["s3"])
-        f = bar.fact(3)
-        indptr, indices, data = bar.csr(3)
+        very arrays that BarCochains.csr built for it."""
+        built = []
+        build = BarCochains.csr
+
+        def spy(bc, n):
+            built.append(build(bc, n))
+            return built[-1]
+
+        monkeypatch.setattr(BarCochains, "csr", spy)
+        f = BarCochains(groups["s3"]).fact(3)
+        [(indptr, indices, data)] = built
         assert f._indptr is indptr
         assert f._indices is indices
         assert f._data is data

@@ -418,3 +418,60 @@ def test_detects_an_environment_read(tmp_path):
         "import os\n\nhere = os.path.dirname(__file__)\n")
     assert environment_readers(sorted(tmp_path.rglob("*.py")),
                                tmp_path) == ["exact/sparse.py", "kernels.py"]
+
+
+# a bar differential is built as a CSR matrix only to be factored; every
+# other use applies D_n from its faces (BarCochains.matvec)
+CSR_BUILD = "csr"
+CSR_BUILDER = "resolutions.py:BarCochains.fact"
+
+
+def _attributes_by_scope(node, scope=""):
+    """(qualified name of the innermost enclosing def or class, node) for
+    each attribute reference under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            yield from _attributes_by_scope(
+                child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if isinstance(child, ast.Attribute):
+            yield scope, child
+        yield from _attributes_by_scope(child, scope)
+
+
+def csr_builds_outside_fact(paths, root: Path):
+    """``file:scope`` for each reference to a ``.csr`` attribute outside
+    ``CSR_BUILDER``."""
+    found = []
+    for path in paths:
+        rel = path.relative_to(root).as_posix()
+        for scope, node in _attributes_by_scope(ast.parse(path.read_text())):
+            where = f"{rel}:{scope}"
+            if node.attr == CSR_BUILD and where != CSR_BUILDER:
+                found.append(where)
+    return found
+
+
+def test_csr_is_built_only_to_be_factored():
+    bad = csr_builds_outside_fact(sorted(SRC.rglob("*.py")), SRC)
+    assert not bad, f"bar CSR built outside {CSR_BUILDER}: {bad}"
+
+
+def test_detects_a_csr_build_outside_fact(tmp_path):
+    (tmp_path / "resolutions.py").write_text(
+        "class BarCochains:\n    def fact(self, n):\n"
+        "        return SparseFactorization(self.csr(n))\n\n"
+        "    def matvec(self, n, w):\n"
+        "        return kernels.csr_matvec_int(*self.csr(n), w)\n")
+    (tmp_path / "cohomology.py").write_text(
+        "from .exact.sparse import coo_to_csr\n\n\n"
+        "def check(bc, n):\n    build = bc.csr\n    return build(n)\n\n\n"
+        "def pack(r, c, v):\n    return sparse.coo_to_csr(1, 1, r, c, v)\n")
+    (tmp_path / "cup.py").write_text(
+        "class BarCochains:\n    def fact(self, n):\n"
+        "        return self.csr(n)\n")
+    assert csr_builds_outside_fact(sorted(tmp_path.rglob("*.py")),
+                                   tmp_path) == [
+        "cohomology.py:check", "cup.py:BarCochains.fact",
+        "resolutions.py:BarCochains.matvec"]

@@ -12,7 +12,9 @@ import pytest
 
 from cohomkit import kernels
 from cohomkit.groups import builtin_group
-from cohomkit.resolutions import bar_cochains
+from cohomkit.exact.sparse import coo_to_csr
+from cohomkit.resolutions import BarCochains, bar_cochains
+from oracles import bar_resolution
 
 # -- python-int references ----------------------------------------------------
 
@@ -295,6 +297,9 @@ def test_factorization_batches_are_well_formed(group, n, m):
     ([1, -(2**63)], object),  # fits int64, but its magnitude does not
     ([np.uint64(2**63)], object),
     ([2**70, -5], object),
+    (np.array([-(2**63), 5]), object),
+    (np.array([2**63, 5], dtype=np.uint64), object),
+    (np.array([2**63 - 1, 5], dtype=np.uint64), np.int64),
 ])
 def test_int_array_dtype(vals, dtype):
     """int64 exactly when every |entry| < 2^63, else python ints."""
@@ -302,3 +307,26 @@ def test_int_array_dtype(vals, dtype):
     assert got.dtype == dtype
     assert got.tolist() == [int(v) for v in vals]
     assert all(type(v) is int for v in got.tolist())
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_minus_two_to_the_63_is_exact(as_array):
+    """-2^63 fits int64 but its magnitude does not: an int64 array holding
+    it is widened like a list, so the bounds that read max|entry| hold.  The
+    bar matvec is checked unfactored (the face rule) and factored (the
+    factorization's CSR) against the dense dual differential."""
+    def seq(vals):
+        return np.array(vals, dtype=np.int64) if as_array else vals
+
+    low = -(2**63)
+    csr = coo_to_csr(1, 1, [0, 0], [0, 0], seq([low, low]))
+    assert [a.tolist() for a in csr] == [[0, 1], [0], [2 * low]]
+    assert kernels.csr_matvec_int(np.array([0, 1]), np.array([0]),
+                                  np.array([2]), seq([low])) == [2 * low]
+    G = builtin_group("c3")
+    want = bar_resolution(G, 2).dual_differential(2).mul_vec([low, 0])
+    for factored in (False, True):
+        bc = BarCochains(G)
+        if factored:
+            bc.fact(2)
+        assert bc.matvec(2, seq([low, 0])) == want

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from cohomkit.cohomology import cohomology_group, cohomology_system
+from cohomkit.cohomology import (bockstein_delta, cohomology_group,
+                                 cohomology_system)
 from cohomkit.config import GROUP_CACHE_SIZE
 from cohomkit.errors import SizeCapExceeded
 from cohomkit.exact.dense import IntMatrix
 from cohomkit.fibrewise import (GModule, augmentation_ideal,
                                 field_free_resolution, regular_module,
                                 trivial_module)
+from cohomkit.fiso import pth_power_preimage
 from cohomkit.groups import builtin_group, cyclic, symmetric_3
-from cohomkit.resolutions import bar_cochains
+from cohomkit.resolutions import BarCochains, bar_cochains
 from oracles import (CochainComplex, bar_resolution, echelon_modp,
                      periodic_resolution_cyclic, subquotient_invariants,
                      verify_complex)
@@ -138,18 +140,6 @@ class TestFieldFreeResolution:
 
 
 class TestBarCochains:
-    def test_matvec_matches_dense_dual(self):
-        G = symmetric_3()
-        res = bar_resolution(G, 3)
-        bc = bar_cochains(G)
-        rng = np.random.default_rng(0)
-        for n in (1, 2, 3):
-            D = res.dual_differential(n)
-            v = rng.integers(-3, 4, bc.rank(n - 1)).tolist()
-            want = D.mul_vec(v)
-            got = bc.matvec(n, v)
-            assert got == want
-
     @pytest.mark.parametrize("vec", [[1, 0, 5, 7, 9], [1]])
     def test_matvec_rejects_wrong_length(self, vec):
         """C^1 of C3 has rank 2; a longer vector used to be read in part
@@ -157,12 +147,66 @@ class TestBarCochains:
         with pytest.raises(ValueError):
             bar_cochains(cyclic(3)).matvec(2, vec)
 
+    def test_matvec_matches_dense_dual(self, groups):
+        """In every degree with at most 700 cells, D_n applied from its
+        faces and, once D_n is factored, from the factorization's CSR
+        equals the dense dual differential, on random vectors, the zero
+        vector, vectors just under or at the int64 bound (n+1) * max|w| <
+        2^62 of the face sum ("bound") and vectors past it ("large")."""
+        rng = np.random.default_rng(7)
+        for name in ("c2", "c3", "klein4", "s3", "q8"):
+            G = groups[name]
+            top = max(n for n in range(1, 9) if (G.order - 1) ** n <= 700)
+            res = bar_resolution(G, top)
+            for n in range(1, top + 1):
+                w = rng.integers(-5, 6, res.ranks[n - 1])
+                vectors = {"random": w.tolist(), "zero": [0] * len(w),
+                           "bound": (np.sign(w) * (2**62 // (n + 1))).tolist(),
+                           "large": [v * 2**62 + 1 for v in w.tolist()]}
+                for kind, v in vectors.items():
+                    want = res.dual_differential(n).mul_vec(v)
+                    bc = BarCochains(G)
+                    assert bc.matvec(n, v) == want, (name, n, kind)
+                    assert not bc._facts
+                    bc.fact(n)
+                    assert bc.matvec(n, v) == want, (name, n, kind)
+
     def test_dual_differentials_compose_to_zero(self):
         G = symmetric_3()
         bc = bar_cochains(G)
         rng = np.random.default_rng(1)
         v = rng.integers(-2, 3, bc.rank(2)).tolist()
         assert not any(bc.matvec(4, bc.matvec(3, v)))
+
+
+class TestCsrBuilds:
+    def test_csr_only_for_factored_degrees(self, monkeypatch):
+        """Cocycle checks apply D_{n+1} from its faces: a CSR is built only
+        for a degree that is factored, once, and never again after."""
+        built, applied = [], []
+        build, apply = BarCochains.csr, BarCochains.matvec
+
+        def csr(bc, n):
+            built.append(n)
+            return build(bc, n)
+
+        def matvec(bc, n, vec):
+            applied.append((n, n in bc._facts))
+            return apply(bc, n, vec)
+
+        monkeypatch.setattr(BarCochains, "csr", csr)
+        monkeypatch.setattr(BarCochains, "matvec", matvec)
+        G = builtin_group("s3")  # a fresh group: its caches start empty
+        sys = cohomology_system(G)
+        sys.integral_basis(2)
+        x = cohomology_group(G, 2, 1).basis[0]
+        assert sys.verify_cocycle(x)
+        bockstein_delta(1, x)
+        assert sys.mod_coords(1, 2, x.vector) == [1]
+        pth_power_preimage(1, x)
+        assert sorted(built) == sorted(set(built))
+        assert set(built) == set(sys.bc._facts)
+        assert (3, False) in applied
 
 
 class TestCochainComplex:
