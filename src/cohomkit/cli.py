@@ -467,6 +467,14 @@ def _rebuild(cmd, inputs):
 
 # -- argument parsing ---------------------------------------------------------
 
+def _degree(text: str) -> int:
+    """A degree or exponent argument: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, not {text!r}")
+    return int(text)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="cohomkit",
@@ -483,7 +491,7 @@ def build_parser():
                    help=f"builtin ({', '.join(sorted(BUILTIN_GROUPS))}) "
                         "or JSON file")
     g.add_argument("--coeff", required=True, help='"Z" or "Z/m" or m')
-    g.add_argument("--deg", type=int, required=True)
+    g.add_argument("--deg", type=_degree, required=True)
     g.add_argument("--basis", action="store_true",
                    help="include basis cocycle vectors")
     g.set_defaults(func=cmd_cohomology)
@@ -491,7 +499,7 @@ def build_parser():
     g = sub.add_parser("ring", help="graded ring slice up to a degree bound")
     g.add_argument("--group", required=True)
     g.add_argument("--coeff", required=True)
-    g.add_argument("--max-deg", type=int, required=True)
+    g.add_argument("--max-deg", type=_degree, required=True)
     g.add_argument("--basis", action="store_true")
     g.set_defaults(func=cmd_ring)
 
@@ -499,13 +507,13 @@ def build_parser():
     g.add_argument("--group", required=True)
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--i", type=int, required=True)
-    g.add_argument("--deg", type=int, required=True)
+    g.add_argument("--deg", type=_degree, required=True)
     g.set_defaults(func=cmd_bockstein)
 
     g = sub.add_parser("fiso", help="F-isomorphism certificate")
     g.add_argument("--group", required=True)
     g.add_argument("--p", type=int, required=True)
-    g.add_argument("--max-deg", type=int, default=6)
+    g.add_argument("--max-deg", type=_degree, default=6)
     g.set_defaults(func=cmd_fiso)
 
     g = sub.add_parser("fibre", help="fibrewise module tests")
@@ -531,8 +539,8 @@ def build_parser():
     g = sub.add_parser("kappa", help="spectra-bijection certificate")
     g.add_argument("--group", required=True)
     g.add_argument("--p", type=int, required=True)
-    g.add_argument("--s", type=int, default=None)
-    g.add_argument("--max-deg", type=int, default=6)
+    g.add_argument("--s", type=_degree, default=None)
+    g.add_argument("--max-deg", type=_degree, default=6)
     g.set_defaults(func=cmd_kappa)
 
     g = sub.add_parser("verify-paper", help="run a canned verification suite")

@@ -29,8 +29,9 @@ The factorization runs in three logged phases, all over Z:
 2. integer row echelon on the leftover rows (gcd steps);
 3. dense Smith normal form (exact, python ints) on the small echelon block.
 
-Row operations from phases 1-2 are recorded in a log, batch by batch, that
-can be replayed over any vector (the hot kernels in :mod:`cohomkit.kernels`);
+Row operations from phases 1-2 are recorded in a log, one (targets, source,
+multipliers) batch per pivot or Euclid round, that can be replayed over any
+vector (the hot kernels in :mod:`cohomkit.kernels`);
 phase 3 keeps only the Smith transforms U and V of the small block, since
 torsion representatives read the columns of U^-1 off E V = U^-1 D.  No column
 operation is ever applied to the ambient space, so cokernel coordinates of
@@ -160,12 +161,6 @@ def _block_dtype(bound: int) -> np.dtype:
     (python ints)."""
     return next(dt for dt, top in _BLOCK_LIMITS.items()
                 if bound + bound * bound <= top)
-
-
-def _op_arrays(a, b, q) -> tuple:
-    """Log ops given as lists, packed as (targets, sources, multipliers)."""
-    return (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
-            kernels.int_array(q))
 
 
 def _dense_unit_pivots(rows, col_rows, blocked, bound):
@@ -318,17 +313,9 @@ class SparseFactorization:
     # -- construction ------------------------------------------------------
 
     def _eliminate(self, rows):
-        # the row-operation log, one list per field, and the offsets at
-        # which its batches start (see kernels.make_log); ``packed`` holds
-        # the first ``base`` ops of the log as arrays once the dense block
-        # takes over
-        packed: list = []
-        base = 0
-        log_a: list[int] = []
-        log_b: list[int] = []
-        log_q: list[int] = []
-        batch_starts: list[int] = []
-        negs: list[int] = []
+        # the row-operation log, one (targets, source, multipliers) per
+        # batch (see kernels.make_log)
+        batches: list[tuple] = []
         # phase 1: the column index.  col_rows[c] is the set of rows with an
         # entry in column c, so its length is len(col_rows[c]); buckets files
         # every selectable column under its length, and a blocked column (no
@@ -413,8 +400,7 @@ class SparseFactorization:
             prow = rows[pr]
             pv = prow.pop(pc)
             pitems = sorted(prow.items())
-            if length > 1:
-                batch_starts.append(len(log_a))
+            targets, qs = [], []
             pcols = [(c2, w, col_rows[c2]) for c2, w in pitems]
             olds = [len(cs) for _, _, cs in pcols]
             for r in rset:
@@ -422,9 +408,8 @@ class SparseFactorization:
                     continue
                 row = rows[r]
                 q = row.pop(pc) * pv  # pv is +-1
-                log_a.append(r)
-                log_b.append(pr)
-                log_q.append(q)
+                targets.append(r)
+                qs.append(q)
                 for c2, w, cs in pcols:
                     qw = q * w
                     v = row.get(c2)
@@ -437,6 +422,8 @@ class SparseFactorization:
                         cs.discard(r)
                     else:
                         row[c2] = v - qw
+            if targets:
+                batches.append((targets, pr, qs))
             # retire the pivot row and column, then re-file the pivot row's
             # columns
             for (c2, _, cs), old in zip(pcols, olds):
@@ -452,19 +439,14 @@ class SparseFactorization:
             rows[pr] = {}
         if buckets:
             # the loop stopped early: finish phase 1 on a dense block.  Its
-            # ops stay arrays: as python lists they cost the certify
+            # batches stay arrays: as python lists they cost the certify
             # workload 4.8% more CPU and 6.5 MB more peak RSS (perfbench,
             # four alternating pairs: 1.92 against 1.83 s, 131.3 against
             # 124.8 MB, 2-vCPU VM)
-            packed.append(_op_arrays(log_a, log_b, log_q))
-            base = len(log_a)
-            log_a, log_b, log_q = [], [], []
             for pr, pc, pv, pcs, ws, targets, qs in _dense_unit_pivots(
                     rows, col_rows, blocked, bound):
                 if len(targets):
-                    batch_starts.append(base)
-                    packed.append((targets, np.full(len(targets), pr), qs))
-                    base += len(targets)
+                    batches.append((targets, pr, qs))
                 piv_rows.append(pr)
                 piv_cols.append(pc)
                 piv_vals.append(pv)
@@ -492,13 +474,12 @@ class SparseFactorization:
             while len(holders) > 1:
                 holders.sort(key=lambda r: (abs(rows[r][c]), r))
                 a = holders[0]
-                batch_starts.append(base + len(log_a))
+                targets, qs = [], []
                 for b in holders[1:]:
                     q = rows[b][c] // rows[a][c]
                     if q:
-                        log_a.append(b)
-                        log_b.append(a)
-                        log_q.append(q)
+                        targets.append(b)
+                        qs.append(q)
                         rb, ra = rows[b], rows[a]
                         for c2, w in list(ra.items()):
                             nv = rb.get(c2, 0) - q * w
@@ -506,8 +487,8 @@ class SparseFactorization:
                                 rb[c2] = nv
                             elif c2 in rb:
                                 del rb[c2]
-                if batch_starts[-1] == base + len(log_a):
-                    batch_starts.pop()  # every q was 0: no batch
+                if targets:
+                    batches.append((targets, a, qs))
                 holders = [r for r in holders if c in rows[r]]
             for r in list(live_set):
                 if not rows[r]:
@@ -515,22 +496,12 @@ class SparseFactorization:
             if holders:
                 r = holders[0]
                 if rows[r][c] < 0:
-                    batch_starts.append(base + len(log_a))
-                    negs.append(base + len(log_a))
-                    log_a.append(r)
-                    log_b.append(r)
-                    log_q.append(0)
+                    batches.append(([r], r, None))
                     rows[r] = {c2: -w for c2, w in rows[r].items()}
                 echelon_rows.append(r)
                 live_set.discard(r)
 
-        if packed:
-            packed.append(_op_arrays(log_a, log_b, log_q))
-            log_a, log_b, log_q = (np.concatenate(f) for f in zip(*packed))
-        types = np.full(len(log_a), kernels.OP_AXPY, dtype=np.int8)
-        types[negs] = kernels.OP_NEG
-        self.log = kernels.make_log(types, log_a, log_b, log_q,
-                                   batch_starts)
+        self.log = kernels.make_log(batches)
 
         self.piv_rows = piv_rows
         self.piv_cols = piv_cols

@@ -66,8 +66,16 @@ class FGModule:
     def __post_init__(self):
         if self.base == "Fp":
             require_prime(self.p)
-        if any(len(r) != self.generators for r in self.relations):
+        g, order = self.generators, self.group.order
+        if any(len(r) != g for r in self.relations):
             raise InvalidModule("a relation needs one entry per generator")
+        for k, mat in self.action.items():
+            if not 0 <= int(k) < order:
+                raise InvalidModule(f"action key {k} is not an element "
+                                    f"index in [0, {order})")
+            if len(mat) != g or any(len(row) != g for row in mat):
+                raise InvalidModule(f"the action matrix of element {k} "
+                                    f"must be {g} x {g}")
 
     @classmethod
     def from_json_file(cls, path, group: FiniteGroup) -> "FGModule":

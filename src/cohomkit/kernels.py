@@ -16,24 +16,22 @@ safe; where it is not, it works on object arrays of python ints:
 - replay over Z: a running bound M on max|v|.  It starts at max|input|,
   and before each batch M += |v[src]| * max|q| of the batch.  While
   M < 2^62 the batch runs in int64; once it is not, v and q move to object
-  dtype for the rest of the replay;
+  dtype for the rest of the replay (from the start when a multiplier is
+  past int64);
 - matvec: int64 iff max|x| * sum|data| < 2^62, which bounds every partial
   sum of the segmented sum;
 - back-substitution is a sequential loop over python ints.
 
-The log is replayed one batch at a time.  The elimination emits its ops in
-batches that share one source row and have distinct targets, none of them
-the source (a NEG op is a batch of its own), so a batch is one vectorised
-update ``v[targets] -= q * v[source]`` and commutes internally.
+The log is made of batches, from recording to replay: every elimination
+phase emits (targets, source, multipliers), with distinct targets, none of
+them the source, so a batch is one vectorised update
+``v[targets] -= q * v[source]``; a NEG, ``v[r] = -v[r]``, is a batch of
+its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# op codes for the row-operation log
-OP_AXPY = 0  # row[a] -= q * row[b]
-OP_NEG = 2   # row[a] = -row[a]
 
 _I64 = 1 << 63    # entries of magnitude below this fit in int64
 _LIMIT = 1 << 62  # int64 arithmetic is safe while every bound stays below
@@ -78,36 +76,49 @@ def max_abs(v: np.ndarray) -> int:
     return int(np.abs(v).max()) if len(v) else 0
 
 
-def make_log(types, aa, bb, qq, starts) -> tuple:
-    """Pack a row-operation log for replay: ``(types, aa, bb, qq, batches)``.
+def make_log(batches) -> tuple:
+    """Pack a row-operation log for replay: ``(targets, multipliers,
+    batches)``.
 
-    Op i is ``row[aa[i]] -= qq[i] * row[bb[i]]`` (OP_AXPY) or
-    ``row[aa[i]] = -row[aa[i]]`` (OP_NEG, with bb[i] == aa[i]).  ``starts``
-    are the ascending offsets at which the batches begin; each batch is
-    stored as (start, end, source row, max |q|, is NEG).  The multipliers
-    are integers of any size; a replay mod m reduces them itself.
+    ``batches`` lists the log's batches in order, each as (targets, source,
+    multipliers): the ops ``row[t] -= q * row[source]``, one per target t
+    and multiplier q, with one or more distinct targets, none of them the
+    source.  ``([r], r, None)`` is a NEG, ``row[r] = -row[r]``.  Targets
+    and multipliers are lists or integer arrays; the multipliers are
+    integers of any size, and a replay mod m reduces them itself.  The
+    targets and the multipliers of all batches are concatenated once, a
+    NEG's multiplier as 0, and each batch is stored as (start, end, source,
+    max |q|, is NEG).
     """
-    types = np.asarray(types, dtype=np.int8)
-    aa = np.asarray(aa, dtype=np.int64)
-    bb = np.asarray(bb, dtype=np.int64)
+    lens = np.array([len(t) for t, _, _ in batches], dtype=np.int64)
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    targets = np.concatenate([np.zeros(0, dtype=np.int64)] +
+                             [np.asarray(t, dtype=np.int64)
+                              for t, _, _ in batches])
+    qs = [[0] if q is None else q for _, _, q in batches]
+    try:
+        qq = np.concatenate([np.zeros(0, dtype=np.int64)] +
+                            [np.asarray(q, dtype=np.int64) for q in qs])
+    except OverflowError:  # a multiplier past the int64 range
+        qq = np.concatenate([np.zeros(0, dtype=object)] +
+                            [np.asarray(q, dtype=object) for q in qs])
     qq = int_array(qq)
-    starts = np.asarray(starts, dtype=np.int64)
-    if len(starts):
-        qmax = np.maximum.reduceat(np.abs(qq), starts).tolist()
-    else:
-        qmax = []
-    ends = starts[1:].tolist() + [len(types)]
-    batches = list(zip(starts.tolist(), ends, bb[starts].tolist(), qmax,
-                       (types[starts] == OP_NEG).tolist()))
-    return (types, aa, bb, qq, batches)
+    qmax = (np.maximum.reduceat(np.abs(qq), starts).tolist() if batches
+            else [])
+    return (targets, qq,
+            list(zip(starts.tolist(), ends.tolist(),
+                     [src for _, src, _ in batches], qmax,
+                     [q is None for _, _, q in batches])))
 
 
 def apply_oplog_int(vec, log, reverse: bool = False) -> list:
     """Replay a row-operation log over Z. Exact; returns python ints."""
-    _types, aa, _bb, qq, batches = log
+    aa, qq, batches = log
     v = int_array(vec)
     bound = max_abs(v)
-    wide = bound >= _LIMIT
+    # an int64 v cannot take products with multipliers past int64
+    wide = bound >= _LIMIT or qq.dtype == object
     if wide:
         v, qq = v.astype(object), qq.astype(object)
     for s, e, src, qmax, neg in (reversed(batches) if reverse else batches):
@@ -122,16 +133,13 @@ def apply_oplog_int(vec, log, reverse: bool = False) -> list:
             if bound >= _LIMIT:
                 wide = True
                 v, qq, x = v.astype(object), qq.astype(object), int(x)
-        if reverse:
-            v[aa[s:e]] += qq[s:e] * x
-        else:
-            v[aa[s:e]] -= qq[s:e] * x
+        v[aa[s:e]] -= qq[s:e] * (-x if reverse else x)
     return v.tolist()
 
 
 def apply_oplog_mod(vec, log, m: int, reverse: bool = False) -> list:
     """Replay a row-operation log modulo m; returns canonical residues."""
-    _types, aa, _bb, qq, batches = log
+    aa, qq, batches = log
     v = residues(vec, m)
     qq = residues(qq, m)
     if (m - 1) ** 2 + (m - 1) >= _I64:
@@ -142,12 +150,9 @@ def apply_oplog_mod(vec, log, m: int, reverse: bool = False) -> list:
             continue
         if neg:
             v[src] = (-x) % m
-        elif reverse:
-            a = aa[s:e]
-            v[a] = (v[a] + qq[s:e] * x) % m
         else:
             a = aa[s:e]
-            v[a] = (v[a] - qq[s:e] * x) % m
+            v[a] = (v[a] - qq[s:e] * (-x if reverse else x)) % m
     return v.tolist()
 
 

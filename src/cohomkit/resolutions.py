@@ -42,6 +42,9 @@ class BarCochains:
         self._table = np.array(G.table, dtype=np.int64)
 
     def rank(self, n: int) -> int:
+        """Dimension (|G| - 1)^n of the degree-n cochains, n >= 0."""
+        if n < 0:
+            raise ValueError(f"no cochains in negative degree {n}")
         return self.q**n
 
     def check_cap(self, n: int):

@@ -277,6 +277,44 @@ class TestErrorPaths:
         assert code == 2
         assert not out and "violates the table" in err
 
+    @pytest.mark.parametrize("action, message", [
+        ({"1": [[0, 1]]}, "must be 2 x 2"),
+        ({"5": [[1, 0], [0, 1]]}, "not an element index"),
+    ])
+    def test_fibre_rejects_malformed_action(self, capsys, tmp_path, action,
+                                            message):
+        """An action matrix of the wrong shape died in a matrix product
+        (exit 1), and a key outside the group ended generation early and
+        died on a bare KeyError."""
+        mod = tmp_path / "bad.json"
+        mod.write_text(json.dumps({
+            "base": "Z", "generators": 2, "relations": [], "action": action}))
+        code, out, err = run(capsys, "--json", "fibre", "--group", "c2",
+                             "--module", str(mod))
+        assert code == 2
+        assert not out and message in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["cohomology", "--group", "c2", "--coeff", "Z", "--deg", "-1"],
+         "--deg"),
+        (["bockstein", "--group", "c2", "--p", "2", "--i", "1", "--deg",
+          "-1"], "--deg"),
+        (["ring", "--group", "c2", "--coeff", "Z", "--max-deg", "-1"],
+         "--max-deg"),
+        (["fiso", "--group", "c2", "--p", "2", "--max-deg", "-3"],
+         "--max-deg"),
+        (["kappa", "--group", "c2", "--p", "2", "--max-deg", "-3"],
+         "--max-deg"),
+        (["kappa", "--group", "c2", "--p", "2", "--max-deg", "3", "--s",
+          "-1"], "--s"),
+    ])
+    def test_negative_degree_is_a_usage_error(self, capsys, argv, flag):
+        """Negative degrees crashed with a traceback (exit 1, the verdict
+        failure code) or printed a vacuous pass."""
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert not out and f"argument {flag}: must be an integer >= 0" in err
+
     @pytest.mark.parametrize("p", [4, 1])
     def test_fibre_rejects_non_prime(self, capsys, tmp_path, p):
         mod = tmp_path / "triv.json"

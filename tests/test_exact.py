@@ -41,8 +41,14 @@ def factorization_digest(f):
     """sha256 of a whole factorization: the log with its batches, the
     pivots, the echelon and residual indices and the frozen pivot-row
     pool."""
-    types, aa, bb, qq, batches = f.log
-    parts = [types.tolist(), aa.tolist(), bb.tolist(),
+    aa, qq, batches = f.log
+    # each op's type (0 for row[a] -= q * row[b], 2 for a NEG) and source
+    # row, as the log once stored them, so the pinned digests stay the same
+    types, bb = [], []
+    for s, e, src, _qmax, neg in batches:
+        types += [2 if neg else 0] * (e - s)
+        bb += [src] * (e - s)
+    parts = [types, aa.tolist(), bb,
              [int(q) for q in qq], [list(b) for b in batches],
              f.piv_rows, f.piv_cols, f.piv_vals, f.echelon_rows,
              f.res_cols, f.zero_rows, f._pool_starts.tolist(),
@@ -535,8 +541,19 @@ class TestSparseFactorization:
         f2 = SparseFactorization(3, 2, coo_to_csr(3, 2, *coo))
         assert f1.piv_cols == f2.piv_cols
         assert f1.piv_rows == f2.piv_rows
-        assert [list(x) for x in f1.log[1:3]] == \
-            [list(x) for x in f2.log[1:3]]
+        assert [list(x) for x in f1.log] == [list(x) for x in f2.log]
+
+    def test_multiplier_past_int64_after_small_ones(self):
+        """Phase 2 logs a multiplier of 2, then one of 2^70, so the log's
+        multipliers are python ints; a replay over Z of a small vector
+        used to die on the int64 update of the first batch."""
+        f = SparseFactorization.from_columns([[2, 4, 0], [0, 3, 3 * 2**70]],
+                                             3)
+        assert f.log[1].tolist() == [2, 2**70]
+        assert f.coker_invariants() == [6, 0]
+        b = [2, 7, 3 * 2**70]  # the sum of the columns
+        assert f.in_image(b) and f.solve(b) is not None
+        assert not f.in_image([1, 0, 0])
 
 
     @pytest.mark.parametrize("m", [0, 5, 2**64 + 13])

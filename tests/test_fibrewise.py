@@ -299,6 +299,10 @@ class TestPresentations:
             M.full_action()
         with pytest.raises(InvalidModule):  # one entry for two generators
             FGModule(G, "Z", 0, 2, [[1]], {1: [[0, 1], [1, 0]]})
+        with pytest.raises(InvalidModule):  # a 1 x 2 action matrix
+            FGModule(G, "Z", 0, 2, [], {1: [[0, 1]]})
+        with pytest.raises(InvalidModule):  # no element 5 in C_2
+            FGModule(G, "Z", 0, 1, [], {5: [[1]]})
 
     def test_fp_presentation(self, groups):
         G = groups["c2"]

@@ -20,17 +20,17 @@ from oracles import bar_resolution
 
 
 def ref_replay(vec, log, m=0, reverse=False):
-    types, aa, bb, qq = (np.asarray(a).tolist() for a in log[:4])
+    aa, qq = (np.asarray(a).tolist() for a in log[:2])
+    ops = [(aa[i], src, neg, qq[i]) for s, e, src, _qmax, neg in log[2]
+           for i in range(s, e)]
     v = [int(x) % m if m else int(x) for x in vec]
-    order = range(len(types) - 1, -1, -1) if reverse else range(len(types))
-    for i in order:
-        a, b = aa[i], bb[i]
-        if types[i] == kernels.OP_NEG:
+    for a, b, neg, q in (reversed(ops) if reverse else ops):
+        if neg:
             v[a] = -v[a]
         elif reverse:
-            v[a] = v[a] + qq[i] * v[b]
+            v[a] = v[a] + q * v[b]
         else:
-            v[a] = v[a] - qq[i] * v[b]
+            v[a] = v[a] - q * v[b]
         if m:
             v[a] %= m
     return v
@@ -48,43 +48,40 @@ def ref_matvec(indptr, indices, data, vec, m=0):
 # -- logs with the engine's invariants ----------------------------------------
 
 
-def random_log(rng, n, nbatches, maxq=5, m=0):
-    """Batched op log: each batch has one source row and distinct targets,
-    never the source; over Z some batches are single NEG ops."""
-    types, aa, bb, qq, starts = [], [], [], [], []
+def random_batches(rng, n, nbatches, maxq=5, m=0):
+    """Batches (targets, source, multipliers) as the elimination emits
+    them: one source row and distinct targets, never the source; over Z
+    some batches are NEGs."""
+    batches = []
     for _ in range(nbatches):
-        starts.append(len(types))
         src = rng.randrange(n)
         if not m and rng.random() < 0.1:
-            types.append(kernels.OP_NEG)
-            aa.append(src)
-            bb.append(src)
-            qq.append(0)
+            batches.append(([src], src, None))
             continue
         others = [r for r in range(n) if r != src]
-        for a in rng.sample(others, rng.randint(1, min(6, len(others)))):
-            types.append(kernels.OP_AXPY)
-            aa.append(a)
-            bb.append(src)
-            qq.append(rng.randrange(1, m) if m else
-                      rng.choice([q for q in range(-maxq, maxq + 1) if q]))
-    return kernels.make_log(types, aa, bb, qq, starts)
+        targets = rng.sample(others, rng.randint(1, min(6, len(others))))
+        batches.append((targets, src, [
+            rng.randrange(1, m) if m else
+            rng.choice([q for q in range(-maxq, maxq + 1) if q])
+            for _ in targets]))
+    return batches
+
+
+def random_log(rng, n, nbatches, maxq=5, m=0):
+    return kernels.make_log(random_batches(rng, n, nbatches, maxq, m))
 
 
 def check_batches(log):
     """The invariants the batched replay relies on."""
-    types, aa, bb, qq, batches = log
-    assert [b[0] for b in batches] == sorted({b[0] for b in batches})
-    assert batches[0][0] == 0 and batches[-1][1] == len(types)
+    aa, qq, batches = log
+    assert batches[0][0] == 0 and batches[-1][1] == len(aa) == len(qq)
     for (s, e, src, qmax, neg), nxt in zip(batches, batches[1:] + [None]):
         assert s < e and (nxt is None or nxt[0] == e)
         targets = aa[s:e].tolist()
-        assert set(bb[s:e].tolist()) == {src}
         assert qmax == max(abs(int(q)) for q in qq[s:e])
         if neg:
-            assert e - s == 1 and targets == [src]
+            assert targets == [src] and qq[s] == 0
         else:
-            assert (types[s:e] == kernels.OP_AXPY).all()
             assert len(set(targets)) == len(targets) and src not in targets
 
 
@@ -122,7 +119,8 @@ def test_oplog_int_parity_and_inverse(seed):
 
 
 def test_empty_log():
-    log = kernels.make_log([], [], [], [], [])
+    log = kernels.make_log([])
+    assert [len(x) for x in log] == [0, 0, 0]
     assert kernels.apply_oplog_int([3, -4], log) == [3, -4]
     assert kernels.apply_oplog_mod([3, -4], log, 5, reverse=True) == [3, 1]
 
@@ -132,15 +130,11 @@ def doubling_log(nbatches):
     and so on (q = -2), each also subtracting twice its source from row 2
     (q = 2): the entries grow geometrically, so the Z bound crosses 2^62
     mid-replay."""
-    types, aa, bb, qq, starts = [], [], [], [], []
+    batches = []
     for k in range(nbatches):
-        starts.append(len(types))
         src, dst = (0, 1) if k % 2 == 0 else (1, 0)
-        types += [kernels.OP_AXPY, kernels.OP_AXPY]
-        aa += [dst, 2]
-        bb += [src, src]
-        qq += [-2, 2]
-    return kernels.make_log(types, aa, bb, qq, starts)
+        batches.append(([dst, 2], src, [-2, 2]))
+    return kernels.make_log(batches)
 
 
 def test_int_overflow_falls_back_exactly():
@@ -155,15 +149,44 @@ def test_int_overflow_falls_back_exactly():
 
 def test_int_replay_huge_input_and_multiplier():
     rng = random.Random(7)
-    log = random_log(rng, 12, 20, maxq=4)
-    types, aa, bb, qq, _ = log
-    big = kernels.make_log(types, aa, bb,
-                           [int(q) * 2**70 for q in qq],
-                           [b[0] for b in log[4]])
-    assert big[3].dtype == object
+    batches = random_batches(rng, 12, 20, maxq=4)
+    log = kernels.make_log(batches)
+    big = kernels.make_log([(t, src, q and [x * 2**70 for x in q])
+                            for t, src, q in batches])
+    assert big[1].dtype == object
     vec = [rng.randint(-9, 9) * 2**65 for _ in range(12)]
     for lg in (log, big):
         assert kernels.apply_oplog_int(vec, lg) == ref_replay(vec, lg)
+
+
+def test_make_log_mixed_batches():
+    """One log from every kind of batch the elimination emits: lists (the
+    dict loop, phase 2), int8 arrays (the dense block), a NEG, and a
+    multiplier past 2^63.  It is packed as given, and replays like the
+    python-int reference over Z and mod m, forward and reverse."""
+    batches = [([1, 3], 0, [2, -1]),
+               (np.array([0, 2, 4], dtype=np.int64), 1,
+                np.array([-1, 1, 127], dtype=np.int8)),
+               ([4], 4, None),
+               ([0, 1], 3, [2**64 + 5, -3]),
+               ([2], 0, [-(2**63)])]
+    log = kernels.make_log(batches)
+    check_batches(log)
+    assert log[0].tolist() == [1, 3, 0, 2, 4, 4, 0, 1, 2]
+    assert log[1].dtype == object
+    assert log[1].tolist() == [2, -1, -1, 1, 127, 0, 2**64 + 5, -3, -(2**63)]
+    assert log[2] == [(0, 2, 0, 2, False), (2, 5, 1, 127, False),
+                      (5, 6, 4, 0, True), (6, 8, 3, 2**64 + 5, False),
+                      (8, 9, 0, 2**63, False)]
+    vec = [3, -1, 4, 1, -5]
+    for rev in (False, True):
+        assert kernels.apply_oplog_int(vec, log, reverse=rev) == \
+            ref_replay(vec, log, reverse=rev)
+        for m in (2, 9, 2**64 + 13):
+            assert kernels.apply_oplog_mod(vec, log, m, reverse=rev) == \
+                ref_replay(vec, log, m, reverse=rev)
+    assert kernels.apply_oplog_int(kernels.apply_oplog_int(vec, log), log,
+                                   reverse=True) == vec
 
 
 @pytest.mark.parametrize("m", [

@@ -147,6 +147,14 @@ class TestBarCochains:
         with pytest.raises(ValueError):
             bar_cochains(cyclic(3)).matvec(2, vec)
 
+    def test_negative_degree_rejected(self):
+        """(|G| - 1)^n is a float for n < 0; it used to fail later as a
+        TypeError."""
+        bc = bar_cochains(cyclic(3))
+        assert bc.rank(0) == 1
+        with pytest.raises(ValueError, match="negative degree"):
+            bc.rank(-1)
+
     def test_matvec_matches_dense_dual(self, groups):
         """In every degree with at most 700 cells, D_n applied from its
         faces and, once D_n is factored, from the factorization's CSR
