@@ -14,11 +14,11 @@ import sys
 import time
 
 from . import __version__
-from .abelian import factorize
+from .abelian import factorize, require_prime
 from .cohomology import bockstein_delta, canonical_coords, cohomology_group
 from .cup import ring_slice
 from .errors import (CohomkitError, InternalCheckFailed, NoIsomorphismFound,
-                     NoPreimageFound, SizeCapExceeded)
+                     NoPreimageFound, NotPrime, SizeCapExceeded)
 from .fibrewise import (FGModule, augmentation_ideal, dualising_check,
                         fibre_projectivity_test, gproj_test,
                         koszul_selfdual_check, module_from_presentation,
@@ -113,7 +113,7 @@ def cmd_ring(args):
     s = ring_slice(G, args.coeff, args.max_deg)
     ok = s.check_unit() and s.check_graded_commutativity() and \
         s.check_associativity()
-    body = json.loads(s.to_json(include_basis=args.basis))
+    body = s.to_dict(include_basis=args.basis)
     body["check"] = "ring"
     body["ring_axioms"] = "pass" if ok else "fail"
     return _report("ring", {"group": args.group, "coeff": str(args.coeff),
@@ -145,7 +145,7 @@ def cmd_bockstein(args):
 def cmd_fiso(args):
     G = _group_from_arg(args.group)
     rep = f_iso_check(G, args.p, args.max_deg)
-    body = json.loads(rep.to_json())
+    body = rep.to_dict()
     return _report("fiso", {"group": args.group, "p": args.p,
                             "max_deg": args.max_deg}, body,
                    "pass" if rep.verdict else "fail")
@@ -201,7 +201,7 @@ def cmd_koszul(args):
 def cmd_thick(args):
     seed = [int(x) for x in args.seed.split(",") if x.strip()]
     rep = thick_lattice_report(args.p, seed)
-    body = json.loads(rep.to_json())
+    body = rep.to_dict()
     body["lattice"] = f"{rep.ideal_count} thick tensor ideals"
     verdict = "pass" if (not seed or rep.full) else "fail"
     return _report("thick", {"p": args.p, "seed": seed}, body, verdict)
@@ -217,7 +217,7 @@ def cmd_kappa(args):
                        {"check": "kappa-certificate",
                         "error": "map is not multiplicative"}, "fail")
     rep = kappa_certificate(f, args.p, s, args.max_deg)
-    body = json.loads(rep.to_json())
+    body = rep.to_dict()
     return _report("kappa", {"group": args.group, "p": args.p, "s": s,
                              "max_deg": args.max_deg}, body,
                    "pass" if rep.verdict else "fail")
@@ -475,6 +475,25 @@ def _degree(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """A level or exponent argument that must be at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, not {text!r}")
+    return int(text)
+
+
+def _prime(text: str) -> int:
+    """A prime argument."""
+    p = int(text) if text.isdecimal() else 0
+    try:
+        require_prime(p)
+    except NotPrime:
+        raise argparse.ArgumentTypeError(
+            f"must be a prime, not {text!r}") from None
+    return p
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="cohomkit",
@@ -505,14 +524,14 @@ def build_parser():
 
     g = sub.add_parser("bockstein", help="connecting map on a basis")
     g.add_argument("--group", required=True)
-    g.add_argument("--p", type=int, required=True)
-    g.add_argument("--i", type=int, required=True)
+    g.add_argument("--p", type=_prime, required=True)
+    g.add_argument("--i", type=_positive, required=True)
     g.add_argument("--deg", type=_degree, required=True)
     g.set_defaults(func=cmd_bockstein)
 
     g = sub.add_parser("fiso", help="F-isomorphism certificate")
     g.add_argument("--group", required=True)
-    g.add_argument("--p", type=int, required=True)
+    g.add_argument("--p", type=_prime, required=True)
     g.add_argument("--max-deg", type=_degree, default=6)
     g.set_defaults(func=cmd_fiso)
 
@@ -532,13 +551,13 @@ def build_parser():
     g.set_defaults(func=cmd_koszul)
 
     g = sub.add_parser("thick", help="thick tensor ideal closure for kC_p")
-    g.add_argument("--p", type=int, required=True)
+    g.add_argument("--p", type=_prime, required=True)
     g.add_argument("--seed", required=True, help="comma-separated block sizes")
     g.set_defaults(func=cmd_thick)
 
     g = sub.add_parser("kappa", help="spectra-bijection certificate")
     g.add_argument("--group", required=True)
-    g.add_argument("--p", type=int, required=True)
+    g.add_argument("--p", type=_prime, required=True)
     g.add_argument("--s", type=_degree, default=None)
     g.add_argument("--max-deg", type=_degree, default=6)
     g.set_defaults(func=cmd_kappa)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .abelian import (FiniteAbelian, factorize, invariant_factor_form,
-                      prime_power, require_prime)
+from .abelian import FiniteAbelian, factorize, prime_power, require_prime
 from .config import GROUP_CACHE_SIZE
 from .errors import (DegreeZeroUnsupported, InternalCheckFailed,
                      ModulusMismatch)
@@ -225,26 +224,11 @@ class CohomologySystem:
             raise ValueError("vector is not a mod-m cocycle")
         return False
 
-    def classes_equal(self, x: CohomologyClass, y: CohomologyClass) -> bool:
-        if (x.degree != y.degree or x.modulus != y.modulus
-                or x.group is not y.group):
-            raise ModulusMismatch("classes live in different groups")
-        if x.modulus:
-            diff = [(a - b) % x.modulus for a, b in zip(x.vector, y.vector)]
-        else:
-            diff = [a - b for a, b in zip(x.vector, y.vector)]
-        z = CohomologyClass(x.group, x.degree, x.modulus, tuple(diff))
-        return self.is_zero(z)
-
     def verify_cocycle(self, x: CohomologyClass) -> bool:
         dz = self.bc.matvec(x.degree + 1, list(x.vector))
         if x.modulus:
             return all(v % x.modulus == 0 for v in dz)
         return not any(dz)
-
-    def zero_class(self, degree: int, modulus: int) -> CohomologyClass:
-        return CohomologyClass(self.group, degree, modulus,
-                               tuple([0] * self.rank(degree)))
 
     def unit_class(self, modulus: int) -> CohomologyClass:
         return CohomologyClass(self.group, 0, modulus, (1,))
@@ -358,14 +342,3 @@ def p_primary_part(G: FiniteGroup, p: int, n: int) -> PrimaryPart:
             out.append(p**e)
     out.sort()
     return PrimaryPart(p, n, tuple(out))
-
-
-def full_invariants_from_primary(G: FiniteGroup, n: int) -> list[int]:
-    """Recombine p-primary parts over primes dividing |G| (consistency
-    helper for tests)."""
-    orders = []
-    rest = G.order
-    primes = sorted(factorize(rest))
-    for p in primes:
-        orders.extend(p_primary_part(G, p, n).invariant_factors)
-    return invariant_factor_form(orders)

@@ -11,8 +11,6 @@ lifting witnesses.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .cohomology import (CohomologyClass, canonical_coords, cohomology_group,
@@ -209,7 +207,7 @@ class GradedRingSlice:
                                     return False
         return True
 
-    def to_json(self, include_basis: bool = False) -> str:
+    def to_dict(self, include_basis: bool = False) -> dict:
         data = {
             "group": self.group.label,
             "modulus": self.modulus,
@@ -226,7 +224,7 @@ class GradedRingSlice:
                 [list(map(int, b.vector)) for b in self.groups[d].basis]
                 for d in range(self.max_degree + 1)
             ]
-        return json.dumps(data, indent=1, sort_keys=True)
+        return data
 
 
 def ring_slice(G: FiniteGroup, coeff, N: int, label: str = "") -> GradedRingSlice:

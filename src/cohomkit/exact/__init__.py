@@ -2,7 +2,6 @@ from .dense import (
     IntMatrix,
     SmithDecomposition,
     smith_normal_form,
-    unimodular_inverse,
 )
 from .sparse import SparseFactorization
 
@@ -10,6 +9,5 @@ __all__ = [
     "IntMatrix",
     "SmithDecomposition",
     "smith_normal_form",
-    "unimodular_inverse",
     "SparseFactorization",
 ]

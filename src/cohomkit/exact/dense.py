@@ -1,10 +1,10 @@
 """Dense exact linear algebra over Z and Z/m.
 
 Everything here uses python integers, so no computation can overflow.  In
-the package the Smith form runs in two places only: phase 3 of the sparse
-engine in :mod:`cohomkit.exact.sparse`, on its small echelon block, and the
-Smith form of a module presentation (``fibrewise.FGModule.smith``).  The
-tests use it as their oracle.
+the package the Smith form runs in one place only: phase 3 of the sparse
+engine in :mod:`cohomkit.exact.sparse`, on its small echelon block; module
+presentations go through that engine too.  The tests use it as their
+oracle.
 """
 
 from __future__ import annotations
@@ -83,32 +83,6 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()})"
 
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [row[:] for row in self.to_rows()]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
@@ -180,25 +154,6 @@ class SmithDecomposition:
                 for j, d in enumerate(self.diagonal()) if d and m]
         cols += [(j, 1) for j in range(self.rank(), n)]
         return [[mult * V[i, j] for i in range(n)] for j, mult in cols]
-
-    def verify(self) -> bool:
-        if (self.U @ self.source) @ self.V != self.D:
-            return False
-        if abs(self.U.det()) != 1 or abs(self.V.det()) != 1:
-            return False
-        diag = self.diagonal()
-        for i in range(len(diag) - 1):
-            if diag[i + 1] != 0 and (diag[i] == 0 or diag[i + 1] % diag[i] != 0):
-                return False
-            if diag[i] == 0 and diag[i + 1] != 0:
-                return False
-        if any(d < 0 for d in diag):
-            return False
-        for i in range(self.D.rows):
-            for j in range(self.D.cols):
-                if i != j and self.D[i, j] != 0:
-                    return False
-        return True
 
 
 def _as_rows(M):
@@ -301,15 +256,6 @@ def smith_normal_form(M) -> SmithDecomposition:
         V=IntMatrix.from_rows(v),
         source=src,
     )
-
-
-def unimodular_inverse(M) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, read off its own Smith form:
-    U' M V' = I gives M^-1 = V' U'.  ValueError unless that form is I."""
-    dec = smith_normal_form(M)
-    if dec.D != IntMatrix.identity(dec.D.rows):
-        raise ValueError("matrix is not unimodular")
-    return dec.V @ dec.U
 
 
 def normalize_modulus(m) -> int:

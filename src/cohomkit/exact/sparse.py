@@ -5,7 +5,9 @@ Bar-resolution cochain differentials are very sparse (at most deg+2 entries
 of +-1 per row), and every cohomology computation reduces to questions about
 one of them: invariant factors of the cokernel, membership in the image,
 torsion representatives, kernels.  This module factors such a matrix once
-and answers all of those queries cheaply afterwards.
+and answers all of those queries cheaply afterwards.  The relations of a
+module presentation go through the same factorization, which also gives a
+basis of the ambient lattice adapted to the cokernel.
 
 Matrices come in one format, CSR, and :func:`coo_to_csr` is the one place
 where entries given by position are sorted, summed and packed into it.  A
@@ -33,9 +35,12 @@ Row operations from phases 1-2 are recorded in a log, one (targets, source,
 multipliers) batch per pivot or Euclid round, that can be replayed over any
 vector (the hot kernels in :mod:`cohomkit.kernels`);
 phase 3 keeps only the Smith transforms U and V of the small block, since
-torsion representatives read the columns of U^-1 off E V = U^-1 D.  No column
-operation is ever applied to the ambient space, so cokernel coordinates of
-a vector are read off directly after replaying the log.
+the cokernel basis and the torsion representatives read the columns of
+U^-1 off E V = U^-1 D.  Phase 3 is the one place in the package where the
+dense Smith form runs.  No column operation is ever applied to the ambient
+space, so cokernel coordinates of a vector are read off directly after
+replaying the log, and a cokernel basis vector is lifted by replaying the
+log in reverse.
 
 Every query takes a modulus m (0 for Z).  The logged row operations are
 unimodular over Z, so they stay invertible mod every m: a mod-m query
@@ -550,8 +555,6 @@ class SparseFactorization:
         """Invariant factors of coker over Z (0 = free) or Z/m."""
         out = [d for d in self._echelon_diag(m) if d > 1]
         nfree = len(self.zero_rows)
-        if self.esnf is not None:
-            nfree += max(0, self.esnf.D.rows - self.esnf.rank())
         if m:
             out += [m] * nfree
             out.sort()
@@ -621,22 +624,42 @@ class SparseFactorization:
         return kernels.csr_matvec_int(self._indptr, self._indices,
                                       self._data, x)
 
+    def _echelon_lift(self, j, d):
+        """Column j of U^-1 for the echelon block, on the echelon rows and
+        carried back through the log: U E V = D, so it is (E V)[:, j] / d,
+        d = d_j."""
+        E, V = self.esnf.source, self.esnf.V
+        ev = E.mul_vec([V[i, j] for i in range(V.rows)])
+        vec = [0] * self.nrows
+        for r, x in zip(self.echelon_rows, ev):
+            vec[r] = x // d
+        return self._replay(vec, reverse=True)
+
     def torsion_reps(self):
         """Representatives for the nonunit torsion of the cokernel over Z:
         list of (invariant factor, vector) pairs."""
-        out = []
         if self.esnf is None:
-            return out
-        E, V = self.esnf.source, self.esnf.V
-        for j, d in enumerate(self.esnf.diagonal()):
-            if d > 1:
-                # U E V = D, so column j of U^-1 is (E V)[:, j] / d
-                ev = E.mul_vec([V[i, j] for i in range(V.rows)])
-                col = [x // d for x in ev]
-                vec = [0] * self.nrows
-                for r, v in zip(self.echelon_rows, col):
-                    vec[r] = v
-                out.append((d, self._replay(vec, reverse=True)))
+            return []
+        return [(d, self._echelon_lift(j, d))
+                for j, d in enumerate(self.esnf.diagonal()) if d > 1]
+
+    def coker_basis(self):
+        """A Z-basis b_1, ..., b_nrows of Z^nrows with an order o_i each, as
+        (o_i, b_i) pairs, such that the gcd(o_i, m) b_i span the image plus
+        m Z^nrows for every m (m = 0 over Z).
+
+        The basis follows :meth:`coords`, so coords(b_i, m) is e_i, reduced
+        by the moduli, whenever o_i != 1: the echelon coordinates (o = d_j, b = column j of U^-1),
+        the untouched rows (o = 0), then the unit-pivot rows (o = 1).  Every
+        d_j is nonzero: phase 2 leaves the echelon block in row echelon
+        form, so it has full row rank."""
+        diag = self.esnf.diagonal() if self.esnf is not None else []
+        out = [(d, self._echelon_lift(j, d)) for j, d in enumerate(diag)]
+        for o, rows in ((0, self.zero_rows), (1, self.piv_rows)):
+            for r in rows:
+                e = [0] * self.nrows
+                e[r] = 1
+                out.append((o, self._replay(e, reverse=True)))
         return out
 
     def kernel_basis(self, m=0):

@@ -4,17 +4,19 @@ groups, free resolutions over F_pG, and Koszul self-duality.
 
 Modules come in two forms: a presentation (FGModule, the JSON-facing type)
 and a GModule, a module over RG that is free over R = Z (p = 0) or F_p and
-carries the action matrix of every group element.  A presentation is
-realized through the Smith form U A V = D over Z of its relations A: with
-m = p over F_p and m = 0 over Z, the quotient of Z^g by the relations and
-m Z^g is the sum of the Z/gcd(d_i, m) on the coordinates (U x)_i, and the
-module keeps the coordinates of order m.  The same Smith form checks the
-action against the group table and the relations for stability.
+carries the action matrix of every group element.
 
-Everything else runs on :mod:`cohomkit.exact.sparse`, whose one
-factorization over Z answers over Z and over every Z/p.  Projectivity at a
-fibre is decided by one linear splitting system, with at most dim+1
-nonzeros per row.  A lattice's system is factored once, and that
+Everything runs on :mod:`cohomkit.exact.sparse`, whose one factorization
+over Z answers over Z and over every Z/p.  A presentation factors its
+relation matrix A once, over Z.  With m = p over F_p and m = 0 over Z, the
+factorization's cokernel basis b_i of orders o_i splits the quotient of Z^g
+by the relations and m Z^g into the Z/gcd(o_i, m) b_i; the module keeps the
+b_i of order m, and a vector's coordinates in them are its cokernel
+coordinates.  The same factorization checks the action against the group
+table and the relations for stability, by image membership mod m.
+
+Projectivity at a fibre is decided by one linear splitting system, with at
+most dim+1 nonzeros per row.  A lattice's system is factored once, and that
 factorization answers all three questions: the integral test solves over
 Z, each fibre solves mod p (the system mod p is the fibre's own), and the
 rational test reads the free cokernel coordinates.  Ext over ZG and free
@@ -22,7 +24,7 @@ resolutions over F_pG share one tower of free covers, and Koszul H_0 is the
 cokernel of one factorization.  F_p entries enter every factorization as
 symmetric residues (|v| <= p/2, ``SparseFactorization.from_columns``), so
 p - 1 is the unit -1 and stays an elimination pivot.  The dense Smith form
-runs here only on the relations of a presentation; in the tests it is the
+runs only inside that factorization, as its phase 3; in the tests it is the
 oracle.
 """
 
@@ -37,7 +39,7 @@ from math import gcd, inf
 from .abelian import factorize, require_prime
 from .errors import (InternalCheckFailed, InvalidModule, NoIsomorphismFound,
                      NotBaseFree)
-from .exact.dense import IntMatrix, smith_normal_form, unimodular_inverse
+from .exact.dense import IntMatrix
 from .exact.modp import rank_modp
 from .exact.sparse import (SparseFactorization, coo_to_csr,
                            symmetric_residue)
@@ -97,32 +99,33 @@ class FGModule:
         return self.p if self.base == "Fp" else 0
 
     @cached_property
-    def smith(self):
-        """Smith form U A V = D over Z of the relation matrix A (one column
-        per relation), and U^-1."""
-        g, rels = self.generators, self.relations
-        dec = smith_normal_form(
-            IntMatrix(g, len(rels), [r[i] for i in range(g) for r in rels]))
-        return dec, unimodular_inverse(dec.U)
+    def factorization(self) -> SparseFactorization:
+        """The relation matrix A, one column per relation, factored over
+        Z."""
+        return SparseFactorization.from_columns(self.relations,
+                                                self.generators)
+
+    @cached_property
+    def coker_basis(self) -> list:
+        """(order over Z, vector) for each basis vector b_i of Z^g that the
+        factorization adapts to the cokernel of A."""
+        return self.factorization.coker_basis()
 
     def orders(self) -> list:
-        """Order gcd(d_i, m) of each quotient coordinate (U x)_i (0 = Z)."""
-        diag = self.smith[0].diagonal()
-        return [gcd(diag[i] if i < len(diag) else 0, self.modulus)
-                for i in range(self.generators)]
+        """Order gcd(o_i, m) of each quotient basis vector b_i (0 = Z)."""
+        return [gcd(o, self.modulus) for o, _ in self.coker_basis]
 
     def relation_lattice(self) -> list:
-        """Basis of the relations plus m Z^g: gcd(d_i, m) times column i of
-        U^-1, for every nonzero order."""
-        Uinv = self.smith[1]
-        return [[o * Uinv[r, i] for r in range(self.generators)]
-                for i, o in enumerate(self.orders()) if o]
+        """Basis of the relations plus m Z^g: gcd(o_i, m) b_i, for every
+        nonzero order."""
+        return [[o * v for v in b]
+                for o, (_, b) in zip(self.orders(), self.coker_basis) if o]
 
     def full_action(self):
         """Action matrix for every group element, generated from the given
         ones by table multiplication.  Products must match the table and the
         generators must keep the relations, both up to the relations and
-        m Z^g (the Smith form solves mod m); raises InvalidModule."""
+        m Z^g (image membership mod m); raises InvalidModule."""
         G = self.group
         n = self.generators
         m = self.modulus
@@ -142,25 +145,30 @@ class FGModule:
             if not progressed:
                 raise InvalidModule(
                     "action generators do not generate the group")
-        dec = self.smith[0]
+        fact = self.factorization
 
-        def related(mat):
-            return all(dec.solve(col, m) is not None for col in zip(*mat))
+        def related(cols):
+            return all(fact.in_image(list(col), m) for col in cols)
 
         for a in range(G.order):
             for b in range(G.order):
                 got = _matmul(known[a], known[b], m)
                 want = known[G.table[a][b]]
-                if got != want and not related(
-                        [[x - y for x, y in zip(r, s)]
-                         for r, s in zip(got, want)]):
+                if got != want and not related(zip(*(
+                        [x - y for x, y in zip(r, s)]
+                        for r, s in zip(got, want)))):
                     raise InvalidModule(
                         f"action violates the table at ({a},{b})")
         for g in gens:
-            if not related(_matmul(known[int(g)], dec.source.to_rows())):
+            if not related(_matvec(known[int(g)], rel)
+                           for rel in self.relations):
                 raise InvalidModule(
                     "relation submodule is not stable under the action")
         return known
+
+
+def _matvec(A, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
 def _matmul(A, B, p=0):
@@ -207,10 +215,6 @@ class GModule:
                     raise InvalidModule(
                         f"action violates the table at ({a},{b})")
 
-    def reduce_mod(self, p: int) -> "GModule":
-        return GModule(self.group, self.action, p,
-                       label=f"{self.label} mod {p}")
-
 
 def regular_module(G: FiniteGroup) -> GModule:
     """ZG with the left regular action."""
@@ -246,10 +250,10 @@ def augmentation_ideal(G: FiniteGroup) -> GModule:
 
 
 def module_from_presentation(M: FGModule) -> GModule:
-    """Realize a Z or F_p presentation as a GModule on its quotient
-    coordinates (U x)_i of order m: g acts by those rows of U, times act(g),
-    times those columns of U^-1.  NotBaseFree when a Z presentation has
-    torsion."""
+    """Realize a Z or F_p presentation as a GModule on its quotient basis
+    vectors b_i of order m: column i of the action of g holds the cokernel
+    coordinates of g b_i at those b_j.  NotBaseFree when a Z presentation
+    has torsion."""
     if M.base not in ("Z", "Fp"):
         raise ValueError("only Z and Fp presentations are realized")
     full = M.full_action()
@@ -259,11 +263,15 @@ def module_from_presentation(M: FGModule) -> GModule:
     if torsion:
         raise NotBaseFree(f"presentation has torsion {torsion}")
     free = [i for i, o in enumerate(orders) if o == m]
-    dec, Uinv = M.smith
-    proj = [dec.U.row(i) for i in free]
-    lift = [[Uinv[i, j] for j in free] for i in range(M.generators)]
-    return GModule(M.group, [_matmul(_matmul(proj, full[a]), lift)
-                             for a in range(M.group.order)], m)
+    coords = M.factorization.coords
+
+    def realize(mat):
+        cols = [coords(_matvec(mat, M.coker_basis[i][1]), m)[0]
+                for i in free]
+        return [[col[j] for col in cols] for j in free]
+
+    return GModule(M.group, [realize(full[a]) for a in range(M.group.order)],
+                   m)
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +289,6 @@ class FibreAlgebra:
     def structure_constant(self, a: int, b: int, c: int) -> int:
         v = 1 if self.group.table[a][b] == c else 0
         return v % self.characteristic if self.characteristic else v
-
-    def verify_structure(self) -> bool:
-        G = self.group
-        for a in range(G.order):
-            for b in range(G.order):
-                tot = sum(self.structure_constant(a, b, c)
-                          for c in range(G.order))
-                want = 1 % self.characteristic if self.characteristic else 1
-                if tot != want:
-                    return False
-        return True
 
 
 def fibre_algebra(G: FiniteGroup, p: int) -> FibreAlgebra:
@@ -479,8 +476,13 @@ class DualisingWitness:
     determinant: int
 
     def verify(self, G: FiniteGroup) -> bool:
+        """T is a permutation matrix, so unimodular, and commutes with the
+        actions."""
         n = G.order
         T = self.matrix
+        unit = [0] * (n - 1) + [1]
+        if any(sorted(line) != unit for line in [*T, *zip(*T)]):
+            return False
         for g in range(n):
             # L_g: e_h -> e_{g h}; omega action: f_h -> f_{h g^{-1}}
             for h in range(n):
@@ -492,7 +494,7 @@ class DualisingWitness:
                         rhs[G.table[i][G.inverse[g]]] += col[i]
                 if lhs != rhs:
                     return False
-        return abs(self.determinant) == 1
+        return True
 
 
 def dualising_check(G: FiniteGroup) -> DualisingWitness:
@@ -503,10 +505,11 @@ def dualising_check(G: FiniteGroup) -> DualisingWitness:
     is unimodular.  k is the last element."""
     n = G.order
     k = n - 1
+    perm = [G.table[k][G.inverse[h]] for h in range(n)]
     T = [[0] * n for _ in range(n)]
-    for h in range(n):
-        T[G.table[k][G.inverse[h]]][h] = 1
-    w = DualisingWitness(G.label, T, IntMatrix.from_rows(T).det())
+    for h, r in enumerate(perm):
+        T[r][h] = 1
+    w = DualisingWitness(G.label, T, _perm_sign(perm))
     if not w.verify(G):
         raise NoIsomorphismFound(
             f"the permutation witness fails for {G.label}; this "

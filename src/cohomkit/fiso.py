@@ -11,7 +11,6 @@ class off the factorization of its own degree only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,13 +79,6 @@ class PthPowerLift:
     modulus: int         # p^{i+1}
     vector: tuple | None  # preimage cocycle; None encodes the zero class
     witness: dict = field(default_factory=dict)
-
-    def as_class(self) -> CohomologyClass:
-        g = self.source.group
-        if self.vector is not None:
-            return CohomologyClass(g, self.degree, self.modulus, self.vector)
-        sys = cohomology_system(g)
-        return sys.zero_class(self.degree, self.modulus)
 
 
 def pth_power_preimage(i: int, x: CohomologyClass) -> PthPowerLift:
@@ -253,8 +245,8 @@ class FIsoReport:
     verdict: bool
     notes: list
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "check": "f-isomorphism",
             "group": self.group_label,
             "p": self.prime,
@@ -264,7 +256,7 @@ class FIsoReport:
             "kernel_checks": self.kernel_checks,
             "verdict": "pass" if self.verdict else "fail",
             "notes": self.notes,
-        }, indent=1, sort_keys=True)
+        }
 
 
 def f_iso_check(G: FiniteGroup, p: int, N: int) -> FIsoReport:

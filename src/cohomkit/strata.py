@@ -10,7 +10,6 @@ enumerated by explicit matrix search.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
@@ -182,14 +181,14 @@ class ThickReport:
     ideal_count: int
     full: bool
 
-    def to_json(self):
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "check": "thick-closure",
             "p": self.prime,
             "seed": list(self.seed),
             "closure": list(self.closure),
             "thick_tensor_ideals": self.ideal_count,
-        }, indent=1, sort_keys=True)
+        }
 
 
 def thick_lattice_report(p: int, seed) -> ThickReport:
@@ -263,8 +262,8 @@ class KappaReport:
     onto_witnesses: list
     verdict: bool
 
-    def to_json(self):
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "check": "kappa-certificate",
             "map": self.label,
             "p": self.prime,
@@ -273,7 +272,7 @@ class KappaReport:
             "kernel_nilpotent": self.kernel_nilpotent,
             "onto_witnesses": self.onto_witnesses,
             "verdict": "pass" if self.verdict else "fail",
-        }, indent=1, sort_keys=True)
+        }
 
 
 def kappa_certificate(f: RingMapSlice, p: int, s: int, N: int) -> KappaReport:

@@ -1,0 +1,58 @@
+"""Small helpers that the tests share and the package does not need: they
+ask test-only questions of the engine through its public API.
+
+Unlike ``oracles.py`` they use the engine, so they check nothing on their
+own; they only phrase a test's question.
+"""
+
+from cohomkit.abelian import factorize, invariant_factor_form
+from cohomkit.cohomology import (CohomologyClass, cohomology_system,
+                                 p_primary_part)
+from cohomkit.errors import ModulusMismatch
+from cohomkit.fibrewise import GModule
+
+
+def classes_equal(x: CohomologyClass, y: CohomologyClass) -> bool:
+    """Whether x and y are the same cohomology class: their difference is
+    a coboundary."""
+    if (x.degree != y.degree or x.modulus != y.modulus
+            or x.group is not y.group):
+        raise ModulusMismatch("classes live in different groups")
+    m = x.modulus
+    diff = tuple((a - b) % m if m else a - b
+                 for a, b in zip(x.vector, y.vector))
+    return cohomology_system(x.group).is_zero(
+        CohomologyClass(x.group, x.degree, m, diff))
+
+
+def full_invariants_from_primary(G, n: int) -> list[int]:
+    """Invariant factors of H^n(G; Z) recombined from its p-primary parts,
+    over the primes dividing |G|."""
+    orders = []
+    for p in sorted(factorize(G.order)):
+        orders.extend(p_primary_part(G, p, n).invariant_factors)
+    return invariant_factor_form(orders)
+
+
+def reduce_mod(M: GModule, p: int) -> GModule:
+    """The F_pG-module M/pM of a ZG-lattice M."""
+    return GModule(M.group, M.action, p, label=f"{M.label} mod {p}")
+
+
+def verify_structure(fa) -> bool:
+    """Every product of two basis elements of a fibre algebra is one basis
+    element: the structure constants of each pair sum to 1."""
+    G = fa.group
+    want = 1 % fa.characteristic if fa.characteristic else 1
+    return all(sum(fa.structure_constant(a, b, c) for c in range(G.order))
+               == want for a in range(G.order) for b in range(G.order))
+
+
+def lift_class(lift) -> CohomologyClass:
+    """The class of a PthPowerLift: its preimage cocycle, or the zero class
+    when it records none."""
+    g = lift.source.group
+    vec = lift.vector
+    if vec is None:
+        vec = (0,) * cohomology_system(g).rank(lift.degree)
+    return CohomologyClass(g, lift.degree, lift.modulus, vec)

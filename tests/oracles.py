@@ -5,7 +5,10 @@ F_p row echelon forms by numpy row operations.
 Two independent constructions are provided: the normalized bar resolution
 (any finite group) and the period-2 resolution of cyclic groups, which
 serves as a cross-check oracle for every cohomology computation.  Homology
-is read off by ``subquotient_invariants``, on dense matrices.
+is read off by ``subquotient_invariants``, on dense matrices.  A module
+presentation is realized by ``realize_presentation`` on the Smith form of
+its relations, as the package did before its presentations went through the
+sparse engine.
 
 The degree-n term of the normalized bar resolution is free over ZG on
 n-tuples of non-identity elements, so ranks grow like (|G|-1)^n; tuples are
@@ -16,6 +19,8 @@ dense Smith form, on its small echelon block): from ``cohomkit`` they
 import only ``exact.dense``, ``groups``, ``config`` and ``errors``
 (``test_hygiene.py`` holds them to that).
 """
+
+from math import gcd
 
 import numpy as np
 
@@ -68,6 +73,83 @@ def echelon_modp(A, p):
         piv.append(c)
         r += 1
     return M, piv
+
+
+def det(M: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if M.rows != M.cols:
+        raise ValueError("determinant of non-square matrix")
+    n = M.rows
+    if n == 0:
+        return 1
+    a = M.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def verify_smith(dec) -> bool:
+    """U M V = D with U, V unimodular and D a nonnegative diagonal with
+    the divisibility chain, zeros last."""
+    if (dec.U @ dec.source) @ dec.V != dec.D:
+        return False
+    if abs(det(dec.U)) != 1 or abs(det(dec.V)) != 1:
+        return False
+    diag = dec.diagonal()
+    for i in range(len(diag) - 1):
+        if diag[i + 1] != 0 and (diag[i] == 0 or diag[i + 1] % diag[i] != 0):
+            return False
+        if diag[i] == 0 and diag[i + 1] != 0:
+            return False
+    if any(d < 0 for d in diag):
+        return False
+    return all(dec.D[i, j] == 0 for i in range(dec.D.rows)
+               for j in range(dec.D.cols) if i != j)
+
+
+def unimodular_inverse(M: IntMatrix) -> IntMatrix:
+    """Inverse of a unimodular integer matrix, read off its own Smith form:
+    U' M V' = I gives M^-1 = V' U'.  ValueError unless that form is I."""
+    dec = smith_normal_form(M)
+    if dec.D != IntMatrix.identity(dec.D.rows):
+        raise ValueError("matrix is not unimodular")
+    return dec.V @ dec.U
+
+
+def realize_presentation(generators: int, relations, action, m: int):
+    """Dense reference realization of a presentation without torsion: Z^g
+    (g = ``generators``) modulo the ``relations`` and m Z^g, m = 0 over Z.
+
+    With the Smith form U A V = D of the relation matrix A (one column per
+    relation), the quotient is the sum of the Z/gcd(d_i, m) on the
+    coordinates (U x)_i.  Returns (the matrix of each of ``action`` on the
+    coordinates of order m, the projection onto them): rows i of U, times
+    the action, times columns i of U^-1."""
+    A = IntMatrix(generators, len(relations),
+                  [r[i] for i in range(generators) for r in relations])
+    dec = smith_normal_form(A)
+    diag = dec.diagonal()
+    free = [i for i in range(generators)
+            if gcd(diag[i] if i < len(diag) else 0, m) == m]
+    Uinv = unimodular_inverse(dec.U)
+    proj = IntMatrix.from_rows([dec.U.row(i) for i in free])
+    lift = IntMatrix.from_rows([[Uinv[r, i] for i in free]
+                                for r in range(generators)])
+    return [proj @ IntMatrix.from_rows(mat) @ lift for mat in action], proj
 
 
 class Resolution:

@@ -315,6 +315,26 @@ class TestErrorPaths:
         assert code == 2
         assert not out and f"argument {flag}: must be an integer >= 0" in err
 
+    @pytest.mark.parametrize("argv, flag, message", [
+        (["bockstein", "--group", "c2", "--p", "0", "--i", "1", "--deg",
+          "1"], "--p", "must be a prime, not '0'"),
+        (["bockstein", "--group", "c2", "--p", "4", "--i", "1", "--deg",
+          "1"], "--p", "must be a prime, not '4'"),
+        (["bockstein", "--group", "c2", "--p", "2", "--i", "0", "--deg",
+          "1"], "--i", "must be an integer >= 1, not '0'"),
+        (["fiso", "--group", "c2", "--p", "1"], "--p", "must be a prime"),
+        (["kappa", "--group", "c2", "--p", "-3"], "--p", "must be a prime"),
+        (["thick", "--p", "6", "--seed", "1"], "--p", "must be a prime"),
+    ], ids=["bockstein-p0", "bockstein-p4", "bockstein-i0", "fiso-p1",
+            "kappa-p-3", "thick-p6"])
+    def test_non_prime_p_is_a_usage_error(self, capsys, argv, flag, message):
+        """bockstein took --p 0 as integral coefficients and printed a pass
+        with no images, and died deep in the engine on --p 4; every --p is
+        a prime and bockstein's level --i is at least 1."""
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert not out and f"argument {flag}: {message}" in err
+
     @pytest.mark.parametrize("p", [4, 1])
     def test_fibre_rejects_non_prime(self, capsys, tmp_path, p):
         mod = tmp_path / "triv.json"

@@ -9,6 +9,7 @@ from cohomkit.cup import (cup1_vec, cup_power, cup_product, cup_vec,
                           ring_slice)
 from cohomkit.errors import ModulusMismatch
 from cohomkit.resolutions import bar_cochains
+from helpers import classes_equal
 
 
 class TestCupProduct:
@@ -56,7 +57,7 @@ class TestCupProduct:
         sys = cohomology_system(G)
         rhs = CohomologyClass(G, 3, 2, tuple(
             (x + y) % 2 for x, y in zip(r1.vector, r2.vector)))
-        assert sys.classes_equal(lhs, rhs)
+        assert classes_equal(lhs, rhs)
 
 
 class TestRingSlices:
@@ -108,11 +109,11 @@ class TestRingSlices:
                         lhs = coefficient_map("pi_i", cup_product(x, y))
                         rhs = cup_product(coefficient_map("pi_i", x),
                                           coefficient_map("pi_i", y))
-                        assert sys.classes_equal(lhs, rhs)
+                        assert classes_equal(lhs, rhs)
 
     def test_json_export_deterministic(self, groups):
-        a = ring_slice(groups["klein4"], 2, 3).to_json()
-        b = ring_slice(groups["klein4"], 2, 3).to_json()
+        a = json.dumps(ring_slice(groups["klein4"], 2, 3).to_dict())
+        b = json.dumps(ring_slice(groups["klein4"], 2, 3).to_dict())
         assert a == b
         data = json.loads(a)
         assert data["dimensions"] == [1, 2, 3, 4]

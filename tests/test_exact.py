@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from cohomkit.exact.dense import (IntMatrix, SmithDecomposition,
-                                  normalize_modulus, smith_normal_form,
-                                  unimodular_inverse)
+                                  normalize_modulus, smith_normal_form)
 from cohomkit.errors import InternalCheckFailed
 from cohomkit.exact.modp import nullspace_modp, rank_modp, solve_modp
 from cohomkit.exact import sparse
@@ -18,7 +17,9 @@ from cohomkit.exact.sparse import (SparseFactorization, coo_to_csr,
 from cohomkit.fibrewise import augmentation_ideal, field_free_resolution
 from cohomkit.groups import FiniteGroup, symmetric_3
 from cohomkit.resolutions import BarCochains, bar_cochains
-from oracles import cokernel_invariants, echelon_modp, solve_mod
+from helpers import reduce_mod
+from oracles import (cokernel_invariants, det, echelon_modp, solve_mod,
+                     unimodular_inverse, verify_smith)
 
 
 def dense_solvable_over_q(dense, b):
@@ -72,7 +73,7 @@ def minors_gcd_invariants(rows):
             for csel in combinations(range(M.cols), k):
                 sub = IntMatrix.from_rows(
                     [[M[i, j] for j in csel] for i in rsel])
-                g = gcd(g, sub.det())
+                g = gcd(g, det(sub))
         if g == 0:
             break
         out.append(g // prev)
@@ -84,12 +85,12 @@ class TestSmithNormalForm:
     def test_diag_2_3_forced(self):
         dec = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
         assert dec.diagonal() == [1, 6]
-        assert dec.verify()
+        assert verify_smith(dec)
 
     def test_zero_matrix(self):
         dec = smith_normal_form(IntMatrix.zero(2, 2))
         assert dec.diagonal() == [0, 0]
-        assert dec.verify()
+        assert verify_smith(dec)
 
     def test_reduction_example(self):
         rows = [[2, 4], [6, 8]]
@@ -97,7 +98,7 @@ class TestSmithNormalForm:
         # derived expectation from the exhaustive minors oracle
         assert minors_gcd_invariants(rows) == [2, 4]
         assert dec.diagonal() == [2, 4]
-        assert dec.verify()
+        assert verify_smith(dec)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_matches_minors_oracle(self, seed):
@@ -106,7 +107,7 @@ class TestSmithNormalForm:
         c = rng.randint(1, 4)
         rows = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
         dec = smith_normal_form(IntMatrix.from_rows(rows))
-        assert dec.verify()
+        assert verify_smith(dec)
         want = minors_gcd_invariants(rows)
         got = [d for d in dec.diagonal() if d != 0]
         assert got == want
@@ -194,6 +195,9 @@ class TestSmithKernel:
 
 
 class TestUnimodularInverse:
+    """The oracles' inverse of a unimodular matrix, which their reference
+    realization of a module presentation uses."""
+
     @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (3, 2), (6, 3),
                                          (10, 4), (16, 5)])
     def test_random_products_of_elementary_matrices(self, n, seed):
@@ -218,6 +222,48 @@ class TestUnimodularInverse:
     def test_rejects_non_unimodular(self, rows):
         with pytest.raises(ValueError):
             unimodular_inverse(IntMatrix.from_rows(rows))
+
+
+class TestCokerBasis:
+    """``coker_basis`` on random relation matrices over Z and mod 2, 3 and
+    4, against the dense oracles."""
+
+    @pytest.mark.parametrize("m, seed", [(0, 0), (0, 1), (0, 2), (2, 3),
+                                         (2, 4), (3, 5), (3, 6), (4, 7),
+                                         (4, 8)])
+    def test_adapted_basis(self, m, seed):
+        """The basis is unimodular; coords(b_i, m) is e_i wherever o_i != 1;
+        and the gcd(o_i, m) b_i span the relations plus m Z^g."""
+        rng = random.Random(1100 + seed)
+        g, k = rng.randint(1, 7), rng.randint(0, 7)
+        cols = [[rng.choice([0, 0, 0, 1, -1, 2, -2, 3, 4, 6])
+                 for _ in range(g)] for _ in range(k)]
+        if k >= 2:  # a dependent column
+            cols.append([a - 2 * b for a, b in zip(cols[0], cols[1])])
+        f = SparseFactorization.from_columns(cols, g)
+        basis = f.coker_basis()
+        assert len(basis) == g
+        B = IntMatrix.from_rows([list(r) for r in zip(*(b for _, b in basis))])
+        assert abs(det(B)) == 1
+        for i, (o, b) in enumerate(basis):
+            if o != 1:
+                vals, mods = f.coords(b, m)
+                assert vals == [int(j == i) % d if d else int(j == i)
+                                for j, d in enumerate(mods)], i
+        span = [[gcd(o, m) * v for v in b] for o, b in basis if gcd(o, m)]
+        A = IntMatrix(g, len(cols), [c[i] for i in range(g) for c in cols])
+        S = IntMatrix(g, len(span), [c[i] for i in range(g) for c in span])
+        assert cokernel_invariants(S, "Z") == cokernel_invariants(A, m)
+        for c in span:
+            assert solve_mod(A, c, m) is not None
+
+    def test_orders_follow_the_phases(self):
+        """Unit pivots give order 1, the echelon block its Smith diagonal,
+        untouched rows order 0; basis vectors come in that order of
+        coords, unit pivots last."""
+        f = factor_dense([[1, 0], [0, 2], [0, 0], [0, 4]])
+        assert [o for o, _ in f.coker_basis()] == [2, 0, 0, 1]
+        assert f.coker_invariants() == [2, 0, 0]
 
 
 class TestModpZeroColumns:
@@ -302,7 +348,7 @@ class TestModpAgainstEchelon:
     def test_s3_resolution_differential(self, p):
         """d_2 (150x750) of the F_pS_3 resolution of the augmentation
         ideal: large, sparse, and far from full rank."""
-        M = augmentation_ideal(symmetric_3()).reduce_mod(p)
+        M = reduce_mod(augmentation_ideal(symmetric_3()), p)
         A = np.asarray(field_free_resolution(M, 2).diffs[1], dtype=np.int64)
         assert A.shape == (150, 750)
         self._check(A, p, random.Random(p))

@@ -20,21 +20,23 @@ from cohomkit.fibrewise import (FGModule, _free_cover_data,
                                 rational_projectivity_test, regular_module,
                                 trivial_module)
 from cohomkit.groups import cyclic, quaternion_8, symmetric_3
-from oracles import echelon_modp, solve_mod, subquotient_invariants
+from helpers import reduce_mod, verify_structure
+from oracles import (det, echelon_modp, realize_presentation, solve_mod,
+                     subquotient_invariants)
 
 
 class TestFibreAlgebra:
     def test_c2_mod2(self, groups):
         fa = fibre_algebra(groups["c2"], 2)
         assert fa.dimension == 2
-        assert fa.verify_structure()
+        assert verify_structure(fa)
         # g^2 = 1 in the fibre
         assert fa.structure_constant(1, 1, 0) == 1
 
     def test_rational_fibre(self, groups):
         fa = fibre_algebra(groups["c2"], 0)
         assert fa.characteristic == 0
-        assert fa.verify_structure()
+        assert verify_structure(fa)
 
     def test_s3_mod3_matches_table(self, groups):
         G = groups["s3"]
@@ -53,22 +55,22 @@ class TestFibreAlgebra:
 
 class TestProjectivity:
     def test_free_module_projective(self, groups):
-        M = regular_module(groups["c2"]).reduce_mod(2)
+        M = reduce_mod(regular_module(groups["c2"]), 2)
         r = fibre_projectivity_test(M)
         assert r.projective and r.splitting is not None
 
     def test_trivial_F2_over_F2C2_not_projective(self, groups):
-        M = trivial_module(groups["c2"]).reduce_mod(2)
+        M = reduce_mod(trivial_module(groups["c2"]), 2)
         assert not fibre_projectivity_test(M).projective
 
     def test_trivial_F3_over_F3C2_projective(self, groups):
-        M = trivial_module(groups["c2"]).reduce_mod(3)
+        M = reduce_mod(trivial_module(groups["c2"]), 3)
         assert fibre_projectivity_test(M).projective
 
     def test_splitting_witness_verifies(self, groups):
         """The returned sigma satisfies P sigma = id and equivariance."""
         G = groups["c3"]
-        M = regular_module(G).reduce_mod(2)
+        M = reduce_mod(regular_module(G), 2)
         r = fibre_projectivity_test(M)
         assert r.projective
         assert all(0 <= v < 2 for row in r.splitting for v in row)
@@ -120,7 +122,7 @@ def _check_against_dense_oracles(G, M, primes):
         [row + [v] for row, v in zip(A, b)])).rank()
     assert rational_projectivity_test(M) == (rank == rank_b)
     for p in primes:
-        Mp = M.reduce_mod(p)
+        Mp = reduce_mod(M, p)
         Ap, bp = _dense_splitting_system(G, Mp.rank, lambda g: Mp.action[g])
         aug = [row + [v] for row, v in zip(Ap, bp)]
         assert fibre_projectivity_test(Mp).projective == \
@@ -199,7 +201,7 @@ class TestOneFactorizationPerLattice:
         fact, rhs = fibrewise._splitting_factorization(
             G, M.rank, lambda g: M.action[g])
         for p in (2, 3, 5, 7):
-            want = fibre_projectivity_test(M.reduce_mod(p)).projective
+            want = fibre_projectivity_test(reduce_mod(M, p)).projective
             assert (fact.solve(rhs, p) is not None) == want, p
             if G.order % p == 0:
                 assert rep.fibres[p] == want, p
@@ -236,7 +238,7 @@ class TestOneFactorizationPerLattice:
                 built.append(self)
 
         monkeypatch.setattr(fibrewise, "SparseFactorization", Keeping)
-        M = augmentation_ideal(groups["q8"]).reduce_mod(5)
+        M = reduce_mod(augmentation_ideal(groups["q8"]), 5)
         assert fibre_projectivity_test(M).projective
         assert len(built) == 1
         assert len(built[0].res_cols) <= 12
@@ -356,7 +358,45 @@ class TestPresentations:
         with pytest.raises(NotPrime):
             FGModule(G, "Fp", p, 1, [], {1: [[1]]})
         with pytest.raises(NotPrime):
-            trivial_module(G).reduce_mod(p)
+            reduce_mod(trivial_module(G), p)
+
+    @pytest.mark.parametrize("name, p, k, relations", [
+        ("c2", 0, 2, [[1, -1]]),           # the trivial lattice
+        ("c2", 0, 2, []),                  # the regular lattice
+        ("c3", 0, 3, [[1, 1, 1]]),         # ZC_3 modulo its norm
+        ("c4", 0, 4, [[1, 0, 1, 0], [0, 1, 0, 1]]),  # g acts with order 4
+        ("c4", 0, 4, [[2, 0, 2, 0], [1, 1, 1, 1], [0, 2, 0, 2],
+                      [1, 0, 1, 0], [0, 1, 0, 1]]),  # dependent relations
+        ("c2", 2, 2, [[2, 0], [1, 1]]),
+        ("c3", 3, 3, [[1, 2, 0], [0, 1, 2]]),
+        ("c6", 3, 3, [[1, 1, 1]]),         # C_6 acting through C_3
+        ("c4", 2, 4, [[1, 0, 1, 0], [0, 1, 0, 1]]),
+    ])
+    def test_realization_conjugate_to_dense_reference(self, groups, name, p,
+                                                      k, relations):
+        """The realized action, on the cokernel basis b_i of order m, is
+        conjugate to the dense Smith-form realization on the coordinates
+        (U x)_i of order m: P = (those rows of U) (the b_i) is invertible
+        over Z or F_p and P R(g) = S(g) P for every g.  The generator of
+        the cyclic group permutes the k generators cyclically."""
+        G = groups[name]
+        shift = [[int(i == (j + 1) % k) for j in range(k)] for i in range(k)]
+        M = FGModule(G, "Fp" if p else "Z", p, k, relations, {1: shift})
+        m = M.modulus
+        R = module_from_presentation(M).action
+        full = M.full_action()
+        S, proj = realize_presentation(
+            k, relations, [full[a] for a in range(G.order)], m)
+        cols = [b for (_, b), o in zip(M.coker_basis, M.orders()) if o == m]
+        assert len(cols) == proj.rows > 0
+        P = proj @ IntMatrix.from_rows([list(r) for r in zip(*cols)])
+        d = det(P)
+        assert d % m if m else abs(d) == 1
+        for a in range(G.order):
+            lhs = (P @ IntMatrix.from_rows(R[a])).entries
+            rhs = (S[a] @ P).entries
+            assert ([(x - y) % m for x, y in zip(lhs, rhs)] if m else
+                    [x - y for x, y in zip(lhs, rhs)]) == [0] * len(lhs), a
 
     def test_module_json_roundtrip(self, groups, tmp_path):
         path = tmp_path / "m.json"
@@ -377,7 +417,7 @@ class TestDualising:
 
     def test_c2_standard_form(self, groups):
         w = dualising_check(groups["c2"])
-        assert abs(IntMatrix.from_rows(w.matrix).det()) == 1
+        assert abs(det(IntMatrix.from_rows(w.matrix))) == 1
 
 
 # Ext^i_{ZG}(M, N) for i = 0, 1, ..., as computed by the dense-SNF

@@ -286,11 +286,11 @@ def test_detects_an_engine_import(tmp_path):
 
 
 # the dense Smith form runs in the package only as phase 3 of the sparse
-# factorization and as the Smith form of a module presentation; every other
-# question, over Z or F_p, goes to the sparse engine, and the dense helpers
-# built on the Smith form live in tests/oracles.py
+# factorization; every other question, over Z or F_p, module presentations
+# included, goes to the sparse engine, and the dense helpers built on the
+# Smith form live in tests/oracles.py
 DENSE_SMITH = {"smith_normal_form", "unimodular_inverse"}
-DENSE_SMITH_USERS = {"exact/dense.py", "exact/sparse.py", "fibrewise.py"}
+DENSE_SMITH_USERS = {"exact/dense.py", "exact/sparse.py"}
 ORACLE_ONLY = {"solve_mod", "cokernel_invariants"}
 
 
@@ -336,6 +336,7 @@ def test_detects_dense_smith_misuse(tmp_path):
         "from .exact import dense\n\nsolve_mod = None\n")
     assert dense_smith_misuse(sorted(tmp_path.rglob("*.py")), tmp_path) == [
         ("exact/modp.py", "smith_normal_form"),
+        ("fibrewise.py", "unimodular_inverse"),
         ("fibrewise.py", "cokernel_invariants")]
 
 

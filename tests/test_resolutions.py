@@ -12,6 +12,7 @@ from cohomkit.fibrewise import (GModule, augmentation_ideal,
 from cohomkit.fiso import pth_power_preimage
 from cohomkit.groups import builtin_group, cyclic, symmetric_3
 from cohomkit.resolutions import BarCochains, bar_cochains
+from helpers import reduce_mod
 from oracles import (CochainComplex, bar_resolution, echelon_modp,
                      periodic_resolution_cyclic, subquotient_invariants,
                      verify_complex)
@@ -27,7 +28,7 @@ def _field_modules(groups, base):
     out = [base]
     for name, p in _FIELD_CASES:
         G = groups[name]
-        out += [(make(G).reduce_mod(p), p)
+        out += [(reduce_mod(make(G), p), p)
                 for make in (trivial_module, augmentation_ideal)]
     return out
 
@@ -96,11 +97,11 @@ class TestPeriodicResolution:
 
 class TestFieldFreeResolution:
     def test_free_module_has_length_zero(self):
-        M = regular_module(cyclic(2)).reduce_mod(2)
+        M = reduce_mod(regular_module(cyclic(2)), 2)
         assert field_free_resolution(M, 3).length == 0
 
     def test_trivial_module_over_F2C2(self):
-        M = trivial_module(cyclic(2)).reduce_mod(2)
+        M = reduce_mod(trivial_module(cyclic(2)), 2)
         res = field_free_resolution(M, 4)
         assert res.free_ranks == [1, 1, 1, 1, 1]
         # every differential is multiplication by (g - 1) = (g + 1) mod 2
@@ -112,7 +113,7 @@ class TestFieldFreeResolution:
         assert field_free_resolution(M, 3).length == 0
 
     def test_differentials_compose_to_zero(self, groups):
-        base = (trivial_module(cyclic(3)).reduce_mod(3), 3)
+        base = (reduce_mod(trivial_module(cyclic(3)), 3), 3)
         for M, p in _field_modules(groups, base):
             res = field_free_resolution(M, 3)
             assert len(res.diffs) == 3, M.label
@@ -126,7 +127,7 @@ class TestFieldFreeResolution:
     def test_cover_surjective_resolution_exact(self, groups):
         # rank of each differential + next equals the free dimension, and
         # the cover F_0 -> M is onto
-        base = (trivial_module(cyclic(2)).reduce_mod(2), 2)
+        base = (reduce_mod(trivial_module(cyclic(2)), 2), 2)
         for M, p in _field_modules(groups, base):
             res = field_free_resolution(M, 4 if M.group.order == 2 else 3)
             n = M.group.order

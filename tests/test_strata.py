@@ -117,7 +117,7 @@ class TestKappaCertificate:
         assert f.check_multiplicative()
         rep = kappa_certificate(f, 2, 1, 6)
         assert rep.verdict
-        data = json.loads(rep.to_json())
+        data = json.loads(json.dumps(rep.to_dict()))
         assert data["verdict"] == "pass"
 
     def test_klein4_comparison_map(self, groups):
