@@ -27,9 +27,37 @@ def factorize(n: int) -> dict:
     return out
 
 
+# The strong probable-prime test to the prime bases 2..41 is exact below
+# psi_13 = 3317044064679887385961981, the least strong pseudoprime to all of
+# them (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def require_prime(p: int):
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    """Raise NotPrime unless p is a prime; p must lie below PRIME_BOUND,
+    where the deterministic Miller-Rabin test decides primality exactly."""
+    if p >= PRIME_BOUND:
+        raise NotPrime(f"{p} is not below {PRIME_BOUND}, the bound up to "
+                       "which primality is decided")
+    if p < 2:
         raise NotPrime(f"{p} is not prime")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        if a % p == 0:
+            return  # p is one of the bases
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise NotPrime(f"{p} is not prime")
 
 
 def prime_power(m: int):
@@ -39,27 +67,6 @@ def prime_power(m: int):
         raise ModulusMismatch(f"modulus {m} is not a prime power")
     [(p, i)] = fac.items()
     return p, i
-
-
-def invariant_factor_form(orders) -> list[int]:
-    """Invariant factors (ascending divisibility chain) of ⊕ Z/o."""
-    orders = [o for o in orders if o > 1]
-    primary: dict[int, list[int]] = {}
-    for o in orders:
-        for p, e in factorize(o).items():
-            primary.setdefault(p, []).append(e)
-    for p in primary:
-        primary[p].sort(reverse=True)
-    k = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for i in range(k):
-        f = 1
-        for p, es in primary.items():
-            if i < len(es):
-                f *= p ** es[i]
-        factors.append(f)
-    factors.reverse()  # ascending chain
-    return factors
 
 
 class FiniteAbelian:

@@ -14,11 +14,12 @@ import sys
 import time
 
 from . import __version__
-from .abelian import factorize, require_prime
+from .abelian import PRIME_BOUND, factorize, require_prime
 from .cohomology import bockstein_delta, canonical_coords, cohomology_group
 from .cup import ring_slice
 from .errors import (CohomkitError, InternalCheckFailed, NoIsomorphismFound,
                      NoPreimageFound, NotPrime, SizeCapExceeded)
+from .exact.dense import normalize_modulus
 from .fibrewise import (FGModule, augmentation_ideal, dualising_check,
                         fibre_projectivity_test, gproj_test,
                         koszul_selfdual_check, module_from_presentation,
@@ -36,9 +37,14 @@ def _group_from_arg(arg: str):
     return load_group_json(arg)
 
 
-def _report(command: str, inputs: dict, body: dict, verdict) -> dict:
+def _report(args, body: dict, verdict, inputs=None) -> dict:
+    """The report of the command ``args`` was parsed for; its inputs are the
+    parsed arguments unless the command names them itself."""
+    if inputs is None:
+        inputs = {k: v for k, v in vars(args).items()
+                  if k not in ("cmd", "func", "json")}
     return {
-        "command": command,
+        "command": args.cmd,
         "inputs": inputs,
         "version": __version__,
         "verdict": verdict,
@@ -102,10 +108,7 @@ def cmd_cohomology(args):
         if args.basis else "(suppressed; use --basis)",
         "check": "cohomology",
     }
-    return _report("cohomology",
-                   {"group": args.group, "coeff": str(args.coeff),
-                    "deg": args.deg, "basis": bool(args.basis)},
-                   body, "pass")
+    return _report(args, body, "pass")
 
 
 def cmd_ring(args):
@@ -116,10 +119,7 @@ def cmd_ring(args):
     body = s.to_dict(include_basis=args.basis)
     body["check"] = "ring"
     body["ring_axioms"] = "pass" if ok else "fail"
-    return _report("ring", {"group": args.group, "coeff": str(args.coeff),
-                            "max_deg": args.max_deg,
-                            "basis": bool(args.basis)},
-                   body, "pass" if ok else "fail")
+    return _report(args, body, "pass" if ok else "fail")
 
 
 def cmd_bockstein(args):
@@ -138,17 +138,14 @@ def cmd_bockstein(args):
             "source": _group_string(H.invariant_factors),
             "target_degree": args.deg + 1,
             "images": entries}
-    return _report("bockstein", {"group": args.group, "p": args.p,
-                                 "i": args.i, "deg": args.deg}, body, "pass")
+    return _report(args, body, "pass")
 
 
 def cmd_fiso(args):
     G = _group_from_arg(args.group)
     rep = f_iso_check(G, args.p, args.max_deg)
     body = rep.to_dict()
-    return _report("fiso", {"group": args.group, "p": args.p,
-                            "max_deg": args.max_deg}, body,
-                   "pass" if rep.verdict else "fail")
+    return _report(args, body, "pass" if rep.verdict else "fail")
 
 
 def cmd_fibre(args):
@@ -159,23 +156,22 @@ def cmd_fibre(args):
         body = {"check": "gproj", "gorenstein_projective":
                 res["gorenstein_projective"],
                 "underlying_invariants": res["invariants"]}
-        return _report("fibre", {"group": args.group, "module": args.module,
-                                 "mode": "gproj"}, body, "pass")
+        return _report(args, body, "pass", {
+            "group": args.group, "module": args.module, "mode": "gproj"})
     M = module_from_presentation(pres)
     if M.p:
         r = fibre_projectivity_test(M)
         body = {"check": "fibre-projectivity", "projective": r.projective}
-        return _report("fibre", {"group": args.group, "module": args.module,
-                                 "mode": "projectivity", "p": pres.p},
-                       body, "pass")
+        return _report(args, body, "pass", {
+            "group": args.group, "module": args.module,
+            "mode": "projectivity", "p": pres.p})
     rep = proj_dim_via_fibres(M, verify_rational=args.verify_rational)
     body = {"check": "projdim-fibres",
             "fibres": {str(p): bool(v) for p, v in rep.fibres.items()},
             "supremum": "0" if rep.supremum == 0 else "infinity"}
-    return _report("fibre", {"group": args.group, "module": args.module,
-                             "mode": "projdim",
-                             "verify_rational": bool(args.verify_rational)},
-                   body, "pass")
+    return _report(args, body, "pass", {
+        "group": args.group, "module": args.module, "mode": "projdim",
+        "verify_rational": args.verify_rational})
 
 
 def cmd_dualising(args):
@@ -184,43 +180,35 @@ def cmd_dualising(args):
     ok = w.verify(G)
     body = {"check": "dualising", "witness_matrix": w.matrix,
             "determinant": w.determinant, "verified": ok}
-    return _report("dualising", {"group": args.group}, body,
-                   "pass" if ok else "fail")
+    return _report(args, body, "pass" if ok else "fail")
 
 
 def cmd_koszul(args):
-    elements = [int(x) for x in args.elements.split(",") if x.strip()]
-    rep = koszul_selfdual_check(elements)
+    rep = koszul_selfdual_check(args.elements)
     body = {"check": "koszul", "self_dual": rep.passed,
             "shift_signs": list(rep.shift_signs),
             "h0_invariants": list(rep.h0_invariants)}
-    return _report("koszul", {"elements": elements}, body,
-                   "pass" if rep.passed else "fail")
+    return _report(args, body, "pass" if rep.passed else "fail")
 
 
 def cmd_thick(args):
-    seed = [int(x) for x in args.seed.split(",") if x.strip()]
-    rep = thick_lattice_report(args.p, seed)
+    rep = thick_lattice_report(args.p, args.seed)
     body = rep.to_dict()
     body["lattice"] = f"{rep.ideal_count} thick tensor ideals"
-    verdict = "pass" if (not seed or rep.full) else "fail"
-    return _report("thick", {"p": args.p, "seed": seed}, body, verdict)
+    return _report(args, body, "pass" if not args.seed or rep.full
+                   else "fail")
 
 
 def cmd_kappa(args):
     G = _group_from_arg(args.group)
-    s = args.s if args.s is not None else s_exponent(G, args.p)
+    if args.s is None:  # the report records the s it used
+        args.s = s_exponent(G, args.p)
     f = kappa_map_for_group(G, args.p, args.max_deg)
     if not f.check_multiplicative():
-        return _report("kappa", {"group": args.group, "p": args.p,
-                                 "s": s, "max_deg": args.max_deg},
-                       {"check": "kappa-certificate",
-                        "error": "map is not multiplicative"}, "fail")
-    rep = kappa_certificate(f, args.p, s, args.max_deg)
-    body = rep.to_dict()
-    return _report("kappa", {"group": args.group, "p": args.p, "s": s,
-                             "max_deg": args.max_deg}, body,
-                   "pass" if rep.verdict else "fail")
+        return _report(args, {"check": "kappa-certificate",
+                              "error": "map is not multiplicative"}, "fail")
+    rep = kappa_certificate(f, args.p, args.s, args.max_deg)
+    return _report(args, rep.to_dict(), "pass" if rep.verdict else "fail")
 
 
 # -- verify-paper suites ------------------------------------------------------
@@ -393,8 +381,7 @@ _SUITES = {
 
 def cmd_verify_paper(args):
     body, ok = _SUITES[args.suite]()
-    return _report("verify-paper", {"suite": args.suite}, body,
-                   "pass" if ok else "fail")
+    return _report(args, body, "pass" if ok else "fail")
 
 
 # -- recheck ------------------------------------------------------------------
@@ -402,67 +389,38 @@ def cmd_verify_paper(args):
 def cmd_recheck(args):
     with open(args.report) as fh:
         rep = json.load(fh)
+    if not isinstance(rep, dict) or not isinstance(rep.get("inputs"), dict):
+        raise ValueError(f"{args.report} is not a cohomkit report")
     cmd = rep.get("command")
-    inputs = rep.get("inputs", {})
-    rebuilt = _rebuild(cmd, inputs)
-    if rebuilt is None:
-        return _report("recheck", {"report": args.report},
-                       {"error": f"cannot recheck command {cmd!r}"}, "fail")
-    stripped = dict(rep)
-    same = _reports_equal(stripped, rebuilt)
-    return _report("recheck", {"report": args.report},
-                   {"check": "recheck", "command": cmd,
-                    "reproduced": same}, "pass" if same else "fail")
+    try:
+        rerun = build_parser().parse_args(_argv(cmd, rep["inputs"]))
+    except SystemExit:  # argparse has printed which argument it refused
+        raise ValueError(f"cannot recheck {args.report}: the parser "
+                         "refuses its inputs") from None
+    same = json.dumps(rep, sort_keys=True) == \
+        json.dumps(rerun.func(rerun), sort_keys=True)
+    return _report(args, {"check": "recheck", "command": cmd,
+                          "reproduced": same}, "pass" if same else "fail")
 
 
-def _reports_equal(a, b):
-    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
-def _rebuild(cmd, inputs):
-    ns = argparse.Namespace()
-    if cmd == "cohomology":
-        ns.group, ns.coeff, ns.deg = inputs["group"], inputs["coeff"], \
-            inputs["deg"]
-        ns.basis = bool(inputs.get("basis"))
-        return cmd_cohomology(ns)
-    if cmd == "ring":
-        ns.group, ns.coeff, ns.max_deg = inputs["group"], inputs["coeff"], \
-            inputs["max_deg"]
-        ns.basis = bool(inputs.get("basis"))
-        return cmd_ring(ns)
-    if cmd == "bockstein":
-        ns.group, ns.p, ns.i, ns.deg = inputs["group"], inputs["p"], \
-            inputs["i"], inputs["deg"]
-        return cmd_bockstein(ns)
-    if cmd == "fiso":
-        ns.group, ns.p, ns.max_deg = inputs["group"], inputs["p"], \
-            inputs["max_deg"]
-        return cmd_fiso(ns)
-    if cmd == "dualising":
-        ns.group = inputs["group"]
-        return cmd_dualising(ns)
-    if cmd == "koszul":
-        ns.elements = ",".join(str(x) for x in inputs["elements"])
-        return cmd_koszul(ns)
-    if cmd == "thick":
-        ns.p = inputs["p"]
-        ns.seed = ",".join(str(x) for x in inputs["seed"])
-        return cmd_thick(ns)
-    if cmd == "kappa":
-        ns.group, ns.p, ns.s, ns.max_deg = inputs["group"], inputs["p"], \
-            inputs["s"], inputs["max_deg"]
-        return cmd_kappa(ns)
-    if cmd == "verify-paper":
-        ns.suite = inputs["suite"]
-        return cmd_verify_paper(ns)
+def _argv(cmd, inputs: dict) -> list:
+    """The command line whose parse gives back a report's inputs: lists are
+    comma-joined, True is a bare flag, and fibre's mode maps back to
+    --gproj (its p is read from the module file)."""
     if cmd == "fibre":
-        ns.group = inputs["group"]
-        ns.module = inputs["module"]
-        ns.gproj = inputs.get("mode") == "gproj"
-        ns.verify_rational = bool(inputs.get("verify_rational"))
-        return cmd_fibre(ns)
-    return None
+        inputs = dict(inputs)
+        inputs.pop("p", None)
+        inputs["gproj"] = inputs.pop("mode", None) == "gproj"
+    argv = [str(cmd)]
+    for key, val in inputs.items():
+        flag = "--" + key.replace("_", "-")
+        if val is True:
+            argv.append(flag)
+        elif isinstance(val, list):
+            argv.append(f"{flag}={','.join(map(str, val))}")
+        elif val is not False:
+            argv.append(f"{flag}={val}")
+    return argv
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -488,10 +446,31 @@ def _prime(text: str) -> int:
     p = int(text) if text.isdecimal() else 0
     try:
         require_prime(p)
-    except NotPrime:
+    except NotPrime as exc:
         raise argparse.ArgumentTypeError(
-            f"must be a prime, not {text!r}") from None
+            f"must be a prime, not {text!r}" if p < PRIME_BOUND
+            else str(exc)) from None
     return p
+
+
+def _integers(text: str) -> list:
+    """A comma-separated list of integers; empty items are skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, not {text!r}") from None
+
+
+def _coeff(text: str) -> str:
+    """A coefficient ring, "Z", "Z/m" or m with m >= 2, kept as the text
+    given so that the report echoes it."""
+    try:
+        normalize_modulus(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f'must be "Z", "Z/m" or an integer m >= 2, not {text!r}') from None
+    return text
 
 
 def build_parser():
@@ -501,15 +480,14 @@ def build_parser():
                     "and F-isomorphism certificates.")
     ap.add_argument("--json", action="store_true",
                     help="emit the machine-readable report")
-    ap.add_argument("--recheck", metavar="REPORT",
-                    help="re-verify an emitted report file and exit")
-    sub = ap.add_subparsers(dest="cmd", required=False)
+    sub = ap.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("cohomology", help="H^n(G, Z) or H^n(G, Z/m)")
     g.add_argument("--group", required=True,
                    help=f"builtin ({', '.join(sorted(BUILTIN_GROUPS))}) "
                         "or JSON file")
-    g.add_argument("--coeff", required=True, help='"Z" or "Z/m" or m')
+    g.add_argument("--coeff", type=_coeff, required=True,
+                   help='"Z" or "Z/m" or m')
     g.add_argument("--deg", type=_degree, required=True)
     g.add_argument("--basis", action="store_true",
                    help="include basis cocycle vectors")
@@ -517,7 +495,7 @@ def build_parser():
 
     g = sub.add_parser("ring", help="graded ring slice up to a degree bound")
     g.add_argument("--group", required=True)
-    g.add_argument("--coeff", required=True)
+    g.add_argument("--coeff", type=_coeff, required=True)
     g.add_argument("--max-deg", type=_degree, required=True)
     g.add_argument("--basis", action="store_true")
     g.set_defaults(func=cmd_ring)
@@ -547,12 +525,14 @@ def build_parser():
     g.set_defaults(func=cmd_dualising)
 
     g = sub.add_parser("koszul", help="Koszul self-duality check")
-    g.add_argument("--elements", required=True, help="comma-separated ints")
+    g.add_argument("--elements", type=_integers, required=True,
+                   help="comma-separated ints")
     g.set_defaults(func=cmd_koszul)
 
     g = sub.add_parser("thick", help="thick tensor ideal closure for kC_p")
     g.add_argument("--p", type=_prime, required=True)
-    g.add_argument("--seed", required=True, help="comma-separated block sizes")
+    g.add_argument("--seed", type=_integers, required=True,
+                   help="comma-separated block sizes")
     g.set_defaults(func=cmd_thick)
 
     g = sub.add_parser("kappa", help="spectra-bijection certificate")
@@ -574,17 +554,10 @@ def build_parser():
 
 def main(argv=None) -> int:
     started = time.time()
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "recheck", None) and not getattr(args, "cmd", None):
-        args.report = args.recheck
-        args.func = cmd_recheck
-    elif not getattr(args, "cmd", None):
-        ap.print_usage(sys.stderr)
-        return 2
     try:
         report = args.func(args)
     except SizeCapExceeded as exc:

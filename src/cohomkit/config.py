@@ -4,8 +4,10 @@ Environment variables
 ---------------------
 COHOMKIT_SIZE_CAP   max number of coordinates in a single cochain space
                     (default 10**6 when unset); computations needing a
-                    larger space raise SizeCapExceeded.  A value that is
-                    not a positive integer raises ValueError.
+                    larger space raise SizeCapExceeded, and so does the
+                    thick ideal count for kC_p when its 2^(p-1) seeds
+                    exceed the cap.  A value that is not a positive
+                    integer raises ValueError.
 """
 
 import os

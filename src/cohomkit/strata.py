@@ -19,8 +19,9 @@ import numpy as np
 from .abelian import require_prime
 from .cohomology import (CohomologyClass, CohomologyGroup, canonical_coords,
                          cohomology_system)
+from .config import size_cap
 from .cup import GradedRingSlice, cup_vec, ring_slice
-from .errors import SliceTooShallow
+from .errors import SizeCapExceeded, SliceTooShallow
 from .exact.modp import nullspace_modp, rank_modp, solve_modp
 from .groups import FiniteGroup
 
@@ -192,6 +193,12 @@ class ThickReport:
 
 
 def thick_lattice_report(p: int, seed) -> ThickReport:
+    # the count below closes all 2^(p-1) - 1 seeds; 2^(p-1) > cap exactly
+    # when p - 1 reaches the cap's bit length
+    if p - 1 >= size_cap().bit_length():
+        raise SizeCapExceeded(
+            f"the thick ideal count for p = {p} closes 2^{p - 1} - 1 seeds, "
+            f"above the cap {size_cap()} (set COHOMKIT_SIZE_CAP to raise it)")
     closure = thick_closure(seed, p)
     everything = set(range(1, p))
     # brute force over all seeds to count distinct nonzero closures

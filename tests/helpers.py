@@ -5,7 +5,7 @@ Unlike ``oracles.py`` they use the engine, so they check nothing on their
 own; they only phrase a test's question.
 """
 
-from cohomkit.abelian import factorize, invariant_factor_form
+from cohomkit.abelian import factorize
 from cohomkit.cohomology import (CohomologyClass, cohomology_system,
                                  p_primary_part)
 from cohomkit.errors import ModulusMismatch
@@ -23,6 +23,27 @@ def classes_equal(x: CohomologyClass, y: CohomologyClass) -> bool:
                  for a, b in zip(x.vector, y.vector))
     return cohomology_system(x.group).is_zero(
         CohomologyClass(x.group, x.degree, m, diff))
+
+
+def invariant_factor_form(orders) -> list[int]:
+    """Invariant factors (ascending divisibility chain) of ⊕ Z/o."""
+    orders = [o for o in orders if o > 1]
+    primary: dict[int, list[int]] = {}
+    for o in orders:
+        for p, e in factorize(o).items():
+            primary.setdefault(p, []).append(e)
+    for p in primary:
+        primary[p].sort(reverse=True)
+    k = max((len(v) for v in primary.values()), default=0)
+    factors = []
+    for i in range(k):
+        f = 1
+        for p, es in primary.items():
+            if i < len(es):
+                f *= p ** es[i]
+        factors.append(f)
+    factors.reverse()  # ascending chain
+    return factors
 
 
 def full_invariants_from_primary(G, n: int) -> list[int]:

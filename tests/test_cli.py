@@ -1,9 +1,11 @@
 import hashlib
 import json
+import time
 
 import pytest
 
 from cohomkit import cli
+from cohomkit.abelian import PRIME_BOUND
 from cohomkit.cli import main
 from cohomkit.errors import (InternalCheckFailed, NoIsomorphismFound,
                              NoPreimageFound)
@@ -14,6 +16,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+MODULES = {
+    "triv.json": {"base": "Z", "generators": 1, "relations": [],
+                  "action": {"1": [[1]]}},
+    "tors.json": {"base": "Z", "generators": 1, "relations": [[2]],
+                  "action": {"1": [[1]]}},
+    # the permutation module of C6 acting through C3 on F_3^3, modulo the
+    # diagonal
+    "fp.json": {"base": "Fp", "p": 3, "generators": 3,
+                "relations": [[1, 1, 1]],
+                "action": {"1": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}},
+}
 
 
 class TestBasicCommands:
@@ -156,12 +171,61 @@ class TestDeterminismAndRecheck:
         assert code == 0
         assert "True" in out2
 
-    def test_recheck_flag_form(self, capsys, tmp_path):
-        _, out, _ = run(capsys, "--json", "koszul", "--elements", "2,3,5")
-        rep = tmp_path / "rep.json"
-        rep.write_text(out)
-        code, _, _ = run(capsys, "--recheck", str(rep))
+    @pytest.mark.parametrize("argv", [
+        ["cohomology", "--group", "c4", "--coeff", "Z/4", "--deg", "2",
+         "--basis"],
+        ["ring", "--group", "klein4", "--coeff", "Z/2", "--max-deg", "2"],
+        ["bockstein", "--group", "c4", "--p", "2", "--i", "2", "--deg", "1"],
+        ["fiso", "--group", "c3", "--p", "3", "--max-deg", "4"],
+        ["fibre", "--group", "c2", "--module", "tors.json", "--gproj"],
+        ["fibre", "--group", "c6", "--module", "fp.json"],
+        ["fibre", "--group", "c2", "--module", "triv.json"],
+        ["fibre", "--group", "c3", "--module", "triv.json",
+         "--verify-rational"],
+        ["dualising", "--group", "s3"],
+        ["koszul", "--elements", "2,3,5"],
+        ["thick", "--p", "5", "--seed", "1,3"],
+        ["thick", "--p", "3", "--seed", ""],
+        ["kappa", "--group", "c2", "--p", "2", "--max-deg", "4"],
+        ["kappa", "--group", "c2", "--p", "2", "--s", "1", "--max-deg", "4"],
+        ["verify-paper", "--suite", "lemma2.2"],
+    ], ids=["cohomology", "ring", "bockstein", "fiso", "fibre-gproj",
+            "fibre-projectivity", "fibre-projdim", "fibre-verify-rational",
+            "dualising", "koszul", "thick", "thick-empty-seed", "kappa",
+            "kappa-s", "verify-paper"])
+    def test_recheck_reproduces(self, capsys, tmp_path, monkeypatch, argv):
+        """recheck parses a report's inputs back into a command line and
+        reproduces the report byte for byte."""
+        monkeypatch.chdir(tmp_path)  # the report records the module path
+        for name, module in MODULES.items():
+            (tmp_path / name).write_text(json.dumps(module))
+        code, out, _ = run(capsys, "--json", *argv)
         assert code == 0
+        (tmp_path / "rep.json").write_text(out)
+        code, out2, _ = run(capsys, "--json", "recheck", "rep.json")
+        assert code == 0
+        assert json.loads(out2)["reproduced"] is True
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("p", 0, "argument --p: must be a prime, not '0'"),
+        ("deg", -1, "argument --deg: must be an integer >= 0, not '-1'"),
+        ("level", 1, "unrecognized arguments: --level=1"),
+    ], ids=["p0", "negative-deg", "unknown-key"])
+    def test_recheck_refuses_what_the_parser_refuses(self, capsys, tmp_path,
+                                                     key, value, message):
+        """Inputs the command refuses are refused at recheck too.  The p = 0
+        report is the one bockstein printed before --p had to be a prime
+        (H^1(C_2; Z) = 0, so no images); recheck used to reproduce it."""
+        _, out, _ = run(capsys, "--json", "bockstein", "--group", "c2",
+                        "--p", "2", "--i", "1", "--deg", "1")
+        data = json.loads(out)
+        data.update(source="0", images=[])
+        data["inputs"][key] = value
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(data))
+        code, out, err = run(capsys, "recheck", str(rep))
+        assert code == 2
+        assert not out and message in err
 
     def test_recheck_detects_tampering(self, capsys, tmp_path):
         _, out, _ = run(capsys, "--json", "cohomology", "--group", "c2",
@@ -196,12 +260,6 @@ class TestGoldenReports:
     """Reports that go through the mod-p paths, pinned by the sha256 of their
     --json stdout, so that a change in any mod-p answer shows."""
 
-    # the permutation module of C6 acting through C3 on F_3^3, modulo the
-    # diagonal
-    FP_MODULE = {"base": "Fp", "p": 3, "generators": 3,
-                 "relations": [[1, 1, 1]],
-                 "action": {"1": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}}
-
     @pytest.mark.parametrize("argv, digest", [
         (["fiso", "--group", "c4", "--p", "2", "--max-deg", "6"],
          "7c2e0a9b6040000110167df239b6938b6305c63392fe5edfac41c1e20bea1ef5"),
@@ -227,7 +285,7 @@ class TestGoldenReports:
             "fibre-fp", "kappa-klein4", "ring-s3-mod6", "ring-klein4-mod4"])
     def test_report_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)  # the report records the module path
-        (tmp_path / "fp.json").write_text(json.dumps(self.FP_MODULE))
+        (tmp_path / "fp.json").write_text(json.dumps(MODULES["fp.json"]))
         code, out, _ = run(capsys, "--json", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -325,8 +383,13 @@ class TestErrorPaths:
         (["fiso", "--group", "c2", "--p", "1"], "--p", "must be a prime"),
         (["kappa", "--group", "c2", "--p", "-3"], "--p", "must be a prime"),
         (["thick", "--p", "6", "--seed", "1"], "--p", "must be a prime"),
+        # 1000000007 * 1000000009, beyond fast trial division
+        (["fiso", "--group", "c2", "--p", "1000000016000000063"], "--p",
+         "must be a prime, not '1000000016000000063'"),
+        (["fiso", "--group", "c2", "--p", str(PRIME_BOUND)], "--p",
+         f"{PRIME_BOUND} is not below {PRIME_BOUND}"),
     ], ids=["bockstein-p0", "bockstein-p4", "bockstein-i0", "fiso-p1",
-            "kappa-p-3", "thick-p6"])
+            "kappa-p-3", "thick-p6", "fiso-semiprime", "fiso-bound"])
     def test_non_prime_p_is_a_usage_error(self, capsys, argv, flag, message):
         """bockstein took --p 0 as integral coefficients and printed a pass
         with no images, and died deep in the engine on --p 4; every --p is
@@ -345,6 +408,39 @@ class TestErrorPaths:
                              "--module", str(mod))
         assert code == 2
         assert not out and "not prime" in err
+
+    def test_thick_count_is_capped(self, capsys, monkeypatch):
+        """The ideal count closes all 2^(p-1) - 1 seeds; it ran uncapped, and
+        p = 23 would take about an hour."""
+        monkeypatch.setenv("COHOMKIT_SIZE_CAP", "32")
+        code, out, err = run(capsys, "thick", "--p", "7", "--seed", "1")
+        assert code == 2
+        assert not out and "2^6 - 1 seeds, above the cap 32" in err
+
+    def test_large_prime_is_decided_fast(self, capsys):
+        """Primality was trial division up to sqrt p: minutes for an
+        18-digit p before any work."""
+        start = time.process_time()
+        code, out, _ = run(capsys, "--json", "fiso", "--group", "c2",
+                           "--p", "1000000000000000003")
+        assert time.process_time() - start < 1
+        assert code == 0
+        assert json.loads(out)["notes"] == [
+            "vacuous: p does not divide |G|; both sides vanish"]
+
+    @pytest.mark.parametrize("argv, flag, message", [
+        (["koszul", "--elements", "2,x"], "--elements",
+         "must be comma-separated integers, not '2,x'"),
+        (["thick", "--p", "3", "--seed", "1;2"], "--seed",
+         "must be comma-separated integers, not '1;2'"),
+        (["ring", "--group", "c2", "--coeff", "Z/1", "--max-deg", "2"],
+         "--coeff", "must be \"Z\", \"Z/m\" or an integer m >= 2"),
+    ], ids=["koszul", "thick", "ring"])
+    def test_parser_types_name_the_argument(self, capsys, argv, flag,
+                                            message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert not out and f"argument {flag}: {message}" in err
 
     def test_bad_coeff(self, capsys):
         code, _, _ = run(capsys, "cohomology", "--group", "c2",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomkit.abelian import FiniteAbelian, invariant_factor_form
+from cohomkit.abelian import PRIME_BOUND, FiniteAbelian, require_prime
 from cohomkit.cohomology import (CohomologyClass, bockstein_delta,
                                  canonical_coords, coefficient_map,
                                  cohomology_group, cohomology_system,
@@ -14,7 +14,8 @@ from cohomkit.cup import cup_product
 from cohomkit.errors import DegreeZeroUnsupported, ModulusMismatch, NotPrime
 from cohomkit.exact.dense import IntMatrix
 from cohomkit.groups import klein_four
-from helpers import classes_equal, full_invariants_from_primary
+from helpers import (classes_equal, full_invariants_from_primary,
+                     invariant_factor_form)
 from oracles import (bar_resolution, echelon_modp,
                      periodic_resolution_cyclic, subquotient_invariants)
 
@@ -24,6 +25,24 @@ class TestAbelianCanonicalization:
         assert invariant_factor_form([2, 3]) == [6]
         assert invariant_factor_form([2, 4, 3]) == [2, 12]
         assert invariant_factor_form([]) == []
+
+    def test_require_prime_is_exact(self):
+        """Miller-Rabin to the bases 2..41 agrees with trial division, and
+        refuses the strong pseudoprimes to the bases 2, 2..7 and 2..37."""
+        for n in range(-2, 5000):
+            prime = n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+            try:
+                require_prime(n)
+                assert prime, n
+            except NotPrime:
+                assert not prime, n
+        for n in (2047, 3215031751, 318665857834031151167461,
+                  1000000007 * 1000000009):
+            with pytest.raises(NotPrime, match="is not prime"):
+                require_prime(n)
+        require_prime(10**18 + 3)
+        with pytest.raises(NotPrime, match="is not below"):
+            require_prime(PRIME_BOUND)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from([2, 3, 4, 8, 9, 6, 12]),

@@ -476,3 +476,40 @@ def test_detects_a_csr_build_outside_fact(tmp_path):
                                    tmp_path) == [
         "cohomology.py:check", "cup.py:BarCochains.fact",
         "resolutions.py:BarCochains.matvec"]
+
+
+# a command's inputs come from its parser, build_parser: no module fills an
+# argparse.Namespace by hand, which would skip every check the parser makes
+NAMESPACE = "Namespace"
+
+
+def namespace_builders(paths, root: Path):
+    """Files that refer to ``argparse.Namespace``, by attribute or by
+    import."""
+    found = []
+    for path in paths:
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = {getattr(n, "attr", getattr(n, "id", None)) for n in nodes}
+        names |= {a.name for n in nodes if isinstance(n, ast.ImportFrom)
+                  for a in n.names}
+        if NAMESPACE in names:
+            found.append(path.relative_to(root).as_posix())
+    return found
+
+
+def test_inputs_come_from_the_parser():
+    bad = namespace_builders(sorted(SRC.rglob("*.py")), SRC)
+    assert not bad, f"argparse.Namespace built by hand: {bad}"
+
+
+def test_detects_a_hand_built_namespace(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "import argparse\n\n\ndef rebuild(inputs):\n"
+        "    return argparse.Namespace(**inputs)\n")
+    (tmp_path / "fiso.py").write_text(
+        "from argparse import Namespace as NS\n\nargs = NS(p=2)\n")
+    (tmp_path / "cup.py").write_text(
+        "import argparse\n\nap = argparse.ArgumentParser()\n"
+        "args = ap.parse_args(['--p', '2'])\n")
+    assert namespace_builders(sorted(tmp_path.rglob("*.py")),
+                              tmp_path) == ["cli.py", "fiso.py"]
