@@ -8,6 +8,19 @@ that ordering.  One index rule reads the faces of a cell off its index: a
 dual differential is applied from its faces, and built as a CSR matrix
 only to be factored.  The dense resolutions that cross-check it live
 with the tests (``tests/oracles.py``).
+
+D_n is factored *cleared* (Chen & Kerber, "Persistent homology
+computation with a twist", 2011; Bauer, "Ripser", 2021): without the
+columns P that phase 1 of D_{n-1} chose as its +-1 pivot rows.  Phase-1
+sources are always pivot rows, so D_{n-1} on the rows P and its pivot
+columns is a unit lower-triangular matrix times the frozen +-1-triangular
+block, a unimodular matrix.  So each j in P has an integral b_j in
+im D_{n-1} with (b_j)_P = e_j, and since D_n D_{n-1} = 0, D_n e_j =
+D_n (e_j - b_j), a combination of the columns outside P.  The image of
+D_n over Z, and mod every m, is therefore that of its columns outside P:
+cokernel invariants and image membership are those of the full D_n, and
+a solution that is zero on P solves the full D_n.  Phase-2 echelon rows
+are never cleared, since their pivots need not be units.
 """
 
 from __future__ import annotations
@@ -79,11 +92,16 @@ class BarCochains:
             yield (-1)**i, r[ok], cols[ok]
         yield (-1)**n, r, r // self.q
 
-    def csr(self, n: int):
-        """CSR triple of D_n : C^{n-1} -> C^n (dual differential), built for
-        its factorization, which keeps the arrays."""
+    def csr(self, n: int, cleared=()):
+        """CSR triple of D_n : C^{n-1} -> C^n (dual differential) without
+        the entries of the columns ``cleared``, so of the same shape, built
+        for its factorization, which keeps the arrays."""
         self.check_cap(n)
-        faces = list(self._faces(n))
+        live = np.ones(self.rank(n - 1), dtype=bool)
+        live[list(cleared)] = False
+        faces = [(sign, rows[keep], cols[keep])
+                 for sign, rows, cols in self._faces(n)
+                 for keep in [live[cols]]]
         return coo_to_csr(
             self.rank(n), self.rank(n - 1),
             np.concatenate([rows for _, rows, _ in faces]),
@@ -92,24 +110,27 @@ class BarCochains:
                             for sign, rows, _ in faces]))
 
     def fact(self, n: int) -> SparseFactorization:
-        """Factorization of D_n over Z; its queries take the modulus."""
+        """Factorization over Z of D_n, cleared for n >= 2: without the
+        columns that phase 1 of D_{n-1} chose as its +-1 pivot rows, which
+        the other columns already span (see the module docstring).  Its
+        queries take the modulus and read the image of the full D_n, and a
+        ``solve`` is zero on the cleared columns.  Its ``kernel_basis`` is
+        not ker D_n, since the cleared columns read as free directions: no
+        caller may ask for it (``tests/test_hygiene.py``)."""
         if n not in self._facts:
-            self.check_cap(n)
-            self.check_cap(n - 1)
+            self.check_cap(n)  # before the lower degrees are factored
+            cleared = self.fact(n - 1).piv_rows if n >= 2 else ()
             self._facts[n] = SparseFactorization(
-                self.rank(n), self.rank(n - 1), self.csr(n))
+                self.rank(n), self.rank(n - 1), self.csr(n, cleared))
         return self._facts[n]
 
     def matvec(self, n: int, vec):
-        """D_n applied to a degree-(n-1) cochain vector, exact over Z: by
-        the factorization's CSR when D_n is factored, else as a sum of
-        +-w[column] over the faces, in int64 iff (n+1) * max|w| < 2^62 and
-        in python ints otherwise."""
+        """D_n applied to a degree-(n-1) cochain vector, exact over Z, as a
+        sum of +-w[column] over its faces: in int64 iff (n+1) * max|w| <
+        2^62, and in python ints otherwise."""
         if len(vec) != self.rank(n - 1):
             raise ValueError(f"cochain of length {len(vec)} where "
                              f"{self.rank(n - 1)} expected in degree {n - 1}")
-        if n in self._facts:
-            return self._facts[n].matvec(vec)
         self.check_cap(n)
         w = kernels.int_array(vec)
         if (n + 1) * kernels.max_abs(w) >= _LIMIT:

@@ -9,7 +9,9 @@ from cohomkit.abelian import factorize
 from cohomkit.cohomology import (CohomologyClass, cohomology_system,
                                  p_primary_part)
 from cohomkit.errors import ModulusMismatch
+from cohomkit.exact.sparse import SparseFactorization
 from cohomkit.fibrewise import GModule
+from cohomkit.resolutions import bar_cochains
 
 
 def classes_equal(x: CohomologyClass, y: CohomologyClass) -> bool:
@@ -77,3 +79,10 @@ def lift_class(lift) -> CohomologyClass:
     if vec is None:
         vec = (0,) * cohomology_system(g).rank(lift.degree)
     return CohomologyClass(g, lift.degree, lift.modulus, vec)
+
+
+def full_fact(G, n: int) -> SparseFactorization:
+    """The factorization of the whole bar D_n of G, no column cleared, as
+    the engine factors any matrix (``BarCochains.fact`` clears)."""
+    bc = bar_cochains(G)
+    return SparseFactorization(bc.rank(n), bc.rank(n - 1), bc.csr(n))

@@ -17,7 +17,7 @@ from cohomkit.exact.sparse import (SparseFactorization, coo_to_csr,
 from cohomkit.fibrewise import augmentation_ideal, field_free_resolution
 from cohomkit.groups import FiniteGroup, symmetric_3
 from cohomkit.resolutions import BarCochains, bar_cochains
-from helpers import reduce_mod
+from helpers import full_fact, reduce_mod
 from oracles import (cokernel_invariants, det, echelon_modp, solve_mod,
                      unimodular_inverse, verify_smith)
 
@@ -522,7 +522,7 @@ class TestSparseFactorization:
     def test_torsion_reps_pinned(self, groups, name, digest):
         """Torsion representatives of D_4 over Z, whose echelon block has
         U != I, pinned by digest."""
-        f = bar_cochains(groups[name]).fact(4)
+        f = full_fact(groups[name], 4)
         assert f.esnf.U != IntMatrix.identity(f.esnf.U.rows)
         reps = [[d, [int(v) for v in w]] for d, w in f.torsion_reps()]
         assert [d for d, _ in reps] == [6]
@@ -551,6 +551,21 @@ class TestSparseFactorization:
         """The whole factorization of bar D_n, pinned by digest.  Bookkeeping
         changes to the elimination must leave the pivot order and every
         logged operation as they are."""
+        f = full_fact(groups[name], n)
+        assert factorization_digest(f) == digest
+
+    @pytest.mark.parametrize("name, n, digest", [
+        ("s3", 3, "feb6630fc31706e1a2cd8b96a739dd13f1b28b32c47d2450d8f9e601fcfc13dd"),
+        ("s3", 4, "888940ff04f7b9ec889562bebbe37ac4a80a04bd765c463f1eab676d3f7288b4"),
+        ("s3", 5, "48851a859ccd6056bb0e4fc2f8ecc7d0a3149e8b81a917bf832c25b1bf425c7d"),
+        ("s3", 6, "bea2090f89d835a66ca24af403b5c214d1e1c0660bfd3a9e85f2b61fe8d9b145"),
+        ("q8", 3, "edf2cfefde24b6fd25343ee99780a806d0e2641020c81c4b5560a9b476154db9"),
+        ("q8", 4, "35bef07d262a8856b94d9b68d0979a15a61ca96a605a2b732ff9f19975e78b2e"),
+        ("q8", 5, "f785194b943fdf36f4818200872e6f7c0eacaf1256c00c7aa9ff4bdd958faefe"),
+    ])
+    def test_cleared_tower_pinned(self, groups, name, n, digest):
+        """The factorizations that BarCochains keeps, of D_n without the
+        columns of D_{n-1}'s +-1 pivot rows, pinned by digest."""
         f = bar_cochains(groups[name]).fact(n)
         assert factorization_digest(f) == digest
 
@@ -658,12 +673,14 @@ class TestSparseFactorization:
         built = []
         build = BarCochains.csr
 
-        def spy(bc, n):
-            built.append(build(bc, n))
+        def spy(bc, n, cleared=()):
+            built.append(build(bc, n, cleared))
             return built[-1]
 
+        bc = BarCochains(groups["s3"])
+        bc.fact(2)  # D_3 is factored cleared by D_2's pivots
         monkeypatch.setattr(BarCochains, "csr", spy)
-        f = BarCochains(groups["s3"]).fact(3)
+        f = bc.fact(3)
         [(indptr, indices, data)] = built
         assert f._indptr is indptr
         assert f._indices is indices
@@ -774,7 +791,7 @@ class TestDenseTail:
                 for b, ab in enumerate(row):
                     table[relabel[a]][relabel[b]] = relabel[ab]
             G = FiniteGroup(table, label="s3r")
-        f = bar_cochains(G).fact(6)
+        f = full_fact(G, 6)
         assert len(switches) == dense
         assert factorization_digest(f) == digest
 

@@ -478,6 +478,49 @@ def test_detects_a_csr_build_outside_fact(tmp_path):
         "resolutions.py:BarCochains.matvec"]
 
 
+# a bar differential is factored cleared (BarCochains.fact): its cleared
+# columns read as free directions, so its kernel_basis is not ker D_n.
+# Kernels are asked for only in these two files, of module presentations and
+# of matrices over F_p, which are factored whole
+KERNEL_BASIS = "kernel_basis"
+KERNEL_BASIS_USERS = {"fibrewise.py", "exact/modp.py"}
+
+
+def kernel_basis_users(paths, root: Path):
+    """Files outside ``KERNEL_BASIS_USERS`` that refer to a
+    ``.kernel_basis`` attribute."""
+    found = []
+    for path in paths:
+        rel = path.relative_to(root).as_posix()
+        if rel not in KERNEL_BASIS_USERS and any(
+                isinstance(n, ast.Attribute) and n.attr == KERNEL_BASIS
+                for n in ast.walk(ast.parse(path.read_text()))):
+            found.append(rel)
+    return found
+
+
+def test_kernel_basis_stays_off_the_bar_complex():
+    bad = kernel_basis_users(sorted(SRC.rglob("*.py")), SRC)
+    assert not bad, f"kernel_basis outside {sorted(KERNEL_BASIS_USERS)}: {bad}"
+
+
+def test_detects_a_kernel_basis_user(tmp_path):
+    (tmp_path / "exact").mkdir()
+    (tmp_path / "exact" / "sparse.py").write_text(
+        "class SparseFactorization:\n    def kernel_basis(self, m=0):\n"
+        "        return []\n")
+    (tmp_path / "exact" / "modp.py").write_text(
+        "def nullspace(A, p):\n    return factor(A, p).kernel_basis(p)\n")
+    (tmp_path / "fibrewise.py").write_text(
+        "def kernel(fact):\n    return fact.kernel_basis()\n")
+    (tmp_path / "resolutions.py").write_text(
+        "def cocycles(bc, n, m):\n    return bc.fact(n + 1).kernel_basis(m)\n")
+    (tmp_path / "cohomology.py").write_text(
+        "def gens(fact):\n    basis = fact.kernel_basis\n    return basis()\n")
+    assert kernel_basis_users(sorted(tmp_path.rglob("*.py")), tmp_path) == [
+        "cohomology.py", "resolutions.py"]
+
+
 # a command's inputs come from its parser, build_parser: no module fills an
 # argparse.Namespace by hand, which would skip every check the parser makes
 NAMESPACE = "Namespace"

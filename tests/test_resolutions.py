@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+from cohomkit.abelian import factorize
 from cohomkit.cohomology import (bockstein_delta, cohomology_group,
                                  cohomology_system)
 from cohomkit.config import GROUP_CACHE_SIZE
@@ -10,9 +13,10 @@ from cohomkit.fibrewise import (GModule, augmentation_ideal,
                                 field_free_resolution, regular_module,
                                 trivial_module)
 from cohomkit.fiso import pth_power_preimage
-from cohomkit.groups import builtin_group, cyclic, symmetric_3
+from cohomkit.groups import (BUILTIN_GROUPS, builtin_group, cyclic,
+                             symmetric_3)
 from cohomkit.resolutions import BarCochains, bar_cochains
-from helpers import reduce_mod
+from helpers import full_fact, reduce_mod
 from oracles import (CochainComplex, bar_resolution, echelon_modp,
                      periodic_resolution_cyclic, subquotient_invariants,
                      verify_complex)
@@ -158,10 +162,10 @@ class TestBarCochains:
 
     def test_matvec_matches_dense_dual(self, groups):
         """In every degree with at most 700 cells, D_n applied from its
-        faces and, once D_n is factored, from the factorization's CSR
-        equals the dense dual differential, on random vectors, the zero
-        vector, vectors just under or at the int64 bound (n+1) * max|w| <
-        2^62 of the face sum ("bound") and vectors past it ("large")."""
+        faces, before and after D_n is factored, equals the dense dual
+        differential, on random vectors, the zero vector, vectors just
+        under or at the int64 bound (n+1) * max|w| < 2^62 of the face sum
+        ("bound") and vectors past it ("large")."""
         rng = np.random.default_rng(7)
         for name in ("c2", "c3", "klein4", "s3", "q8"):
             G = groups[name]
@@ -195,9 +199,9 @@ class TestCsrBuilds:
         built, applied = [], []
         build, apply = BarCochains.csr, BarCochains.matvec
 
-        def csr(bc, n):
+        def csr(bc, n, cleared=()):
             built.append(n)
-            return build(bc, n)
+            return build(bc, n, cleared)
 
         def matvec(bc, n, vec):
             applied.append((n, n in bc._facts))
@@ -216,6 +220,55 @@ class TestCsrBuilds:
         assert sorted(built) == sorted(set(built))
         assert set(built) == set(sys.bc._facts)
         assert (3, False) in applied
+
+
+# the clearing agreement runs in every degree up to 7 whose D_n has at most
+# this many rows
+_CLEARED_CELLS = 3200
+
+
+class TestClearing:
+    """BarCochains.fact(n) factors D_n without the columns P of D_{n-1}'s
+    +-1 pivot rows; it must answer every image question as the whole D_n
+    does."""
+
+    @pytest.mark.parametrize("name", BUILTIN_GROUPS)
+    def test_cleared_agrees_with_full(self, groups, name):
+        G = groups[name]
+        bc = bar_cochains(G)
+        rng = random.Random(name)
+        degrees = [n for n in range(1, 8) if bc.rank(n) <= _CLEARED_CELLS]
+        cleared_any = False
+        for n in degrees:
+            full = full_fact(G, n)
+            f = bc.fact(n)
+            P = bc.fact(n - 1).piv_rows if n >= 2 else []
+            cleared_any |= bool(P)
+            assert not set(f._indices.tolist()) & set(P)
+            x = [rng.randint(-2, 2) for _ in range(bc.rank(n - 1))]
+            image = bc.matvec(n, x)
+            bumped = image[:]
+            bumped[rng.randrange(len(bumped))] += 1
+            vectors = [image, bumped,
+                       [rng.randint(-3, 3) for _ in range(bc.rank(n))]]
+            for m in (0, 2, 3, 4, 6):
+                where = (name, n, m)
+                assert f.coker_invariants(m) == full.coker_invariants(m), where
+                for v in vectors:
+                    assert f.in_image(v, m) == full.in_image(v, m), where
+                assert f.in_image(image, m), where
+                y = f.solve(image, m)
+                assert not any(y[j] for j in P), where
+                assert [(a - b) % m if m else a - b for a, b in
+                        zip(bc.matvec(n, y), image)] == [0] * len(image), where
+            reps = f.torsion_reps()
+            assert [d for d, _ in reps] == [d for d, _ in full.torsion_reps()]
+            for d, w in reps:
+                assert not any(bc.matvec(n + 1, w)), (name, n)
+                assert full.in_image([d * v for v in w])
+                for p in factorize(d):
+                    assert not full.in_image([d // p * v for v in w])
+        assert cleared_any or G.order == 2
 
 
 class TestCochainComplex:
