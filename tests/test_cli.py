@@ -99,6 +99,21 @@ class TestBasicCommands:
         data = json.loads(out)
         assert data["supremum"] == "infinity"
 
+    def test_fibre_verify_rational_rechecks(self, capsys, tmp_path):
+        mod = tmp_path / "triv.json"
+        mod.write_text(json.dumps({
+            "base": "Z", "generators": 1, "relations": [],
+            "action": {"1": [[1]]}}))
+        code, out, _ = run(capsys, "--json", "fibre", "--group", "c3",
+                           "--module", str(mod), "--verify-rational")
+        assert code == 0
+        assert json.loads(out)["inputs"]["verify_rational"] is True
+        rep = tmp_path / "rep.json"
+        rep.write_text(out)
+        code, out2, _ = run(capsys, "--json", "recheck", str(rep))
+        assert code == 0
+        assert json.loads(out2)["reproduced"] is True
+
     def test_fibre_gproj(self, capsys, tmp_path):
         mod = tmp_path / "tors.json"
         mod.write_text(json.dumps({
