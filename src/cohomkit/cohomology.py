@@ -13,6 +13,13 @@ subgroup of coker(D_n tensor Z/m), whose canonical coordinates the degree-n
 factorization gives, so a class is zero iff it lies in the image of D_n mod
 m, and its coordinates solve one small system against the generators'
 cokernel coordinates.  Only the basis needs the degree-(n+1) factorization.
+
+The coordinate queries take one cocycle vector or a block of them, the
+columns of a (rank, k) array, and return the list of the k answers: a
+block costs one coboundary, one log replay and one small solve, not k.
+Each check of a query (the cocycle check, the free-coordinate check, the
+solve's self-check) applies to every column, and raises the error the
+column alone would raise.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from .abelian import FiniteAbelian, factorize, prime_power, require_prime
 from .config import GROUP_CACHE_SIZE
 from .errors import (DegreeZeroUnsupported, InternalCheckFailed,
@@ -28,7 +37,13 @@ from .errors import (DegreeZeroUnsupported, InternalCheckFailed,
 from .exact.dense import normalize_modulus
 from .exact.sparse import SparseFactorization
 from .groups import FiniteGroup
+from . import kernels
 from .resolutions import bar_cochains
+
+# A block of degree-n cocycles holds at most about this many entries of the
+# degree-(n+1) coboundary its cocycle check forms: peak RSS grows with the
+# block, and a query's fixed costs are spread thin well before this size.
+BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -92,12 +107,16 @@ class _UCTData:
         self.system = system
 
 
-def _scaled_coords(fact, vec, m: int) -> list:
+def _scaled_coords(fact, vec: np.ndarray, m: int):
     """Coordinates of ``vec`` in coker(D_n tensor Z/m), coordinate j (of
     modulus mu_j, which divides m) scaled by m / mu_j into Z/m: an injective
-    map of C^n_m / B^n_m, so of its subgroup H^n(G, Z/m), into (Z/m)^N."""
-    vals, mods = fact.coords(vec, m)
-    return [v * (m // d) for v, d in zip(vals, mods)]
+    map of C^n_m / B^n_m, so of its subgroup H^n(G, Z/m), into (Z/m)^N.  A
+    list for a vector; an (N, k) array for a block."""
+    block = vec.ndim == 2
+    answers = fact.coords(vec, m)
+    cols = [[v * (m // d) for v, d in zip(vals, mods)]
+            for vals, mods in (answers if block else [answers])]
+    return kernels.int_array(cols).T if block else cols[0]
 
 
 class CohomologySystem:
@@ -114,37 +133,41 @@ class CohomologySystem:
     def rank(self, n: int) -> int:
         return self.bc.rank(n)
 
+    def block_width(self, n: int) -> int:
+        """How many degree-n cocycles one block query takes at a time."""
+        return max(1, BLOCK_ENTRIES // self.rank(n + 1))
+
     def integral_basis(self, n: int):
         """[(invariant factor, cocycle vector)] for H^n(G, Z), n >= 1."""
         if n not in self._int_basis:
             fact = self.bc.fact(n)
             reps = fact.torsion_reps()
-            for f, w in reps:
-                dw = self.bc.matvec(n + 1, w)
-                if any(dw):
-                    raise InternalCheckFailed(
-                        f"torsion representative in degree {n} is not a cocycle")
+            if reps and self.bc.matvec(
+                    n + 1, kernels.int_array([w for _, w in reps]).T).any():
+                raise InternalCheckFailed(
+                    f"torsion representative in degree {n} is not a cocycle")
             self._int_basis[n] = reps
         return self._int_basis[n]
 
     def integral_coords(self, n: int, vec):
-        """Coordinates of an integral degree-n cocycle in the invariant
-        factor basis; verifies the finiteness assumptions on the fly."""
+        """Coordinates of an integral degree-n cocycle, or of each column of
+        a block, in the invariant factor basis; verifies the finiteness
+        assumptions on the fly."""
+        vec = kernels.int_array(vec)
+        block = vec.ndim == 2
         if n == 0:
             # H^0(G, Z) = Z spanned by the unit cochain
-            return [int(vec[0])]
-        fact = self.bc.fact(n)
-        vals, mods = fact.coords(list(vec))
+            out = [[v] for v in np.atleast_1d(vec[0]).tolist()]
+            return out if block else out[0]
+        answers = self.bc.fact(n).coords(vec)
         out = []
-        for v, d in zip(vals, mods):
-            if d == 0:
-                if v != 0:
-                    raise InternalCheckFailed(
-                        "cocycle has a free cokernel coordinate; "
-                        "H^n(G, Z) failed the finiteness assumption")
-            elif d > 1:
-                out.append(v % d)
-        return out
+        for vals, mods in answers if block else [answers]:
+            if any(v for v, d in zip(vals, mods) if d == 0):
+                raise InternalCheckFailed(
+                    "cocycle has a free cokernel coordinate; "
+                    "H^n(G, Z) failed the finiteness assumption")
+            out.append([v % d for v, d in zip(vals, mods) if d > 1])
+        return out if block else out[0]
 
     # -- mod-m layer ---------------------------------------------------------
 
@@ -164,46 +187,52 @@ class CohomologySystem:
             if g > 1:
                 orders.append(g)
                 gens.append([v % m for v in w])
-        # Tor part: sections of the connecting map
+        # Tor part: sections of the connecting map, one solve for all
         fact_up = self.bc.fact(n + 1)
-        for f2, w2 in self.integral_basis(n + 1):
-            g2 = gcd(f2, m)
-            if g2 == 1:
-                continue
-            scaled = [(m * (f2 // g2)) * v for v in w2]
-            u = fact_up.solve(scaled)
-            if u is None:
-                raise InternalCheckFailed(
-                    "connecting-map section solve failed; the scaled torsion "
-                    "class should be a coboundary")
-            orders.append(g2)
-            gens.append([v % m for v in u])
+        tor = [(gcd(f2, m), f2, w2) for f2, w2 in self.integral_basis(n + 1)
+               if gcd(f2, m) > 1]
+        if tor:
+            scaled = kernels.int_array([[(m * (f2 // g2)) * v for v in w2]
+                                        for g2, f2, w2 in tor]).T
+            for (g2, _, _), u in zip(tor, fact_up.solve(scaled)):
+                if u is None:
+                    raise InternalCheckFailed(
+                        "connecting-map section solve failed; the scaled "
+                        "torsion class should be a coboundary")
+                orders.append(g2)
+                gens.append([v % m for v in u])
         system = None
         if gens:
-            fact = self.bc.fact(n)
-            cols = [_scaled_coords(fact, g, m) for g in gens]
-            system = SparseFactorization.from_columns(cols, len(cols[0]), m)
+            cols = _scaled_coords(self.bc.fact(n), kernels.int_array(gens).T,
+                                  m)
+            system = SparseFactorization.from_columns(cols.T, len(cols), m)
         data = _UCTData(orders, gens, system)
         self._uct[key] = data
         return data
 
     def mod_coords(self, n: int, m: int, vec):
-        """Coordinates of a mod-m degree-n cocycle in the UCT generator
-        basis (internal order: theta generators, then Tor generators), read
-        off its scaled cokernel coordinates in degree n."""
+        """Coordinates of a mod-m degree-n cocycle, or of each column of a
+        block, in the UCT generator basis (internal order: theta
+        generators, then Tor generators), read off its scaled cokernel
+        coordinates in degree n."""
+        lift = kernels.residues(vec, m)
+        block = lift.ndim == 2
         if n == 0:
-            return [int(vec[0]) % m]
-        lift = [int(v) % m for v in vec]
-        if any(v % m for v in self.bc.matvec(n + 1, lift)):
+            out = [[v] for v in np.atleast_1d(lift[0]).tolist()]
+            return out if block else out[0]
+        if (kernels.int_array(self.bc.matvec(n + 1, lift)) % m).any():
             raise ValueError("vector is not a mod-m cocycle")
         data = self.uct_data(n, m)
         if data.system is None:
-            return []
-        x = data.system.solve(_scaled_coords(self.bc.fact(n), lift, m), m)
-        if x is None:
-            raise InternalCheckFailed(
-                "cocycle is not in the span of the UCT generators")
-        return [v % o for v, o in zip(x, data.orders)]
+            return [[] for _ in range(lift.shape[1])] if block else []
+        xs = data.system.solve(_scaled_coords(self.bc.fact(n), lift, m), m)
+        out = []
+        for x in xs if block else [xs]:
+            if x is None:
+                raise InternalCheckFailed(
+                    "cocycle is not in the span of the UCT generators")
+            out.append([v % o for v, o in zip(x, data.orders)])
+        return out if block else out[0]
 
     # -- public class helpers ----------------------------------------------
 
@@ -211,6 +240,21 @@ class CohomologySystem:
         if x.modulus:
             return self.mod_coords(x.degree, x.modulus, x.vector)
         return self.integral_coords(x.degree, x.vector)
+
+    def canonical_coords(self, n: int, m: int, vec):
+        """Coordinates of a degree-n cocycle mod m (over Z when m = 0), or
+        of each column of a block, in the canonical basis of its cohomology
+        group."""
+        vec = kernels.int_array(vec)
+        if m == 0:
+            return self.integral_coords(n, vec)
+        raw = self.mod_coords(n, m, vec)
+        if n == 0:
+            return raw
+        ab = self.uct_data(n, m).abelian
+        out = [ab.to_canonical(r) if ab else []
+               for r in (raw if vec.ndim == 2 else [raw])]
+        return out if vec.ndim == 2 else out[0]
 
     def is_zero(self, x: CohomologyClass) -> bool:
         """Whether x is the zero class.  A mod-m class of positive degree is
@@ -268,16 +312,8 @@ def cohomology_group(G: FiniteGroup, coeff, n: int) -> CohomologyGroup:
 
 def canonical_coords(G: FiniteGroup, x: CohomologyClass):
     """Coordinates of x in the canonical basis of its cohomology group."""
-    sys = cohomology_system(G)
-    raw = sys.coords(x)
-    if x.modulus == 0:
-        return raw
-    if x.degree == 0:
-        return raw
-    data = sys.uct_data(x.degree, x.modulus)
-    if data.abelian is None:
-        return []
-    return data.abelian.to_canonical(raw)
+    return cohomology_system(G).canonical_coords(x.degree, x.modulus,
+                                                 x.vector)
 
 
 def coefficient_map(kind: str, x: CohomologyClass,

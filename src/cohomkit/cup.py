@@ -7,13 +7,19 @@ front value times back value.  The circle-one (cup-1) product implements
 Steenrod's overlapping formula; it is used mod 2, where its coboundary
 identity d(u u1 v) = uv + vu + (du u1 v) + (u u1 dv) provides explicit
 lifting witnesses.
+
+A ring slice reads its structure constants a block at a time: the products
+of a degree's basis pairs are formed as the columns of one array, and one
+coordinate query reads them all (see :mod:`cohomkit.cohomology`).
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
-from .cohomology import (CohomologyClass, canonical_coords, cohomology_group,
+from .cohomology import (CohomologyClass, CohomologyGroup, cohomology_group,
                          cohomology_system)
 from .errors import ModulusMismatch, SizeCapExceeded
 from .exact.dense import normalize_modulus
@@ -37,7 +43,9 @@ def _factor_arrays(u, v, modulus: int, terms: int = 1):
 
 
 def cup_vec(G: FiniteGroup, u, a: int, v, b: int, modulus: int = 0):
-    """AW product of raw cochain vectors: degree a + b."""
+    """AW product of raw cochain vectors: degree a + b.  ``u`` and ``v``
+    may also be blocks of k cochains each, as columns: column c of the
+    result is the product of their columns c, all formed in one gather."""
     bc = bar_cochains(G)
     bc.check_cap(a + b)
     idx = np.arange(bc.rank(a + b), dtype=np.int64)
@@ -45,7 +53,7 @@ def cup_vec(G: FiniteGroup, u, a: int, v, b: int, modulus: int = 0):
     out = ua[idx // bc.rank(b)] * va[idx % bc.rank(b)]
     if modulus:
         out %= modulus
-    return [int(x) for x in out]
+    return kernels.output(out)
 
 
 def cup1_vec(G: FiniteGroup, u, a: int, v, b: int, modulus: int = 0):
@@ -227,16 +235,45 @@ class GradedRingSlice:
         return data
 
 
+def basis_block(group: CohomologyGroup) -> np.ndarray:
+    """The basis cocycles of a cohomology group as the columns of one
+    (rank, dim) array."""
+    vecs = kernels.int_array([b.vector for b in group.basis])
+    return vecs.reshape(len(group.basis),
+                        bar_cochains(group.group).rank(group.degree)).T
+
+
+def product_blocks(G: FiniteGroup, bases, D: int, modulus: int = 0):
+    """The cup products of all basis pairs of total degree D, a block of at
+    most ``block_width(D)`` of them at a time.  ``bases[d]`` holds the
+    degree-d basis cocycles as columns (:func:`basis_block`).  Yields
+    (keys, products): the keys (d1, i, d2, j), and the products as the
+    columns of one array, in that order."""
+    keys = [(d1, i, D - d1, j) for d1 in range(D + 1)
+            for i in range(bases[d1].shape[1])
+            for j in range(bases[D - d1].shape[1])]
+    width = cohomology_system(G).block_width(D)
+    for s in range(0, len(keys), width):
+        chunk = keys[s:s + width]
+        parts = []
+        for d1, pairs in groupby(chunk, key=lambda key: key[0]):
+            _, ii, _, jj = zip(*pairs)
+            parts.append(cup_vec(G, bases[d1][:, list(ii)], d1,
+                                 bases[D - d1][:, list(jj)], D - d1, modulus))
+        yield chunk, np.concatenate(parts, axis=1)
+
+
 def ring_slice(G: FiniteGroup, coeff, N: int, label: str = "") -> GradedRingSlice:
-    """Cohomology ring slice to degree N: bases from cohomology_group,
-    products from cup_product in canonical coordinates."""
+    """Cohomology ring slice to degree N: bases from cohomology_group, and
+    each degree's products read in canonical coordinates a block at a
+    time."""
     m = normalize_modulus(coeff)
+    sys = cohomology_system(G)
     groups = [cohomology_group(G, coeff, n) for n in range(N + 1)]
+    bases = [basis_block(g) for g in groups]
     table = {}
-    for d1 in range(0, N + 1):
-        for d2 in range(0, N + 1 - d1):
-            for i, x in enumerate(groups[d1].basis):
-                for j, y in enumerate(groups[d2].basis):
-                    z = cup_product(x, y)
-                    table[(d1, i, d2, j)] = tuple(canonical_coords(G, z))
+    for D in range(N + 1):
+        for keys, prods in product_blocks(G, bases, D, m):
+            coords = sys.canonical_coords(D, m, prods)
+            table.update(zip(keys, map(tuple, coords)))
     return GradedRingSlice(G, m, N, groups, table, label=label)

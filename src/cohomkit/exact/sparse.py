@@ -290,10 +290,12 @@ class SparseFactorization:
         self._indptr = indptr
         self._indices = indices
         self._data = data
-        # one row dict per nonempty row; the elimination only reaches them
+        # one row dict per nonempty row; the elimination only reaches them,
+        # and the lists they are read from are freed before it starts
         ptr, cols, vals = indptr.tolist(), indices.tolist(), data.tolist()
         rows = {r: dict(zip(cols[ptr[r]:ptr[r + 1]], vals[ptr[r]:ptr[r + 1]]))
                 for r in np.flatnonzero(np.diff(indptr)).tolist()}
+        del ptr, cols, vals
         self._eliminate(rows)
 
     @classmethod
@@ -318,24 +320,33 @@ class SparseFactorization:
     # -- construction ------------------------------------------------------
 
     def _eliminate(self, rows):
+        # imported here so that importing the package loads no module for it
+        from heapq import heapify, heappop, heappush
+
         # the row-operation log, one (targets, source, multipliers) per
         # batch (see kernels.make_log)
         batches: list[tuple] = []
         # phase 1: the column index.  col_rows[c] is the set of rows with an
-        # entry in column c, so its length is len(col_rows[c]); buckets files
-        # every selectable column under its length, and a blocked column (no
-        # +-1 entry) is filed nowhere until its content changes.  Only the
-        # columns of the pivot row change during a pivot, and no column is
-        # chosen until it ends, so each of them is re-filed once per pivot,
-        # by its final length, after the pivot row retires.
+        # entry in column c, so its length is len(col_rows[c]); filed[c] is
+        # the length of every selectable column, and the heap holds
+        # (length, column) for it, so its top is the next pivot column.  An
+        # entry whose length is not filed[c] is stale and skipped when it
+        # comes up.  A blocked column (no +-1 entry) is filed nowhere until
+        # its content changes.  Only the columns of the pivot row change
+        # during a pivot, and no column is chosen until it ends, so each of
+        # them is re-filed once per pivot, by its final length, after the
+        # pivot row retires.  The entries of the filed and of the blocked
+        # columns are counted as they change, for the switch to a dense
+        # block.
         col_rows: dict[int, set] = {}
         for r, d in rows.items():
             for c in d:
                 col_rows.setdefault(c, set()).add(r)
-        buckets: dict[int, set] = {}
-        for c, rs in col_rows.items():
-            buckets.setdefault(len(rs), set()).add(c)
+        filed = {c: len(rs) for c, rs in col_rows.items()}
+        heap = [(n, c) for c, n in filed.items()]
+        heapify(heap)
         blocked: set = set()
+        filed_nnz, blocked_nnz = sum(filed.values()), 0
         # for the switch to a dense block: the itemsize that the entry bound
         # of the last look at the entries asked for
         itemsize = 1
@@ -352,23 +363,27 @@ class SparseFactorization:
             # re-file column c, of length old_len before the pivot; a column
             # that empties is filed nowhere: fill only reaches the columns
             # of a pivot row, so it never gains an entry again
+            nonlocal filed_nnz, blocked_nnz
             new = len(col_rows[c])
             if c in blocked:
                 blocked.discard(c)
+                blocked_nnz -= old_len
             elif new != old_len:
-                s = buckets[old_len]
-                s.discard(c)
-                if not s:
-                    del buckets[old_len]
+                del filed[c]
+                filed_nnz -= old_len
             else:
                 return
             if new:
-                buckets.setdefault(new, set()).add(c)
+                filed[c] = new
+                filed_nnz += new
+                heappush(heap, (new, c))
 
-        while buckets:
-            length = min(buckets)
-            bucket = buckets[length]
-            pc = min(bucket)
+        dense = False
+        while heap:
+            length, pc = heap[0]
+            if filed.get(pc) != length:
+                heappop(heap)  # stale
+                continue
             rset = sorted(col_rows[pc])
             # choose the +-1 entry with shortest row, lowest index
             best = None
@@ -381,9 +396,8 @@ class SparseFactorization:
                     and (length - 1) * (best[0][0] - 1) >= _DENSE_MIN_WORK):
                 # every live column is filed by its length or blocked; rows
                 # that are not pivot rows bound the live rows
-                ncols_live = sum(map(len, buckets.values())) + len(blocked)
-                nnz = (sum(n * len(cs) for n, cs in buckets.items())
-                       + sum(len(col_rows[c]) for c in blocked))
+                ncols_live = len(filed) + len(blocked)
+                nnz = filed_nnz + blocked_nnz
                 cells = (len(rows) - len(piv_rows)) * ncols_live
                 budget = _DICT_ENTRY_BYTES * nnz
                 if nnz >= _DENSE_MIN_ENTRIES and cells * itemsize <= budget:
@@ -393,13 +407,15 @@ class SparseFactorization:
                                 for d in rows.values() if d)
                     itemsize = _block_dtype(bound).itemsize
                     if cells * itemsize <= budget:
+                        dense = True
                         break
-            bucket.discard(pc)
-            if not bucket:
-                del buckets[length]
+            heappop(heap)
+            del filed[pc]
+            filed_nnz -= length
             if best is None:
                 # no unit pivot available here for now
                 blocked.add(pc)
+                blocked_nnz += length
                 continue
             pr = best[1]
             prow = rows[pr]
@@ -442,7 +458,7 @@ class SparseFactorization:
             cols_pool += [pc] + [c2 for c2, _ in pitems]
             vals_pool += [pv] + [w for _, w in pitems]
             rows[pr] = {}
-        if buckets:
+        if dense:
             # the loop stopped early: finish phase 1 on a dense block.  Its
             # batches stay arrays: as python lists they cost the certify
             # workload 4.8% more CPU and 6.5 MB more peak RSS (perfbench,
@@ -525,6 +541,10 @@ class SparseFactorization:
 
     # -- queries -----------------------------------------------------------
     # Every query takes the modulus m: 0 answers over Z, m >= 2 over Z/m.
+    # Each takes one vector or a block, an (n, k) array of k vectors as its
+    # columns: a block replays the log, back-substitutes and multiplies once
+    # for all its columns, and a query returns the list of the k answers
+    # that the columns give one by one.
 
     def _replay(self, vec, m=0, reverse=False):
         _check_length(vec, self.nrows)
@@ -569,21 +589,21 @@ class SparseFactorization:
         Modulus 0 means a free Z summand; over Z/m free summands have
         modulus m.  Unit-pivot coordinates are omitted (always zero in the
         cokernel)."""
-        z = self._replay(vec, m)
-        vals: list[int] = []
-        mods: list[int] = []
-        if self.echelon_rows:
-            sub = [int(z[r]) for r in self.echelon_rows]
-            w = self.esnf.U.mul_vec(sub)
-            diag = self._echelon_diag(m)
-            for j, x in enumerate(w):
-                d = (diag[j] if j < len(diag) else 0) or m
-                vals.append(x % d if d else x)
-                mods.append(d)
-        # the replay gives canonical residues mod m already
-        vals += kernels.int_array(z)[self.zero_rows].tolist()
+        z = kernels.int_array(self._replay(vec, m))
+        diag = self._echelon_diag(m)
+        mods = [(diag[j] if j < len(diag) else 0) or m
+                for j in range(len(self.echelon_rows))]
         mods += [m] * len(self.zero_rows)
-        return vals, mods
+        # one row per vector; the replay gives canonical residues mod m
+        zt = z.T if z.ndim == 2 else z[None]
+        ech = zt[:, self.echelon_rows].tolist()
+        free = zt[:, self.zero_rows].tolist()
+        out = []
+        for sub, vals in zip(ech, free):
+            w = self.esnf.U.mul_vec(sub) if sub else []
+            out.append(([x % d if d else x for x, d in zip(w, mods)] + vals,
+                        list(mods)))
+        return out if z.ndim == 2 else out[0]
 
     def solvable_over_q(self, vec) -> bool:
         """Whether A x = vec has a rational solution: every free cokernel
@@ -591,30 +611,43 @@ class SparseFactorization:
         vals, mods = self.coords(vec)
         return all(v == 0 for v, d in zip(vals, mods) if d == 0)
 
-    def in_image(self, vec, m=0) -> bool:
-        vals, _mods = self.coords(vec, m)
-        return all(v == 0 for v in vals)
+    def in_image(self, vec, m=0):
+        answers = self.coords(vec, m)
+        if isinstance(answers, list):  # a block's, one pair per column
+            return [all(v == 0 for v in vals) for vals, _ in answers]
+        return all(v == 0 for v in answers[0])
 
     def solve(self, b, m=0):
         """Some x with A x = b (over Z, or mod m with residues), or None when
         b is not in the image.  An x that fails A x = b raises
         InternalCheckFailed."""
-        z = self._replay(b, m)
-        if kernels.int_array(z)[self.zero_rows].any():
-            return None  # b is nonzero on a row that no pivot reaches
-        x = [0] * self.ncols
+        z = kernels.int_array(self._replay(b, m))
+        block = z.ndim == 2
+        zt = z.T if block else z[None]
+        # None where b is nonzero on a row that no pivot reaches
+        ok = ~zt[:, self.zero_rows].any(axis=1)
+        x = np.zeros((self.ncols, len(ok)), dtype=object)
         if self.echelon_rows:
-            xr = self.esnf.solve([int(z[r]) for r in self.echelon_rows], m)
-            if xr is None:
-                return None
-            for c, v in zip(self.res_cols, xr):
-                x[c] = v
-        x = self._backsub([z[r] for r in self.piv_rows], x, m)
+            ech = zt[:, self.echelon_rows].tolist()
+            for c in np.flatnonzero(ok).tolist():
+                xr = self.esnf.solve(ech[c], m)
+                if xr is None:
+                    ok[c] = False
+                else:
+                    x[self.res_cols, c] = xr
+        k = len(ok)
+        if not ok.any():
+            return [None] * k if block else None
+        x = np.array(self._backsub(z[self.piv_rows], x if block else x[:, 0],
+                                   m), dtype=object)
         b = kernels.residues(b, m) if m else kernels.int_array(b)
-        if not np.array_equal(kernels.int_array(self.matvec(x, m)), b):
+        wrong = kernels.int_array(self.matvec(x, m)) != b
+        if (wrong.reshape(self.nrows, k).any(axis=0) & ok).any():
             raise InternalCheckFailed(
                 "sparse solve: A x != b after back-substitution")
-        return x
+        out = [col if good else None for col, good in
+               zip(x.reshape(self.ncols, k).T.tolist(), ok.tolist())]
+        return out if block else out[0]
 
     def matvec(self, x, m=0):
         _check_length(x, self.ncols)

@@ -6,21 +6,32 @@ every cohomology-class equality, coboundary test and witness verification
 replays an elementary row-operation log over a dense vector, multiplies by a
 CSR differential, or back-substitutes through frozen pivot rows.
 
+Every kernel takes one vector, of shape (n,), or a block of k vectors as
+the columns of an (n, k) array, and a block answers exactly as its
+columns would one by one.  A replay or a matvec makes one pass over the
+log or the matrix for the whole block; the shape decides per batch only
+what the test of the source entry costs, so a 1-D call pays nothing for
+the second axis, and a one-column block replays as its column.  A vector
+comes back as a list of python ints, a block as an (n, k) array, int64 or
+object (python ints): a list of n rows would cost more than the kernel.
+
 Each kernel has one numpy implementation, and every result is exact.  A
 call decides from a bound, before it computes, whether int64 arithmetic is
-safe; where it is not, it works on object arrays of python ints:
+safe; where it is not, it works on object arrays of python ints.  Each
+bound is taken over the whole block, so a block is int64 or object as one:
 
 - replay mod m: the multipliers of the Z log are reduced mod m once per
   call, then int64 iff (m-1)^2 + (m-1) < 2^63 (a residue plus a residue
   times a multiplier);
 - replay over Z: a running bound M on max|v|.  It starts at max|input|,
-  and before each batch M += |v[src]| * max|q| of the batch.  While
+  and before each batch M += max|v[src]| * max|q| of the batch.  While
   M < 2^62 the batch runs in int64; once it is not, v and q move to object
   dtype for the rest of the replay (from the start when a multiplier is
   past int64);
 - matvec: int64 iff max|x| * sum|data| < 2^62, which bounds every partial
   sum of the segmented sum;
-- back-substitution is a sequential loop over python ints.
+- back-substitution is a sequential loop over python ints, one column of
+  a block after the other.
 
 The log is made of batches, from recording to replay: every elimination
 phase emits (targets, source, multipliers), with distinct targets, none of
@@ -47,7 +58,8 @@ def int_array(seq) -> np.ndarray:
     array of python ints.  An entry of -2^63 fits int64 but its magnitude
     does not, so it also makes the array object, from a list or an array
     alike: no int64 array this returns holds -2^63.  Unsigned arrays are
-    read as python ints, since a cast would wrap entries past 2^63."""
+    read as python ints, since a cast would wrap entries past 2^63.  A
+    sequence of equal-length rows gives a 2-D array, a block."""
     if isinstance(seq, np.ndarray) and seq.dtype.kind in "bi":
         arr = seq.astype(np.int64)
     else:
@@ -55,10 +67,14 @@ def int_array(seq) -> np.ndarray:
         try:
             arr = np.array(vals, dtype=np.int64)
         except OverflowError:  # an entry past the int64 range
-            return np.array([int(v) for v in vals], dtype=object)
+            return _to_int(np.array(vals, dtype=object))
     if arr.size and arr.min() == -_I64:
         return arr.astype(object)
     return arr
+
+
+# entrywise int(): numpy integers in an object array become python ints
+_to_int = np.frompyfunc(int, 1, 1)
 
 
 def residues(vec, m: int) -> np.ndarray:
@@ -70,10 +86,10 @@ def residues(vec, m: int) -> np.ndarray:
 
 
 def max_abs(v: np.ndarray) -> int:
-    """Largest |entry| of ``v``, 0 when it is empty.  Exact for object
-    arrays and for int64 arrays without -2^63, whose |entry| wraps to
-    -2^63; ``int_array`` returns no such array."""
-    return int(np.abs(v).max()) if len(v) else 0
+    """Largest |entry| of ``v``, a vector or a block, 0 when it is empty.
+    Exact for object arrays and for int64 arrays without -2^63, whose
+    |entry| wraps to -2^63; ``int_array`` returns no such array."""
+    return int(np.abs(v).max()) if v.size else 0
 
 
 def make_log(batches) -> tuple:
@@ -112,72 +128,107 @@ def make_log(batches) -> tuple:
                      [q is None for _, _, q in batches])))
 
 
-def apply_oplog_int(vec, log, reverse: bool = False) -> list:
-    """Replay a row-operation log over Z. Exact; returns python ints."""
+def output(v: np.ndarray):
+    """A kernel's result, or a cochain map's: a vector as a list of python
+    ints, a block as the array itself."""
+    return v.tolist() if v.ndim == 1 else v
+
+
+def _columns(v: np.ndarray):
+    """``v`` for a replay, and its shape: a block of one column replays as
+    that column, since a 2-D step costs several 1-D ones."""
+    return (v[:, 0] if v.ndim == 2 and v.shape[1] == 1 else v), v.shape
+
+
+def apply_oplog_int(vec, log, reverse: bool = False):
+    """Replay a row-operation log over Z on a vector or an (n, k) block.
+    Exact; returns python ints."""
     aa, qq, batches = log
-    v = int_array(vec)
+    v, shape = _columns(int_array(vec))
+    block = v.ndim == 2
     bound = max_abs(v)
     # an int64 v cannot take products with multipliers past int64
     wide = bound >= _LIMIT or qq.dtype == object
     if wide:
         v, qq = v.astype(object), qq.astype(object)
+    if block:
+        qq = qq[:, None]  # a multiplier scales a whole row of the block
     for s, e, src, qmax, neg in (reversed(batches) if reverse else batches):
         x = v[src]
-        if not x:
+        if not (x.any() if block else x):
             continue
         if neg:
             v[src] = -x
             continue
         if not wide:
-            bound += abs(int(x)) * qmax
+            bound += (max_abs(x) if block else abs(int(x))) * qmax
             if bound >= _LIMIT:
                 wide = True
-                v, qq, x = v.astype(object), qq.astype(object), int(x)
+                v, qq = v.astype(object), qq.astype(object)
+                x = v[src]
         v[aa[s:e]] -= qq[s:e] * (-x if reverse else x)
-    return v.tolist()
+    return output(v.reshape(shape))
 
 
-def apply_oplog_mod(vec, log, m: int, reverse: bool = False) -> list:
-    """Replay a row-operation log modulo m; returns canonical residues."""
+def apply_oplog_mod(vec, log, m: int, reverse: bool = False):
+    """Replay a row-operation log modulo m on a vector or an (n, k) block;
+    returns canonical residues."""
     aa, qq, batches = log
-    v = residues(vec, m)
+    v, shape = _columns(residues(vec, m))
+    block = v.ndim == 2
     qq = residues(qq, m)
     if (m - 1) ** 2 + (m - 1) >= _I64:
         v, qq = v.astype(object), qq.astype(object)
+    if block:
+        qq = qq[:, None]
     for s, e, src, _qmax, neg in (reversed(batches) if reverse else batches):
         x = v[src]
-        if not x:
+        if not (x.any() if block else x):
             continue
         if neg:
             v[src] = (-x) % m
         else:
             a = aa[s:e]
             v[a] = (v[a] - qq[s:e] * (-x if reverse else x)) % m
-    return v.tolist()
+    return output(v.reshape(shape))
 
 
-def backsub_mod(rows, pivcol, pivinv, rhs, x, m: int) -> list:
+def backsub_mod(rows, pivcol, pivinv, rhs, x, m: int):
     """Back-substitute through frozen pivot rows in reverse pivot order;
     over Z/m, or over Z when m == 0 (pivots are then +-1 and ``pivinv``
     holds their signs).  Exact; returns python ints.
 
     ``rows`` is the CSR pool (starts, lens, cols, vals) with the pivot entry
     stored first in each row; ``x`` is prefilled on non-pivot columns.
+    ``rhs`` and ``x`` are vectors, or blocks with one column per system,
+    solved one column after the other: per pool entry, python-int
+    arithmetic costs less than any numpy call for the few columns of a
+    solve.
     """
     starts, lens, cols, vals = (np.asarray(a).tolist() for a in rows)
     pivcol = np.asarray(pivcol).tolist()
     pivinv = np.asarray(pivinv).tolist()
-    x = [int(v) % m for v in x] if m else [int(v) for v in x]
-    for t in range(len(starts) - 1, -1, -1):
-        s = starts[t]
-        acc = int(rhs[t])
-        for k in range(s + 1, s + lens[t]):  # entry s is the pivot itself
-            acc -= vals[k] * x[cols[k]]
-        x[pivcol[t]] = acc * pivinv[t] % m if m else acc * pivinv[t]
-    return x
+    x, rhs = int_array(x), int_array(rhs)
+    block = x.ndim == 2
+    out = []
+    for xc, bc in (zip(x.T, rhs.reshape(len(rhs), x.shape[1]).T) if block
+                   else [(x, rhs)]):
+        xc, bc = xc.tolist(), bc.tolist()
+        if m:
+            xc = [v % m for v in xc]
+        for t in range(len(starts) - 1, -1, -1):
+            s = starts[t]
+            acc = bc[t]
+            for k in range(s + 1, s + lens[t]):  # entry s is the pivot
+                acc -= vals[k] * xc[cols[k]]
+            xc[pivcol[t]] = acc * pivinv[t] % m if m else acc * pivinv[t]
+        out.append(xc)
+    if not block:
+        return out[0]
+    return np.array(out, dtype=object).reshape(x.shape[::-1]).T
 
 
-def backsub_int(rows, pivcol, pivsign, rhs, x) -> list:
+def backsub_int(rows, pivcol, pivsign, rhs, x):
     """Back-substitute over Z (pivots are +-1). Exact; returns python ints."""
     return backsub_mod(rows, pivcol, pivsign, rhs, x, 0)
 
@@ -190,27 +241,32 @@ def _abs_sum(data: np.ndarray) -> int:
 
 
 def _csr_matvec(indptr, indices, data, x: np.ndarray) -> np.ndarray:
-    """Gather and segmented sum: int64 when max|x| * sum|data| < 2^62."""
+    """Gather and segmented sum, of a vector or of the columns of a block:
+    int64 when max|x| * sum|data| < 2^62."""
+    wide = (data.dtype == object or x.dtype == object
+            or max_abs(x) * _abs_sum(data) >= _LIMIT)
     gathered = x[indices]
-    if (data.dtype == object or x.dtype == object
-            or max_abs(x) * _abs_sum(data) >= _LIMIT):
+    if x.ndim == 2:
+        data = data[:, None]
+    if wide:
         prod = data.astype(object) * gathered.astype(object)
     else:
         prod = data * gathered
-    acc = np.zeros(len(prod) + 1, dtype=prod.dtype)
-    np.cumsum(prod, out=acc[1:])
+    acc = np.zeros((len(prod) + 1,) + prod.shape[1:], dtype=prod.dtype)
+    np.cumsum(prod, axis=0, out=acc[1:])
     return acc[indptr[1:]] - acc[indptr[:-1]]
 
 
-def csr_matvec_int(indptr, indices, data, vec) -> list:
-    """Exact integer CSR matrix-vector product; returns python ints."""
-    return _csr_matvec(indptr, indices, data, int_array(vec)).tolist()
+def csr_matvec_int(indptr, indices, data, vec):
+    """Exact integer CSR matrix-vector (or matrix-block) product; returns
+    python ints."""
+    return output(_csr_matvec(indptr, indices, data, int_array(vec)))
 
 
-def csr_matvec_mod(indptr, indices, data, vec, m: int) -> list:
-    """CSR matrix-vector product mod m; returns canonical residues."""
-    return (_csr_matvec(indptr, indices, data, residues(vec, m))
-            % m).tolist()
+def csr_matvec_mod(indptr, indices, data, vec, m: int):
+    """CSR matrix-vector (or matrix-block) product mod m; returns canonical
+    residues."""
+    return output(_csr_matvec(indptr, indices, data, residues(vec, m)) % m)
 
 
 # The benchmark's layer table (perfbench/layers.py) also binds these names.

@@ -125,9 +125,10 @@ class BarCochains:
         return self._facts[n]
 
     def matvec(self, n: int, vec):
-        """D_n applied to a degree-(n-1) cochain vector, exact over Z, as a
-        sum of +-w[column] over its faces: in int64 iff (n+1) * max|w| <
-        2^62, and in python ints otherwise."""
+        """D_n applied to a degree-(n-1) cochain vector, or to the columns
+        of an (rank, k) block of them in one pass over the faces, exact over
+        Z, as a sum of +-w[column] over its faces: in int64 iff (n+1) *
+        max|w| < 2^62 over the whole block, and in python ints otherwise."""
         if len(vec) != self.rank(n - 1):
             raise ValueError(f"cochain of length {len(vec)} where "
                              f"{self.rank(n - 1)} expected in degree {n - 1}")
@@ -135,13 +136,13 @@ class BarCochains:
         w = kernels.int_array(vec)
         if (n + 1) * kernels.max_abs(w) >= _LIMIT:
             w = w.astype(object)
-        out = np.zeros(self.rank(n), dtype=w.dtype)
+        out = np.zeros((self.rank(n),) + w.shape[1:], dtype=w.dtype)
         for sign, rows, cols in self._faces(n):
             if sign > 0:
                 out[rows] += w[cols]
             else:
                 out[rows] -= w[cols]
-        return out.tolist()
+        return kernels.output(out)
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)

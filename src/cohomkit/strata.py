@@ -17,10 +17,9 @@ from itertools import product as iproduct
 import numpy as np
 
 from .abelian import require_prime
-from .cohomology import (CohomologyClass, CohomologyGroup, canonical_coords,
-                         cohomology_system)
+from .cohomology import CohomologyClass, CohomologyGroup, cohomology_system
 from .config import size_cap
-from .cup import GradedRingSlice, cup_vec, ring_slice
+from .cup import GradedRingSlice, basis_block, product_blocks, ring_slice
 from .errors import SizeCapExceeded, SliceTooShallow
 from .exact.modp import nullspace_modp, rank_modp, solve_modp
 from .groups import FiniteGroup
@@ -350,36 +349,19 @@ def kappa_certificate(f: RingMapSlice, p: int, s: int, N: int) -> KappaReport:
 def integral_mod_p_source_slice(G: FiniteGroup, p: int, N: int) -> GradedRingSlice:
     """(p-primary part of H^*(G, Z)) tensor F_p as a graded ring slice."""
     sys = cohomology_system(G)
-    groups = []
-    basis_map = []
-    for d in range(N + 1):
-        if d == 0:
-            unit = sys.unit_class(0)
-            groups.append(CohomologyGroup(G, 0, p, (p,), (unit,)))
-            basis_map.append([(1, unit)])
-            continue
-        reps = [(fct, w) for fct, w in sys.integral_basis(d) if fct % p == 0]
-        cls = tuple(CohomologyClass(G, d, 0, tuple(w)) for _f, w in reps)
+    groups = [CohomologyGroup(G, 0, p, (p,), (sys.unit_class(0),))]
+    for d in range(1, N + 1):
+        reps = [w for fct, w in sys.integral_basis(d) if fct % p == 0]
+        cls = tuple(CohomologyClass(G, d, 0, tuple(w)) for w in reps)
         groups.append(CohomologyGroup(G, d, p, (p,) * len(reps), cls))
-        basis_map.append(reps)
-    table = {}
-    for d1 in range(N + 1):
-        for d2 in range(N + 1 - d1):
-            target_reps = basis_map[d1 + d2] if d1 + d2 > 0 else None
-            for i, x in enumerate(groups[d1].basis):
-                for j, y in enumerate(groups[d2].basis):
-                    prod = cup_vec(G, list(x.vector), d1,
-                                   list(y.vector), d2)
-                    if d1 + d2 == 0:
-                        table[(0, i, 0, j)] = (1,)
-                        continue
-                    coords = sys.integral_coords(d1 + d2, prod)
-                    out = []
-                    for c, (fct, _w) in zip(coords,
-                                            sys.integral_basis(d1 + d2)):
-                        if fct % p == 0:
-                            out.append(c % p)
-                    table[(d1, i, d2, j)] = tuple(out)
+    bases = [basis_block(g) for g in groups]
+    table = {(0, 0, 0, 0): (1,)}
+    for D in range(1, N + 1):
+        # the integral coordinates of the classes whose order p divides
+        keep = [fct % p == 0 for fct, _w in sys.integral_basis(D)]
+        for keys, prods in product_blocks(G, bases, D):
+            for key, coords in zip(keys, sys.integral_coords(D, prods)):
+                table[key] = tuple(c % p for c, k in zip(coords, keep) if k)
     return GradedRingSlice(G, p, N, groups, table,
                            label=f"(H*({G.label};Z)_({p}) mod {p})")
 
@@ -392,11 +374,11 @@ def kappa_map_for_group(G: FiniteGroup, p: int, N: int) -> RingMapSlice:
     sys = cohomology_system(G)
     matrices = {}
     for d in range(N + 1):
-        cols = []
-        for b in source.groups[d].basis:
-            red = CohomologyClass(G, d, p, tuple(int(v) % p
-                                                 for v in b.vector))
-            cols.append(list(canonical_coords(G, red)))
+        # the reductions mod p of the source basis, a block at a time
+        red = basis_block(source.groups[d]) % p
+        width = sys.block_width(d)
+        cols = [c for s in range(0, red.shape[1], width)
+                for c in sys.canonical_coords(d, p, red[:, s:s + width])]
         tdim = target.dimension(d)
         if cols:
             matrices[d] = [[cols[j][i] for j in range(len(cols))]

@@ -6,8 +6,11 @@ own; they only phrase a test's question.
 """
 
 from cohomkit.abelian import factorize
-from cohomkit.cohomology import (CohomologyClass, cohomology_system,
+from cohomkit.cohomology import (CohomologyClass, canonical_coords,
+                                 cohomology_group, cohomology_system,
                                  p_primary_part)
+from cohomkit.cup import GradedRingSlice, cup_product
+from cohomkit.exact.dense import normalize_modulus
 from cohomkit.errors import ModulusMismatch
 from cohomkit.exact.sparse import SparseFactorization
 from cohomkit.fibrewise import GModule
@@ -86,3 +89,20 @@ def full_fact(G, n: int) -> SparseFactorization:
     the engine factors any matrix (``BarCochains.fact`` clears)."""
     bc = bar_cochains(G)
     return SparseFactorization(bc.rank(n), bc.rank(n - 1), bc.csr(n))
+
+
+def ring_slice_by_product(G, coeff, N: int) -> GradedRingSlice:
+    """The ring slice to degree N one product at a time: each structure
+    constant is one cup product of two basis classes, read in canonical
+    coordinates by its own query, as ``cup.ring_slice`` did before it read
+    each degree's products in blocks."""
+    m = normalize_modulus(coeff)
+    groups = [cohomology_group(G, coeff, n) for n in range(N + 1)]
+    table = {}
+    for d1 in range(0, N + 1):
+        for d2 in range(0, N + 1 - d1):
+            for i, x in enumerate(groups[d1].basis):
+                for j, y in enumerate(groups[d2].basis):
+                    z = cup_product(x, y)
+                    table[(d1, i, d2, j)] = tuple(canonical_coords(G, z))
+    return GradedRingSlice(G, m, N, groups, table)

@@ -1,6 +1,7 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -221,6 +222,48 @@ class TestModCoords:
             sys.mod_coords(n, m, vec)
         with pytest.raises(ValueError):
             sys.is_zero(CohomologyClass(G, n, m, tuple(vec)))
+
+    @pytest.mark.parametrize("name, m, n", _mod_cases()[::4])
+    def test_block_equals_columns(self, groups, name, m, n):
+        """A block of cocycles, the columns of one array, gets the list of
+        its columns' coordinates, mod m and over Z, raw and canonical."""
+        sys = cohomology_system(groups[name])
+        rng = random.Random(f"block-{name}-{m}-{n}")
+        data = sys.uct_data(n, m)
+        cols = []
+        for _ in range(5):
+            r = [rng.randrange(m) for _ in range(sys.rank(n - 1))]
+            vec = sys.bc.matvec(n, r)
+            for g in data.gens:
+                c = rng.randrange(m)
+                vec = [a + c * b for a, b in zip(vec, g)]
+            cols.append([v % m for v in vec])
+        block = np.array(cols, dtype=np.int64).T
+        assert sys.mod_coords(n, m, block) == [
+            sys.mod_coords(n, m, col) for col in cols]
+        assert sys.canonical_coords(n, m, block) == [
+            sys.canonical_coords(n, m, col) for col in cols]
+        reps = [w for _, w in sys.integral_basis(n)]
+        coboundary = sys.bc.matvec(n, [1] * sys.rank(n - 1))
+        zblock = np.array(reps + [coboundary], dtype=np.int64).T
+        assert sys.integral_coords(n, zblock) == [
+            sys.integral_coords(n, col) for col in reps + [coboundary]]
+
+    @pytest.mark.parametrize("name, m, n", _mod_cases()[::4])
+    def test_block_with_one_non_cocycle_raises(self, groups, name, m, n):
+        """One non-cocycle column makes the whole block raise the error of
+        the per-vector call."""
+        sys = cohomology_system(groups[name])
+        good = [v % m for v in sys.bc.matvec(n, [1] * sys.rank(n - 1))]
+        for i in range(sys.rank(n)):
+            bad = [0] * sys.rank(n)
+            bad[i] = 1
+            if any(v % m for v in sys.bc.matvec(n + 1, bad)):
+                break
+        with pytest.raises(ValueError, match="not a mod-m cocycle"):
+            sys.mod_coords(n, m, bad)
+        with pytest.raises(ValueError, match="not a mod-m cocycle"):
+            sys.mod_coords(n, m, np.array([good, bad, good]).T)
 
     def test_wrong_length_raises(self, groups):
         G = groups["s3"]

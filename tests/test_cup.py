@@ -8,8 +8,10 @@ from cohomkit.cohomology import (canonical_coords, coefficient_map,
 from cohomkit.cup import (cup1_vec, cup_power, cup_product, cup_vec,
                           ring_slice)
 from cohomkit.errors import ModulusMismatch
+from cohomkit.exact.sparse import SparseFactorization
+from cohomkit.groups import BUILTIN_GROUPS, klein_four
 from cohomkit.resolutions import bar_cochains
-from helpers import classes_equal
+from helpers import classes_equal, ring_slice_by_product
 
 
 class TestCupProduct:
@@ -110,6 +112,41 @@ class TestRingSlices:
                         rhs = cup_product(coefficient_map("pi_i", x),
                                           coefficient_map("pi_i", y))
                         assert classes_equal(lhs, rhs)
+
+    @pytest.mark.parametrize("coeff", ["Z", 2, 3, 4, 6])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+    def test_blocks_match_products_one_by_one(self, groups, name, coeff):
+        """The slice read a block of products at a time has the table of
+        the slice read one product at a time."""
+        G = groups[name]
+        N = 5 if G.order <= 4 else 4
+        assert ring_slice(G, coeff, N).table == \
+            ring_slice_by_product(G, coeff, N).table
+
+    def test_one_coords_query_per_block(self, monkeypatch):
+        """The klein4 mod-2 slice to degree 6 reads its 210 products with
+        one cokernel-coordinate query per block of a degree's products
+        (and one for the degree's UCT generators), not one per product."""
+        G = klein_four()  # a fresh instance: fresh caches
+        bc = bar_cochains(G)
+        calls = {}
+        coords = SparseFactorization.coords
+
+        def spy(f, vec, m=0):
+            degree = next(n for n, g in bc._facts.items() if g is f)
+            calls[degree] = calls.get(degree, 0) + 1
+            return coords(f, vec, m)
+
+        monkeypatch.setattr(SparseFactorization, "coords", spy)
+        s = ring_slice(G, 2, 6)
+        assert len(s.table) == 210
+        sys = cohomology_system(G)
+        for D in range(1, 7):
+            products = sum(s.dimension(d) * s.dimension(D - d)
+                           for d in range(D + 1))
+            blocks = -(-products // sys.block_width(D))
+            assert calls.get(D, 0) <= blocks + 1, (D, calls)
+        assert sum(calls.values()) <= 30  # against 210 products
 
     def test_json_export_deterministic(self, groups):
         a = json.dumps(ring_slice(groups["klein4"], 2, 3).to_dict())

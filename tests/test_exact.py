@@ -474,6 +474,51 @@ class TestSparseFactorization:
             vals, _mods = f.coords([v % m for v in img] if m else img, m)
             assert all(v == 0 for v in vals), m
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_block_queries_equal_columns(self, seed):
+        """coords, solve and in_image on a block, the columns of one array,
+        give the list of the answers of its columns one by one, over Z and
+        mod m: on images, on arbitrary vectors (some not solvable) and on
+        an all-zero column."""
+        rng = random.Random(700 + seed)
+        nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+        dense = [[rng.randint(-3, 3) if rng.random() < 0.35 else 0
+                  for _ in range(nc)] for _ in range(nr)]
+        f = factor_dense(dense)
+        cols = [[0] * nr]
+        for _ in range(5):
+            x0 = [rng.randint(-3, 3) for _ in range(nc)]
+            cols.append([sum(a * x for a, x in zip(row, x0))
+                         for row in dense])
+            cols.append([rng.randint(-4, 4) for _ in range(nr)])
+        block = np.array(cols, dtype=np.int64).T
+        for m in (0, 2, 3, 4, 6, 9):
+            bm = block % m if m else block
+            for query in ("coords", "solve", "in_image"):
+                got = getattr(f, query)(bm, m)
+                assert got == [getattr(f, query)(col.tolist(), m)
+                               for col in bm.T], (query, m)
+
+    def test_bar_block_queries_equal_columns(self, groups):
+        """The same on bar differentials, cleared and whole: cocycles, the
+        torsion representatives and coboundaries, over Z and mod 2, 3, 4."""
+        for name, n in (("klein4", 3), ("s3", 3), ("c6", 2)):
+            bc = bar_cochains(groups[name])
+            rng = random.Random(name)
+            reps = [w for _, w in bc.fact(n).torsion_reps()]
+            cols = reps + [bc.matvec(n, [rng.randint(-2, 2)
+                                         for _ in range(bc.rank(n - 1))])
+                           for _ in range(3)]
+            cols += [[rng.randint(-2, 2) for _ in range(bc.rank(n))]]
+            block = np.array(cols, dtype=np.int64).T
+            for f in (bc.fact(n), full_fact(groups[name], n)):
+                for m in (0, 2, 3, 4):
+                    bm = block % m if m else block
+                    for query in ("coords", "solve", "in_image"):
+                        assert getattr(f, query)(bm, m) == [
+                            getattr(f, query)(col.tolist(), m)
+                            for col in bm.T], (name, query, m)
+
     @pytest.mark.parametrize("dense, b, over_z, over_q", [
         ([[2]], [1], False, True),            # 2x = 1
         ([[1], [1]], [0, 1], False, False),   # x = 0 and x = 1
@@ -503,6 +548,9 @@ class TestSparseFactorization:
         monkeypatch.setattr(f, "matvec", corrupt)
         with pytest.raises(InternalCheckFailed):
             f.solve(b, m)
+        # a block fails the check as its columns would
+        with pytest.raises(InternalCheckFailed):
+            f.solve(np.array([b, [0, 0, 0]]).T, m)
 
     def test_torsion_reps(self):
         # coker = Z/2 + Z/6: reps must be independent non-images
@@ -654,6 +702,14 @@ class TestSparseFactorization:
         args = (vec,) if query == "solvable_over_q" else (vec, m)
         with pytest.raises(ValueError, match="length"):
             getattr(f, query)(*args)
+
+    @pytest.mark.parametrize("query", ["in_image", "coords", "solve",
+                                       "matvec"])
+    def test_rejects_wrong_length_block(self, query):
+        f = factor_dense([[1, 0], [0, 1], [1, 1]])
+        with pytest.raises(ValueError, match="length"):
+            getattr(f, query)(np.zeros((3 if query == "matvec" else 2, 4),
+                                       dtype=np.int64), 5)
 
     @pytest.mark.parametrize("csr", [
         ([0, 1], [-1, 0], [1, 1]),          # a COO triple: indptr too short

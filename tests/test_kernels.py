@@ -353,3 +353,100 @@ def test_minus_two_to_the_63_is_exact(as_array):
         if factored:
             bc.fact(2)
         assert bc.matvec(2, seq([low, 0])) == want
+
+
+# -- blocks --------------------------------------------------------------------
+# A block, the columns of an (n, k) array, answers as its columns do one by
+# one; the int64/object choice is made once for the whole block.
+
+
+def by_columns(kernel, block, *args, **kwargs):
+    """``kernel`` on each column of ``block``, stacked back as columns."""
+    return np.array([kernel(col, *args, **kwargs) for col in block.T],
+                    dtype=object).T.tolist()
+
+
+def block_list(result):
+    assert isinstance(result, np.ndarray) and result.ndim == 2
+    return result.tolist()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_replay_block_equals_columns(seed):
+    rng = random.Random(400 + seed)
+    n = 25
+    log = random_log(rng, n, 50, maxq=4)
+    block = np.array([[rng.randint(-6, 6) for _ in range(4)]
+                      for _ in range(n)], dtype=np.int64)
+    for rev in (False, True):
+        assert block_list(kernels.apply_oplog_int(block, log, reverse=rev)) \
+            == by_columns(kernels.apply_oplog_int, block, log, reverse=rev)
+        for m in (2, 9, 2**64 + 13):
+            assert block_list(kernels.apply_oplog_mod(
+                block, log, m, reverse=rev)) == by_columns(
+                    kernels.apply_oplog_mod, block, log, m, reverse=rev)
+    # a block of one column replays as that column
+    one = block[:, :1]
+    assert block_list(kernels.apply_oplog_int(one, log)) == \
+        [[x] for x in kernels.apply_oplog_int(one[:, 0], log)]
+
+
+def test_replay_block_one_column_crosses_int64():
+    """Only column 1 grows past 2^62 mid-replay; the whole block moves to
+    python ints there, and every column stays exact."""
+    log = doubling_log(120)
+    block = np.array([[0, 3, 0], [0, 1, 0], [5, 0, -2]], dtype=np.int64)
+    fwd = kernels.apply_oplog_int(block, log)
+    assert fwd.dtype == object
+    assert fwd.tolist() == by_columns(kernels.apply_oplog_int, block, log)
+    assert max(abs(x) for x in fwd[:, 1]) > 2**100
+    assert fwd[:, 0].tolist() == [0, 0, 5] and fwd[:, 2].tolist() == [0, 0, -2]
+    back = kernels.apply_oplog_int(fwd, log, reverse=True)
+    assert back.tolist() == block.tolist()
+
+
+def test_csr_matvec_block_across_int64():
+    rng = random.Random(500)
+    indptr, indices, data = random_csr(rng, 25, 18)
+    block = np.array([[rng.randint(-6, 6) for _ in range(3)]
+                      for _ in range(18)], dtype=np.int64)
+    for m in (0, 7):
+        def matvec(vec):
+            if m:
+                return kernels.csr_matvec_mod(indptr, indices, data, vec, m)
+            return kernels.csr_matvec_int(indptr, indices, data, vec)
+        assert block_list(matvec(block)) == by_columns(matvec, block)
+    # one column past the int64 bound makes the whole product python ints
+    wide = block.astype(object)
+    wide[:, 1] *= 2**61
+    got = kernels.csr_matvec_int(indptr, indices, data, wide)
+    assert got.dtype == object
+    assert got.T.tolist() == [ref_matvec(indptr, indices, data, col)
+                              for col in wide.T.tolist()]
+
+
+def test_backsub_block_equals_columns():
+    rng = random.Random(600)
+    npiv, ncols = 8, 12
+    starts, lens, cols, vals = [], [], [], []
+    for t in range(npiv):
+        entries = [(t, rng.choice([1, -1]))]
+        for c in rng.sample(range(t + 1, ncols), rng.randint(0, 3)):
+            entries.append((c, rng.randint(-3, 3)))
+        starts.append(len(cols))
+        lens.append(len(entries))
+        cols += [c for c, _ in entries]
+        vals += [v for _, v in entries]
+    rows = (np.array(starts, dtype=np.int64), np.array(lens, dtype=np.int64),
+            np.array(cols, dtype=np.int64), kernels.int_array(vals))
+    pivcol = list(range(npiv))
+    pivsign = [vals[s] for s in starts]
+    rhs = np.array([[rng.randint(-5, 5) for _ in range(3)]
+                    for _ in range(npiv)], dtype=np.int64)
+    x0 = np.array([[0] * 3] * npiv + [[rng.randint(-2, 2) for _ in range(3)]
+                                      for _ in range(ncols - npiv)])
+    for m, inv in ((0, pivsign), (9, [s % 9 for s in pivsign])):
+        got = kernels.backsub_mod(rows, pivcol, inv, rhs, x0, m)
+        want = [kernels.backsub_mod(rows, pivcol, inv, r, x, m)
+                for r, x in zip(rhs.T, x0.T)]
+        assert block_list(got) == np.array(want, dtype=object).T.tolist()
