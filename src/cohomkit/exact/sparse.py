@@ -57,7 +57,7 @@ from them) are reproducible.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, inf
 
 import numpy as np
@@ -147,13 +147,20 @@ def _check_csr(nrows, ncols, indptr, indices, data):
 #   128 and 256 tied for the least total time on those and s3 D_6 (1.77 s,
 #   against 1.80 s at 0 and at 512 and 1.91 s at 1024).
 # - memory: the block, in the narrowest dtype its entry bound allows, takes
-#   no more bytes than the row dicts and column sets it replaces, at
-#   _DICT_ENTRY_BYTES per live entry.  Dropping those structures freed
-#   118-127 bytes per live entry (tracemalloc; s3 D_6 at pivots 1500-2400,
-#   q8 D_5 at 300-600), so 112 stays below every measured cost.
+#   at most _DICT_ENTRY_BYTES per live entry.  Dropping the row dicts and
+#   the column index freed 118-127 bytes per live entry when each column
+#   kept a set of rows (tracemalloc; s3 D_6 at pivots 1500-2400, q8 D_5 at
+#   300-600), and 86-87 with row lists and shared column keys (s3 D_6 and
+#   q8 D_5 at the switch).  112 stays: at 86, q8 D_6 switched later and its
+#   peak RSS rose from 351 to 388 MB, since the freed heap of the dicts
+#   stays resident under the block.
 _DENSE_MIN_WORK = 256
 _DENSE_MIN_ENTRIES = 1 << 14
 _DICT_ENTRY_BYTES = 112
+# a compaction copies the block in this many column chunks, so a chunk is
+# a fixed share of the block: a chunk of fixed bytes, say 4 MB, would hold
+# the whole 3.4 MB block of s3 D_6 (the certify workload) and save nothing
+_COMPACT_CHUNKS = 16
 # the block dtypes, narrowest first, with the largest entry each holds
 _BLOCK_LIMITS = {np.dtype(t): int(np.iinfo(t).max)
                  for t in (np.int8, np.int16, np.int32, np.int64)}
@@ -168,17 +175,36 @@ def _block_dtype(bound: int) -> np.dtype:
                 if bound + bound * bound <= top)
 
 
-def _dense_unit_pivots(rows, col_rows, blocked, bound):
+def _compact(B, live_c, live_r, dtype):
+    """``B[np.ix_(live_c, live_r)].astype(dtype)``, copied into one
+    preallocated block of ``dtype`` in _COMPACT_CHUNKS chunks of columns, so
+    that only ``B``, the new block and one chunk are live at once.  A chunk
+    is taken from ``B`` and then cut to the live rows: ``np.ix_`` held
+    twice as much again for the same chunk."""
+    out = np.empty((len(live_c), len(live_r)), dtype=dtype)
+    step = max(1, -(-len(live_c) // _COMPACT_CHUNKS))
+    for s in range(0, len(live_c), step):
+        out[s:s + step] = B[live_c[s:s + step]][:, live_r]
+    return out
+
+
+def _dense_unit_pivots(rows, col_len, blocked, bound):
     """Finish the +-1 pivots of phase 1 on one dense block.
 
-    ``rows``, ``col_rows`` and ``blocked`` are the dict loop's state and
-    ``bound`` is the largest |entry|.  The live rows leave ``rows`` for the
-    block, the column index is emptied, and the rows still nonzero at the
-    end return to ``rows`` for phase 2.  Pivots follow the dict loop's rule:
-    least length, then least index, among the unblocked columns; the unit
-    entry of the shortest row, then the lowest row; ops in ascending target
-    order, a batch only when the column has more than one entry.  So the
-    log, pivots and frozen rows are the ones the dict loop would give.
+    ``rows``, ``col_len`` (the length of every live column) and ``blocked``
+    are the dict loop's state and ``bound`` is the largest |entry|.  The
+    live rows leave ``rows`` for the block, ``col_len`` is emptied, and the
+    rows still nonzero at the end return to ``rows`` for phase 2.  Pivots
+    follow the dict loop's rule: least length, then least index, among the
+    unblocked columns; the unit entry of the shortest row, then the lowest
+    row; ops in ascending target order, a batch only when the column has
+    more than one entry.  So the log, pivots and frozen rows are the ones
+    the dict loop would give.
+
+    Once half the block's rows or columns are spent, or an entry outgrows
+    its dtype, the block is compacted to its live rows and columns and
+    widened if need be, by :func:`_compact`: only the old and the new block
+    are live then, not also a full-size index copy of the old one.
 
     Returns one (row, column, value, pool columns, pool values, targets,
     multipliers) per pivot, in pivot order: the pivot, its frozen row
@@ -186,8 +212,7 @@ def _dense_unit_pivots(rows, col_rows, blocked, bound):
     ``row[t] -= q * row[pivot row]`` as two arrays.
     """
     rid = sorted(r for r, d in rows.items() if d)
-    cid = np.array(sorted(c for c, s in col_rows.items() if s),
-                   dtype=np.int64)
+    cid = np.array(sorted(col_len), dtype=np.int64)
     lens = [len(rows[r]) for r in rid]
     nnz = sum(lens)
     dtype = _block_dtype(bound)
@@ -201,7 +226,7 @@ def _dense_unit_pivots(rows, col_rows, blocked, bound):
     is_blocked[np.searchsorted(cid, sorted(blocked))] = True
     for r in rid:
         del rows[r]
-    col_rows.clear()
+    col_len.clear()
     # B[j, i] is the entry in block row i, column j: each pivot scans one
     # column, so columns are contiguous
     B = np.zeros((len(cid), len(rid)), dtype=dtype)
@@ -220,7 +245,7 @@ def _dense_unit_pivots(rows, col_rows, blocked, bound):
             # drop the spent rows and columns, and widen the dtype if the
             # entry bound asks for it
             live_r, live_c = np.flatnonzero(rowlen), np.flatnonzero(collen)
-            B = B[np.ix_(live_c, live_r)].astype(dtype, copy=False)
+            B = _compact(B, live_c, live_r, dtype)
             rid, rowlen = rid[live_r], rowlen[live_r]
             cid, collen, is_blocked = (cid[live_c], collen[live_c],
                                        is_blocked[live_c])
@@ -270,6 +295,190 @@ def _dense_unit_pivots(rows, col_rows, blocked, bound):
     return steps
 
 
+def _unit_pivots(rows):
+    """Phase 1: the +-1 pivots, in pivot order, each as one (row, column,
+    value, pool columns, pool values, targets, multipliers), as
+    :func:`_dense_unit_pivots` gives them.
+
+    ``rows`` maps each row to the dict of its nonzero entries.  A pivot
+    row is left empty, and the rows still nonzero at the end are left for
+    phase 2.  The loop runs on the dicts until the live rows fill in, then
+    hands its state to :func:`_dense_unit_pivots`."""
+    # imported here so that importing the package loads no module for it
+    from heapq import heapify, heappop, heappush
+
+    # The column index.  col_len[c] is the number of live rows with an
+    # entry in column c, and col_rows[c] lists every row that had one since
+    # the column was last chosen, so it may hold rows that have since lost
+    # the entry, retired pivot rows and a row more than once: a fill
+    # appends the row, and a cancellation, or the pivot row retiring, only
+    # lowers col_len[c].  The rows of a column are read only when it is
+    # chosen, as the listed rows that still hold an entry there.  The heap
+    # holds (length, column) for every selectable column, so its top is the
+    # next pivot column; an entry of a blocked column (no +-1 entry), or
+    # whose length is no longer col_len[c], is stale and skipped when it
+    # comes up.  A blocked column waits until its content changes.  Only
+    # the columns of the pivot row change during a pivot, and no column is
+    # chosen until it ends, so each of them is re-filed once per pivot, by
+    # its final length, after the pivot row retires.  A column that empties
+    # leaves the index: fill only reaches the columns of a pivot row, so it
+    # never gains an entry again.  nnz counts the live entries, for the
+    # switch to a dense block.
+    col_rows: dict[int, list] = {}
+    for r, d in rows.items():
+        for c in d:
+            col_rows.setdefault(c, []).append(r)
+    col_len = {c: len(rs) for c, rs in col_rows.items()}
+    heap = [(n, c) for c, n in col_len.items()]
+    heapify(heap)
+    blocked: set = set()
+    nnz = sum(col_len.values())
+    # for the switch to a dense block: the itemsize that the entry bound of
+    # the last look at the entries asked for
+    itemsize = 1
+    pivots = 0
+    while heap:
+        length, pc = heap[0]
+        if pc in blocked or col_len.get(pc) != length:
+            heappop(heap)  # stale
+            continue
+        rset = sorted({r for r in col_rows[pc] if pc in rows[r]})
+        # choose the +-1 entry with shortest row, lowest index
+        best = None
+        for r in rset:
+            if rows[r][pc] in (1, -1):
+                key = (len(rows[r]), r)
+                if best is None or key < best[0]:
+                    best = (key, r)
+        if (best is not None
+                and (length - 1) * (best[0][0] - 1) >= _DENSE_MIN_WORK):
+            # rows that are not pivot rows bound the live rows
+            cells = (len(rows) - pivots) * len(col_len)
+            budget = _DICT_ENTRY_BYTES * nnz
+            if nnz >= _DENSE_MIN_ENTRIES and cells * itemsize <= budget:
+                # the block would fit at the last look's width: look at the
+                # entries again, and switch if it fits at theirs
+                bound = max(max(map(abs, d.values()))
+                            for d in rows.values() if d)
+                itemsize = _block_dtype(bound).itemsize
+                if cells * itemsize <= budget:
+                    # finish on a dense block, with the row lists and the
+                    # heap freed first.  Its batches stay arrays: as python
+                    # lists they cost the certify workload 4.8% more CPU
+                    # and 6.5 MB more peak RSS (perfbench, four alternating
+                    # pairs: 1.92 against 1.83 s, 131.3 against 124.8 MB,
+                    # 2-vCPU VM)
+                    del col_rows, heap
+                    yield from _dense_unit_pivots(rows, col_len, blocked,
+                                                  bound)
+                    return
+        heappop(heap)
+        if best is None:
+            # no unit pivot available here for now; keep only the rows that
+            # hold an entry
+            blocked.add(pc)
+            col_rows[pc] = rset
+            continue
+        pr = best[1]
+        prow = rows[pr]
+        pv = prow.pop(pc)
+        pcs = sorted(prow)
+        ws = [prow[c2] for c2 in pcs]
+        # the lengths and the list lengths of the pivot row's columns
+        olds = [col_len[c2] for c2 in pcs]
+        listed = [len(col_rows[c2]) for c2 in pcs]
+        pcols = [(c2, w, col_rows[c2].append) for c2, w in zip(pcs, ws)]
+        targets, qs, lost = [], [], []
+        for r in rset:
+            if r == pr:
+                continue
+            row = rows[r]
+            q = row.pop(pc) * pv  # pv is +-1
+            targets.append(r)
+            qs.append(q)
+            for c2, w, add in pcols:
+                qw = q * w
+                v = row.get(c2)
+                if v is None:
+                    # fill: q and w are both nonzero
+                    row[c2] = -qw
+                    add(r)
+                elif v == qw:
+                    del row[c2]
+                    lost.append(c2)
+                else:
+                    row[c2] = v - qw
+        # retire the pivot column and row, then re-file the pivot row's
+        # columns: each gained its fills and lost its cancellations and the
+        # pivot row's entry
+        nnz -= length
+        del col_rows[pc], col_len[pc]
+        for c2 in lost:
+            col_len[c2] -= 1
+        for c2, old, n in zip(pcs, olds, listed):
+            new = col_len[c2] = col_len[c2] + len(col_rows[c2]) - n - 1
+            nnz += new - old
+            if c2 in blocked:
+                blocked.discard(c2)
+            elif new == old:
+                continue
+            if new:
+                heappush(heap, (new, c2))
+            else:
+                del col_rows[c2], col_len[c2]
+        rows[pr] = {}
+        pivots += 1
+        yield pr, pc, pv, pcs, ws, targets, qs
+
+
+def _euclid_echelon(rows, batches):
+    """Phase 2: Euclidean row echelon on the rows that phase 1 left
+    nonzero, in place, with its ops appended to ``batches``.  Returns the
+    echelon rows, in order, and the residual columns."""
+    live = [r for r, d in rows.items() if d]
+    res_cols = sorted({c for r in live for c in rows[r]})
+    if res_cols:
+        if (len(live) * len(res_cols) > _RESIDUAL_ENTRY_CAP
+                and len(res_cols) > _RESIDUAL_DIM_CAP):
+            raise SizeCapExceeded(
+                f"residual block {len(live)}x{len(res_cols)} "
+                "after unit-pivot elimination is too large")
+    echelon_rows: list[int] = []
+    live_set = set(live)
+    for c in res_cols:
+        holders = sorted(r for r in live_set if c in rows[r])
+        while len(holders) > 1:
+            holders.sort(key=lambda r: (abs(rows[r][c]), r))
+            a = holders[0]
+            targets, qs = [], []
+            for b in holders[1:]:
+                q = rows[b][c] // rows[a][c]
+                if q:
+                    targets.append(b)
+                    qs.append(q)
+                    rb, ra = rows[b], rows[a]
+                    for c2, w in list(ra.items()):
+                        nv = rb.get(c2, 0) - q * w
+                        if nv:
+                            rb[c2] = nv
+                        elif c2 in rb:
+                            del rb[c2]
+            if targets:
+                batches.append((targets, a, qs))
+            holders = [r for r in holders if c in rows[r]]
+        for r in list(live_set):
+            if not rows[r]:
+                live_set.discard(r)
+        if holders:
+            r = holders[0]
+            if rows[r][c] < 0:
+                batches.append(([r], r, None))
+                rows[r] = {c2: -w for c2, w in rows[r].items()}
+            echelon_rows.append(r)
+            live_set.discard(r)
+    return echelon_rows, res_cols
+
+
 class SparseFactorization:
     """Logged echelon factorization of a sparse integer matrix over Z."""
 
@@ -290,12 +499,17 @@ class SparseFactorization:
         self._indptr = indptr
         self._indices = indices
         self._data = data
-        # one row dict per nonempty row; the elimination only reaches them,
-        # and the lists they are read from are freed before it starts
-        ptr, cols, vals = indptr.tolist(), indices.tolist(), data.tolist()
-        rows = {r: dict(zip(cols[ptr[r]:ptr[r + 1]], vals[ptr[r]:ptr[r + 1]]))
-                for r in np.flatnonzero(np.diff(indptr)).tolist()}
-        del ptr, cols, vals
+        # one row dict per nonempty row, each read off one pass over the
+        # entries; the elimination only reaches them, and what they are
+        # read from is freed before it starts.  The rows share one python
+        # int per column as their keys, not one per entry.
+        cols = np.arange(ncols).astype(object)[indices].tolist()
+        entries = zip(cols, data.tolist())
+        lens = np.diff(indptr)
+        live = np.flatnonzero(lens)
+        rows = {r: dict(islice(entries, n))
+                for r, n in zip(live.tolist(), lens[live].tolist())}
+        del cols, entries, lens, live
         self._eliminate(rows)
 
     @classmethod
@@ -320,37 +534,9 @@ class SparseFactorization:
     # -- construction ------------------------------------------------------
 
     def _eliminate(self, rows):
-        # imported here so that importing the package loads no module for it
-        from heapq import heapify, heappop, heappush
-
         # the row-operation log, one (targets, source, multipliers) per
         # batch (see kernels.make_log)
         batches: list[tuple] = []
-        # phase 1: the column index.  col_rows[c] is the set of rows with an
-        # entry in column c, so its length is len(col_rows[c]); filed[c] is
-        # the length of every selectable column, and the heap holds
-        # (length, column) for it, so its top is the next pivot column.  An
-        # entry whose length is not filed[c] is stale and skipped when it
-        # comes up.  A blocked column (no +-1 entry) is filed nowhere until
-        # its content changes.  Only the columns of the pivot row change
-        # during a pivot, and no column is chosen until it ends, so each of
-        # them is re-filed once per pivot, by its final length, after the
-        # pivot row retires.  The entries of the filed and of the blocked
-        # columns are counted as they change, for the switch to a dense
-        # block.
-        col_rows: dict[int, set] = {}
-        for r, d in rows.items():
-            for c in d:
-                col_rows.setdefault(c, set()).add(r)
-        filed = {c: len(rs) for c, rs in col_rows.items()}
-        heap = [(n, c) for c, n in filed.items()]
-        heapify(heap)
-        blocked: set = set()
-        filed_nnz, blocked_nnz = sum(filed.values()), 0
-        # for the switch to a dense block: the itemsize that the entry bound
-        # of the last look at the entries asked for
-        itemsize = 1
-
         piv_rows: list[int] = []
         piv_cols: list[int] = []
         piv_vals: list[int] = []
@@ -358,169 +544,24 @@ class SparseFactorization:
         starts: list[int] = []
         cols_pool: list[int] = []
         vals_pool: list[int] = []
-
-        def changed(c, old_len):
-            # re-file column c, of length old_len before the pivot; a column
-            # that empties is filed nowhere: fill only reaches the columns
-            # of a pivot row, so it never gains an entry again
-            nonlocal filed_nnz, blocked_nnz
-            new = len(col_rows[c])
-            if c in blocked:
-                blocked.discard(c)
-                blocked_nnz -= old_len
-            elif new != old_len:
-                del filed[c]
-                filed_nnz -= old_len
-            else:
-                return
-            if new:
-                filed[c] = new
-                filed_nnz += new
-                heappush(heap, (new, c))
-
-        dense = False
-        while heap:
-            length, pc = heap[0]
-            if filed.get(pc) != length:
-                heappop(heap)  # stale
-                continue
-            rset = sorted(col_rows[pc])
-            # choose the +-1 entry with shortest row, lowest index
-            best = None
-            for r in rset:
-                if rows[r][pc] in (1, -1):
-                    key = (len(rows[r]), r)
-                    if best is None or key < best[0]:
-                        best = (key, r)
-            if (best is not None
-                    and (length - 1) * (best[0][0] - 1) >= _DENSE_MIN_WORK):
-                # every live column is filed by its length or blocked; rows
-                # that are not pivot rows bound the live rows
-                ncols_live = len(filed) + len(blocked)
-                nnz = filed_nnz + blocked_nnz
-                cells = (len(rows) - len(piv_rows)) * ncols_live
-                budget = _DICT_ENTRY_BYTES * nnz
-                if nnz >= _DENSE_MIN_ENTRIES and cells * itemsize <= budget:
-                    # the block would fit at the last look's width: look at
-                    # the entries again, and switch if it fits at theirs
-                    bound = max(max(map(abs, d.values()))
-                                for d in rows.values() if d)
-                    itemsize = _block_dtype(bound).itemsize
-                    if cells * itemsize <= budget:
-                        dense = True
-                        break
-            heappop(heap)
-            del filed[pc]
-            filed_nnz -= length
-            if best is None:
-                # no unit pivot available here for now
-                blocked.add(pc)
-                blocked_nnz += length
-                continue
-            pr = best[1]
-            prow = rows[pr]
-            pv = prow.pop(pc)
-            pitems = sorted(prow.items())
-            targets, qs = [], []
-            pcols = [(c2, w, col_rows[c2]) for c2, w in pitems]
-            olds = [len(cs) for _, _, cs in pcols]
-            for r in rset:
-                if r == pr:
-                    continue
-                row = rows[r]
-                q = row.pop(pc) * pv  # pv is +-1
-                targets.append(r)
-                qs.append(q)
-                for c2, w, cs in pcols:
-                    qw = q * w
-                    v = row.get(c2)
-                    if v is None:
-                        # fill: q and w are both nonzero
-                        row[c2] = -qw
-                        cs.add(r)
-                    elif v == qw:
-                        del row[c2]
-                        cs.discard(r)
-                    else:
-                        row[c2] = v - qw
-            if targets:
+        # phase 1: the +-1 pivots, on the row dicts, then on a dense block
+        for pr, pc, pv, pcs, ws, targets, qs in _unit_pivots(rows):
+            if len(targets):
                 batches.append((targets, pr, qs))
-            # retire the pivot row and column, then re-file the pivot row's
-            # columns
-            for (c2, _, cs), old in zip(pcols, olds):
-                cs.discard(pr)
-                changed(c2, old)
-            del col_rows[pc]
             piv_rows.append(pr)
             piv_cols.append(pc)
             piv_vals.append(pv)
             starts.append(len(cols_pool))
-            cols_pool += [pc] + [c2 for c2, _ in pitems]
-            vals_pool += [pv] + [w for _, w in pitems]
-            rows[pr] = {}
-        if dense:
-            # the loop stopped early: finish phase 1 on a dense block.  Its
-            # batches stay arrays: as python lists they cost the certify
-            # workload 4.8% more CPU and 6.5 MB more peak RSS (perfbench,
-            # four alternating pairs: 1.92 against 1.83 s, 131.3 against
-            # 124.8 MB, 2-vCPU VM)
-            for pr, pc, pv, pcs, ws, targets, qs in _dense_unit_pivots(
-                    rows, col_rows, blocked, bound):
-                if len(targets):
-                    batches.append((targets, pr, qs))
-                piv_rows.append(pr)
-                piv_cols.append(pc)
-                piv_vals.append(pv)
-                starts.append(len(cols_pool))
-                cols_pool += [pc] + pcs
-                vals_pool += [pv] + ws
+            cols_pool.append(pc)
+            cols_pool += pcs
+            vals_pool.append(pv)
+            vals_pool += ws
         self._pool_starts = np.array(starts, dtype=np.int64)
         self._pool_lens = np.diff(self._pool_starts, append=len(cols_pool))
         self._pool_cols = np.array(cols_pool, dtype=np.int64)
         self._pool_vals = kernels.int_array(vals_pool)
-
         # phase 2: Euclidean row echelon on the leftover rows
-        live = [r for r, d in rows.items() if d]
-        res_cols = sorted({c for r in live for c in rows[r]})
-        if res_cols:
-            if (len(live) * len(res_cols) > _RESIDUAL_ENTRY_CAP
-                    and len(res_cols) > _RESIDUAL_DIM_CAP):
-                raise SizeCapExceeded(
-                    f"residual block {len(live)}x{len(res_cols)} "
-                    "after unit-pivot elimination is too large")
-        echelon_rows: list[int] = []
-        live_set = set(live)
-        for c in res_cols:
-            holders = sorted(r for r in live_set if c in rows[r])
-            while len(holders) > 1:
-                holders.sort(key=lambda r: (abs(rows[r][c]), r))
-                a = holders[0]
-                targets, qs = [], []
-                for b in holders[1:]:
-                    q = rows[b][c] // rows[a][c]
-                    if q:
-                        targets.append(b)
-                        qs.append(q)
-                        rb, ra = rows[b], rows[a]
-                        for c2, w in list(ra.items()):
-                            nv = rb.get(c2, 0) - q * w
-                            if nv:
-                                rb[c2] = nv
-                            elif c2 in rb:
-                                del rb[c2]
-                if targets:
-                    batches.append((targets, a, qs))
-                holders = [r for r in holders if c in rows[r]]
-            for r in list(live_set):
-                if not rows[r]:
-                    live_set.discard(r)
-            if holders:
-                r = holders[0]
-                if rows[r][c] < 0:
-                    batches.append(([r], r, None))
-                    rows[r] = {c2: -w for c2, w in rows[r].items()}
-                echelon_rows.append(r)
-                live_set.discard(r)
+        echelon_rows, res_cols = _euclid_echelon(rows, batches)
 
         self.log = kernels.make_log(batches)
 
@@ -529,8 +570,10 @@ class SparseFactorization:
         self.piv_vals = piv_vals
         self.echelon_rows = echelon_rows
         self.res_cols = res_cols
-        self.zero_rows = np.setdiff1d(np.arange(self.nrows),
-                                      piv_rows + echelon_rows).tolist()
+        # a boolean mask: np.setdiff1d imports numpy.ma on its first call
+        free = np.ones(self.nrows, dtype=bool)
+        free[piv_rows + echelon_rows] = False
+        self.zero_rows = np.flatnonzero(free).tolist()
 
         # phase 3: dense SNF of the echelon block
         E = [[rows[r].get(c, 0) for c in res_cols] for r in echelon_rows]

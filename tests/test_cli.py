@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,22 @@ class TestBasicCommands:
         data = json.loads(out)
         assert data["verdict"] == "pass"
         assert data["invariant_factors"] == [4]
+
+    def test_cohomology_imports_no_numpy_ma(self):
+        """A factorization imports no numpy.ma, whose import costs every
+        command ~11 ms (np.setdiff1d imported it on its first call): checked
+        in a fresh interpreter, where no other test has imported it."""
+        script = ("import sys\n"
+                  "from cohomkit import cli\n"
+                  "code = cli.main(['cohomology', '--group', 'c2',\n"
+                  "                 '--coeff', 'Z', '--deg', '1'])\n"
+                  "assert code == 0, code\n"
+                  "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_ring_klein4(self, capsys):
         code, out, _ = run(capsys, "--json", "ring", "--group", "klein4",

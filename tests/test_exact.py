@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from itertools import product
 from math import gcd
 
@@ -15,7 +16,7 @@ from cohomkit.exact import sparse
 from cohomkit.exact.sparse import (SparseFactorization, coo_to_csr,
                                   symmetric_residue)
 from cohomkit.fibrewise import augmentation_ideal, field_free_resolution
-from cohomkit.groups import FiniteGroup, symmetric_3
+from cohomkit.groups import FiniteGroup, quaternion_8, symmetric_3
 from cohomkit.resolutions import BarCochains, bar_cochains
 from helpers import full_fact, reduce_mod
 from oracles import (cokernel_invariants, det, echelon_modp, solve_mod,
@@ -636,6 +637,24 @@ class TestSparseFactorization:
         # row unblocks column 0 and empties it
         ([[2, -1, 0], [0, 0, 2]], [(0, 1, -1)],
          "347122d741c4233f69f76e6442e7da0cb6b13be182eebe222d60d6d9174a4c35"),
+        # row 3 gains a fill entry in column 3 from pivot row 0, loses it
+        # to pivot row 1 and gains it again from pivot row 2, so column
+        # 3's row list holds row 3 twice; column 3 has no unit and waits
+        ([[1, 0, 0, 2, 0], [0, 1, 0, 2, 0], [0, 0, 1, 2, 0],
+          [1, -1, 1, 0, 1], [0, 0, 0, 2, 0], [0, 0, 0, 2, 0],
+          [0, 0, 0, 0, 1]], [(0, 0, 1), (1, 1, 1), (2, 2, 1), (6, 4, 1)],
+         "f873f3f3b7f3dee6b02748440f1a4c2d623bbdfff4227d28bb355b0e23efdc10"),
+        # column 0 is blocked; the pivot on column 1 gives row 2 a fill
+        # entry there and cancels row 1's, and column 0, unblocked, still
+        # lists the retired row 0 and row 1 when it is blocked again
+        ([[2, 1, 0], [2, 1, 1], [0, 1, 1], [0, 0, 1]],
+         [(0, 1, 1), (1, 2, 1)],
+         "5dcc650eeca0a035a7c175d907aa4d88aa412be95b863d78b2fc816c2169afdc"),
+        # column 1 still lists the retired pivot rows 0 and 1 when it is
+        # chosen and pivots on row 2
+        ([[1, 1, 0], [0, 1, 1], [0, 1, 0], [0, 2, 0]],
+         [(0, 0, 1), (1, 2, 1), (2, 1, 1)],
+         "348d493a6aece101eae26336ede89e34f141393f9d97bd84cd2aa10ed9eb981b"),
     ])
     def test_unit_pivot_edge_cases_pinned(self, dense, pivots, digest):
         """Small matrices that reach the corner cases of the +-1-pivot
@@ -886,6 +905,90 @@ class TestDenseTail:
                 if w and order[w[-1]] > order[w[0]]]
         assert any(a == np.int8 for a, _ in grew)
         assert any(a == np.int64 and b == object for a, b in grew)
+
+
+class TestCompaction:
+    """A compaction copies the live columns x live rows of the dense block
+    into a new block of the target dtype a column chunk at a time, so only
+    the old block, the new one and one chunk are live."""
+
+    @pytest.mark.parametrize("old, new", [
+        (np.int8, np.int8), (np.int8, np.int16), (np.int32, np.int64),
+        (np.int64, object)])
+    @pytest.mark.parametrize("chunks", [1, 3, 4, 16])
+    def test_matches_the_fancy_index(self, monkeypatch, old, new, chunks):
+        monkeypatch.setattr(sparse, "_COMPACT_CHUNKS", chunks)
+        rng = np.random.default_rng(chunks)
+        info = np.iinfo(old)
+        # live column counts that 3, 4 and 16 divide and do not divide,
+        # with empty live sets among them
+        for ncols, nrows, live_cols, live_rows in [
+                (40, 30, 24, 17), (40, 30, 16, 30), (40, 30, 37, 1),
+                (48, 9, 48, 9), (10, 5, 0, 5), (10, 5, 7, 0), (0, 0, 0, 0),
+                (5, 6, 2, 3)]:
+            B = rng.integers(info.min, info.max, size=(ncols, nrows),
+                             dtype=old, endpoint=True)
+            B[rng.random(B.shape) < 0.5] = 0
+            live_c = np.sort(rng.choice(ncols, live_cols, replace=False))
+            live_r = np.sort(rng.choice(nrows, live_rows, replace=False))
+            got = sparse._compact(B, live_c, live_r, np.dtype(new))
+            want = B[np.ix_(live_c, live_r)].astype(new)
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape == (live_cols, live_rows)
+            assert got.tolist() == want.tolist()
+            if new is object:
+                assert all(type(v) is int for v in got.flat)
+
+    @staticmethod
+    def traced_peak(widen):
+        """The traced peak of allocating a 1 MB int8 block B and widening
+        most of it to int16 by ``widen(B, live_c, live_r)``, and the bound
+        that the old block, the new block and one chunk give."""
+        rng = np.random.default_rng(0)
+        live_c = np.flatnonzero(rng.random(512) < 0.9)
+        live_r = np.flatnonzero(rng.random(2048) < 0.9)
+        tracemalloc.start()
+        try:
+            B = np.ones((512, 2048), dtype=np.int8)
+            got = widen(B, live_c, live_r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == B[np.ix_(live_c, live_r)].tolist()
+        # one chunk of columns of B, then the same cut to the live rows
+        step = -(-len(live_c) // sparse._COMPACT_CHUNKS)
+        chunk = step * B.shape[1] + step * len(live_r)
+        return peak, B.nbytes + got.nbytes + chunk
+
+    def test_two_blocks_live(self):
+        """Widening int8 -> int16 traces at most the old block, the new
+        block and one chunk, taken from the old block and cut to its live
+        rows; the fancy index and astype it replaces held a whole index
+        copy of the old block on top of the two blocks."""
+        slack = 64 << 10
+        peak, bound = self.traced_peak(
+            lambda B, c, r: sparse._compact(B, c, r, np.dtype(np.int16)))
+        assert peak <= bound + slack
+        peak, bound = self.traced_peak(
+            lambda B, c, r: B[np.ix_(c, r)].astype(np.int16))
+        assert peak > bound + slack
+
+    def test_q8_d5_memory(self):
+        """Factoring cleared q8 D_5 traces at most 13 MB: 15.3 MB with a
+        set of rows per column and the dense block's copies, 11.1-11.4 MB
+        with row lists and chunked compaction."""
+        bar = BarCochains(quaternion_8())
+        csr = bar.csr(5, bar.fact(4).piv_rows)
+        tracemalloc.start()
+        try:
+            f = SparseFactorization(bar.rank(5), bar.rank(4), csr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the cleared tower's pinned q8 D_5
+        assert factorization_digest(f) == (
+            "f785194b943fdf36f4818200872e6f7c0eacaf1256c00c7aa9ff4bdd958faefe")
+        assert peak <= 13 << 20
 
 
 class TestFromColumns:
