@@ -7,20 +7,18 @@ certificates. All arithmetic is exact.
 
 __version__ = "0.1.0"
 
-from .groups import (FiniteGroup, GroupRingElement, builtin_group, cyclic,
-                     group_from_generators, group_ring_multiply, klein_four,
-                     quaternion_8, regular_action_matrix, symmetric_3)
+from .groups import (FiniteGroup, builtin_group, cyclic, group_from_generators,
+                     klein_four, quaternion_8, symmetric_3)
 from .exact import (IntMatrix, SmithDecomposition, SparseFactorization,
                     smith_normal_form)
 from .cohomology import (CohomologyClass, CohomologyGroup, bockstein_delta,
                          coefficient_map, cohomology_group, cohomology_system,
                          p_primary_part)
-from .cup import GradedRingSlice, cup_product, cup_power, ring_slice
+from .cup import GradedRingSlice, cup_product, ring_slice
 from .fiso import (f_iso_check, integral_psth_preimage, pth_power_preimage,
                    s_exponent, verify_derivation)
-from .fibrewise import (FGModule, GModule, dualising_check, ext_group,
-                        fibre_algebra, fibre_projectivity_test,
-                        field_free_resolution, gproj_test,
+from .fibrewise import (FGModule, GModule, dualising_check,
+                        fibre_projectivity_test, gproj_test,
                         koszul_selfdual_check, proj_dim_via_fibres)
 from .strata import (JordanType, RingMapSlice, jordan_tensor_type,
                      kappa_certificate, thick_closure)

@@ -93,18 +93,6 @@ def cup_product(x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
                            tuple(vec))
 
 
-def cup_power(x: CohomologyClass, k: int) -> CohomologyClass:
-    if k < 0:
-        raise ValueError("nonnegative powers only")
-    sys = cohomology_system(x.group)
-    if k == 0:
-        return sys.unit_class(x.modulus)
-    out = x
-    for _ in range(k - 1):
-        out = cup_product(out, x)
-    return out
-
-
 class GradedRingSlice:
     """Degreewise bases and multiplication table of H^*(G, coeff) up to N.
 

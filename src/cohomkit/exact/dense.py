@@ -37,14 +37,6 @@ class IntMatrix:
             raise ValueError("ragged rows")
         return cls(r, c, [x for row in rowlist for x in row])
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     def __getitem__(self, rc):
         i, j = rc
         return self.entries[i * self.cols + j]

@@ -1,6 +1,6 @@
 """Fibrewise module criteria over ZG: projectivity through the residue
-fields, Gorenstein projectivity, the dualising module isomorphism, Ext
-groups, free resolutions over F_pG, and Koszul self-duality.
+fields, Gorenstein projectivity, the dualising module isomorphism and
+Koszul self-duality.
 
 Modules come in two forms: a presentation (FGModule, the JSON-facing type)
 and a GModule, a module over RG that is free over R = Z (p = 0) or F_p and
@@ -19,13 +19,13 @@ Projectivity at a fibre is decided by one linear splitting system, with at
 most dim+1 nonzeros per row.  A lattice's system is factored once, and that
 factorization answers all three questions: the integral test solves over
 Z, each fibre solves mod p (the system mod p is the fibre's own), and the
-rational test reads the free cokernel coordinates.  Ext over ZG and free
-resolutions over F_pG share one tower of free covers, and Koszul H_0 is the
+rational test reads the free cokernel coordinates.  Koszul H_0 is the
 cokernel of one factorization.  F_p entries enter every factorization as
 symmetric residues (|v| <= p/2, ``SparseFactorization.from_columns``), so
 p - 1 is the unit -1 and stays an elimination pivot.  The dense Smith form
 runs only inside that factorization, as its phase 3; in the tests it is the
-oracle.
+oracle.  Ext over ZG and free resolutions over F_pG, which no command
+asks for, are test helpers (``tests/helpers.py``) on the same engine.
 """
 
 from __future__ import annotations
@@ -33,17 +33,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations
 from math import gcd, inf
 
 from .abelian import factorize, require_prime
 from .errors import (InternalCheckFailed, InvalidModule, NoIsomorphismFound,
                      NotBaseFree)
 from .exact.dense import IntMatrix
-from .exact.modp import rank_modp
 from .exact.sparse import (SparseFactorization, coo_to_csr,
                            symmetric_residue)
-from .groups import FiniteGroup
+from .groups import FiniteGroup, int_rows
 
 
 # ---------------------------------------------------------------------------
@@ -59,13 +58,16 @@ class FGModule:
     """
 
     group: FiniteGroup
-    base: str                 # "Z", "Fp", or "Q"
+    base: str                 # "Z" or "Fp"
     p: int                    # prime for Fp, else 0
     generators: int
     relations: list
     action: dict              # element index -> matrix (list of rows)
 
     def __post_init__(self):
+        if self.base not in ("Z", "Fp"):
+            raise InvalidModule(
+                f'base must be "Z" or "Fp", not {self.base!r}')
         if self.base == "Fp":
             require_prime(self.p)
         g, order = self.generators, self.group.order
@@ -81,16 +83,35 @@ class FGModule:
 
     @classmethod
     def from_json_file(cls, path, group: FiniteGroup) -> "FGModule":
+        """Module input file: {"base": "Z" or "Fp", "p": prime (Fp only),
+        "generators": g, "relations": [[int] * g, ...], "action":
+        {"element index": g x g integer matrix, ...}}.  A field of the
+        wrong shape raises InvalidModule naming the file and the field."""
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise InvalidModule(f"{path}: a module file holds a JSON object")
+
+        def wrong(field, shape):
+            return InvalidModule(f'{path}: "{field}" must be {shape}')
+
+        action = data.get("action")
+        if not isinstance(data.get("p") or 0, int):
+            raise wrong("p", "a prime")
+        if not isinstance(data.get("generators"), int):
+            raise wrong("generators", "an integer")
+        if not int_rows(data.get("relations", [])):
+            raise wrong("relations", "a list of integer rows")
+        if not isinstance(action, dict) or not all(
+                k.isdecimal() and int_rows(v) for k, v in action.items()):
+            raise wrong("action", "an object from element indices to "
+                        "integer matrices")
         return cls(group=group,
-                   base=data["base"],
-                   p=int(data.get("p", 0) or 0),
-                   generators=int(data["generators"]),
-                   relations=[list(map(int, r))
-                              for r in data.get("relations", [])],
-                   action={int(k): [list(map(int, row)) for row in v]
-                           for k, v in data["action"].items()})
+                   base=data.get("base"),
+                   p=data.get("p") or 0,
+                   generators=data["generators"],
+                   relations=data.get("relations", []),
+                   action={int(k): v for k, v in action.items()})
 
     @property
     def modulus(self) -> int:
@@ -114,12 +135,6 @@ class FGModule:
     def orders(self) -> list:
         """Order gcd(o_i, m) of each quotient basis vector b_i (0 = Z)."""
         return [gcd(o, self.modulus) for o, _ in self.coker_basis]
-
-    def relation_lattice(self) -> list:
-        """Basis of the relations plus m Z^g: gcd(o_i, m) b_i, for every
-        nonzero order."""
-        return [[o * v for v in b]
-                for o, (_, b) in zip(self.orders(), self.coker_basis) if o]
 
     def full_action(self):
         """Action matrix for every group element, generated from the given
@@ -254,8 +269,6 @@ def module_from_presentation(M: FGModule) -> GModule:
     vectors b_i of order m: column i of the action of g holds the cokernel
     coordinates of g b_i at those b_j.  NotBaseFree when a Z presentation
     has torsion."""
-    if M.base not in ("Z", "Fp"):
-        raise ValueError("only Z and Fp presentations are realized")
     full = M.full_action()
     m = M.modulus
     orders = M.orders()
@@ -272,29 +285,6 @@ def module_from_presentation(M: FGModule) -> GModule:
 
     return GModule(M.group, [realize(full[a]) for a in range(M.group.order)],
                    m)
-
-
-# ---------------------------------------------------------------------------
-# fibre algebras
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FibreAlgebra:
-    """Group algebra over the residue field at p (p = 0 means Q)."""
-
-    group: FiniteGroup
-    characteristic: int
-    dimension: int
-
-    def structure_constant(self, a: int, b: int, c: int) -> int:
-        v = 1 if self.group.table[a][b] == c else 0
-        return v % self.characteristic if self.characteristic else v
-
-
-def fibre_algebra(G: FiniteGroup, p: int) -> FibreAlgebra:
-    if p:
-        require_prime(p)
-    return FibreAlgebra(G, p, G.order)
 
 
 # ---------------------------------------------------------------------------
@@ -518,117 +508,6 @@ def dualising_check(G: FiniteGroup) -> DualisingWitness:
 
 
 # ---------------------------------------------------------------------------
-# the tower of free covers, over Z (Ext) and over F_p (resolutions)
-# ---------------------------------------------------------------------------
-
-def _translate(G: FiniteGroup, g: int, v):
-    """g v for v in (RG)^k, with coordinates j*|G| + h."""
-    n = G.order
-    out = [0] * len(v)
-    for idx, val in enumerate(v):
-        if val:
-            j, h = divmod(idx, n)
-            out[j * n + G.table[g][h]] = val
-    return out
-
-
-def _cover_kernel(G: FiniteGroup, m: int, rank: int, action, lattice=()):
-    """Basis over Z (m = 0) or F_m of the kernel of the free cover
-    P : (RG)^rank -> M, e_{j,g} -> g m_j.  With ``lattice``, independent
-    columns spanning a sublattice L of Z^rank, it is the kernel of P
-    followed by Z^rank -> Z^rank / L: ker [P | -L] projected, which the
-    independence makes injective."""
-    # column j*|G| + g of P is column j of action[g]
-    cols = [[row[j] for row in action[g]]
-            for j in range(rank) for g in range(G.order)]
-    k = len(cols)
-    cols += [[-x for x in v] for v in lattice]
-    fact = SparseFactorization.from_columns(cols, rank, m)
-    return [x[:k] for x in fact.kernel_basis(m)]
-
-
-def _kernel_action(G: FiniteGroup, m: int, K):
-    """Action matrices of G on the span of the kernel basis K, in that
-    basis: each g K_j solved against one factorization of K."""
-    fact = SparseFactorization.from_columns(K, len(K[0]), m)
-    mats = []
-    for g in range(G.order):
-        cols = [fact.solve(_translate(G, g, v), m) for v in K]
-        if None in cols:
-            raise InternalCheckFailed("kernel not action-stable")
-        mats.append([list(r) for r in zip(*cols)])
-    return mats
-
-
-def _syzygies(G: FiniteGroup, m: int, K):
-    """Yield the kernel basis K, then the kernel bases of the free covers of
-    the successive syzygies, each in (RG)^{len of the one before}.  The
-    action on a kernel is computed only when the next kernel is asked
-    for."""
-    while True:
-        yield K
-        K = _cover_kernel(G, m, len(K), _kernel_action(G, m, K)) if K else []
-
-
-# ---------------------------------------------------------------------------
-# Ext over ZG
-# ---------------------------------------------------------------------------
-
-def _hom(G: FiniteGroup, K, r: int, N: GModule):
-    """Columns of Hom_ZG(d, N) : N^r -> N^{len(K)} for d : ZG^{len(K)} ->
-    ZG^r sending generator t to K[t]; block (t, j) is
-    sum_g K[t][j*|G| + g] N(g)."""
-    n, rN = G.order, N.rank
-    cols = [[0] * (len(K) * rN) for _ in range(r * rN)]
-    for t, v in enumerate(K):
-        for idx, val in enumerate(v):
-            if val:
-                j, g = divmod(idx, n)
-                for a, row in enumerate(N.action[g]):
-                    for b, x in enumerate(row):
-                        cols[j * rN + b][t * rN + a] += val * x
-    return cols
-
-
-def ext_group(M, N: GModule, i: int) -> list:
-    """Invariant factors of Ext^i_{ZG}(M, N); 0 denotes a free summand.
-
-    M may be a GModule over ZG or an FGModule presentation (torsion
-    allowed).  The resolution is the tower of basis-sized free covers; its
-    first kernel is that of F_0 -> Z^g -> M, taken against the relation
-    lattice.  Ext^i is ker(d_out)/im(d_in) for the induced maps
-    d_out = Hom(d_{i+1}, N) and d_in = Hom(d_i, N): a kernel basis, the
-    coordinates of im(d_in) in it, and their cokernel."""
-    G = M.group
-    if G is not N.group:
-        raise ValueError("modules over different groups")
-    if isinstance(M, FGModule):
-        rank, action, lattice = (M.generators, M.full_action(),
-                                 M.relation_lattice())
-    else:
-        rank, action, lattice = M.rank, M.action, []
-    if N.p or isinstance(M, GModule) and M.p:
-        raise ValueError("Ext is taken over ZG")
-    if rank == 0:
-        return []
-    first = _cover_kernel(G, 0, rank, action, lattice)
-    kernels = list(islice(_syzygies(G, 0, first), i + 1))
-    ranks = [rank] + [len(K) for K in kernels]
-    d_out = _hom(G, kernels[i], ranks[i], N)
-    basis = SparseFactorization.from_columns(
-        d_out, ranks[i + 1] * N.rank).kernel_basis()
-    if not basis:
-        return []
-    coords = SparseFactorization.from_columns(basis, ranks[i] * N.rank)
-    rels = [coords.solve(col)
-            for col in (_hom(G, kernels[i - 1], ranks[i - 1], N) if i else [])]
-    if None in rels:
-        raise InternalCheckFailed("d_out d_in != 0 in the Ext complex")
-    return SparseFactorization.from_columns(rels,
-                                            len(basis)).coker_invariants()
-
-
-# ---------------------------------------------------------------------------
 # Koszul self-duality
 # ---------------------------------------------------------------------------
 
@@ -723,57 +602,3 @@ def _perm_sign(perm):
         if length % 2 == 0:
             sgn = -sgn
     return sgn
-
-
-# ---------------------------------------------------------------------------
-# free resolutions over F_pG (iterated kernels)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FieldResolution:
-    """Iterated basis-sized free covers of an F_pG-module."""
-
-    module: GModule
-    free_ranks: list
-    diffs: list        # F_p matrices of d_t : F_t -> F_{t-1} (expanded)
-    cover: list | None  # matrix F_0 -> M
-
-    @property
-    def length(self) -> int:
-        return len(self.free_ranks)
-
-
-def _is_free(M: GModule) -> bool:
-    """Greedy search for a free F_pG-basis among the standard basis
-    vectors."""
-    n = M.group.order
-    if M.rank % n:
-        return False
-    span = []
-    for cand in range(M.rank):
-        orbit = [[A[i][cand] for i in range(M.rank)] for A in M.action]
-        if rank_modp(span + orbit, M.p) == len(span) + n:
-            span += orbit
-            if len(span) == M.rank:
-                return True
-    return False
-
-
-def field_free_resolution(M: GModule, N: int) -> FieldResolution:
-    """Iterated free covers to length N, stopping at a zero syzygy: each
-    step maps a free module on a basis of the current syzygy, so d_t sends
-    e_{j,g} to g K_j for the kernel basis K of the cover before it; any
-    free resolution computes Ext."""
-    if M.rank == 0 or _is_free(M):
-        return FieldResolution(M, [], [], None)
-    G, p = M.group, M.p
-    ranks, diffs = [M.rank], []
-    for K in islice(_syzygies(G, p, _cover_kernel(G, p, M.rank, M.action)),
-                    N):
-        if not K:
-            break
-        ranks.append(len(K))
-        diffs.append([list(r) for r in zip(*(
-            _translate(G, g, v) for v in K for g in range(G.order)))])
-    return FieldResolution(M, ranks, diffs,
-                           _free_cover_data(G, M.rank, lambda g: M.action[g]))

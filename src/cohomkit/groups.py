@@ -1,8 +1,9 @@
-"""Finite groups as multiplication tables, and group ring arithmetic.
+"""Finite groups as multiplication tables.
 
-Element 0 is always the identity.  Tables are validated at construction
-(Latin square, two-sided identity, associativity), which is affordable at
-the order cap of 64.
+Element 0 is always the identity.  Every table is validated at
+construction: Latin square, two-sided identity, and associativity, an
+O(n^3) check that takes well under a second at the order cap of 64 that
+``group_from_generators`` enforces.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ from __future__ import annotations
 import json
 
 from .config import DEFAULT_ORDER_CAP
-from .errors import ModulusMismatch, OrderCapExceeded
-from .exact.dense import IntMatrix
+from .errors import OrderCapExceeded
 
 
 class FiniteGroup:
@@ -36,15 +36,14 @@ class FiniteGroup:
                 raise ValueError("multiplication table is not a Latin square")
             if t[0][i] != i or t[i][0] != i:
                 raise ValueError("element 0 is not a two-sided identity")
-        if n <= DEFAULT_ORDER_CAP:
-            for a in range(n):
-                ta = t[a]
-                for b in range(n):
-                    tab = ta[b]
-                    tb = t[b]
-                    for c in range(n):
-                        if t[tab][c] != ta[tb[c]]:
-                            raise ValueError("multiplication is not associative")
+        for a in range(n):
+            ta = t[a]
+            for b in range(n):
+                tab = ta[b]
+                tb = t[b]
+                for c in range(n):
+                    if t[tab][c] != ta[tb[c]]:
+                        raise ValueError("multiplication is not associative")
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -106,10 +105,26 @@ def group_from_generators(perms, label: str = "G",
     return FiniteGroup(table, label=label)
 
 
+def int_rows(value) -> bool:
+    """Whether a JSON value is a list of lists of integers."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(isinstance(x, int) for x in row)
+        for row in value)
+
+
 def load_group_json(path) -> FiniteGroup:
-    """Group input file: {"name": str, "generators": [[int, ...], ...]}."""
+    """Group input file: {"name": str, "generators": [[int, ...], ...]}.
+    A field of the wrong shape raises ValueError naming the file and the
+    field."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a group file holds a JSON object")
+    if not int_rows(data.get("generators")):
+        raise ValueError(f'{path}: "generators" must be a list of '
+                         "permutations, each a list of integers")
+    if not isinstance(data.get("name", ""), str):
+        raise ValueError(f'{path}: "name" must be a string')
     return group_from_generators(data["generators"],
                                  label=data.get("name", "G"))
 
@@ -172,84 +187,3 @@ def builtin_group(name: str) -> FiniteGroup:
     except KeyError:
         raise ValueError(f"unknown builtin group {name!r}; "
                          f"choose from {sorted(BUILTIN_GROUPS)}") from None
-
-
-# -- group ring --------------------------------------------------------------
-
-class GroupRingElement:
-    """Element of ZG or (Z/m)G with coefficients indexed by group elements."""
-
-    __slots__ = ("group", "coeffs", "modulus")
-
-    def __init__(self, group: FiniteGroup, coeffs, modulus=0):
-        if len(coeffs) != group.order:
-            raise ValueError("coefficient vector length must equal group order")
-        self.group = group
-        self.modulus = int(modulus)
-        if self.modulus:
-            self.coeffs = [int(c) % self.modulus for c in coeffs]
-        else:
-            self.coeffs = [int(c) for c in coeffs]
-
-    @classmethod
-    def basis(cls, group: FiniteGroup, g: int, modulus=0) -> "GroupRingElement":
-        coeffs = [0] * group.order
-        coeffs[g] = 1
-        return cls(group, coeffs, modulus)
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupRingElement)
-                and self.group is other.group
-                and self.modulus == other.modulus
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        self._check(other)
-        return GroupRingElement(
-            self.group, [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            self.modulus)
-
-    def __sub__(self, other):
-        self._check(other)
-        return GroupRingElement(
-            self.group, [a - b for a, b in zip(self.coeffs, other.coeffs)],
-            self.modulus)
-
-    def _check(self, other):
-        if self.group is not other.group or self.modulus != other.modulus:
-            raise ModulusMismatch("operands live in different group rings")
-
-    def __repr__(self):
-        return f"GroupRingElement({self.group.label}, {self.coeffs}, m={self.modulus})"
-
-
-def group_ring_multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Convolution product in the group ring."""
-    a._check(b)
-    g = a.group
-    out = [0] * g.order
-    table = g.table
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        ti = table[i]
-        for j, bj in enumerate(b.coeffs):
-            if bj:
-                out[ti[j]] += ai * bj
-    return GroupRingElement(g, out, a.modulus)
-
-
-def regular_action_matrix(x: GroupRingElement) -> IntMatrix:
-    """Matrix of left multiplication by x on the group ring basis."""
-    g = x.group
-    n = g.order
-    ent = [[0] * n for _ in range(n)]
-    table = g.table
-    for i, ai in enumerate(x.coeffs):
-        if ai == 0:
-            continue
-        for j in range(n):
-            ent[table[i][j]][j] += ai
-    if x.modulus:
-        ent = [[v % x.modulus for v in row] for row in ent]
-    return IntMatrix.from_rows(ent)

@@ -31,6 +31,15 @@ from cohomkit.exact.dense import (IntMatrix, normalize_modulus,
 from cohomkit.groups import FiniteGroup, cyclic
 
 
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(n, n, [1 if i == j else 0
+                            for i in range(n) for j in range(n)])
+
+
+def zero(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, [0] * (rows * cols))
+
+
 def solve_mod(A, b, m):
     """Some x with A x = b (mod m), or None; see SmithDecomposition.solve."""
     return smith_normal_form(A).solve(b, m)
@@ -125,7 +134,7 @@ def unimodular_inverse(M: IntMatrix) -> IntMatrix:
     """Inverse of a unimodular integer matrix, read off its own Smith form:
     U' M V' = I gives M^-1 = V' U'.  ValueError unless that form is I."""
     dec = smith_normal_form(M)
-    if dec.D != IntMatrix.identity(dec.D.rows):
+    if dec.D != identity(dec.D.rows):
         raise ValueError("matrix is not unimodular")
     return dec.V @ dec.U
 
@@ -387,8 +396,7 @@ class CochainComplex:
         return True
 
     def cohomology_invariants(self, n: int) -> list:
-        d_in = self.differential(n) if n >= 1 else \
-            IntMatrix.zero(self.rank(0), 1)
+        d_in = self.differential(n) if n >= 1 else zero(self.rank(0), 1)
         d_out = self.differential(n + 1)
         return subquotient_invariants(d_in, d_out,
                                       self.coefficient_modulus or "Z")

@@ -348,19 +348,66 @@ class TestErrorPaths:
     @pytest.mark.parametrize("action, message", [
         ({"1": [[0, 1]]}, "must be 2 x 2"),
         ({"5": [[1, 0], [0, 1]]}, "not an element index"),
+        ({"1": 5}, '"action" must be'),
+        ([], '"action" must be'),
+        ({"g": [[1, 0], [0, 1]]}, '"action" must be'),
     ])
     def test_fibre_rejects_malformed_action(self, capsys, tmp_path, action,
                                             message):
         """An action matrix of the wrong shape died in a matrix product
-        (exit 1), and a key outside the group ended generation early and
-        died on a bare KeyError."""
+        (exit 1), a key outside the group ended generation early and died
+        on a bare KeyError, and an action that is not an object of integer
+        matrices died on a TypeError or AttributeError (exit 1)."""
         mod = tmp_path / "bad.json"
         mod.write_text(json.dumps({
             "base": "Z", "generators": 2, "relations": [], "action": action}))
         code, out, err = run(capsys, "--json", "fibre", "--group", "c2",
                              "--module", str(mod))
         assert code == 2
-        assert not out and message in err
+        assert not out and message in err and "action" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("module, field", [
+        ([{"base": "Z"}], "a module file holds a JSON object"),
+        ({"base": "Q", "generators": 1, "action": {"1": [[1]]}}, "base"),
+        ({"base": "Z", "generators": "1", "action": {"1": [[1]]}},
+         '"generators" must be'),
+        ({"base": "Z", "generators": 1, "relations": 2,
+          "action": {"1": [[1]]}}, '"relations" must be'),
+        ({"base": "Fp", "p": [2], "generators": 1, "action": {"1": [[1]]}},
+         '"p" must be'),
+    ])
+    def test_fibre_rejects_malformed_module_file(self, capsys, tmp_path,
+                                                 module, field):
+        """A module file that is not an object, or whose fields have the
+        wrong JSON shape, is a usage error naming the field; a list died on
+        a TypeError (exit 1), and a base other than "Z" or "Fp" was taken
+        until a command refused it."""
+        mod = tmp_path / "bad.json"
+        mod.write_text(json.dumps(module))
+        code, out, err = run(capsys, "--json", "fibre", "--group", "c2",
+                             "--module", str(mod))
+        assert code == 2
+        assert not out and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("group, field", [
+        ([[1, 0]], "a group file holds a JSON object"),
+        ({"generators": 5}, '"generators" must be'),
+        ({"generators": [[1, 0], 5]}, '"generators" must be'),
+        ({"name": "c2"}, '"generators" must be'),
+        ({"name": 2, "generators": [[1, 0]]}, '"name" must be'),
+    ])
+    def test_rejects_malformed_group_file(self, capsys, tmp_path, group,
+                                          field):
+        """A group file that is a list, or whose generators are not lists of
+        integers, died on a TypeError (exit 1, the verdict-fail code)."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(group))
+        code, out, err = run(capsys, "--json", "cohomology", "--group",
+                             str(path), "--coeff", "Z", "--deg", "1")
+        assert code == 2
+        assert not out and field in err and str(path) in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, flag", [
         (["cohomology", "--group", "c2", "--coeff", "Z", "--deg", "-1"],

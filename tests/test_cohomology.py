@@ -13,12 +13,12 @@ from cohomkit.cohomology import (CohomologyClass, bockstein_delta,
                                  p_primary_part)
 from cohomkit.cup import cup_product
 from cohomkit.errors import DegreeZeroUnsupported, ModulusMismatch, NotPrime
-from cohomkit.exact.dense import IntMatrix
 from cohomkit.groups import klein_four
 from helpers import (classes_equal, full_invariants_from_primary,
                      invariant_factor_form)
 from oracles import (bar_resolution, echelon_modp,
-                     periodic_resolution_cyclic, subquotient_invariants)
+                     periodic_resolution_cyclic, subquotient_invariants,
+                     zero)
 
 
 class TestAbelianCanonicalization:
@@ -122,7 +122,7 @@ class TestModularCohomology:
         per = periodic_resolution_cyclic(2, 8)
         for n in range(0, 7):
             H = cohomology_group(groups["c2"], 2, n)
-            d_in = per.dual_differential(n) if n else IntMatrix.zero(1, 1)
+            d_in = per.dual_differential(n) if n else zero(1, 1)
             want = subquotient_invariants(d_in, per.dual_differential(n + 1), 2)
             assert sorted(H.invariant_factors) == sorted(want) == [2]
 

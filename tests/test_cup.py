@@ -5,8 +5,7 @@ import pytest
 
 from cohomkit.cohomology import (canonical_coords, coefficient_map,
                                  cohomology_group, cohomology_system)
-from cohomkit.cup import (cup1_vec, cup_power, cup_product, cup_vec,
-                          ring_slice)
+from cohomkit.cup import cup1_vec, cup_product, cup_vec, ring_slice
 from cohomkit.errors import ModulusMismatch
 from cohomkit.exact.sparse import SparseFactorization
 from cohomkit.groups import BUILTIN_GROUPS, klein_four
@@ -193,15 +192,6 @@ class TestCupOne:
                    for x, y in zip(cup_vec(G, du, a + 1, v, b),
                                    cup_vec(G, u, a, dv, b + 1))]
             assert lhs == rhs
-
-    def test_cup_power(self, groups):
-        G = groups["c2"]
-        x = cohomology_group(G, 2, 1).basis[0]
-        p3 = cup_power(x, 3)
-        assert p3.degree == 3
-        sys = cohomology_system(G)
-        assert not sys.is_zero(p3)
-        assert cup_power(x, 0).degree == 0
 
 
 def _tuple_of(idx, n, q):

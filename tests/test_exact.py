@@ -15,12 +15,12 @@ from cohomkit.exact.modp import nullspace_modp, rank_modp, solve_modp
 from cohomkit.exact import sparse
 from cohomkit.exact.sparse import (SparseFactorization, coo_to_csr,
                                   symmetric_residue)
-from cohomkit.fibrewise import augmentation_ideal, field_free_resolution
+from cohomkit.fibrewise import augmentation_ideal
 from cohomkit.groups import FiniteGroup, quaternion_8, symmetric_3
 from cohomkit.resolutions import BarCochains, bar_cochains
-from helpers import full_fact, reduce_mod
-from oracles import (cokernel_invariants, det, echelon_modp, solve_mod,
-                     unimodular_inverse, verify_smith)
+from helpers import field_free_resolution, full_fact, reduce_mod
+from oracles import (cokernel_invariants, det, echelon_modp, identity,
+                     solve_mod, unimodular_inverse, verify_smith, zero)
 
 
 def dense_solvable_over_q(dense, b):
@@ -89,7 +89,7 @@ class TestSmithNormalForm:
         assert verify_smith(dec)
 
     def test_zero_matrix(self):
-        dec = smith_normal_form(IntMatrix.zero(2, 2))
+        dec = smith_normal_form(zero(2, 2))
         assert dec.diagonal() == [0, 0]
         assert verify_smith(dec)
 
@@ -126,7 +126,7 @@ class TestSolveMod:
 
     def test_identity_returns_rhs(self):
         for m in (2, 5, "Z"):
-            x = solve_mod(IntMatrix.identity(3), [1, 2, 3], m)
+            x = solve_mod(identity(3), [1, 2, 3], m)
             want = [v % m if m != "Z" else v for v in (1, 2, 3)]
             assert x == want
 
@@ -155,7 +155,7 @@ class TestSolveMod:
         self._check_against_bruteforce(rows, b, m)
 
     def test_failed_self_check_raises(self):
-        one = IntMatrix.identity(1)
+        one = identity(1)
         dec = SmithDecomposition(U=one, D=one, V=one,
                                  source=IntMatrix.from_rows([[2]]))
         with pytest.raises(InternalCheckFailed):
@@ -216,8 +216,8 @@ class TestUnimodularInverse:
                 rows[i] = [-a for a in rows[i]]
         U = IntMatrix.from_rows(rows)
         inv = unimodular_inverse(U)
-        assert U @ inv == IntMatrix.identity(n)
-        assert inv @ U == IntMatrix.identity(n)
+        assert U @ inv == identity(n)
+        assert inv @ U == identity(n)
 
     @pytest.mark.parametrize("rows", [[[2]], [[1, 2], [2, 4]], [[0]]])
     def test_rejects_non_unimodular(self, rows):
@@ -408,16 +408,16 @@ def test_normalize_modulus_rejects(arg):
 class TestCokernelInvariants:
     def test_examples(self):
         assert cokernel_invariants(IntMatrix.from_rows([[2]]), "Z") == [2]
-        assert cokernel_invariants(IntMatrix.identity(2), "Z") == []
+        assert cokernel_invariants(identity(2), "Z") == []
         assert cokernel_invariants(
             IntMatrix.from_rows([[2, 0], [0, 3]]), "Z") == [6]
 
     def test_zero_map_gives_free(self):
-        assert cokernel_invariants(IntMatrix.zero(2, 1), "Z") == [0, 0]
+        assert cokernel_invariants(zero(2, 1), "Z") == [0, 0]
 
     def test_mod_m(self):
         assert cokernel_invariants(IntMatrix.from_rows([[2]]), 4) == [2]
-        assert cokernel_invariants(IntMatrix.zero(1, 1), 4) == [4]
+        assert cokernel_invariants(zero(1, 1), 4) == [4]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_permutation_invariance(self, seed):
@@ -572,7 +572,7 @@ class TestSparseFactorization:
         """Torsion representatives of D_4 over Z, whose echelon block has
         U != I, pinned by digest."""
         f = full_fact(groups[name], 4)
-        assert f.esnf.U != IntMatrix.identity(f.esnf.U.rows)
+        assert f.esnf.U != identity(f.esnf.U.rows)
         reps = [[d, [int(v) for v in w]] for d, w in f.torsion_reps()]
         assert [d for d, _ in reps] == [6]
         got = hashlib.sha256(json.dumps(reps).encode()).hexdigest()

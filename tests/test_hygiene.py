@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, no
 function or method is a copy of another, every definition is referenced
-somewhere, and every attribute set on ``self`` is read somewhere.
+somewhere and reached from a command, and every attribute set on ``self``
+is read somewhere.
 
 No linter ships with the toolchain, so this parses ``src/cohomkit`` with
 ``ast``.  Package ``__init__.py`` files are skipped (their imports are
@@ -480,10 +481,10 @@ def test_detects_a_csr_build_outside_fact(tmp_path):
 
 # a bar differential is factored cleared (BarCochains.fact): its cleared
 # columns read as free directions, so its kernel_basis is not ker D_n.
-# Kernels are asked for only in these two files, of module presentations and
-# of matrices over F_p, which are factored whole
+# Kernels are asked for only in this file, of matrices over F_p, which are
+# factored whole
 KERNEL_BASIS = "kernel_basis"
-KERNEL_BASIS_USERS = {"fibrewise.py", "exact/modp.py"}
+KERNEL_BASIS_USERS = {"exact/modp.py"}
 
 
 def kernel_basis_users(paths, root: Path):
@@ -518,7 +519,7 @@ def test_detects_a_kernel_basis_user(tmp_path):
     (tmp_path / "cohomology.py").write_text(
         "def gens(fact):\n    basis = fact.kernel_basis\n    return basis()\n")
     assert kernel_basis_users(sorted(tmp_path.rglob("*.py")), tmp_path) == [
-        "cohomology.py", "resolutions.py"]
+        "cohomology.py", "fibrewise.py", "resolutions.py"]
 
 
 # a command's inputs come from its parser, build_parser: no module fills an
@@ -556,3 +557,101 @@ def test_detects_a_hand_built_namespace(tmp_path):
         "args = ap.parse_args(['--p', '2'])\n")
     assert namespace_builders(sorted(tmp_path.rglob("*.py")),
                               tmp_path) == ["cli.py", "fiso.py"]
+
+
+# src holds what the commands reach: every definition is reached from a
+# command in cli.py, or bound by name by the benchmark under perfbench/
+ENTRY = "cli.py"
+_DEF = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNC = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _code_names(nodes) -> set:
+    """Names and attributes the code under ``nodes`` refers to; strings,
+    docstrings included, are not code."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreachable_definitions(paths, root: Path, entry: str, bound):
+    """Definitions of the ``paths`` that nothing reaches, by name, from the
+    top-level defs of ``entry`` and the defs whose name is in ``bound``.
+
+    A reached def reaches the names and attributes in its body and the
+    non-import module-level code of its module.  A module-level def is
+    reached when its name is reached; a method when its class is reached
+    and its name is, or at once if it is a dunder.  Reported: the
+    unreached module-level defs and the unreached methods of reached
+    classes."""
+    defs, glue = [], {}  # (label, name, owner label, body nodes, module)
+    for path in paths:
+        rel = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text())
+        glue[rel] = [n for n in tree.body if not isinstance(
+            n, (*_DEF, ast.Import, ast.ImportFrom))]
+        for node in tree.body:
+            if not isinstance(node, _DEF):
+                continue
+            label = f"{rel}:{node.name}"
+            if isinstance(node, ast.ClassDef):
+                methods = [n for n in node.body if isinstance(n, _FUNC)]
+                defs.append((label, node.name, None,
+                             [n for n in node.body if n not in methods]
+                             + node.bases + node.keywords
+                             + node.decorator_list, rel))
+                defs += [(f"{label}.{n.name}", n.name, label, [n], rel)
+                         for n in methods]
+            else:
+                defs.append((label, node.name, None, [node], rel))
+    names, reached, modules = set(bound), set(), set()
+
+    def reaches(name, owner, rel):
+        if owner is None:
+            return rel == entry or name in names
+        dunder = name.startswith("__") and name.endswith("__")
+        return owner in reached and (dunder or name in names)
+
+    while True:
+        new = [(label, body, rel) for label, name, owner, body, rel in defs
+               if label not in reached and reaches(name, owner, rel)]
+        if not new:
+            break
+        for label, body, rel in new:
+            reached.add(label)
+            names |= _code_names(body)
+            if rel not in modules:
+                modules.add(rel)
+                names |= _code_names(glue[rel])
+    return [label for label, _, owner, _, _ in defs
+            if label not in reached and (owner is None or owner in reached)]
+
+
+def test_src_is_what_the_commands_reach():
+    bound = Counter()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        bound += _references(ast.parse(path.read_text()))
+    dead = unreachable_definitions(sorted(SRC.rglob("*.py")), SRC, ENTRY,
+                                   bound)
+    assert not dead, f"definitions no command reaches: {dead}"
+
+
+def test_detects_an_unreachable_definition(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from .core import run\n\n\ndef main():\n    return run()\n")
+    (tmp_path / "core.py").write_text(
+        "from .extra import unused\n\nTABLE = {'h': helper}\n\n\n"
+        "def run():\n    return Box().go()\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "def dead():\n    \"\"\"Calls run().\"\"\"\n    return 'helper'\n\n\n"
+        "def timed():\n    return unused()\n\n\n"
+        "class Box:\n    def __init__(self):\n        self.n = 0\n\n"
+        "    def go(self):\n        return self.n\n\n"
+        "    def stale(self):\n        return self.go()\n\n\n"
+        "class Spare:\n    def go(self):\n        return 0\n")
+    (tmp_path / "extra.py").write_text(
+        "def unused():\n    return 0\n\n\ndef never():\n    return 1\n")
+    assert unreachable_definitions(
+        sorted(tmp_path.rglob("*.py")), tmp_path, "cli.py", {"timed"}) == [
+        "core.py:dead", "core.py:Box.stale", "core.py:Spare",
+        "extra.py:never"]

@@ -277,7 +277,9 @@ def test_backsub_parity(seed):
                for s, n in zip(starts, lens)]
         return [v % m for v in out] if m else out
 
-    xi = kernels.backsub_int(rows, pivcol, pivsign, rhs, x0)
+    # over Z (m = 0) the +-1 pivots are their own inverses, as
+    # SparseFactorization._backsub passes them
+    xi = kernels.backsub_mod(rows, pivcol, pivsign, rhs, x0, 0)
     assert xi[npiv:] == x0[npiv:]
     assert row_sums(xi) == rhs  # each pivot row equation holds over Z
     for m in (9, 2**40 + 15):

@@ -8,18 +8,16 @@ from cohomkit.cohomology import (bockstein_delta, cohomology_group,
                                  cohomology_system)
 from cohomkit.config import GROUP_CACHE_SIZE
 from cohomkit.errors import SizeCapExceeded
-from cohomkit.exact.dense import IntMatrix
-from cohomkit.fibrewise import (GModule, augmentation_ideal,
-                                field_free_resolution, regular_module,
+from cohomkit.fibrewise import (GModule, augmentation_ideal, regular_module,
                                 trivial_module)
 from cohomkit.fiso import pth_power_preimage
 from cohomkit.groups import (BUILTIN_GROUPS, builtin_group, cyclic,
                              symmetric_3)
 from cohomkit.resolutions import BarCochains, bar_cochains
-from helpers import full_fact, reduce_mod
+from helpers import field_free_resolution, full_fact, reduce_mod
 from oracles import (CochainComplex, bar_resolution, echelon_modp,
                      periodic_resolution_cyclic, subquotient_invariants,
-                     verify_complex)
+                     verify_complex, zero)
 
 # (group, p) pairs whose trivial and augmentation modules are resolved over
 # F_pG; p divides |G| in each, so neither module is projective
@@ -93,7 +91,7 @@ class TestPeriodicResolution:
         per = periodic_resolution_cyclic(order, 6)
         for n in range(0, 4):
             got = list(cohomology_group(G, m, n).invariant_factors)
-            d_in = per.dual_differential(n) if n >= 1 else IntMatrix.zero(1, 1)
+            d_in = per.dual_differential(n) if n >= 1 else zero(1, 1)
             d_out = per.dual_differential(n + 1)
             want = subquotient_invariants(d_in, d_out, m)
             assert sorted(got) == sorted(want), (order, m, n)
