@@ -16,25 +16,27 @@ matvec, so a matrix built for it (a bar differential) is held once.
 
 The factorization runs in three logged phases, all over Z:
 
-1. +-1-pivot sparse elimination.  The pivot column is the one of least
-   length, then least index, among the columns that have a +-1 entry; a
-   column found without one is blocked and waits until its content
-   changes.  The pivot row is the shortest row with a +-1 entry in that
-   column, then the lowest index.  Least-length columns keep fill-in low
-   on face-map matrices.  Rows start as dicts, one update per entry; once
-   the live rows fill in (the next pivot is large, the live rows hold
-   many entries, and a dense block of the live rows x live columns takes
-   no more memory than the dicts), the phase moves them into one 2-D
-   numpy array, in the narrowest integer dtype that its entries allow, and
-   finishes there with the same pivot rule, one vectorised update per
-   pivot, so the log is the same;
+1. +-1-pivot sparse elimination, in rounds.  The live entries are sorted
+   arrays of positions and values, read once off the CSR.  Each round
+   picks, in every column with a +-1 entry, the shortest row holding one,
+   keys the candidates by Markowitz cost, then by column, and accepts the
+   candidates that beat every candidate they conflict with (Luby's rule),
+   so that no accepted pivot row holds another accepted pivot's column.
+   The round then eliminates all its pivot columns in one vectorised
+   sparse update, A_N -= Q A_S, in int64 while a bound allows and in
+   python ints past it (T. Davis and P.-C. Yew, SIAM J. Matrix Anal.
+   Appl. 11, 1990; M. Luby, SIAM J. Comput. 15, 1986).  A round whose live
+   entries would pass a cap is refused;
 2. integer row echelon on the leftover rows (gcd steps);
 3. dense Smith normal form (exact, python ints) on the small echelon block.
 
 Row operations from phases 1-2 are recorded in a log, one (targets, source,
 multipliers) batch per pivot or Euclid round, that can be replayed over any
-vector (the hot kernels in :mod:`cohomkit.kernels`);
-phase 3 keeps only the Smith transforms U and V of the small block, since
+vector (the hot kernels in :mod:`cohomkit.kernels`).  The batches of a
+phase-1 round touch no pivot row of that round, so they commute; they are
+logged in ascending pivot column, and the frozen pivot rows, ordered by
+round and then by column, form a triangular block with the +-1 pivots on
+its diagonal.  Phase 3 keeps only the Smith transforms U and V of the small block, since
 the cokernel basis and the torsion representatives read the columns of
 U^-1 off E V = U^-1 D.  Phase 3 is the one place in the package where the
 dense Smith form runs.  No column operation is ever applied to the ambient
@@ -52,13 +54,14 @@ over Q (the free cokernel coordinates) and over every Z/m.
 All arithmetic is exact: python integers over Z, or numpy integers of a
 width that a bound on the entries shows to be safe; canonical residues over
 Z/m.  Pivoting is deterministic, so factorizations (and everything derived
-from them) are reproducible.
+from them) are reproducible.  Every factorization checks itself once, by
+Freivalds' test of the log against the stored rows, and raises
+InternalCheckFailed if the check fails.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
-from math import gcd, inf
+from math import gcd
 
 import numpy as np
 
@@ -132,303 +135,217 @@ def _check_csr(nrows, ncols, indptr, indices, data):
                          "with no stored zeros")
 
 
-# Phase 1 moves from dict rows to one dense block of the live rows x live
-# columns once both of these hold; the figures are from a 2-vCPU VM with
-# python 3.11 and numpy 2.4.
-# - work: the cheapest pivot, the next one, updates at least
-#   _DENSE_MIN_WORK entries, (column length - 1) x (pivot row length - 1),
-#   and the live block holds at least _DENSE_MIN_ENTRIES entries.  A dense
-#   pivot costs ~150 us of numpy calls whatever its size, and building and
-#   taking apart the block ~60 ns per entry plus ~1 ms, which only enough
-#   remaining pivots repay.  Bar differentials that switched with at most
-#   7,325 live entries (klein4 D_5 and D_6, s3 D_4, c6 D_4) ran 3-19%
-#   slower dense; those with 22,875 or more (q8 D_4 and D_5, s3 D_5, c6 D_5,
-#   klein4 D_7) ran 29-70% faster.  With the entry floor, work floors of
-#   128 and 256 tied for the least total time on those and s3 D_6 (1.77 s,
-#   against 1.80 s at 0 and at 512 and 1.91 s at 1024).
-# - memory: the block, in the narrowest dtype its entry bound allows, takes
-#   at most _DICT_ENTRY_BYTES per live entry.  Dropping the row dicts and
-#   the column index freed 118-127 bytes per live entry when each column
-#   kept a set of rows (tracemalloc; s3 D_6 at pivots 1500-2400, q8 D_5 at
-#   300-600), and 86-87 with row lists and shared column keys (s3 D_6 and
-#   q8 D_5 at the switch).  112 stays: at 86, q8 D_6 switched later and its
-#   peak RSS rose from 351 to 388 MB, since the freed heap of the dicts
-#   stays resident under the block.
-_DENSE_MIN_WORK = 256
-_DENSE_MIN_ENTRIES = 1 << 14
-_DICT_ENTRY_BYTES = 112
-# a compaction copies the block in this many column chunks, so a chunk is
-# a fixed share of the block: a chunk of fixed bytes, say 4 MB, would hold
-# the whole 3.4 MB block of s3 D_6 (the certify workload) and save nothing
-_COMPACT_CHUNKS = 16
-# the block dtypes, narrowest first, with the largest entry each holds
-_BLOCK_LIMITS = {np.dtype(t): int(np.iinfo(t).max)
-                 for t in (np.int8, np.int16, np.int32, np.int64)}
-_BLOCK_LIMITS[np.dtype(object)] = inf
+# Phase 1 refuses a round that would leave more live entries than this.  An
+# entry takes 16 bytes, its position and an int64 value, and a round holds a
+# few copies of them, so the cap keeps phase 1 to a few GB.  Cleared q8 D_6
+# peaks at 583 thousand and s3 D_7 at 393 thousand.
+_FILL_CAP = 1 << 26
+# the Freivalds check of a factorization runs mod this prime, so that a
+# residue times a residue, plus a residue, stays in int64, and reads its
+# vector off the powers of a primitive root mod it
+_CHECK_PRIME = (1 << 31) - 1
+_CHECK_ROOT = 16807
+_LIMIT = 1 << 62  # int64 arithmetic is safe while every bound stays below
+_NONE = np.iinfo(np.int64).max  # the key of no candidate
 
 
-def _block_dtype(bound: int) -> np.dtype:
-    """The first of int8/16/32/64 that holds bound + bound^2, the most one
-    update v - q w can reach when |v|, |q|, |w| <= bound; else object
-    (python ints)."""
-    return next(dt for dt, top in _BLOCK_LIMITS.items()
-                if bound + bound * bound <= top)
+def _segments(starts, lens):
+    """The indices of the concatenated ranges [start, start + len)."""
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + lens, lens) + np.arange(total)
 
 
-def _compact(B, live_c, live_r, dtype):
-    """``B[np.ix_(live_c, live_r)].astype(dtype)``, copied into one
-    preallocated block of ``dtype`` in _COMPACT_CHUNKS chunks of columns, so
-    that only ``B``, the new block and one chunk are live at once.  A chunk
-    is taken from ``B`` and then cut to the live rows: ``np.ix_`` held
-    twice as much again for the same chunk."""
-    out = np.empty((len(live_c), len(live_r)), dtype=dtype)
-    step = max(1, -(-len(live_c) // _COMPACT_CHUNKS))
-    for s in range(0, len(live_c), step):
-        out[s:s + step] = B[live_c[s:s + step]][:, live_r]
-    return out
+def _check_vector(n: int) -> np.ndarray:
+    """x_i = _CHECK_ROOT^(i + 1) mod _CHECK_PRIME for i < n, the minimal
+    standard generator of Park and Miller, each doubling of the prefix one
+    multiplication.  A nonzero row d with small entries has d x = 0 only
+    if the root is a zero of the polynomial sum d_i t^(i + 1) mod the
+    prime; numpy.random would cost each process 15 ms and 6 MB to
+    import."""
+    x = np.empty(n, dtype=np.int64)
+    x[:1] = _CHECK_ROOT
+    step, power = 1, _CHECK_ROOT  # power = root^step
+    while step < n:
+        x[step:2 * step] = x[:min(step, n - step)] * power % _CHECK_PRIME
+        step *= 2
+        power = power * power % _CHECK_PRIME
+    return x
 
 
-def _dense_unit_pivots(rows, col_len, blocked, bound):
-    """Finish the +-1 pivots of phase 1 on one dense block.
+def _by_pivot(at: np.ndarray, k: int) -> np.ndarray:
+    """The stable order that groups entries by their pivot's index ``at``
+    among ``k``: a radix sort when the indices fit 16 bits."""
+    return np.argsort(at.astype(np.uint16) if k <= 1 << 16 else at,
+                      kind="stable")
 
-    ``rows``, ``col_len`` (the length of every live column) and ``blocked``
-    are the dict loop's state and ``bound`` is the largest |entry|.  The
-    live rows leave ``rows`` for the block, ``col_len`` is emptied, and the
-    rows still nonzero at the end return to ``rows`` for phase 2.  Pivots
-    follow the dict loop's rule: least length, then least index, among the
-    unblocked columns; the unit entry of the shortest row, then the lowest
-    row; ops in ascending target order, a batch only when the column has
-    more than one entry.  So the log, pivots and frozen rows are the ones
-    the dict loop would give.
 
-    Once half the block's rows or columns are spent, or an entry outgrows
-    its dtype, the block is compacted to its live rows and columns and
-    widened if need be, by :func:`_compact`: only the old and the new block
-    are live then, not also a full-size index copy of the old one.
+def _round_pivots(row, col, unit, nrows, ncols):
+    """A round's pivots, (rows, columns) with the columns ascending, among
+    the live entries at (``row``, ``col``), sorted by position, whose
+    +-1 entries are at ``unit``.
 
-    Returns one (row, column, value, pool columns, pool values, targets,
-    multipliers) per pivot, in pivot order: the pivot, its frozen row
-    without the pivot entry as python ints, and its ops
-    ``row[t] -= q * row[pivot row]`` as two arrays.
+    Each column with a +-1 entry has a candidate: the shortest row with a
+    +-1 entry there, then the lowest, keyed by its Markowitz cost (column
+    length - 1)(row length - 1), then by column.  A candidate is accepted
+    when its key is less than that of every other candidate it conflicts
+    with, (r, c) and (r', c') conflicting when A[r, c'] or A[r', c] is
+    nonzero (Luby's rule).  So the least candidate is accepted, and no
+    accepted pivot row holds another accepted pivot's column."""
+    rowlen = np.bincount(row, minlength=nrows)
+    collen = np.bincount(col, minlength=ncols)
+    least = np.full(ncols, _NONE)
+    ur = row[unit]
+    np.minimum.at(least, col[unit], rowlen[ur] * nrows + ur)
+    cc = np.flatnonzero(least != _NONE)
+    cr = least[cc] % nrows
+    ckey = (collen[cc] - 1) * (rowlen[cr] - 1) * ncols + cc
+    # the least key of the candidates in an entry's column and of those in
+    # its row, over the entries that join a candidate row to a candidate
+    # column; each candidate's own pivot entry is one of them
+    colkey = np.full(ncols, _NONE)
+    colkey[cc] = ckey
+    rowkey = np.full(nrows, _NONE)
+    np.minimum.at(rowkey, cr, ckey)
+    join = np.flatnonzero((colkey[col] != _NONE) & (rowkey[row] != _NONE))
+    jr, jc = row[join], col[join]
+    by_row = np.full(nrows, _NONE)
+    np.minimum.at(by_row, jr, colkey[jc])
+    by_col = np.full(ncols, _NONE)
+    np.minimum.at(by_col, jc, rowkey[jr])
+    ok = (by_row[cr] == ckey) & (by_col[cc] == ckey)
+    return cr[ok], cc[ok]
+
+
+def _pivot_rounds(nrows, ncols, indptr, indices, data):
+    """Phase 1: the +-1 pivots, taken in rounds of independent pivots.
+
+    The live entries are two arrays sorted by position: ``key``, row *
+    ncols + column, and ``val``.  Each round
+
+    - takes a set of independent pivots by :func:`_round_pivots`: no pivot
+      row holds another pivot's column, so no pivot row changes during the
+      round;
+    - eliminates the pivot columns at once, A_N -= Q A_S for the pivot rows
+      S and the other rows N: the entries of the pivot columns, joined with
+      the pivot rows, give the fill, which is merged into the live entries
+      by one stable sort and summed.  The pivot rows retire.
+
+    A round runs in int64 when the bound max|val| + k max|q| max|w| stays
+    below 2^62, where a target row holds at most k of the round's pivot
+    columns, q are the multipliers and w the pivot rows' other entries;
+    else on python ints.
+
+    Returns the pivots as (rows, columns, values) lists in pivot order, by
+    round and then by column; the log batches (targets, source,
+    multipliers), one per pivot with targets, in the same order; the
+    number of batches after each round that logged any; the frozen pivot
+    rows as (starts, lengths, columns, values) arrays, pivot entry first
+    and then ascending columns; and the rows left nonzero, as dicts, for
+    phase 2.
     """
-    rid = sorted(r for r, d in rows.items() if d)
-    cid = np.array(sorted(col_len), dtype=np.int64)
-    lens = [len(rows[r]) for r in rid]
-    nnz = sum(lens)
-    dtype = _block_dtype(bound)
-    flat = np.fromiter(chain.from_iterable(rows[r] for r in rid), np.int64,
-                       nnz)
-    vals = chain.from_iterable(rows[r].values() for r in rid)
-    vals = (np.array(list(vals), dtype=object) if dtype == object
-            else np.fromiter(vals, dtype, nnz))
-    at_col = np.searchsorted(cid, flat)
-    is_blocked = np.zeros(len(cid), dtype=bool)
-    is_blocked[np.searchsorted(cid, sorted(blocked))] = True
-    for r in rid:
-        del rows[r]
-    col_len.clear()
-    # B[j, i] is the entry in block row i, column j: each pivot scans one
-    # column, so columns are contiguous
-    B = np.zeros((len(cid), len(rid)), dtype=dtype)
-    B[at_col, np.repeat(np.arange(len(rid)), lens)] = vals
-    collen = np.bincount(at_col, minlength=len(cid))
-    rid = np.array(rid, dtype=np.int64)
-    rowlen = np.array(lens, dtype=np.int64)
-    del flat, vals, at_col
-
-    steps = []
+    key = (np.repeat(np.arange(nrows, dtype=np.int64), np.diff(indptr))
+           * ncols + indices)
+    val = data
+    pivots = ([], [], [])
+    batches: list[tuple] = []
+    round_ends: list[int] = []  # the number of batches after each round
+    # the frozen pivot rows, one (starts, lengths, columns, values) a round
+    pool = [(np.zeros(0, dtype=np.int64),) * 4]
+    pooled = 0
     while True:
-        if bound + bound * bound > _BLOCK_LIMITS[B.dtype]:
-            dtype = _block_dtype(bound)
-        if (dtype != B.dtype or 2 * np.count_nonzero(rowlen) < len(rid)
-                or 2 * np.count_nonzero(collen) < len(cid)):
-            # drop the spent rows and columns, and widen the dtype if the
-            # entry bound asks for it
-            live_r, live_c = np.flatnonzero(rowlen), np.flatnonzero(collen)
-            B = _compact(B, live_c, live_r, dtype)
-            rid, rowlen = rid[live_r], rowlen[live_r]
-            cid, collen, is_blocked = (cid[live_c], collen[live_c],
-                                       is_blocked[live_c])
-        selectable = ~is_blocked & (collen > 0)
-        if not selectable.any():
-            break  # every column left is empty or waits for a unit
-        j = int(np.where(selectable, collen, len(rid) + 1).argmin())
-        col = B[j]
-        nz = np.flatnonzero(col)
-        units = nz[np.abs(col[nz]) == 1]
-        if not len(units):
-            is_blocked[j] = True  # no unit pivot available here for now
-            continue
-        i = int(units[rowlen[units].argmin()])
-        pv = int(col[i])
-        pcols = np.flatnonzero(B[:, i])
-        pcols = pcols[pcols != j]
-        w = B[pcols, i]
-        targets = nz[nz != i]
-        q = col[targets] * pv  # pv is +-1
-        if len(targets) and len(pcols):
-            ix = np.ix_(pcols, targets)
-            sub = B[ix]
-            was_c = np.count_nonzero(sub, axis=1)
-            was_r = np.count_nonzero(sub, axis=0)
-            sub -= np.outer(w, q)
-            B[ix] = sub
-            collen[pcols] += np.count_nonzero(sub, axis=1) - was_c
-            rowlen[targets] += np.count_nonzero(sub, axis=0) - was_r
-            bound = max(bound, kernels.max_abs(sub))
-        # retire the pivot column and row; the row's columns are unblocked
-        col[nz] = 0
-        rowlen[nz] -= 1
-        collen[j] = 0
-        B[pcols, i] = 0
-        collen[pcols] -= 1
-        rowlen[i] = 0
-        is_blocked[pcols] = False
-        steps.append((int(rid[i]), int(cid[j]), pv, cid[pcols].tolist(),
-                      w.tolist(), rid[targets], q))
-    live = np.flatnonzero(rowlen)
-    at, jj = np.nonzero(B[:, live].T)  # by row, then by column
-    cols, vals = cid[jj].tolist(), B[jj, live[at]].tolist()
-    ends = np.cumsum(rowlen[live]).tolist()
-    for r, s, e in zip(rid[live].tolist(), [0] + ends, ends):
-        rows[r] = dict(zip(cols[s:e], vals[s:e]))
-    return steps
+        row = key // ncols
+        col = key - row * ncols
+        size = np.abs(val)
+        unit = np.flatnonzero(size == 1)
+        if not len(unit):
+            break
+        pr, pc = _round_pivots(row, col, unit, nrows, ncols)
+        k = len(pc)
 
+        at_col = np.full(ncols, -1)
+        at_col[pc] = np.arange(k)
+        at_row = np.full(nrows, -1)
+        at_row[pr] = np.arange(k)
+        kc, kr = at_col[col], at_row[row]
+        in_c, in_r = kc >= 0, kr >= 0
+        piv = np.flatnonzero(in_c & in_r)
+        pv = np.zeros(k, dtype=np.int64)
+        pv[kc[piv]] = val[piv]
+        # the pivot rows' other entries, by pivot, and the target entries,
+        # the pivot columns' other entries, by row
+        off = np.flatnonzero(in_r & ~in_c)
+        off = off[_by_pivot(kr[off], k)]
+        plen = np.bincount(kr[off], minlength=k)
+        tgt = np.flatnonzero(in_c & ~in_r)
+        kt, trow = kc[tgt], row[tgt]
+        w = val[off]
+        bound = int(size.max())
+        if len(tgt) and len(off):
+            bound += (int(np.bincount(trow).max()) * int(size[tgt].max())
+                      * int(size[off].max()))
+        wide = bound >= _LIMIT
+        if wide != (val.dtype == object):
+            val, w = (a.astype(object if wide else np.int64) for a in (val, w))
+        q = val[tgt] * pv[kt]  # pv is +-1
 
-def _unit_pivots(rows):
-    """Phase 1: the +-1 pivots, in pivot order, each as one (row, column,
-    value, pool columns, pool values, targets, multipliers), as
-    :func:`_dense_unit_pivots` gives them.
+        # the fill, -q w for each target entry and each entry of its pivot
+        # row, merged with the entries that stay, those in no pivot row or
+        # column, and summed by position.  The stable sort finds them in
+        # runs: the entries that stay, and each target entry's share, by
+        # row and then by column.
+        pstart = np.cumsum(plen) - plen
+        nf = plen[kt]
+        src = _segments(pstart[kt], nf)
+        stay = ~(in_c | in_r)
+        key = np.concatenate([key[stay],
+                              np.repeat(trow * ncols, nf) + col[off][src]])
+        val = np.concatenate([val[stay], np.repeat(-q, nf) * w[src]])
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], val[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key = key[first]
+        val = np.add.reduceat(val, first) if len(val) else val
+        nz = val != 0
+        live = np.count_nonzero(nz)
+        if live > _FILL_CAP:
+            raise SizeCapExceeded(
+                f"phase 1 would hold {live:,} live entries, past the cap of "
+                f"{_FILL_CAP:,}")
+        key, val = key[nz], val[nz]
 
-    ``rows`` maps each row to the dict of its nonzero entries.  A pivot
-    row is left empty, and the rows still nonzero at the end are left for
-    phase 2.  The loop runs on the dicts until the live rows fill in, then
-    hands its state to :func:`_dense_unit_pivots`."""
-    # imported here so that importing the package loads no module for it
-    from heapq import heapify, heappop, heappush
+        prs = pr.tolist()
+        for acc, part in zip(pivots, (prs, pc.tolist(), pv.tolist())):
+            acc += part
+        # one batch per pivot with targets, the targets ascending
+        order = _by_pivot(kt, k)
+        trow, q = trow[order], q[order]
+        tlen = np.bincount(kt, minlength=k)
+        tends = np.cumsum(tlen).tolist()
+        for j in np.flatnonzero(tlen).tolist():
+            s, e = tends[j] - tlen[j], tends[j]
+            batches.append((trow[s:e], prs[j], q[s:e]))
+        if len(tgt):
+            round_ends.append(len(batches))
+        # the frozen pivot rows, each pivot entry first
+        heads = pstart + np.arange(k)
+        rest = np.ones(k + len(off), dtype=bool)
+        rest[heads] = False
+        pcols = np.empty(len(rest), dtype=np.int64)
+        pvals = np.empty(len(rest), dtype=w.dtype)
+        pcols[heads], pcols[rest] = pc, col[off]
+        pvals[heads], pvals[rest] = pv, w
+        pool.append((heads + pooled, plen + 1, pcols, pvals))
+        pooled += len(rest)
 
-    # The column index.  col_len[c] is the number of live rows with an
-    # entry in column c, and col_rows[c] lists every row that had one since
-    # the column was last chosen, so it may hold rows that have since lost
-    # the entry, retired pivot rows and a row more than once: a fill
-    # appends the row, and a cancellation, or the pivot row retiring, only
-    # lowers col_len[c].  The rows of a column are read only when it is
-    # chosen, as the listed rows that still hold an entry there.  The heap
-    # holds (length, column) for every selectable column, so its top is the
-    # next pivot column; an entry of a blocked column (no +-1 entry), or
-    # whose length is no longer col_len[c], is stale and skipped when it
-    # comes up.  A blocked column waits until its content changes.  Only
-    # the columns of the pivot row change during a pivot, and no column is
-    # chosen until it ends, so each of them is re-filed once per pivot, by
-    # its final length, after the pivot row retires.  A column that empties
-    # leaves the index: fill only reaches the columns of a pivot row, so it
-    # never gains an entry again.  nnz counts the live entries, for the
-    # switch to a dense block.
-    col_rows: dict[int, list] = {}
-    for r, d in rows.items():
-        for c in d:
-            col_rows.setdefault(c, []).append(r)
-    col_len = {c: len(rs) for c, rs in col_rows.items()}
-    heap = [(n, c) for c, n in col_len.items()]
-    heapify(heap)
-    blocked: set = set()
-    nnz = sum(col_len.values())
-    # for the switch to a dense block: the itemsize that the entry bound of
-    # the last look at the entries asked for
-    itemsize = 1
-    pivots = 0
-    while heap:
-        length, pc = heap[0]
-        if pc in blocked or col_len.get(pc) != length:
-            heappop(heap)  # stale
-            continue
-        rset = sorted({r for r in col_rows[pc] if pc in rows[r]})
-        # choose the +-1 entry with shortest row, lowest index
-        best = None
-        for r in rset:
-            if rows[r][pc] in (1, -1):
-                key = (len(rows[r]), r)
-                if best is None or key < best[0]:
-                    best = (key, r)
-        if (best is not None
-                and (length - 1) * (best[0][0] - 1) >= _DENSE_MIN_WORK):
-            # rows that are not pivot rows bound the live rows
-            cells = (len(rows) - pivots) * len(col_len)
-            budget = _DICT_ENTRY_BYTES * nnz
-            if nnz >= _DENSE_MIN_ENTRIES and cells * itemsize <= budget:
-                # the block would fit at the last look's width: look at the
-                # entries again, and switch if it fits at theirs
-                bound = max(max(map(abs, d.values()))
-                            for d in rows.values() if d)
-                itemsize = _block_dtype(bound).itemsize
-                if cells * itemsize <= budget:
-                    # finish on a dense block, with the row lists and the
-                    # heap freed first.  Its batches stay arrays: as python
-                    # lists they cost the certify workload 4.8% more CPU
-                    # and 6.5 MB more peak RSS (perfbench, four alternating
-                    # pairs: 1.92 against 1.83 s, 131.3 against 124.8 MB,
-                    # 2-vCPU VM)
-                    del col_rows, heap
-                    yield from _dense_unit_pivots(rows, col_len, blocked,
-                                                  bound)
-                    return
-        heappop(heap)
-        if best is None:
-            # no unit pivot available here for now; keep only the rows that
-            # hold an entry
-            blocked.add(pc)
-            col_rows[pc] = rset
-            continue
-        pr = best[1]
-        prow = rows[pr]
-        pv = prow.pop(pc)
-        pcs = sorted(prow)
-        ws = [prow[c2] for c2 in pcs]
-        # the lengths and the list lengths of the pivot row's columns
-        olds = [col_len[c2] for c2 in pcs]
-        listed = [len(col_rows[c2]) for c2 in pcs]
-        pcols = [(c2, w, col_rows[c2].append) for c2, w in zip(pcs, ws)]
-        targets, qs, lost = [], [], []
-        for r in rset:
-            if r == pr:
-                continue
-            row = rows[r]
-            q = row.pop(pc) * pv  # pv is +-1
-            targets.append(r)
-            qs.append(q)
-            for c2, w, add in pcols:
-                qw = q * w
-                v = row.get(c2)
-                if v is None:
-                    # fill: q and w are both nonzero
-                    row[c2] = -qw
-                    add(r)
-                elif v == qw:
-                    del row[c2]
-                    lost.append(c2)
-                else:
-                    row[c2] = v - qw
-        # retire the pivot column and row, then re-file the pivot row's
-        # columns: each gained its fills and lost its cancellations and the
-        # pivot row's entry
-        nnz -= length
-        del col_rows[pc], col_len[pc]
-        for c2 in lost:
-            col_len[c2] -= 1
-        for c2, old, n in zip(pcs, olds, listed):
-            new = col_len[c2] = col_len[c2] + len(col_rows[c2]) - n - 1
-            nnz += new - old
-            if c2 in blocked:
-                blocked.discard(c2)
-            elif new == old:
-                continue
-            if new:
-                heappush(heap, (new, c2))
-            else:
-                del col_rows[c2], col_len[c2]
-        rows[pr] = {}
-        pivots += 1
-        yield pr, pc, pv, pcs, ws, targets, qs
+    row = key // ncols
+    cuts = np.flatnonzero(np.diff(row, prepend=-1)).tolist()
+    cols, vals = (key - row * ncols).tolist(), val.tolist()
+    rows = {r: dict(zip(cols[s:e], vals[s:e])) for r, s, e in
+            zip(row[cuts].tolist(), cuts, cuts[1:] + [len(cols)])}
+    starts, lens, cols, vals = (np.concatenate(part) for part in zip(*pool))
+    return (pivots, batches, round_ends,
+            (starts, lens, cols, kernels.int_array(vals)), rows)
 
 
 def _euclid_echelon(rows, batches):
@@ -499,18 +416,8 @@ class SparseFactorization:
         self._indptr = indptr
         self._indices = indices
         self._data = data
-        # one row dict per nonempty row, each read off one pass over the
-        # entries; the elimination only reaches them, and what they are
-        # read from is freed before it starts.  The rows share one python
-        # int per column as their keys, not one per entry.
-        cols = np.arange(ncols).astype(object)[indices].tolist()
-        entries = zip(cols, data.tolist())
-        lens = np.diff(indptr)
-        live = np.flatnonzero(lens)
-        rows = {r: dict(islice(entries, n))
-                for r, n in zip(live.tolist(), lens[live].tolist())}
-        del cols, entries, lens, live
-        self._eliminate(rows)
+        self._eliminate()
+        self._check_rows()
 
     @classmethod
     def from_columns(cls, cols, nrows: int, m: int = 0):
@@ -533,33 +440,16 @@ class SparseFactorization:
 
     # -- construction ------------------------------------------------------
 
-    def _eliminate(self, rows):
-        # the row-operation log, one (targets, source, multipliers) per
-        # batch (see kernels.make_log)
-        batches: list[tuple] = []
-        piv_rows: list[int] = []
-        piv_cols: list[int] = []
-        piv_vals: list[int] = []
-        # pivot rows frozen for back-substitution, pivot entry first
-        starts: list[int] = []
-        cols_pool: list[int] = []
-        vals_pool: list[int] = []
-        # phase 1: the +-1 pivots, on the row dicts, then on a dense block
-        for pr, pc, pv, pcs, ws, targets, qs in _unit_pivots(rows):
-            if len(targets):
-                batches.append((targets, pr, qs))
-            piv_rows.append(pr)
-            piv_cols.append(pc)
-            piv_vals.append(pv)
-            starts.append(len(cols_pool))
-            cols_pool.append(pc)
-            cols_pool += pcs
-            vals_pool.append(pv)
-            vals_pool += ws
-        self._pool_starts = np.array(starts, dtype=np.int64)
-        self._pool_lens = np.diff(self._pool_starts, append=len(cols_pool))
-        self._pool_cols = np.array(cols_pool, dtype=np.int64)
-        self._pool_vals = kernels.int_array(vals_pool)
+    def _eliminate(self):
+        # phase 1: the +-1 pivots, in rounds.  The row-operation log holds
+        # one (targets, source, multipliers) per batch (see
+        # kernels.make_log), and the pivot rows are frozen for
+        # back-substitution, pivot entry first.
+        ((piv_rows, piv_cols, piv_vals), batches, self._round_ends, pool,
+         rows) = _pivot_rounds(self.nrows, self.ncols, self._indptr,
+                               self._indices, self._data)
+        (self._pool_starts, self._pool_lens, self._pool_cols,
+         self._pool_vals) = pool
         # phase 2: Euclidean row echelon on the leftover rows
         echelon_rows, res_cols = _euclid_echelon(rows, batches)
 
@@ -581,6 +471,61 @@ class SparseFactorization:
             self.esnf = smith_normal_form(IntMatrix.from_rows(E))
         else:
             self.esnf = None
+
+    def _check_rows(self):
+        """Freivalds' check of the factorization: the log L takes A to the
+        stored rows R, the frozen pivot rows, the echelon rows and zero
+        elsewhere, so L(A x) = R x for every x.  It is checked mod
+        _CHECK_PRIME for the one vector of :func:`_check_vector`.
+
+        The batches of a phase-1 round are independent, so a round replays
+        as one update, on int64 values that are reduced mod the prime only
+        when a bound on them would pass 2^62 (and on python ints when the
+        multipliers alone would take it there).  Phase 2 replays batch by
+        batch.  InternalCheckFailed if the check fails."""
+        p = _CHECK_PRIME
+        x = _check_vector(self.ncols)
+        v = np.asarray(self.matvec(x[:, None], p))[:, 0]
+        aa, qq, batches = self.log
+        ends = self._round_ends
+        head = batches[:ends[-1]] if ends else []
+        src = np.repeat([b[2] for b in head], [b[1] - b[0] for b in head])
+        q = qq[:len(src)]
+        qmax = max((b[3] for b in head), default=0)  # each batch's max |q|
+        if q.dtype == object or qmax >= p:
+            q = kernels.residues(q, p)
+            qmax = kernels.max_abs(q)
+        top, start = p, 0  # |v| < top
+        for end in ends:
+            s, e = batches[start][0], batches[end - 1][1]
+            # a row meets at most this many of the round's batches
+            grow = int(np.bincount(aa[s:e]).max()) * qmax
+            if v.dtype != object and top * (1 + grow) >= _LIMIT:
+                v %= p
+                top = p
+                if top * (1 + grow) >= _LIMIT:
+                    v = v.astype(object)
+            np.subtract.at(v, aa[s:e], q[s:e] * v[src[s:e]])
+            top *= 1 + grow
+            start = end
+        tail = batches[start:]
+        s0 = tail[0][0] if tail else len(aa)
+        v = kernels.apply_oplog_mod(
+            v[:, None] % p, (aa[s0:], qq[s0:],
+                             [(s - s0, e - s0, *rest) for s, e, *rest in tail]),
+            p)[:, 0]
+        want = np.zeros(self.nrows, dtype=np.int64)
+        if self.piv_rows:
+            prod = kernels.residues(self._pool_vals, p) * x[self._pool_cols]
+            want[self.piv_rows] = np.add.reduceat(prod % p,
+                                                  self._pool_starts) % p
+        if self.echelon_rows:
+            want[self.echelon_rows] = [y % p for y in self.esnf.source.mul_vec(
+                x[self.res_cols].tolist())]
+        if (v != want).any():
+            raise InternalCheckFailed(
+                "sparse factorization: the replayed log does not take the "
+                "matrix to its stored rows")
 
     # -- queries -----------------------------------------------------------
     # Every query takes the modulus m: 0 answers over Z, m >= 2 over Z/m.

@@ -85,10 +85,14 @@ class FGModule:
     def from_json_file(cls, path, group: FiniteGroup) -> "FGModule":
         """Module input file: {"base": "Z" or "Fp", "p": prime (Fp only),
         "generators": g, "relations": [[int] * g, ...], "action":
-        {"element index": g x g integer matrix, ...}}.  A field of the
-        wrong shape raises InvalidModule naming the file and the field."""
+        {"element index": g x g integer matrix, ...}}.  A file that is not
+        JSON, or a field of the wrong shape, raises InvalidModule naming the
+        file (and the field)."""
         with open(path) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InvalidModule(f"{path}: not JSON: {exc}") from None
         if not isinstance(data, dict):
             raise InvalidModule(f"{path}: a module file holds a JSON object")
 

@@ -114,10 +114,13 @@ def int_rows(value) -> bool:
 
 def load_group_json(path) -> FiniteGroup:
     """Group input file: {"name": str, "generators": [[int, ...], ...]}.
-    A field of the wrong shape raises ValueError naming the file and the
-    field."""
+    A file that is not JSON, or a field of the wrong shape, raises
+    ValueError naming the file (and the field)."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a group file holds a JSON object")
     if not int_rows(data.get("generators")):

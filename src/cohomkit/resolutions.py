@@ -13,8 +13,11 @@ D_n is factored *cleared* (Chen & Kerber, "Persistent homology
 computation with a twist", 2011; Bauer, "Ripser", 2021): without the
 columns P that phase 1 of D_{n-1} chose as its +-1 pivot rows.  Phase-1
 sources are always pivot rows, so D_{n-1} on the rows P and its pivot
-columns is a unit lower-triangular matrix times the frozen +-1-triangular
-block, a unimodular matrix.  So each j in P has an integral b_j in
+columns is a unit lower-triangular matrix times the frozen block of pivot
+rows, and that block is +-1-triangular: phase 1 takes its pivots in
+rounds, and a pivot row holds no pivot column of an earlier round and no
+other one of its own, so ordered by round the block is triangular with
+the +-1 pivots on its diagonal.  The product is a unimodular matrix.  So each j in P has an integral b_j in
 im D_{n-1} with (b_j)_P = e_j, and since D_n D_{n-1} = 0, D_n e_j =
 D_n (e_j - b_j), a combination of the columns outside P.  The image of
 D_n over Z, and mod every m, is therefore that of its columns outside P:
@@ -30,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import GROUP_CACHE_SIZE, size_cap
-from .errors import SizeCapExceeded
+from .errors import InternalCheckFailed, SizeCapExceeded
 from .exact.sparse import SparseFactorization, coo_to_csr
 from .groups import FiniteGroup
 from . import kernels
@@ -119,10 +122,35 @@ class BarCochains:
         caller may ask for it (``tests/test_hygiene.py``)."""
         if n not in self._facts:
             self.check_cap(n)  # before the lower degrees are factored
-            cleared = self.fact(n - 1).piv_rows if n >= 2 else ()
-            self._facts[n] = SparseFactorization(
-                self.rank(n), self.rank(n - 1), self.csr(n, cleared))
+            below = self.fact(n - 1) if n >= 2 else None
+            f = SparseFactorization(
+                self.rank(n), self.rank(n - 1),
+                self.csr(n, below.piv_rows if below else ()))
+            self._check_fact(n, f, below)
+            self._facts[n] = f
         return self._facts[n]
+
+    def _check_fact(self, n: int, f: SparseFactorization, below):
+        """Two checks of the factorization ``f`` of D_n that theory gives
+        for free, where ``below`` is that of D_{n-1} (None for n = 1).
+        H^{n-1}(G; Q) = 0, so rank D_{n-1} + rank D_n = (|G| - 1)^{n-1} for
+        n >= 2, and clearing keeps the rank; and |G| kills H^n(G; Z), the
+        torsion of coker D_n (Brown, Cohomology of Groups, III.10.2), so
+        every invariant factor above 1 divides |G|.  InternalCheckFailed if
+        either fails."""
+        def rank(g):
+            return len(g.piv_rows) + len(g.echelon_rows)
+
+        if below is not None and rank(below) + rank(f) != self.rank(n - 1):
+            raise InternalCheckFailed(
+                f"bar complex: rank D_{n - 1} + rank D_{n} = "
+                f"{rank(below) + rank(f)}, not {self.rank(n - 1)}")
+        bad = [d for d in f.coker_invariants() if d > 1
+               and self.group.order % d]
+        if bad:
+            raise InternalCheckFailed(
+                f"bar complex: invariant factors {bad} of coker D_{n} do "
+                f"not divide |G| = {self.group.order}")
 
     def matvec(self, n: int, vec):
         """D_n applied to a degree-(n-1) cochain vector, or to the columns

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from cohomkit import cli
+from cohomkit import cli, kernels
 from cohomkit.abelian import PRIME_BOUND
 from cohomkit.cli import main
 from cohomkit.errors import (InternalCheckFailed, NoIsomorphismFound,
                              NoPreimageFound)
+from cohomkit.exact import sparse
 from cohomkit.exact.sparse import SparseFactorization
 
 
@@ -284,13 +285,13 @@ class TestGoldenReports:
         (["fibre", "--group", "c6", "--module", "fp.json"],
          "23e047b7d8934b3e0503ed17e87f9173f9b9f42790ef56f6016f9e15b0c169b3"),
         (["kappa", "--group", "klein4", "--p", "2", "--max-deg", "6"],
-         "7a1cd5d6a6667195d9911a694101c8d0805a577625256381dfa109622043f0c0"),
+         "2ba873de8c0b3dc9a7ac4f80c8ee1d19cbffe01805611d5520982f97ad81d214"),
         # a composite modulus: theta and Tor generators at two primes
         (["ring", "--group", "s3", "--coeff", "6", "--max-deg", "4",
           "--basis"],
-         "e7f524e69d4c2a2835e6c75614dbc9b3b11849822abbac0b9b114ebb5522f406"),
+         "3b176b2a1586aacd97f5ffe7f250192b670d55b195e4ae0d6b8f363ecc961fc6"),
         (["ring", "--group", "klein4", "--coeff", "4", "--max-deg", "4"],
-         "9c893bb9016edaafb7dd1b51f8667ac8a0138231a118f64c5073378d2c69fca8"),
+         "7fbc3336c527b8734a5d2d716af9fccbd0fb61a7d900383e34c2c32408501bda"),
     ], ids=["fiso-c4", "fiso-s3", "bockstein-s3", "prop4.3", "lemma2.7",
             "fibre-fp", "kappa-klein4", "ring-s3-mod6", "ring-klein4-mod4"])
     def test_report_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
@@ -302,6 +303,31 @@ class TestGoldenReports:
 
 
 class TestErrorPaths:
+    def test_fill_cap(self, capsys, monkeypatch):
+        """A round of phase 1 whose live entries would pass the fill cap is
+        refused as too large (exit 2), naming the cap."""
+        monkeypatch.setattr(sparse, "_FILL_CAP", 100)
+        code, out, err = run(capsys, "--json", "cohomology", "--group", "s3",
+                             "--coeff", "Z", "--deg", "4")
+        assert code == 2
+        assert not out and "past the cap of 100" in err
+
+    def test_failed_self_check_exits_3(self, capsys, monkeypatch):
+        """A factorization whose log is corrupted fails its own check: exit
+        3, the code of an internal error, not a verdict."""
+        make_log = kernels.make_log
+
+        def corrupt(batches):
+            aa, qq, rest = make_log(batches)
+            qq[:1] += 1
+            return aa, qq, rest
+
+        monkeypatch.setattr(kernels, "make_log", corrupt)
+        code, out, err = run(capsys, "--json", "cohomology", "--group", "s3",
+                             "--coeff", "Z", "--deg", "3")
+        assert code == 3
+        assert not out and "stored rows" in err
+
     def test_unknown_group(self, capsys):
         code, _, err = run(capsys, "cohomology", "--group", "m11",
                            "--coeff", "Z", "--deg", "2")
@@ -376,19 +402,24 @@ class TestErrorPaths:
           "action": {"1": [[1]]}}, '"relations" must be'),
         ({"base": "Fp", "p": [2], "generators": 1, "action": {"1": [[1]]}},
          '"p" must be'),
+        ("{not json", "not JSON"),
     ])
     def test_fibre_rejects_malformed_module_file(self, capsys, tmp_path,
                                                  module, field):
         """A module file that is not an object, or whose fields have the
         wrong JSON shape, is a usage error naming the field; a list died on
         a TypeError (exit 1), and a base other than "Z" or "Fp" was taken
-        until a command refused it."""
+        until a command refused it.  A file that is not JSON at all names
+        the file.  A string is the file's text as it stands."""
         mod = tmp_path / "bad.json"
-        mod.write_text(json.dumps(module))
+        mod.write_text(module if isinstance(module, str)
+                       else json.dumps(module))
         code, out, err = run(capsys, "--json", "fibre", "--group", "c2",
                              "--module", str(mod))
         assert code == 2
         assert not out and field in err and "Traceback" not in err
+        if isinstance(module, str):
+            assert str(mod) in err
 
     @pytest.mark.parametrize("group, field", [
         ([[1, 0]], "a group file holds a JSON object"),
@@ -396,13 +427,16 @@ class TestErrorPaths:
         ({"generators": [[1, 0], 5]}, '"generators" must be'),
         ({"name": "c2"}, '"generators" must be'),
         ({"name": 2, "generators": [[1, 0]]}, '"name" must be'),
+        ("{not json", "not JSON"),
     ])
     def test_rejects_malformed_group_file(self, capsys, tmp_path, group,
                                           field):
         """A group file that is a list, or whose generators are not lists of
-        integers, died on a TypeError (exit 1, the verdict-fail code)."""
+        integers, died on a TypeError (exit 1, the verdict-fail code).  A
+        string is the file's text as it stands: one that is not JSON died
+        on a JSONDecodeError that did not name the file."""
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(group))
+        path.write_text(group if isinstance(group, str) else json.dumps(group))
         code, out, err = run(capsys, "--json", "cohomology", "--group",
                              str(path), "--coeff", "Z", "--deg", "1")
         assert code == 2

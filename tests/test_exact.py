@@ -16,7 +16,7 @@ from cohomkit.exact import sparse
 from cohomkit.exact.sparse import (SparseFactorization, coo_to_csr,
                                   symmetric_residue)
 from cohomkit.fibrewise import augmentation_ideal
-from cohomkit.groups import FiniteGroup, quaternion_8, symmetric_3
+from cohomkit.groups import FiniteGroup, cyclic, quaternion_8, symmetric_3
 from cohomkit.resolutions import BarCochains, bar_cochains
 from helpers import field_free_resolution, full_fact, reduce_mod
 from oracles import (cokernel_invariants, det, echelon_modp, identity,
@@ -564,9 +564,12 @@ class TestSparseFactorization:
             assert f.solve([d * v for v in w]) is not None
             assert f.solve(w) is None
 
+    # the ids are the names these pins have had since they were first taken
     @pytest.mark.parametrize("name, digest", [
-        ("s3", "7d002f06424e1e44b06975b9ed3e8f7019be6700d16310c0e0ab0e4c046c8a3b"),
-        ("c6", "2a5f6a7229323ef4d6e0ef86938b0f73812f45045021917556dd59ead0d938b4"),
+        pytest.param("s3", "1c34e4abcf6e91b77392d476795f59aa15811239ef16f79a36c19744b5453012",
+                     id="s3-7d002f06424e1e44b06975b9ed3e8f7019be6700d16310c0e0ab0e4c046c8a3b"),
+        pytest.param("c6", "f818970006a2eb409948592096735e46ddae7603446f654546cafc59060e6255",
+                     id="c6-2a5f6a7229323ef4d6e0ef86938b0f73812f45045021917556dd59ead0d938b4"),
     ])
     def test_torsion_reps_pinned(self, groups, name, digest):
         """Torsion representatives of D_4 over Z, whose echelon block has
@@ -581,20 +584,34 @@ class TestSparseFactorization:
             assert f.solve([d * v for v in w]) is not None
             assert f.solve(w) is None
 
+    # the ids are the names these pins have had since they were first taken
     @pytest.mark.parametrize("name, n, digest", [
-        ("s3", 3, "71c51c3d08fe45e217dc1bd0296b4d4ce3634e2d5bee61392c148b6dfe8ebd21"),
-        ("s3", 4, "03df035dab8ee978619a4aaa26c3abf4d05b4316c889a13831bc3794dc69e815"),
-        ("s3", 5, "a454ab055b9f2d288fd0b5305f8ef95eb95d51e8661764f54bb9ac2a3fd154ae"),
-        ("q8", 3, "81e2d0bcc9b053c7107eb3570e8f005748c3cc18c51bdf3ec1c4ad53d5c603fe"),
-        ("q8", 4, "f341ed0f2a85170da6bd737e94f653c69120b53bbe9feed0a5b739b79e1c251b"),
-        ("q8", 5, "1c2e94d6459438564f1a70f40f7c56be9c3be827c2ff957a885ffae69199b14b"),
-        ("klein4", 3, "0a54892b900b3a82769977981692f0da290e701ed597c6a7a622b51ce159a803"),
-        ("klein4", 4, "36f6ea809dc5f1081b397c951f6f1354468f65ca630be768550fa45f86cc1bda"),
-        ("klein4", 5, "58cf6fefed3f49bd1b5d97f90c65156ca535f0b0235133ca47823148e4c78ad2"),
-        ("c6", 3, "30cb08b4bb078d9e2327f4ce11441a059c11866e32d0771632f6c3c547141201"),
-        ("c6", 4, "f51a0825f2e149ef2a0788c918db067c108df97ac1c4c7d620042a104bd9895e"),
-        ("c6", 5, "d46343d808140bfaec3fc717d1b4f7a91137f7913502a06e4a5b868fe34ae7f8"),
-        ("s3", 6, "e50ee323274bc4115c3b7096486c0d04459ee3552e8ff6ca872efefe8cb632ef"),
+        pytest.param("s3", 3, "410c451dccf3d807914b43513696ec2a2f4ea6c493f5f2a06da1c9d8925533d9",
+                     id="s3-3-71c51c3d08fe45e217dc1bd0296b4d4ce3634e2d5bee61392c148b6dfe8ebd21"),
+        pytest.param("s3", 4, "af52b113b8681a67c34f254bf8ebd1ac45cd1baaf74447441cc3e1d78b461aea",
+                     id="s3-4-03df035dab8ee978619a4aaa26c3abf4d05b4316c889a13831bc3794dc69e815"),
+        pytest.param("s3", 5, "317ce75093cb01be5f3c573bdcee4b7af7e86c1f6a54bf77874ffa09e75273ec",
+                     id="s3-5-a454ab055b9f2d288fd0b5305f8ef95eb95d51e8661764f54bb9ac2a3fd154ae"),
+        pytest.param("q8", 3, "74baceb2ff66f4aa87a94cc63c608b4b8eccd169f614a589506d08d39c0649df",
+                     id="q8-3-81e2d0bcc9b053c7107eb3570e8f005748c3cc18c51bdf3ec1c4ad53d5c603fe"),
+        pytest.param("q8", 4, "2b1e4239f0be93bf648d9b1c0c87af0fff6a13c1dad29c6cdc0481c5143e31fe",
+                     id="q8-4-f341ed0f2a85170da6bd737e94f653c69120b53bbe9feed0a5b739b79e1c251b"),
+        pytest.param("q8", 5, "39e2689b1175aebe9c76b008da1b3e26469c7338f615d2e1574450bb2171dc0b",
+                     id="q8-5-1c2e94d6459438564f1a70f40f7c56be9c3be827c2ff957a885ffae69199b14b"),
+        pytest.param("klein4", 3, "0ff67f19ee11b1fd1dbd1115edcb005443c26bfa6f2c812e5411e160f9e0a8c6",
+                     id="klein4-3-0a54892b900b3a82769977981692f0da290e701ed597c6a7a622b51ce159a803"),
+        pytest.param("klein4", 4, "c9b57f34eb2a219d7a587fdf553b5237838f3b799daf6f3b12bfefc119ef98f0",
+                     id="klein4-4-36f6ea809dc5f1081b397c951f6f1354468f65ca630be768550fa45f86cc1bda"),
+        pytest.param("klein4", 5, "e7022d452aa7fbc726df2b0e2d7dc2befdc69aa78c2c14dbc04f0086948ed6d8",
+                     id="klein4-5-58cf6fefed3f49bd1b5d97f90c65156ca535f0b0235133ca47823148e4c78ad2"),
+        pytest.param("c6", 3, "226ae01f4ff4be9a2a6a357af8e804ffa1731c54064844035502e183da6605ae",
+                     id="c6-3-30cb08b4bb078d9e2327f4ce11441a059c11866e32d0771632f6c3c547141201"),
+        pytest.param("c6", 4, "3384978374996be6132a53c30ca2646be76e3bc6fb191676b207752e41aac252",
+                     id="c6-4-f51a0825f2e149ef2a0788c918db067c108df97ac1c4c7d620042a104bd9895e"),
+        pytest.param("c6", 5, "304d13a796a1c95f803265265a293aa7dd5d4d3d13632e29108cc58b6f500e2b",
+                     id="c6-5-d46343d808140bfaec3fc717d1b4f7a91137f7913502a06e4a5b868fe34ae7f8"),
+        pytest.param("s3", 6, "34c766738d0743a06cd6e18493418b537966e833212e78a3044213d7e76a954a",
+                     id="s3-6-e50ee323274bc4115c3b7096486c0d04459ee3552e8ff6ca872efefe8cb632ef"),
     ])
     def test_factorization_pinned(self, groups, name, n, digest):
         """The whole factorization of bar D_n, pinned by digest.  Bookkeeping
@@ -603,14 +620,22 @@ class TestSparseFactorization:
         f = full_fact(groups[name], n)
         assert factorization_digest(f) == digest
 
+    # the ids are the names these pins have had since they were first taken
     @pytest.mark.parametrize("name, n, digest", [
-        ("s3", 3, "feb6630fc31706e1a2cd8b96a739dd13f1b28b32c47d2450d8f9e601fcfc13dd"),
-        ("s3", 4, "888940ff04f7b9ec889562bebbe37ac4a80a04bd765c463f1eab676d3f7288b4"),
-        ("s3", 5, "48851a859ccd6056bb0e4fc2f8ecc7d0a3149e8b81a917bf832c25b1bf425c7d"),
-        ("s3", 6, "bea2090f89d835a66ca24af403b5c214d1e1c0660bfd3a9e85f2b61fe8d9b145"),
-        ("q8", 3, "edf2cfefde24b6fd25343ee99780a806d0e2641020c81c4b5560a9b476154db9"),
-        ("q8", 4, "35bef07d262a8856b94d9b68d0979a15a61ca96a605a2b732ff9f19975e78b2e"),
-        ("q8", 5, "f785194b943fdf36f4818200872e6f7c0eacaf1256c00c7aa9ff4bdd958faefe"),
+        pytest.param("s3", 3, "3e48f0902d2aa50282b3476be367ae5715497b01957ff1fe7b7c9e4c39c3c1ad",
+                     id="s3-3-feb6630fc31706e1a2cd8b96a739dd13f1b28b32c47d2450d8f9e601fcfc13dd"),
+        pytest.param("s3", 4, "7da07f24c12a658d5df992755f954cc11ee2967b1768b6ecb3dd0effa6fb17e4",
+                     id="s3-4-888940ff04f7b9ec889562bebbe37ac4a80a04bd765c463f1eab676d3f7288b4"),
+        pytest.param("s3", 5, "90d243f6f9f712885aa5107b4608821b6e3f401842dcfc80c3e5f0f10dc83870",
+                     id="s3-5-48851a859ccd6056bb0e4fc2f8ecc7d0a3149e8b81a917bf832c25b1bf425c7d"),
+        pytest.param("s3", 6, "9bad2a2406603b3db1fb49c9fbf7d0180d5da1f2b5ac3741ab1d9646c53481e1",
+                     id="s3-6-bea2090f89d835a66ca24af403b5c214d1e1c0660bfd3a9e85f2b61fe8d9b145"),
+        pytest.param("q8", 3, "ab37f33d71827b5216aa70556989f348aa0ae5dbbd869cbee756ea0c326a50c5",
+                     id="q8-3-edf2cfefde24b6fd25343ee99780a806d0e2641020c81c4b5560a9b476154db9"),
+        pytest.param("q8", 4, "418b5b929bff63c7818d44b736695ba0cb81c2a6e28b1ed672678a9d7db9d095",
+                     id="q8-4-35bef07d262a8856b94d9b68d0979a15a61ca96a605a2b732ff9f19975e78b2e"),
+        pytest.param("q8", 5, "6b2c79f5916428f7c587931250c4bc2538dd9e6e296190791393e62d41da937e",
+                     id="q8-5-f785194b943fdf36f4818200872e6f7c0eacaf1256c00c7aa9ff4bdd958faefe"),
     ])
     def test_cleared_tower_pinned(self, groups, name, n, digest):
         """The factorizations that BarCochains keeps, of D_n without the
@@ -618,47 +643,65 @@ class TestSparseFactorization:
         f = bar_cochains(groups[name]).fact(n)
         assert factorization_digest(f) == digest
 
+    # the ids are the names these pins have had since they were first taken
     @pytest.mark.parametrize("dense, pivots, digest", [
-        # column 0 has no +-1 entry and is blocked; the pivot on column 1
-        # turns its 3 into a 1, and it is chosen next
-        ([[2, 1], [3, 1]], [(0, 1, 1), (1, 0, 1)],
-         "518fac45e5b398a287eb9671c5849fda2865825ff367bd62ea46a9546a64af77"),
+        # column 0 has no +-1 entry in the first round; the pivot on column 1
+        # turns its 3 into a 1, and the second round takes it
+        pytest.param(
+            [[2, 1], [3, 1]], [(0, 1, 1), (1, 0, 1)],
+            "518fac45e5b398a287eb9671c5849fda2865825ff367bd62ea46a9546a64af77",
+            id="dense0-pivots0-518fac45e5b398a287eb9671c5849fda2865825ff367bd62ea46a9546a64af77"),
         # the pivot on column 0 cancels row 1 in column 1, and retiring
-        # row 0 empties column 1, which is never filed again
-        ([[1, 1, 0], [1, 1, 1], [0, 0, 2], [0, 0, 3]],
-         [(0, 0, 1), (1, 2, 1)],
-         "e874b38534f9f3444a376f00ac30efc40d80eeab2038426c7cbc4c6ee9e3873f"),
-        # within the pivot on column 0, row 1 gains a fill entry in column
-        # 1 and row 2 then loses its entry there
-        ([[1, 1, 0, 0], [1, 0, 1, 1], [1, 1, 0, 1], [0, 2, 2, 2],
-          [0, 0, 2, 2]], [(0, 0, 1), (1, 1, -1), (2, 3, 1)],
-         "e848e6e8f89d69431344ff7285c31e72662e9b7bf6abf205b69da59047bea4e5"),
+        # row 0 empties column 1, so no later round has a candidate there
+        pytest.param(
+            [[1, 1, 0], [1, 1, 1], [0, 0, 2], [0, 0, 3]],
+            [(0, 0, 1), (1, 2, 1)],
+            "e874b38534f9f3444a376f00ac30efc40d80eeab2038426c7cbc4c6ee9e3873f",
+            id="dense1-pivots1-e874b38534f9f3444a376f00ac30efc40d80eeab2038426c7cbc4c6ee9e3873f"),
+        # in the first round row 1 gains a fill entry in column 1 and row 2
+        # loses its entry there; the second takes the cheapest candidate,
+        # row 2's lone entry in column 3, and row 1's unit in column 1
+        # conflicts with it (row 1 holds column 3), so it waits a round
+        pytest.param(
+            [[1, 1, 0, 0], [1, 0, 1, 1], [1, 1, 0, 1], [0, 2, 2, 2],
+             [0, 0, 2, 2]], [(0, 0, 1), (2, 3, 1), (1, 1, -1)],
+            "8a4a0b225ed9d3f5a36a9dc3df47acf01e01f02ec683c12c68d481cfc9202016",
+            id="dense2-pivots2-e848e6e8f89d69431344ff7285c31e72662e9b7bf6abf205b69da59047bea4e5"),
         # column 1 has length 1, so its pivot logs no batch; retiring its
-        # row unblocks column 0 and empties it
-        ([[2, -1, 0], [0, 0, 2]], [(0, 1, -1)],
-         "347122d741c4233f69f76e6442e7da0cb6b13be182eebe222d60d6d9174a4c35"),
-        # row 3 gains a fill entry in column 3 from pivot row 0, loses it
-        # to pivot row 1 and gains it again from pivot row 2, so column
-        # 3's row list holds row 3 twice; column 3 has no unit and waits
-        ([[1, 0, 0, 2, 0], [0, 1, 0, 2, 0], [0, 0, 1, 2, 0],
-          [1, -1, 1, 0, 1], [0, 0, 0, 2, 0], [0, 0, 0, 2, 0],
-          [0, 0, 0, 0, 1]], [(0, 0, 1), (1, 1, 1), (2, 2, 1), (6, 4, 1)],
-         "f873f3f3b7f3dee6b02748440f1a4c2d623bbdfff4227d28bb355b0e23efdc10"),
-        # column 0 is blocked; the pivot on column 1 gives row 2 a fill
-        # entry there and cancels row 1's, and column 0, unblocked, still
-        # lists the retired row 0 and row 1 when it is blocked again
-        ([[2, 1, 0], [2, 1, 1], [0, 1, 1], [0, 0, 1]],
-         [(0, 1, 1), (1, 2, 1)],
-         "5dcc650eeca0a035a7c175d907aa4d88aa412be95b863d78b2fc816c2169afdc"),
-        # column 1 still lists the retired pivot rows 0 and 1 when it is
-        # chosen and pivots on row 2
-        ([[1, 1, 0], [0, 1, 1], [0, 1, 0], [0, 2, 0]],
-         [(0, 0, 1), (1, 2, 1), (2, 1, 1)],
-         "348d493a6aece101eae26336ede89e34f141393f9d97bd84cd2aa10ed9eb981b"),
+        # row empties column 0
+        pytest.param(
+            [[2, -1, 0], [0, 0, 2]], [(0, 1, -1)],
+            "347122d741c4233f69f76e6442e7da0cb6b13be182eebe222d60d6d9174a4c35",
+            id="dense3-pivots3-347122d741c4233f69f76e6442e7da0cb6b13be182eebe222d60d6d9174a4c35"),
+        # one round takes all four pivots, and row 3 meets them all: its
+        # fill in column 3, -2 + 2 - 2, sums three of them, and column 3,
+        # with no unit left, goes to phase 2
+        pytest.param(
+            [[1, 0, 0, 2, 0], [0, 1, 0, 2, 0], [0, 0, 1, 2, 0],
+             [1, -1, 1, 0, 1], [0, 0, 0, 2, 0], [0, 0, 0, 2, 0],
+             [0, 0, 0, 0, 1]], [(0, 0, 1), (1, 1, 1), (2, 2, 1), (6, 4, 1)],
+            "f873f3f3b7f3dee6b02748440f1a4c2d623bbdfff4227d28bb355b0e23efdc10",
+            id="dense4-pivots4-f873f3f3b7f3dee6b02748440f1a4c2d623bbdfff4227d28bb355b0e23efdc10"),
+        # column 0 has no unit; one round takes the pivots on columns 1 and
+        # 2, row 1 meets both and cancels to zero, and row 2 gains the fill
+        # -2 in column 0, which phase 2 takes
+        pytest.param(
+            [[2, 1, 0], [2, 1, 1], [0, 1, 1], [0, 0, 1]],
+            [(0, 1, 1), (3, 2, 1)],
+            "4839b13945c82b0eeb66b51690405f83591d8720e1136779e3427b2ce2ce862e",
+            id="dense5-pivots5-5dcc650eeca0a035a7c175d907aa4d88aa412be95b863d78b2fc816c2169afdc"),
+        # the candidates (2, 1) and (1, 2) conflict, and (2, 1) loses to
+        # (0, 0): a candidate is compared with every candidate it conflicts
+        # with, accepted or not, so the first round takes (0, 0) alone
+        pytest.param(
+            [[1, 1, 0], [0, 1, 1], [0, 1, 0], [0, 2, 0]],
+            [(0, 0, 1), (2, 1, 1), (1, 2, 1)],
+            "6968c88aaa514c5d8da200d2cad26903d009215d9a0cf9f845ae5cf24434d83c",
+            id="dense6-pivots6-348d493a6aece101eae26336ede89e34f141393f9d97bd84cd2aa10ed9eb981b"),
     ])
     def test_unit_pivot_edge_cases_pinned(self, dense, pivots, digest):
         """Small matrices that reach the corner cases of the +-1-pivot
-        phase, pinned by pivot order and digest."""
+        rounds, pinned by pivot order and digest."""
         f = factor_dense(dense)
         assert list(zip(f.piv_rows, f.piv_cols, f.piv_vals)) == pivots
         assert factorization_digest(f) == digest
@@ -762,101 +805,100 @@ class TestSparseFactorization:
         assert f._data is data
 
 
-def dense_tail_matrices():
-    """200 seeded matrices around the switch of the +-1 phase from dict rows
-    to a dense block, as (nrows, columns), in four kinds by seed mod 4: too
-    small to switch; dense from the first pivot, with a column that ends
-    as a pivot with no ops on the block; short sparse columns ahead
-    of dense long ones, so the switch comes mid-way; and the same with a
-    column of no unit, blocked when it comes first, whose rows no dict
-    pivot touches, so it is still blocked at the switch (and unblocked
-    after it).  The dense part is X Y for random +-1 matrices X (one or two
-    entries a row) and Y of small rank, so that phase 2 stays small, and
-    large enough for the switch.  Where seed // 4 mod 6 is 1 to 5,
-    three entries of one long column have magnitude 100, 10^4, 10^6,
-    2^31 + 5 or 2^63 + 7: the block then starts in int16, int32, int64,
-    int64 (to turn object as the entries grow) or object."""
-    out = []
-    for seed in range(200):
-        rng = random.Random(seed)
-        kind, big = seed % 4, [0, 100, 10**4, 10**6, 2**31 + 5,
-                               2**63 + 7][seed // 4 % 6]
-        if kind == 0:
-            nr, nc = rng.randint(3, 40), rng.randint(1, 8)
-            out.append((nr, [[rng.choice([-2, -1, 1, 1, 2, 3])
-                              if rng.random() < 0.5 else 0
-                              for _ in range(nr)] for _ in range(nc)]))
-            continue
-        nr, nc, rank = (rng.randint(520, 600), rng.randint(38, 44),
-                        rng.randint(8, 16))
-        Y = np.array([[rng.choice([-1, 1, 1]) for _ in range(nc)]
-                      for _ in range(rank)], dtype=np.int64)
-        X = np.zeros((nr, rank), dtype=np.int64)
-        for r in range(nr):
-            for i in rng.sample(range(rank), 1 if rng.random() < 0.7 else 2):
-                X[r, i] = rng.choice([-1, 1])
-        cols = (X @ Y).T.tolist()
-        if big:
-            for r in rng.sample(range(nr), 3):
-                cols[0][r] = rng.choice([-1, 1]) * big
-        if kind == 1:
-            # a copy of column 1 plus a unit where it is zero: once column
-            # 1 is eliminated, the copy is that unit alone, a pivot with
-            # no ops
-            b = rng.choice([r for r in range(nr) if not cols[1][r]] or [0])
-            cols.append(cols[1][:b] + [cols[1][b] + 1] + cols[1][b + 1:])
-        if kind >= 2:
-            # short columns on rows [split, nr)
-            split = 2 if kind == 3 else 0
-            for _ in range(rng.randint(2, 6)):
-                col = [0] * nr
-                for r in rng.sample(range(split, nr), rng.randint(2, 4)):
-                    col[r] = rng.choice([-1, 1, 2])
-                col[rng.choice([r for r in range(nr) if col[r]])] = 1
-                cols.append(col)
-            if kind == 3:
-                # (2, 3) on rows 0 and 1 is blocked until row 0 retires;
-                # the shortest long column, whose only unit is on row 0,
-                # is eliminated first, and turns the 3 into a unit
-                first = [2 * rng.choice([-1, 1]) if rng.random() < 0.6
-                         else 0 for _ in range(nr)]
-                first[0], first[1] = 1, 2
-                cols += [first, [2, 3] + [0] * (nr - 2)]
-            rng.shuffle(cols)
-        out.append((nr, cols))
-    return out
+def round_spy(monkeypatch):
+    """Spy on phase 1: per round, the live entries as a set of (row,
+    column) and the round's pivots as (rows, columns)."""
+    rounds = []
+    pick = sparse._round_pivots
+
+    def spy(row, col, unit, nrows, ncols):
+        pr, pc = pick(row, col, unit, nrows, ncols)
+        rounds.append((set(zip(row.tolist(), col.tolist())), pr.tolist(),
+                       pc.tolist()))
+        return pr, pc
+
+    monkeypatch.setattr(sparse, "_round_pivots", spy)
+    return rounds
 
 
-class TestDenseTail:
-    """Phase 1 finishes on a dense numpy block once the live block fills in;
-    the pivots, log and frozen rows must be the ones the dict loop gives.
-    Every digest here was taken with the dict loop alone."""
+def random_sparse(seed):
+    """A seeded sparse matrix, as a dense list of rows, of 10-40 rows and
+    6-30 columns: mostly +-1 entries, so that rounds take several pivots,
+    and some entries of 2, 3 or -5 that phase 2 meets."""
+    rng = random.Random(seed)
+    nr, nc = rng.randint(10, 40), rng.randint(6, 30)
+    density = rng.choice([0.08, 0.15, 0.3])
+    return [[rng.choice([1, -1, 1, -1, 2, 3, -5]) if rng.random() < density
+             else 0 for _ in range(nc)] for _ in range(nr)]
 
-    @pytest.fixture
-    def switches(self, monkeypatch):
-        """Spy on the switch to a dense block: per switch, the number of
-        blocked columns handed over and of pivots taken on the block."""
-        seen = []
-        dense_unit_pivots = sparse._dense_unit_pivots
 
-        def spy(rows, col_rows, blocked, bound):
-            held = len(blocked)
-            steps = dense_unit_pivots(rows, col_rows, blocked, bound)
-            seen.append((held, len(steps)))
-            return steps
+class TestRounds:
+    """Phase 1 takes its +-1 pivots in rounds of independent pivots."""
 
-        monkeypatch.setattr(sparse, "_dense_unit_pivots", spy)
-        return seen
+    def test_round_pivots_are_independent(self, groups, monkeypatch):
+        """In every round no pivot row holds another pivot's column, on a
+        bar differential and on random matrices; and rounds take many
+        pivots at once."""
+        rounds = round_spy(monkeypatch)
+        full_fact(groups["s3"], 5)
+        for seed in range(20):
+            factor_dense(random_sparse(seed))
+        for entries, pr, pc in rounds:
+            assert len(set(pr)) == len(set(pc)) == len(pr) > 0
+            for r, c in zip(pr, pc):
+                assert (r, c) in entries
+                assert not any((r, c2) in entries for c2 in pc if c2 != c)
+        assert max(len(pr) for _, pr, _ in rounds) > 50
 
-    @pytest.mark.parametrize("relabel, dense, digest", [
-        (None, False, "56551b69b86d6f506ce1df0f1a3d3137aff0ce23c2caedcbf917e4d07b317d08"),
-        ([0, 4, 1, 5, 2, 3], True, "f63240a14cbec7f9032a0925a23acb70e92d560872dd572e8ebc901a50e2e641"),
-    ])
-    def test_bar_differential_pinned(self, groups, switches, relabel, dense,
-                                     digest):
-        """klein4 D_6, too small for the dense block, and S_3 D_6 with its
-        elements relabelled by a fixed permutation, which permutes the rows
-        and columns of the matrix."""
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_matrices_against_oracles(self, seed):
+        """Invariant factors over Z and mod m are the dense oracle's, and
+        solve finds a preimage of an image vector."""
+        dense = random_sparse(seed)
+        nr, nc = len(dense), len(dense[0])
+        f = factor_dense(dense)
+        rng = random.Random(1000 + seed)
+        x0 = [rng.randint(-3, 3) for _ in range(nc)]
+        img = [sum(a * x for a, x in zip(row, x0)) for row in dense]
+        for m in (0, 2, 3, 4, 6, 9):
+            assert sorted(f.coker_invariants(m)) == sorted(
+                cokernel_invariants(IntMatrix.from_rows(dense),
+                                    m if m else "Z")), m
+            b = [v % m for v in img] if m else img
+            x = f.solve(b, m)
+            got = [sum(a * v for a, v in zip(row, x)) for row in dense]
+            assert [v % m for v in got] == b if m else got == b
+
+    def test_row_meeting_pivots_near_int64(self, monkeypatch):
+        """Row 4 meets all four pivots of the first round, each with its
+        entry w = 2^61 - 1 in column 4, so that column's entry of row 4
+        becomes -w - 4 w, past int64, although max|val| max|q| + max|val|
+        = 2 w stays below 2^62: the bound counts the pivots a row meets.
+        (Two pivots cannot pass int64 under that bound.)  The round runs on
+        python ints, and the answers are the dense oracle's."""
+        w = 2**61 - 1
+        dense = [[1, 0, 0, 0, w], [0, 1, 0, 0, w], [0, 0, 1, 0, w],
+                 [0, 0, 0, 1, w], [1, 1, 1, 1, -w], [0, 0, 0, 0, 2]]
+        rounds = round_spy(monkeypatch)
+        f = factor_dense(dense)
+        assert f._data.dtype == np.int64
+        assert rounds[0][1:] == ([0, 1, 2, 3], [0, 1, 2, 3])
+        for m in (0, 2, 3, 2**64 + 13):
+            assert sorted(f.coker_invariants(m)) == sorted(
+                cokernel_invariants(IntMatrix.from_rows(dense),
+                                    m if m else "Z")), m
+        b = [sum(row) for row in dense]
+        x = f.solve(b)
+        assert [sum(a * v for a, v in zip(row, x)) for row in dense] == b
+
+    @pytest.mark.parametrize("relabel, digest", [
+        (None, "9bfd1757560229e2b0c62836886d14399247402d298304f4ef325375c7f95477"),
+        ([0, 4, 1, 5, 2, 3],
+         "72617d33517bedb4f80718363e72a881a98396670b8e7b63bc6c608dd410de0d"),
+    ], ids=["klein4", "s3-relabelled"])
+    def test_bar_differential_pinned(self, groups, relabel, digest):
+        """klein4 D_6, and S_3 D_6 with its elements relabelled by a fixed
+        permutation, which permutes the rows and columns of the matrix."""
         if relabel is None:
             G = groups["klein4"]
         else:
@@ -866,117 +908,11 @@ class TestDenseTail:
                 for b, ab in enumerate(row):
                     table[relabel[a]][relabel[b]] = relabel[ab]
             G = FiniteGroup(table, label="s3r")
-        f = full_fact(G, 6)
-        assert len(switches) == dense
-        assert factorization_digest(f) == digest
-
-    def test_random_matrices_pinned(self, monkeypatch, switches):
-        # spy on the dtypes asked for
-        widths = []
-        block_dtype = sparse._block_dtype
-
-        def dtype_spy(bound):
-            dt = block_dtype(bound)
-            widths[-1].append(dt)
-            return dt
-
-        monkeypatch.setattr(sparse, "_block_dtype", dtype_spy)
-        # per matrix, the pivots taken on dicts before the switch, or None
-        parts, switched = [], []
-        for nrows, cols in dense_tail_matrices():
-            widths.append([])
-            before = len(switches)
-            f = SparseFactorization.from_columns(cols, nrows)
-            switched.append(len(f.piv_rows) - switches[-1][1]
-                            if len(switches) > before else None)
-            parts.append([factorization_digest(f), f.coker_invariants()])
-        got = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
-        assert got == ("7702a576ca9da20160440d7d5794fec80489ebe031c42a5089ba4"
-                       "f3e86fedf69")
-        # the switch comes never, at the first pivot and mid-way
-        assert switched.count(None) >= 40
-        assert switched.count(0) >= 20
-        assert sum(1 for k in switched if k) >= 40
-        assert sum(1 for held, _ in switches if held) >= 40
-        # the block starts in every dtype, and widens from int8 and to object
-        order = {dt: k for k, dt in enumerate(sparse._BLOCK_LIMITS)}
-        assert {dt for w in widths for dt in w} == set(order)
-        grew = [(w[0], w[-1]) for w in widths
-                if w and order[w[-1]] > order[w[0]]]
-        assert any(a == np.int8 for a, _ in grew)
-        assert any(a == np.int64 and b == object for a, b in grew)
-
-
-class TestCompaction:
-    """A compaction copies the live columns x live rows of the dense block
-    into a new block of the target dtype a column chunk at a time, so only
-    the old block, the new one and one chunk are live."""
-
-    @pytest.mark.parametrize("old, new", [
-        (np.int8, np.int8), (np.int8, np.int16), (np.int32, np.int64),
-        (np.int64, object)])
-    @pytest.mark.parametrize("chunks", [1, 3, 4, 16])
-    def test_matches_the_fancy_index(self, monkeypatch, old, new, chunks):
-        monkeypatch.setattr(sparse, "_COMPACT_CHUNKS", chunks)
-        rng = np.random.default_rng(chunks)
-        info = np.iinfo(old)
-        # live column counts that 3, 4 and 16 divide and do not divide,
-        # with empty live sets among them
-        for ncols, nrows, live_cols, live_rows in [
-                (40, 30, 24, 17), (40, 30, 16, 30), (40, 30, 37, 1),
-                (48, 9, 48, 9), (10, 5, 0, 5), (10, 5, 7, 0), (0, 0, 0, 0),
-                (5, 6, 2, 3)]:
-            B = rng.integers(info.min, info.max, size=(ncols, nrows),
-                             dtype=old, endpoint=True)
-            B[rng.random(B.shape) < 0.5] = 0
-            live_c = np.sort(rng.choice(ncols, live_cols, replace=False))
-            live_r = np.sort(rng.choice(nrows, live_rows, replace=False))
-            got = sparse._compact(B, live_c, live_r, np.dtype(new))
-            want = B[np.ix_(live_c, live_r)].astype(new)
-            assert got.dtype == want.dtype
-            assert got.shape == want.shape == (live_cols, live_rows)
-            assert got.tolist() == want.tolist()
-            if new is object:
-                assert all(type(v) is int for v in got.flat)
-
-    @staticmethod
-    def traced_peak(widen):
-        """The traced peak of allocating a 1 MB int8 block B and widening
-        most of it to int16 by ``widen(B, live_c, live_r)``, and the bound
-        that the old block, the new block and one chunk give."""
-        rng = np.random.default_rng(0)
-        live_c = np.flatnonzero(rng.random(512) < 0.9)
-        live_r = np.flatnonzero(rng.random(2048) < 0.9)
-        tracemalloc.start()
-        try:
-            B = np.ones((512, 2048), dtype=np.int8)
-            got = widen(B, live_c, live_r)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got.tolist() == B[np.ix_(live_c, live_r)].tolist()
-        # one chunk of columns of B, then the same cut to the live rows
-        step = -(-len(live_c) // sparse._COMPACT_CHUNKS)
-        chunk = step * B.shape[1] + step * len(live_r)
-        return peak, B.nbytes + got.nbytes + chunk
-
-    def test_two_blocks_live(self):
-        """Widening int8 -> int16 traces at most the old block, the new
-        block and one chunk, taken from the old block and cut to its live
-        rows; the fancy index and astype it replaces held a whole index
-        copy of the old block on top of the two blocks."""
-        slack = 64 << 10
-        peak, bound = self.traced_peak(
-            lambda B, c, r: sparse._compact(B, c, r, np.dtype(np.int16)))
-        assert peak <= bound + slack
-        peak, bound = self.traced_peak(
-            lambda B, c, r: B[np.ix_(c, r)].astype(np.int16))
-        assert peak > bound + slack
+        assert factorization_digest(full_fact(G, 6)) == digest
 
     def test_q8_d5_memory(self):
-        """Factoring cleared q8 D_5 traces at most 13 MB: 15.3 MB with a
-        set of rows per column and the dense block's copies, 11.1-11.4 MB
-        with row lists and chunked compaction."""
+        """Factoring cleared q8 D_5 traces at most 10 MB: 11.1-11.4 MB with
+        row dicts and a dense tail, 8.5 MB in rounds."""
         bar = BarCochains(quaternion_8())
         csr = bar.csr(5, bar.fact(4).piv_rows)
         tracemalloc.start()
@@ -987,8 +923,50 @@ class TestCompaction:
             tracemalloc.stop()
         # the cleared tower's pinned q8 D_5
         assert factorization_digest(f) == (
-            "f785194b943fdf36f4818200872e6f7c0eacaf1256c00c7aa9ff4bdd958faefe")
-        assert peak <= 13 << 20
+            "6b2c79f5916428f7c587931250c4bc2538dd9e6e296190791393e62d41da937e")
+        assert peak <= 10 << 20
+
+
+class TestSelfChecks:
+    """A factorization checks itself: Freivalds' check of the log against
+    the stored rows, and, in the bar complex, the rank and exponent that
+    theory gives.  A corrupted factorization raises InternalCheckFailed."""
+
+    @pytest.fixture
+    def f(self, groups):
+        f = full_fact(groups["s3"], 4)  # with batches, a pool and an echelon
+        assert f.echelon_rows and len(f.log[1]) and len(f._pool_vals)
+        f._check_rows()
+        return f
+
+    def test_a_log_multiplier(self, f):
+        f.log[1][len(f.log[1]) // 2] += 1
+        with pytest.raises(InternalCheckFailed):
+            f._check_rows()
+
+    def test_a_pool_entry(self, f):
+        f._pool_vals[len(f._pool_vals) // 2] += 1
+        with pytest.raises(InternalCheckFailed):
+            f._check_rows()
+
+    def test_an_echelon_entry(self, f):
+        E = f.esnf.source
+        E.entries[E.entries.index(next(v for v in E.entries if v))] += 1
+        with pytest.raises(InternalCheckFailed):
+            f._check_rows()
+
+    def test_rank_and_exponent(self, groups):
+        """fact(n) checks rank D_{n-1} + rank D_n = (|G| - 1)^{n-1} and that
+        |G| kills coker D_n; the factorization of another degree, or of
+        another group, fails them."""
+        bar = BarCochains(groups["s3"])
+        f3, f4 = bar.fact(3), bar.fact(4)
+        bar._check_fact(4, f4, f3)
+        with pytest.raises(InternalCheckFailed, match="rank"):
+            bar._check_fact(4, f4, f4)
+        bar7 = BarCochains(cyclic(7))
+        with pytest.raises(InternalCheckFailed, match="divide"):
+            bar._check_fact(2, bar7.fact(2), None)
 
 
 class TestFromColumns:

@@ -200,7 +200,8 @@ class TestOneFactorizationPerLattice:
     def test_fp_system_residual_stays_small(self, groups, monkeypatch):
         """An F_p system enters the Z factorization with symmetric residues:
         p - 1 becomes the unit -1, so aug(Q8) mod 5 leaves a residual block
-        of at most 12 columns (residues in [0, 5) left 43)."""
+        of at most 16 columns, where residues in [0, 5) leave 43.  (One
+        pivot at a time, least column length first, left 12.)"""
         built = []
 
         class Keeping(SparseFactorization):
@@ -212,7 +213,7 @@ class TestOneFactorizationPerLattice:
         M = reduce_mod(augmentation_ideal(groups["q8"]), 5)
         assert fibre_projectivity_test(M).projective
         assert len(built) == 1
-        assert len(built[0].res_cols) <= 12
+        assert len(built[0].res_cols) <= 16
 
 
 class TestGProj:
