@@ -43,14 +43,16 @@ def _factor_arrays(u, v, modulus: int, terms: int = 1):
 
 
 def cup_vec(G: FiniteGroup, u, a: int, v, b: int, modulus: int = 0):
-    """AW product of raw cochain vectors: degree a + b.  ``u`` and ``v``
-    may also be blocks of k cochains each, as columns: column c of the
-    result is the product of their columns c, all formed in one gather."""
+    """AW product of raw cochain vectors: degree a + b, the outer product
+    of ``u`` and ``v`` read as one cochain.  ``u`` and ``v`` may also be
+    blocks of k cochains each, as columns: column c of the result is the
+    product of their columns c, all formed at once."""
     bc = bar_cochains(G)
+    bc.check_cochain(u, a)
+    bc.check_cochain(v, b)
     bc.check_cap(a + b)
-    idx = np.arange(bc.rank(a + b), dtype=np.int64)
     ua, va = _factor_arrays(u, v, modulus)
-    out = ua[idx // bc.rank(b)] * va[idx % bc.rank(b)]
+    out = (ua[:, None] * va[None]).reshape((bc.rank(a + b),) + ua.shape[1:])
     if modulus:
         out %= modulus
     return kernels.output(out)
@@ -61,23 +63,28 @@ def cup1_vec(G: FiniteGroup, u, a: int, v, b: int, modulus: int = 0):
 
     Convention: (u u1 v)(g_1..g_n) sums over windows of length b,
     u evaluated with the window collapsed to its product.  Satisfies
-    d(u u1 v) = uv + vu + (du)u1 v + u u1 (dv) mod 2.
+    d(u u1 v) = uv + vu + (du)u1 v + u u1 (dv) mod 2.  Each window is read
+    by shape, through the table of b-fold products
+    (:meth:`BarCochains.collapse`); ``u`` and ``v`` may be blocks, as in
+    :func:`cup_vec`.
     """
     bc = bar_cochains(G)
+    bc.check_cochain(u, a)
+    bc.check_cochain(v, b)
     n = a + b - 1
-    if a == 0 or b == 0 or n < 0:
+    if a == 0 or b == 0:
         return [0] * bc.rank(max(n, 0))
     bc.check_cap(n)
-    r = np.arange(bc.rank(n), dtype=np.int64)
     ua, va = _factor_arrays(u, v, modulus, terms=a)
-    out = np.zeros(len(r), dtype=ua.dtype)
+    out = np.zeros((bc.rank(n),) + ua.shape[1:], dtype=ua.dtype)
+    # v by the first entry of its window
+    windows = va.reshape((bc.q, bc.rank(b - 1)) + va.shape[1:])
     for i in range(a):
-        uidx, ok = bc._collapse(n, r, i, b)
-        vidx = r // bc.rank(n - i - b) % bc.rank(b)  # the window itself
-        out[ok] += ua[uidx[ok]] * va[vidx[ok]]
+        for first, cells, vals in bc.collapse(out, ua, i, b):
+            cells += vals * windows[first][:, None]
     if modulus:
         out %= modulus
-    return [int(x) for x in out]
+    return kernels.output(out)
 
 
 def cup_product(x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:

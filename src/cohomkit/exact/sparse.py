@@ -238,7 +238,8 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
 
     Returns the pivots as (rows, columns, values) lists in pivot order, by
     round and then by column; the log batches (targets, source,
-    multipliers), one per pivot with targets, in the same order; the
+    multipliers), one per pivot with targets, in the same order, a round's
+    as one run (see :func:`kernels.make_log`); the
     number of batches after each round that logged any; the frozen pivot
     rows as (starts, lengths, columns, values) arrays, pivot entry first
     and then ascending columns; and the rows left nonzero, as dicts, for
@@ -248,8 +249,9 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
            * ncols + indices)
     val = data
     pivots = ([], [], [])
-    batches: list[tuple] = []
+    batches: list[tuple] = []  # one run of batches a round
     round_ends: list[int] = []  # the number of batches after each round
+    logged = 0
     # the frozen pivot rows, one (starts, lengths, columns, values) a round
     pool = [(np.zeros(0, dtype=np.int64),) * 4]
     pooled = 0
@@ -314,19 +316,17 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
                 f"{_FILL_CAP:,}")
         key, val = key[nz], val[nz]
 
-        prs = pr.tolist()
-        for acc, part in zip(pivots, (prs, pc.tolist(), pv.tolist())):
-            acc += part
-        # one batch per pivot with targets, the targets ascending
-        order = _by_pivot(kt, k)
-        trow, q = trow[order], q[order]
-        tlen = np.bincount(kt, minlength=k)
-        tends = np.cumsum(tlen).tolist()
-        for j in np.flatnonzero(tlen).tolist():
-            s, e = tends[j] - tlen[j], tends[j]
-            batches.append((trow[s:e], prs[j], q[s:e]))
+        for acc, part in zip(pivots, (pr, pc, pv)):
+            acc += part.tolist()
+        # one batch per pivot with targets, the targets ascending, passed
+        # to the log as one run
         if len(tgt):
-            round_ends.append(len(batches))
+            order = _by_pivot(kt, k)
+            tlen = np.bincount(kt, minlength=k)
+            has = np.flatnonzero(tlen)
+            batches.append((trow[order], (pr[has], tlen[has]), q[order]))
+            logged += len(has)
+            round_ends.append(logged)
         # the frozen pivot rows, each pivot entry first
         heads = pstart + np.arange(k)
         rest = np.ones(k + len(off), dtype=bool)
@@ -442,9 +442,9 @@ class SparseFactorization:
 
     def _eliminate(self):
         # phase 1: the +-1 pivots, in rounds.  The row-operation log holds
-        # one (targets, source, multipliers) per batch (see
-        # kernels.make_log), and the pivot rows are frozen for
-        # back-substitution, pivot entry first.
+        # one (targets, source, multipliers) per batch, a round's batches
+        # passed as one run (see kernels.make_log), and the pivot rows are
+        # frozen for back-substitution, pivot entry first.
         ((piv_rows, piv_cols, piv_vals), batches, self._round_ends, pool,
          rows) = _pivot_rounds(self.nrows, self.ncols, self._indptr,
                                self._indices, self._data)

@@ -99,16 +99,26 @@ def make_log(batches) -> tuple:
     ``batches`` lists the log's batches in order, each as (targets, source,
     multipliers): the ops ``row[t] -= q * row[source]``, one per target t
     and multiplier q, with one or more distinct targets, none of them the
-    source.  ``([r], r, None)`` is a NEG, ``row[r] = -row[r]``.  Targets
+    source.  ``([r], r, None)`` is a NEG, ``row[r] = -row[r]``.  A run of
+    batches may come as one entry whose source is a pair (sources,
+    lengths) of arrays, batch i taking the next lengths[i] targets and
+    multipliers from sources[i]: phase 1 passes each round so.  Targets
     and multipliers are lists or integer arrays; the multipliers are
     integers of any size, and a replay mod m reduces them itself.  The
     targets and the multipliers of all batches are concatenated once, a
     NEG's multiplier as 0, and each batch is stored as (start, end, source,
     max |q|, is NEG).
     """
-    lens = np.array([len(t) for t, _, _ in batches], dtype=np.int64)
+    srcs, lens = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for t, src, _ in batches:
+        run = isinstance(src, tuple)
+        srcs.append(np.asarray(src[0] if run else [src], dtype=np.int64))
+        lens.append(np.asarray(src[1] if run else [len(t)], dtype=np.int64))
+    lens = np.concatenate(lens)
     ends = np.cumsum(lens)
     starts = ends - lens
+    neg = np.repeat([q is None for _, _, q in batches],
+                    [len(s) for s in srcs[1:]]).astype(bool)
     targets = np.concatenate([np.zeros(0, dtype=np.int64)] +
                              [np.asarray(t, dtype=np.int64)
                               for t, _, _ in batches])
@@ -120,12 +130,11 @@ def make_log(batches) -> tuple:
         qq = np.concatenate([np.zeros(0, dtype=object)] +
                             [np.asarray(q, dtype=object) for q in qs])
     qq = int_array(qq)
-    qmax = (np.maximum.reduceat(np.abs(qq), starts).tolist() if batches
+    qmax = (np.maximum.reduceat(np.abs(qq), starts).tolist() if len(starts)
             else [])
     return (targets, qq,
             list(zip(starts.tolist(), ends.tolist(),
-                     [src for _, src, _ in batches], qmax,
-                     [q is None for _, _, q in batches])))
+                     np.concatenate(srcs).tolist(), qmax, neg.tolist())))
 
 
 def output(v: np.ndarray):

@@ -4,10 +4,16 @@ coefficients, and its cached sparse factorizations.
 The degree-n term of the normalized bar resolution is free over ZG on
 n-tuples of non-identity elements, so ranks grow like (|G|-1)^n; tuples are
 ordered lexicographically, and all cocycle vectors in the package refer to
-that ordering.  One index rule reads the faces of a cell off its index: a
-dual differential is applied from its faces, and built as a CSR matrix
-only to be factored.  The dense resolutions that cross-check it live
-with the tests (``tests/oracles.py``).
+that ordering.  So a cochain reshaped to (q^i, q, q, q^(n-i-2)), q =
+|G| - 1, holds at [:, a, b] the cells whose entries i and i + 1 have the
+digits (a, b), and one rule reads the faces of all cells at once by shape:
+the face that multiplies those two entries is, for each a, one gather
+through row a of the product table, and the faces that drop the first or
+the last entry are broadcasts.  As in Ripser (Bauer, 2021), a coboundary
+is enumerated, never stored: a dual differential is applied by this rule,
+and built as a CSR matrix, the rule applied to the column indices, only to
+be factored.  The dense resolutions that cross-check it live with the
+tests (``tests/oracles.py``).
 
 D_n is factored *cleared* (Chen & Kerber, "Persistent homology
 computation with a twist", 2011; Bauer, "Ripser", 2021): without the
@@ -46,7 +52,9 @@ class BarCochains:
 
     Degree-n cochains are integer vectors indexed lexicographically by
     n-tuples of non-identity elements: index r holds the entry at position
-    j as the digit ``r // q**(n-1-j) % q``, one less than the element.  The
+    j as the digit ``r // q**(n-1-j) % q``, one less than the element, so
+    a cochain reshaped to (q^j, q, q^(n-1-j)) holds at [:, d] the cells
+    whose entry j has the digit d.  The
     sparse factorizations of the dual differentials over Z, the one cache,
     are kept per degree and answer the mod-m questions too.
     """
@@ -69,48 +77,82 @@ class BarCochains:
                 f"cochain space of dimension {self.q}^{n} exceeds the cap "
                 f"{size_cap()} (set COHOMKIT_SIZE_CAP to raise it)")
 
-    def _collapse(self, n: int, r: np.ndarray, i: int, k: int):
-        """The bar-cell index rule.  For degree-n cell indices ``r``: the
-        index of each tuple with its ``k`` >= 1 entries from position ``i``
-        replaced by their product, and the mask where that product is not
-        the identity (elsewhere the cell is degenerate and the index is
-        not one)."""
-        q = self.q
-        prod = r // q**(n - 1 - i) % q + 1
-        for j in range(i + 1, i + k):
-            prod = self._table[prod, r // q**(n - 1 - j) % q + 1]
-        low = q**(n - i - k)
-        return (r // q**(n - i) * q + prod - 1) * low + r % low, prod != 0
+    def check_cochain(self, vec, n: int):
+        """ValueError unless ``vec``, a vector or a block of them as
+        columns, has the rank(n) rows of a degree-n cochain."""
+        if len(vec) != self.rank(n):
+            raise ValueError(f"cochain of length {len(vec)} where "
+                             f"{self.rank(n)} expected in degree {n}")
 
-    def _faces(self, n: int):
-        """The faces of D_n : C^{n-1} -> C^n as (sign, rows, columns):
-        face i, of sign (-1)^i, sends the degree-n cells ``rows`` to the
-        cells ``columns``.  Faces 0 and n drop the first and the last entry
-        (the action is trivial); face i multiplies entries i-1 and i, on
-        the cells where that product is not the identity."""
-        r = np.arange(self.rank(n), dtype=np.int64)
-        yield 1, r, r % self.q**(n - 1)
+    def _products(self, k: int) -> np.ndarray:
+        """The products of the k-tuples of non-identity elements, k >= 1,
+        indexed like the degree-k cells, each as the digit of the product:
+        one less than the element, so -1 for the identity."""
+        p = np.arange(1, self.q + 1)
+        for _ in range(k - 1):
+            p = self._table[p[:, None], np.arange(1, self.q + 1)].ravel()
+        return p - 1
+
+    def collapse(self, out, w, i: int, k: int, pad=0):
+        """The bar-cell rule, by shape.  ``out`` holds degree-n cochains
+        and ``w`` degree-(n - k + 1) ones, vectors or blocks alike.
+        Reshaped to (q^i, q, q^(k-1), q^(n-i-k)), ``out`` holds at [:, a]
+        the cells whose entry i has the digit a.  For each a < q this
+        yields (a, cells, vals): that view of ``out``, and ``w`` read on
+        its cells with their k entries from i on replaced by their product,
+        or ``pad`` where the product is the identity (the cell is
+        degenerate): one gather of w, padded, through row a of the
+        product table."""
+        q = self.q
+        if not q:
+            return  # the trivial group has no cells in degree >= 1
+        blk = w.shape[1:]
+        hi = q**i
+        lo = len(w) // (hi * q)
+        prods = self._products(k).reshape(q, -1)
+        wp = np.full((hi, q + 1, lo) + blk, pad, dtype=w.dtype)
+        wp[:, :q] = w.reshape((hi, q, lo) + blk)  # digit -1 reads the pad
+        cells = out.reshape((hi, q, q**(k - 1), lo) + blk)
+        for a in range(q):
+            yield a, cells[:, a], wp[:, prods[a]]
+
+    def _terms(self, n: int, out, w, pad=0):
+        """The faces of D_n : C^{n-1} -> C^n on the degree-(n-1) cochains
+        ``w``, by shape: yields (sign, cells, vals), a view of the
+        degree-n cochains ``out`` and ``w`` read on its cells by one face,
+        of sign (-1)^i for face i.  Faces 0 and n drop the first and the
+        last entry (the action is trivial), each one broadcast; face i
+        multiplies entries i-1 and i, ``pad`` where that product is the
+        identity (:meth:`collapse`)."""
+        q, low = self.q, self.rank(n - 1)
+        blk = w.shape[1:]
+        yield 1, out.reshape((q, low) + blk), w
         for i in range(1, n):
-            cols, ok = self._collapse(n, r, i - 1, 2)
-            yield (-1)**i, r[ok], cols[ok]
-        yield (-1)**n, r, r // self.q
+            for _, cells, vals in self.collapse(out, w, i - 1, 2, pad):
+                yield (-1)**i, cells, vals
+        yield (-1)**n, out.reshape((low, q) + blk), w[:, None]
 
     def csr(self, n: int, cleared=()):
         """CSR triple of D_n : C^{n-1} -> C^n (dual differential) without
         the entries of the columns ``cleared``, so of the same shape, built
-        for its factorization, which keeps the arrays."""
+        for its factorization, which keeps the arrays.  Its COO triple is
+        D_n applied by shape to the column indices, a degenerate face
+        reading the pad -1."""
         self.check_cap(n)
-        live = np.ones(self.rank(n - 1), dtype=bool)
+        live = np.ones(self.rank(n - 1) + 1, dtype=bool)
         live[list(cleared)] = False
-        faces = [(sign, rows[keep], cols[keep])
-                 for sign, rows, cols in self._faces(n)
-                 for keep in [live[cols]]]
-        return coo_to_csr(
-            self.rank(n), self.rank(n - 1),
-            np.concatenate([rows for _, rows, _ in faces]),
-            np.concatenate([cols for _, _, cols in faces]),
-            np.concatenate([np.full(len(rows), sign, dtype=np.int64)
-                            for sign, rows, _ in faces]))
+        live[-1] = False  # the pad
+        rows, cols, signs = [], [], []
+        for sign, cells, vals in self._terms(
+                n, np.arange(self.rank(n), dtype=np.int64),
+                np.arange(self.rank(n - 1), dtype=np.int64), pad=-1):
+            rows.append(cells.ravel())
+            cols.append(np.broadcast_to(vals, cells.shape).ravel())
+            signs.append(np.full(cells.size, sign, dtype=np.int64))
+        rows, cols, signs = (np.concatenate(a) for a in (rows, cols, signs))
+        keep = live[cols]
+        return coo_to_csr(self.rank(n), self.rank(n - 1), rows[keep],
+                          cols[keep], signs[keep])
 
     def fact(self, n: int) -> SparseFactorization:
         """Factorization over Z of D_n, cleared for n >= 2: without the
@@ -153,23 +195,21 @@ class BarCochains:
                 f"not divide |G| = {self.group.order}")
 
     def matvec(self, n: int, vec):
-        """D_n applied to a degree-(n-1) cochain vector, or to the columns
-        of an (rank, k) block of them in one pass over the faces, exact over
-        Z, as a sum of +-w[column] over its faces: in int64 iff (n+1) *
-        max|w| < 2^62 over the whole block, and in python ints otherwise."""
-        if len(vec) != self.rank(n - 1):
-            raise ValueError(f"cochain of length {len(vec)} where "
-                             f"{self.rank(n - 1)} expected in degree {n - 1}")
+        """D_n applied to a degree-(n-1) cochain vector w, or to the
+        columns of an (rank, k) block of them, exact over Z, by shape: each
+        face adds +-w, broadcast or gathered a digit at a time
+        (:meth:`_terms`), into a view of the result: no index array per
+        cell is built, and a gather reads rank(n)/q entries.  In int64 iff
+        (n+1) * max|w| < 2^62 over the whole block, and in python ints
+        otherwise."""
+        self.check_cochain(vec, n - 1)
         self.check_cap(n)
         w = kernels.int_array(vec)
         if (n + 1) * kernels.max_abs(w) >= _LIMIT:
             w = w.astype(object)
         out = np.zeros((self.rank(n),) + w.shape[1:], dtype=w.dtype)
-        for sign, rows, cols in self._faces(n):
-            if sign > 0:
-                out[rows] += w[cols]
-            else:
-                out[rows] -= w[cols]
+        for sign, cells, vals in self._terms(n, out, w):
+            (np.add if sign > 0 else np.subtract)(cells, vals, out=cells)
         return kernels.output(out)
 
 

@@ -22,6 +22,20 @@ class TestCupProduct:
         assert cup_product(unit, x).vector == x.vector
         assert cup_product(x, unit).vector == x.vector
 
+    @pytest.mark.parametrize("product", [cup_vec, cup1_vec])
+    def test_rejects_cochains_of_the_wrong_length(self, groups, product):
+        """C^1 of klein4 has rank 3: a longer u used to be read in part (a
+        cup product of 9 entries), and a shorter one died with an
+        IndexError.  A block counts its rows."""
+        G = groups["klein4"]
+        for u, v in (([1, 2, 3, 4], [1, 0, 1]), ([1, 2], [1, 0, 1]),
+                     ([1, 0, 1], [1, 0, 1, 1]), (np.ones((4, 2), int),
+                                                 np.ones((3, 2), int))):
+            with pytest.raises(ValueError, match="expected in degree 1"):
+                product(G, u, 1, v, 1)
+        rank = 9 if product is cup_vec else 3  # of degree 2, or of 1
+        assert len(product(G, [1, 2, 3], 1, [1, 0, 1], 1)) == rank
+
     def test_x_squared_generates_H2_C2(self, groups):
         G = groups["c2"]
         sys = cohomology_system(G)
@@ -249,11 +263,14 @@ class TestLargeEntries:
     def test_cup1_product_past_int64(self, groups):
         assert cup1_vec(groups["c2"], [2**40], 1, [2**40], 1) == [2**80]
 
+    # s3 keeps the test ids it had before klein4 and q8 joined
+    @pytest.mark.parametrize("name", ["s3", "klein4", "q8"],
+                             ids=[pytest.HIDDEN_PARAM, "klein4", "q8"])
     @pytest.mark.parametrize("m", [0, 2**61 + 1, 2**64 + 13])
     @pytest.mark.parametrize("bits", [20, 31, 33, 70])
     @pytest.mark.parametrize("ab", [(1, 1), (1, 2), (2, 1), (2, 2)])
-    def test_against_python_ints(self, groups, ab, bits, m):
-        G = groups["s3"]
+    def test_against_python_ints(self, groups, ab, bits, m, name):
+        G = groups[name]
         a, b = ab
         rng = np.random.default_rng((bits, a, b, m % 97))
         q = G.order - 1
@@ -266,3 +283,10 @@ class TestLargeEntries:
         u, v = vec(a), vec(b)
         assert cup_vec(G, u, a, v, b, m) == cup_reference(G, u, a, v, b, m)
         assert cup1_vec(G, u, a, v, b, m) == cup1_reference(G, u, a, v, b, m)
+        # a block answers as its columns
+        U, V = (np.array([x, x[::-1]], dtype=object).T for x in (u, v))
+        for product, reference in ((cup_vec, cup_reference),
+                                   (cup1_vec, cup1_reference)):
+            assert product(G, U, a, V, b, m).T.tolist() == [
+                reference(G, U[:, c].tolist(), a, V[:, c].tolist(), b, m)
+                for c in range(2)]

@@ -163,7 +163,8 @@ def test_make_log_mixed_batches():
     """One log from every kind of batch the elimination emits: lists (the
     dict loop, phase 2), int8 arrays (the dense block), a NEG, and a
     multiplier past 2^63.  It is packed as given, and replays like the
-    python-int reference over Z and mod m, forward and reverse."""
+    python-int reference over Z and mod m, forward and reverse.  Batches
+    passed as one run pack to the same log."""
     batches = [([1, 3], 0, [2, -1]),
                (np.array([0, 2, 4], dtype=np.int64), 1,
                 np.array([-1, 1, 127], dtype=np.int8)),
@@ -178,6 +179,13 @@ def test_make_log_mixed_batches():
     assert log[2] == [(0, 2, 0, 2, False), (2, 5, 1, 127, False),
                       (5, 6, 4, 0, True), (6, 8, 3, 2**64 + 5, False),
                       (8, 9, 0, 2**63, False)]
+    # the first two batches as one run, as phase 1 passes a round
+    run = (np.array([1, 3, 0, 2, 4]), (np.array([0, 1]), np.array([2, 3])),
+           np.array([2, -1, -1, 1, 127]))
+    packed = kernels.make_log([run] + batches[2:])
+    assert packed[2] == log[2]
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype
+               for a, b in zip(packed[:2], log[:2]))
     vec = [3, -1, 4, 1, -5]
     for rev in (False, True):
         assert kernels.apply_oplog_int(vec, log, reverse=rev) == \

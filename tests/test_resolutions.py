@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cohomkit.cohomology import (bockstein_delta, cohomology_group,
                                  cohomology_system)
 from cohomkit.config import GROUP_CACHE_SIZE
 from cohomkit.errors import SizeCapExceeded
+from cohomkit.exact.sparse import coo_to_csr
 from cohomkit.fibrewise import (GModule, augmentation_ideal, regular_module,
                                 trivial_module)
 from cohomkit.fiso import pth_power_preimage
@@ -159,28 +161,90 @@ class TestBarCochains:
             bc.rank(-1)
 
     def test_matvec_matches_dense_dual(self, groups):
-        """In every degree with at most 700 cells, D_n applied from its
-        faces, before and after D_n is factored, equals the dense dual
+        """In every degree with at most 700 cells, D_n applied by shape,
+        before and after D_n is factored, equals the dense dual
         differential, on random vectors, the zero vector, vectors just
         under or at the int64 bound (n+1) * max|w| < 2^62 of the face sum
-        ("bound") and vectors past it ("large")."""
+        ("bound") and vectors past it ("large"); and on (rank, 1) and
+        (rank, 3) blocks, in int64 and, with a column past the bound, in
+        python ints.  On the trivial group (q = 0) every D_n, n >= 1,
+        lands in the zero space."""
         rng = np.random.default_rng(7)
         for name in ("c2", "c3", "klein4", "s3", "q8"):
             G = groups[name]
             top = max(n for n in range(1, 9) if (G.order - 1) ** n <= 700)
             res = bar_resolution(G, top)
             for n in range(1, top + 1):
+                dual = res.dual_differential(n)
                 w = rng.integers(-5, 6, res.ranks[n - 1])
                 vectors = {"random": w.tolist(), "zero": [0] * len(w),
                            "bound": (np.sign(w) * (2**62 // (n + 1))).tolist(),
                            "large": [v * 2**62 + 1 for v in w.tolist()]}
                 for kind, v in vectors.items():
-                    want = res.dual_differential(n).mul_vec(v)
+                    want = dual.mul_vec(v)
                     bc = BarCochains(G)
                     assert bc.matvec(n, v) == want, (name, n, kind)
                     assert not bc._facts
                     bc.fact(n)
                     assert bc.matvec(n, v) == want, (name, n, kind)
+                w3 = rng.integers(-5, 6, (len(w), 3))
+                past = np.column_stack([w3[:, :2], (w | 1) * 2**61])
+                blocks = {np.int64: (w[:, None], w3), object: (past,)}
+                for dtype, cases in blocks.items():
+                    for blk in cases:
+                        got = BarCochains(G).matvec(n, blk)
+                        assert got.dtype == dtype, (name, n, blk.shape)
+                        assert got.T.tolist() == [dual.mul_vec(c.tolist())
+                                                  for c in blk.T]
+        bc = BarCochains(cyclic(1))
+        for n in range(1, 4):
+            assert bc.matvec(n, [3] * bc.rank(n - 1)) == []
+            assert bc.matvec(n, np.ones((bc.rank(n - 1), 3), dtype=np.int64)
+                             ).shape == (0, 3)
+
+    def test_csr_matches_dense_dual(self):
+        """On every built-in group, in every degree with at most 700
+        cells, the CSR triple of D_n without random cleared columns equals
+        the canonical CSR of the dense dual differential with those
+        columns dropped, with int64 data."""
+        rng = random.Random(11)
+        for name in sorted(BUILTIN_GROUPS):
+            G = builtin_group(name)
+            top = max(n for n in range(1, 9) if (G.order - 1) ** n <= 700)
+            res = bar_resolution(G, top)
+            bc = BarCochains(G)
+            for n in range(1, top + 1):
+                cleared = rng.sample(range(bc.rank(n - 1)),
+                                     rng.randint(0, bc.rank(n - 1)))
+                A = np.array(res.dual_differential(n).to_rows(),
+                             dtype=np.int64).reshape(bc.rank(n), -1)
+                A[:, cleared] = 0
+                ri, ci = np.nonzero(A)
+                want = coo_to_csr(bc.rank(n), bc.rank(n - 1), ri, ci,
+                                  A[ri, ci])
+                got = bc.csr(n, cleared)
+                assert got[2].dtype == np.int64, (name, n)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), \
+                        (name, n)
+
+    def test_matvec_traces_no_per_cell_index_arrays(self, groups):
+        """Under tracemalloc, D_7 of s3 and D_6 of q8 applied to a vector
+        trace at most 4 * 8 * rank(n) bytes: the result, its list, and
+        gathers of rank(n) / q entries, but no index array per cell and
+        face."""
+        rng = np.random.default_rng(3)
+        for name, n in (("s3", 7), ("q8", 6)):
+            bc = bar_cochains(groups[name])
+            v = rng.integers(-3, 4, bc.rank(n - 1))
+            bc.matvec(n, v)  # imports and first-call allocations
+            tracemalloc.start()
+            try:
+                bc.matvec(n, v)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 8 * bc.rank(n), (name, peak)
 
     def test_dual_differentials_compose_to_zero(self):
         G = symmetric_3()
