@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 from .groups import (FiniteGroup, builtin_group, cyclic, group_from_generators,
                      klein_four, quaternion_8, symmetric_3)
-from .exact import (IntMatrix, SmithDecomposition, SparseFactorization,
-                    smith_normal_form)
+from .exact import SparseFactorization
 from .cohomology import (CohomologyClass, CohomologyGroup, bockstein_delta,
                          coefficient_map, cohomology_group, cohomology_system,
                          p_primary_part)

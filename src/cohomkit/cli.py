@@ -178,7 +178,7 @@ def cmd_dualising(args):
     G = _group_from_arg(args.group)
     w = dualising_check(G)
     ok = w.verify(G)
-    body = {"check": "dualising", "witness_matrix": w.matrix,
+    body = {"check": "dualising", "witness_matrix": w.matrix.tolist(),
             "determinant": w.determinant, "verified": ok}
     return _report(args, body, "pass" if ok else "fail")
 

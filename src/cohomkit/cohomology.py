@@ -56,13 +56,9 @@ class CohomologyClass:
     vector: tuple
 
     def __post_init__(self):
-        if self.modulus:
-            object.__setattr__(
-                self, "vector",
-                tuple(int(v) % self.modulus for v in self.vector))
-        else:
-            object.__setattr__(self, "vector",
-                               tuple(int(v) for v in self.vector))
+        vec = (kernels.residues(self.vector, self.modulus) if self.modulus
+               else kernels.int_array(self.vector))
+        object.__setattr__(self, "vector", tuple(vec.tolist()))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Everything here uses python integers, so no computation can overflow.  In
 the package the Smith form runs in one place only: phase 3 of the sparse
 engine in :mod:`cohomkit.exact.sparse`, on its small echelon block; module
 presentations go through that engine too.  The tests use it as their
-oracle.
+oracle.  ``IntMatrix`` holds the Smith form's input and transforms, and has
+only what that form and phase 3 read (entries, rows, ``mul_vec``); every
+other dense matrix of the package is a numpy array, multiplied by
+:func:`cohomkit.kernels.matmul`.
 """
 
 from __future__ import annotations
@@ -46,19 +49,6 @@ class IntMatrix:
 
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         [self[i, j] for j in range(self.cols)
-                          for i in range(self.rows)])
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        bcols = other.transpose().to_rows()
-        return IntMatrix(self.rows, other.cols,
-                         [sum(x * y for x, y in zip(ai, bj))
-                          for ai in self.to_rows() for bj in bcols])
 
     def mul_vec(self, v):
         if len(v) != self.cols:

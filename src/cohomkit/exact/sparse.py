@@ -73,12 +73,15 @@ _RESIDUAL_DIM_CAP = 2048
 _RESIDUAL_ENTRY_CAP = 4_000_000
 
 
-def symmetric_residue(v: int, m: int) -> int:
-    """v as a symmetric residue mod m (|v| <= m/2); v itself for m = 0."""
+def symmetric_residues(v: np.ndarray, m: int) -> np.ndarray:
+    """The entries of the integer array ``v`` as symmetric residues mod m
+    (|v| <= m/2), in python ints when m is past int64; v itself for
+    m = 0."""
     if not m:
         return v
-    v %= m
-    return v - m if v > m // 2 else v
+    v = (v.astype(object) if m >= 1 << 63 else v) % m
+    v[v > m // 2] -= m
+    return v
 
 
 def _check_range(idx: np.ndarray, bound: int, what: str):
@@ -430,10 +433,7 @@ class SparseFactorization:
             A = np.array(cols, dtype=np.int64)
         except OverflowError:  # an entry past int64: python ints
             A = np.array(cols, dtype=object)
-        A = A.reshape(len(cols), nrows)
-        if m:
-            A = (A.astype(object) if m >= 1 << 63 else A) % m
-            A[A > m // 2] -= m
+        A = symmetric_residues(A.reshape(len(cols), nrows), m)
         ci, ri = np.nonzero(A)
         return cls(nrows, len(cols),
                    coo_to_csr(nrows, len(cols), ri, ci, A[ci, ri]))

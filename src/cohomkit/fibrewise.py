@@ -3,29 +3,41 @@ fields, Gorenstein projectivity, the dualising module isomorphism and
 Koszul self-duality.
 
 Modules come in two forms: a presentation (FGModule, the JSON-facing type)
-and a GModule, a module over RG that is free over R = Z (p = 0) or F_p and
-carries the action matrix of every group element.
+and a GModule, a module over RG that is free of rank r over R = Z (p = 0)
+or F_p and carries its action as one (|G|, r, r) array, the matrix of
+element g at index g.
 
-Everything runs on :mod:`cohomkit.exact.sparse`, whose one factorization
-over Z answers over Z and over every Z/p.  A presentation factors its
-relation matrix A once, over Z.  With m = p over F_p and m = 0 over Z, the
-factorization's cokernel basis b_i of orders o_i splits the quotient of Z^g
-by the relations and m Z^g into the Z/gcd(o_i, m) b_i; the module keeps the
-b_i of order m, and a vector's coordinates in them are its cokernel
-coordinates.  The same factorization checks the action against the group
-table and the relations for stability, by image membership mod m.
+Every dense matrix here is a numpy array: the actions, the free cover, the
+splitting, the dualising witness, the Koszul differentials and the Hodge
+stars.  Each is int64 when its entries fit and object (python ints)
+otherwise, and each product of two of them is :func:`kernels.matmul`,
+which runs in int64 only where a bound shows it exact.  A check compares
+whole arrays: an action meets the group table when one batched product,
+action[a] @ action[b] for every pair (a, b), equals the action indexed by
+the table.
+
+The linear systems run on :mod:`cohomkit.exact.sparse`, whose one
+factorization over Z answers over Z and over every Z/p.  A presentation
+factors its relation matrix A once, over Z.  With m = p over F_p and m = 0
+over Z, the factorization's cokernel basis b_i of orders o_i splits the
+quotient of Z^g by the relations and m Z^g into the Z/gcd(o_i, m) b_i; the
+module keeps the b_i of order m, and a vector's coordinates in them are its
+cokernel coordinates.  The same factorization checks the action against
+the group table and the relations for stability, by image membership mod
+m, one block of columns per check.
 
 Projectivity at a fibre is decided by one linear splitting system, with at
-most dim+1 nonzeros per row.  A lattice's system is factored once, and that
-factorization answers all three questions: the integral test solves over
-Z, each fibre solves mod p (the system mod p is the fibre's own), and the
-rational test reads the free cokernel coordinates.  Koszul H_0 is the
-cokernel of one factorization.  F_p entries enter every factorization as
-symmetric residues (|v| <= p/2, ``SparseFactorization.from_columns``), so
-p - 1 is the unit -1 and stays an elimination pivot.  The dense Smith form
-runs only inside that factorization, as its phase 3; in the tests it is the
-oracle.  Ext over ZG and free resolutions over F_pG, which no command
-asks for, are test helpers (``tests/helpers.py``) on the same engine.
+most dim+1 nonzeros per row, built by index arithmetic on the action
+array.  A lattice's system is factored once, and that factorization
+answers all three questions: the integral test solves over Z, each fibre
+solves mod p (the system mod p is the fibre's own), and the rational test
+reads the free cokernel coordinates.  Koszul H_0 is the cokernel of one
+factorization.  F_p entries enter every factorization as symmetric
+residues (|v| <= p/2, ``symmetric_residues``), so p - 1 is the unit -1 and
+stays an elimination pivot.  The dense Smith form runs only inside that
+factorization, as its phase 3; in the tests it is the oracle.  Ext over ZG
+and free resolutions over F_pG, which no command asks for, are test
+helpers (``tests/helpers.py``) on the same engine.
 """
 
 from __future__ import annotations
@@ -33,15 +45,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, inf
 
+import numpy as np
+
+from . import kernels
 from .abelian import factorize, require_prime
 from .errors import (InternalCheckFailed, InvalidModule, NoIsomorphismFound,
                      NotBaseFree)
-from .exact.dense import IntMatrix
 from .exact.sparse import (SparseFactorization, coo_to_csr,
-                           symmetric_residue)
+                           symmetric_residues)
 from .groups import FiniteGroup, int_rows
 
 
@@ -140,139 +154,122 @@ class FGModule:
         """Order gcd(o_i, m) of each quotient basis vector b_i (0 = Z)."""
         return [gcd(o, self.modulus) for o, _ in self.coker_basis]
 
-    def full_action(self):
-        """Action matrix for every group element, generated from the given
-        ones by table multiplication.  Products must match the table and the
-        generators must keep the relations, both up to the relations and
-        m Z^g (image membership mod m); raises InvalidModule."""
+    def full_action(self) -> np.ndarray:
+        """The action of every group element, a (|G|, g, g) array generated
+        from the given matrices by table multiplication.  Products must
+        match the table and the generators must keep the relations, both up
+        to the relations and m Z^g (image membership mod m); raises
+        InvalidModule."""
         G = self.group
-        n = self.generators
+        g = self.generators
         m = self.modulus
-        known = {0: [[1 if i == j else 0 for j in range(n)]
-                     for i in range(n)]}
+        known = {0: np.eye(g, dtype=np.int64)}
         for k, mat in self.action.items():
-            known[int(k)] = [list(map(int, row)) for row in mat]
-        gens = [k for k in self.action]
+            known[int(k)] = kernels.int_array(mat).reshape(g, g)
+        gens = [int(k) for k in self.action]
         while len(known) < G.order:
             progressed = False
             for a in list(known):
-                for g in gens:
-                    c = G.table[int(g)][a]
+                for k in gens:
+                    c = G.table[k][a]
                     if c not in known:
-                        known[c] = _matmul(known[int(g)], known[a], m)
+                        known[c] = kernels.matmul(known[k], known[a], m)
                         progressed = True
             if not progressed:
                 raise InvalidModule(
                     "action generators do not generate the group")
-        fact = self.factorization
+        action = np.stack([known[a] for a in range(G.order)])
+        pairs, diff = _table_misses(G, action, m)
+        if pairs:
+            ok = self._related(diff)
+            if not all(ok):
+                a, b = pairs[ok.index(False) // g]
+                raise InvalidModule(f"action violates the table at ({a},{b})")
+        rel = kernels.int_array(self.relations).reshape(
+            len(self.relations), g).T
+        if rel.size and gens and not all(self._related(
+                kernels.matmul(action[gens], rel))):
+            raise InvalidModule(
+                "relation submodule is not stable under the action")
+        return action
 
-        def related(cols):
-            return all(fact.in_image(list(col), m) for col in cols)
-
-        for a in range(G.order):
-            for b in range(G.order):
-                got = _matmul(known[a], known[b], m)
-                want = known[G.table[a][b]]
-                if got != want and not related(zip(*(
-                        [x - y for x, y in zip(r, s)]
-                        for r, s in zip(got, want)))):
-                    raise InvalidModule(
-                        f"action violates the table at ({a},{b})")
-        for g in gens:
-            if not related(_matvec(known[int(g)], rel)
-                           for rel in self.relations):
-                raise InvalidModule(
-                    "relation submodule is not stable under the action")
-        return known
-
-
-def _matvec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def _matmul(A, B, p=0):
-    n = len(A)
-    k = len(B[0]) if B else 0
-    out = [[0] * k for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t, a in enumerate(Ai):
-            if a:
-                Bt = B[t]
-                oi = out[i]
-                for j in range(k):
-                    oi[j] += a * Bt[j]
-    if p:
-        out = [[v % p for v in row] for row in out]
-    return out
+    def _related(self, mats: np.ndarray) -> list:
+        """Whether each column of each matrix in the stack ``mats`` lies in
+        the span of the relations and m Z^g, in stack order: one block
+        image query."""
+        block = mats.transpose(1, 0, 2).reshape(self.generators, -1)
+        return self.factorization.in_image(block, self.modulus)
 
 
 class GModule:
     """Module over RG, free of rank ``rank`` over R = Z (p = 0) or F_p: the
-    action matrix of every group element in python ints, reduced mod p, and
-    checked against the group table."""
+    action as one (|G|, rank, rank) array, reduced mod p, and checked
+    against the group table."""
 
-    def __init__(self, group: FiniteGroup, action: list, p: int = 0,
+    def __init__(self, group: FiniteGroup, action, p: int = 0,
                  label: str = "M"):
         if p:
             require_prime(p)
+        action = kernels.residues(action, p) if p else \
+            kernels.int_array(action)
+        if (action.ndim != 3 or len(action) != group.order
+                or action.shape[1] != action.shape[2]):
+            raise InvalidModule("need a square action matrix per group "
+                                "element")
         self.group = group
         self.p = p
-        self.rank = len(action[0]) if action else 0
-        self.action = [[[int(v) % p if p else int(v) for v in row]
-                        for row in mat] for mat in action]
+        self.rank = action.shape[1]
+        self.action = action
         self.label = label
-        if len(self.action) != group.order:
-            raise InvalidModule("need an action matrix per group element")
-        if self.action[0] != [[int(i == j) for j in range(self.rank)]
-                              for i in range(self.rank)]:
+        if not np.array_equal(action[0], np.eye(self.rank, dtype=np.int64)):
             raise InvalidModule("identity element must act as the identity")
-        for a in range(group.order):
-            for b in range(group.order):
-                if _matmul(self.action[a], self.action[b], p) != \
-                        self.action[group.table[a][b]]:
-                    raise InvalidModule(
-                        f"action violates the table at ({a},{b})")
+        pairs, _ = _table_misses(group, action, p)
+        if pairs:
+            a, b = pairs[0]
+            raise InvalidModule(f"action violates the table at ({a},{b})")
+
+
+def _table_misses(group: FiniteGroup, action: np.ndarray, m: int):
+    """The pairs (a, b), in row-major order, at which action[a] @ action[b]
+    mod m (over Z for m = 0) differs from action[ab], by one batched
+    product, and the stack of those differences."""
+    prod = kernels.matmul(action[:, None], action[None, :], m)
+    want = action[np.array(group.table)]
+    bad = np.nonzero((prod != want).any(axis=(2, 3)))
+    return (list(zip(*(x.tolist() for x in bad))),
+            prod[bad].astype(object) - want[bad])
+
+
+def _permutation_action(images: np.ndarray) -> np.ndarray:
+    """The (|G|, n, n) action in which element g sends basis vector h to
+    basis vector images[g, h]."""
+    n = images.shape[1]
+    return (images[:, None, :] == np.arange(n)[:, None]).astype(np.int64)
 
 
 def regular_module(G: FiniteGroup) -> GModule:
     """ZG with the left regular action."""
-    n = G.order
-    mats = []
-    for g in range(n):
-        mat = [[0] * n for _ in range(n)]
-        for h in range(n):
-            mat[G.table[g][h]][h] = 1
-        mats.append(mat)
-    return GModule(G, mats, label="ZG")
+    return GModule(G, _permutation_action(np.array(G.table)), label="ZG")
 
 
 def trivial_module(G: FiniteGroup) -> GModule:
-    return GModule(G, [[[1]] for _ in range(G.order)], label="Z")
+    return GModule(G, np.ones((G.order, 1, 1), dtype=np.int64), label="Z")
 
 
 def augmentation_ideal(G: FiniteGroup) -> GModule:
     """Kernel of ZG -> Z with basis e_g - e_0 for g != 0."""
-    n = G.order
-    mats = []
-    for g in range(n):
-        # g . (e_h - e_0) = e_{gh} - e_g = (e_{gh} - e_0) - (e_g - e_0)
-        mat = [[0] * (n - 1) for _ in range(n - 1)]
-        for h in range(1, n):
-            gh = G.table[g][h]
-            if gh != 0:
-                mat[gh - 1][h - 1] += 1
-            if g != 0:
-                mat[g - 1][h - 1] -= 1
-        mats.append(mat)
-    return GModule(G, mats, label="aug")
+    # g . (e_h - e_0) = e_{gh} - e_0 - (e_g - e_0): the regular action on
+    # the e_h, h != 0, less a row of ones at e_g
+    eye = np.eye(G.order, dtype=np.int64)
+    return GModule(G, regular_module(G).action[:, 1:, 1:] - eye[:, 1:, None],
+                   label="aug")
 
 
 def module_from_presentation(M: FGModule) -> GModule:
     """Realize a Z or F_p presentation as a GModule on its quotient basis
     vectors b_i of order m: column i of the action of g holds the cokernel
-    coordinates of g b_i at those b_j.  NotBaseFree when a Z presentation
-    has torsion."""
+    coordinates of g b_i at those b_j, all read by one block query.
+    NotBaseFree when a Z presentation has torsion."""
     full = M.full_action()
     m = M.modulus
     orders = M.orders()
@@ -280,15 +277,15 @@ def module_from_presentation(M: FGModule) -> GModule:
     if torsion:
         raise NotBaseFree(f"presentation has torsion {torsion}")
     free = [i for i, o in enumerate(orders) if o == m]
-    coords = M.factorization.coords
-
-    def realize(mat):
-        cols = [coords(_matvec(mat, M.coker_basis[i][1]), m)[0]
-                for i in free]
-        return [[col[j] for col in cols] for j in free]
-
-    return GModule(M.group, [realize(full[a]) for a in range(M.group.order)],
-                   m)
+    n, r = M.group.order, len(free)
+    if not r:
+        return GModule(M.group, np.zeros((n, 0, 0), dtype=np.int64), m)
+    basis = kernels.int_array([M.coker_basis[i][1] for i in free])
+    # column a*r + i of the block is g_a b_i
+    block = kernels.matmul(full, basis.T).transpose(1, 0, 2)
+    coords = M.factorization.coords(block.reshape(M.generators, n * r), m)
+    cols = kernels.int_array([vals for vals, _ in coords])[:, free]
+    return GModule(M.group, cols.reshape(n, r, r).transpose(0, 2, 1), m)
 
 
 # ---------------------------------------------------------------------------
@@ -298,71 +295,60 @@ def module_from_presentation(M: FGModule) -> GModule:
 @dataclass
 class ProjectivityResult:
     projective: bool
-    splitting: list | None  # columns express sigma: M -> F
+    splitting: np.ndarray | None  # columns express sigma: M -> F
 
 
-def _free_cover_data(group: FiniteGroup, dim: int, action_of):
+def _free_cover_data(action: np.ndarray) -> np.ndarray:
     """Free cover F = (RG)^dim -> M, e_{j,g} -> g m_j, as its matrix P
-    (dim x dim*|G|)."""
-    n = group.order
-    P = [[0] * (dim * n) for _ in range(dim)]
-    for j in range(dim):
-        for g in range(n):
-            col = j * n + g
-            mat = action_of(g)
-            for i in range(dim):
-                P[i][col] = mat[i][j]
-    return P
+    (dim x dim*|G|): column j*|G| + g is column j of the action of g."""
+    n, dim, _ = action.shape
+    return action.transpose(1, 2, 0).reshape(dim, dim * n)
 
 
-def _splitting_system(group: FiniteGroup, dim: int, action_of):
+def _splitting_system(group: FiniteGroup, action: np.ndarray):
     """Linear system for an equivariant splitting sigma with P sigma = id.
 
     Unknowns: sigma entries (dim*|G|) x dim, row-major.  Returns
-    ``(nrows, ncols, coo, b)`` for A x = b, with A as COO triples; each row
-    has at most dim+1 nonzeros."""
-    n = group.order
-    P = _free_cover_data(group, dim, action_of)
+    ``(nrows, ncols, coo, b)`` for A x = b, with A as COO arrays; each row
+    has at most dim+1 nonzeros.  Row i*dim + j says (P sigma)[i][j] =
+    [i == j].  Then, for g = 1, ..., |G| - 1, r < dim*|G| and c < dim, row
+    dim^2 + ((g - 1) dim|G| + r) dim + c says sigma act_M(g) = act_F(g)
+    sigma at (r, c), where (act_F(g) sigma)[r] is the row of sigma at the
+    g^-1 translate of r."""
+    n, dim, _ = action.shape
     nf = dim * n
-    ri, ci, vi = [], [], []
-    rhs = []
-
-    def entry(col, v):
-        ri.append(len(rhs))
-        ci.append(col)
-        vi.append(v)
-
-    # P sigma = I
-    for i in range(dim):
-        for j in range(dim):
-            for t in range(nf):
-                if P[i][t]:
-                    entry(t * dim + j, P[i][t])
-            rhs.append(1 if i == j else 0)
-    # equivariance: sigma act_M(g) = act_F(g) sigma for every element
-    for g in range(1, n):
-        mat = action_of(g)
-        for r in range(nf):
-            j0, h = divmod(r, n)
-            src = j0 * n + _left_division(group, g, h)
-            for c in range(dim):
-                for t in range(dim):
-                    if mat[t][c]:
-                        entry(r * dim + t, mat[t][c])
-                # (act_F(g) sigma)[r][c] = sigma[g^{-1} component]
-                entry(src * dim + c, -1)
-                rhs.append(0)
-    return len(rhs), nf * dim, (ri, ci, vi), rhs
+    cols = np.arange(dim)
+    # P sigma = I: P[i][t] at column t*dim + j of row i*dim + j
+    P = _free_cover_data(action)
+    i, t = np.nonzero(P)
+    ri = [(i[:, None] * dim + cols).ravel()]
+    ci = [(t[:, None] * dim + cols).ravel()]
+    vi = [np.repeat(P[i, t], dim)]
+    # sigma act_M(g): act_M(g)[t][c] at column r*dim + t (g - 1 below)
+    g, t, c = np.nonzero(action[1:])
+    r = np.arange(nf)[:, None]
+    rows = dim * dim + (g * nf + r) * dim + c
+    ri.append(rows.ravel())
+    ci.append((r * dim + t).ravel())
+    vi.append(np.broadcast_to(action[1:][g, t, c], rows.shape).ravel())
+    # -act_F(g) sigma: -1 at column src*dim + c, r = j*|G| + h and
+    # src = j*|G| + g^-1 h
+    table = np.array(group.table)
+    r = np.arange(nf)
+    src = r - r % n + table[group.inverse][1:, r % n]
+    ri.append(dim * dim + np.arange((n - 1) * nf * dim))
+    ci.append((src[:, :, None] * dim + cols).ravel())
+    vi.append(np.full((n - 1) * nf * dim, -1))
+    nrows = dim * dim + (n - 1) * nf * dim
+    rhs = np.zeros(nrows, dtype=np.int64)
+    rhs[:dim * dim] = np.eye(dim, dtype=np.int64).ravel()
+    return (nrows, nf * dim,
+            tuple(np.concatenate(x) for x in (ri, ci, vi)), rhs)
 
 
-def _left_division(group: FiniteGroup, g: int, h: int) -> int:
-    """x with g x = h."""
-    return group.table[group.inverse[g]][h]
-
-
-def _splitting_factorization(group: FiniteGroup, dim: int, action_of):
+def _splitting_factorization(group: FiniteGroup, action: np.ndarray):
     """The splitting system factored over Z, and its right-hand side."""
-    nrows, ncols, coo, rhs = _splitting_system(group, dim, action_of)
+    nrows, ncols, coo, rhs = _splitting_system(group, action)
     return SparseFactorization(nrows, ncols,
                                coo_to_csr(nrows, ncols, *coo)), rhs
 
@@ -375,16 +361,14 @@ def fibre_projectivity_test(M: GModule) -> ProjectivityResult:
     that p - 1 enters as the unit -1 and stays an elimination pivot."""
     dim = M.rank
     if dim == 0:
-        return ProjectivityResult(True, [])
-    lifted = [[[symmetric_residue(v, M.p) for v in row] for row in mat]
-              for mat in M.action]
-    fact, rhs = _splitting_factorization(M.group, dim, lambda g: lifted[g])
+        return ProjectivityResult(True, np.zeros((0, 0), dtype=np.int64))
+    fact, rhs = _splitting_factorization(
+        M.group, symmetric_residues(M.action, M.p))
     x = fact.solve(rhs, M.p)
     if x is None:
         return ProjectivityResult(False, None)
-    sigma = [[x[r * dim + c] for c in range(dim)]
-             for r in range(dim * M.group.order)]
-    return ProjectivityResult(True, sigma)
+    return ProjectivityResult(
+        True, kernels.int_array(x).reshape(dim * M.group.order, dim))
 
 
 def integral_projectivity_test(M: GModule) -> ProjectivityResult:
@@ -400,8 +384,7 @@ def rational_projectivity_test(M: GModule) -> bool:
     verification toggle), decided by the Z factorization."""
     if M.rank == 0:
         return True
-    fact, rhs = _splitting_factorization(M.group, M.rank,
-                                         lambda g: M.action[g])
+    fact, rhs = _splitting_factorization(M.group, M.action)
     return fact.solvable_over_q(rhs)
 
 
@@ -434,8 +417,7 @@ def proj_dim_via_fibres(M: GModule,
     fibres = {p: True for p in primes}
     rational = integral = True
     if M.rank:
-        fact, rhs = _splitting_factorization(M.group, M.rank,
-                                             lambda g: M.action[g])
+        fact, rhs = _splitting_factorization(M.group, M.action)
         fibres = {p: fact.solve(rhs, p) is not None for p in primes}
         integral = fact.solve(rhs, 0) is not None
         if verify_rational:
@@ -466,29 +448,23 @@ def gproj_test(M: FGModule) -> dict:
 @dataclass
 class DualisingWitness:
     group_label: str
-    matrix: list
+    matrix: np.ndarray
     determinant: int
 
     def verify(self, G: FiniteGroup) -> bool:
         """T is a permutation matrix, so unimodular, and commutes with the
-        actions."""
-        n = G.order
+        actions: T L_g = R_g T for every g, with L_g e_h = e_{g h} on ZG and
+        R_g f_x = f_{x g^-1} on Hom_Z(ZG, Z)."""
         T = self.matrix
-        unit = [0] * (n - 1) + [1]
-        if any(sorted(line) != unit for line in [*T, *zip(*T)]):
+        unit = np.eye(G.order, dtype=np.int64)[-1]
+        if not ((np.sort(T, axis=0) == unit[:, None]).all()
+                and (np.sort(T, axis=1) == unit).all()):
             return False
-        for g in range(n):
-            # L_g: e_h -> e_{g h}; omega action: f_h -> f_{h g^{-1}}
-            for h in range(n):
-                lhs = [T[i][G.table[g][h]] for i in range(n)]
-                col = [T[i][h] for i in range(n)]
-                rhs = [0] * n
-                for i in range(n):
-                    if col[i]:
-                        rhs[G.table[i][G.inverse[g]]] += col[i]
-                if lhs != rhs:
-                    return False
-        return True
+        table = np.array(G.table)
+        left = _permutation_action(table)
+        right = _permutation_action(table[:, G.inverse].T)
+        return np.array_equal(kernels.matmul(T, left),
+                              kernels.matmul(right, T))
 
 
 def dualising_check(G: FiniteGroup) -> DualisingWitness:
@@ -500,9 +476,8 @@ def dualising_check(G: FiniteGroup) -> DualisingWitness:
     n = G.order
     k = n - 1
     perm = [G.table[k][G.inverse[h]] for h in range(n)]
-    T = [[0] * n for _ in range(n)]
-    for h, r in enumerate(perm):
-        T[r][h] = 1
+    T = np.zeros((n, n), dtype=np.int64)
+    T[perm, np.arange(n)] = 1
     w = DualisingWitness(G.label, T, _perm_sign(perm))
     if not w.verify(G):
         raise NoIsomorphismFound(
@@ -525,20 +500,19 @@ class KoszulReport:
 
 def koszul_complex_matrices(elements):
     """Differentials of the Koszul complex on the given integers:
-    d_k : Lambda^k -> Lambda^{k-1}."""
-    d = len(elements)
+    d_k : Lambda^k -> Lambda^{k-1}, one array each."""
+    a = kernels.int_array(elements)
+    d = len(a)
     subsets = {k: list(combinations(range(d), k)) for k in range(d + 1)}
     index = {k: {S: i for i, S in enumerate(subsets[k])} for k in subsets}
     mats = {}
     for k in range(1, d + 1):
-        rows = len(subsets[k - 1])
-        cols = len(subsets[k])
-        ent = [[0] * cols for _ in range(rows)]
+        ent = np.zeros((len(subsets[k - 1]), len(subsets[k])), dtype=a.dtype)
         for j, S in enumerate(subsets[k]):
             for pos, elem in enumerate(S):
-                T = tuple(x for x in S if x != elem)
-                ent[index[k - 1][T]][j] += (-1) ** pos * elements[elem]
-        mats[k] = IntMatrix.from_rows(ent)
+                ent[index[k - 1][S[:pos] + S[pos + 1:]], j] = \
+                    (-1) ** pos * a[elem]
+        mats[k] = ent
     return mats, subsets
 
 
@@ -557,37 +531,23 @@ def koszul_selfdual_check(elements) -> KoszulReport:
     index = {k: {S: i for i, S in enumerate(subsets[k])} for k in subsets}
 
     def star(k):
-        rows = len(subsets[d - k])
-        cols = len(subsets[k])
-        ent = [[0] * cols for _ in range(rows)]
+        ent = np.zeros((len(subsets[d - k]), len(subsets[k])), dtype=np.int64)
         for j, S in enumerate(subsets[k]):
             comp = tuple(x for x in range(d) if x not in S)
             # sign of the permutation sorting S followed by complement
-            perm = list(S) + list(comp)
-            sgn = _perm_sign(perm)
-            ent[index[d - k][comp]][j] = sgn
-        return IntMatrix.from_rows(ent) if rows and cols else \
-            IntMatrix.from_rows([[1]])
+            ent[index[d - k][comp], j] = _perm_sign(list(S) + list(comp))
+        return ent
 
     stars = {k: star(k) for k in range(d + 1)}
-    from itertools import product as iproduct
-
-    for signs in iproduct((1, -1), repeat=d + 1):
-        ok = True
-        for k in range(1, d + 1):
-            lhs = stars[k - 1] @ mats[k]
-            lhs = IntMatrix(lhs.rows, lhs.cols,
-                            [signs[k - 1] * v for v in lhs.entries])
-            rhs = mats[d - k + 1].transpose() @ stars[k]
-            rhs = IntMatrix(rhs.rows, rhs.cols,
-                            [signs[k] * v for v in rhs.entries])
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
-            h0 = SparseFactorization.from_columns(
-                [[v] for v in mats[1].entries], 1).coker_invariants()
-            return KoszulReport(elements, True, signs, tuple(h0))
+    squares = [(kernels.matmul(stars[k - 1], mats[k]),
+                kernels.matmul(mats[d - k + 1].T, stars[k]))
+               for k in range(1, d + 1)]
+    for signs in product((1, -1), repeat=d + 1):
+        if all(np.array_equal(signs[k - 1] * lhs, signs[k] * rhs)
+               for k, (lhs, rhs) in enumerate(squares, 1)):
+            h0 = SparseFactorization.from_columns(mats[1].T, 1)
+            return KoszulReport(elements, True, signs,
+                                tuple(h0.coker_invariants()))
     return KoszulReport(elements, False, (), ())
 
 

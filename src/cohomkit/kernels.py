@@ -1,4 +1,5 @@
-"""Hot numeric kernels: op-log replay, back-substitution and CSR matvec.
+"""Hot numeric kernels: op-log replay, back-substitution, CSR matvec and
+the dense product.
 
 The sparse factorizations in :mod:`cohomkit.exact.sparse` are built once per
 (group, degree), over Z, but queried hundreds of times, over Z and mod m:
@@ -30,6 +31,11 @@ bound is taken over the whole block, so a block is int64 or object as one:
   past int64);
 - matvec: int64 iff max|x| * sum|data| < 2^62, which bounds every partial
   sum of the segmented sum;
+- dense product ``matmul(a, b, m)``, the one product of the package's
+  dense matrices outside the sparse engine (module actions, Koszul and
+  ring-map matrices): int64 iff s * max|a| * max|b| < 2^62 for the inner
+  length s, and the result, reduced mod m when m is given, is int64 when
+  its entries fit and object otherwise, as ``int_array`` makes it;
 - back-substitution is a sequential loop over python ints, one column of
   a block after the other.
 
@@ -264,6 +270,16 @@ def _csr_matvec(indptr, indices, data, x: np.ndarray) -> np.ndarray:
     acc = np.zeros((len(prod) + 1,) + prod.shape[1:], dtype=prod.dtype)
     np.cumsum(prod, axis=0, out=acc[1:])
     return acc[indptr[1:]] - acc[indptr[:-1]]
+
+
+def matmul(a, b, m: int = 0) -> np.ndarray:
+    """Exact product ``a @ b`` of integer arrays, batched over leading axes
+    as ``np.matmul`` is, and reduced mod m when m; see the bound above."""
+    a, b = int_array(a), int_array(b)
+    if (a.dtype == object or b.dtype == object
+            or a.shape[-1] * max_abs(a) * max_abs(b) >= _LIMIT):
+        a, b = a.astype(object), b.astype(object)
+    return residues(a @ b, m) if m else int_array(a @ b)
 
 
 def csr_matvec_int(indptr, indices, data, vec):

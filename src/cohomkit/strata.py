@@ -16,6 +16,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
+from . import kernels
 from .abelian import require_prime
 from .cohomology import CohomologyClass, CohomologyGroup, cohomology_system
 from .config import size_cap
@@ -223,7 +224,10 @@ class RingMapSlice:
             raise ValueError("source and target slices over different rings")
         self.source = source
         self.target = target
-        self.matrices = matrices  # degree -> target_dim x source_dim rows
+        # degree -> (target dim, source dim) array
+        self.matrices = {d: kernels.int_array(M).reshape(
+            target.dimension(d), source.dimension(d))
+            for d, M in matrices.items()}
         self.label = label
 
     @property
@@ -231,14 +235,13 @@ class RingMapSlice:
         return min(self.source.max_degree, self.target.max_degree)
 
     def apply(self, d: int, coords):
+        """The image of one coordinate vector, as a tuple, or of each column
+        of a block, as an array; reduced mod the slices' modulus."""
         M = self.matrices.get(d)
         if M is None:
             raise SliceTooShallow(f"no matrix stored for degree {d}")
-        out = [0] * len(M)
-        for i, row in enumerate(M):
-            out[i] = sum(r * c for r, c in zip(row, coords))
-        m = self.source.modulus
-        return tuple(v % m if m else v for v in out)
+        out = kernels.matmul(M, coords, self.source.modulus)
+        return tuple(out.tolist()) if out.ndim == 1 else out
 
     def check_multiplicative(self) -> bool:
         N = self.max_degree
@@ -301,9 +304,7 @@ def kappa_certificate(f: RingMapSlice, p: int, s: int, N: int) -> KappaReport:
             kernel_entries.append({"degree": d, "kernel_dim": 0,
                                    "nilpotent": True})
             continue
-        M = f.matrices[d]
-        kern = nullspace_modp(M, p) if M and len(M) else \
-            [list(row) for row in np.eye(dim, dtype=np.int64)]
+        kern = nullspace_modp(f.matrices[d], p)
         entry = {"degree": d, "kernel_dim": len(kern), "nilpotent": True,
                  "witnesses": []}
         for kv in kern:
@@ -322,18 +323,16 @@ def kappa_certificate(f: RingMapSlice, p: int, s: int, N: int) -> KappaReport:
         if d * p**s > N:
             break
         D = d * p**s
-        img_cols = []
+        # the images of the source basis, as columns
         src_dim = f.source.dimension(D)
-        for i in range(src_dim):
-            img_cols.append(list(f.apply(D, f.source.basis_coords(D, i))))
+        A = f.apply(D, np.eye(src_dim, dtype=np.int64)) % p
         for j in range(f.target.dimension(d)):
             x = f.target.basis_coords(d, j)
             power = f.target.power_coords(d, x, p**s)
-            if not img_cols:
+            if not src_dim:
                 solvable = f.target.element_is_zero(D, power)
                 sol = [] if solvable else None
             else:
-                A = np.asarray(img_cols, dtype=np.int64).T % p
                 sol = solve_modp(A, list(power), p)
                 solvable = sol is not None
             onto.append({"degree": d, "basis_index": j,
@@ -379,11 +378,6 @@ def kappa_map_for_group(G: FiniteGroup, p: int, N: int) -> RingMapSlice:
         width = sys.block_width(d)
         cols = [c for s in range(0, red.shape[1], width)
                 for c in sys.canonical_coords(d, p, red[:, s:s + width])]
-        tdim = target.dimension(d)
-        if cols:
-            matrices[d] = [[cols[j][i] for j in range(len(cols))]
-                           for i in range(tdim)]
-        else:
-            matrices[d] = [[] for _ in range(tdim)]
+        matrices[d] = kernels.int_array(cols).T
     return RingMapSlice(source, target, matrices,
                         label=f"kappa_{p}({G.label})")

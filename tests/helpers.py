@@ -13,6 +13,8 @@ long on the same Ext values.
 from dataclasses import dataclass
 from itertools import islice
 
+import numpy as np
+
 from cohomkit.abelian import factorize
 from cohomkit.cohomology import (CohomologyClass, canonical_coords,
                                  cohomology_group, cohomology_system,
@@ -176,7 +178,7 @@ def _hom(G: FiniteGroup, K, r: int, N: GModule):
         for idx, val in enumerate(v):
             if val:
                 j, g = divmod(idx, n)
-                for a, row in enumerate(N.action[g]):
+                for a, row in enumerate(N.action[g].tolist()):
                     for b, x in enumerate(row):
                         cols[j * rN + b][t * rN + a] += val * x
     return cols
@@ -238,7 +240,7 @@ class FieldResolution:
     module: GModule
     free_ranks: list
     diffs: list        # F_p matrices of d_t : F_t -> F_{t-1} (expanded)
-    cover: list | None  # matrix F_0 -> M
+    cover: np.ndarray | None  # matrix F_0 -> M
 
     @property
     def length(self) -> int:
@@ -253,7 +255,7 @@ def _is_free(M: GModule) -> bool:
         return False
     span = []
     for cand in range(M.rank):
-        orbit = [[A[i][cand] for i in range(M.rank)] for A in M.action]
+        orbit = M.action[:, :, cand].tolist()
         if rank_modp(span + orbit, M.p) == len(span) + n:
             span += orbit
             if len(span) == M.rank:
@@ -278,4 +280,4 @@ def field_free_resolution(M: GModule, N: int) -> FieldResolution:
         diffs.append([list(r) for r in zip(*(
             _translate(G, g, v) for v in K for g in range(G.order)))])
     return FieldResolution(M, ranks, diffs,
-                           _free_cover_data(G, M.rank, lambda g: M.action[g]))
+                           _free_cover_data(M.action))

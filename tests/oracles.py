@@ -40,6 +40,17 @@ def zero(rows: int, cols: int) -> IntMatrix:
     return IntMatrix(rows, cols, [0] * (rows * cols))
 
 
+def matmul(*factors: IntMatrix) -> IntMatrix:
+    """The product of the factors, taken in numpy object arrays of python
+    ints."""
+    arrays = [np.array(M.entries, dtype=object).reshape(M.rows, M.cols)
+              for M in factors]
+    out = arrays[0]
+    for a in arrays[1:]:
+        out = out @ a
+    return IntMatrix(*out.shape, out.ravel().tolist())
+
+
 def solve_mod(A, b, m):
     """Some x with A x = b (mod m), or None; see SmithDecomposition.solve."""
     return smith_normal_form(A).solve(b, m)
@@ -114,7 +125,7 @@ def det(M: IntMatrix) -> int:
 def verify_smith(dec) -> bool:
     """U M V = D with U, V unimodular and D a nonnegative diagonal with
     the divisibility chain, zeros last."""
-    if (dec.U @ dec.source) @ dec.V != dec.D:
+    if matmul(dec.U, dec.source, dec.V) != dec.D:
         return False
     if abs(det(dec.U)) != 1 or abs(det(dec.V)) != 1:
         return False
@@ -136,7 +147,7 @@ def unimodular_inverse(M: IntMatrix) -> IntMatrix:
     dec = smith_normal_form(M)
     if dec.D != identity(dec.D.rows):
         raise ValueError("matrix is not unimodular")
-    return dec.V @ dec.U
+    return matmul(dec.V, dec.U)
 
 
 def realize_presentation(generators: int, relations, action, m: int):
@@ -158,7 +169,8 @@ def realize_presentation(generators: int, relations, action, m: int):
     proj = IntMatrix.from_rows([dec.U.row(i) for i in free])
     lift = IntMatrix.from_rows([[Uinv[r, i] for i in free]
                                 for r in range(generators)])
-    return [proj @ IntMatrix.from_rows(mat) @ lift for mat in action], proj
+    return [matmul(proj, IntMatrix.from_rows(mat), lift)
+            for mat in action], proj
 
 
 class Resolution:
@@ -389,7 +401,7 @@ class CochainComplex:
         N = self.resolution.length if max_degree is None else max_degree
         m = self.coefficient_modulus
         for n in range(2, N + 1):
-            prod = self.differential(n) @ self.differential(n - 1)
+            prod = matmul(self.differential(n), self.differential(n - 1))
             bad = any((v % m if m else v) for v in prod.entries)
             if bad:
                 return False

@@ -8,8 +8,9 @@ from cohomkit import cli, fibrewise
 from cohomkit.cohomology import cohomology_group
 from cohomkit.errors import InvalidModule, NotBaseFree, NotPrime
 from cohomkit.exact.dense import IntMatrix, smith_normal_form
-from cohomkit.exact.sparse import SparseFactorization
-from cohomkit.fibrewise import (FGModule, _free_cover_data,
+from cohomkit.exact import sparse
+from cohomkit.exact.sparse import SparseFactorization, coo_to_csr
+from cohomkit.fibrewise import (FGModule, GModule, _free_cover_data,
                                 _splitting_system, augmentation_ideal,
                                 dualising_check, fibre_projectivity_test,
                                 gproj_test, integral_projectivity_test,
@@ -20,8 +21,8 @@ from cohomkit.fibrewise import (FGModule, _free_cover_data,
                                 trivial_module)
 from cohomkit.groups import cyclic, quaternion_8, symmetric_3
 from helpers import ext_group, reduce_mod
-from oracles import (det, echelon_modp, realize_presentation, solve_mod,
-                     subquotient_invariants)
+from oracles import (det, echelon_modp, matmul, realize_presentation,
+                     solve_mod, subquotient_invariants)
 
 
 class TestProjectivity:
@@ -45,7 +46,7 @@ class TestProjectivity:
         r = fibre_projectivity_test(M)
         assert r.projective
         assert all(0 <= v < 2 for row in r.splitting for v in row)
-        assert_splitting(G, M.rank, lambda g: M.action[g], r.splitting, 2)
+        assert_splitting(G, M.action, r.splitting, 2)
 
     @pytest.mark.parametrize("name", ["c2", "c3", "c6"])
     def test_integral_splitting_witness_verifies(self, groups, name):
@@ -54,38 +55,38 @@ class TestProjectivity:
         M = regular_module(G)
         r = integral_projectivity_test(M)
         assert r.projective
-        assert_splitting(G, M.rank, lambda g: M.action[g], r.splitting, 0)
+        assert_splitting(G, M.action, r.splitting, 0)
 
 
-def assert_splitting(G, dim, action_of, sigma, p):
+def assert_splitting(G, action, sigma, p):
     """P sigma = I and sigma rho_M(g) = rho_F(g) sigma for every g, over Z
     (p = 0) or mod p; F = (ZG)^dim with g e_{j,h} = e_{j,gh}."""
-    n = G.order
+    n, dim = G.order, action.shape[1]
     red = (lambda A: A % p) if p else (lambda A: A)
     S = np.array(sigma, dtype=object)
-    P = np.array(_free_cover_data(G, dim, action_of), dtype=object)
+    P = np.array(_free_cover_data(action), dtype=object)
     assert (red(P @ S) == np.eye(dim, dtype=np.int64)).all()
     for g in range(n):
         F = np.zeros((dim * n, dim * n), dtype=object)
         for j in range(dim):
             for h in range(n):
                 F[j * n + G.table[g][h], j * n + h] = 1
-        rho = np.array(action_of(g), dtype=object)
+        rho = np.array(action[g], dtype=object)
         assert (red(S @ rho - F @ S) == 0).all(), g
 
 
-def _dense_splitting_system(G, dim, action_of):
-    nrows, ncols, (ri, ci, vi), b = _splitting_system(G, dim, action_of)
+def _dense_splitting_system(G, action):
+    nrows, ncols, (ri, ci, vi), b = _splitting_system(G, action)
     A = [[0] * ncols for _ in range(nrows)]
-    for i, j, v in zip(ri, ci, vi):
+    for i, j, v in zip(ri.tolist(), ci.tolist(), vi.tolist()):
         A[i][j] += v
-    return A, b
+    return A, b.tolist()
 
 
 def _check_against_dense_oracles(G, M, primes):
     """The sparse verdicts agree with dense SNF over Z and Q and with
     dense mod-p elimination on every fibre."""
-    A, b = _dense_splitting_system(G, M.rank, lambda g: M.action[g])
+    A, b = _dense_splitting_system(G, M.action)
     integral = solve_mod(IntMatrix.from_rows(A), b, "Z") is not None
     assert integral_projectivity_test(M).projective == integral
     rank = smith_normal_form(IntMatrix.from_rows(A)).rank()
@@ -94,13 +95,66 @@ def _check_against_dense_oracles(G, M, primes):
     assert rational_projectivity_test(M) == (rank == rank_b)
     for p in primes:
         Mp = reduce_mod(M, p)
-        Ap, bp = _dense_splitting_system(G, Mp.rank, lambda g: Mp.action[g])
+        Ap, bp = _dense_splitting_system(G, Mp.action)
         aug = [row + [v] for row, v in zip(Ap, bp)]
         assert fibre_projectivity_test(Mp).projective == \
             (len(Ap[0]) not in echelon_modp(aug, p)[1]), p
 
 
 _MODULES = [regular_module, trivial_module, augmentation_ideal]
+
+
+def _splitting_entry_loop(G, action):
+    """The splitting system's COO triple and right-hand side, one entry at
+    a time from the action's rows, as the package built it before it
+    built the system by index arithmetic."""
+    n, dim = G.order, len(action[0])
+    P = [[action[g][i][j] for j in range(dim) for g in range(n)]
+         for i in range(dim)]
+    ri, ci, vi, rhs = [], [], [], []
+    for i in range(dim):
+        for j in range(dim):
+            for t in range(dim * n):
+                if P[i][t]:
+                    ri.append(len(rhs))
+                    ci.append(t * dim + j)
+                    vi.append(P[i][t])
+            rhs.append(int(i == j))
+    for g in range(1, n):
+        for r in range(dim * n):
+            j0, h = divmod(r, n)
+            src = j0 * n + G.table[G.inverse[g]][h]
+            for c in range(dim):
+                for t in range(dim):
+                    if action[g][t][c]:
+                        ri.append(len(rhs))
+                        ci.append(r * dim + t)
+                        vi.append(action[g][t][c])
+                ri.append(len(rhs))
+                ci.append(src * dim + c)
+                vi.append(-1)
+                rhs.append(0)
+    return (ri, ci, vi), rhs
+
+
+class TestSplittingSystem:
+    @pytest.mark.parametrize("make", _MODULES)
+    @pytest.mark.parametrize("name", ["c2", "c3", "c6", "s3", "klein4"])
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_matches_the_entry_loop(self, groups, name, make, p):
+        """The CSR triple and right-hand side are those of the entry loop,
+        bit for bit, over Z and from the symmetric residues mod 3."""
+        G = groups[name]
+        M = make(G) if not p else reduce_mod(make(G), p)
+        action = sparse.symmetric_residues(M.action, p)
+        nrows, ncols, coo, rhs = _splitting_system(G, action)
+        want_coo, want_rhs = _splitting_entry_loop(G, action.tolist())
+        assert (nrows, ncols) == (len(want_rhs), M.rank ** 2 * G.order)
+        assert rhs.tolist() == want_rhs
+        got = coo_to_csr(nrows, ncols, *coo)
+        want = coo_to_csr(nrows, ncols, *want_coo)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(got, want))
 
 
 class TestSparseSplittingAgainstDense:
@@ -169,8 +223,7 @@ class TestOneFactorizationPerLattice:
         assert rep.rational_projective
         assert rep.integral_projective == \
             integral_projectivity_test(M).projective
-        fact, rhs = fibrewise._splitting_factorization(
-            G, M.rank, lambda g: M.action[g])
+        fact, rhs = fibrewise._splitting_factorization(G, M.action)
         for p in (2, 3, 5, 7):
             want = fibre_projectivity_test(reduce_mod(M, p)).projective
             assert (fact.solve(rhs, p) is not None) == want, p
@@ -252,7 +305,7 @@ class TestPresentations:
         M = FGModule(G, "Z", 0, 2, [[1, -1]], {1: [[0, 1], [1, 0]]})
         lat = module_from_presentation(M)
         assert lat.rank == 1
-        assert lat.action[1] == [[1]]
+        assert lat.action[1].tolist() == [[1]]
 
     def test_torsion_presentation_rejected_for_lattice(self, groups):
         M = FGModule(groups["c2"], "Z", 0, 1, [[2]], {1: [[1]]})
@@ -277,6 +330,23 @@ class TestPresentations:
             FGModule(G, "Z", 0, 2, [], {1: [[0, 1]]})
         with pytest.raises(InvalidModule):  # no element 5 in C_2
             FGModule(G, "Z", 0, 1, [], {5: [[1]]})
+
+    @pytest.mark.parametrize("corner, valid", [(-1, True), (1, False)])
+    def test_action_past_int64(self, groups, corner, valid):
+        """g acting by [[1, 2^70], [0, corner]] squares to the identity iff
+        corner = -1: the table check is exact past int64, as a GModule and
+        through full_action."""
+        G = groups["c2"]
+        mat = [[1, 2**70], [0, corner]]
+        M = FGModule(G, "Z", 0, 2, [], {1: mat})
+        if valid:
+            assert GModule(G, [[[1, 0], [0, 1]], mat]).rank == 2
+            assert M.full_action()[1].tolist() == mat
+            return
+        with pytest.raises(InvalidModule, match="violates the table"):
+            GModule(G, [[[1, 0], [0, 1]], mat])
+        with pytest.raises(InvalidModule, match="violates the table"):
+            M.full_action()
 
     def test_fp_presentation(self, groups):
         G = groups["c2"]
@@ -314,7 +384,7 @@ class TestPresentations:
         M = FGModule(groups["c2"], "Fp", 3, 2, [[0, 1]],
                      {1: [[1, 0], [1, 1]]})
         fp = module_from_presentation(M)
-        assert (fp.rank, fp.p, fp.action) == (1, 3, [[[1]], [[1]]])
+        assert (fp.rank, fp.p, fp.action.tolist()) == (1, 3, [[[1]], [[1]]])
         assert fibre_projectivity_test(fp).projective
 
     def test_fp_unstable_relations_rejected(self, groups):
@@ -361,12 +431,12 @@ class TestPresentations:
             k, relations, [full[a] for a in range(G.order)], m)
         cols = [b for (_, b), o in zip(M.coker_basis, M.orders()) if o == m]
         assert len(cols) == proj.rows > 0
-        P = proj @ IntMatrix.from_rows([list(r) for r in zip(*cols)])
+        P = matmul(proj, IntMatrix.from_rows([list(r) for r in zip(*cols)]))
         d = det(P)
         assert d % m if m else abs(d) == 1
         for a in range(G.order):
-            lhs = (P @ IntMatrix.from_rows(R[a])).entries
-            rhs = (S[a] @ P).entries
+            lhs = matmul(P, IntMatrix.from_rows(R[a])).entries
+            rhs = matmul(S[a], P).entries
             assert ([(x - y) % m for x, y in zip(lhs, rhs)] if m else
                     [x - y for x, y in zip(lhs, rhs)]) == [0] * len(lhs), a
 
@@ -386,6 +456,19 @@ class TestDualising:
         w = dualising_check(G)
         assert abs(w.determinant) == 1
         assert w.verify(G)
+
+    @pytest.mark.parametrize("name", ["c3", "s3", "q8"])
+    def test_broken_witness_fails(self, groups, name):
+        """A witness with two columns swapped is still a permutation but no
+        longer commutes with the actions; one with an entry 2 is no
+        permutation."""
+        G = groups[name]
+        w = dualising_check(G)
+        w.matrix[:, [0, 1]] = w.matrix[:, [1, 0]]
+        assert not w.verify(G)
+        w = dualising_check(G)
+        w.matrix[w.matrix.nonzero()[0][0], w.matrix.nonzero()[1][0]] = 2
+        assert not w.verify(G)
 
     def test_c2_standard_form(self, groups):
         w = dualising_check(groups["c2"])
@@ -537,13 +620,22 @@ class TestKoszul:
         every a_i is 0, else Z / gcd, whatever the signs."""
         assert koszul_selfdual_check(elements).h0_invariants == h0
 
+    @pytest.mark.parametrize("elements, signs", [
+        ((2**70, 3), (1, 1, -1)), ((2**62, 2**62, 5), (1, 1, -1, -1))])
+    def test_entries_past_int64(self, elements, signs):
+        """The differentials and the squares they enter are exact past
+        int64: the same signs as for small entries, and H_0 = Z / gcd = 0."""
+        rep = koszul_selfdual_check(elements)
+        assert (rep.passed, rep.shift_signs, rep.h0_invariants) == \
+            (True, signs, ())
+
     def test_complex_squares_to_zero(self):
         from cohomkit.fibrewise import koszul_complex_matrices
 
         mats, _ = koszul_complex_matrices([2, 3, 5])
         for k in range(2, 4):
             prod = mats[k - 1] @ mats[k]
-            assert all(v == 0 for v in prod.entries)
+            assert all(v == 0 for v in prod.ravel())
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):

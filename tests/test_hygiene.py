@@ -289,8 +289,10 @@ def test_detects_an_engine_import(tmp_path):
 # the dense Smith form runs in the package only as phase 3 of the sparse
 # factorization; every other question, over Z or F_p, module presentations
 # included, goes to the sparse engine, and the dense helpers built on the
-# Smith form live in tests/oracles.py
-DENSE_SMITH = {"smith_normal_form", "unimodular_inverse"}
+# Smith form live in tests/oracles.py.  IntMatrix, the Smith form's matrix
+# type, stays with it: every other dense matrix in the package is a numpy
+# array
+DENSE_SMITH = {"smith_normal_form", "unimodular_inverse", "IntMatrix"}
 DENSE_SMITH_USERS = {"exact/dense.py", "exact/sparse.py"}
 ORACLE_ONLY = {"solve_mod", "cokernel_invariants"}
 
@@ -335,7 +337,11 @@ def test_detects_dense_smith_misuse(tmp_path):
         "from .exact.dense import solve_mod, smith_normal_form\n")
     (tmp_path / "strata.py").write_text(
         "from .exact import dense\n\nsolve_mod = None\n")
+    (tmp_path / "cup.py").write_text(
+        "from .exact import dense\n\n\ndef koszul(rows):\n"
+        "    return dense.IntMatrix.from_rows(rows)\n")
     assert dense_smith_misuse(sorted(tmp_path.rglob("*.py")), tmp_path) == [
+        ("cup.py", "IntMatrix"),
         ("exact/modp.py", "smith_normal_form"),
         ("fibrewise.py", "unimodular_inverse"),
         ("fibrewise.py", "cokernel_invariants")]

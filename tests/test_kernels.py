@@ -435,6 +435,26 @@ def test_csr_matvec_block_across_int64():
                               for col in wide.T.tolist()]
 
 
+@pytest.mark.parametrize("scale", [1, 2**29, 2**30, 2**61, 2**70])
+@pytest.mark.parametrize("m", [0, 7, 2**64 + 13])
+def test_matmul_exact_across_int64(scale, m):
+    """A batch of products in python ints: int64 below the bound
+    s * max|a| * max|b| < 2^62, object past it, and an int64 result
+    whenever its entries fit."""
+    rng = random.Random(scale % 997 + m % 89)
+    a = [[scale * rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]
+    b = [[[scale * rng.randint(-3, 3) for _ in range(5)] for _ in range(4)]
+         for _ in range(2)]
+    want = [[[sum(a[i][k] * bk[k][j] for k in range(4)) for j in range(5)]
+             for i in range(3)] for bk in b]
+    if m:
+        want = [[[v % m for v in row] for row in mat] for mat in want]
+    got = kernels.matmul(a, b, m)
+    assert got.tolist() == want
+    fits = all(abs(v) < 2**63 for mat in want for row in mat for v in row)
+    assert got.dtype == (np.int64 if fits else object)
+
+
 def test_backsub_block_equals_columns():
     rng = random.Random(600)
     npiv, ncols = 8, 12

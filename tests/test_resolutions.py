@@ -113,7 +113,7 @@ class TestFieldFreeResolution:
             assert np.asarray(mat).tolist() == [[1, 1], [1, 1]]
 
     def test_zero_module_empty_resolution(self):
-        M = GModule(cyclic(2), [[], []], 2)
+        M = GModule(cyclic(2), np.zeros((2, 0, 0), dtype=np.int64), 2)
         assert field_free_resolution(M, 3).length == 0
 
     def test_differentials_compose_to_zero(self, groups):
