@@ -30,19 +30,22 @@ The factorization runs in three logged phases, all over Z:
 2. integer row echelon on the leftover rows (gcd steps);
 3. dense Smith normal form (exact, python ints) on the small echelon block.
 
-Row operations from phases 1-2 are recorded in a log, one (targets, source,
-multipliers) batch per pivot or Euclid round, that can be replayed over any
-vector (the hot kernels in :mod:`cohomkit.kernels`).  The batches of a
-phase-1 round touch no pivot row of that round, so they commute; they are
-logged in ascending pivot column, and the frozen pivot rows, ordered by
-round and then by column, form a triangular block with the +-1 pivots on
-its diagonal.  Phase 3 keeps only the Smith transforms U and V of the small block, since
+Row operations from phases 1-2 are recorded in a log of rounds, one per
+phase-1 round and one per Euclid batch, each a run of (targets, source,
+multipliers) batches whose ops commute, with its growth k * max|q|.  One
+loop, :func:`cohomkit.kernels.apply_oplog_int` and ``apply_oplog_mod``,
+replays it over any vector or block, a round at a time, for every query
+and for the self-check alike.  The batches of a phase-1 round touch no
+pivot row of that round, so they commute; they are logged in ascending
+pivot column, and the frozen pivot rows, ordered by round and then by
+column, form a triangular block with the +-1 pivots on its diagonal.
+Phase 3 keeps only the Smith transforms U and V of the small block, since
 the cokernel basis and the torsion representatives read the columns of
 U^-1 off E V = U^-1 D.  Phase 3 is the one place in the package where the
 dense Smith form runs.  No column operation is ever applied to the ambient
 space, so cokernel coordinates of a vector are read off directly after
-replaying the log, and a cokernel basis vector is lifted by replaying the
-log in reverse.
+replaying the log, and cokernel basis vectors are lifted by one reverse
+replay of a block.
 
 Every query takes a modulus m (0 for Z).  The logged row operations are
 unimodular over Z, so they stay invertible mod every m: a mod-m query
@@ -240,21 +243,18 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
     else on python ints.
 
     Returns the pivots as (rows, columns, values) lists in pivot order, by
-    round and then by column; the log batches (targets, source,
-    multipliers), one per pivot with targets, in the same order, a round's
-    as one run (see :func:`kernels.make_log`); the
-    number of batches after each round that logged any; the frozen pivot
-    rows as (starts, lengths, columns, values) arrays, pivot entry first
-    and then ascending columns; and the rows left nonzero, as dicts, for
-    phase 2.
+    round and then by column; the log's rounds, one run of batches
+    (targets, source, multipliers) for each round with targets, a batch
+    per pivot in the same order (see :func:`kernels.make_log`); the frozen
+    pivot rows as (starts, lengths, columns, values) arrays, pivot entry
+    first and then ascending columns; and the rows left nonzero, as dicts,
+    for phase 2.
     """
     key = (np.repeat(np.arange(nrows, dtype=np.int64), np.diff(indptr))
            * ncols + indices)
     val = data
     pivots = ([], [], [])
     batches: list[tuple] = []  # one run of batches a round
-    round_ends: list[int] = []  # the number of batches after each round
-    logged = 0
     # the frozen pivot rows, one (starts, lengths, columns, values) a round
     pool = [(np.zeros(0, dtype=np.int64),) * 4]
     pooled = 0
@@ -328,8 +328,6 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
             tlen = np.bincount(kt, minlength=k)
             has = np.flatnonzero(tlen)
             batches.append((trow[order], (pr[has], tlen[has]), q[order]))
-            logged += len(has)
-            round_ends.append(logged)
         # the frozen pivot rows, each pivot entry first
         heads = pstart + np.arange(k)
         rest = np.ones(k + len(off), dtype=bool)
@@ -347,8 +345,8 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
     rows = {r: dict(zip(cols[s:e], vals[s:e])) for r, s, e in
             zip(row[cuts].tolist(), cuts, cuts[1:] + [len(cols)])}
     starts, lens, cols, vals = (np.concatenate(part) for part in zip(*pool))
-    return (pivots, batches, round_ends,
-            (starts, lens, cols, kernels.int_array(vals)), rows)
+    return (pivots, batches, (starts, lens, cols, kernels.int_array(vals)),
+            rows)
 
 
 def _euclid_echelon(rows, batches):
@@ -442,12 +440,11 @@ class SparseFactorization:
 
     def _eliminate(self):
         # phase 1: the +-1 pivots, in rounds.  The row-operation log holds
-        # one (targets, source, multipliers) per batch, a round's batches
-        # passed as one run (see kernels.make_log), and the pivot rows are
-        # frozen for back-substitution, pivot entry first.
-        ((piv_rows, piv_cols, piv_vals), batches, self._round_ends, pool,
-         rows) = _pivot_rounds(self.nrows, self.ncols, self._indptr,
-                               self._indices, self._data)
+        # one round per elimination round, its batches passed as one run
+        # (see kernels.make_log), and the pivot rows are frozen for
+        # back-substitution, pivot entry first.
+        (piv_rows, piv_cols, piv_vals), batches, pool, rows = _pivot_rounds(
+            self.nrows, self.ncols, self._indptr, self._indices, self._data)
         (self._pool_starts, self._pool_lens, self._pool_cols,
          self._pool_vals) = pool
         # phase 2: Euclidean row echelon on the leftover rows
@@ -476,44 +473,13 @@ class SparseFactorization:
         """Freivalds' check of the factorization: the log L takes A to the
         stored rows R, the frozen pivot rows, the echelon rows and zero
         elsewhere, so L(A x) = R x for every x.  It is checked mod
-        _CHECK_PRIME for the one vector of :func:`_check_vector`.
-
-        The batches of a phase-1 round are independent, so a round replays
-        as one update, on int64 values that are reduced mod the prime only
-        when a bound on them would pass 2^62 (and on python ints when the
-        multipliers alone would take it there).  Phase 2 replays batch by
-        batch.  InternalCheckFailed if the check fails."""
+        _CHECK_PRIME for the one vector of :func:`_check_vector`, with the
+        replay that every query runs (:func:`kernels.apply_oplog_mod`).
+        InternalCheckFailed if the check fails."""
         p = _CHECK_PRIME
         x = _check_vector(self.ncols)
-        v = np.asarray(self.matvec(x[:, None], p))[:, 0]
-        aa, qq, batches = self.log
-        ends = self._round_ends
-        head = batches[:ends[-1]] if ends else []
-        src = np.repeat([b[2] for b in head], [b[1] - b[0] for b in head])
-        q = qq[:len(src)]
-        qmax = max((b[3] for b in head), default=0)  # each batch's max |q|
-        if q.dtype == object or qmax >= p:
-            q = kernels.residues(q, p)
-            qmax = kernels.max_abs(q)
-        top, start = p, 0  # |v| < top
-        for end in ends:
-            s, e = batches[start][0], batches[end - 1][1]
-            # a row meets at most this many of the round's batches
-            grow = int(np.bincount(aa[s:e]).max()) * qmax
-            if v.dtype != object and top * (1 + grow) >= _LIMIT:
-                v %= p
-                top = p
-                if top * (1 + grow) >= _LIMIT:
-                    v = v.astype(object)
-            np.subtract.at(v, aa[s:e], q[s:e] * v[src[s:e]])
-            top *= 1 + grow
-            start = end
-        tail = batches[start:]
-        s0 = tail[0][0] if tail else len(aa)
-        v = kernels.apply_oplog_mod(
-            v[:, None] % p, (aa[s0:], qq[s0:],
-                             [(s - s0, e - s0, *rest) for s, e, *rest in tail]),
-            p)[:, 0]
+        v = kernels.apply_oplog_mod(self.matvec(x[:, None], p), self.log,
+                                    p)[:, 0]
         want = np.zeros(self.nrows, dtype=np.int64)
         if self.piv_rows:
             prod = kernels.residues(self._pool_vals, p) * x[self._pool_cols]
@@ -645,24 +611,27 @@ class SparseFactorization:
         return kernels.csr_matvec_int(self._indptr, self._indices,
                                       self._data, x)
 
-    def _echelon_lift(self, j, d):
-        """Column j of U^-1 for the echelon block, on the echelon rows and
-        carried back through the log: U E V = D, so it is (E V)[:, j] / d,
-        d = d_j."""
-        E, V = self.esnf.source, self.esnf.V
-        ev = E.mul_vec([V[i, j] for i in range(V.rows)])
-        vec = [0] * self.nrows
-        for r, x in zip(self.echelon_rows, ev):
-            vec[r] = x // d
-        return self._replay(vec, reverse=True)
+    def _echelon_lifts(self, js):
+        """Columns j of U^-1 for the echelon block, for j in ``js``, as the
+        columns of an (nrows, len(js)) block on the echelon rows, before
+        the log carries them back: U E V = D, so column j is
+        (E V)[:, j] / d_j."""
+        E, V, diag = self.esnf.source, self.esnf.V, self.esnf.diagonal()
+        out = np.zeros((self.nrows, len(js)), dtype=object)
+        for c, j in enumerate(js):
+            ev = E.mul_vec([V[i, j] for i in range(V.rows)])
+            out[self.echelon_rows, c] = [x // diag[j] for x in ev]
+        return out
 
     def torsion_reps(self):
         """Representatives for the nonunit torsion of the cokernel over Z:
         list of (invariant factor, vector) pairs."""
         if self.esnf is None:
             return []
-        return [(d, self._echelon_lift(j, d))
-                for j, d in enumerate(self.esnf.diagonal()) if d > 1]
+        diag = self.esnf.diagonal()
+        js = [j for j, d in enumerate(diag) if d > 1]
+        lifts = self._replay(self._echelon_lifts(js), reverse=True)
+        return [(diag[j], b) for j, b in zip(js, lifts.T.tolist())]
 
     def coker_basis(self):
         """A Z-basis b_1, ..., b_nrows of Z^nrows with an order o_i each, as
@@ -670,18 +639,20 @@ class SparseFactorization:
         m Z^nrows for every m (m = 0 over Z).
 
         The basis follows :meth:`coords`, so coords(b_i, m) is e_i, reduced
-        by the moduli, whenever o_i != 1: the echelon coordinates (o = d_j, b = column j of U^-1),
-        the untouched rows (o = 0), then the unit-pivot rows (o = 1).  Every
-        d_j is nonzero: phase 2 leaves the echelon block in row echelon
-        form, so it has full row rank."""
+        by the moduli, whenever o_i != 1: the echelon coordinates (o = d_j,
+        b = column j of U^-1), the untouched rows (o = 0), then the
+        unit-pivot rows (o = 1).  Every d_j is nonzero: phase 2 leaves the
+        echelon block in row echelon form, so it has full row rank.  All
+        of them are lifted by one reverse replay of a block."""
         diag = self.esnf.diagonal() if self.esnf is not None else []
-        out = [(d, self._echelon_lift(j, d)) for j, d in enumerate(diag)]
-        for o, rows in ((0, self.zero_rows), (1, self.piv_rows)):
-            for r in rows:
-                e = [0] * self.nrows
-                e[r] = 1
-                out.append((o, self._replay(e, reverse=True)))
-        return out
+        unit = self.zero_rows + self.piv_rows
+        block = np.zeros((self.nrows, len(diag) + len(unit)), dtype=object)
+        if diag:
+            block[:, :len(diag)] = self._echelon_lifts(range(len(diag)))
+        block[unit, len(diag) + np.arange(len(unit))] = 1
+        orders = diag + [0] * len(self.zero_rows) + [1] * len(self.piv_rows)
+        return list(zip(orders,
+                        self._replay(block, reverse=True).T.tolist()))
 
     def kernel_basis(self, m=0):
         """Generators of ker(A) over Z or Z/m (torsion directions included)."""

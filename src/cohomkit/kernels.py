@@ -10,25 +10,23 @@ CSR differential, or back-substitutes through frozen pivot rows.
 Every kernel takes one vector, of shape (n,), or a block of k vectors as
 the columns of an (n, k) array, and a block answers exactly as its
 columns would one by one.  A replay or a matvec makes one pass over the
-log or the matrix for the whole block; the shape decides per batch only
-what the test of the source entry costs, so a 1-D call pays nothing for
-the second axis, and a one-column block replays as its column.  A vector
-comes back as a list of python ints, a block as an (n, k) array, int64 or
-object (python ints): a list of n rows would cost more than the kernel.
+log or the matrix for the whole block.  A vector comes back as a list of
+python ints, a block as an (n, k) array, int64 or object (python ints): a
+list of n rows would cost more than the kernel.
 
 Each kernel has one numpy implementation, and every result is exact.  A
 call decides from a bound, before it computes, whether int64 arithmetic is
 safe; where it is not, it works on object arrays of python ints.  Each
 bound is taken over the whole block, so a block is int64 or object as one:
 
-- replay mod m: the multipliers of the Z log are reduced mod m once per
-  call, then int64 iff (m-1)^2 + (m-1) < 2^63 (a residue plus a residue
-  times a multiplier);
-- replay over Z: a running bound M on max|v|.  It starts at max|input|,
-  and before each batch M += max|v[src]| * max|q| of the batch.  While
-  M < 2^62 the batch runs in int64; once it is not, v and q move to object
-  dtype for the rest of the replay (from the start when a multiplier is
-  past int64);
+- replay, over Z or mod m, one loop for both: a running bound M on
+  max|v|.  It starts at max|input|, and before each round
+  M += max|v[sources]| * growth, the round's stored k * max|q|.  Over Z
+  the round runs in int64 while M < 2^62, and once it would not, v moves
+  to object dtype for the rest of the replay.  Mod m, v is reduced to
+  residues instead (M = m - 1), then the round's multipliers if the bound
+  still reaches 2^62, with k * max|q mod m| in the growth, and only then
+  does v move to object dtype; v is reduced once more at the end;
 - matvec: int64 iff max|x| * sum|data| < 2^62, which bounds every partial
   sum of the segmented sum;
 - dense product ``matmul(a, b, m)``, the one product of the package's
@@ -39,11 +37,18 @@ bound is taken over the whole block, so a block is int64 or object as one:
 - back-substitution is a sequential loop over python ints, one column of
   a block after the other.
 
-The log is made of batches, from recording to replay: every elimination
-phase emits (targets, source, multipliers), with distinct targets, none of
-them the source, so a batch is one vectorised update
-``v[targets] -= q * v[source]``; a NEG, ``v[r] = -v[r]``, is a batch of
-its own.
+The log is made of rounds, from recording to replay.  A batch is the ops
+of one source row on distinct targets, none of them the source; a round is
+a run of batches in which no target is one of the sources, so its ops
+commute: every phase-1 elimination round is one, each phase-2 (Euclid)
+batch is one, and a NEG, ``v[r] = -v[r]``, is a round of its own.  Each
+round stores its growth k * max|q|, for the most ops k that one target
+takes in it.  The one replay loop, ``_replay``, which every query and the
+factorization's self-check run, makes one vectorised update a round,
+``v[targets] -= q * v[sources]`` summed per target, on a vector or on
+each column of a block in turn, forward or in reverse (``+=``, the rounds
+in reverse order, a NEG its own inverse), and skips a round whose sources
+are all zero.
 """
 
 from __future__ import annotations
@@ -73,7 +78,9 @@ def int_array(seq) -> np.ndarray:
         try:
             arr = np.array(vals, dtype=np.int64)
         except OverflowError:  # an entry past the int64 range
-            return _to_int(np.array(vals, dtype=object))
+            arr = _to_int(np.array(vals, dtype=object))
+    if isinstance(seq, np.ndarray):  # tolist() loses an axis of length 0
+        arr = arr.reshape(seq.shape)
     if arr.size and arr.min() == -_I64:
         return arr.astype(object)
     return arr
@@ -100,47 +107,49 @@ def max_abs(v: np.ndarray) -> int:
 
 def make_log(batches) -> tuple:
     """Pack a row-operation log for replay: ``(targets, multipliers,
-    batches)``.
+    sources, lengths, rounds)``.
 
-    ``batches`` lists the log's batches in order, each as (targets, source,
+    ``batches`` lists the log's rounds in order, each as (targets, source,
     multipliers): the ops ``row[t] -= q * row[source]``, one per target t
     and multiplier q, with one or more distinct targets, none of them the
     source.  ``([r], r, None)`` is a NEG, ``row[r] = -row[r]``.  A run of
-    batches may come as one entry whose source is a pair (sources,
+    batches may come as one round whose source is a pair (sources,
     lengths) of arrays, batch i taking the next lengths[i] targets and
-    multipliers from sources[i]: phase 1 passes each round so.  Targets
-    and multipliers are lists or integer arrays; the multipliers are
-    integers of any size, and a replay mod m reduces them itself.  The
-    targets and the multipliers of all batches are concatenated once, a
-    NEG's multiplier as 0, and each batch is stored as (start, end, source,
-    max |q|, is NEG).
+    multipliers from sources[i]: phase 1 passes each of its rounds so.  No
+    target of a run may be one of its sources, so its ops commute, but a
+    target may take ops from several sources.  Targets and multipliers are
+    lists or integer arrays; the multipliers are integers of any size.
+
+    The targets and the multipliers of all rounds are concatenated once, a
+    NEG's multiplier as 0, and the sources and lengths of all batches too.
+    Each round is stored as (start, end, growth, is NEG) over the ops, its
+    growth k * max|q| for the most ops k that any one target takes in it.
     """
-    srcs, lens = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for t, src, _ in batches:
+    def concat(parts, dtype=np.int64):
+        return np.concatenate([np.zeros(0, dtype=dtype)] +
+                              [np.asarray(a, dtype=dtype) for a in parts])
+
+    tt, qs, srcs, lens, ks, negs = [], [], [], [], [], []
+    for t, src, q in batches:
         run = isinstance(src, tuple)
-        srcs.append(np.asarray(src[0] if run else [src], dtype=np.int64))
-        lens.append(np.asarray(src[1] if run else [len(t)], dtype=np.int64))
-    lens = np.concatenate(lens)
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    neg = np.repeat([q is None for _, _, q in batches],
-                    [len(s) for s in srcs[1:]]).astype(bool)
-    targets = np.concatenate([np.zeros(0, dtype=np.int64)] +
-                             [np.asarray(t, dtype=np.int64)
-                              for t, _, _ in batches])
-    qs = [[0] if q is None else q for _, _, q in batches]
+        tt.append(t)
+        negs.append(q is None)
+        qs.append([0] if q is None else q)
+        srcs.append(src[0] if run else [src])
+        lens.append(src[1] if run else [len(t)])
+        ks.append(int(np.bincount(t).max()) if run else 1)
     try:
-        qq = np.concatenate([np.zeros(0, dtype=np.int64)] +
-                            [np.asarray(q, dtype=np.int64) for q in qs])
+        qq = int_array(concat(qs))
     except OverflowError:  # a multiplier past the int64 range
-        qq = np.concatenate([np.zeros(0, dtype=object)] +
-                            [np.asarray(q, dtype=object) for q in qs])
-    qq = int_array(qq)
+        qq = int_array(concat(qs, object))
+    sizes = np.array([len(t) for t in tt], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
     qmax = (np.maximum.reduceat(np.abs(qq), starts).tolist() if len(starts)
             else [])
-    return (targets, qq,
-            list(zip(starts.tolist(), ends.tolist(),
-                     np.concatenate(srcs).tolist(), qmax, neg.tolist())))
+    rounds = [(s, e, k * int(g), neg) for s, e, k, g, neg in
+              zip(starts.tolist(), ends.tolist(), ks, qmax, negs)]
+    return concat(tt), qq, concat(srcs), concat(lens), rounds
 
 
 def output(v: np.ndarray):
@@ -149,63 +158,63 @@ def output(v: np.ndarray):
     return v.tolist() if v.ndim == 1 else v
 
 
-def _columns(v: np.ndarray):
-    """``v`` for a replay, and its shape: a block of one column replays as
-    that column, since a 2-D step costs several 1-D ones."""
-    return (v[:, 0] if v.ndim == 2 and v.shape[1] == 1 else v), v.shape
+def _replay(v: np.ndarray, log, m: int, reverse: bool) -> np.ndarray:
+    """The one replay of a log on ``v``, a vector or a block, over Z when
+    m = 0 and mod m on residues otherwise: one update a round, in int64
+    while the running bound allows it (see above)."""
+    aa, qq, sources, lengths, rounds = log
+    src = np.repeat(sources, lengths)
+    shape = v.shape
+    # one row per column of a block, a vector as one row: numpy's .at
+    # scatters fastest on one contiguous axis
+    v = np.ascontiguousarray(np.atleast_2d(v.T))
+    wide = v.dtype == object
+    bound = max_abs(v)  # |v| <= bound while v is int64
+    reduced = None  # the multipliers mod m, once a round needs them
+    step = np.add.at if reverse else np.subtract.at
+    for s, e, grow, neg in (reversed(rounds) if reverse else rounds):
+        t = aa[s:e]
+        x = v[:, src[s:e]]
+        if not x.any():
+            continue
+        if neg:
+            v[:, t] = -x
+            continue
+        q = qq[s:e]
+        if not wide:
+            top = bound + max_abs(x) * grow
+            if m and top >= _LIMIT:  # residues again, then the multipliers
+                v %= m
+                x %= m
+                top = m - 1 + max_abs(x) * grow
+                if top >= _LIMIT:
+                    if reduced is None:
+                        reduced = residues(qq, m)
+                    k = grow and grow // max_abs(q)  # grow is k max|q|
+                    q = reduced[s:e]
+                    top = m - 1 + max_abs(x) * k * max_abs(q)
+            if top >= _LIMIT:
+                v, x, wide = v.astype(object), x.astype(object), True
+            else:
+                bound = top
+                q = q.astype(np.int64, copy=False)  # |q| <= grow
+        for row, d in zip(v, q * x):
+            step(row, t, d)
+    if m:
+        v %= m
+    return v.T.reshape(shape)
 
 
 def apply_oplog_int(vec, log, reverse: bool = False):
     """Replay a row-operation log over Z on a vector or an (n, k) block.
     Exact; returns python ints."""
-    aa, qq, batches = log
-    v, shape = _columns(int_array(vec))
-    block = v.ndim == 2
-    bound = max_abs(v)
-    # an int64 v cannot take products with multipliers past int64
-    wide = bound >= _LIMIT or qq.dtype == object
-    if wide:
-        v, qq = v.astype(object), qq.astype(object)
-    if block:
-        qq = qq[:, None]  # a multiplier scales a whole row of the block
-    for s, e, src, qmax, neg in (reversed(batches) if reverse else batches):
-        x = v[src]
-        if not (x.any() if block else x):
-            continue
-        if neg:
-            v[src] = -x
-            continue
-        if not wide:
-            bound += (max_abs(x) if block else abs(int(x))) * qmax
-            if bound >= _LIMIT:
-                wide = True
-                v, qq = v.astype(object), qq.astype(object)
-                x = v[src]
-        v[aa[s:e]] -= qq[s:e] * (-x if reverse else x)
-    return output(v.reshape(shape))
+    return output(_replay(int_array(vec), log, 0, reverse))
 
 
 def apply_oplog_mod(vec, log, m: int, reverse: bool = False):
     """Replay a row-operation log modulo m on a vector or an (n, k) block;
     returns canonical residues."""
-    aa, qq, batches = log
-    v, shape = _columns(residues(vec, m))
-    block = v.ndim == 2
-    qq = residues(qq, m)
-    if (m - 1) ** 2 + (m - 1) >= _I64:
-        v, qq = v.astype(object), qq.astype(object)
-    if block:
-        qq = qq[:, None]
-    for s, e, src, _qmax, neg in (reversed(batches) if reverse else batches):
-        x = v[src]
-        if not (x.any() if block else x):
-            continue
-        if neg:
-            v[src] = (-x) % m
-        else:
-            a = aa[s:e]
-            v[a] = (v[a] - qq[s:e] * (-x if reverse else x)) % m
-    return output(v.reshape(shape))
+    return output(_replay(residues(vec, m), log, m, reverse))
 
 
 def backsub_mod(rows, pivcol, pivinv, rhs, x, m: int):

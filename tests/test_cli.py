@@ -318,9 +318,9 @@ class TestErrorPaths:
         make_log = kernels.make_log
 
         def corrupt(batches):
-            aa, qq, rest = make_log(batches)
+            aa, qq, *rest = make_log(batches)
             qq[:1] += 1
-            return aa, qq, rest
+            return (aa, qq, *rest)
 
         monkeypatch.setattr(kernels, "make_log", corrupt)
         code, out, err = run(capsys, "--json", "cohomology", "--group", "s3",

@@ -8,6 +8,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from cohomkit import kernels
 from cohomkit.exact.dense import (IntMatrix, SmithDecomposition,
                                   normalize_modulus, smith_normal_form)
 from cohomkit.errors import InternalCheckFailed
@@ -43,12 +44,20 @@ def factorization_digest(f):
     """sha256 of a whole factorization: the log with its batches, the
     pivots, the echelon and residual indices and the frozen pivot-row
     pool."""
-    aa, qq, batches = f.log
-    # each op's type (0 for row[a] -= q * row[b], 2 for a NEG) and source
-    # row, as the log once stored them, so the pinned digests stay the same
-    types, bb = [], []
-    for s, e, src, _qmax, neg in batches:
-        types += [2 if neg else 0] * (e - s)
+    aa, qq, sources, lengths, rounds = f.log
+    # the per-batch view the log once stored, so the pinned digests stay
+    # the same: each batch, the run of one source within a round, as
+    # (start, end, source, max|q|, is NEG), and each op's type (0 for
+    # row[a] -= q * row[b], 2 for a NEG) and source row
+    ends = np.cumsum(lengths).tolist()
+    neg = np.zeros(len(aa), dtype=bool)
+    for s, e, _growth, is_neg in rounds:
+        neg[s:e] = is_neg
+    batches, types, bb = [], [], []
+    for s, e, src in zip([0] + ends, ends, sources.tolist()):
+        batches.append((s, e, src, max(abs(int(q)) for q in qq[s:e]),
+                        bool(neg[s])))
+        types += [2 if neg[s] else 0] * (e - s)
         bb += [src] * (e - s)
     parts = [types, aa.tolist(), bb,
              [int(q) for q in qq], [list(b) for b in batches],
@@ -712,7 +721,9 @@ class TestSparseFactorization:
         f2 = SparseFactorization(3, 2, coo_to_csr(3, 2, *coo))
         assert f1.piv_cols == f2.piv_cols
         assert f1.piv_rows == f2.piv_rows
-        assert [list(x) for x in f1.log] == [list(x) for x in f2.log]
+        assert all(np.array_equal(a, b) for a, b in zip(f1.log[:4],
+                                                         f2.log[:4]))
+        assert f1.log[4] == f2.log[4]
 
     def test_multiplier_past_int64_after_small_ones(self):
         """Phase 2 logs a multiplier of 2, then one of 2^70, so the log's
@@ -941,6 +952,32 @@ class TestSelfChecks:
 
     def test_a_log_multiplier(self, f):
         f.log[1][len(f.log[1]) // 2] += 1
+        with pytest.raises(InternalCheckFailed):
+            f._check_rows()
+
+    def test_a_logged_source(self, f):
+        """One batch of a phase-1 round takes its ops from another row."""
+        sources, lengths, rounds = f.log[2:]
+        assert rounds[0][1] > lengths[0]  # the first round has more batches
+        sources[0] = (sources[0] + 1) % f.nrows
+        with pytest.raises(InternalCheckFailed):
+            f._check_rows()
+
+    def test_a_replay_that_skips_a_round(self, f, monkeypatch):
+        """The check runs the replay that queries run: a replay that drops
+        one phase-1 round fails it."""
+        replay = kernels.apply_oplog_mod
+        rounds = f.log[4]
+        skip = max(range(len(rounds)), key=lambda i: rounds[i][1]
+                   - rounds[i][0])  # the largest round, one of phase 1
+
+        def skipping(vec, log, m, reverse=False):
+            aa, qq, sources, lengths, rounds = log
+            return replay(vec, (aa, qq, sources, lengths,
+                                rounds[:skip] + rounds[skip + 1:]), m,
+                          reverse)
+
+        monkeypatch.setattr(kernels, "apply_oplog_mod", skipping)
         with pytest.raises(InternalCheckFailed):
             f._check_rows()
 

@@ -387,6 +387,76 @@ def test_detects_a_second_coo_sort(tmp_path):
                                                "resolutions.py"]
 
 
+# a factorization's op log is read in one place, kernels.py, whose one
+# replay loop serves every query and the self-check; every other module
+# hands the whole log to a kernel
+LOG = "log"
+LOG_HOME = "kernels.py"
+
+
+def _log_attributes(node):
+    """The ``.log`` attributes under ``node``, other than called ones such
+    as ``np.log(x)``."""
+    called = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+    return [n for n in ast.walk(node) if isinstance(n, ast.Attribute)
+            and n.attr == LOG and id(n) not in called]
+
+
+def log_readers(paths, root: Path):
+    """``file:line`` for each place outside ``LOG_HOME`` that subscripts,
+    unpacks or iterates a ``.log`` attribute, or passes one to a ufunc's
+    ``.at``."""
+    found = set()
+    for path in paths:
+        rel = path.relative_to(root).as_posix()
+        if rel == LOG_HOME:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Subscript, ast.Starred)):
+                read = [node.value]
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, (ast.Tuple, ast.List))
+                    for t in node.targets):
+                read = [node.value]
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                read = [node.iter]
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "at"):
+                read = [n for a in node.args for n in _log_attributes(a)]
+            else:
+                continue
+            found |= {(rel, n.lineno) for n in read
+                      if isinstance(n, ast.Attribute) and n.attr == LOG}
+    return [f"{rel}:{line}" for rel, line in sorted(found)]
+
+
+def test_only_kernels_read_the_log():
+    bad = log_readers(sorted(SRC.rglob("*.py")), SRC)
+    assert not bad, f"op log read outside {LOG_HOME}: {bad}"
+
+
+def test_detects_a_log_reader(tmp_path):
+    (tmp_path / "exact").mkdir()
+    (tmp_path / "kernels.py").write_text(
+        "def replay(v, log):\n    aa, qq, *rest = log\n    return aa[0]\n")
+    (tmp_path / "exact" / "sparse.py").write_text(
+        "import numpy as np\n\n\nclass F:\n    def check(self, v):\n"
+        "        aa, qq, batches = self.log\n"
+        "        np.subtract.at(v, self.log[0], 1)\n"
+        "        return [b for b in self.log]\n\n"
+        "    def fine(self, v):\n"
+        "        self.log = make(v)\n"
+        "        np.add.at(v, [0], np.log(v))\n"
+        "        return kernels.apply_oplog_int(v, self.log)\n")
+    (tmp_path / "cohomology.py").write_text(
+        "import numpy as np\n\n\ndef count(f, v):\n"
+        "    np.add.at(v, f.log, 1)\n    return len(f.log[1])\n")
+    assert log_readers(sorted(tmp_path.rglob("*.py")), tmp_path) == [
+        "cohomology.py:5", "cohomology.py:6", "exact/sparse.py:6",
+        "exact/sparse.py:7", "exact/sparse.py:8"]
+
+
 # settings come from the environment in one module, config.py: the engine,
 # the sparse elimination's dense switch included, reads no setting itself
 ENV_READS = {"environ", "environb", "getenv", "getenvb"}

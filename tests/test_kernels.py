@@ -20,9 +20,12 @@ from oracles import bar_resolution
 
 
 def ref_replay(vec, log, m=0, reverse=False):
-    aa, qq = (np.asarray(a).tolist() for a in log[:2])
-    ops = [(aa[i], src, neg, qq[i]) for s, e, src, _qmax, neg in log[2]
-           for i in range(s, e)]
+    aa, qq, sources, lengths, rounds = log
+    src = np.repeat(sources, lengths).tolist()
+    neg = [False] * len(src)
+    for s, e, _growth, is_neg in rounds:
+        neg[s:e] = [is_neg] * (e - s)
+    ops = list(zip(aa.tolist(), src, neg, np.asarray(qq).tolist()))
     v = [int(x) % m if m else int(x) for x in vec]
     for a, b, neg, q in (reversed(ops) if reverse else ops):
         if neg:
@@ -49,21 +52,39 @@ def ref_matvec(indptr, indices, data, vec, m=0):
 
 
 def random_batches(rng, n, nbatches, maxq=5, m=0):
-    """Batches (targets, source, multipliers) as the elimination emits
-    them: one source row and distinct targets, never the source; over Z
-    some batches are NEGs."""
+    """Rounds (targets, source, multipliers) as the elimination emits them:
+    one source row and distinct targets, never the source, or a run of
+    batches (targets, (sources, lengths), multipliers) as phase 1 passes a
+    round, whose batches all reach one common target and never one of the
+    run's sources; over Z some rounds are NEGs."""
+    def multipliers(count):
+        return [rng.randrange(1, m) if m else
+                rng.choice([q for q in range(-maxq, maxq + 1) if q])
+                for _ in range(count)]
+
     batches = []
     for _ in range(nbatches):
+        if n >= 6 and rng.random() < 0.25:
+            srcs = rng.sample(range(n), rng.randint(2, 3))
+            others = [r for r in range(n) if r not in srcs]
+            common = rng.choice(others)
+            targets, lens = [], []
+            for _ in srcs:
+                rest = rng.sample([r for r in others if r != common],
+                                  rng.randint(0, min(3, len(others) - 1)))
+                targets += sorted([common] + rest)
+                lens.append(len(rest) + 1)
+            batches.append((np.array(targets), (np.array(srcs),
+                                                np.array(lens)),
+                            multipliers(len(targets))))
+            continue
         src = rng.randrange(n)
         if not m and rng.random() < 0.1:
             batches.append(([src], src, None))
             continue
         others = [r for r in range(n) if r != src]
         targets = rng.sample(others, rng.randint(1, min(6, len(others))))
-        batches.append((targets, src, [
-            rng.randrange(1, m) if m else
-            rng.choice([q for q in range(-maxq, maxq + 1) if q])
-            for _ in targets]))
+        batches.append((targets, src, multipliers(len(targets))))
     return batches
 
 
@@ -71,18 +92,31 @@ def random_log(rng, n, nbatches, maxq=5, m=0):
     return kernels.make_log(random_batches(rng, n, nbatches, maxq, m))
 
 
-def check_batches(log):
-    """The invariants the batched replay relies on."""
-    aa, qq, batches = log
-    assert batches[0][0] == 0 and batches[-1][1] == len(aa) == len(qq)
-    for (s, e, src, qmax, neg), nxt in zip(batches, batches[1:] + [None]):
-        assert s < e and (nxt is None or nxt[0] == e)
+def check_rounds(log):
+    """The invariants the round replay relies on: the rounds tile the log
+    and no batch crosses a round; a batch's targets are distinct; no target
+    of a round is one of its sources; a NEG is a round of one op; and the
+    stored growth is k * max|q|, k the most ops that one target takes in
+    the round."""
+    aa, qq, sources, lengths, rounds = log
+    src = np.repeat(sources, lengths)
+    assert len(aa) == len(qq) == len(src)
+    assert [r[0] for r in rounds] == [0] + [r[1] for r in rounds[:-1]]
+    assert (rounds[-1][1] if rounds else 0) == len(aa)
+    ends = set(np.cumsum(lengths).tolist())
+    assert {e for _, e, _, _ in rounds} <= ends
+    for s, e in zip([0] + sorted(ends), sorted(ends)):
+        assert len(set(aa[s:e].tolist())) == e - s
+    for s, e, growth, neg in rounds:
+        assert s < e
         targets = aa[s:e].tolist()
-        assert qmax == max(abs(int(q)) for q in qq[s:e])
+        k = max(targets.count(t) for t in targets)
+        assert growth == k * max(abs(int(q)) for q in qq[s:e])
         if neg:
-            assert targets == [src] and qq[s] == 0
+            assert targets == src[s:e].tolist() and e - s == 1
+            assert qq[s] == 0
         else:
-            assert len(set(targets)) == len(targets) and src not in targets
+            assert not set(targets) & set(src[s:e].tolist())
 
 
 # -- replay --------------------------------------------------------------------
@@ -93,7 +127,7 @@ def test_oplog_mod_parity(seed):
     rng = random.Random(seed)
     n, m = 40, 9
     log = random_log(rng, n, 60, m=m)
-    check_batches(log)
+    check_rounds(log)
     vec = [rng.randrange(-20, 20) for _ in range(n)]
     fwd = kernels.apply_oplog_mod(vec, log, m)
     assert fwd == ref_replay(vec, log, m)
@@ -108,7 +142,7 @@ def test_oplog_int_parity_and_inverse(seed):
     rng = random.Random(100 + seed)
     n = 30
     log = random_log(rng, n, 40, maxq=3)
-    check_batches(log)
+    check_rounds(log)
     vec = [rng.randint(-5, 5) for _ in range(n)]
     fwd = kernels.apply_oplog_int(vec, log)
     assert fwd == ref_replay(vec, log)
@@ -120,7 +154,7 @@ def test_oplog_int_parity_and_inverse(seed):
 
 def test_empty_log():
     log = kernels.make_log([])
-    assert [len(x) for x in log] == [0, 0, 0]
+    assert [len(x) for x in log] == [0] * 5
     assert kernels.apply_oplog_int([3, -4], log) == [3, -4]
     assert kernels.apply_oplog_mod([3, -4], log, 5, reverse=True) == [3, 1]
 
@@ -159,40 +193,68 @@ def test_int_replay_huge_input_and_multiplier():
         assert kernels.apply_oplog_int(vec, lg) == ref_replay(vec, lg)
 
 
+def test_multiplicity_alone_crosses_int64():
+    """One round in which eight sources, each 2^60, all reach one target
+    with q = -1: max|v| + max|x| max|q| is 2^61, below 2^62, and only the
+    multiplicity k = 8 in the stored growth takes the bound past it.  The
+    target's sum, 9 * 2^60, is past int64, and mod an m near 2^60 the
+    residues' sum is too.  The replay agrees with the reference, over Z and
+    mod m, forward and reverse."""
+    srcs = np.arange(1, 9)
+    log = kernels.make_log([(np.zeros(8, dtype=np.int64),
+                             (srcs, np.ones(8, dtype=np.int64)), [-1] * 8)])
+    check_rounds(log)
+    assert log[4] == [(0, 8, 8, False)]
+    vec = [2**60] * 9
+    fwd = kernels.apply_oplog_int(vec, log)
+    assert fwd[0] == 9 * 2**60 and fwd == ref_replay(vec, log)
+    for rev in (False, True):
+        assert kernels.apply_oplog_int(vec, log, reverse=rev) == \
+            ref_replay(vec, log, reverse=rev)
+        for m in (2**60 + 3, 2**61 - 1):
+            assert kernels.apply_oplog_mod(vec, log, m, reverse=rev) == \
+                ref_replay(vec, log, m, reverse=rev)
+    assert kernels.apply_oplog_int(fwd, log, reverse=True) == vec
+
+
 def test_make_log_mixed_batches():
     """One log from every kind of batch the elimination emits: lists (the
     dict loop, phase 2), int8 arrays (the dense block), a NEG, and a
-    multiplier past 2^63.  It is packed as given, and replays like the
-    python-int reference over Z and mod m, forward and reverse.  Batches
-    passed as one run pack to the same log."""
-    batches = [([1, 3], 0, [2, -1]),
-               (np.array([0, 2, 4], dtype=np.int64), 1,
+    multiplier past 2^63.  It is packed as given, a round per batch, and
+    replays like the python-int reference over Z and mod m, forward and
+    reverse.  Batches passed as one run pack to the same ops, one round."""
+    batches = [([2, 3], 0, [2, -1]),
+               (np.array([2, 3, 4], dtype=np.int64), 1,
                 np.array([-1, 1, 127], dtype=np.int8)),
                ([4], 4, None),
                ([0, 1], 3, [2**64 + 5, -3]),
                ([2], 0, [-(2**63)])]
     log = kernels.make_log(batches)
-    check_batches(log)
-    assert log[0].tolist() == [1, 3, 0, 2, 4, 4, 0, 1, 2]
+    check_rounds(log)
+    assert log[0].tolist() == [2, 3, 2, 3, 4, 4, 0, 1, 2]
     assert log[1].dtype == object
     assert log[1].tolist() == [2, -1, -1, 1, 127, 0, 2**64 + 5, -3, -(2**63)]
-    assert log[2] == [(0, 2, 0, 2, False), (2, 5, 1, 127, False),
-                      (5, 6, 4, 0, True), (6, 8, 3, 2**64 + 5, False),
-                      (8, 9, 0, 2**63, False)]
-    # the first two batches as one run, as phase 1 passes a round
-    run = (np.array([1, 3, 0, 2, 4]), (np.array([0, 1]), np.array([2, 3])),
+    assert log[2].tolist() == [0, 1, 4, 3, 0]
+    assert log[3].tolist() == [2, 3, 1, 2, 1]
+    assert log[4] == [(0, 2, 2, False), (2, 5, 127, False), (5, 6, 0, True),
+                      (6, 8, 2**64 + 5, False), (8, 9, 2**63, False)]
+    # the first two batches as one run, as phase 1 passes a round: the
+    # same ops in one round, where rows 2 and 3 take two ops each
+    run = (np.array([2, 3, 2, 3, 4]), (np.array([0, 1]), np.array([2, 3])),
            np.array([2, -1, -1, 1, 127]))
     packed = kernels.make_log([run] + batches[2:])
-    assert packed[2] == log[2]
+    check_rounds(packed)
+    assert packed[4] == [(0, 5, 2 * 127, False)] + log[4][2:]
     assert all(np.array_equal(a, b) and a.dtype == b.dtype
-               for a, b in zip(packed[:2], log[:2]))
+               for a, b in zip(packed[:4], log[:4]))
     vec = [3, -1, 4, 1, -5]
     for rev in (False, True):
-        assert kernels.apply_oplog_int(vec, log, reverse=rev) == \
-            ref_replay(vec, log, reverse=rev)
-        for m in (2, 9, 2**64 + 13):
-            assert kernels.apply_oplog_mod(vec, log, m, reverse=rev) == \
-                ref_replay(vec, log, m, reverse=rev)
+        for lg in (log, packed):
+            assert kernels.apply_oplog_int(vec, lg, reverse=rev) == \
+                ref_replay(vec, log, reverse=rev)
+            for m in (2, 9, 2**64 + 13):
+                assert kernels.apply_oplog_mod(vec, lg, m, reverse=rev) == \
+                    ref_replay(vec, log, m, reverse=rev)
     assert kernels.apply_oplog_int(kernels.apply_oplog_int(vec, log), log,
                                    reverse=True) == vec
 
@@ -308,7 +370,7 @@ def test_factorization_batches_are_well_formed(group, n, m):
     itself) equals its replay over Z reduced mod m, for m = 2, 9 and one
     modulus past the int64 bound."""
     f = bar_cochains(builtin_group(group)).fact(n)
-    check_batches(f.log)
+    check_rounds(f.log)
     rng = random.Random(n)
     vec = [rng.randint(-2, 2) for _ in range(f.nrows)]
     for rev in (False, True):
@@ -333,13 +395,18 @@ def test_factorization_batches_are_well_formed(group, n, m):
     (np.array([-(2**63), 5]), object),
     (np.array([2**63, 5], dtype=np.uint64), object),
     (np.array([2**63 - 1, 5], dtype=np.uint64), np.int64),
+    (np.zeros((2, 0, 0), dtype=object), np.int64),
+    (np.zeros((2, 0, 3), dtype=np.uint8), np.int64),
 ])
 def test_int_array_dtype(vals, dtype):
-    """int64 exactly when every |entry| < 2^63, else python ints."""
+    """int64 exactly when every |entry| < 2^63, else python ints; an array
+    keeps its shape, axes of length 0 included."""
     got = kernels.int_array(vals)
     assert got.dtype == dtype
-    assert got.tolist() == [int(v) for v in vals]
-    assert all(type(v) is int for v in got.tolist())
+    assert got.shape == np.shape(vals)
+    flat = got.ravel().tolist()
+    assert flat == [int(v) for v in np.asarray(vals, dtype=object).ravel()]
+    assert all(type(v) is int for v in flat)
 
 
 @pytest.mark.parametrize("as_array", [False, True])
