@@ -24,9 +24,13 @@ bound is taken over the whole block, so a block is int64 or object as one:
   M += max|v[sources]| * growth, the round's stored k * max|q|.  Over Z
   the round runs in int64 while M < 2^62, and once it would not, v moves
   to object dtype for the rest of the replay.  Mod m, v is reduced to
-  residues instead (M = m - 1), then the round's multipliers if the bound
-  still reaches 2^62, with k * max|q mod m| in the growth, and only then
-  does v move to object dtype; v is reduced once more at the end;
+  residues instead (M = m - 1), a round whose sources are then all 0 is
+  skipped, the round's multipliers are reduced if the bound still
+  reaches 2^62, with k * max|q mod m| in the growth, and only then does
+  v move to object dtype.  There, and from the start when m >= 2^63,
+  each round reduces its gathered sources mod m, and its multipliers when
+  its growth reaches m, so |v| grows by at most about k m^2 a round, not
+  geometrically as over Z; v is reduced once more at the end;
 - matvec: int64 iff max|x| * sum|data| < 2^62, which bounds every partial
   sum of the segmented sum;
 - dense product ``matmul(a, b, m)``, the one product of the package's
@@ -170,7 +174,6 @@ def _replay(v: np.ndarray, log, m: int, reverse: bool) -> np.ndarray:
     v = np.ascontiguousarray(np.atleast_2d(v.T))
     wide = v.dtype == object
     bound = max_abs(v)  # |v| <= bound while v is int64
-    reduced = None  # the multipliers mod m, once a round needs them
     step = np.add.at if reverse else np.subtract.at
     for s, e, grow, neg in (reversed(rounds) if reverse else rounds):
         t = aa[s:e]
@@ -181,23 +184,29 @@ def _replay(v: np.ndarray, log, m: int, reverse: bool) -> np.ndarray:
             v[:, t] = -x
             continue
         q = qq[s:e]
-        if not wide:
+        if wide:
+            if m:  # sources and multipliers mod m: |v| grows additively
+                x %= m
+                if grow >= m:
+                    q = residues(q, m)
+        else:
             top = bound + max_abs(x) * grow
             if m and top >= _LIMIT:  # residues again, then the multipliers
                 v %= m
                 x %= m
+                if not x.any():  # the round adds multiples of m
+                    continue
                 top = m - 1 + max_abs(x) * grow
                 if top >= _LIMIT:
-                    if reduced is None:
-                        reduced = residues(qq, m)
                     k = grow and grow // max_abs(q)  # grow is k max|q|
-                    q = reduced[s:e]
+                    q = residues(q, m)
                     top = m - 1 + max_abs(x) * k * max_abs(q)
             if top >= _LIMIT:
                 v, x, wide = v.astype(object), x.astype(object), True
             else:
                 bound = top
-                q = q.astype(np.int64, copy=False)  # |q| <= grow
+                # x != 0, so |q| <= grow <= top < 2^62
+                q = q.astype(np.int64, copy=False)
         for row, d in zip(v, q * x):
             step(row, t, d)
     if m:

@@ -193,6 +193,39 @@ def test_int_replay_huge_input_and_multiplier():
         assert kernels.apply_oplog_int(vec, lg) == ref_replay(vec, lg)
 
 
+@pytest.mark.parametrize("m, q", [(2, 2), (9, 9)])
+def test_mod_round_of_multiples_of_m_past_int64(m, q):
+    """A round runs unreduced and leaves v[1] = -q, a nonzero multiple of
+    m; the next round's multiplier is past int64.  Its bound sends v to
+    residues, and the round's sources are then 0 mod m, so the round does
+    nothing mod m and is skipped without casting its multiplier."""
+    log = kernels.make_log([([1], 0, [q]), ([2], 1, [2**70])])
+    check_rounds(log)
+    assert log[1].dtype == object
+    for vec in ([1, 0, 0], [1, 0, 5]):
+        for rev in (False, True):
+            assert kernels.apply_oplog_mod(vec, log, m, reverse=rev) == \
+                ref_replay(vec, log, m, reverse=rev)
+            block = np.array([vec, vec[::-1]]).T
+            assert block_list(kernels.apply_oplog_mod(
+                block, log, m, reverse=rev)) == by_columns(
+                kernels.apply_oplog_mod, block, log, m, reverse=rev)
+
+
+@pytest.mark.parametrize("m", [2**61 - 1, 2**62 + 1, 2**64 + 13])
+def test_mod_replay_past_int64_keeps_residues(m):
+    """Mod an m whose residues' products pass 2^62, the doubling log moves
+    v to object dtype early, where each round reduces its sources and its
+    multipliers, and the replay agrees with the reference."""
+    log = doubling_log(120)
+    vec = [3, 1, m - 1]
+    for rev in (False, True):
+        assert kernels.apply_oplog_mod(vec, log, m, reverse=rev) == \
+            ref_replay(vec, log, m, reverse=rev)
+    fwd = kernels.apply_oplog_mod(vec, log, m)
+    assert kernels.apply_oplog_mod(fwd, log, m, reverse=True) == vec
+
+
 def test_multiplicity_alone_crosses_int64():
     """One round in which eight sources, each 2^60, all reach one target
     with q = -1: max|v| + max|x| max|q| is 2^61, below 2^62, and only the
