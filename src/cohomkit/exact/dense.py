@@ -4,10 +4,11 @@ Everything here uses python integers, so no computation can overflow.  In
 the package the Smith form runs in one place only: phase 3 of the sparse
 engine in :mod:`cohomkit.exact.sparse`, on its small echelon block; module
 presentations go through that engine too.  The tests use it as their
-oracle.  ``IntMatrix`` holds the Smith form's input and transforms, and has
-only what that form and phase 3 read (entries, rows, ``mul_vec``); every
-other dense matrix of the package is a numpy array, multiplied by
-:func:`cohomkit.kernels.matmul`.
+oracle.  The Smith form's input and its transforms U, D and V are numpy
+object arrays of python ints, multiplied here with ``@``; the engine
+multiplies them by :func:`cohomkit.kernels.matmul`, as it does every other
+dense matrix of the package.  Nothing here comes from the kernels, so the
+tests' oracles share only the Smith form with the engine.
 """
 
 from __future__ import annotations
@@ -15,69 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from ..errors import InternalCheckFailed
 
-
-class IntMatrix:
-    """Immutable integer matrix, row-major, arbitrary precision."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        entries = [int(x) for x in entries]
-        if len(entries) != rows * cols:
-            raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rowlist) -> "IntMatrix":
-        rowlist = [list(r) for r in rowlist]
-        r = len(rowlist)
-        c = len(rowlist[0]) if r else 0
-        if any(len(row) != c for row in rowlist):
-            raise ValueError("ragged rows")
-        return cls(r, c, [x for row in rowlist for x in row])
-
-    def __getitem__(self, rc):
-        i, j = rc
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self):
-        return [self.row(i) for i in range(self.rows)]
-
-    def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return [sum(x * y for x, y in zip(ai, v)) for ai in self.to_rows()]
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
-
-    def __repr__(self):
-        return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()})"
+# entrywise int(): numpy integers in an object array become python ints
+_to_int = np.frompyfunc(int, 1, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmithDecomposition:
-    """U*M*V = D with U, V unimodular and D diagonal with divisibility chain."""
+    """U*M*V = D with U, V unimodular and D diagonal with divisibility chain,
+    each an object array of python ints; ``source`` is M."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    source: IntMatrix
+    U: np.ndarray
+    D: np.ndarray
+    V: np.ndarray
+    source: np.ndarray
 
     def diagonal(self):
-        n = min(self.D.rows, self.D.cols)
-        return [self.D[i, i] for i in range(n)]
+        return self.D.diagonal().tolist()
 
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
@@ -91,11 +49,11 @@ class SmithDecomposition:
         final source x = b check raises InternalCheckFailed.
         """
         m = normalize_modulus(m)
-        nr, nc = self.source.rows, self.source.cols
+        nr, nc = self.source.shape
         b = [int(x) for x in b]
         if len(b) != nr:
             raise ValueError("rhs length mismatch")
-        c = self.U.mul_vec(b)
+        c = (self.U @ np.array(b, dtype=object)).tolist()
         diag = self.diagonal()
         y = [0] * nc
         for i in range(nr):
@@ -116,14 +74,14 @@ class SmithDecomposition:
                     mm = m // g
                     y[i] = (((ci // g) * pow(d // g, -1, mm)) % mm
                             if mm > 1 else 0)
-        x = self.V.mul_vec(y)
+        x = self.V @ np.array(y, dtype=object)
         if m:
-            x = [xi % m for xi in x]
-        back = self.source.mul_vec(x)
+            x %= m
+        back = self.source @ x
         if any((bi - ci) % m != 0 if m else bi != ci
                for bi, ci in zip(back, b)):
             raise InternalCheckFailed("Smith solve produced a non-solution")
-        return x
+        return x.tolist()
 
     def kernel(self, m=0):
         """Generators of {x : source x = 0 (mod m)} over Z, in column order:
@@ -131,30 +89,27 @@ class SmithDecomposition:
         columns of V past the rank.  They are a Z-basis of that lattice, which
         for m > 0 contains m Z^n; m = 0 or "Z" gives ker(source) over Z."""
         m = normalize_modulus(m)
-        V, n = self.V, self.V.rows
         cols = [(j, m // gcd(d, m))
                 for j, d in enumerate(self.diagonal()) if d and m]
-        cols += [(j, 1) for j in range(self.rank(), n)]
-        return [[mult * V[i, j] for i in range(n)] for j, mult in cols]
-
-
-def _as_rows(M):
-    if isinstance(M, IntMatrix):
-        return M.to_rows(), M.rows, M.cols
-    rows = [list(map(int, r)) for r in M]
-    r = len(rows)
-    c = len(rows[0]) if r else 0
-    return rows, r, c
+        cols += [(j, 1) for j in range(self.rank(), len(self.V))]
+        return [(mult * self.V[:, j]).tolist() for j, mult in cols]
 
 
 def smith_normal_form(M) -> SmithDecomposition:
-    """Smith normal form with full transforms.
+    """Smith normal form with full transforms of ``M``, a 2-D integer array
+    or a list of equal-length rows.
 
     Pivot selection: smallest nonzero absolute value, ties broken by lowest
     (row, col) index, which makes the output deterministic.
     """
-    a, nr, nc = _as_rows(M)
-    src = M if isinstance(M, IntMatrix) else IntMatrix.from_rows(a)
+    src = np.array(M, dtype=object)
+    if src.ndim != 2:
+        if src.size:
+            raise ValueError("a matrix needs equal-length rows")
+        src = src.reshape(0, 0)
+    src = _to_int(src)
+    nr, nc = src.shape
+    a = src.tolist()
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
     t = 0
@@ -233,9 +188,9 @@ def smith_normal_form(M) -> SmithDecomposition:
         t += 1
     d = [[a[i][j] if i == j else 0 for j in range(nc)] for i in range(nr)]
     return SmithDecomposition(
-        U=IntMatrix.from_rows(u),
-        D=IntMatrix.from_rows(d),
-        V=IntMatrix.from_rows(v),
+        U=np.array(u, dtype=object).reshape(nr, nr),
+        D=np.array(d, dtype=object).reshape(nr, nc),
+        V=np.array(v, dtype=object).reshape(nc, nc),
         source=src,
     )
 

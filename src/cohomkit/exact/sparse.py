@@ -25,10 +25,15 @@ The factorization runs in three logged phases, all over Z:
    The round then eliminates all its pivot columns in one vectorised
    sparse update, A_N -= Q A_S, in int64 while a bound allows and in
    python ints past it (T. Davis and P.-C. Yew, SIAM J. Matrix Anal.
-   Appl. 11, 1990; M. Luby, SIAM J. Comput. 15, 1986).  A round whose live
-   entries would pass a cap is refused;
-2. integer row echelon on the leftover rows (gcd steps);
+   Appl. 11, 1990; M. Luby, SIAM J. Comput. 15, 1986);
+2. integer row echelon (gcd steps) on one dense block, the rows and
+   columns that phase 1 left, scattered from its arrays: one numpy update
+   a step, in int64 while a bound allows and in python ints past it;
 3. dense Smith normal form (exact, python ints) on the small echelon block.
+
+One constant, ``_FILL_CAP``, bounds the engine's memory: a phase-1 round
+whose live entries would pass it, or a phase-2 block (live rows x
+residual columns) of more entries, is refused with SizeCapExceeded.
 
 Row operations from phases 1-2 are recorded in a log of rounds, one per
 phase-1 round and one per Euclid batch, each a run of (targets, source,
@@ -41,11 +46,12 @@ pivot column, and the frozen pivot rows, ordered by round and then by
 column, form a triangular block with the +-1 pivots on its diagonal.
 Phase 3 keeps only the Smith transforms U and V of the small block, since
 the cokernel basis and the torsion representatives read the columns of
-U^-1 off E V = U^-1 D.  Phase 3 is the one place in the package where the
-dense Smith form runs.  No column operation is ever applied to the ambient
-space, so cokernel coordinates of a vector are read off directly after
-replaying the log, and cokernel basis vectors are lifted by one reverse
-replay of a block.
+U^-1 off E V = U^-1 D; queries and the self-check read the block and its
+transforms through one :func:`cohomkit.kernels.matmul` each.  Phase 3 is
+the one place in the package where the dense Smith form runs.  No column
+operation is ever applied to the ambient space, so cokernel coordinates of
+a vector are read off directly after replaying the log, and cokernel basis
+vectors are lifted by one reverse replay of a block.
 
 Every query takes a modulus m (0 for Z).  The logged row operations are
 unimodular over Z, so they stay invertible mod every m: a mod-m query
@@ -70,10 +76,7 @@ import numpy as np
 
 from .. import kernels
 from ..errors import InternalCheckFailed, SizeCapExceeded
-from .dense import IntMatrix, smith_normal_form
-
-_RESIDUAL_DIM_CAP = 2048
-_RESIDUAL_ENTRY_CAP = 4_000_000
+from .dense import smith_normal_form
 
 
 def symmetric_residues(v: np.ndarray, m: int) -> np.ndarray:
@@ -141,10 +144,12 @@ def _check_csr(nrows, ncols, indptr, indices, data):
                          "with no stored zeros")
 
 
-# Phase 1 refuses a round that would leave more live entries than this.  An
-# entry takes 16 bytes, its position and an int64 value, and a round holds a
-# few copies of them, so the cap keeps phase 1 to a few GB.  Cleared q8 D_6
-# peaks at 583 thousand and s3 D_7 at 393 thousand.
+# Phase 1 refuses a round that would leave more live entries than this, and
+# phase 2 a block of more entries.  A live entry takes 16 bytes, its position
+# and an int64 value, and a round holds a few copies of them, so the cap
+# keeps phase 1 to a few GB; a block entry takes 8 bytes in int64.  Cleared
+# q8 D_6 peaks at 583 thousand live entries and s3 D_7 at 393 thousand; the
+# largest phase-2 block of the bar complexes is q8 D_6's, 36,322 x 2.
 _FILL_CAP = 1 << 26
 # the Freivalds check of a factorization runs mod this prime, so that a
 # residue times a residue, plus a residue, stays in int64, and reads its
@@ -247,8 +252,8 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
     (targets, source, multipliers) for each round with targets, a batch
     per pivot in the same order (see :func:`kernels.make_log`); the frozen
     pivot rows as (starts, lengths, columns, values) arrays, pivot entry
-    first and then ascending columns; and the rows left nonzero, as dicts,
-    for phase 2.
+    first and then ascending columns; and the live entries left, the
+    arrays (key, val), for phase 2.
     """
     key = (np.repeat(np.arange(nrows, dtype=np.int64), np.diff(indptr))
            * ncols + indices)
@@ -339,62 +344,68 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
         pool.append((heads + pooled, plen + 1, pcols, pvals))
         pooled += len(rest)
 
-    row = key // ncols
-    cuts = np.flatnonzero(np.diff(row, prepend=-1)).tolist()
-    cols, vals = (key - row * ncols).tolist(), val.tolist()
-    rows = {r: dict(zip(cols[s:e], vals[s:e])) for r, s, e in
-            zip(row[cuts].tolist(), cuts, cuts[1:] + [len(cols)])}
     starts, lens, cols, vals = (np.concatenate(part) for part in zip(*pool))
     return (pivots, batches, (starts, lens, cols, kernels.int_array(vals)),
-            rows)
+            (key, val))
 
 
-def _euclid_echelon(rows, batches):
-    """Phase 2: Euclidean row echelon on the rows that phase 1 left
-    nonzero, in place, with its ops appended to ``batches``.  Returns the
-    echelon rows, in order, and the residual columns."""
-    live = [r for r, d in rows.items() if d]
-    res_cols = sorted({c for r in live for c in rows[r]})
-    if res_cols:
-        if (len(live) * len(res_cols) > _RESIDUAL_ENTRY_CAP
-                and len(res_cols) > _RESIDUAL_DIM_CAP):
-            raise SizeCapExceeded(
-                f"residual block {len(live)}x{len(res_cols)} "
-                "after unit-pivot elimination is too large")
-    echelon_rows: list[int] = []
-    live_set = set(live)
-    for c in res_cols:
-        holders = sorted(r for r in live_set if c in rows[r])
+def _euclid_echelon(ncols, key, val, batches):
+    """Phase 2: Euclidean row echelon on the live entries that phase 1
+    left, at positions ``key`` (row * ncols + column, ascending) with
+    values ``val``, as one dense (live rows x residual columns) block, its
+    ops appended to ``batches``.  A block of more than _FILL_CAP entries is
+    refused.
+
+    Column by column, each step takes as its source the row with the least
+    nonzero |entry| in the column, then the lowest row, and subtracts q
+    times it from every other row holding the column, in (|entry|, row)
+    order, with q = entry // source entry (nonzero, since no |entry| is
+    less than the source's).  Once one row holds the column, it is negated
+    if its entry is negative, a NEG, and leaves the block as the next
+    echelon row, with the rows that became zero.  The block is int64 while
+    max|target rows| + max|q| max|source row| stays below 2^62, else
+    python ints.
+
+    Returns the echelon rows, in order, their rows of the block as an
+    object array, and the residual columns."""
+    row = key // ncols
+    live, at_row = np.unique(row, return_inverse=True)
+    res_cols, at_col = np.unique(key - row * ncols, return_inverse=True)
+    if len(live) * len(res_cols) > _FILL_CAP:
+        raise SizeCapExceeded(
+            f"phase 2 would hold a {len(live):,} x {len(res_cols):,} block, "
+            f"past the cap of {_FILL_CAP:,} entries")
+    val = kernels.int_array(val)
+    block = np.zeros((len(live), len(res_cols)), dtype=val.dtype)
+    block[at_row, at_col] = val
+    echelon_rows, echelon = [], []
+    for j in range(len(res_cols)):
+        holders = np.flatnonzero(block[:, j])
         while len(holders) > 1:
-            holders.sort(key=lambda r: (abs(rows[r][c]), r))
+            holders = holders[np.argsort(np.abs(block[holders, j]),
+                                         kind="stable")]
+            a, t = holders[0], holders[1:]
+            q = block[t, j] // block[a, j]
+            if block.dtype != object and (
+                    kernels.max_abs(block[t]) + kernels.max_abs(q)
+                    * kernels.max_abs(block[a]) >= _LIMIT):
+                block, q = block.astype(object), q.astype(object)
+            block[t] -= q[:, None] * block[a]
+            batches.append((live[t], live[a], q))
+            holders = np.flatnonzero(block[:, j])
+        stay = (block != 0).any(axis=1)
+        if len(holders):
             a = holders[0]
-            targets, qs = [], []
-            for b in holders[1:]:
-                q = rows[b][c] // rows[a][c]
-                if q:
-                    targets.append(b)
-                    qs.append(q)
-                    rb, ra = rows[b], rows[a]
-                    for c2, w in list(ra.items()):
-                        nv = rb.get(c2, 0) - q * w
-                        if nv:
-                            rb[c2] = nv
-                        elif c2 in rb:
-                            del rb[c2]
-            if targets:
-                batches.append((targets, a, qs))
-            holders = [r for r in holders if c in rows[r]]
-        for r in list(live_set):
-            if not rows[r]:
-                live_set.discard(r)
-        if holders:
-            r = holders[0]
-            if rows[r][c] < 0:
-                batches.append(([r], r, None))
-                rows[r] = {c2: -w for c2, w in rows[r].items()}
-            echelon_rows.append(r)
-            live_set.discard(r)
-    return echelon_rows, res_cols
+            if block[a, j] < 0:
+                batches.append(([live[a]], live[a], None))
+                block[a] = -block[a]
+            echelon_rows.append(int(live[a]))
+            echelon.append(block[a].tolist())
+            stay[a] = False
+        block, live = block[stay], live[stay]
+    echelon = np.array(echelon, dtype=object).reshape(len(echelon_rows),
+                                                      len(res_cols))
+    return echelon_rows, echelon, res_cols.tolist()
 
 
 class SparseFactorization:
@@ -443,12 +454,13 @@ class SparseFactorization:
         # one round per elimination round, its batches passed as one run
         # (see kernels.make_log), and the pivot rows are frozen for
         # back-substitution, pivot entry first.
-        (piv_rows, piv_cols, piv_vals), batches, pool, rows = _pivot_rounds(
+        (piv_rows, piv_cols, piv_vals), batches, pool, left = _pivot_rounds(
             self.nrows, self.ncols, self._indptr, self._indices, self._data)
         (self._pool_starts, self._pool_lens, self._pool_cols,
          self._pool_vals) = pool
-        # phase 2: Euclidean row echelon on the leftover rows
-        echelon_rows, res_cols = _euclid_echelon(rows, batches)
+        # phase 2: Euclidean row echelon on the block of the leftover rows
+        echelon_rows, E, res_cols = _euclid_echelon(self.ncols, *left,
+                                                    batches)
 
         self.log = kernels.make_log(batches)
 
@@ -463,11 +475,7 @@ class SparseFactorization:
         self.zero_rows = np.flatnonzero(free).tolist()
 
         # phase 3: dense SNF of the echelon block
-        E = [[rows[r].get(c, 0) for c in res_cols] for r in echelon_rows]
-        if echelon_rows:
-            self.esnf = smith_normal_form(IntMatrix.from_rows(E))
-        else:
-            self.esnf = None
+        self.esnf = smith_normal_form(E) if echelon_rows else None
 
     def _check_rows(self):
         """Freivalds' check of the factorization: the log L takes A to the
@@ -486,8 +494,8 @@ class SparseFactorization:
             want[self.piv_rows] = np.add.reduceat(prod % p,
                                                   self._pool_starts) % p
         if self.echelon_rows:
-            want[self.echelon_rows] = [y % p for y in self.esnf.source.mul_vec(
-                x[self.res_cols].tolist())]
+            want[self.echelon_rows] = kernels.matmul(self.esnf.source,
+                                                     x[self.res_cols], p)
         if (v != want).any():
             raise InternalCheckFailed(
                 "sparse factorization: the replayed log does not take the "
@@ -517,13 +525,13 @@ class SparseFactorization:
                                    m)
 
     def _echelon_diag(self, m=0):
-        """Diagonal of the echelon block SNF, reduced against m."""
+        """Diagonal of the echelon block SNF, reduced against m.  Phase 2
+        leaves the block with full row rank, so it has a d_j, nonzero, for
+        every echelon row."""
         if self.esnf is None:
             return []
         diag = self.esnf.diagonal()
-        if m:
-            return [gcd(d, m) if d else 0 for d in diag]
-        return diag
+        return [gcd(d, m) for d in diag] if m else diag
 
     def coker_invariants(self, m=0) -> list[int]:
         """Invariant factors of coker over Z (0 = free) or Z/m."""
@@ -544,19 +552,16 @@ class SparseFactorization:
         modulus m.  Unit-pivot coordinates are omitted (always zero in the
         cokernel)."""
         z = kernels.int_array(self._replay(vec, m))
+        zt = z.T if z.ndim == 2 else z[None]  # one row per vector
+        # the replay gives canonical residues mod m; U turns the echelon
+        # rows' values into coordinates, each reduced by its d_j
         diag = self._echelon_diag(m)
-        mods = [(diag[j] if j < len(diag) else 0) or m
-                for j in range(len(self.echelon_rows))]
-        mods += [m] * len(self.zero_rows)
-        # one row per vector; the replay gives canonical residues mod m
-        zt = z.T if z.ndim == 2 else z[None]
-        ech = zt[:, self.echelon_rows].tolist()
-        free = zt[:, self.zero_rows].tolist()
-        out = []
-        for sub, vals in zip(ech, free):
-            w = self.esnf.U.mul_vec(sub) if sub else []
-            out.append(([x % d if d else x for x, d in zip(w, mods)] + vals,
-                        list(mods)))
+        ech = zt[:, self.echelon_rows]
+        if diag:
+            ech = kernels.matmul(ech, self.esnf.U.T) % kernels.int_array(diag)
+        mods = diag + [m] * len(self.zero_rows)
+        vals = np.concatenate([ech, zt[:, self.zero_rows]], axis=1).tolist()
+        out = [(v, list(mods)) for v in vals]
         return out if z.ndim == 2 else out[0]
 
     def solvable_over_q(self, vec) -> bool:
@@ -616,11 +621,10 @@ class SparseFactorization:
         columns of an (nrows, len(js)) block on the echelon rows, before
         the log carries them back: U E V = D, so column j is
         (E V)[:, j] / d_j."""
-        E, V, diag = self.esnf.source, self.esnf.V, self.esnf.diagonal()
+        diag = kernels.int_array(self.esnf.diagonal())[js]
         out = np.zeros((self.nrows, len(js)), dtype=object)
-        for c, j in enumerate(js):
-            ev = E.mul_vec([V[i, j] for i in range(V.rows)])
-            out[self.echelon_rows, c] = [x // diag[j] for x in ev]
+        out[self.echelon_rows] = kernels.matmul(self.esnf.source,
+                                                self.esnf.V[:, js]) // diag
         return out
 
     def torsion_reps(self):

@@ -33,11 +33,12 @@ bound is taken over the whole block, so a block is int64 or object as one:
   geometrically as over Z; v is reduced once more at the end;
 - matvec: int64 iff max|x| * sum|data| < 2^62, which bounds every partial
   sum of the segmented sum;
-- dense product ``matmul(a, b, m)``, the one product of the package's
-  dense matrices outside the sparse engine (module actions, Koszul and
-  ring-map matrices): int64 iff s * max|a| * max|b| < 2^62 for the inner
-  length s, and the result, reduced mod m when m is given, is int64 when
-  its entries fit and object otherwise, as ``int_array`` makes it;
+- dense product ``matmul(a, b, m)``, the product of every dense matrix of
+  the package outside the Smith form itself (module actions, Koszul and
+  ring-map matrices, and the sparse engine's echelon block and its Smith
+  transforms): int64 iff s * max|a| * max|b| < 2^62 for the inner length
+  s, and the result, reduced mod m when m is given, is int64 when its
+  entries fit and object otherwise, as ``int_array`` makes it;
 - back-substitution is a sequential loop over python ints, one column of
   a block after the other.
 

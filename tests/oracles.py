@@ -1,6 +1,7 @@
 """Dense oracles for the tests: free resolutions of the trivial module over
 ZG and their cochain complexes, on the dense Smith normal form only, and
-F_p row echelon forms by numpy row operations.
+F_p row echelon forms by numpy row operations.  Their matrices are numpy
+object arrays of python ints, multiplied with ``@``.
 
 Two independent constructions are provided: the normalized bar resolution
 (any finite group) and the period-2 resolution of cyclic groups, which
@@ -26,29 +27,25 @@ import numpy as np
 
 from cohomkit.config import size_cap
 from cohomkit.errors import SizeCapExceeded
-from cohomkit.exact.dense import (IntMatrix, normalize_modulus,
-                                  smith_normal_form)
+from cohomkit.exact.dense import normalize_modulus, smith_normal_form
 from cohomkit.groups import FiniteGroup, cyclic
 
 
-def identity(n: int) -> IntMatrix:
-    return IntMatrix(n, n, [1 if i == j else 0
-                            for i in range(n) for j in range(n)])
+def identity(n: int) -> np.ndarray:
+    return np.eye(n, dtype=object)
 
 
-def zero(rows: int, cols: int) -> IntMatrix:
-    return IntMatrix(rows, cols, [0] * (rows * cols))
+def zero(rows: int, cols: int) -> np.ndarray:
+    return np.zeros((rows, cols), dtype=object)
 
 
-def matmul(*factors: IntMatrix) -> IntMatrix:
-    """The product of the factors, taken in numpy object arrays of python
-    ints."""
-    arrays = [np.array(M.entries, dtype=object).reshape(M.rows, M.cols)
-              for M in factors]
-    out = arrays[0]
-    for a in arrays[1:]:
-        out = out @ a
-    return IntMatrix(*out.shape, out.ravel().tolist())
+def matmul(*factors) -> np.ndarray:
+    """The product of the factors, 2-D arrays or lists of rows, in numpy
+    object arrays of python ints."""
+    out = np.array(factors[0], dtype=object)
+    for a in factors[1:]:
+        out = out @ np.array(a, dtype=object)
+    return out
 
 
 def solve_mod(A, b, m):
@@ -56,17 +53,17 @@ def solve_mod(A, b, m):
     return smith_normal_form(A).solve(b, m)
 
 
-def cokernel_invariants(M: IntMatrix, m) -> list:
+def cokernel_invariants(M, m) -> list:
     """Invariant factors of target/(image of M) over Z or Z/m, read off the
-    Smith form of [M | m I].
+    Smith form of [M | m I].  ``M`` is a 2-D array or a list of rows.
 
     Over Z a factor 0 denotes a free summand; over Z/m all factors divide m.
     """
     m = normalize_modulus(m)
-    nr = M.rows
+    M = np.array(M, dtype=object)
+    nr = len(M)
     if m and nr:
-        M = IntMatrix.from_rows([row + [m if j == i else 0 for j in range(nr)]
-                                 for i, row in enumerate(M.to_rows())])
+        M = np.hstack([M, m * identity(nr)])
     diag = smith_normal_form(M).diagonal()
     rank = sum(1 for d in diag if d != 0)
     return [d for d in diag if d > 1] + [0] * (nr - rank)
@@ -95,14 +92,14 @@ def echelon_modp(A, p):
     return M, piv
 
 
-def det(M: IntMatrix) -> int:
+def det(M) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    if M.rows != M.cols:
+    a = [[int(x) for x in row] for row in M]
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValueError("determinant of non-square matrix")
-    n = M.rows
     if n == 0:
         return 1
-    a = M.to_rows()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -125,7 +122,7 @@ def det(M: IntMatrix) -> int:
 def verify_smith(dec) -> bool:
     """U M V = D with U, V unimodular and D a nonnegative diagonal with
     the divisibility chain, zeros last."""
-    if matmul(dec.U, dec.source, dec.V) != dec.D:
+    if not np.array_equal(matmul(dec.U, dec.source, dec.V), dec.D):
         return False
     if abs(det(dec.U)) != 1 or abs(det(dec.V)) != 1:
         return False
@@ -137,15 +134,16 @@ def verify_smith(dec) -> bool:
             return False
     if any(d < 0 for d in diag):
         return False
-    return all(dec.D[i, j] == 0 for i in range(dec.D.rows)
-               for j in range(dec.D.cols) if i != j)
+    nr, nc = dec.D.shape
+    return all(dec.D[i, j] == 0 for i in range(nr) for j in range(nc)
+               if i != j)
 
 
-def unimodular_inverse(M: IntMatrix) -> IntMatrix:
+def unimodular_inverse(M) -> np.ndarray:
     """Inverse of a unimodular integer matrix, read off its own Smith form:
     U' M V' = I gives M^-1 = V' U'.  ValueError unless that form is I."""
     dec = smith_normal_form(M)
-    if dec.D != identity(dec.D.rows):
+    if not np.array_equal(dec.D, identity(len(dec.D))):
         raise ValueError("matrix is not unimodular")
     return matmul(dec.V, dec.U)
 
@@ -159,18 +157,15 @@ def realize_presentation(generators: int, relations, action, m: int):
     coordinates (U x)_i.  Returns (the matrix of each of ``action`` on the
     coordinates of order m, the projection onto them): rows i of U, times
     the action, times columns i of U^-1."""
-    A = IntMatrix(generators, len(relations),
-                  [r[i] for i in range(generators) for r in relations])
+    A = np.array(relations, dtype=object).reshape(len(relations),
+                                                  generators).T
     dec = smith_normal_form(A)
     diag = dec.diagonal()
     free = [i for i in range(generators)
             if gcd(diag[i] if i < len(diag) else 0, m) == m]
-    Uinv = unimodular_inverse(dec.U)
-    proj = IntMatrix.from_rows([dec.U.row(i) for i in free])
-    lift = IntMatrix.from_rows([[Uinv[r, i] for i in free]
-                                for r in range(generators)])
-    return [matmul(proj, IntMatrix.from_rows(mat), lift)
-            for mat in action], proj
+    proj = dec.U[free]
+    lift = unimodular_inverse(dec.U)[:, free]
+    return [matmul(proj, mat, lift) for mat in action], proj
 
 
 class Resolution:
@@ -191,7 +186,7 @@ class Resolution:
     def length(self) -> int:
         return len(self.ranks) - 1
 
-    def differential_int_matrix(self, n: int) -> IntMatrix:
+    def differential_int_matrix(self, n: int) -> np.ndarray:
         order = self.group.order
         rows = self.ranks[n - 1] * order
         cols = self.ranks[n] * order
@@ -204,13 +199,14 @@ class Resolution:
         for (j, i, g, c) in self.zg_diffs[n]:
             for h in range(order):
                 ent[i * order + table[h][g]][j * order + h] += c
-        return IntMatrix.from_rows(ent)
+        return np.array(ent, dtype=object)
 
-    def augmentation_matrix(self) -> IntMatrix:
+    def augmentation_matrix(self) -> np.ndarray:
         order = self.group.order
-        return IntMatrix.from_rows([[1] * (self.ranks[0] * order)])
+        return np.ones((1, self.ranks[0] * order), dtype=object)
 
-    def dual_differential(self, n: int, coefficient_modulus: int = 0) -> IntMatrix:
+    def dual_differential(self, n: int,
+                          coefficient_modulus: int = 0) -> np.ndarray:
         """Matrix of Hom_ZG(d_n, M) for the trivial module M = Z or Z/m,
         as a map M^{ranks[n-1]} -> M^{ranks[n]}."""
         rows = [[0] * self.ranks[n - 1] for _ in range(self.ranks[n])]
@@ -218,7 +214,7 @@ class Resolution:
             rows[j][i] += c
         if coefficient_modulus:
             rows = [[v % coefficient_modulus for v in r] for r in rows]
-        return IntMatrix.from_rows(rows)
+        return np.array(rows, dtype=object)
 
 
 def bar_resolution(G: FiniteGroup, N: int) -> Resolution:
@@ -290,25 +286,25 @@ def periodic_resolution_cyclic(n: int, N: int) -> Resolution:
     return Resolution(G, ranks, diffs)
 
 
-def subquotient_invariants(d_in: IntMatrix, d_out: IntMatrix, m) -> list:
+def subquotient_invariants(d_in: np.ndarray, d_out: np.ndarray, m) -> list:
     """Invariant factors of ker(d_out)/im(d_in) over Z (m=0/"Z") or Z/m.
 
     Dense, exact, independent of the sparse machinery: used as the oracle
     for small complexes.  Over Z a 0 denotes a free summand.
     """
     m = normalize_modulus(m)
-    r = d_out.cols
-    if d_in.rows != r:
+    r = d_out.shape[1]
+    if len(d_in) != r:
         raise ValueError("differentials do not compose")
     # lattice L = {x : d_out x = 0 (mod m)} expressed by a basis matrix B
     basis = smith_normal_form(d_out).kernel(m)
     if not basis:
         return []
-    B = IntMatrix.from_rows([list(col) for col in zip(*basis)])
+    B = np.array(basis, dtype=object).T
     # generators of im(d_in) + mZ^r in B-coordinates
-    gens = [[d_in[i, j] for i in range(r)] for j in range(d_in.cols)]
+    gens = d_in.T.tolist()
     if m:
-        gens += [[m if k == i else 0 for k in range(r)] for i in range(r)]
+        gens += (m * identity(r)).tolist()
     bdec = smith_normal_form(B)
     rel_cols = []
     for gvec in gens:
@@ -317,8 +313,8 @@ def subquotient_invariants(d_in: IntMatrix, d_out: IntMatrix, m) -> list:
             raise ValueError("image does not lie in the kernel lattice")
         rel_cols.append(y)
     if not rel_cols:
-        return [0] * B.cols
-    R = IntMatrix.from_rows([list(col) for col in zip(*rel_cols)])
+        return [0] * B.shape[1]
+    R = np.array(rel_cols, dtype=object).T
     return cokernel_invariants(R, "Z")
 
 
@@ -392,7 +388,7 @@ class CochainComplex:
     def rank(self, n: int) -> int:
         return self.resolution.ranks[n]
 
-    def differential(self, n: int) -> IntMatrix:
+    def differential(self, n: int) -> np.ndarray:
         """d^n : C^{n-1} -> C^n."""
         return self.resolution.dual_differential(
             n, coefficient_modulus=self.coefficient_modulus)
@@ -402,8 +398,7 @@ class CochainComplex:
         m = self.coefficient_modulus
         for n in range(2, N + 1):
             prod = matmul(self.differential(n), self.differential(n - 1))
-            bad = any((v % m if m else v) for v in prod.entries)
-            if bad:
+            if (prod % m if m else prod).any():
                 return False
         return True
 

@@ -312,6 +312,18 @@ class TestErrorPaths:
         assert code == 2
         assert not out and "past the cap of 100" in err
 
+    def test_fill_cap_in_phase_2(self, capsys, monkeypatch, tmp_path):
+        """So is a phase-2 block of more entries than the cap: the relation
+        2 has no +-1 entry, so phase 1 takes no round and leaves phase 2 a
+        1 x 1 block."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tors.json").write_text(json.dumps(MODULES["tors.json"]))
+        monkeypatch.setattr(sparse, "_FILL_CAP", 0)
+        code, out, err = run(capsys, "--json", "fibre", "--group", "c2",
+                             "--module", "tors.json")
+        assert code == 2
+        assert not out and "1 x 1 block, past the cap of 0" in err
+
     def test_failed_self_check_exits_3(self, capsys, monkeypatch):
         """A factorization whose log is corrupted fails its own check: exit
         3, the code of an internal error, not a verdict."""

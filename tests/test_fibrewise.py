@@ -7,7 +7,7 @@ import pytest
 from cohomkit import cli, fibrewise
 from cohomkit.cohomology import cohomology_group
 from cohomkit.errors import InvalidModule, NotBaseFree, NotPrime
-from cohomkit.exact.dense import IntMatrix, smith_normal_form
+from cohomkit.exact.dense import smith_normal_form
 from cohomkit.exact import sparse
 from cohomkit.exact.sparse import SparseFactorization, coo_to_csr
 from cohomkit.fibrewise import (FGModule, GModule, _free_cover_data,
@@ -87,11 +87,10 @@ def _check_against_dense_oracles(G, M, primes):
     """The sparse verdicts agree with dense SNF over Z and Q and with
     dense mod-p elimination on every fibre."""
     A, b = _dense_splitting_system(G, M.action)
-    integral = solve_mod(IntMatrix.from_rows(A), b, "Z") is not None
+    integral = solve_mod(A, b, "Z") is not None
     assert integral_projectivity_test(M).projective == integral
-    rank = smith_normal_form(IntMatrix.from_rows(A)).rank()
-    rank_b = smith_normal_form(IntMatrix.from_rows(
-        [row + [v] for row, v in zip(A, b)])).rank()
+    rank = smith_normal_form(A).rank()
+    rank_b = smith_normal_form([row + [v] for row, v in zip(A, b)]).rank()
     assert rational_projectivity_test(M) == (rank == rank_b)
     for p in primes:
         Mp = reduce_mod(M, p)
@@ -430,15 +429,13 @@ class TestPresentations:
         S, proj = realize_presentation(
             k, relations, [full[a] for a in range(G.order)], m)
         cols = [b for (_, b), o in zip(M.coker_basis, M.orders()) if o == m]
-        assert len(cols) == proj.rows > 0
-        P = matmul(proj, IntMatrix.from_rows([list(r) for r in zip(*cols)]))
+        assert len(cols) == len(proj) > 0
+        P = matmul(proj, np.array(cols, dtype=object).T)
         d = det(P)
         assert d % m if m else abs(d) == 1
         for a in range(G.order):
-            lhs = matmul(P, IntMatrix.from_rows(R[a])).entries
-            rhs = matmul(S[a], P).entries
-            assert ([(x - y) % m for x, y in zip(lhs, rhs)] if m else
-                    [x - y for x, y in zip(lhs, rhs)]) == [0] * len(lhs), a
+            diff = matmul(P, R[a]) - matmul(S[a], P)
+            assert not (diff % m if m else diff).any(), a
 
     def test_module_json_roundtrip(self, groups, tmp_path):
         path = tmp_path / "m.json"
@@ -472,7 +469,7 @@ class TestDualising:
 
     def test_c2_standard_form(self, groups):
         w = dualising_check(groups["c2"])
-        assert abs(det(IntMatrix.from_rows(w.matrix))) == 1
+        assert abs(det(w.matrix)) == 1
 
 
 # Ext^i_{ZG}(M, N) for i = 0, 1, ..., as computed by the dense-SNF
@@ -569,8 +566,8 @@ class TestExtGroups:
         assert ext_group(Z, ZG, 2) == []
         # periodic oracle: complex ZG --(g-1)--> ZG --(1+g)--> ZG, the
         # matrices of left multiplication on the basis (1, g)
-        gm1 = IntMatrix.from_rows([[-1, 1], [1, -1]])
-        norm = IntMatrix.from_rows([[1, 1], [1, 1]])
+        gm1 = np.array([[-1, 1], [1, -1]], dtype=object)
+        norm = np.array([[1, 1], [1, 1]], dtype=object)
         # Hom(ZG, ZG) = ZG with induced maps the same matrices
         assert subquotient_invariants(norm, gm1, "Z") == []   # Ext^1
         assert subquotient_invariants(gm1, norm, "Z") == []   # Ext^2

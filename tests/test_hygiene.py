@@ -281,7 +281,7 @@ def test_detects_an_engine_import(tmp_path):
     mod.write_text("import numpy\nimport cohomkit.exact.sparse\n"
                    "from cohomkit.groups import cyclic\n"
                    "from cohomkit import kernels\n"
-                   "from cohomkit.exact.dense import IntMatrix\n")
+                   "from cohomkit.exact.dense import smith_normal_form\n")
     assert package_imports(mod) - ORACLE_MODULES == {
         "cohomkit.exact.sparse", "cohomkit.kernels"}
 
@@ -289,10 +289,8 @@ def test_detects_an_engine_import(tmp_path):
 # the dense Smith form runs in the package only as phase 3 of the sparse
 # factorization; every other question, over Z or F_p, module presentations
 # included, goes to the sparse engine, and the dense helpers built on the
-# Smith form live in tests/oracles.py.  IntMatrix, the Smith form's matrix
-# type, stays with it: every other dense matrix in the package is a numpy
-# array
-DENSE_SMITH = {"smith_normal_form", "unimodular_inverse", "IntMatrix"}
+# Smith form live in tests/oracles.py
+DENSE_SMITH = {"smith_normal_form", "unimodular_inverse"}
 DENSE_SMITH_USERS = {"exact/dense.py", "exact/sparse.py"}
 ORACLE_ONLY = {"solve_mod", "cokernel_invariants"}
 
@@ -339,9 +337,9 @@ def test_detects_dense_smith_misuse(tmp_path):
         "from .exact import dense\n\nsolve_mod = None\n")
     (tmp_path / "cup.py").write_text(
         "from .exact import dense\n\n\ndef koszul(rows):\n"
-        "    return dense.IntMatrix.from_rows(rows)\n")
+        "    return dense.smith_normal_form(rows)\n")
     assert dense_smith_misuse(sorted(tmp_path.rglob("*.py")), tmp_path) == [
-        ("cup.py", "IntMatrix"),
+        ("cup.py", "smith_normal_form"),
         ("exact/modp.py", "smith_normal_form"),
         ("fibrewise.py", "unimodular_inverse"),
         ("fibrewise.py", "cokernel_invariants")]

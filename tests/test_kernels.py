@@ -457,7 +457,8 @@ def test_minus_two_to_the_63_is_exact(as_array):
     assert kernels.csr_matvec_int(np.array([0, 1]), np.array([0]),
                                   np.array([2]), seq([low])) == [2 * low]
     G = builtin_group("c3")
-    want = bar_resolution(G, 2).dual_differential(2).mul_vec([low, 0])
+    want = (bar_resolution(G, 2).dual_differential(2)
+            @ np.array([low, 0], dtype=object)).tolist()
     for factored in (False, True):
         bc = BarCochains(G)
         if factored:
