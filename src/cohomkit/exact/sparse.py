@@ -44,6 +44,10 @@ and for the self-check alike.  The batches of a phase-1 round touch no
 pivot row of that round, so they commute; they are logged in ascending
 pivot column, and the frozen pivot rows, ordered by round and then by
 column, form a triangular block with the +-1 pivots on its diagonal.
+They are kept as a second log, ``pivot_log``, a round per phase-1 round,
+and back-substitution (:func:`cohomkit.kernels.backsub_mod`) replays it
+in reverse through the same loop, a level of the triangular solve a
+round.
 Phase 3 keeps only the Smith transforms U and V of the small block, since
 the cokernel basis and the torsion representatives read the columns of
 U^-1 off E V = U^-1 D; queries and the self-check read the block and its
@@ -64,7 +68,7 @@ All arithmetic is exact: python integers over Z, or numpy integers of a
 width that a bound on the entries shows to be safe; canonical residues over
 Z/m.  Pivoting is deterministic, so factorizations (and everything derived
 from them) are reproducible.  Every factorization checks itself once, by
-Freivalds' test of the log against the stored rows, and raises
+Freivalds' test of the logs against the stored rows, and raises
 InternalCheckFailed if the check fails.
 """
 
@@ -251,18 +255,18 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
     round and then by column; the log's rounds, one run of batches
     (targets, source, multipliers) for each round with targets, a batch
     per pivot in the same order (see :func:`kernels.make_log`); the frozen
-    pivot rows as (starts, lengths, columns, values) arrays, pivot entry
-    first and then ascending columns; and the live entries left, the
-    arrays (key, val), for phase 2.
+    pivot rows' rounds, one run for each round whose rows have an entry
+    off the pivot, an op per such entry w, in pivot order and then by
+    column: x[pivot column] -= -pv w x[column], which back-substitution
+    replays in reverse; and the live entries left, the arrays (key, val),
+    for phase 2.
     """
     key = (np.repeat(np.arange(nrows, dtype=np.int64), np.diff(indptr))
            * ncols + indices)
     val = data
     pivots = ([], [], [])
     batches: list[tuple] = []  # one run of batches a round
-    # the frozen pivot rows, one (starts, lengths, columns, values) a round
-    pool = [(np.zeros(0, dtype=np.int64),) * 4]
-    pooled = 0
+    frozen: list[tuple] = []  # one run a round, of the frozen pivot rows
     while True:
         row = key // ncols
         col = key - row * ncols
@@ -333,20 +337,13 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
             tlen = np.bincount(kt, minlength=k)
             has = np.flatnonzero(tlen)
             batches.append((trow[order], (pr[has], tlen[has]), q[order]))
-        # the frozen pivot rows, each pivot entry first
-        heads = pstart + np.arange(k)
-        rest = np.ones(k + len(off), dtype=bool)
-        rest[heads] = False
-        pcols = np.empty(len(rest), dtype=np.int64)
-        pvals = np.empty(len(rest), dtype=w.dtype)
-        pcols[heads], pcols[rest] = pc, col[off]
-        pvals[heads], pvals[rest] = pv, w
-        pool.append((heads + pooled, plen + 1, pcols, pvals))
-        pooled += len(rest)
+        # the frozen pivot rows, a batch per entry off the pivot
+        if len(off):
+            ko = kr[off]
+            frozen.append((pc[ko], (col[off], np.ones(len(off), np.int64)),
+                           -pv[ko] * w))
 
-    starts, lens, cols, vals = (np.concatenate(part) for part in zip(*pool))
-    return (pivots, batches, (starts, lens, cols, kernels.int_array(vals)),
-            (key, val))
+    return pivots, batches, frozen, (key, val)
 
 
 def _euclid_echelon(ncols, key, val, batches):
@@ -453,11 +450,10 @@ class SparseFactorization:
         # phase 1: the +-1 pivots, in rounds.  The row-operation log holds
         # one round per elimination round, its batches passed as one run
         # (see kernels.make_log), and the pivot rows are frozen for
-        # back-substitution, pivot entry first.
-        (piv_rows, piv_cols, piv_vals), batches, pool, left = _pivot_rounds(
+        # back-substitution in a log of their own, a round per round.
+        (piv_rows, piv_cols, piv_vals), batches, frozen, left = _pivot_rounds(
             self.nrows, self.ncols, self._indptr, self._indices, self._data)
-        (self._pool_starts, self._pool_lens, self._pool_cols,
-         self._pool_vals) = pool
+        self.pivot_log = kernels.make_log(frozen)
         # phase 2: Euclidean row echelon on the block of the leftover rows
         echelon_rows, E, res_cols = _euclid_echelon(self.ncols, *left,
                                                     batches)
@@ -465,8 +461,9 @@ class SparseFactorization:
         self.log = kernels.make_log(batches)
 
         self.piv_rows = piv_rows
-        self.piv_cols = piv_cols
-        self.piv_vals = piv_vals
+        # the columns and signs as arrays, which back-substitution scatters
+        self.piv_cols = np.array(piv_cols, dtype=np.int64)
+        self.piv_vals = np.array(piv_vals, dtype=np.int64)
         self.echelon_rows = echelon_rows
         self.res_cols = res_cols
         # a boolean mask: np.setdiff1d imports numpy.ma on its first call
@@ -479,24 +476,23 @@ class SparseFactorization:
 
     def _check_rows(self):
         """Freivalds' check of the factorization: the log L takes A to the
-        stored rows R, the frozen pivot rows, the echelon rows and zero
+        stored rows R, the frozen pivot rows R_P, the echelon rows and zero
         elsewhere, so L(A x) = R x for every x.  It is checked mod
         _CHECK_PRIME for the one vector of :func:`_check_vector`, with the
-        replay that every query runs (:func:`kernels.apply_oplog_mod`).
+        replay and the back-substitution that every query runs.  The pivots
+        are +-1, so back-substitution through R_P is a bijection, and it
+        gives x back from v_P = (L(A x))_P iff R_P x = v_P.
         InternalCheckFailed if the check fails."""
         p = _CHECK_PRIME
-        x = _check_vector(self.ncols)
-        v = kernels.apply_oplog_mod(self.matvec(x[:, None], p), self.log,
-                                    p)[:, 0]
-        want = np.zeros(self.nrows, dtype=np.int64)
-        if self.piv_rows:
-            prod = kernels.residues(self._pool_vals, p) * x[self._pool_cols]
-            want[self.piv_rows] = np.add.reduceat(prod % p,
-                                                  self._pool_starts) % p
+        x = _check_vector(self.ncols)[:, None]  # a block, so arrays return
+        v = kernels.apply_oplog_mod(self.matvec(x, p), self.log, p)
+        want = np.zeros_like(v)
+        want[self.piv_rows] = v[self.piv_rows]
         if self.echelon_rows:
             want[self.echelon_rows] = kernels.matmul(self.esnf.source,
                                                      x[self.res_cols], p)
-        if (v != want).any():
+        if ((v != want).any()
+                or (self._backsub(v[self.piv_rows], x, p) != x).any()):
             raise InternalCheckFailed(
                 "sparse factorization: the replayed log does not take the "
                 "matrix to its stored rows")
@@ -515,14 +511,11 @@ class SparseFactorization:
         return kernels.apply_oplog_int(vec, self.log, reverse=reverse)
 
     def _backsub(self, rhs, x, m=0):
-        """Fill the pivot columns of ``x`` through the frozen pivot rows; the
-        pivots are +-1, so they are their own inverses mod every m."""
-        if not self.piv_rows:
-            return x
-        rows = (self._pool_starts, self._pool_lens, self._pool_cols,
-                self._pool_vals)
-        return kernels.backsub_mod(rows, self.piv_cols, self.piv_vals, rhs, x,
-                                   m)
+        """Fill the pivot columns of ``x``, a vector or a block, through the
+        frozen pivot rows; the pivots are +-1, so they are their own
+        inverses mod every m."""
+        return kernels.backsub_mod(self.pivot_log, self.piv_cols,
+                                   self.piv_vals, rhs, x, m)
 
     def _echelon_diag(self, m=0):
         """Diagonal of the echelon block SNF, reduced against m.  Phase 2
@@ -564,11 +557,13 @@ class SparseFactorization:
         out = [(v, list(mods)) for v in vals]
         return out if z.ndim == 2 else out[0]
 
-    def solvable_over_q(self, vec) -> bool:
+    def solvable_over_q(self, vec):
         """Whether A x = vec has a rational solution: every free cokernel
-        coordinate of vec over Z is 0."""
-        vals, mods = self.coords(vec)
-        return all(v == 0 for v, d in zip(vals, mods) if d == 0)
+        coordinate of vec over Z, one on each row that no pivot reaches,
+        is 0."""
+        free = kernels.int_array(self._replay(vec))[self.zero_rows]
+        answers = ~free.any(axis=0)
+        return answers.tolist() if free.ndim == 2 else bool(answers)
 
     def in_image(self, vec, m=0):
         answers = self.coords(vec, m)
@@ -659,21 +654,22 @@ class SparseFactorization:
                         self._replay(block, reverse=True).T.tolist()))
 
     def kernel_basis(self, m=0):
-        """Generators of ker(A) over Z or Z/m (torsion directions included)."""
-        gens = []
-        if self.esnf is not None:
-            for xr in self.esnf.kernel(m):
-                x = [0] * self.ncols
-                for c, v in zip(self.res_cols, xr):
-                    x[c] = v % m if m else v
-                if any(x):  # (m / gcd(d, m)) V_j vanishes mod m when gcd is 1
-                    gens.append(self._backsub([0] * len(self.piv_rows), x, m))
-        # remaining non-pivot columns: free directions, completed through
-        # the frozen pivot rows (they may still carry entries there)
-        seen = set(self.piv_cols) | set(self.res_cols)
-        for c in range(self.ncols):
-            if c not in seen:
-                x = [0] * self.ncols
-                x[c] = 1
-                gens.append(self._backsub([0] * len(self.piv_rows), x, m))
-        return gens
+        """Generators of ker(A) over Z or Z/m (torsion directions included):
+        the echelon block's kernel on the residual columns, then a unit
+        vector on each column that is neither a pivot nor a residual
+        column, all completed through the frozen pivot rows by one
+        back-substitution of a block."""
+        kernel = self.esnf.kernel(m) if self.esnf is not None else []
+        free = np.ones(self.ncols, dtype=bool)
+        free[self.piv_cols] = free[self.res_cols] = False
+        free = np.flatnonzero(free)
+        x = np.zeros((self.ncols, len(kernel) + len(free)), dtype=object)
+        if kernel:
+            x[self.res_cols, :len(kernel)] = np.array(kernel, dtype=object).T
+            if m:
+                x %= m
+        x[free, len(kernel) + np.arange(len(free))] = 1
+        # (m / gcd(d, m)) V_j vanishes mod m when the gcd is 1
+        x = x[:, x.any(axis=0)]
+        rhs = np.zeros((len(self.piv_rows), x.shape[1]), dtype=np.int64)
+        return self._backsub(rhs, x, m).T.tolist()

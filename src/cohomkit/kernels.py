@@ -9,10 +9,10 @@ CSR differential, or back-substitutes through frozen pivot rows.
 
 Every kernel takes one vector, of shape (n,), or a block of k vectors as
 the columns of an (n, k) array, and a block answers exactly as its
-columns would one by one.  A replay or a matvec makes one pass over the
-log or the matrix for the whole block.  A vector comes back as a list of
-python ints, a block as an (n, k) array, int64 or object (python ints): a
-list of n rows would cost more than the kernel.
+columns would one by one.  A replay, a back-substitution or a matvec
+makes one pass over the log or the matrix for the whole block.  A vector
+comes back as a list of python ints, a block as an (n, k) array, int64 or
+object (python ints): a list of n rows would cost more than the kernel.
 
 Each kernel has one numpy implementation, and every result is exact.  A
 call decides from a bound, before it computes, whether int64 arithmetic is
@@ -39,8 +39,8 @@ bound is taken over the whole block, so a block is int64 or object as one:
   transforms): int64 iff s * max|a| * max|b| < 2^62 for the inner length
   s, and the result, reduced mod m when m is given, is int64 when its
   entries fit and object otherwise, as ``int_array`` makes it;
-- back-substitution is a sequential loop over python ints, one column of
-  a block after the other.
+- back-substitution: the replay's bound, since it is a reverse replay
+  (see below).
 
 The log is made of rounds, from recording to replay.  A batch is the ops
 of one source row on distinct targets, none of them the source; a round is
@@ -48,12 +48,19 @@ a run of batches in which no target is one of the sources, so its ops
 commute: every phase-1 elimination round is one, each phase-2 (Euclid)
 batch is one, and a NEG, ``v[r] = -v[r]``, is a round of its own.  Each
 round stores its growth k * max|q|, for the most ops k that one target
-takes in it.  The one replay loop, ``_replay``, which every query and the
-factorization's self-check run, makes one vectorised update a round,
-``v[targets] -= q * v[sources]`` summed per target, on a vector or on
-each column of a block in turn, forward or in reverse (``+=``, the rounds
-in reverse order, a NEG its own inverse), and skips a round whose sources
-are all zero.
+takes in it.  The frozen pivot rows are a second log of rounds, one a
+phase-1 round: an op for each entry w off the pivot pv of a row, with
+the row's pivot column as its target, w's column as its source and
+-pv w as its multiplier.  No row holds a pivot column of its own round
+or of an earlier one, so back-substitution is that log replayed in
+reverse, later rounds first: the rounds are the levels of a
+level-scheduled triangular solve (E. Anderson and Y. Saad, Int. J. High
+Speed Computing 1, 1989).  The one replay loop, ``_replay``, which every
+query, back-substitution and the factorization's self-check run, makes
+one vectorised update a round, ``v[targets] -= q * v[sources]`` summed
+per target, on a vector or on each column of a block in turn, forward or
+in reverse (``+=``, the rounds in reverse order, a NEG its own inverse),
+and skips a round whose sources are all zero.
 """
 
 from __future__ import annotations
@@ -76,16 +83,19 @@ def int_array(seq) -> np.ndarray:
     alike: no int64 array this returns holds -2^63.  Unsigned arrays are
     read as python ints, since a cast would wrap entries past 2^63.  A
     sequence of equal-length rows gives a 2-D array, a block."""
-    if isinstance(seq, np.ndarray) and seq.dtype.kind in "bi":
-        arr = seq.astype(np.int64)
+    if isinstance(seq, np.ndarray) and seq.dtype.kind in "biO":
+        try:
+            arr = seq.astype(np.int64)
+        except OverflowError:  # an object entry past the int64 range
+            arr = _to_int(seq)
     else:
         vals = seq.tolist() if isinstance(seq, np.ndarray) else list(seq)
         try:
             arr = np.array(vals, dtype=np.int64)
         except OverflowError:  # an entry past the int64 range
             arr = _to_int(np.array(vals, dtype=object))
-    if isinstance(seq, np.ndarray):  # tolist() loses an axis of length 0
-        arr = arr.reshape(seq.shape)
+        if isinstance(seq, np.ndarray):  # tolist() loses an axis of length 0
+            arr = arr.reshape(seq.shape)
     if arr.size and arr.min() == -_I64:
         return arr.astype(object)
     return arr
@@ -227,44 +237,26 @@ def apply_oplog_mod(vec, log, m: int, reverse: bool = False):
     return output(_replay(residues(vec, m), log, m, reverse))
 
 
-def backsub_mod(rows, pivcol, pivinv, rhs, x, m: int):
-    """Back-substitute through frozen pivot rows in reverse pivot order;
-    over Z/m, or over Z when m == 0 (pivots are then +-1 and ``pivinv``
-    holds their signs).  Exact; returns python ints.
-
-    ``rows`` is the CSR pool (starts, lens, cols, vals) with the pivot entry
-    stored first in each row; ``x`` is prefilled on non-pivot columns.
-    ``rhs`` and ``x`` are vectors, or blocks with one column per system,
-    solved one column after the other: per pool entry, python-int
-    arithmetic costs less than any numpy call for the few columns of a
-    solve.
-    """
-    starts, lens, cols, vals = (np.asarray(a).tolist() for a in rows)
-    pivcol = np.asarray(pivcol).tolist()
-    pivinv = np.asarray(pivinv).tolist()
-    x, rhs = int_array(x), int_array(rhs)
-    block = x.ndim == 2
-    out = []
-    for xc, bc in (zip(x.T, rhs.reshape(len(rhs), x.shape[1]).T) if block
-                   else [(x, rhs)]):
-        xc, bc = xc.tolist(), bc.tolist()
-        if m:
-            xc = [v % m for v in xc]
-        for t in range(len(starts) - 1, -1, -1):
-            s = starts[t]
-            acc = bc[t]
-            for k in range(s + 1, s + lens[t]):  # entry s is the pivot
-                acc -= vals[k] * xc[cols[k]]
-            xc[pivcol[t]] = acc * pivinv[t] % m if m else acc * pivinv[t]
-        out.append(xc)
-    if not block:
-        return out[0]
-    return np.array(out, dtype=object).reshape(x.shape[::-1]).T
+def backsub_mod(log, pivcol, pivsign, rhs, x, m: int):
+    """Back-substitute through frozen +-1 pivot rows, over Z/m, or over Z
+    when m == 0: ``x[pivcol] = pivsign * rhs``, then one reverse replay of
+    ``log``, the rows' other entries as a log of rounds (the pivots are
+    their own inverses mod every m).  ``x`` is prefilled on the non-pivot
+    columns.  ``rhs`` and ``x`` are vectors, or blocks with one column per
+    system.  Exact; returns python ints, as a replay does."""
+    x, rhs = (residues(a, m) if m else int_array(a) for a in (x, rhs))
+    sign = np.asarray(pivsign, dtype=np.int64).reshape(
+        (-1,) + (1,) * (rhs.ndim - 1))
+    head = sign * rhs % m if m else sign * rhs
+    if head.dtype == object:
+        x = x.astype(object)
+    x[np.asarray(pivcol, dtype=np.int64)] = head
+    return output(_replay(x, log, m, reverse=True))
 
 
-def backsub_int(rows, pivcol, pivsign, rhs, x):
+def backsub_int(log, pivcol, pivsign, rhs, x):
     """Back-substitute over Z (pivots are +-1). Exact; returns python ints."""
-    return backsub_mod(rows, pivcol, pivsign, rhs, x, 0)
+    return backsub_mod(log, pivcol, pivsign, rhs, x, 0)
 
 
 def _abs_sum(data: np.ndarray) -> int:

@@ -1,6 +1,7 @@
 """Dense oracles for the tests: free resolutions of the trivial module over
 ZG and their cochain complexes, on the dense Smith normal form only, and
-F_p row echelon forms by numpy row operations.  Their matrices are numpy
+F_p row echelon forms by numpy row operations, and back-substitution
+through +-1 pivot rows one entry at a time.  Their matrices are numpy
 object arrays of python ints, multiplied with ``@``.
 
 Two independent constructions are provided: the normalized bar resolution
@@ -51,6 +52,24 @@ def matmul(*factors) -> np.ndarray:
 def solve_mod(A, b, m):
     """Some x with A x = b (mod m), or None; see SmithDecomposition.solve."""
     return smith_normal_form(A).solve(b, m)
+
+
+def backsub(rows, pivcol, pivinv, rhs, x, m=0) -> list:
+    """Back-substitution through frozen pivot rows, one entry at a time in
+    python ints, over Z/m, or over Z when m == 0.  ``rows`` is a pool
+    (starts, lens, cols, vals) of the rows in pivot order, each with its
+    pivot entry first; row t solves for column ``pivcol[t]``, in reverse
+    pivot order, with ``pivinv[t]`` the inverse of its pivot.  ``x`` is a
+    vector prefilled on the non-pivot columns."""
+    starts, lens, cols, vals = rows
+    x = [int(v) % m if m else int(v) for v in x]
+    for t in range(len(starts) - 1, -1, -1):
+        s = starts[t]
+        acc = int(rhs[t])
+        for k in range(s + 1, s + lens[t]):  # entry s is the pivot
+            acc -= vals[k] * x[cols[k]]
+        x[pivcol[t]] = acc * pivinv[t] % m if m else acc * pivinv[t]
+    return x
 
 
 def cokernel_invariants(M, m) -> list:

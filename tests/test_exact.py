@@ -41,8 +41,8 @@ def factor_dense(dense):
 
 def factorization_digest(f):
     """sha256 of a whole factorization: the log with its batches, the
-    pivots, the echelon and residual indices and the frozen pivot-row
-    pool."""
+    pivots, the echelon and residual indices and the frozen pivot rows,
+    in the pool view they were once stored in."""
     aa, qq, sources, lengths, rounds = f.log
     # the per-batch view the log once stored, so the pinned digests stay
     # the same: each batch, the run of one source within a round, as
@@ -58,12 +58,26 @@ def factorization_digest(f):
                         bool(neg[s])))
         types += [2 if neg[s] else 0] * (e - s)
         bb += [src] * (e - s)
+    # the pool: each frozen row as its pivot entry pv, then its other
+    # entries w, the ops of the frozen-row log that target the row's pivot
+    # column, in order, each with the multiplier -pv w
+    ta, tq, tsources, tlengths, _rounds = f.pivot_log
+    rest = {}
+    for t, c, q in zip(ta.tolist(), np.repeat(tsources, tlengths).tolist(),
+                       tq.tolist()):
+        rest.setdefault(t, []).append((c, q))
+    starts, lens, cols, vals = [], [], [], []
+    for pc, pv in zip(f.piv_cols.tolist(), f.piv_vals.tolist()):
+        row = [(pc, pv)] + [(c, -pv * q) for c, q in rest.get(pc, [])]
+        starts.append(len(cols))
+        lens.append(len(row))
+        cols += [c for c, _ in row]
+        vals += [int(v) for _, v in row]
     parts = [types, aa.tolist(), bb,
              [int(q) for q in qq], [list(b) for b in batches],
-             f.piv_rows, f.piv_cols, f.piv_vals, f.echelon_rows,
-             f.res_cols, f.zero_rows, f._pool_starts.tolist(),
-             f._pool_lens.tolist(), f._pool_cols.tolist(),
-             [int(v) for v in f._pool_vals]]
+             f.piv_rows, f.piv_cols.tolist(), f.piv_vals.tolist(),
+             f.echelon_rows, f.res_cols, f.zero_rows, starts, lens, cols,
+             vals]
     return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
 
 
@@ -504,6 +518,19 @@ class TestSparseFactorization:
                 got = getattr(f, query)(bm, m)
                 assert got == [getattr(f, query)(col.tolist(), m)
                                for col in bm.T], (query, m)
+        assert f.solvable_over_q(block) == [
+            f.solvable_over_q(col.tolist()) for col in block.T]
+
+    def test_solvable_over_q_on_a_block(self):
+        """One answer per column, as in_image gives, for two columns and
+        for three: column 0 has no rational solution, column 1 an integral
+        one and column 2 only a rational one."""
+        f = SparseFactorization.from_columns([[1, 2, 3], [0, 2, 4]], 3)
+        block = np.array([[1, 0, 1], [0, 2, 3], [0, 4, 5]])
+        assert not dense_solvable_over_q([[1, 0], [2, 2], [3, 4]], [1, 0, 0])
+        assert f.in_image(block) == [False, True, False]
+        assert f.solvable_over_q(block) == [False, True, True]
+        assert f.solvable_over_q(block[:, :2]) == [False, True]
 
     def test_bar_block_queries_equal_columns(self, groups):
         """The same on bar differentials, cleared and whole: cocycles, the
@@ -715,7 +742,7 @@ class TestSparseFactorization:
         coo = ([0, 0, 1, 2], [0, 1, 1, 0], [1, -1, 2, 3])
         f1 = SparseFactorization(3, 2, coo_to_csr(3, 2, *coo))
         f2 = SparseFactorization(3, 2, coo_to_csr(3, 2, *coo))
-        assert f1.piv_cols == f2.piv_cols
+        assert np.array_equal(f1.piv_cols, f2.piv_cols)
         assert f1.piv_rows == f2.piv_rows
         assert all(np.array_equal(a, b) for a, b in zip(f1.log[:4],
                                                          f2.log[:4]))
@@ -796,12 +823,13 @@ class TestSparseFactorization:
             getattr(f, query)(*args)
 
     @pytest.mark.parametrize("query", ["in_image", "coords", "solve",
-                                       "matvec"])
+                                       "solvable_over_q", "matvec"])
     def test_rejects_wrong_length_block(self, query):
         f = factor_dense([[1, 0], [0, 1], [1, 1]])
+        block = np.zeros((3 if query == "matvec" else 2, 4), dtype=np.int64)
+        args = (block,) if query == "solvable_over_q" else (block, 5)
         with pytest.raises(ValueError, match="length"):
-            getattr(f, query)(np.zeros((3 if query == "matvec" else 2, 4),
-                                       dtype=np.int64), 5)
+            getattr(f, query)(*args)
 
     @pytest.mark.parametrize("csr", [
         ([0, 1], [-1, 0], [1, 1]),          # a COO triple: indptr too short
@@ -962,8 +990,8 @@ class TestSelfChecks:
 
     @pytest.fixture
     def f(self, groups):
-        f = full_fact(groups["s3"], 4)  # with batches, a pool and an echelon
-        assert f.echelon_rows and len(f.log[1]) and len(f._pool_vals)
+        f = full_fact(groups["s3"], 4)  # with batches, frozen rows, an echelon
+        assert f.echelon_rows and len(f.log[1]) and len(f.pivot_log[1])
         f._check_rows()
         return f
 
@@ -999,7 +1027,15 @@ class TestSelfChecks:
             f._check_rows()
 
     def test_a_pool_entry(self, f):
-        f._pool_vals[len(f._pool_vals) // 2] += 1
+        """A multiplier of the frozen pivot rows, which the check reads by
+        back-substitution."""
+        f.pivot_log[1][len(f.pivot_log[1]) // 2] += 1
+        with pytest.raises(InternalCheckFailed):
+            f._check_rows()
+
+    def test_a_pivot_sign(self, f):
+        i = len(f.piv_vals) // 2
+        f.piv_vals[i] = -f.piv_vals[i]
         with pytest.raises(InternalCheckFailed):
             f._check_rows()
 

@@ -385,24 +385,25 @@ def test_detects_a_second_coo_sort(tmp_path):
                                                "resolutions.py"]
 
 
-# a factorization's op log is read in one place, kernels.py, whose one
-# replay loop serves every query and the self-check; every other module
-# hands the whole log to a kernel
-LOG = "log"
+# a factorization's logs, the op log and the frozen pivot rows', are read
+# in one place, kernels.py, whose one replay loop serves every query,
+# back-substitution and the self-check; every other module hands a whole
+# log to a kernel
+LOGS = {"log", "pivot_log"}
 LOG_HOME = "kernels.py"
 
 
 def _log_attributes(node):
-    """The ``.log`` attributes under ``node``, other than called ones such
-    as ``np.log(x)``."""
+    """The ``.log`` and ``.pivot_log`` attributes under ``node``, other than
+    called ones such as ``np.log(x)``."""
     called = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
     return [n for n in ast.walk(node) if isinstance(n, ast.Attribute)
-            and n.attr == LOG and id(n) not in called]
+            and n.attr in LOGS and id(n) not in called]
 
 
 def log_readers(paths, root: Path):
     """``file:line`` for each place outside ``LOG_HOME`` that subscripts,
-    unpacks or iterates a ``.log`` attribute, or passes one to a ufunc's
+    unpacks or iterates a log attribute, or passes one to a ufunc's
     ``.at``."""
     found = set()
     for path in paths:
@@ -425,7 +426,7 @@ def log_readers(paths, root: Path):
             else:
                 continue
             found |= {(rel, n.lineno) for n in read
-                      if isinstance(n, ast.Attribute) and n.attr == LOG}
+                      if isinstance(n, ast.Attribute) and n.attr in LOGS}
     return [f"{rel}:{line}" for rel, line in sorted(found)]
 
 
@@ -442,17 +443,22 @@ def test_detects_a_log_reader(tmp_path):
         "import numpy as np\n\n\nclass F:\n    def check(self, v):\n"
         "        aa, qq, batches = self.log\n"
         "        np.subtract.at(v, self.log[0], 1)\n"
+        "        ta, *rest = self.pivot_log\n"
         "        return [b for b in self.log]\n\n"
         "    def fine(self, v):\n"
         "        self.log = make(v)\n"
+        "        self.pivot_log = make(v)\n"
         "        np.add.at(v, [0], np.log(v))\n"
-        "        return kernels.apply_oplog_int(v, self.log)\n")
+        "        v = kernels.apply_oplog_int(v, self.log)\n"
+        "        return kernels.backsub_mod(self.pivot_log, v)\n")
     (tmp_path / "cohomology.py").write_text(
         "import numpy as np\n\n\ndef count(f, v):\n"
-        "    np.add.at(v, f.log, 1)\n    return len(f.log[1])\n")
+        "    np.add.at(v, f.log, 1)\n    np.add.at(v, f.pivot_log, 1)\n"
+        "    return len(f.log[1]) + len(f.pivot_log[1])\n")
     assert log_readers(sorted(tmp_path.rglob("*.py")), tmp_path) == [
-        "cohomology.py:5", "cohomology.py:6", "exact/sparse.py:6",
-        "exact/sparse.py:7", "exact/sparse.py:8"]
+        "cohomology.py:5", "cohomology.py:6", "cohomology.py:7",
+        "exact/sparse.py:6", "exact/sparse.py:7", "exact/sparse.py:8",
+        "exact/sparse.py:9"]
 
 
 # settings come from the environment in one module, config.py: the engine,

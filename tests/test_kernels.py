@@ -1,7 +1,7 @@
 """The numpy kernels against plain python-int reference loops.
 
-The references below apply one op at a time with python integers, so they
-are exact by construction; the kernels must agree with them bit for bit,
+The references below, and ``oracles.backsub`` for back-substitution, apply
+one op at a time with python integers, so they are exact by construction; the kernels must agree with them bit for bit,
 over Z and mod m, on both sides of every int64/object-dtype boundary.
 """
 
@@ -14,6 +14,7 @@ from cohomkit import kernels
 from cohomkit.groups import builtin_group
 from cohomkit.exact.sparse import coo_to_csr
 from cohomkit.resolutions import BarCochains, bar_cochains
+import oracles
 from oracles import bar_resolution
 
 # -- python-int references ----------------------------------------------------
@@ -353,42 +354,81 @@ def test_csr_matvec_empty_rows_and_matrix():
 # -- back-substitution ---------------------------------------------------------
 
 
+def frozen_rows(rng, npiv, ncols, entry):
+    """A triangular system as phase 1 freezes it: pivot t, +-1, in column
+    t, the pivots in four rounds of consecutive columns, each row holding
+    other entries, ``entry(rng)`` each, only in non-pivot columns and in
+    the pivot columns of later rounds.  Returns the rows as the
+    reference's pool (starts, lens, cols, vals), each pivot entry first,
+    the pivot signs, and the rows as the engine's log: per round, an op
+    x[t] -= -pv w x[c] for each entry w in column c of row t."""
+    cuts = sorted(rng.sample(range(1, npiv), 3))
+    starts, lens, cols, vals, runs = [], [], [], [], []
+    for lo, hi in zip([0] + cuts, cuts + [npiv]):
+        tt, ss, qq = [], [], []
+        for t in range(lo, hi):
+            pv = rng.choice([1, -1])
+            later = sorted(rng.sample(range(hi, ncols), rng.randint(0, 3)))
+            w = [entry(rng) for _ in later]
+            starts.append(len(cols))
+            lens.append(1 + len(later))
+            cols += [t] + later
+            vals += [pv] + w
+            tt += [t] * len(later)
+            ss += later
+            qq += [-pv * v for v in w]
+        if tt:
+            runs.append((tt, (ss, [1] * len(ss)), qq))
+    pivsign = [vals[s] for s in starts]
+    return (starts, lens, cols, vals), pivsign, kernels.make_log(runs)
+
+
+def small(rng):
+    return rng.randint(-3, 3) or 1
+
+
+def large(rng):
+    """Entries near 2^40: a chain of two rows takes the solution past 2^62
+    from small right-hand sides."""
+    return rng.choice([1, -1]) * rng.randint(2**40, 2**41)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_backsub_parity(seed):
-    rng = random.Random(300 + seed)
-    # pivot t eliminates column t; its row also reaches later columns
-    npiv, ncols = 10, 14
-    starts, lens, cols, vals = [], [], [], []
-    for t in range(npiv):
-        entries = [(t, rng.choice([1, -1]))]
-        for c in rng.sample(range(t + 1, ncols), rng.randint(0, 3)):
-            entries.append((c, rng.randint(-3, 3)))
-        starts.append(len(cols))
-        lens.append(len(entries))
-        for c, v in entries:
-            cols.append(c)
-            vals.append(v)
-    rows = (np.array(starts, dtype=np.int64), np.array(lens, dtype=np.int64),
-            np.array(cols, dtype=np.int64), kernels.int_array(vals))
-    pivcol = list(range(npiv))
-    pivsign = [vals[s] for s in starts]
+    """Back-substitution replays the frozen rows' log in reverse and agrees
+    with the per-entry reference over Z and mod m, pivots of both signs,
+    also where the solution crosses 2^62 mid-solve (``large``): over Z,
+    mod 2^61 - 1, whose residues times the multipliers pass 2^62 at once,
+    and mod 2^64 + 13, past int64 from the start."""
+    for entry in (small, large):
+        backsub_parity(random.Random(300 + seed), entry)
+
+
+def backsub_parity(rng, entry):
+    npiv, ncols = 12, 16
+    pool, pivsign, log = frozen_rows(rng, npiv, ncols, entry)
+    check_rounds(log)
     rhs = [rng.randint(-5, 5) for _ in range(npiv)]
     x0 = [0] * npiv + [rng.randint(-2, 2) for _ in range(ncols - npiv)]
 
     def row_sums(x, m=0):
+        starts, lens, cols, vals = pool
         out = [sum(vals[k] * x[cols[k]] for k in range(s, s + n))
                for s, n in zip(starts, lens)]
         return [v % m for v in out] if m else out
 
-    # over Z (m = 0) the +-1 pivots are their own inverses, as
-    # SparseFactorization._backsub passes them
-    xi = kernels.backsub_mod(rows, pivcol, pivsign, rhs, x0, 0)
+    pivcol = list(range(npiv))
+    xi = kernels.backsub_mod(log, pivcol, pivsign, rhs, x0, 0)
+    assert xi == oracles.backsub(pool, pivcol, pivsign, rhs, x0)
     assert xi[npiv:] == x0[npiv:]
     assert row_sums(xi) == rhs  # each pivot row equation holds over Z
-    for m in (9, 2**40 + 15):
-        pivinv = [pow(s % m, -1, m) for s in pivsign]
-        xm = kernels.backsub_mod(rows, pivcol, pivinv, rhs, x0, m)
+    if entry is large:
+        assert max(map(abs, xi)) >= 2**62
+    for m in (9, 2**40 + 15, 2**61 - 1, 2**64 + 13):
+        # the +-1 pivots are their own inverses mod m
+        xm = kernels.backsub_mod(log, pivcol, pivsign, rhs, x0, m)
         assert xm == [v % m for v in xi]
+        assert xm == oracles.backsub(pool, pivcol, pivsign, rhs, x0, m)
         assert row_sums(xm, m) == [r % m for r in rhs]
 
 
@@ -398,12 +438,20 @@ def test_backsub_parity(seed):
 @pytest.mark.parametrize("group,n,m", [("s3", 5, 0), ("s3", 5, 2),
                                        ("q8", 4, 0), ("q8", 4, 2)])
 def test_factorization_batches_are_well_formed(group, n, m):
-    """The Z log of a real factorization is well batched and replays
-    exactly; with m set, its replay mod m (which reduces the multipliers
-    itself) equals its replay over Z reduced mod m, for m = 2, 9 and one
-    modulus past the int64 bound."""
+    """The Z log and the frozen rows' log of a real factorization are well
+    batched, and the Z log replays exactly; with m set, its replay mod m
+    (which reduces the multipliers itself) equals its replay over Z
+    reduced mod m, for m = 2, 9 and one modulus past the int64 bound."""
     f = bar_cochains(builtin_group(group)).fact(n)
     check_rounds(f.log)
+    check_rounds(f.pivot_log)
+    # back-substitution's order: no frozen row holds the pivot column of a
+    # row of its own round or of an earlier one
+    aa, _, sources, lengths, rounds = f.pivot_log
+    src, solved = np.repeat(sources, lengths), set()
+    for s, e, _, _ in rounds:
+        solved |= set(aa[s:e].tolist())
+        assert not solved & set(src[s:e].tolist())
     rng = random.Random(n)
     vec = [rng.randint(-2, 2) for _ in range(f.nrows)]
     for rev in (False, True):
@@ -559,25 +607,17 @@ def test_matmul_exact_across_int64(scale, m):
 def test_backsub_block_equals_columns():
     rng = random.Random(600)
     npiv, ncols = 8, 12
-    starts, lens, cols, vals = [], [], [], []
-    for t in range(npiv):
-        entries = [(t, rng.choice([1, -1]))]
-        for c in rng.sample(range(t + 1, ncols), rng.randint(0, 3)):
-            entries.append((c, rng.randint(-3, 3)))
-        starts.append(len(cols))
-        lens.append(len(entries))
-        cols += [c for c, _ in entries]
-        vals += [v for _, v in entries]
-    rows = (np.array(starts, dtype=np.int64), np.array(lens, dtype=np.int64),
-            np.array(cols, dtype=np.int64), kernels.int_array(vals))
-    pivcol = list(range(npiv))
-    pivsign = [vals[s] for s in starts]
-    rhs = np.array([[rng.randint(-5, 5) for _ in range(3)]
-                    for _ in range(npiv)], dtype=np.int64)
-    x0 = np.array([[0] * 3] * npiv + [[rng.randint(-2, 2) for _ in range(3)]
-                                      for _ in range(ncols - npiv)])
-    for m, inv in ((0, pivsign), (9, [s % 9 for s in pivsign])):
-        got = kernels.backsub_mod(rows, pivcol, inv, rhs, x0, m)
-        want = [kernels.backsub_mod(rows, pivcol, inv, r, x, m)
-                for r, x in zip(rhs.T, x0.T)]
-        assert block_list(got) == np.array(want, dtype=object).T.tolist()
+    for entry in (small, large):
+        pool, pivsign, log = frozen_rows(rng, npiv, ncols, entry)
+        rhs = np.array([[rng.randint(-5, 5) for _ in range(3)]
+                        for _ in range(npiv)], dtype=np.int64)
+        x0 = np.array([[0] * 3] * npiv + [[rng.randint(-2, 2)
+                                           for _ in range(3)]
+                                          for _ in range(ncols - npiv)])
+        pivcol = list(range(npiv))
+        for m in (0, 9, 2**61 - 1, 2**64 + 13):
+            got = kernels.backsub_mod(log, pivcol, pivsign, rhs, x0, m)
+            want = [oracles.backsub(pool, pivcol, pivsign, r, x, m)
+                    for r, x in zip(rhs.T, x0.T)]
+            assert block_list(got) == \
+                np.array(want, dtype=object).T.tolist(), (entry, m)
