@@ -1,24 +1,23 @@
-"""Dense exact linear algebra over Z and Z/m.
+"""Dense exact Smith normal form over Z, and the parsing of a modulus.
 
 Everything here uses python integers, so no computation can overflow.  In
 the package the Smith form runs in one place only: phase 3 of the sparse
 engine in :mod:`cohomkit.exact.sparse`, on its small echelon block; module
-presentations go through that engine too.  The tests use it as their
-oracle.  The Smith form's input and its transforms U, D and V are numpy
-object arrays of python ints, multiplied here with ``@``; the engine
-multiplies them by :func:`cohomkit.kernels.matmul`, as it does every other
-dense matrix of the package.  Nothing here comes from the kernels, so the
-tests' oracles share only the Smith form with the engine.
+presentations go through that engine too.  The Smith form's input and its
+transforms U, D and V are numpy object arrays of python ints, which the
+engine reads by :func:`cohomkit.kernels.matmul` alone, as it does every
+other dense matrix of the package.  The tests use the Smith form as their
+oracle, with a solver and a kernel of their own on its transforms
+(``smith_solve`` and ``smith_kernel`` in ``tests/oracles.py``): nothing
+here comes from the kernels, so the oracles share only the decomposition
+with the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
-
-from ..errors import InternalCheckFailed
 
 # entrywise int(): numpy integers in an object array become python ints
 _to_int = np.frompyfunc(int, 1, 1)
@@ -39,60 +38,6 @@ class SmithDecomposition:
 
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
-
-    def solve(self, b, m=0):
-        """Some x with source x = b (mod m), or None; m = 0 or "Z" solves
-        over Z.
-
-        The returned solution is deterministic: each Smith coordinate is
-        chosen as the least nonnegative value.  A solution that fails the
-        final source x = b check raises InternalCheckFailed.
-        """
-        m = normalize_modulus(m)
-        nr, nc = self.source.shape
-        b = [int(x) for x in b]
-        if len(b) != nr:
-            raise ValueError("rhs length mismatch")
-        c = (self.U @ np.array(b, dtype=object)).tolist()
-        diag = self.diagonal()
-        y = [0] * nc
-        for i in range(nr):
-            ci = c[i]
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if (ci % m if m else ci) != 0:
-                    return None
-            else:
-                if m == 0:
-                    if ci % d != 0:
-                        return None
-                    y[i] = ci // d
-                else:
-                    g = gcd(d, m)
-                    if ci % g != 0:
-                        return None
-                    mm = m // g
-                    y[i] = (((ci // g) * pow(d // g, -1, mm)) % mm
-                            if mm > 1 else 0)
-        x = self.V @ np.array(y, dtype=object)
-        if m:
-            x %= m
-        back = self.source @ x
-        if any((bi - ci) % m != 0 if m else bi != ci
-               for bi, ci in zip(back, b)):
-            raise InternalCheckFailed("Smith solve produced a non-solution")
-        return x.tolist()
-
-    def kernel(self, m=0):
-        """Generators of {x : source x = 0 (mod m)} over Z, in column order:
-        (m / gcd(d, m)) V_j for each nonzero d_j (only when m > 0), then the
-        columns of V past the rank.  They are a Z-basis of that lattice, which
-        for m > 0 contains m Z^n; m = 0 or "Z" gives ker(source) over Z."""
-        m = normalize_modulus(m)
-        cols = [(j, m // gcd(d, m))
-                for j, d in enumerate(self.diagonal()) if d and m]
-        cols += [(j, 1) for j in range(self.rank(), len(self.V))]
-        return [(mult * self.V[:, j]).tolist() for j, mult in cols]
 
 
 def smith_normal_form(M) -> SmithDecomposition:

@@ -48,28 +48,33 @@ They are kept as a second log, ``pivot_log``, a round per phase-1 round,
 and back-substitution (:func:`cohomkit.kernels.backsub_mod`) replays it
 in reverse through the same loop, a level of the triangular solve a
 round.
-Phase 3 keeps only the Smith transforms U and V of the small block, since
-the cokernel basis and the torsion representatives read the columns of
-U^-1 off E V = U^-1 D; queries and the self-check read the block and its
-transforms through one :func:`cohomkit.kernels.matmul` each.  Phase 3 is
-the one place in the package where the dense Smith form runs.  No column
-operation is ever applied to the ambient space, so cokernel coordinates of
-a vector are read off directly after replaying the log, and cokernel basis
-vectors are lifted by one reverse replay of a block.
+Phase 3 keeps only the Smith transforms U and V of the small block, the
+0 x 0 decomposition when phase 2 leaves no echelon row, since the cokernel
+basis and the torsion representatives read the columns of U^-1 off
+E V = U^-1 D.  Phase 3 is the one place in the package where the dense
+Smith form runs, and it is read only by :func:`cohomkit.kernels.matmul`,
+for every query and for the self-check, a whole block of vectors at once:
+the coordinates of the echelon rows z_E are C = U z_E, reduced by d; a
+solution is V[:, :r] Y with D Y = C; a kernel is read off the columns of V.
+No column operation is ever applied to the ambient space, so cokernel
+coordinates of a vector are read off directly after replaying the log, and
+cokernel basis vectors are lifted by one reverse replay of a block.
 
-Every query takes a modulus m (0 for Z).  The logged row operations are
-unimodular over Z, so they stay invertible mod every m: a mod-m query
-replays the same log mod m, reads the echelon block through its Smith form
-and gcd(d, m), and back-substitutes mod m through the +-1 pivots, which are
-their own inverses.  One factorization thus answers the questions over Z,
-over Q (the free cokernel coordinates) and over every Z/m.
+Every query takes a modulus m, 0 for Z or an integer m >= 2 (any other m is
+refused), and starts from one forward read: the vector or block replayed
+once through the log.  The logged row operations are unimodular over Z, so
+they stay invertible mod every m: a mod-m query replays the same log mod m,
+reads the echelon block through its Smith form and gcd(d, m), and
+back-substitutes mod m through the +-1 pivots, which are their own
+inverses.  One factorization thus answers the questions over Z, over Q (the
+free cokernel coordinates) and over every Z/m.
 
 All arithmetic is exact: python integers over Z, or numpy integers of a
 width that a bound on the entries shows to be safe; canonical residues over
 Z/m.  Pivoting is deterministic, so factorizations (and everything derived
 from them) are reproducible.  Every factorization checks itself once, by
-Freivalds' test of the logs against the stored rows, and raises
-InternalCheckFailed if the check fails.
+Freivalds' test of the logs against the stored rows, and every solution
+and kernel by one matvec; each raises InternalCheckFailed if it fails.
 """
 
 from __future__ import annotations
@@ -102,6 +107,18 @@ def _check_range(idx: np.ndarray, bound: int, what: str):
 def _check_length(vec, n: int):
     if len(vec) != n:
         raise ValueError(f"vector of length {len(vec)} where {n} expected")
+
+
+def _check_modulus(m):
+    if not (isinstance(m, (int, np.integer)) and (m == 0 or m >= 2)):
+        raise ValueError(f"modulus {m!r} where 0 (over Z) or an integer "
+                         f">= 2 expected")
+
+
+def _answer(answers: list, block: bool):
+    """A query's answers, a list with one per column of a block, or the
+    one answer of a vector."""
+    return answers if block else answers[0]
 
 
 def coo_to_csr(nrows: int, ncols: int, ri, ci, vi):
@@ -472,7 +489,7 @@ class SparseFactorization:
         self.zero_rows = np.flatnonzero(free).tolist()
 
         # phase 3: dense SNF of the echelon block
-        self.esnf = smith_normal_form(E) if echelon_rows else None
+        self.esnf = smith_normal_form(E)
 
     def _check_rows(self):
         """Freivalds' check of the factorization: the log L takes A to the
@@ -485,12 +502,11 @@ class SparseFactorization:
         InternalCheckFailed if the check fails."""
         p = _CHECK_PRIME
         x = _check_vector(self.ncols)[:, None]  # a block, so arrays return
-        v = kernels.apply_oplog_mod(self.matvec(x, p), self.log, p)
+        v = self._read(self.matvec(x, p), p)[0].T
         want = np.zeros_like(v)
         want[self.piv_rows] = v[self.piv_rows]
-        if self.echelon_rows:
-            want[self.echelon_rows] = kernels.matmul(self.esnf.source,
-                                                     x[self.res_cols], p)
+        want[self.echelon_rows] = kernels.matmul(self.esnf.source,
+                                                 x[self.res_cols], p)
         if ((v != want).any()
                 or (self._backsub(v[self.piv_rows], x, p) != x).any()):
             raise InternalCheckFailed(
@@ -504,11 +520,17 @@ class SparseFactorization:
     # for all its columns, and a query returns the list of the k answers
     # that the columns give one by one.
 
-    def _replay(self, vec, m=0, reverse=False):
+    def _read(self, vec, m=0):
+        """The one forward read of every query and of the self-check:
+        ``vec``, a vector or a block, replayed once through the log (mod m),
+        as an array with one row per vector, and whether ``vec`` was a
+        block."""
+        _check_modulus(m)
         _check_length(vec, self.nrows)
-        if m:
-            return kernels.apply_oplog_mod(vec, self.log, m, reverse=reverse)
-        return kernels.apply_oplog_int(vec, self.log, reverse=reverse)
+        z = kernels.int_array(
+            kernels.apply_oplog_mod(vec, self.log, m) if m
+            else kernels.apply_oplog_int(vec, self.log))
+        return (z.T if z.ndim == 2 else z[None]), z.ndim == 2
 
     def _backsub(self, rhs, x, m=0):
         """Fill the pivot columns of ``x``, a vector or a block, through the
@@ -521,13 +543,12 @@ class SparseFactorization:
         """Diagonal of the echelon block SNF, reduced against m.  Phase 2
         leaves the block with full row rank, so it has a d_j, nonzero, for
         every echelon row."""
-        if self.esnf is None:
-            return []
         diag = self.esnf.diagonal()
         return [gcd(d, m) for d in diag] if m else diag
 
     def coker_invariants(self, m=0) -> list[int]:
         """Invariant factors of coker over Z (0 = free) or Z/m."""
+        _check_modulus(m)
         out = [d for d in self._echelon_diag(m) if d > 1]
         nfree = len(self.zero_rows)
         if m:
@@ -537,6 +558,14 @@ class SparseFactorization:
             out += [0] * nfree
         return out
 
+    def _coords(self, zt, m):
+        """The cokernel coordinates of the read rows ``zt``, one row per
+        vector: U turns the echelon rows' values into coordinates, each
+        reduced by its d_j (mod m), and the untouched rows follow."""
+        ech = (kernels.matmul(zt[:, self.echelon_rows], self.esnf.U.T)
+               % kernels.int_array(self._echelon_diag(m)))
+        return np.concatenate([ech, zt[:, self.zero_rows]], axis=1)
+
     def coords(self, vec, m=0):
         """Cokernel coordinates of ``vec``: (values, moduli) in canonical
         order (echelon coordinates, then untouched rows ascending).
@@ -544,64 +573,61 @@ class SparseFactorization:
         Modulus 0 means a free Z summand; over Z/m free summands have
         modulus m.  Unit-pivot coordinates are omitted (always zero in the
         cokernel)."""
-        z = kernels.int_array(self._replay(vec, m))
-        zt = z.T if z.ndim == 2 else z[None]  # one row per vector
-        # the replay gives canonical residues mod m; U turns the echelon
-        # rows' values into coordinates, each reduced by its d_j
-        diag = self._echelon_diag(m)
-        ech = zt[:, self.echelon_rows]
-        if diag:
-            ech = kernels.matmul(ech, self.esnf.U.T) % kernels.int_array(diag)
-        mods = diag + [m] * len(self.zero_rows)
-        vals = np.concatenate([ech, zt[:, self.zero_rows]], axis=1).tolist()
-        out = [(v, list(mods)) for v in vals]
-        return out if z.ndim == 2 else out[0]
+        zt, block = self._read(vec, m)
+        mods = self._echelon_diag(m) + [m] * len(self.zero_rows)
+        return _answer([(v, list(mods))
+                        for v in self._coords(zt, m).tolist()], block)
 
     def solvable_over_q(self, vec):
         """Whether A x = vec has a rational solution: every free cokernel
         coordinate of vec over Z, one on each row that no pivot reaches,
         is 0."""
-        free = kernels.int_array(self._replay(vec))[self.zero_rows]
-        answers = ~free.any(axis=0)
-        return answers.tolist() if free.ndim == 2 else bool(answers)
+        zt, block = self._read(vec)
+        return _answer((~(zt[:, self.zero_rows] != 0).any(axis=1)).tolist(),
+                       block)
 
     def in_image(self, vec, m=0):
-        answers = self.coords(vec, m)
-        if isinstance(answers, list):  # a block's, one pair per column
-            return [all(v == 0 for v in vals) for vals, _ in answers]
-        return all(v == 0 for v in answers[0])
+        zt, block = self._read(vec, m)
+        return _answer((~(self._coords(zt, m) != 0).any(axis=1)).tolist(),
+                       block)
 
     def solve(self, b, m=0):
         """Some x with A x = b (over Z, or mod m with residues), or None when
         b is not in the image.  An x that fails A x = b raises
-        InternalCheckFailed."""
-        z = kernels.int_array(self._replay(b, m))
-        block = z.ndim == 2
-        zt = z.T if block else z[None]
-        # None where b is nonzero on a row that no pivot reaches
-        ok = ~zt[:, self.zero_rows].any(axis=1)
-        x = np.zeros((self.ncols, len(ok)), dtype=object)
-        if self.echelon_rows:
-            ech = zt[:, self.echelon_rows].tolist()
-            for c in np.flatnonzero(ok).tolist():
-                xr = self.esnf.solve(ech[c], m)
-                if xr is None:
-                    ok[c] = False
-                else:
-                    x[self.res_cols, c] = xr
+        InternalCheckFailed.
+
+        On the residual columns x = V[:, :r] Y, where D Y = C = U z_E for
+        the replayed echelon rows z_E: over Z, Y = C / d; mod m, with
+        g = gcd(d, m), Y = (C / g) (d / g)^-1 mod (m / g), the least such
+        residue.  b is in the image iff g divides C (g = d over Z) and the
+        replayed b is zero on every row that no pivot reaches."""
+        zt, block = self._read(b, m)
+        diag, g = self.esnf.diagonal(), self._echelon_diag(m)
+        C = kernels.matmul(self.esnf.U, zt[:, self.echelon_rows].T)
+        gcol = kernels.int_array(g)[:, None]
+        ok = ~((C % gcol != 0).any(axis=0)
+               | (zt[:, self.zero_rows] != 0).any(axis=1))
         k = len(ok)
         if not ok.any():
-            return [None] * k if block else None
-        x = np.array(self._backsub(z[self.piv_rows], x if block else x[:, 0],
-                                   m), dtype=object)
+            return _answer([None] * k, block)
+        Y = C // gcol
+        if m:
+            mg = [m // gi for gi in g]
+            inv = [pow(d // gi, -1, mgi) for d, gi, mgi in zip(diag, g, mg)]
+            Y = (kernels.matmul(np.diag(kernels.int_array(inv)), Y)
+                 % kernels.int_array(mg)[:, None])
+        x_res = kernels.matmul(self.esnf.V[:, :len(diag)], Y, m)
+        x = np.zeros((self.ncols, k), dtype=x_res.dtype)
+        x[self.res_cols] = x_res
+        x = self._backsub(zt[:, self.piv_rows].T, x, m)
         b = kernels.residues(b, m) if m else kernels.int_array(b)
-        wrong = kernels.int_array(self.matvec(x, m)) != b
-        if (wrong.reshape(self.nrows, k).any(axis=0) & ok).any():
+        wrong = (kernels.int_array(self.matvec(x, m))
+                 != b.reshape(self.nrows, k)).any(axis=0)
+        if (wrong & ok).any():
             raise InternalCheckFailed(
                 "sparse solve: A x != b after back-substitution")
-        out = [col if good else None for col, good in
-               zip(x.reshape(self.ncols, k).T.tolist(), ok.tolist())]
-        return out if block else out[0]
+        return _answer([col if good else None for col, good in
+                        zip(x.T.tolist(), ok.tolist())], block)
 
     def matvec(self, x, m=0):
         _check_length(x, self.ncols)
@@ -625,11 +651,10 @@ class SparseFactorization:
     def torsion_reps(self):
         """Representatives for the nonunit torsion of the cokernel over Z:
         list of (invariant factor, vector) pairs."""
-        if self.esnf is None:
-            return []
         diag = self.esnf.diagonal()
         js = [j for j, d in enumerate(diag) if d > 1]
-        lifts = self._replay(self._echelon_lifts(js), reverse=True)
+        lifts = kernels.apply_oplog_int(self._echelon_lifts(js), self.log,
+                                        reverse=True)
         return [(diag[j], b) for j, b in zip(js, lifts.T.tolist())]
 
     def coker_basis(self):
@@ -643,33 +668,44 @@ class SparseFactorization:
         unit-pivot rows (o = 1).  Every d_j is nonzero: phase 2 leaves the
         echelon block in row echelon form, so it has full row rank.  All
         of them are lifted by one reverse replay of a block."""
-        diag = self.esnf.diagonal() if self.esnf is not None else []
+        diag = self.esnf.diagonal()
         unit = self.zero_rows + self.piv_rows
         block = np.zeros((self.nrows, len(diag) + len(unit)), dtype=object)
-        if diag:
-            block[:, :len(diag)] = self._echelon_lifts(range(len(diag)))
+        block[:, :len(diag)] = self._echelon_lifts(range(len(diag)))
         block[unit, len(diag) + np.arange(len(unit))] = 1
         orders = diag + [0] * len(self.zero_rows) + [1] * len(self.piv_rows)
-        return list(zip(orders,
-                        self._replay(block, reverse=True).T.tolist()))
+        return list(zip(orders, kernels.apply_oplog_int(
+            block, self.log, reverse=True).T.tolist()))
 
     def kernel_basis(self, m=0):
         """Generators of ker(A) over Z or Z/m (torsion directions included):
-        the echelon block's kernel on the residual columns, then a unit
-        vector on each column that is neither a pivot nor a residual
+        the echelon block's kernel on the residual columns, read off V, then
+        a unit vector on each column that is neither a pivot nor a residual
         column, all completed through the frozen pivot rows by one
-        back-substitution of a block."""
-        kernel = self.esnf.kernel(m) if self.esnf is not None else []
+        back-substitution of a block.  Generators that fail A K = 0 raise
+        InternalCheckFailed.
+
+        The block's kernel is a Z-basis of {y : E y = 0 (mod m)}: the
+        columns of V past the rank r, after (m / gcd(d_j, m)) V_j for j < r
+        when m > 0, which vanishes mod m when the gcd is 1 and is dropped."""
+        _check_modulus(m)
+        r = len(self.echelon_rows)
+        gens = self.esnf.V[:, r:]
+        if m:
+            mult = [m // g for g in self._echelon_diag(m)]
+            gens = np.concatenate([self.esnf.V[:, :r] * mult, gens],
+                                  axis=1) % m
+        gens = kernels.int_array(gens)
         free = np.ones(self.ncols, dtype=bool)
         free[self.piv_cols] = free[self.res_cols] = False
         free = np.flatnonzero(free)
-        x = np.zeros((self.ncols, len(kernel) + len(free)), dtype=object)
-        if kernel:
-            x[self.res_cols, :len(kernel)] = np.array(kernel, dtype=object).T
-            if m:
-                x %= m
-        x[free, len(kernel) + np.arange(len(free))] = 1
-        # (m / gcd(d, m)) V_j vanishes mod m when the gcd is 1
+        x = np.zeros((self.ncols, gens.shape[1] + len(free)), dtype=gens.dtype)
+        x[self.res_cols, :gens.shape[1]] = gens
+        x[free, gens.shape[1] + np.arange(len(free))] = 1
         x = x[:, x.any(axis=0)]
         rhs = np.zeros((len(self.piv_rows), x.shape[1]), dtype=np.int64)
-        return self._backsub(rhs, x, m).T.tolist()
+        x = self._backsub(rhs, x, m)
+        if kernels.int_array(self.matvec(x, m)).any():
+            raise InternalCheckFailed(
+                "sparse kernel: A K != 0 after back-substitution")
+        return x.T.tolist()

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .abelian import factorize, prime_power, require_prime
 from .cohomology import (CohomologyClass, bockstein_delta, coefficient_map,
                          cohomology_group, cohomology_system, p_primary_part)
@@ -201,33 +202,26 @@ def integral_psth_preimage(x: CohomologyClass,
         P = cup_vec(G, P, deg, [int(v) % p for v in x.vector], x.degree,
                     modulus=p)
         deg += x.degree
-    # membership in span(theta(w_j)) + coboundaries, via cokernel coords
+    # membership in span(theta(w_j)) + coboundaries, via cokernel coords:
+    # one block query, the p-divisible basis classes' rows w_j, then P
     fact = sys.bc.fact(D)
-    basis = sys.integral_basis(D)
-    cols = []
-    keep = []
-    for j, (f, w) in enumerate(basis):
-        if f % p == 0:
-            vals, _ = fact.coords(w, p)
-            cols.append(vals)
-            keep.append(j)
-    tvals, _ = fact.coords(P, p)
+    basis = [(f, w) for f, w in sys.integral_basis(D) if f % p == 0]
+    W = kernels.int_array([w for _, w in basis] + [P])
+    *cols, tvals = [vals for vals, _ in fact.coords(W.T, p)]
     # tau x k, with shape (tau, 0) when no integral class is p-divisible
     A = np.array(cols, dtype=np.int64).reshape(len(cols), len(tvals)).T
     sol = solve_modp(A, tvals, p)
     if sol is None:
         raise NoPreimageFound(
             "x^{p^s} is not in the image of the integral reduction")
-    vec = [0] * sys.rank(D)
-    for a, j in zip(sol.tolist(), keep):
-        f, w = basis[j]
+    mults = []
+    for a, (f, _) in zip(sol.tolist(), basis):
         e = factorize(f).get(p, 0)
         rest = f // p**e
         lam = pow(rest, -1, p**e) if p**e > 1 else 0
-        mult = (a * lam * rest) % f
-        for t in range(len(vec)):
-            vec[t] += mult * w[t]
-    z = CohomologyClass(G, D, 0, tuple(vec))
+        mults.append((a * lam * rest) % f)
+    vec = kernels.matmul(kernels.int_array(mults), W[:-1])
+    z = CohomologyClass(G, D, 0, tuple(vec.tolist()))
     lift = IntegralLift(x, p, s, D, z, tuple(P))
     if not lift.verify():
         raise InternalCheckFailed("integral preimage failed re-verification")
@@ -324,17 +318,17 @@ def f_iso_check(G: FiniteGroup, p: int, N: int) -> FIsoReport:
                                   "kernel_dim": 0, "nilpotent": True})
             continue
         fact = sys.bc.fact(d)
-        cols = [fact.coords(w, p)[0] for _, w in basis]
+        W = kernels.int_array([w for _, w in basis])
+        cols = [vals for vals, _ in fact.coords(W.T, p)]
         kernel = [v.tolist() for v in
                   nullspace_modp(np.asarray(cols, dtype=np.int64).T, p)]
         entry = {"degree": d, "source_dim": len(basis),
                  "kernel_dim": len(kernel), "nilpotent": True,
                  "kernel_vectors": kernel}
-        for kv in kernel:
-            z = [0] * sys.rank(d)
-            for a, (_f, w) in zip(kv, basis):
-                for t in range(len(z)):
-                    z[t] += a * w[t]
+        # the kernel elements sum_j a_j w_j, one row each
+        Z = kernels.matmul(np.array(kernel, dtype=np.int64).reshape(
+            len(kernel), len(basis)), W).tolist()
+        for z in Z:
             # s-th cup power of the kernel element, in the source ring
             power = list(z)
             deg = d

@@ -106,11 +106,21 @@ _to_int = np.frompyfunc(int, 1, 1)
 
 
 def residues(vec, m: int) -> np.ndarray:
-    """Canonical residues of ``vec`` mod m: int64 when m fits, else object."""
+    """Canonical residues of ``vec`` mod m: int64 when m fits, else object.
+    An int64 ``vec`` already in [0, m) is copied, not divided."""
     v = int_array(vec)
     if m >= _I64:
         return v.astype(object) % m
-    return (v % m).astype(np.int64)
+    if v.dtype != object and (not v.size or 0 <= v.min() and v.max() < m):
+        return v  # int_array made it a new array
+    return _reduce(v, m).astype(np.int64)
+
+
+def _reduce(v: np.ndarray, m: int) -> np.ndarray:
+    """``v`` mod m, canonical: a mask when m is a power of two, exact for
+    negative entries too in two's complement and much cheaper than an int64
+    division, else ``%``."""
+    return v & (m - 1) if m & (m - 1) == 0 else v % m
 
 
 def max_abs(v: np.ndarray) -> int:
@@ -221,7 +231,7 @@ def _replay(v: np.ndarray, log, m: int, reverse: bool) -> np.ndarray:
         for row, d in zip(v, q * x):
             step(row, t, d)
     if m:
-        v %= m
+        v = _reduce(v, m)
     return v.T.reshape(shape)
 
 
@@ -247,7 +257,7 @@ def backsub_mod(log, pivcol, pivsign, rhs, x, m: int):
     x, rhs = (residues(a, m) if m else int_array(a) for a in (x, rhs))
     sign = np.asarray(pivsign, dtype=np.int64).reshape(
         (-1,) + (1,) * (rhs.ndim - 1))
-    head = sign * rhs % m if m else sign * rhs
+    head = sign * rhs  # |head| < m, reduced by the replay with the rest
     if head.dtype == object:
         x = x.astype(object)
     x[np.asarray(pivcol, dtype=np.int64)] = head
@@ -302,7 +312,8 @@ def csr_matvec_int(indptr, indices, data, vec):
 def csr_matvec_mod(indptr, indices, data, vec, m: int):
     """CSR matrix-vector (or matrix-block) product mod m; returns canonical
     residues."""
-    return output(_csr_matvec(indptr, indices, data, residues(vec, m)) % m)
+    return output(_reduce(_csr_matvec(indptr, indices, data,
+                                      residues(vec, m)), m))
 
 
 # The benchmark's layer table (perfbench/layers.py) also binds these names.

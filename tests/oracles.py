@@ -2,7 +2,10 @@
 ZG and their cochain complexes, on the dense Smith normal form only, and
 F_p row echelon forms by numpy row operations, and back-substitution
 through +-1 pivot rows one entry at a time.  Their matrices are numpy
-object arrays of python ints, multiplied with ``@``.
+object arrays of python ints, multiplied with ``@``.  The solver and the
+kernel on a Smith decomposition, ``smith_solve`` and ``smith_kernel``,
+live here and read it one coordinate at a time; the engine reads its
+decomposition by array products, so the two share no solving code.
 
 Two independent constructions are provided: the normalized bar resolution
 (any finite group) and the period-2 resolution of cyclic groups, which
@@ -27,7 +30,7 @@ from math import gcd
 import numpy as np
 
 from cohomkit.config import size_cap
-from cohomkit.errors import SizeCapExceeded
+from cohomkit.errors import InternalCheckFailed, SizeCapExceeded
 from cohomkit.exact.dense import normalize_modulus, smith_normal_form
 from cohomkit.groups import FiniteGroup, cyclic
 
@@ -49,9 +52,67 @@ def matmul(*factors) -> np.ndarray:
     return out
 
 
+def smith_solve(dec, b, m=0):
+    """Some x with source x = b (mod m) for the Smith decomposition
+    ``dec``, or None; m = 0 or "Z" solves over Z.
+
+    The returned solution is deterministic: each Smith coordinate is
+    chosen as the least nonnegative value, one coordinate at a time in
+    python ints.  A solution that fails the final source x = b check
+    raises InternalCheckFailed.
+    """
+    m = normalize_modulus(m)
+    nr, nc = dec.source.shape
+    b = [int(x) for x in b]
+    if len(b) != nr:
+        raise ValueError("rhs length mismatch")
+    c = (dec.U @ np.array(b, dtype=object)).tolist()
+    diag = dec.diagonal()
+    y = [0] * nc
+    for i in range(nr):
+        ci = c[i]
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if (ci % m if m else ci) != 0:
+                return None
+        else:
+            if m == 0:
+                if ci % d != 0:
+                    return None
+                y[i] = ci // d
+            else:
+                g = gcd(d, m)
+                if ci % g != 0:
+                    return None
+                mm = m // g
+                y[i] = (((ci // g) * pow(d // g, -1, mm)) % mm
+                        if mm > 1 else 0)
+    x = dec.V @ np.array(y, dtype=object)
+    if m:
+        x %= m
+    back = dec.source @ x
+    if any((bi - ci) % m != 0 if m else bi != ci
+           for bi, ci in zip(back, b)):
+        raise InternalCheckFailed("Smith solve produced a non-solution")
+    return x.tolist()
+
+
+def smith_kernel(dec, m=0):
+    """Generators of {x : source x = 0 (mod m)} over Z for the Smith
+    decomposition ``dec``, in column order: (m / gcd(d, m)) V_j for each
+    nonzero d_j (only when m > 0), then the columns of V past the rank.
+    They are a Z-basis of that lattice, which for m > 0 contains m Z^n;
+    m = 0 or "Z" gives ker(source) over Z."""
+    m = normalize_modulus(m)
+    cols = [(j, m // gcd(d, m))
+            for j, d in enumerate(dec.diagonal()) if d and m]
+    cols += [(j, 1) for j in range(dec.rank(), len(dec.V))]
+    return [(mult * dec.V[:, j]).tolist() for j, mult in cols]
+
+
 def solve_mod(A, b, m):
-    """Some x with A x = b (mod m), or None; see SmithDecomposition.solve."""
-    return smith_normal_form(A).solve(b, m)
+    """Some x with A x = b (mod m), or None; see smith_solve."""
+    return smith_solve(smith_normal_form(A), b, m)
 
 
 def backsub(rows, pivcol, pivinv, rhs, x, m=0) -> list:
@@ -316,7 +377,7 @@ def subquotient_invariants(d_in: np.ndarray, d_out: np.ndarray, m) -> list:
     if len(d_in) != r:
         raise ValueError("differentials do not compose")
     # lattice L = {x : d_out x = 0 (mod m)} expressed by a basis matrix B
-    basis = smith_normal_form(d_out).kernel(m)
+    basis = smith_kernel(smith_normal_form(d_out), m)
     if not basis:
         return []
     B = np.array(basis, dtype=object).T
@@ -327,7 +388,7 @@ def subquotient_invariants(d_in: np.ndarray, d_out: np.ndarray, m) -> list:
     bdec = smith_normal_form(B)
     rel_cols = []
     for gvec in gens:
-        y = bdec.solve(gvec)
+        y = smith_solve(bdec, gvec)
         if y is None:
             raise ValueError("image does not lie in the kernel lattice")
         rel_cols.append(y)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 from itertools import product
 from math import gcd
@@ -20,8 +21,8 @@ from cohomkit.groups import FiniteGroup, cyclic, quaternion_8, symmetric_3
 from cohomkit.resolutions import BarCochains, bar_cochains
 from helpers import field_free_resolution, full_fact, reduce_mod
 from oracles import (cokernel_invariants, det, echelon_modp, identity,
-                     matmul, solve_mod, unimodular_inverse, verify_smith,
-                     zero)
+                     matmul, smith_kernel, smith_solve, solve_mod,
+                     unimodular_inverse, verify_smith, zero)
 
 
 def dense_solvable_over_q(dense, b):
@@ -181,12 +182,12 @@ class TestSolveMod:
         dec = SmithDecomposition(U=one, D=one, V=one,
                                  source=np.array([[2]], dtype=object))
         with pytest.raises(InternalCheckFailed):
-            dec.solve([1])
+            smith_solve(dec, [1])
 
     @staticmethod
     def _check_against_bruteforce(rows, b, m):
         r, c = len(rows), len(rows[0])
-        x = smith_normal_form(rows).solve(b, m)
+        x = smith_solve(smith_normal_form(rows), b, m)
         brute = None
         for cand in product(range(m), repeat=c):
             if all(sum(rows[i][j] * cand[j] for j in range(c)) % m
@@ -207,7 +208,7 @@ class TestSmithKernel:
         rows = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
         A = np.array(rows, dtype=object)
         dec = smith_normal_form(A)
-        ker = dec.kernel()
+        ker = smith_kernel(dec)
         assert len(ker) == c - dec.rank()
         for k in ker:
             assert (A @ np.array(k, dtype=object)).tolist() == [0] * r
@@ -384,7 +385,7 @@ class TestModpAgainstEchelon:
 
 
 class TestSmithKernelModM:
-    """SmithDecomposition.kernel(m) spans {x : A x = 0 (mod m)}."""
+    """smith_kernel(dec, m) spans {x : A x = 0 (mod m)}."""
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9])
     @pytest.mark.parametrize("seed", range(4))
@@ -393,7 +394,7 @@ class TestSmithKernelModM:
         r, c = rng.randint(1, 3), rng.randint(1, 3)
         rows = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
         A = np.array(rows, dtype=object)
-        gens = smith_normal_form(A).kernel(m)
+        gens = smith_kernel(smith_normal_form(A), m)
         brute = {x for x in product(range(m), repeat=c)
                  if not (A @ np.array(x, dtype=object) % m).any()}
         for g in gens:
@@ -408,8 +409,9 @@ class TestSmithKernelModM:
 
     def test_zero_modulus_is_the_integer_kernel(self):
         dec = smith_normal_form([[2, 4, 6], [0, 3, 3]])
-        assert dec.kernel(0) == dec.kernel("Z") == dec.kernel()
-        assert len(dec.kernel()) == 1
+        assert (smith_kernel(dec, 0) == smith_kernel(dec, "Z")
+                == smith_kernel(dec))
+        assert len(smith_kernel(dec)) == 1
 
 
 @pytest.mark.parametrize("arg, m", [
@@ -520,6 +522,68 @@ class TestSparseFactorization:
                                for col in bm.T], (query, m)
         assert f.solvable_over_q(block) == [
             f.solvable_over_q(col.tolist()) for col in block.T]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_smith_reads_match_the_oracle(self, seed):
+        """solve and kernel_basis read the echelon block's Smith form by
+        array products, for a whole block at once; on the residual columns
+        they give, column by column, what the oracle's one-coordinate-at-a-
+        time smith_solve and smith_kernel give, over Z and mod m up to
+        either side of 2^63.  The matrices have few +-1 entries, so phase 2
+        leaves an echelon block, often with fewer rows than columns."""
+        rng = random.Random(2800 + seed)
+        nr, nc = rng.randint(2, 7), rng.randint(2, 8)
+        dense = [[rng.choice([0, 0, 0, 1, -2, 2, 3, -3, 4, 6])
+                  for _ in range(nc)] for _ in range(nr)]
+        f = factor_dense(dense)
+        assert f.echelon_rows
+        cols = [[0] * nr, [rng.randint(-9, 9) for _ in range(nr)]]
+        for _ in range(3):
+            x0 = [rng.randint(-3, 3) for _ in range(nc)]
+            cols.append([sum(a * x for a, x in zip(row, x0))
+                         for row in dense])
+            cols.append([rng.randint(-9, 9) for _ in range(nr)])
+        self._check_smith_reads(f, cols)
+
+    def test_bar_smith_reads_match_the_oracle(self, groups):
+        """The same on the whole bar D_4 of s3 and of c6, whose echelon
+        blocks are 2 x 6 and 2 x 5 with U != I: on the torsion
+        representatives w, on 6 w, on coboundaries and on arbitrary
+        vectors."""
+        for name in ("s3", "c6"):
+            f = full_fact(groups[name], 4)
+            assert len(f.echelon_rows) == 2
+            bc = bar_cochains(groups[name])
+            rng = random.Random(name)
+            cols = [w for _, w in f.torsion_reps()]
+            cols += [[6 * v for v in cols[0]]]
+            cols += [bc.matvec(4, [rng.randint(-2, 2)
+                                   for _ in range(bc.rank(3))])
+                     for _ in range(3)]
+            cols += [[rng.randint(-2, 2) for _ in range(bc.rank(4))]
+                     for _ in range(2)]
+            self._check_smith_reads(f, cols)
+
+    @staticmethod
+    def _check_smith_reads(f, cols):
+        for m in (0, 2, 3, 4, 9, 2**61 - 1, 2**64 + 13):
+            bm = [[v % m for v in c] if m else c for c in cols]
+            xs = f.solve(np.array(bm, dtype=object).T, m)
+            for b, x in zip(bm, xs):
+                z = (kernels.apply_oplog_mod(b, f.log, m) if m
+                     else kernels.apply_oplog_int(b, f.log))
+                want = smith_solve(f.esnf, [z[r] for r in f.echelon_rows], m)
+                if any(z[r] for r in f.zero_rows):
+                    want = None
+                assert (x is None) == (want is None), (m, b)
+                if x is not None:
+                    assert [x[j] for j in f.res_cols] == want, (m, b)
+            gens = [[v % m for v in g] if m else g
+                    for g in smith_kernel(f.esnf, m)]
+            gens = [g for g in gens if any(g)]
+            got = [[k[j] for j in f.res_cols]
+                   for k in f.kernel_basis(m)[:len(gens)]]
+            assert got == gens, m
 
     def test_solvable_over_q_on_a_block(self):
         """One answer per column, as in_image gives, for two columns and
@@ -797,7 +861,8 @@ class TestSparseFactorization:
         unit[f.zero_rows[3]] = 1
         for vec in ([rng.randrange(-(2**65), 2**65) for _ in range(f.nrows)],
                     [0] * f.nrows, unit):
-            z = f._replay(vec, m)
+            z = (kernels.apply_oplog_mod(vec, f.log, m) if m
+                 else kernels.apply_oplog_int(vec, f.log))
             vals, mods = f.coords(vec, m)
             k = len(vals) - len(f.zero_rows)
             want = [int(z[r]) % m if m else int(z[r]) for r in f.zero_rows]
@@ -821,6 +886,20 @@ class TestSparseFactorization:
         args = (vec,) if query == "solvable_over_q" else (vec, m)
         with pytest.raises(ValueError, match="length"):
             getattr(f, query)(*args)
+
+    @pytest.mark.parametrize("cols", [[[1, 0], [0, 1]], [[2, 0], [0, 3]]])
+    @pytest.mark.parametrize("m", [-3, 1, "Z", None])
+    def test_rejects_an_invalid_modulus(self, cols, m):
+        """A query takes m = 0 or an integer m >= 2 and refuses any other
+        m by name, on a matrix of +-1 pivots and on one with echelon rows
+        alike."""
+        f = SparseFactorization.from_columns(cols, 2)
+        calls = [lambda: f.solve([3, 4], m), lambda: f.coords([3, 4], m),
+                 lambda: f.in_image([3, 4], m),
+                 lambda: f.coker_invariants(m), lambda: f.kernel_basis(m)]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"modulus {m!r}")):
+                call()
 
     @pytest.mark.parametrize("query", ["in_image", "coords", "solve",
                                        "solvable_over_q", "matvec"])
@@ -1044,6 +1123,15 @@ class TestSelfChecks:
         E[tuple(np.argwhere(E)[0])] += 1
         with pytest.raises(InternalCheckFailed):
             f._check_rows()
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_a_kernel_generator(self, f, m):
+        """kernel_basis checks A K = 0 (mod m) on its generators: an entry
+        of the echelon block's V off by one fails it."""
+        assert f.kernel_basis(m)
+        f.esnf.V[0, -1] += 1
+        with pytest.raises(InternalCheckFailed, match="kernel"):
+            f.kernel_basis(m)
 
     def test_rank_and_exponent(self, groups):
         """fact(n) checks rank D_{n-1} + rank D_n = (|G| - 1)^{n-1} and that
