@@ -583,12 +583,12 @@ class SparseFactorization:
         coordinate of vec over Z, one on each row that no pivot reaches,
         is 0."""
         zt, block = self._read(vec)
-        return _answer((~(zt[:, self.zero_rows] != 0).any(axis=1)).tolist(),
+        return _answer((zt[:, self.zero_rows] == 0).all(axis=1).tolist(),
                        block)
 
     def in_image(self, vec, m=0):
         zt, block = self._read(vec, m)
-        return _answer((~(self._coords(zt, m) != 0).any(axis=1)).tolist(),
+        return _answer((self._coords(zt, m) == 0).all(axis=1).tolist(),
                        block)
 
     def solve(self, b, m=0):
@@ -605,8 +605,8 @@ class SparseFactorization:
         diag, g = self.esnf.diagonal(), self._echelon_diag(m)
         C = kernels.matmul(self.esnf.U, zt[:, self.echelon_rows].T)
         gcol = kernels.int_array(g)[:, None]
-        ok = ~((C % gcol != 0).any(axis=0)
-               | (zt[:, self.zero_rows] != 0).any(axis=1))
+        ok = ((C % gcol == 0).all(axis=0)
+              & (zt[:, self.zero_rows] == 0).all(axis=1))
         k = len(ok)
         if not ok.any():
             return _answer([None] * k, block)

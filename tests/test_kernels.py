@@ -120,6 +120,18 @@ def check_rounds(log):
             assert not set(targets) & set(src[s:e].tolist())
 
 
+@pytest.mark.parametrize("m", [8, 9, 2**61 - 1, 2**64 + 13])
+def test_residues(m):
+    """Canonical residues, int64 when m fits: an int64 array already in
+    [0, m) comes back as an equal copy, and every other entry is reduced,
+    m itself and negative entries included."""
+    for vec in ([0, 1, m - 1], [0, m - 1, m], [-1, 5, -m]):
+        v = np.array(vec, dtype=np.int64 if m < 2**62 else object)
+        got = kernels.residues(v, m)
+        assert got.tolist() == [x % m for x in vec] and got is not v
+        assert got.dtype == (np.int64 if m < 2**63 else object)
+
+
 # -- replay --------------------------------------------------------------------
 
 
@@ -134,6 +146,13 @@ def test_oplog_mod_parity(seed):
     assert fwd == ref_replay(vec, log, m)
     assert kernels.apply_oplog_mod(vec, log, m, reverse=True) == \
         ref_replay(vec, log, m, reverse=True)
+    assert kernels.apply_oplog_mod(fwd, log, m, reverse=True) == \
+        [x % m for x in vec]
+    # a power of two, whose residues are taken by a mask
+    m = 8
+    log = random_log(rng, n, 60, m=m)
+    fwd = kernels.apply_oplog_mod(vec, log, m)
+    assert fwd == ref_replay(vec, log, m)
     assert kernels.apply_oplog_mod(fwd, log, m, reverse=True) == \
         [x % m for x in vec]
 
@@ -297,7 +316,9 @@ def test_make_log_mixed_batches():
     3037000500,        # largest m with (m-1)^2 + (m-1) < 2^63: int64
     3037000501,        # just past the boundary: object dtype
     2**40 + 15,
+    2**40,             # a power of two, reduced by a mask
     2**64 + 13,        # residues themselves exceed int64
+    2**64,
 ])
 def test_modulus_boundary(m):
     assert ((m - 1) ** 2 + (m - 1) < 2**63) == (m == 3037000500)
@@ -615,9 +636,15 @@ def test_backsub_block_equals_columns():
                                            for _ in range(3)]
                                           for _ in range(ncols - npiv)])
         pivcol = list(range(npiv))
-        for m in (0, 9, 2**61 - 1, 2**64 + 13):
-            got = kernels.backsub_mod(log, pivcol, pivsign, rhs, x0, m)
+        # powers of two reduce by a mask, on both sides of int64; inputs
+        # already reduced are not divided again
+        for m in (0, 8, 9, 2**61 - 1, 2**64, 2**64 + 13):
             want = [oracles.backsub(pool, pivcol, pivsign, r, x, m)
                     for r, x in zip(rhs.T, x0.T)]
-            assert block_list(got) == \
-                np.array(want, dtype=object).T.tolist(), (entry, m)
+            ins = [(rhs, x0)]
+            if m:
+                ins.append((kernels.residues(rhs, m), kernels.residues(x0, m)))
+            for r, x in ins:
+                got = kernels.backsub_mod(log, pivcol, pivsign, r, x, m)
+                assert block_list(got) == \
+                    np.array(want, dtype=object).T.tolist(), (entry, m)
