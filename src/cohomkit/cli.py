@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .abelian import PRIME_BOUND, factorize, require_prime
@@ -52,9 +53,73 @@ def _report(args, body: dict, verdict, inputs=None) -> dict:
     }
 
 
+def _json_scalar(o) -> str:
+    """A leaf as ``json.dumps`` writes it; TypeError for any other
+    object, as ``json`` raises it."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True or o is False:
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if abs(o) == float("inf"):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON "
+                    f"serializable")
+
+
+def _json_key(k) -> str:
+    """A dict key as ``json.dumps`` writes it: a string, or the text of an
+    int, float, bool or None as a string."""
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if isinstance(k, (int, float)) or k is None:
+        return f'"{_json_scalar(k)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not "
+                    f"{k.__class__.__name__}")
+
+
+def _json_parts(o, pad: str, out: list):
+    """Append to ``out`` the text of ``o`` at the indent ``pad``, as
+    ``json.dumps(o, indent=1, sort_keys=True)`` writes it."""
+    if not isinstance(o, (list, tuple, dict)):
+        out.append(_json_scalar(o))
+    elif not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    elif isinstance(o, dict):
+        for i, (k, v) in enumerate(sorted(o.items())):
+            out.append(f"{',' if i else '{'}\n{pad} {_json_key(k)}: ")
+            _json_parts(v, pad + " ", out)
+        out.append(f"\n{pad}}}")
+    elif set(map(type, o)) == {int}:
+        # one C-level repr of the ints, its separators re-indented
+        out.append(f"[\n{pad} " + list.__repr__(list(o))[1:-1].replace(
+            ", ", f",\n{pad} ") + f"\n{pad}]")
+    else:
+        for i, v in enumerate(o):
+            out.append(f"{',' if i else '['}\n{pad} ")
+            _json_parts(v, pad + " ", out)
+        out.append(f"\n{pad}]")
+
+
+def _json_text(o) -> str:
+    """``json.dumps(o, indent=1, sort_keys=True)``, the same text.  With an
+    indent, ``json`` runs its pure-Python encoder; here a list of ints is
+    written by one C-level repr, and the parts are joined once."""
+    out: list = []
+    _json_parts(o, "", out)
+    return "".join(out)
+
+
 def _emit(report: dict, as_json: bool, started: float) -> int:
     if as_json:
-        print(json.dumps(report, indent=1, sort_keys=True))
+        print(_json_text(report))
     else:
         _print_human(report)
     print(f"# wall time {time.time() - started:.2f}s", file=sys.stderr)

@@ -9,8 +9,9 @@ and answers all of those queries cheaply afterwards.  The relations of a
 module presentation go through the same factorization, which also gives a
 basis of the ambient lattice adapted to the cokernel.
 
-Matrices come in one format, CSR, and :func:`coo_to_csr` is the one place
-where entries given by position are sorted, summed and packed into it.  A
+Matrices come in one format, CSR.  :func:`coo_to_csr` sorts, sums and packs
+entries given by position into it; the bar differentials are built in it
+row by row (:meth:`cohomkit.resolutions.BarCochains.csr`).  A
 factorization keeps the CSR arrays it was given, uncopied, for its
 matvec, so a matrix built for it (a bar differential) is held once.
 
@@ -151,24 +152,32 @@ def coo_to_csr(nrows: int, ncols: int, ri, ci, vi):
     return indptr, ci[starts][keep], kernels.int_array(sums[keep])
 
 
-def _check_csr(nrows, ncols, indptr, indices, data):
-    """ValueError unless (indptr, indices, data) is a canonical CSR matrix
-    with ``nrows`` rows and ``ncols`` columns."""
+def _check_csr(nrows, ncols, indptr, indices, data) -> np.ndarray:
+    """The positions row * ncols + column of the entries of (indptr,
+    indices, data), which phase 1 starts from; ValueError unless it is a
+    canonical CSR matrix with ``nrows`` rows and ``ncols`` columns."""
     lens = np.diff(indptr)
     if (len(indptr) != nrows + 1 or indptr[0] != 0 or (lens < 0).any()
             or not indptr[-1] == len(indices) == len(data)):
         raise ValueError(f"malformed CSR matrix with {nrows} rows")
     _check_range(indices, ncols, "column")
-    rows = np.repeat(np.arange(nrows, dtype=np.int64), lens)
-    if (np.diff(rows * ncols + indices) <= 0).any() or (data == 0).any():
+    key = np.repeat(np.arange(nrows, dtype=np.int64), lens)
+    key *= ncols
+    key += indices
+    if (key[1:] <= key[:-1]).any() or (data == 0).any():
         raise ValueError("CSR columns must ascend within each row, "
                          "with no stored zeros")
+    return key
 
 
 # Phase 1 refuses a round that would leave more live entries than this, and
 # phase 2 a block of more entries.  A live entry takes 16 bytes, its position
-# and an int64 value, and a round holds a few copies of them, so the cap
-# keeps phase 1 to a few GB; a block entry takes 8 bytes in int64.  Cleared
+# and an int64 value.  While a round picks its pivots it also holds five
+# int64 arrays over the live entries (row, column, |value| and the indices
+# of their pivots), which it frees before the merge; the merge holds the
+# next live entries with their sort order and one sorted copy.  So a round
+# takes about 7 words a live entry at most, and the cap keeps phase 1 to a
+# few GB; a block entry takes 8 bytes in int64.  Cleared
 # q8 D_6 peaks at 583 thousand live entries and s3 D_7 at 393 thousand; the
 # largest phase-2 block of the bar complexes is q8 D_6's, 36,322 x 2.
 _FILL_CAP = 1 << 26
@@ -249,11 +258,12 @@ def _round_pivots(row, col, unit, nrows, ncols):
     return cr[ok], cc[ok]
 
 
-def _pivot_rounds(nrows, ncols, indptr, indices, data):
+def _pivot_rounds(nrows, ncols, key, val):
     """Phase 1: the +-1 pivots, taken in rounds of independent pivots.
 
     The live entries are two arrays sorted by position: ``key``, row *
-    ncols + column, and ``val``.  Each round
+    ncols + column, as :func:`_check_csr` returns it for the CSR, and
+    ``val``.  Each round
 
     - takes a set of independent pivots by :func:`_round_pivots`: no pivot
       row holds another pivot's column, so no pivot row changes during the
@@ -261,7 +271,9 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
     - eliminates the pivot columns at once, A_N -= Q A_S for the pivot rows
       S and the other rows N: the entries of the pivot columns, joined with
       the pivot rows, give the fill, which is merged into the live entries
-      by one stable sort and summed.  The pivot rows retire.
+      by one stable sort and summed.  The pivot rows retire.  The round's
+      arrays over all the live entries are freed before the merge builds
+      the next ones.
 
     A round runs in int64 when the bound max|val| + k max|q| max|w| stays
     below 2^62, where a target row holds at most k of the round's pivot
@@ -278,20 +290,17 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
     replays in reverse; and the live entries left, the arrays (key, val),
     for phase 2.
     """
-    key = (np.repeat(np.arange(nrows, dtype=np.int64), np.diff(indptr))
-           * ncols + indices)
-    val = data
     pivots = ([], [], [])
     batches: list[tuple] = []  # one run of batches a round
     frozen: list[tuple] = []  # one run a round, of the frozen pivot rows
     while True:
-        row = key // ncols
-        col = key - row * ncols
+        row, col = np.divmod(key, ncols)
         size = np.abs(val)
         unit = np.flatnonzero(size == 1)
         if not len(unit):
             break
         pr, pc = _round_pivots(row, col, unit, nrows, ncols)
+        del unit
         k = len(pc)
 
         at_col = np.full(ncols, -1)
@@ -299,6 +308,7 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
         at_row = np.full(nrows, -1)
         at_row[pr] = np.arange(k)
         kc, kr = at_col[col], at_row[row]
+        del at_col, at_row
         in_c, in_r = kc >= 0, kr >= 0
         piv = np.flatnonzero(in_c & in_r)
         pv = np.zeros(k, dtype=np.int64)
@@ -307,36 +317,45 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
         # the pivot columns' other entries, by row
         off = np.flatnonzero(in_r & ~in_c)
         off = off[_by_pivot(kr[off], k)]
-        plen = np.bincount(kr[off], minlength=k)
+        ko, ocol, w = kr[off], col[off], val[off]
         tgt = np.flatnonzero(in_c & ~in_r)
-        kt, trow = kc[tgt], row[tgt]
-        w = val[off]
+        kt, trow, vt = kc[tgt], row[tgt], val[tgt]
         bound = int(size.max())
         if len(tgt) and len(off):
             bound += (int(np.bincount(trow).max()) * int(size[tgt].max())
                       * int(size[off].max()))
+        # the entries that stay, those in no pivot row or column
+        stay = ~(in_c | in_r)
+        key, val = key[stay], val[stay]
+        del row, col, size, kc, kr, in_c, in_r, piv, off, tgt, stay
         wide = bound >= _LIMIT
         if wide != (val.dtype == object):
-            val, w = (a.astype(object if wide else np.int64) for a in (val, w))
-        q = val[tgt] * pv[kt]  # pv is +-1
+            val, w, vt = (a.astype(object if wide else np.int64)
+                          for a in (val, w, vt))
+        q = vt * pv[kt]  # pv is +-1
+        del vt
 
         # the fill, -q w for each target entry and each entry of its pivot
-        # row, merged with the entries that stay, those in no pivot row or
-        # column, and summed by position.  The stable sort finds them in
-        # runs: the entries that stay, and each target entry's share, by
-        # row and then by column.
-        pstart = np.cumsum(plen) - plen
+        # row, merged with the entries that stay and summed by position.
+        # The stable sort finds them in runs: the entries that stay, and
+        # each target entry's share, by row and then by column.
+        plen = np.bincount(ko, minlength=k)
         nf = plen[kt]
-        src = _segments(pstart[kt], nf)
-        stay = ~(in_c | in_r)
-        key = np.concatenate([key[stay],
-                              np.repeat(trow * ncols, nf) + col[off][src]])
-        val = np.concatenate([val[stay], np.repeat(-q, nf) * w[src]])
+        src = _segments((np.cumsum(plen) - plen)[kt], nf)
+        key = np.concatenate([key, np.repeat(trow * ncols, nf) + ocol[src]])
+        val = np.concatenate([val, np.repeat(-q, nf) * w[src]])
+        del nf, src
         order = np.argsort(key, kind="stable")
-        key, val = key[order], val[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key = key[order]
+        val = val[order]
+        del order
+        first = np.empty(len(key), dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        first = np.flatnonzero(first)
         key = key[first]
         val = np.add.reduceat(val, first) if len(val) else val
+        del first
         nz = val != 0
         live = np.count_nonzero(nz)
         if live > _FILL_CAP:
@@ -344,20 +363,20 @@ def _pivot_rounds(nrows, ncols, indptr, indices, data):
                 f"phase 1 would hold {live:,} live entries, past the cap of "
                 f"{_FILL_CAP:,}")
         key, val = key[nz], val[nz]
+        del nz
 
         for acc, part in zip(pivots, (pr, pc, pv)):
             acc += part.tolist()
         # one batch per pivot with targets, the targets ascending, passed
         # to the log as one run
-        if len(tgt):
+        if len(kt):
             order = _by_pivot(kt, k)
             tlen = np.bincount(kt, minlength=k)
             has = np.flatnonzero(tlen)
             batches.append((trow[order], (pr[has], tlen[has]), q[order]))
         # the frozen pivot rows, a batch per entry off the pivot
-        if len(off):
-            ko = kr[off]
-            frozen.append((pc[ko], (col[off], np.ones(len(off), np.int64)),
+        if len(ko):
+            frozen.append((pc[ko], (ocol, np.ones(len(ko), np.int64)),
                            -pv[ko] * w))
 
     return pivots, batches, frozen, (key, val)
@@ -427,22 +446,25 @@ class SparseFactorization:
 
     def __init__(self, nrows: int, ncols: int, csr):
         """``csr`` is a canonical CSR triple (indptr, indices, data), as
-        :func:`coo_to_csr` returns it: ascending columns within each row and
-        no stored zeros.  The factorization keeps these arrays, uncopied,
-        for :meth:`matvec`, so a caller that caches the matrix holds it
-        once."""
+        :func:`coo_to_csr` and ``BarCochains.csr`` return it: ascending
+        columns within each row and no stored zeros.  The factorization
+        keeps these arrays, uncopied, for :meth:`matvec`, so a caller that
+        caches the matrix holds it once."""
         indptr, indices, data = csr
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
         if not isinstance(data, np.ndarray):
             data = kernels.int_array(data)
-        _check_csr(nrows, ncols, indptr, indices, data)
         self.nrows = nrows
         self.ncols = ncols
         self._indptr = indptr
         self._indices = indices
         self._data = data
-        self._eliminate()
+        # phase 1 starts from the entries' positions that the check forms,
+        # passed on and not held, so that its first round frees them
+        self._eliminate(*_pivot_rounds(
+            nrows, ncols, _check_csr(nrows, ncols, indptr, indices, data),
+            data))
         self._check_rows()
 
     @classmethod
@@ -463,13 +485,12 @@ class SparseFactorization:
 
     # -- construction ------------------------------------------------------
 
-    def _eliminate(self):
-        # phase 1: the +-1 pivots, in rounds.  The row-operation log holds
-        # one round per elimination round, its batches passed as one run
-        # (see kernels.make_log), and the pivot rows are frozen for
+    def _eliminate(self, pivots, batches, frozen, left):
+        # phase 1 took the +-1 pivots, in rounds.  The row-operation log
+        # holds one round per elimination round, its batches passed as one
+        # run (see kernels.make_log), and the pivot rows are frozen for
         # back-substitution in a log of their own, a round per round.
-        (piv_rows, piv_cols, piv_vals), batches, frozen, left = _pivot_rounds(
-            self.nrows, self.ncols, self._indptr, self._indices, self._data)
+        piv_rows, piv_cols, piv_vals = pivots
         self.pivot_log = kernels.make_log(frozen)
         # phase 2: Euclidean row echelon on the block of the leftover rows
         echelon_rows, E, res_cols = _euclid_echelon(self.ncols, *left,

@@ -11,9 +11,11 @@ the face that multiplies those two entries is, for each a, one gather
 through row a of the product table, and the faces that drop the first or
 the last entry are broadcasts.  As in Ripser (Bauer, 2021), a coboundary
 is enumerated, never stored: a dual differential is applied by this rule,
-and built as a CSR matrix, the rule applied to the column indices, only to
-be factored.  The dense resolutions that cross-check it live with the
-tests (``tests/oracles.py``).
+and built as a CSR matrix only to be factored, row by row: the rule
+applied to the column indices fills one table with a column a face, and
+each row of it, sorted, gives that row of the matrix.  The dense
+resolutions that cross-check it live with the tests
+(``tests/oracles.py``).
 
 D_n is factored *cleared* (Chen & Kerber, "Persistent homology
 computation with a twist", 2011; Bauer, "Ripser", 2021): without the
@@ -40,7 +42,7 @@ import numpy as np
 
 from .config import GROUP_CACHE_SIZE, size_cap
 from .errors import InternalCheckFailed, SizeCapExceeded
-from .exact.sparse import SparseFactorization, coo_to_csr
+from .exact.sparse import SparseFactorization
 from .groups import FiniteGroup
 from . import kernels
 
@@ -116,43 +118,58 @@ class BarCochains:
         for a in range(q):
             yield a, cells[:, a], wp[:, prods[a]]
 
-    def _terms(self, n: int, out, w, pad=0):
+    def _terms(self, n: int, outs, w, pad=0):
         """The faces of D_n : C^{n-1} -> C^n on the degree-(n-1) cochains
-        ``w``, by shape: yields (sign, cells, vals), a view of the
-        degree-n cochains ``out`` and ``w`` read on its cells by one face,
-        of sign (-1)^i for face i.  Faces 0 and n drop the first and the
-        last entry (the action is trivial), each one broadcast; face i
-        multiplies entries i-1 and i, ``pad`` where that product is the
-        identity (:meth:`collapse`)."""
+        ``w``, by shape: yields (sign, cells, vals), a view of ``outs[i]``,
+        the degree-n cochains that face i writes, and ``w`` read on its
+        cells by that face, of sign (-1)^i.  Faces 0 and n drop the first
+        and the last entry (the action is trivial), each one broadcast;
+        face i multiplies entries i-1 and i, ``pad`` where that product is
+        the identity (:meth:`collapse`)."""
         q, low = self.q, self.rank(n - 1)
         blk = w.shape[1:]
-        yield 1, out.reshape((q, low) + blk), w
+        yield 1, outs[0].reshape((q, low) + blk), w
         for i in range(1, n):
-            for _, cells, vals in self.collapse(out, w, i - 1, 2, pad):
+            for _, cells, vals in self.collapse(outs[i], w, i - 1, 2, pad):
                 yield (-1)**i, cells, vals
-        yield (-1)**n, out.reshape((low, q) + blk), w[:, None]
+        yield (-1)**n, outs[n].reshape((low, q) + blk), w[:, None]
 
     def csr(self, n: int, cleared=()):
         """CSR triple of D_n : C^{n-1} -> C^n (dual differential) without
         the entries of the columns ``cleared``, so of the same shape, built
-        for its factorization, which keeps the arrays.  Its COO triple is
-        D_n applied by shape to the column indices, a degenerate face
-        reading the pad -1."""
+        for its factorization, which keeps the arrays.  It is built row by
+        row, in one (rank(n), n + 1) table: column i holds the column that
+        face i reads, the pad -1 where the face is degenerate (:meth:`_terms`
+        applied to the column indices), times two plus the parity of i,
+        which gives the face's sign.  Each row is sorted, so that equal
+        columns sit side by side, and the sign of each is added into the
+        next equal one; pads, zero sums and the columns ``cleared`` are
+        dropped."""
         self.check_cap(n)
         live = np.ones(self.rank(n - 1) + 1, dtype=bool)
         live[list(cleared)] = False
         live[-1] = False  # the pad
-        rows, cols, signs = [], [], []
-        for sign, cells, vals in self._terms(
-                n, np.arange(self.rank(n), dtype=np.int64),
-                np.arange(self.rank(n - 1), dtype=np.int64), pad=-1):
-            rows.append(cells.ravel())
-            cols.append(np.broadcast_to(vals, cells.shape).ravel())
-            signs.append(np.full(cells.size, sign, dtype=np.int64))
-        rows, cols, signs = (np.concatenate(a) for a in (rows, cols, signs))
-        keep = live[cols]
-        return coo_to_csr(self.rank(n), self.rank(n - 1), rows[keep],
-                          cols[keep], signs[keep])
+        table = np.empty((self.rank(n), n + 1), dtype=np.int64)
+        for _, cells, vals in self._terms(
+                n, table.T, np.arange(self.rank(n - 1), dtype=np.int64),
+                pad=-1):
+            cells[...] = vals
+        table <<= 1
+        table[:, 1::2] |= 1  # odd faces subtract
+        table.sort(axis=1, kind="stable")
+        sign = table & 1
+        sign *= -2
+        sign += 1
+        table >>= 1  # the columns, ascending in each row
+        for j in range(1, n + 1):
+            same = np.flatnonzero(table[:, j] == table[:, j - 1])
+            sign[same, j] += sign[same, j - 1]
+            sign[same, j - 1] = 0
+        keep = sign != 0
+        keep &= live[table]
+        indptr = np.zeros(self.rank(n) + 1, dtype=np.int64)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return indptr, table[keep], sign[keep]
 
     def fact(self, n: int) -> SparseFactorization:
         """Factorization over Z of D_n, cleared for n >= 2: without the
@@ -208,7 +225,7 @@ class BarCochains:
         if (n + 1) * kernels.max_abs(w) >= _LIMIT:
             w = w.astype(object)
         out = np.zeros((self.rank(n),) + w.shape[1:], dtype=w.dtype)
-        for sign, cells, vals in self._terms(n, out, w):
+        for sign, cells, vals in self._terms(n, [out] * (n + 1), w):
             (np.add if sign > 0 else np.subtract)(cells, vals, out=cells)
         return kernels.output(out)
 

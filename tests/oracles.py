@@ -350,6 +350,42 @@ def _bar_zg_entries(G: FiniteGroup, n: int):
     return out
 
 
+def bar_csr_by_coo(bar, n: int, cleared=()):
+    """The CSR triple (indptr, indices, data) of the bar differential D_n
+    without the entries of the columns ``cleared``, built as a COO triple
+    and sorted as a whole: the faces of ``bar._terms`` applied to the row
+    and column indices (the pad -1 for a degenerate face), concatenated,
+    pads and cleared columns dropped, lexsorted by row and column, equal
+    positions summed and zero sums dropped.  ``bar`` is a
+    ``cohomkit.resolutions.BarCochains``, passed in, so that this module
+    imports nothing of the engine."""
+    rank, low = bar.rank(n), bar.rank(n - 1)
+    live = np.ones(low + 1, dtype=bool)
+    live[list(cleared)] = False
+    live[-1] = False  # the pad
+    cells = np.arange(rank, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    rows, cols, signs = [empty], [empty], [empty]
+    for sign, at, vals in bar._terms(n, [cells] * (n + 1),
+                                     np.arange(low, dtype=np.int64), pad=-1):
+        rows.append(at.ravel())
+        cols.append(np.broadcast_to(vals, at.shape).ravel())
+        signs.append(np.full(at.size, sign, dtype=np.int64))
+    rows, cols, signs = (np.concatenate(a) for a in (rows, cols, signs))
+    keep = live[cols]
+    rows, cols, signs = rows[keep], cols[keep], signs[keep]
+    order = np.lexsort((cols, rows))
+    rows, cols, signs = rows[order], cols[order], signs[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(signs, starts) if len(signs) else signs
+    nz = sums != 0
+    indptr = np.zeros(rank + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[starts][nz], minlength=rank), out=indptr[1:])
+    return indptr, cols[starts][nz], sums[nz]
+
+
 def periodic_resolution_cyclic(n: int, N: int) -> Resolution:
     """Period-2 resolution of Z over ZC_n: multiplication by (g-1) in odd
     degrees and by the norm element in even degrees."""

@@ -6,7 +6,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohomkit import cli, kernels
 from cohomkit.abelian import PRIME_BOUND
@@ -267,39 +270,122 @@ class TestDeterminismAndRecheck:
         code, _, _ = run(capsys, "recheck", str(rep))
         assert code == 1
 
+
+# the commands whose --json reports are pinned, with the sha256 of stdout
+GOLDEN_REPORTS = [
+    (["fiso", "--group", "c4", "--p", "2", "--max-deg", "6"],
+     "7c2e0a9b6040000110167df239b6938b6305c63392fe5edfac41c1e20bea1ef5"),
+    (["fiso", "--group", "s3", "--p", "3", "--max-deg", "4"],
+     "60110dbbffeb72521c83ced876b99e32b962ba163dde8168128d1fc749bf5034"),
+    (["bockstein", "--group", "s3", "--p", "3", "--i", "1", "--deg", "2"],
+     "f42e2fcc00e06170df1b2bedd7b4b5973606ba36315ef251f949123f2a6d2228"),
+    (["verify-paper", "--suite", "prop4.3"],
+     "000c9af784bdaa5638827f65f30694d68946176f7bf1639d810416739dac1254"),
+    (["verify-paper", "--suite", "lemma2.7"],
+     "a0b19c790ecae04d17996f25a7375c0e24368f4fc3bb5bfabbdd7a5511019790"),
+    (["fibre", "--group", "c6", "--module", "fp.json"],
+     "23e047b7d8934b3e0503ed17e87f9173f9b9f42790ef56f6016f9e15b0c169b3"),
+    (["kappa", "--group", "klein4", "--p", "2", "--max-deg", "6"],
+     "2ba873de8c0b3dc9a7ac4f80c8ee1d19cbffe01805611d5520982f97ad81d214"),
+    # a composite modulus: theta and Tor generators at two primes
+    (["ring", "--group", "s3", "--coeff", "6", "--max-deg", "4",
+      "--basis"],
+     "3b176b2a1586aacd97f5ffe7f250192b670d55b195e4ae0d6b8f363ecc961fc6"),
+    (["ring", "--group", "klein4", "--coeff", "4", "--max-deg", "4"],
+     "7fbc3336c527b8734a5d2d716af9fccbd0fb61a7d900383e34c2c32408501bda"),
+]
+GOLDEN_IDS = ["fiso-c4", "fiso-s3", "bockstein-s3", "prop4.3", "lemma2.7",
+              "fibre-fp", "kappa-klein4", "ring-s3-mod6", "ring-klein4-mod4"]
+
+
 class TestGoldenReports:
     """Reports that go through the mod-p paths, pinned by the sha256 of their
     --json stdout, so that a change in any mod-p answer shows."""
 
-    @pytest.mark.parametrize("argv, digest", [
-        (["fiso", "--group", "c4", "--p", "2", "--max-deg", "6"],
-         "7c2e0a9b6040000110167df239b6938b6305c63392fe5edfac41c1e20bea1ef5"),
-        (["fiso", "--group", "s3", "--p", "3", "--max-deg", "4"],
-         "60110dbbffeb72521c83ced876b99e32b962ba163dde8168128d1fc749bf5034"),
-        (["bockstein", "--group", "s3", "--p", "3", "--i", "1", "--deg", "2"],
-         "f42e2fcc00e06170df1b2bedd7b4b5973606ba36315ef251f949123f2a6d2228"),
-        (["verify-paper", "--suite", "prop4.3"],
-         "000c9af784bdaa5638827f65f30694d68946176f7bf1639d810416739dac1254"),
-        (["verify-paper", "--suite", "lemma2.7"],
-         "a0b19c790ecae04d17996f25a7375c0e24368f4fc3bb5bfabbdd7a5511019790"),
-        (["fibre", "--group", "c6", "--module", "fp.json"],
-         "23e047b7d8934b3e0503ed17e87f9173f9b9f42790ef56f6016f9e15b0c169b3"),
-        (["kappa", "--group", "klein4", "--p", "2", "--max-deg", "6"],
-         "2ba873de8c0b3dc9a7ac4f80c8ee1d19cbffe01805611d5520982f97ad81d214"),
-        # a composite modulus: theta and Tor generators at two primes
-        (["ring", "--group", "s3", "--coeff", "6", "--max-deg", "4",
-          "--basis"],
-         "3b176b2a1586aacd97f5ffe7f250192b670d55b195e4ae0d6b8f363ecc961fc6"),
-        (["ring", "--group", "klein4", "--coeff", "4", "--max-deg", "4"],
-         "7fbc3336c527b8734a5d2d716af9fccbd0fb61a7d900383e34c2c32408501bda"),
-    ], ids=["fiso-c4", "fiso-s3", "bockstein-s3", "prop4.3", "lemma2.7",
-            "fibre-fp", "kappa-klein4", "ring-s3-mod6", "ring-klein4-mod4"])
+    @pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS, ids=GOLDEN_IDS)
     def test_report_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)  # the report records the module path
         (tmp_path / "fp.json").write_text(json.dumps(MODULES["fp.json"]))
         code, out, _ = run(capsys, "--json", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [a for a, _ in GOLDEN_REPORTS],
+                             ids=GOLDEN_IDS)
+    def test_writer_prints_json_dumps_text(self, capsys, tmp_path,
+                                           monkeypatch, argv):
+        """--json prints exactly ``json.dumps(report, indent=1,
+        sort_keys=True)`` and a newline, for the report object of every
+        pinned command."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fp.json").write_text(json.dumps(MODULES["fp.json"]))
+        reports, emit = [], cli._emit
+
+        def spy(report, as_json, started):
+            reports.append(report)
+            return emit(report, as_json, started)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 0 and len(reports) == 1
+        assert out == json.dumps(reports[0], indent=1, sort_keys=True) + "\n"
+
+
+# JSON values as reports hold them, and the leaves json writes specially:
+# ints past 2^64 and negative ones, bools (ints to isinstance), floats with
+# NaN and infinities, strings with escapes, control and non-ASCII characters
+_JSON_LEAVES = (st.integers() | st.integers(-2**80, 2**80) | st.booleans()
+                | st.none() | st.floats() | st.text())
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: (st.lists(kids, max_size=6)
+                  | st.lists(kids, max_size=6).map(tuple)
+                  | st.lists(st.integers(), max_size=40)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=6)),
+    max_leaves=40)
+_JSON_KEYS = (st.text(max_size=4) | st.integers() | st.floats()
+              | st.booleans() | st.none())
+
+
+class TestJsonWriter:
+    """``cli._json_text`` against ``json.dumps(o, indent=1,
+    sort_keys=True)``: the same text, or the same exception type."""
+
+    @staticmethod
+    def outcome(dump, o):
+        try:
+            return dump(o)
+        except (TypeError, ValueError) as exc:
+            return type(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_same_text(self, o):
+        assert cli._json_text(o) == json.dumps(o, indent=1, sort_keys=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(_JSON_KEYS, _JSON_LEAVES, max_size=5))
+    def test_keys_of_every_kind(self, o):
+        """Non-string keys are written as json writes them, and keys that
+        do not sort together raise TypeError in both."""
+        assert self.outcome(cli._json_text, o) == self.outcome(
+            lambda x: json.dumps(x, indent=1, sort_keys=True), o)
+
+    @pytest.mark.parametrize("o", [
+        np.int64(3), [1, np.int64(2)], {"a": [np.int64(2)]},
+        {"a": {"b": np.bool_(True)}}, (1, object()), {(1, 2): 3}])
+    def test_what_json_refuses(self, o):
+        """A numpy integer or bool, or any other object json does not write,
+        raises TypeError as it does in json, where it sits in a list of
+        ints too; so does a tuple key."""
+        with pytest.raises(TypeError):
+            json.dumps(o, indent=1, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._json_text(o)
+
+    def test_empty_and_tuples(self):
+        o = {"a": [], "b": {}, "c": (), "d": [[], {}, ()], "e": (1, -2**70)}
+        assert cli._json_text(o) == json.dumps(o, indent=1, sort_keys=True)
 
 
 class TestErrorPaths:

@@ -204,9 +204,9 @@ def test_int_overflow_falls_back_exactly():
 def test_int_replay_huge_input_and_multiplier():
     rng = random.Random(7)
     batches = random_batches(rng, 12, 20, maxq=4)
-    log = kernels.make_log(batches)
     big = kernels.make_log([(t, src, q and [x * 2**70 for x in q])
                             for t, src, q in batches])
+    log = kernels.make_log(batches)  # make_log empties the list it packs
     assert big[1].dtype == object
     vec = [rng.randint(-9, 9) * 2**65 for _ in range(12)]
     for lg in (log, big):
@@ -282,7 +282,9 @@ def test_make_log_mixed_batches():
                ([4], 4, None),
                ([0, 1], 3, [2**64 + 5, -3]),
                ([2], 0, [-(2**63)])]
-    log = kernels.make_log(batches)
+    given = list(batches)
+    log = kernels.make_log(given)
+    assert given == []  # make_log empties the list it packs
     check_rounds(log)
     assert log[0].tolist() == [2, 3, 2, 3, 4, 4, 0, 1, 2]
     assert log[1].dtype == object
